@@ -39,12 +39,21 @@ from .scenario import (
 _DEFAULT_THRESHOLD = 0.3
 
 
+def _umask() -> int:
+    # The umask can only be read by setting it; put it straight back.
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def _write_atomic(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would have
+        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -21,7 +21,7 @@ detection loss.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .perception import (
     elastic_penetration,
     tag_geometry,
 )
-from .vehicle import VehicleParams, saturate
+from .vehicle import VehicleParams, as_floats, clip_axes
 
 
 @dataclass(frozen=True)
@@ -102,15 +102,11 @@ def subtask_control_underwater(
     for idx in (0, 1, 5):
         if gains.kp[idx] != 0.0 or gains.kd[idx] != 0.0:
             raise ValueError("x, y and yaw gains must be exactly zero")
-    err = np.zeros(6)
-    err[2] = target.z_d - measured.z
-    err[3] = wrap_angle(target.phi_d - measured.phi)
-    err[4] = wrap_angle(target.theta_d - measured.theta)
-    derr = np.zeros(6)
-    derr[2] = -measured.dz
-    derr[3] = -measured.dphi
-    derr[4] = -measured.dtheta
-    return np.asarray(gains.kp) * err + np.asarray(gains.kd) * derr
+    kp, kd = gains.kp, gains.kd
+    uz = kp[2] * (target.z_d - measured.z) + kd[2] * -measured.dz
+    uphi = kp[3] * wrap_angle(target.phi_d - measured.phi) + kd[3] * -measured.dphi
+    utheta = kp[4] * wrap_angle(target.theta_d - measured.theta) + kd[4] * -measured.dtheta
+    return np.array([0.0, 0.0, uz, uphi, utheta, 0.0])
 
 
 def subtask_control_surface(
@@ -128,15 +124,15 @@ def subtask_control_surface(
     """
     if len(gains.kp) != 3:
         raise ValueError("surface sub-task needs 3-axis gains")
-    vel = np.asarray(world_velocity, dtype=float)
+    vx, vy, vpsi = world_velocity
     ex = target.x_d - pose.x
     ey = target.y_d - pose.y
-    ux_w = gains.kp[0] * ex - gains.kd[0] * vel[0]
-    uy_w = gains.kp[1] * ey - gains.kd[1] * vel[1]
+    ux_w = gains.kp[0] * ex - gains.kd[0] * vx
+    uy_w = gains.kp[1] * ey - gains.kd[1] * vy
     c, s = math.cos(pose.psi), math.sin(pose.psi)
     ux = c * ux_w + s * uy_w
     uy = -s * ux_w + c * uy_w
-    upsi = gains.kp[2] * wrap_angle(target.psi_d - pose.psi) - gains.kd[2] * vel[2]
+    upsi = gains.kp[2] * wrap_angle(target.psi_d - pose.psi) - gains.kd[2] * vpsi
     if speed_limit is not None:
         ux = min(max(ux, -speed_limit), speed_limit)
         uy = min(max(uy, -speed_limit), speed_limit)
@@ -174,8 +170,10 @@ class VetGains:
             raise ValueError("command bounds must be positive")
         if not 0.0 < self.yield_fraction <= 1.0:
             raise ValueError("yield_fraction must be in (0, 1]")
-        if self.hold_half_life <= 0 or self.rate_time_constant < 0:
-            raise ValueError("hold half-life must be positive")
+        if self.hold_half_life <= 0:
+            raise ValueError("hold_half_life must be positive")
+        if self.rate_time_constant < 0:
+            raise ValueError("rate_time_constant must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -222,67 +220,68 @@ def vet_law(
     if not obs.detected:
         if state.last_time is None:
             factor = 0.0
-            dt = 0.0
         else:
             dt = max(obs.timestamp - state.last_time, 0.0)
             factor = 0.5 ** (dt / gains.hold_half_life)
-        cmd = np.asarray(state.held_command, dtype=float) * factor
+        hx, hy, hpsi = state.held_command
+        held = (hx * factor, hy * factor, hpsi * factor)
         weight = 1.0 - (1.0 - state.held_weight) * factor
-        new_state = replace(
-            state,
+        new_state = VetFilterState(
             last_center=None,
             last_time=obs.timestamp,
             rate=(0.0, 0.0),
-            held_command=tuple(cmd),
+            held_command=held,
             held_weight=weight,
         )
-        return VetCommand(cmd, None, False, weight), new_state
+        return VetCommand(np.array(held), None, False, weight), new_state
 
     center, l_bar, h_bar = tag_geometry(obs)
     region = classify_region(center, l_bar, h_bar, cam)
     half_w = cam.width / 2.0
     half_v = cam.height / 2.0
-    err = np.array([(center[0] - half_w) / half_w, (center[1] - half_v) / half_v])
+    ex = (center[0] - half_w) / half_w
+    ey = (center[1] - half_v) / half_v
 
-    rate = np.asarray(state.rate, dtype=float)
     if state.last_center is not None and state.last_time is not None:
+        rx, ry = state.rate
         dt = obs.timestamp - state.last_time
         if dt > 0.0:
-            raw = np.array(
-                [
-                    (center[0] - state.last_center[0]) / half_w,
-                    (center[1] - state.last_center[1]) / half_v,
-                ]
-            ) / dt
+            raw_x = (center[0] - state.last_center[0]) / half_w / dt
+            raw_y = (center[1] - state.last_center[1]) / half_v / dt
             alpha = dt / (gains.rate_time_constant + dt)
-            rate = rate + alpha * (raw - rate)
+            rx = rx + alpha * (raw_x - rx)
+            ry = ry + alpha * (raw_y - ry)
     else:
-        rate = np.zeros(2)
+        rx = ry = 0.0
 
     if region is RegionLabel.SAFE:
-        uxy = gains.k_safe_p * err
+        ux = gains.k_safe_p * ex
+        uy = gains.k_safe_p * ey
     elif region is RegionLabel.ELASTIC:
-        uxy = gains.k_elastic_p * err + gains.k_elastic_d * rate
+        ux = gains.k_elastic_p * ex + gains.k_elastic_d * rx
+        uy = gains.k_elastic_p * ey + gains.k_elastic_d * ry
     else:
-        norm = float(np.linalg.norm(err))
-        direction = err / norm if norm > 1e-12 else np.zeros(2)
-        uxy = np.array([gains.u_max_x, gains.u_max_y]) * direction
-    ux = min(max(float(uxy[0]), -gains.u_max_x), gains.u_max_x)
-    uy = min(max(float(uxy[1]), -gains.u_max_y), gains.u_max_y)
+        norm = math.sqrt(ex * ex + ey * ey)
+        if norm > 1e-12:
+            ux = gains.u_max_x * (ex / norm)
+            uy = gains.u_max_y * (ey / norm)
+        else:
+            ux = uy = 0.0
+    ux = min(max(ux, -gains.u_max_x), gains.u_max_x)
+    uy = min(max(uy, -gains.u_max_y), gains.u_max_y)
     upsi = gains.k_psi * obs.camera_yaw
-    cmd = np.array([ux, uy, upsi])
 
     penetration = elastic_penetration(center, l_bar, h_bar, cam)
     weight = min(max(1.0 - penetration / gains.yield_fraction, 0.0), 1.0)
 
     new_state = VetFilterState(
-        last_center=(float(center[0]), float(center[1])),
+        last_center=center,
         last_time=obs.timestamp,
-        rate=(float(rate[0]), float(rate[1])),
+        rate=(rx, ry),
         held_command=(ux, uy, upsi),
         held_weight=weight,
     )
-    return VetCommand(cmd, region, True, weight), new_state
+    return VetCommand(np.array([ux, uy, upsi]), region, True, weight), new_state
 
 
 def baseline_ibvs(
@@ -315,15 +314,19 @@ def camera_to_body(cmd: np.ndarray, mount: RigidTransform, dof: int) -> np.ndarr
     component. The heave, roll and pitch rows are structurally zero: those
     axes belong to the sub-task controller.
     """
-    cmd = np.asarray(cmd, dtype=float)
-    if cmd.shape != (3,):
+    cmd = as_floats(cmd)
+    if len(cmd) != 3:
         raise ValueError("camera-frame command is (u_x, u_y, u_psi)")
-    linear = mount.rotation @ np.array([cmd[0], cmd[1], 0.0])
-    angular = mount.rotation @ np.array([0.0, 0.0, cmd[2]])
+    cx, cy, cpsi = cmd
+    (r0, r1, _), (r3, r4, _), (_, _, r8) = mount.rotation.tolist()
+    # linear part rotates as a vector, yaw as an axis about camera z
+    lx = r0 * cx + r1 * cy
+    ly = r3 * cx + r4 * cy
+    wz = r8 * cpsi
     if dof == 6:
-        return np.array([linear[0], linear[1], 0.0, 0.0, 0.0, angular[2]])
+        return np.array([lx, ly, 0.0, 0.0, 0.0, wz])
     if dof == 3:
-        return np.array([linear[0], linear[1], angular[2]])
+        return np.array([lx, ly, wz])
     raise ValueError("dof must be 3 or 6")
 
 
@@ -340,14 +343,14 @@ def combined_control(
     to tether-only as the tag nears the border). Callers that do not use
     priority leave it at 1, which reduces to a plain sum.
     """
-    subtask_u = np.asarray(subtask_u, dtype=float)
-    xi_u = np.asarray(xi_u, dtype=float)
-    if subtask_u.shape != xi_u.shape or subtask_u.shape != (params.dof,):
+    subtask_u = as_floats(subtask_u)
+    xi_u = as_floats(xi_u)
+    if len(subtask_u) != params.dof or len(xi_u) != params.dof:
         raise ValueError("command vectors must both match the vehicle dof")
-    weighted = subtask_u.copy()
     n_lin = 2 if params.dof == 3 else 3
-    weighted[:n_lin] *= subtask_weight
-    return saturate(weighted + xi_u, params)
+    total = [s * subtask_weight + x for s, x in zip(subtask_u[:n_lin], xi_u[:n_lin])]
+    total += [s + x for s, x in zip(subtask_u[n_lin:], xi_u[n_lin:])]
+    return np.array(clip_axes(total, params))
 
 
 def check_connectivity(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +64,13 @@ class Pose6:
     def position(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
 
+    @cached_property
+    def flat_transform(self) -> tuple:
+        """Body-to-world transform as plain floats, computed once per pose:
+        (nine row-major rotation entries, (x, y, z))."""
+        a = self.attitude
+        return rotation_zyx(a.phi, a.theta, a.psi), (self.x, self.y, self.z)
+
 
 @dataclass(frozen=True)
 class Pose3:
@@ -84,23 +92,37 @@ class Pose3:
         """Embed in 3D: the surface robot sits on the z = 0 plane, level."""
         return Pose6(self.x, self.y, 0.0, EulerAngles(0.0, 0.0, self.psi))
 
+    @cached_property
+    def flat_transform(self) -> tuple:
+        """Body-to-world transform of the lifted pose as plain floats:
+        (nine row-major entries of the yaw rotation, (x, y, 0))."""
+        c, s = math.cos(self.psi), math.sin(self.psi)
+        return (c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0), (self.x, self.y, 0.0)
 
-def rotation_body_to_world(attitude: EulerAngles) -> np.ndarray:
-    """ZYX rotation matrix mapping body coordinates into world coordinates."""
-    cphi, sphi = math.cos(attitude.phi), math.sin(attitude.phi)
-    cth, sth = math.cos(attitude.theta), math.sin(attitude.theta)
-    cpsi, spsi = math.cos(attitude.psi), math.sin(attitude.psi)
-    return np.array(
-        [
-            [cpsi * cth, -spsi * cphi + cpsi * sth * sphi, cpsi * sth * cphi + spsi * sphi],
-            [spsi * cth, cpsi * cphi + spsi * sth * sphi, -cpsi * sphi + spsi * sth * cphi],
-            [-sth, cth * sphi, cth * cphi],
-        ]
+
+def rotation_zyx(phi: float, theta: float, psi: float) -> tuple:
+    """ZYX body-to-world rotation as nine row-major floats."""
+    cphi, sphi = math.cos(phi), math.sin(phi)
+    cth, sth = math.cos(theta), math.sin(theta)
+    cpsi, spsi = math.cos(psi), math.sin(psi)
+    return (
+        cpsi * cth, -spsi * cphi + cpsi * sth * sphi, cpsi * sth * cphi + spsi * sphi,
+        spsi * cth, cpsi * cphi + spsi * sth * sphi, -cpsi * sphi + spsi * sth * cphi,
+        -sth, cth * sphi, cth * cphi,
     )
 
 
-def euler_rate_transform(attitude: EulerAngles) -> np.ndarray:
-    """Map body angular velocity to Euler-angle rates.
+def rotation_body_to_world(attitude: EulerAngles) -> np.ndarray:
+    """ZYX rotation matrix mapping body coordinates into world coordinates."""
+    return np.array(rotation_zyx(attitude.phi, attitude.theta, attitude.psi)).reshape(3, 3)
+
+
+def euler_rate_rows(attitude: EulerAngles) -> tuple:
+    """The six non-constant entries (a, b, c, d, e, f) of the Euler-rate map
+
+        [[1, a, b], [0, c, d], [0, e, f]]
+
+    that takes body angular velocity to Euler-angle rates.
 
     Raises GimbalSingularity when |theta| >= pi/2 - 1e-3, where the inverse
     does not exist (1/cos(theta) blows up).
@@ -112,13 +134,13 @@ def euler_rate_transform(attitude: EulerAngles) -> np.ndarray:
     cphi, sphi = math.cos(attitude.phi), math.sin(attitude.phi)
     cth = math.cos(attitude.theta)
     tth = math.tan(attitude.theta)
-    return np.array(
-        [
-            [1.0, sphi * tth, cphi * tth],
-            [0.0, cphi, -sphi],
-            [0.0, sphi / cth, cphi / cth],
-        ]
-    )
+    return (sphi * tth, cphi * tth, cphi, -sphi, sphi / cth, cphi / cth)
+
+
+def euler_rate_transform(attitude: EulerAngles) -> np.ndarray:
+    """Map body angular velocity to Euler-angle rates (see euler_rate_rows)."""
+    a, b, c, d, e, f = euler_rate_rows(attitude)
+    return np.array([[1.0, a, b], [0.0, c, d], [0.0, e, f]])
 
 
 def surface_jacobian(psi: float, appendix_sign_convention: bool = False) -> np.ndarray:
@@ -191,6 +213,10 @@ class RigidTransform:
 
     def apply_vector(self, vector: np.ndarray) -> np.ndarray:
         return self.rotation @ np.asarray(vector, dtype=float)
+
+    def flat(self) -> tuple:
+        """(nine row-major rotation floats, three translation floats)."""
+        return tuple(self.rotation.ravel().tolist()), tuple(self.translation.tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RigidTransform):

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .frames import Pose3, Pose6, RigidTransform, compose, transform_from_pose, wrap_angle
+from .frames import Pose3, Pose6, RigidTransform, wrap_angle
 
 
 class NotDetected(ValueError):
@@ -53,6 +54,11 @@ class CameraModel:
     def center(self) -> tuple:
         return (self.width / 2.0, self.height / 2.0)
 
+    @cached_property
+    def flat_mount(self) -> tuple:
+        """The mount as plain floats, converted once (see RigidTransform.flat)."""
+        return self.mount.flat()
+
 
 @dataclass(frozen=True)
 class TagModel:
@@ -64,6 +70,11 @@ class TagModel:
     def __post_init__(self) -> None:
         if self.side <= 0:
             raise ValueError("tag side must be positive")
+
+    @cached_property
+    def flat_mount(self) -> tuple:
+        """The mount as plain floats, converted once (see RigidTransform.flat)."""
+        return self.mount.flat()
 
     def corners_local(self) -> np.ndarray:
         """Corners a, b, c, d counter-clockwise from top-left, z = 0.
@@ -119,7 +130,10 @@ class DropoutModel:
             last_end = window[1]
 
     def scheduled(self, t: float) -> bool:
-        return any(t0 <= t <= t1 for t0, t1 in self.scheduled_windows)
+        for t0, t1 in self.scheduled_windows:
+            if t0 <= t <= t1:
+                return True
+        return False
 
 
 _MIN_DEPTH = 1e-9
@@ -138,30 +152,63 @@ def project_tag(
     axis, measured in image coordinates; it is exact regardless of where the
     tag sits in the frame.
     """
-    world_from_cam = compose(transform_from_pose(observer_pose), cam.mount)
-    world_from_tag = compose(transform_from_pose(target_pose), tag.mount)
-    rot_cam_tag = world_from_cam.rotation.T @ world_from_tag.rotation
-    t_cam_tag = world_from_cam.rotation.T @ (
-        world_from_tag.translation - world_from_cam.translation
-    )
+    (c0, c1, c2, c3, c4, c5, c6, c7, c8), (cx, cy, cz) = cam.flat_mount
+    (o0, o1, o2, o3, o4, o5, o6, o7, o8), (ox, oy, oz) = observer_pose.flat_transform
+    # world_from_cam = observer body-to-world composed with the camera mount
+    w0 = o0 * c0 + o1 * c3 + o2 * c6
+    w1 = o0 * c1 + o1 * c4 + o2 * c7
+    w2 = o0 * c2 + o1 * c5 + o2 * c8
+    w3 = o3 * c0 + o4 * c3 + o5 * c6
+    w4 = o3 * c1 + o4 * c4 + o5 * c7
+    w5 = o3 * c2 + o4 * c5 + o5 * c8
+    w6 = o6 * c0 + o7 * c3 + o8 * c6
+    w7 = o6 * c1 + o7 * c4 + o8 * c7
+    w8 = o6 * c2 + o7 * c5 + o8 * c8
+    wx = o0 * cx + o1 * cy + o2 * cz + ox
+    wy = o3 * cx + o4 * cy + o5 * cz + oy
+    wz = o6 * cx + o7 * cy + o8 * cz + oz
 
-    corners_cam = tag.corners_local() @ rot_cam_tag.T + t_cam_tag
-    depths = corners_cam[:, 2]
-    if np.any(np.abs(depths) < _MIN_DEPTH):
-        return TagObservation(np.zeros((4, 2)), 0.0, t, False)
+    (g0, g1, g2, g3, g4, g5, g6, g7, g8), (gx, gy, gz) = tag.flat_mount
+    (r0, r1, r2, r3, r4, r5, r6, r7, r8), (tx, ty, tz) = target_pose.flat_transform
+    # the tag's x and y axes and its centre, in the world frame
+    ax = r0 * g0 + r1 * g3 + r2 * g6
+    ay = r3 * g0 + r4 * g3 + r5 * g6
+    az = r6 * g0 + r7 * g3 + r8 * g6
+    bx = r0 * g1 + r1 * g4 + r2 * g7
+    by = r3 * g1 + r4 * g4 + r5 * g7
+    bz = r6 * g1 + r7 * g4 + r8 * g7
+    dx = r0 * gx + r1 * gy + r2 * gz + tx - wx
+    dy = r3 * gx + r4 * gy + r5 * gz + ty - wy
+    dz = r6 * gx + r7 * gy + r8 * gz + tz - wz
 
-    pixels = np.empty((4, 2))
-    pixels[:, 0] = cam.focal_length * corners_cam[:, 0] / depths + cam.width / 2.0
-    pixels[:, 1] = cam.focal_length * corners_cam[:, 1] / depths + cam.height / 2.0
+    # ... and in camera coordinates (world_from_cam rotation transposed)
+    xa0 = w0 * ax + w3 * ay + w6 * az
+    xa1 = w1 * ax + w4 * ay + w7 * az
+    xa2 = w2 * ax + w5 * ay + w8 * az
+    ya0 = w0 * bx + w3 * by + w6 * bz
+    ya1 = w1 * bx + w4 * by + w7 * bz
+    ya2 = w2 * bx + w5 * by + w8 * bz
+    p0 = w0 * dx + w3 * dy + w6 * dz
+    p1 = w1 * dx + w4 * dy + w7 * dz
+    p2 = w2 * dx + w5 * dy + w8 * dz
 
-    in_front = bool(np.all(depths > 0.0))
-    in_frame = bool(
-        np.all((pixels[:, 0] >= 0.0) & (pixels[:, 0] <= cam.width))
-        and np.all((pixels[:, 1] >= 0.0) & (pixels[:, 1] <= cam.height))
-    )
-    axis = rot_cam_tag[:, 0]  # tag +x expressed in camera coordinates
-    yaw = wrap_angle(math.atan2(float(axis[1]), float(axis[0])))
-    return TagObservation(pixels, yaw, t, in_front and in_frame)
+    # corners a, b, c, d as in TagModel.corners_local
+    h = tag.side / 2.0
+    f = cam.focal_length
+    width, height = cam.width, cam.height
+    half_w, half_v = width / 2.0, height / 2.0
+    pixels = []
+    detected = True
+    for sx, sy in ((-h, -h), (h, -h), (h, h), (-h, h)):
+        depth = sx * xa2 + sy * ya2 + p2
+        if abs(depth) < _MIN_DEPTH:
+            return TagObservation(np.zeros((4, 2)), 0.0, t, False)
+        u = f * (sx * xa0 + sy * ya0 + p0) / depth + half_w
+        v = f * (sx * xa1 + sy * ya1 + p1) / depth + half_v
+        detected = detected and depth > 0.0 and 0.0 <= u <= width and 0.0 <= v <= height
+        pixels += (u, v)
+    yaw = wrap_angle(math.atan2(xa1, xa0))
+    return TagObservation(np.array(pixels).reshape(4, 2), yaw, t, detected)
 
 
 def tag_geometry(obs: TagObservation) -> tuple:
@@ -171,11 +218,7 @@ def tag_geometry(obs: TagObservation) -> tuple:
     """
     if not obs.detected:
         raise NotDetected("tag geometry needs a detected observation")
-    corners = obs.corners
-    ax, ay = float(corners[0, 0]), float(corners[0, 1])
-    bx, by = float(corners[1, 0]), float(corners[1, 1])
-    cx, cy = float(corners[2, 0]), float(corners[2, 1])
-    dx, dy = float(corners[3, 0]), float(corners[3, 1])
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = obs.corners.tolist()
     center = ((ax + bx + cx + dx) / 4.0, (ay + by + cy + dy) / 4.0)
     l_bar = (
         math.hypot(ax - bx, ay - by)
@@ -210,21 +253,21 @@ def elastic_penetration(center, l_bar: float, h_bar: float, cam: CameraModel) ->
     Used by the control layer to fade the leader's own task out as the tag
     drifts toward the border.
     """
-    x, y = float(center[0]), float(center[1])
-    w, v = float(cam.width), float(cam.height)
-    penetrations = []
-    for value, extent in ((x, w), (y, v)):
-        safe_lo = (extent - l_bar) / 2.0
-        safe_hi = (extent + l_bar) / 2.0
-        span = safe_lo - h_bar  # distance from the safe edge to the danger edge
-        depth = max(safe_lo - value, value - safe_hi, 0.0)
-        if depth == 0.0:
-            penetrations.append(0.0)
-        elif span <= 0.0:
-            penetrations.append(math.inf)
-        else:
-            penetrations.append(depth / span)
-    return max(penetrations)
+    return max(
+        _penetration(center[0], cam.width, l_bar, h_bar),
+        _penetration(center[1], cam.height, l_bar, h_bar),
+    )
+
+
+def _penetration(value: float, extent: float, l_bar: float, h_bar: float) -> float:
+    """elastic_penetration along one image axis."""
+    safe_lo = (extent - l_bar) / 2.0
+    safe_hi = (extent + l_bar) / 2.0
+    depth = max(safe_lo - value, value - safe_hi, 0.0)
+    if depth == 0.0:
+        return 0.0
+    span = safe_lo - h_bar  # distance from the safe edge to the danger edge
+    return depth / span if span > 0.0 else math.inf
 
 
 def tether_state(obs: TagObservation, cam: CameraModel) -> TetherState:
@@ -253,5 +296,5 @@ def apply_dropout(
     if model.random_rate > 0.0:
         dropped = bool(rng.random() < model.random_rate) or dropped
     if dropped and obs.detected:
-        return replace(obs, detected=False)
+        return TagObservation(obs.corners, obs.camera_yaw, obs.timestamp, False)
     return obs

@@ -41,15 +41,7 @@ from .control import (
     underwater_pd,
     vet_law,
 )
-from .frames import (
-    GimbalSingularity,
-    Pose3,
-    Pose6,
-    RigidTransform,
-    euler_rate_transform,
-    rotation_body_to_world,
-    surface_jacobian,
-)
+from .frames import GimbalSingularity, Pose3, Pose6, RigidTransform, euler_rate_rows
 from .perception import (
     CameraModel,
     DropoutModel,
@@ -59,7 +51,12 @@ from .perception import (
     project_tag,
     tag_geometry,
 )
-from .vehicle import Disturbance, VehicleModel, VehicleParams
+from .vehicle import Disturbance, VehicleModel, VehicleParams, as_floats
+
+
+# The most integration steps one run may take; the log is preallocated, so
+# this also bounds a run's memory (about 0.4 GB at the cap).
+MAX_TICKS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -189,12 +186,19 @@ class ScenarioConfig:
     appendix_sign_convention: bool = False
 
     def validate(self) -> None:
+        non_finite = _non_finite_paths(self.to_dict())
+        if non_finite:
+            raise ConfigError(f"non-finite numbers at {', '.join(non_finite)}")
         if self.mode not in ("vet", "baseline"):
             raise ConfigError(f"mode must be 'vet' or 'baseline', got {self.mode!r}")
         if not 0.0 < self.dt <= 0.1:
             raise ConfigError("dt must be in (0, 0.1] seconds")
         if self.duration < 0:
             raise ConfigError("duration must be non-negative")
+        if round(self.duration / self.dt) > MAX_TICKS:
+            raise ConfigError(
+                f"duration {self.duration:g} s at dt {self.dt:g} s exceeds {MAX_TICKS} ticks"
+            )
         if len(self.tank_min) != 3 or len(self.tank_max) != 3:
             raise ConfigError("tank bounds are 3-vectors")
         if any(hi <= lo for lo, hi in zip(self.tank_min, self.tank_max)):
@@ -211,6 +215,10 @@ class ScenarioConfig:
                 raise ConfigError("surface initial pose lies outside the tank")
         if self.params_u.dof != 6 or self.params_s.dof != 3:
             raise ConfigError("underwater model is 6-DoF, surface model 3-DoF")
+        if len(self.pd_u.kp) != 6 or len(self.pd_s.kp) != 3:
+            raise ConfigError("pd_u needs 6-axis gains and pd_s 3-axis gains")
+        if any(self.pd_u.kp[i] != 0.0 or self.pd_u.kd[i] != 0.0 for i in (0, 1, 5)):
+            raise ConfigError("pd_u gains on x, y and yaw must be exactly zero")
         if not isinstance(self.planner, (Setpoints, Lawnmower)):
             raise ConfigError("planner must be Setpoints or Lawnmower")
         planner_waypoints(self.planner)  # raises InvalidBounds on bad areas
@@ -305,6 +313,18 @@ class ScenarioConfig:
             raise ConfigError(f"malformed config: {exc}") from exc
         cfg.validate()
         return cfg
+
+
+def _non_finite_paths(tree, path: str = "") -> list:
+    """Dotted paths of every NaN or infinite number in a to_dict tree."""
+    if isinstance(tree, dict):
+        items = tree.items()
+    elif isinstance(tree, list):
+        items = enumerate(tree)
+    else:
+        return [path] if isinstance(tree, float) and not math.isfinite(tree) else []
+    prefix = f"{path}." if path else ""
+    return [p for key, value in items for p in _non_finite_paths(value, f"{prefix}{key}")]
 
 
 def _float_tuple(values, length, label) -> tuple:
@@ -542,42 +562,54 @@ class _WallClamp:
     """Soft tank walls: clamp position, kill the outward velocity."""
 
     def __init__(self, tank_min, tank_max):
-        self.lo = np.asarray(tank_min, dtype=float)
-        self.hi = np.asarray(tank_max, dtype=float)
+        self.lo = tuple(float(v) for v in tank_min)
+        self.hi = tuple(float(v) for v in tank_max)
 
     def apply_u(self, pose: Pose6, nu: np.ndarray):
-        pos = pose.position()
-        clipped = np.clip(pos, self.lo, self.hi)
-        if np.array_equal(clipped, pos):
+        lo, hi = self.lo, self.hi
+        pos = (pose.x, pose.y, pose.z)
+        clipped = (
+            min(max(pose.x, lo[0]), hi[0]),
+            min(max(pose.y, lo[1]), hi[1]),
+            min(max(pose.z, lo[2]), hi[2]),
+        )
+        if clipped == pos:
             return pose, nu, False
-        rot = rotation_body_to_world(pose.attitude)
-        world_v = rot @ nu[:3]
-        world_v[clipped != pos] = 0.0
-        nu = nu.copy()
-        nu[:3] = rot.T @ world_v
-        return Pose6(clipped[0], clipped[1], clipped[2], pose.attitude), nu, True
+        (r0, r1, r2, r3, r4, r5, r6, r7, r8), _ = pose.flat_transform
+        nu = as_floats(nu)
+        u, v, w = nu[:3]
+        world_v = [r0 * u + r1 * v + r2 * w, r3 * u + r4 * v + r5 * w, r6 * u + r7 * v + r8 * w]
+        for axis in range(3):
+            if clipped[axis] != pos[axis]:
+                world_v[axis] = 0.0
+        wx, wy, wz = world_v
+        nu[:3] = [r0 * wx + r3 * wy + r6 * wz, r1 * wx + r4 * wy + r7 * wz,
+                  r2 * wx + r5 * wy + r8 * wz]
+        return Pose6(clipped[0], clipped[1], clipped[2], pose.attitude), np.array(nu), True
 
     def apply_s(self, pose: Pose3, nu: np.ndarray):
-        pos = np.array([pose.x, pose.y])
-        clipped = np.clip(pos, self.lo[:2], self.hi[:2])
-        if np.array_equal(clipped, pos):
+        x = min(max(pose.x, self.lo[0]), self.hi[0])
+        y = min(max(pose.y, self.lo[1]), self.hi[1])
+        if x == pose.x and y == pose.y:
             return pose, nu, False
-        jac = surface_jacobian(pose.psi)
-        world_v = jac @ nu
-        world_v[:2][clipped != pos] = 0.0
-        nu = jac.T @ world_v
-        return Pose3(clipped[0], clipped[1], pose.psi), nu, True
+        c, s = math.cos(pose.psi), math.sin(pose.psi)
+        u, v, r = as_floats(nu)
+        wx = c * u - s * v if x == pose.x else 0.0
+        wy = s * u + c * v if y == pose.y else 0.0
+        return Pose3(x, y, pose.psi), np.array([c * wx + s * wy, -s * wx + c * wy, r]), True
 
 
-def _depth_attitude_state(pose: Pose6, nu: np.ndarray) -> DepthAttitudeState:
+def _depth_attitude_state(pose: Pose6, nu) -> DepthAttitudeState:
     """What the underwater robot's own sensors provide: depth and attitude."""
-    rot = rotation_body_to_world(pose.attitude)
-    rates = euler_rate_transform(pose.attitude) @ nu[3:]
-    dz = float((rot @ nu[:3])[2])
+    (_, _, _, _, _, _, r6, r7, r8), _ = pose.flat_transform
+    ea, eb, ec, ed, _, _ = euler_rate_rows(pose.attitude)
+    u, v, w, p, q, r = as_floats(nu)
     att = pose.attitude
     return DepthAttitudeState(
         z=pose.z, phi=att.phi, theta=att.theta,
-        dz=dz, dphi=float(rates[0]), dtheta=float(rates[1]),
+        dz=r6 * u + r7 * v + r8 * w,
+        dphi=p + ea * q + eb * r,
+        dtheta=ec * q + ed * r,
     )
 
 
@@ -641,6 +673,9 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
     prev_clamp_s = False
     pending_flags = []
 
+    sign_convention = config.appendix_sign_convention
+    mount_u = config.camera_u.mount
+    mount_s = config.camera_s.mount
     for k in range(n_rec):
         t = k * dt
         flags = pending_flags
@@ -658,7 +693,8 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
             flags.append("dropout_end")
         prev_window = window_now
 
-        perturb_now = any(d.active(t) for d in config.perturbations)
+        active = [d for d in config.perturbations if d.active(t)]
+        perturb_now = bool(active)
         if perturb_now and not prev_perturb:
             flags.append("perturb_start")
         elif prev_perturb and not perturb_now:
@@ -708,15 +744,19 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
         u_sub_u = subtask_control_underwater(partial, target_u, config.pd_u)
         if baseline:
             cam_cmd_u, _leader_input = baseline_ibvs(obs_us, config.vet, config.camera_u)
-            xi_u = camera_to_body(cam_cmd_u, config.camera_u.mount, 6)
+            xi_u = camera_to_body(cam_cmd_u, mount_u, 6)
         else:
             vet_cmd_u, vet_state_u = vet_law(obs_us, vet_state_u, config.vet, config.camera_u)
-            xi_u = camera_to_body(vet_cmd_u.u, config.camera_u.mount, 6)
+            xi_u = camera_to_body(vet_cmd_u.u, mount_u, 6)
         u_tot_u = combined_control(u_sub_u, xi_u, config.params_u)
 
-        # control: surface robot
-        jac = surface_jacobian(pose_s.psi, config.appendix_sign_convention)
-        vel_world_s = jac @ nu_s
+        # control: surface robot; world rates through the surface Jacobian
+        c, s = math.cos(pose_s.psi), math.sin(pose_s.psi)
+        su, sv, sr = nu_s.tolist()
+        if sign_convention:
+            vel_world_s = (-c * su + s * sv, -s * su + c * sv, sr)
+        else:
+            vel_world_s = (c * su - s * sv, s * su + c * sv, sr)
         u_sub_s = subtask_control_surface(
             pose_s, vel_world_s, target_s, config.pd_s, speed_limit
         )
@@ -726,7 +766,7 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
             weight_s = 1.0
         else:
             vet_cmd_s, vet_state_s = vet_law(obs_su, vet_state_s, config.vet, config.camera_s)
-            xi_s = camera_to_body(vet_cmd_s.u, config.camera_s.mount, 3)
+            xi_s = camera_to_body(vet_cmd_s.u, mount_s, 3)
             weight_s = vet_cmd_s.subtask_weight
         u_tot_s = combined_control(u_sub_s, xi_s, config.params_s, weight_s)
 
@@ -738,9 +778,8 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
         nu_s_arr[k] = nu_s
         u_sub_u_arr[k] = u_sub_u
         u_xi_u_arr[k] = xi_u
-        logged_sub_s = u_sub_s.copy()
-        logged_sub_s[:2] *= weight_s
-        u_sub_s_arr[k] = logged_sub_s
+        u_sub_s_arr[k] = u_sub_s
+        u_sub_s_arr[k, :2] *= weight_s
         u_xi_s_arr[k] = xi_s
         u_tot_u_arr[k] = u_tot_u
         u_tot_s_arr[k] = u_tot_s
@@ -759,14 +798,12 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
 
         # actuate
         force = torque = None
-        if perturb_now:
-            f_sum = np.zeros(3)
-            tq_sum = np.zeros(3)
-            for d in config.perturbations:
-                if d.active(t):
-                    f_sum += np.asarray(d.force, dtype=float)
-                    tq_sum += np.asarray(d.torque, dtype=float)
-            force, torque = f_sum, tq_sum
+        if active:
+            fx = fy = fz = tx = ty = tz = 0.0
+            for d in active:
+                fx, fy, fz = fx + d.force[0], fy + d.force[1], fz + d.force[2]
+                tx, ty, tz = tx + d.torque[0], ty + d.torque[1], tz + d.torque[2]
+            force, torque = (fx, fy, fz), (tx, ty, tz)
         try:
             pose_u, nu_u = model_u.step(
                 pose_u, nu_u, model_u.allocate(u_tot_u), dt, force, torque

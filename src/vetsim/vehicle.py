@@ -20,19 +20,12 @@ commanded value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import (
-    EulerAngles,
-    Pose3,
-    Pose6,
-    euler_rate_transform,
-    rotation_body_to_world,
-    surface_jacobian,
-    wrap_angle,
-)
+from .frames import EulerAngles, Pose3, Pose6, euler_rate_rows, wrap_angle
 
 
 class DimensionMismatch(ValueError):
@@ -106,38 +99,42 @@ def _check_dof(u: np.ndarray, params: VehicleParams) -> np.ndarray:
     return u
 
 
+def as_floats(v) -> list:
+    """A vector as a list of Python floats; per-tick scalar code runs several
+    times faster on these than on numpy scalars."""
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    return [float(x) for x in v]
+
+
 def allocate_thrust(u: np.ndarray, params: VehicleParams) -> np.ndarray:
     """Map a command vector to a body wrench through the diagonal gain."""
     u = _check_dof(u, params)
     return np.asarray(params.thrust_gain, dtype=float) * u
 
 
+def _coriolis_flat(nu: list, mass: tuple) -> list:
+    """C(nu) for a diagonal mass, as a row-major list of floats."""
+    if len(nu) == 3:
+        mu, mv = mass[0] * nu[0], mass[1] * nu[1]
+        return [0.0, 0.0, -mv, 0.0, 0.0, mu, mv, -mu, 0.0]
+    # linear (a) and angular (b) momentum
+    a0, a1, a2 = mass[0] * nu[0], mass[1] * nu[1], mass[2] * nu[2]
+    b0, b1, b2 = mass[3] * nu[3], mass[4] * nu[4], mass[5] * nu[5]
+    return [
+        0.0, 0.0, 0.0, 0.0, a2, -a1,
+        0.0, 0.0, 0.0, -a2, 0.0, a0,
+        0.0, 0.0, 0.0, a1, -a0, 0.0,
+        0.0, a2, -a1, 0.0, b2, -b1,
+        -a2, 0.0, a0, -b2, 0.0, b0,
+        a1, -a0, 0.0, b1, -b0, 0.0,
+    ]
+
+
 def coriolis_matrix(nu: np.ndarray, params: VehicleParams) -> np.ndarray:
     """Skew-symmetric Coriolis/centripetal matrix for the diagonal mass."""
     nu = _check_dof(nu, params)
-    m = np.asarray(params.mass, dtype=float)
-    if params.dof == 3:
-        mu, mv = m[0] * nu[0], m[1] * nu[1]
-        return np.array(
-            [
-                [0.0, 0.0, -mv],
-                [0.0, 0.0, mu],
-                [mv, -mu, 0.0],
-            ]
-        )
-    a = m[:3] * nu[:3]  # momentum of the linear axes
-    b = m[3:] * nu[3:]  # angular momentum
-    c = np.zeros((6, 6))
-    c[0, 4], c[0, 5] = a[2], -a[1]
-    c[1, 3], c[1, 5] = -a[2], a[0]
-    c[2, 3], c[2, 4] = a[1], -a[0]
-    c[3, 1], c[3, 2] = a[2], -a[1]
-    c[4, 0], c[4, 2] = -a[2], a[0]
-    c[5, 0], c[5, 1] = a[1], -a[0]
-    c[3, 4], c[3, 5] = b[2], -b[1]
-    c[4, 3], c[4, 5] = -b[2], b[0]
-    c[5, 3], c[5, 4] = b[1], -b[0]
-    return c
+    return np.array(_coriolis_flat(nu.tolist(), params.mass)).reshape(params.dof, params.dof)
 
 
 def damping_force(nu: np.ndarray, params: VehicleParams) -> np.ndarray:
@@ -148,16 +145,22 @@ def damping_force(nu: np.ndarray, params: VehicleParams) -> np.ndarray:
     return (d_lin + d_quad * np.abs(nu)) * nu
 
 
+def clip_axes(u: list, params: VehicleParams) -> list:
+    """Clip each component of a float command to its per-axis bound."""
+    lin = params.velocity_bound_linear
+    ang = params.velocity_bound_angular
+    n_lin = 2 if len(u) == 3 else 3
+    out = []
+    for i, v in enumerate(u):
+        bound = lin if i < n_lin else ang
+        out.append(bound if v > bound else -bound if v < -bound else v)
+    return out
+
+
 def saturate(u: np.ndarray, params: VehicleParams) -> np.ndarray:
     """Clip each command component to its per-axis bound."""
     u = _check_dof(u, params)
-    lin = params.velocity_bound_linear
-    ang = params.velocity_bound_angular
-    n_lin = 2 if params.dof == 3 else 3
-    out = u.copy()
-    out[:n_lin] = np.clip(out[:n_lin], -lin, lin)
-    out[n_lin:] = np.clip(out[n_lin:], -ang, ang)
-    return out
+    return np.array(clip_axes(u.tolist(), params))
 
 
 def clip_norm(vec: np.ndarray, bound: float) -> np.ndarray:
@@ -174,18 +177,24 @@ def clip_norm(vec: np.ndarray, bound: float) -> np.ndarray:
     return out
 
 
+# Below this fraction of the squared bound a float sum of squares proves the
+# norm is within the bound, so clip_norm would return the vector unchanged.
+_INSIDE_BOUND = 1.0 - 1e-12
+
+
 class VehicleModel:
-    """Precomputed arrays for one vehicle, with the integration step."""
+    """Model parameters as floats, with the integration step."""
 
     def __init__(self, params: VehicleParams):
         self.params = params
         self.dof = params.dof
-        self._mass = np.asarray(params.mass, dtype=float)
-        self._m_diag = np.diag(self._mass)
-        self._d_lin = np.asarray(params.damping_linear, dtype=float)
-        self._d_quad = np.asarray(params.damping_quadratic, dtype=float)
+        self._mass = tuple(float(m) for m in params.mass)
+        self._d_lin = tuple(float(d) for d in params.damping_linear)
+        self._d_quad = tuple(float(d) for d in params.damping_quadratic)
         self._gain = np.asarray(params.thrust_gain, dtype=float)
         self._n_lin = 2 if self.dof == 3 else 3
+        self._bound = params.velocity_bound_linear
+        self._inside = self._bound * self._bound * _INSIDE_BOUND
 
     def allocate(self, u: np.ndarray) -> np.ndarray:
         return self._gain * u
@@ -200,60 +209,82 @@ class VehicleModel:
         world_torque: np.ndarray | None = None,
     ):
         """Advance one step; returns (new_pose, new_body_velocity)."""
-        nu = _check_dof(nu, self.params)
-        tau = _check_dof(tau, self.params)
         if self.dof == 6:
             return self._step6(pose, nu, tau, dt, world_force, world_torque)
         return self._step3(pose, nu, tau, dt, world_force, world_torque)
 
-    def _solve_velocity(self, nu, tau_total, dt):
-        h = coriolis_matrix(nu, self.params)
-        h[np.diag_indices_from(h)] += self._d_lin + self._d_quad * np.abs(nu)
-        a = self._m_diag + dt * h
-        nu_new = np.linalg.solve(a, self._mass * nu + dt * tau_total)
-        nu_new[: self._n_lin] = clip_norm(
-            nu_new[: self._n_lin], self.params.velocity_bound_linear
-        )
+    def _solve_velocity(self, nu: list, tau_total: list, dt: float) -> list:
+        """Solve (M + dt*(C + D)) nu' = M nu + dt*tau and clip the linear norm."""
+        mass = self._mass
+        n = self.dof
+        diag = [
+            m + dt * (dl + dq * abs(v))
+            for m, dl, dq, v in zip(mass, self._d_lin, self._d_quad, nu)
+        ]
+        rhs = [m * v + dt * f for m, v, f in zip(mass, nu, tau_total)]
+        coriolis = _coriolis_flat(nu, mass)
+        if n == 3:
+            # Closed form for [[a, 0, p], [0, b, q], [-p, -q, e]], the 3-DoF
+            # shape of M + dt*(C + D).
+            a, b, e = diag
+            p, q = dt * coriolis[2], dt * coriolis[5]
+            r0, r1, r2 = rhs
+            z = (r2 + p * r0 / a + q * r1 / b) / (e + p * p / a + q * q / b)
+            nu_new = [(r0 - p * z) / a, (r1 - q * z) / b, z]
+        else:
+            matrix = [dt * c for c in coriolis]
+            matrix[:: n + 1] = diag
+            nu_new = np.linalg.solve(np.array(matrix).reshape(n, n), np.array(rhs)).tolist()
+        n_lin = self._n_lin
+        if sum([v * v for v in nu_new[:n_lin]]) > self._inside:
+            nu_new[:n_lin] = clip_norm(nu_new[:n_lin], self._bound).tolist()
         return nu_new
 
     def _step6(self, pose: Pose6, nu, tau, dt, world_force, world_torque):
-        rot = rotation_body_to_world(pose.attitude)
-        t_euler = euler_rate_transform(pose.attitude)
-        tau_total = tau.copy()
-        if world_force is not None:
-            tau_total[:3] += rot.T @ np.asarray(world_force, dtype=float)
-        if world_torque is not None:
-            tau_total[3:] += rot.T @ np.asarray(world_torque, dtype=float)
-        nu_new = self._solve_velocity(nu, tau_total, dt)
-        position = pose.position() + dt * (rot @ nu_new[:3])
-        rates = t_euler @ nu_new[3:]
         att = pose.attitude
+        (r0, r1, r2, r3, r4, r5, r6, r7, r8), (x, y, z) = pose.flat_transform
+        ea, eb, ec, ed, ee, ef = euler_rate_rows(att)
+        tau_total = as_floats(tau)
+        # world wrenches enter through the transposed rotation
+        for offset, wrench in ((0, world_force), (3, world_torque)):
+            if wrench is not None:
+                wx, wy, wz = as_floats(wrench)
+                tau_total[offset] += r0 * wx + r3 * wy + r6 * wz
+                tau_total[offset + 1] += r1 * wx + r4 * wy + r7 * wz
+                tau_total[offset + 2] += r2 * wx + r5 * wy + r8 * wz
+        nu_new = self._solve_velocity(as_floats(nu), tau_total, dt)
+        u, v, w, p, q, r = nu_new
         new_att = EulerAngles(
-            wrap_angle(att.phi + dt * rates[0]),
-            wrap_angle(att.theta + dt * rates[1]),
-            wrap_angle(att.psi + dt * rates[2]),
+            wrap_angle(att.phi + dt * (p + ea * q + eb * r)),
+            wrap_angle(att.theta + dt * (ec * q + ed * r)),
+            wrap_angle(att.psi + dt * (ee * q + ef * r)),
         )
-        new_pose = Pose6(position[0], position[1], position[2], new_att)
-        return new_pose, nu_new
+        new_pose = Pose6(
+            x + dt * (r0 * u + r1 * v + r2 * w),
+            y + dt * (r3 * u + r4 * v + r5 * w),
+            z + dt * (r6 * u + r7 * v + r8 * w),
+            new_att,
+        )
+        return new_pose, np.array(nu_new)
 
     def _step3(self, pose: Pose3, nu, tau, dt, world_force, world_torque):
-        jac = surface_jacobian(pose.psi)
-        tau_total = tau.copy()
-        if world_force is not None or world_torque is not None:
-            wrench = np.zeros(3)
-            if world_force is not None:
-                wrench[:2] = np.asarray(world_force, dtype=float)[:2]
-            if world_torque is not None:
-                wrench[2] = float(np.asarray(world_torque, dtype=float)[2])
-            tau_total += jac.T @ wrench
-        nu_new = self._solve_velocity(nu, tau_total, dt)
-        rates = jac @ nu_new
+        # surface Jacobian [[c, -s, 0], [s, c, 0], [0, 0, 1]]
+        c, s = math.cos(pose.psi), math.sin(pose.psi)
+        tau_total = as_floats(tau)
+        if world_force is not None:
+            fx, fy = as_floats(world_force)[:2]
+            tau_total[0] += c * fx + s * fy
+            tau_total[1] += -s * fx + c * fy
+        if world_torque is not None:
+            tau_total[2] += as_floats(world_torque)[2]
+        nu_new = self._solve_velocity(as_floats(nu), tau_total, dt)
+        u, v, r = nu_new
         new_pose = Pose3(
-            pose.x + dt * rates[0],
-            pose.y + dt * rates[1],
-            wrap_angle(pose.psi + dt * rates[2]),
+            pose.x + dt * (c * u - s * v),
+            pose.y + dt * (s * u + c * v),
+            wrap_angle(pose.psi + dt * r),
         )
-        return new_pose, nu_new
+        return new_pose, np.array(nu_new)
 
 
 def step(

@@ -1,6 +1,8 @@
 """End-to-end command line behaviour: bundles, overrides, exit codes."""
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -85,6 +87,30 @@ def test_unknown_override_key_fails_cleanly(tmp_path, capsys):
     assert code == 2
     assert not out.exists()  # no partial files
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override",
+    ["vet.k_psi=NaN", "duration=Infinity", "duration=1e12", "pd_u.kp.0=1.0"],
+)
+def test_invalid_values_fail_cleanly_before_the_run(tmp_path, capsys, override):
+    out = tmp_path / "bundle"
+    code = run_cli("run", "--preset", "nominal", "--set", override, "--out", str(out))
+    assert code == 2
+    assert not out.exists()  # nothing written
+    assert "config error" in capsys.readouterr().err
+
+
+def test_bundle_files_honour_the_umask(tmp_path, capsys):
+    out = tmp_path / "bundle"
+    old = os.umask(0o027)
+    try:
+        assert run_cli("run", "--preset", "nominal", "--set", "duration=1", "--out", str(out)) == 0
+    finally:
+        os.umask(old)
+    for rel in BUNDLE_FILES:
+        assert stat.S_IMODE((out / rel).stat().st_mode) == 0o640, rel
+    assert not [p for p in out.rglob(".*")]  # no temporary files left behind
 
 
 def test_malformed_config_file_fails_cleanly(tmp_path, capsys):

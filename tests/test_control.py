@@ -264,6 +264,10 @@ def test_gain_validation():
         VetGains(yield_fraction=0.0)
     with pytest.raises(ValueError):
         VetGains(u_max_x=0.0)
+    with pytest.raises(ValueError, match="hold_half_life must be positive"):
+        VetGains(hold_half_life=0.0)
+    with pytest.raises(ValueError, match="rate_time_constant must be non-negative"):
+        VetGains(rate_time_constant=-0.1)
 
 
 # --- one-way baseline ---------------------------------------------------------------

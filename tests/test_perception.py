@@ -11,7 +11,10 @@ from vetsim.frames import (
     Pose3,
     Pose6,
     RigidTransform,
+    compose,
     rotation_about_x,
+    rotation_about_z,
+    transform_from_pose,
     wrap_angle,
 )
 from vetsim.perception import (
@@ -232,6 +235,58 @@ def test_projected_pixel_offset_matches_pinhole_model():
     # relative position of the tag in the camera frame is (-0.25, +0.1, 1)
     assert center[0] == pytest.approx(320.0 - 400.0 * 0.25, abs=1e-9)
     assert center[1] == pytest.approx(240.0 + 400.0 * 0.1, abs=1e-9)
+
+
+def reference_projection(observer_pose, target_pose, cam, tag):
+    """The projection written with rigid transforms and matrix products."""
+    world_from_cam = compose(transform_from_pose(observer_pose), cam.mount)
+    world_from_tag = compose(transform_from_pose(target_pose), tag.mount)
+    rot_cam_tag = world_from_cam.rotation.T @ world_from_tag.rotation
+    t_cam_tag = world_from_cam.rotation.T @ (
+        world_from_tag.translation - world_from_cam.translation
+    )
+    corners_cam = tag.corners_local() @ rot_cam_tag.T + t_cam_tag
+    depths = corners_cam[:, 2]
+    pixels = np.empty((4, 2))
+    pixels[:, 0] = cam.focal_length * corners_cam[:, 0] / depths + cam.width / 2.0
+    pixels[:, 1] = cam.focal_length * corners_cam[:, 1] / depths + cam.height / 2.0
+    yaw = wrap_angle(math.atan2(rot_cam_tag[1, 0], rot_cam_tag[0, 0]))
+    return pixels, yaw, bool(np.all(depths > 0.0))
+
+
+angle = st.floats(-0.5, 0.5)
+
+
+@settings(max_examples=80)
+@given(
+    st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3), st.floats(-1.5, -0.5)),
+    st.tuples(angle, angle, st.floats(-math.pi, math.pi)),
+    st.floats(-math.pi, math.pi),
+    st.tuples(angle, st.floats(-0.05, 0.05)),
+)
+def test_projection_matches_the_rigid_transform_reference(position, attitude, psi_s, mount):
+    """Both directions, with non-trivial mounts, agree with the matrix form."""
+    pose_u = Pose6(*position, EulerAngles(*attitude))
+    pose_s = Pose3(0.05, -0.02, psi_s)
+    tilt, offset = mount
+    cam = CameraModel(
+        640, 480, 400.0, RigidTransform(rotation_about_x(tilt), np.array([offset, 0.0, 0.02]))
+    )
+    tag = TagModel(
+        0.1, RigidTransform(FLIP_X @ rotation_about_z(tilt), np.array([0.0, offset, 0.0]))
+    )
+    for observer, target in ((pose_u, pose_s), (pose_s, pose_u)):
+        obs = project_tag(observer, target, cam, tag, 0.0)
+        pixels, yaw, in_front = reference_projection(observer, target, cam, tag)
+        if not in_front:
+            assert not obs.detected
+            continue
+        np.testing.assert_allclose(obs.corners, pixels, rtol=1e-12, atol=1e-9)
+        assert wrap_angle(obs.camera_yaw - yaw) == pytest.approx(0.0, abs=1e-12)
+        in_frame = bool(
+            np.all((pixels >= 0.0) & (pixels <= np.array([640.0, 480.0])))
+        )
+        assert obs.detected == in_frame
 
 
 # --- dropout ----------------------------------------------------------------------

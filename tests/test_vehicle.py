@@ -119,6 +119,34 @@ def test_clip_norm_exact_on_the_bound():
     np.testing.assert_array_equal(clip_norm(np.array([0.1, 0.0]), 1.0), [0.1, 0.0])
 
 
+def reference_velocity(nu, tau, params, dt):
+    """The semi-implicit velocity update as a dense matrix solve."""
+    mass = np.asarray(params.mass)
+    damping = np.asarray(params.damping_linear) + np.asarray(params.damping_quadratic) * np.abs(nu)
+    matrix = np.diag(mass) + dt * (coriolis_matrix(nu, params) + np.diag(damping))
+    nu_new = np.linalg.solve(matrix, mass * nu + dt * tau)
+    n_lin = 2 if params.dof == 3 else 3
+    nu_new[:n_lin] = clip_norm(nu_new[:n_lin], params.velocity_bound_linear)
+    return nu_new
+
+
+@settings(max_examples=60)
+@given(vel6, st.tuples(*[st.floats(-3.0, 3.0) for _ in range(6)]).map(np.array))
+def test_6dof_velocity_update_matches_the_dense_solve(nu, tau):
+    p = params6()
+    pose = Pose6(0.0, 0.0, -1.0, EulerAngles(0.0, 0.0, 0.0))
+    _, nu_new = VehicleModel(p).step(pose, nu, tau, 0.02)
+    np.testing.assert_allclose(nu_new, reference_velocity(nu, tau, p, 0.02), rtol=1e-12, atol=1e-15)
+
+
+@settings(max_examples=60)
+@given(vel3, st.tuples(*[st.floats(-3.0, 3.0) for _ in range(3)]).map(np.array))
+def test_3dof_closed_form_matches_the_dense_solve(nu, tau):
+    p = params3()
+    _, nu_new = VehicleModel(p).step(Pose3(0.0, 0.0, 0.0), nu, tau, 0.02)
+    np.testing.assert_allclose(nu_new, reference_velocity(nu, tau, p, 0.02), rtol=1e-12, atol=1e-15)
+
+
 def test_disturbance_window_is_closed():
     d = Disturbance(force=(1.0, 0.0, 0.0), t_start=2.0, t_end=5.0)
     assert d.active(2.0) and d.active(5.0) and d.active(3.3)
