@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,11 +103,21 @@ def subtask_control_underwater(
     for idx in (0, 1, 5):
         if gains.kp[idx] != 0.0 or gains.kd[idx] != 0.0:
             raise ValueError("x, y and yaw gains must be exactly zero")
+    m = measured
+    return np.array(
+        underwater_command((m.z, m.phi, m.theta, m.dz, m.dphi, m.dtheta), target, gains)
+    )
+
+
+def underwater_command(measured: tuple, target: SubTaskTarget, gains: PdGains) -> list:
+    """subtask_control_underwater on floats; measured holds the
+    DepthAttitudeState fields in order (z, phi, theta, dz, dphi, dtheta)."""
+    z, phi, theta, dz, dphi, dtheta = measured
     kp, kd = gains.kp, gains.kd
-    uz = kp[2] * (target.z_d - measured.z) + kd[2] * -measured.dz
-    uphi = kp[3] * wrap_angle(target.phi_d - measured.phi) + kd[3] * -measured.dphi
-    utheta = kp[4] * wrap_angle(target.theta_d - measured.theta) + kd[4] * -measured.dtheta
-    return np.array([0.0, 0.0, uz, uphi, utheta, 0.0])
+    uz = kp[2] * (target.z_d - z) + kd[2] * -dz
+    uphi = kp[3] * wrap_angle(target.phi_d - phi) + kd[3] * -dphi
+    utheta = kp[4] * wrap_angle(target.theta_d - theta) + kd[4] * -dtheta
+    return [0.0, 0.0, uz, uphi, utheta, 0.0]
 
 
 def subtask_control_surface(
@@ -124,6 +135,19 @@ def subtask_control_surface(
     """
     if len(gains.kp) != 3:
         raise ValueError("surface sub-task needs 3-axis gains")
+    return np.array(
+        surface_command(pose, as_floats(world_velocity), target, gains, speed_limit)
+    )
+
+
+def surface_command(
+    pose: Pose3,
+    world_velocity,
+    target: SubTaskTarget,
+    gains: PdGains,
+    speed_limit: float | None = None,
+) -> list:
+    """subtask_control_surface on floats."""
     vx, vy, vpsi = world_velocity
     ex = target.x_d - pose.x
     ey = target.y_d - pose.y
@@ -136,7 +160,7 @@ def subtask_control_surface(
     if speed_limit is not None:
         ux = min(max(ux, -speed_limit), speed_limit)
         uy = min(max(uy, -speed_limit), speed_limit)
-    return np.array([ux, uy, upsi])
+    return [ux, uy, upsi]
 
 
 @dataclass(frozen=True)
@@ -190,8 +214,7 @@ class VetCommand:
     subtask_weight: float = 1.0
 
 
-@dataclass(frozen=True)
-class VetFilterState:
+class VetFilterState(NamedTuple):
     """Per-controller memory: centre history, rate filter, held command."""
 
     last_center: tuple | None = None
@@ -217,26 +240,43 @@ def vet_law(
     clipped per axis to u_max. Undetected: the held command decays with the
     configured half-life, reaching ~6% within two seconds at the default.
     """
-    if not obs.detected:
+    geometry = region = None
+    if obs.detected:
+        geometry = tag_geometry(obs)
+        region = classify_region(*geometry, cam)
+    command, weight, new_state = tether_command(
+        geometry, region, obs.camera_yaw, obs.timestamp, state, gains, cam
+    )
+    return VetCommand(np.array(command), region, obs.detected, weight), new_state
+
+
+def tether_command(
+    geometry: tuple | None,
+    region: RegionLabel | None,
+    yaw: float,
+    t: float,
+    state: VetFilterState,
+    gains: VetGains,
+    cam: CameraModel,
+) -> tuple:
+    """vet_law on floats.
+
+    geometry is the tag's (center, l_bar, h_bar) and region its label, both
+    None when the tag is not detected. Returns ((u_x, u_y, u_psi), subtask
+    weight, new state).
+    """
+    if geometry is None:
         if state.last_time is None:
             factor = 0.0
         else:
-            dt = max(obs.timestamp - state.last_time, 0.0)
+            dt = max(t - state.last_time, 0.0)
             factor = 0.5 ** (dt / gains.hold_half_life)
         hx, hy, hpsi = state.held_command
         held = (hx * factor, hy * factor, hpsi * factor)
         weight = 1.0 - (1.0 - state.held_weight) * factor
-        new_state = VetFilterState(
-            last_center=None,
-            last_time=obs.timestamp,
-            rate=(0.0, 0.0),
-            held_command=held,
-            held_weight=weight,
-        )
-        return VetCommand(np.array(held), None, False, weight), new_state
+        return held, weight, VetFilterState(None, t, (0.0, 0.0), held, weight)
 
-    center, l_bar, h_bar = tag_geometry(obs)
-    region = classify_region(center, l_bar, h_bar, cam)
+    center, l_bar, h_bar = geometry
     half_w = cam.width / 2.0
     half_v = cam.height / 2.0
     ex = (center[0] - half_w) / half_w
@@ -244,7 +284,7 @@ def vet_law(
 
     if state.last_center is not None and state.last_time is not None:
         rx, ry = state.rate
-        dt = obs.timestamp - state.last_time
+        dt = t - state.last_time
         if dt > 0.0:
             raw_x = (center[0] - state.last_center[0]) / half_w / dt
             raw_y = (center[1] - state.last_center[1]) / half_v / dt
@@ -269,19 +309,11 @@ def vet_law(
             ux = uy = 0.0
     ux = min(max(ux, -gains.u_max_x), gains.u_max_x)
     uy = min(max(uy, -gains.u_max_y), gains.u_max_y)
-    upsi = gains.k_psi * obs.camera_yaw
+    command = (ux, uy, gains.k_psi * yaw)
 
     penetration = elastic_penetration(center, l_bar, h_bar, cam)
     weight = min(max(1.0 - penetration / gains.yield_fraction, 0.0), 1.0)
-
-    new_state = VetFilterState(
-        last_center=center,
-        last_time=obs.timestamp,
-        rate=(rx, ry),
-        held_command=(ux, uy, upsi),
-        held_weight=weight,
-    )
-    return VetCommand(np.array([ux, uy, upsi]), region, True, weight), new_state
+    return command, weight, VetFilterState(center, t, (rx, ry), command, weight)
 
 
 def baseline_ibvs(
@@ -292,18 +324,23 @@ def baseline_ibvs(
     Uniform proportional gain over the whole image, no region logic, no
     derivative term; detection loss commands zero immediately.
     """
-    leader_input = np.zeros(3)
-    if not obs.detected:
-        return np.zeros(3), leader_input
-    center, _, _ = tag_geometry(obs)
+    geometry = tag_geometry(obs) if obs.detected else None
+    return np.array(ibvs_command(geometry, obs.camera_yaw, gains, cam)), np.zeros(3)
+
+
+def ibvs_command(geometry: tuple | None, yaw: float, gains: VetGains, cam: CameraModel) -> tuple:
+    """baseline_ibvs's follower command on floats; geometry as in
+    tether_command, None when the tag is not detected."""
+    if geometry is None:
+        return (0.0, 0.0, 0.0)
+    center = geometry[0]
     half_w = cam.width / 2.0
     half_v = cam.height / 2.0
     ex = (center[0] - half_w) / half_w
     ey = (center[1] - half_v) / half_v
     ux = min(max(gains.k_elastic_p * ex, -gains.u_max_x), gains.u_max_x)
     uy = min(max(gains.k_elastic_p * ey, -gains.u_max_y), gains.u_max_y)
-    upsi = gains.k_psi * obs.camera_yaw
-    return np.array([ux, uy, upsi]), leader_input
+    return (ux, uy, gains.k_psi * yaw)
 
 
 def camera_to_body(cmd: np.ndarray, mount: RigidTransform, dof: int) -> np.ndarray:
@@ -317,17 +354,23 @@ def camera_to_body(cmd: np.ndarray, mount: RigidTransform, dof: int) -> np.ndarr
     cmd = as_floats(cmd)
     if len(cmd) != 3:
         raise ValueError("camera-frame command is (u_x, u_y, u_psi)")
+    if dof not in (3, 6):
+        raise ValueError("dof must be 3 or 6")
+    return np.array(body_command(cmd, mount.flat()[0], dof))
+
+
+def body_command(cmd, rotation: tuple, dof: int) -> list:
+    """camera_to_body on floats; rotation is the mount's nine row-major
+    entries (CameraModel.flat_mount[0])."""
     cx, cy, cpsi = cmd
-    (r0, r1, _), (r3, r4, _), (_, _, r8) = mount.rotation.tolist()
+    r0, r1, _, r3, r4, _, _, _, r8 = rotation
     # linear part rotates as a vector, yaw as an axis about camera z
     lx = r0 * cx + r1 * cy
     ly = r3 * cx + r4 * cy
     wz = r8 * cpsi
     if dof == 6:
-        return np.array([lx, ly, 0.0, 0.0, 0.0, wz])
-    if dof == 3:
-        return np.array([lx, ly, wz])
-    raise ValueError("dof must be 3 or 6")
+        return [lx, ly, 0.0, 0.0, 0.0, wz]
+    return [lx, ly, wz]
 
 
 def combined_control(
@@ -347,10 +390,18 @@ def combined_control(
     xi_u = as_floats(xi_u)
     if len(subtask_u) != params.dof or len(xi_u) != params.dof:
         raise ValueError("command vectors must both match the vehicle dof")
-    n_lin = 2 if params.dof == 3 else 3
-    total = [s * subtask_weight + x for s, x in zip(subtask_u[:n_lin], xi_u[:n_lin])]
-    total += [s + x for s, x in zip(subtask_u[n_lin:], xi_u[n_lin:])]
-    return np.array(clip_axes(total, params))
+    return np.array(combine_commands(subtask_u, xi_u, params, subtask_weight))
+
+
+def combine_commands(
+    subtask_u: list, xi_u: list, params: VehicleParams, subtask_weight: float = 1.0
+) -> list:
+    """combined_control on floats."""
+    n_lin = 2 if len(subtask_u) == 3 else 3
+    total = []
+    for i, s in enumerate(subtask_u):
+        total.append(s * subtask_weight + xi_u[i] if i < n_lin else s + xi_u[i])
+    return clip_axes(total, params)
 
 
 def check_connectivity(

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -64,12 +63,18 @@ class Pose6:
     def position(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
 
-    @cached_property
+    @property
     def flat_transform(self) -> tuple:
         """Body-to-world transform as plain floats, computed once per pose:
         (nine row-major rotation entries, (x, y, z))."""
-        a = self.attitude
-        return rotation_zyx(a.phi, a.theta, a.psi), (self.x, self.y, self.z)
+        # A plain instance-dict cache: functools.cached_property takes a lock
+        # on every first access, and every tick makes new poses.
+        flat = self.__dict__.get("_flat")
+        if flat is None:
+            a = self.attitude
+            flat = rotation_zyx(a.phi, a.theta, a.psi), (self.x, self.y, self.z)
+            object.__setattr__(self, "_flat", flat)
+        return flat
 
 
 @dataclass(frozen=True)
@@ -92,12 +97,16 @@ class Pose3:
         """Embed in 3D: the surface robot sits on the z = 0 plane, level."""
         return Pose6(self.x, self.y, 0.0, EulerAngles(0.0, 0.0, self.psi))
 
-    @cached_property
+    @property
     def flat_transform(self) -> tuple:
-        """Body-to-world transform of the lifted pose as plain floats:
-        (nine row-major entries of the yaw rotation, (x, y, 0))."""
-        c, s = math.cos(self.psi), math.sin(self.psi)
-        return (c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0), (self.x, self.y, 0.0)
+        """Body-to-world transform of the lifted pose as plain floats, cached
+        like Pose6's: (nine row-major entries of the yaw rotation, (x, y, 0))."""
+        flat = self.__dict__.get("_flat")
+        if flat is None:
+            c, s = math.cos(self.psi), math.sin(self.psi)
+            flat = (c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0), (self.x, self.y, 0.0)
+            object.__setattr__(self, "_flat", flat)
+        return flat
 
 
 def rotation_zyx(phi: float, theta: float, psi: float) -> tuple:

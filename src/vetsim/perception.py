@@ -152,6 +152,18 @@ def project_tag(
     axis, measured in image coordinates; it is exact regardless of where the
     tag sits in the frame.
     """
+    pixels, yaw, detected = project_corners(observer_pose, target_pose, cam, tag)
+    return TagObservation(np.array(pixels).reshape(4, 2), yaw, t, detected)
+
+
+def project_corners(
+    observer_pose: Pose6 | Pose3,
+    target_pose: Pose6 | Pose3,
+    cam: CameraModel,
+    tag: TagModel,
+) -> tuple:
+    """project_tag on floats: (the eight pixel coordinates ax, ay, bx, ...,
+    dy of corners a, b, c, d; the relative yaw; the detected flag)."""
     (c0, c1, c2, c3, c4, c5, c6, c7, c8), (cx, cy, cz) = cam.flat_mount
     (o0, o1, o2, o3, o4, o5, o6, o7, o8), (ox, oy, oz) = observer_pose.flat_transform
     # world_from_cam = observer body-to-world composed with the camera mount
@@ -202,13 +214,12 @@ def project_tag(
     for sx, sy in ((-h, -h), (h, -h), (h, h), (-h, h)):
         depth = sx * xa2 + sy * ya2 + p2
         if abs(depth) < _MIN_DEPTH:
-            return TagObservation(np.zeros((4, 2)), 0.0, t, False)
+            return (0.0,) * 8, 0.0, False
         u = f * (sx * xa0 + sy * ya0 + p0) / depth + half_w
         v = f * (sx * xa1 + sy * ya1 + p1) / depth + half_v
         detected = detected and depth > 0.0 and 0.0 <= u <= width and 0.0 <= v <= height
         pixels += (u, v)
-    yaw = wrap_angle(math.atan2(xa1, xa0))
-    return TagObservation(np.array(pixels).reshape(4, 2), yaw, t, detected)
+    return pixels, wrap_angle(math.atan2(xa1, xa0)), detected
 
 
 def tag_geometry(obs: TagObservation) -> tuple:
@@ -218,7 +229,12 @@ def tag_geometry(obs: TagObservation) -> tuple:
     """
     if not obs.detected:
         raise NotDetected("tag geometry needs a detected observation")
-    (ax, ay), (bx, by), (cx, cy), (dx, dy) = obs.corners.tolist()
+    return corner_geometry(np.asarray(obs.corners, dtype=float).ravel().tolist())
+
+
+def corner_geometry(pixels) -> tuple:
+    """tag_geometry on the eight corner floats of project_corners."""
+    ax, ay, bx, by, cx, cy, dx, dy = pixels
     center = ((ax + bx + cx + dx) / 4.0, (ay + by + cy + dy) / 4.0)
     l_bar = (
         math.hypot(ax - bx, ay - by)
@@ -273,9 +289,13 @@ def _penetration(value: float, extent: float, l_bar: float, h_bar: float) -> flo
 def tether_state(obs: TagObservation, cam: CameraModel) -> TetherState:
     """Distance in pixels between the tag centre and the image centre."""
     center, _, _ = tag_geometry(obs)
+    return TetherState(tether_offset(center, cam), center)
+
+
+def tether_offset(center, cam: CameraModel) -> float:
+    """xi: the distance in pixels from the image centre to a tag centre."""
     cx, cy = cam.center
-    xi = math.hypot(center[0] - cx, center[1] - cy)
-    return TetherState(xi, center)
+    return math.hypot(center[0] - cx, center[1] - cy)
 
 
 def apply_dropout(
@@ -292,9 +312,14 @@ def apply_dropout(
     """
     if model is None:
         return obs
-    dropped = model.scheduled(t)
-    if model.random_rate > 0.0:
-        dropped = bool(rng.random() < model.random_rate) or dropped
-    if dropped and obs.detected:
+    if dropout_hits(model, model.scheduled(t), rng) and obs.detected:
         return TagObservation(obs.corners, obs.camera_yaw, obs.timestamp, False)
     return obs
+
+
+def dropout_hits(model: DropoutModel, scheduled: bool, rng: np.random.Generator) -> bool:
+    """Whether the model blanks this tick, given whether a scheduled window
+    covers it; draws the one uniform sample while random_rate > 0."""
+    if model.random_rate > 0.0:
+        return bool(rng.random() < model.random_rate) or scheduled
+    return scheduled

@@ -21,41 +21,41 @@ Runs are deterministic: a fixed seed reproduces byte-identical logs.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .control import (
-    DepthAttitudeState,
     PdGains,
     SubTaskTarget,
-    VetCommand,
     VetFilterState,
     VetGains,
-    baseline_ibvs,
-    camera_to_body,
-    combined_control,
-    subtask_control_surface,
-    subtask_control_underwater,
+    body_command,
+    combine_commands,
+    ibvs_command,
+    surface_command,
     surface_pd,
+    tether_command,
+    underwater_command,
     underwater_pd,
-    vet_law,
 )
 from .frames import GimbalSingularity, Pose3, Pose6, RigidTransform, euler_rate_rows
 from .perception import (
     CameraModel,
     DropoutModel,
     TagModel,
-    apply_dropout,
     classify_region,
-    project_tag,
-    tag_geometry,
+    corner_geometry,
+    dropout_hits,
+    project_corners,
+    tether_offset,
 )
-from .vehicle import Disturbance, VehicleModel, VehicleParams, as_floats
+from .vehicle import Disturbance, VehicleModel, VehicleParams
 
 
-# The most integration steps one run may take; the log is preallocated, so
-# this also bounds a run's memory (about 0.4 GB at the cap).
+# The most integration steps one run may take; each step adds one log row of
+# 408 bytes, so this also bounds a run's memory (about 0.4 GB at the cap).
 MAX_TICKS = 1_000_000
 
 
@@ -497,9 +497,45 @@ CSV_COLUMNS = (
 )
 
 
+# One CSV row: 28 numbers, the two detected flags, the two region labels,
+# three numbers and the event flags.
+_CSV_ROW = ",".join(["%.12g"] * 28 + ["%d"] * 2 + ["%s"] * 2 + ["%.12g"] * 3 + ["%s"])
+_CSV_CHUNK = 256
+
+# The numeric fields of TrajectoryLog in the order run() appends them to its
+# row buffer, with their widths; the detected flags are stored as 0.0/1.0.
+_LOG_FIELDS = (
+    ("t", 1), ("pose_u", 6), ("pose_s", 3), ("nu_u", 6), ("nu_s", 3),
+    ("u_sub_u", 6), ("u_xi_u", 6), ("u_sub_s", 3), ("u_xi_s", 3),
+    ("u_total_u", 6), ("u_total_s", 3), ("detected_us", 1), ("detected_su", 1),
+    ("xi_us", 1), ("xi_su", 1), ("proj_dist", 1),
+)
+_ROW_WIDTH = sum(width for _, width in _LOG_FIELDS)
+
+
+def _log_arrays(rows: array, n_rec: int) -> dict:
+    """Slice the row buffer into the TrajectoryLog arrays: float64 views of
+    disjoint columns of one table (no copies), bool for the detected flags."""
+    table = np.frombuffer(rows, dtype=float).reshape(n_rec, _ROW_WIDTH)
+    out = {}
+    col = 0
+    for name, width in _LOG_FIELDS:
+        out[name] = table[:, col] if width == 1 else table[:, col:col + width]
+        col += width
+    out["detected_us"] = out["detected_us"] != 0.0
+    out["detected_su"] = out["detected_su"] != 0.0
+    return out
+
+
 @dataclass
 class TrajectoryLog:
-    """Complete tick-by-tick record of one run."""
+    """Complete tick-by-tick record of one run.
+
+    Per tick: t is (n,), poses (n, 6) and (n, 3), velocities and commands
+    (n, 6) for the underwater and (n, 3) for the surface robot, xi_* and
+    proj_dist (n,), all float64; detected_* are (n,) bool. From run() the
+    float arrays are views of disjoint columns of one row table.
+    """
 
     config: ScenarioConfig
     t: np.ndarray
@@ -530,25 +566,26 @@ class TrajectoryLog:
 
     def to_csv_text(self) -> str:
         """Render the fixed-schema CSV; identical runs give identical bytes."""
-        fmt = "%.12g"
         lines = [",".join(CSV_COLUMNS)]
-        for k in range(len(self.t)):
-            row = [fmt % self.t[k]]
-            row += [fmt % v for v in self.pose_u[k]]
-            row += [fmt % v for v in self.pose_s[k]]
-            row += [fmt % v for v in self.u_sub_u[k]]
-            row += [fmt % v for v in self.u_xi_u[k]]
-            row += [fmt % v for v in self.u_sub_s[k]]
-            row += [fmt % v for v in self.u_xi_s[k]]
-            row.append("1" if self.detected_us[k] else "0")
-            row.append("1" if self.detected_su[k] else "0")
-            row.append(self.region_us[k])
-            row.append(self.region_su[k])
-            row.append(fmt % self.xi_us[k])
-            row.append(fmt % self.xi_su[k])
-            row.append(fmt % self.proj_dist[k])
-            row.append(self.event_flags[k])
-            lines.append(",".join(row))
+        # Columns become Python lists a chunk of rows at a time, which bounds
+        # the memory they take.
+        for lo in range(0, len(self.t), _CSV_CHUNK):
+            rows = slice(lo, lo + _CSV_CHUNK)
+            columns = [self.t[rows].tolist()]
+            for block in (self.pose_u, self.pose_s, self.u_sub_u, self.u_xi_u,
+                          self.u_sub_s, self.u_xi_s):
+                columns += block[rows].T.tolist()
+            columns += [
+                self.detected_us[rows].astype(int).tolist(),
+                self.detected_su[rows].astype(int).tolist(),
+                self.region_us[rows],
+                self.region_su[rows],
+                self.xi_us[rows].tolist(),
+                self.xi_su[rows].tolist(),
+                self.proj_dist[rows].tolist(),
+                self.event_flags[rows],
+            ]
+            lines += [_CSV_ROW % row for row in zip(*columns)]
         return "\n".join(lines) + "\n"
 
     def to_csv(self, path) -> None:
@@ -565,7 +602,8 @@ class _WallClamp:
         self.lo = tuple(float(v) for v in tank_min)
         self.hi = tuple(float(v) for v in tank_max)
 
-    def apply_u(self, pose: Pose6, nu: np.ndarray):
+    def apply_u(self, pose: Pose6, nu: list):
+        """Returns (pose, body velocity list, clamped)."""
         lo, hi = self.lo, self.hi
         pos = (pose.x, pose.y, pose.z)
         clipped = (
@@ -576,45 +614,61 @@ class _WallClamp:
         if clipped == pos:
             return pose, nu, False
         (r0, r1, r2, r3, r4, r5, r6, r7, r8), _ = pose.flat_transform
-        nu = as_floats(nu)
         u, v, w = nu[:3]
         world_v = [r0 * u + r1 * v + r2 * w, r3 * u + r4 * v + r5 * w, r6 * u + r7 * v + r8 * w]
         for axis in range(3):
             if clipped[axis] != pos[axis]:
                 world_v[axis] = 0.0
         wx, wy, wz = world_v
-        nu[:3] = [r0 * wx + r3 * wy + r6 * wz, r1 * wx + r4 * wy + r7 * wz,
-                  r2 * wx + r5 * wy + r8 * wz]
-        return Pose6(clipped[0], clipped[1], clipped[2], pose.attitude), np.array(nu), True
+        nu = [r0 * wx + r3 * wy + r6 * wz, r1 * wx + r4 * wy + r7 * wz,
+              r2 * wx + r5 * wy + r8 * wz] + nu[3:]
+        return Pose6(clipped[0], clipped[1], clipped[2], pose.attitude), nu, True
 
-    def apply_s(self, pose: Pose3, nu: np.ndarray):
+    def apply_s(self, pose: Pose3, nu: list):
+        """Returns (pose, body velocity list, clamped)."""
         x = min(max(pose.x, self.lo[0]), self.hi[0])
         y = min(max(pose.y, self.lo[1]), self.hi[1])
         if x == pose.x and y == pose.y:
             return pose, nu, False
         c, s = math.cos(pose.psi), math.sin(pose.psi)
-        u, v, r = as_floats(nu)
+        u, v, r = nu
         wx = c * u - s * v if x == pose.x else 0.0
         wy = s * u + c * v if y == pose.y else 0.0
-        return Pose3(x, y, pose.psi), np.array([c * wx + s * wy, -s * wx + c * wy, r]), True
+        return Pose3(x, y, pose.psi), [c * wx + s * wy, -s * wx + c * wy, r], True
 
 
-def _depth_attitude_state(pose: Pose6, nu) -> DepthAttitudeState:
-    """What the underwater robot's own sensors provide: depth and attitude."""
+def _depth_attitude_state(pose: Pose6, nu: list) -> tuple:
+    """What the underwater robot's own sensors provide: depth and attitude,
+    as the DepthAttitudeState fields (z, phi, theta, dz, dphi, dtheta)."""
     (_, _, _, _, _, _, r6, r7, r8), _ = pose.flat_transform
-    ea, eb, ec, ed, _, _ = euler_rate_rows(pose.attitude)
-    u, v, w, p, q, r = as_floats(nu)
     att = pose.attitude
-    return DepthAttitudeState(
-        z=pose.z, phi=att.phi, theta=att.theta,
-        dz=r6 * u + r7 * v + r8 * w,
-        dphi=p + ea * q + eb * r,
-        dtheta=ec * q + ed * r,
+    ea, eb, ec, ed, _, _ = euler_rate_rows(att)
+    u, v, w, p, q, r = nu
+    return (
+        pose.z, att.phi, att.theta,
+        r6 * u + r7 * v + r8 * w,
+        p + ea * q + eb * r,
+        ec * q + ed * r,
     )
 
 
+def _measure(pixels: list, detected: bool, cam: CameraModel) -> tuple:
+    """The one geometry evaluation of an observation: (geometry, region
+    label, xi), or (None, None, nan) when the tag is not detected."""
+    if not detected:
+        return None, None, math.nan
+    geometry = corner_geometry(pixels)
+    region = classify_region(*geometry, cam)
+    return geometry, region, tether_offset(geometry[0], cam)
+
+
 def run(config: ScenarioConfig) -> TrajectoryLog:
-    """Simulate one scenario; see the module docstring for the loop shape."""
+    """Simulate one scenario; see the module docstring for the loop shape.
+
+    Every per-tick vector is a list or tuple of Python floats; each tick's
+    numbers go to one flat row buffer that becomes the log's arrays at the
+    end.
+    """
     config.validate()
     dt = config.dt
     n_steps = int(round(config.duration / dt))
@@ -624,16 +678,25 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
     model_s = VehicleModel(config.params_s)
     rng = np.random.default_rng(config.seed)
     walls = _WallClamp(config.tank_min, config.tank_max)
+    cam_u, cam_s = config.camera_u, config.camera_s
+    tag_u, tag_s = config.tag_u, config.tag_s
+    mount_u = cam_u.flat_mount[0]
+    mount_s = cam_s.flat_mount[0]
+    gains, pd_u, pd_s = config.vet, config.pd_u, config.pd_s
+    params_u, params_s = config.params_u, config.params_s
+    dropout = config.dropout
+    perturbations = config.perturbations
 
     pose_u = Pose6.from_tuple(config.initial_pose_u)
     pose_s = Pose3.from_tuple(config.initial_pose_s)
-    nu_u = np.zeros(6)
-    nu_s = np.zeros(3)
+    nu_u = [0.0] * 6
+    nu_s = [0.0] * 3
 
     target_u = SubTaskTarget(
         z_d=config.depth_target, phi_d=config.roll_target, theta_d=config.pitch_target
     )
     waypoints = planner_waypoints(config.planner)
+    capture_radius = config.planner.capture_radius
     wp_index = 0
     wp_captured = 0
     speed_limit = config.planner.speed if isinstance(config.planner, Lawnmower) else None
@@ -642,24 +705,9 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
     vet_state_u = VetFilterState.initial()
     vet_state_s = VetFilterState.initial()
 
-    t_arr = np.empty(n_rec)
-    pose_u_arr = np.empty((n_rec, 6))
-    pose_s_arr = np.empty((n_rec, 3))
-    nu_u_arr = np.empty((n_rec, 6))
-    nu_s_arr = np.empty((n_rec, 3))
-    u_sub_u_arr = np.empty((n_rec, 6))
-    u_xi_u_arr = np.empty((n_rec, 6))
-    u_sub_s_arr = np.empty((n_rec, 3))
-    u_xi_s_arr = np.empty((n_rec, 3))
-    u_tot_u_arr = np.empty((n_rec, 6))
-    u_tot_s_arr = np.empty((n_rec, 3))
-    det_us_arr = np.zeros(n_rec, dtype=bool)
-    det_su_arr = np.zeros(n_rec, dtype=bool)
+    rows = array("d")
     region_us_list = []
     region_su_list = []
-    xi_us_arr = np.full(n_rec, math.nan)
-    xi_su_arr = np.full(n_rec, math.nan)
-    dist_arr = np.empty(n_rec)
     flags_list = []
     events = []
 
@@ -674,26 +722,25 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
     pending_flags = []
 
     sign_convention = config.appendix_sign_convention
-    mount_u = config.camera_u.mount
-    mount_s = config.camera_s.mount
     for k in range(n_rec):
         t = k * dt
         flags = pending_flags
         pending_flags = []
 
-        # sense
-        obs_us = project_tag(pose_u, pose_s, config.camera_u, config.tag_s, t)
-        obs_us = apply_dropout(obs_us, config.dropout, t, rng)
-        obs_su = project_tag(pose_s, pose_u, config.camera_s, config.tag_u, t)
+        # sense; the dropout draw comes first to keep the seeded sequence
+        pixels_us, yaw_us, det_us = project_corners(pose_u, pose_s, cam_u, tag_s)
+        window_now = dropout.scheduled(t)
+        if dropout_hits(dropout, window_now, rng):
+            det_us = False
+        pixels_su, yaw_su, det_su = project_corners(pose_s, pose_u, cam_s, tag_u)
 
-        window_now = config.dropout.scheduled(t)
         if window_now and not prev_window:
             flags.append("dropout_start")
         elif prev_window and not window_now:
             flags.append("dropout_end")
         prev_window = window_now
 
-        active = [d for d in config.perturbations if d.active(t)]
+        active = [d for d in perturbations if d.active(t)]
         perturb_now = bool(active)
         if perturb_now and not prev_perturb:
             flags.append("perturb_start")
@@ -703,35 +750,24 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
 
         # plan
         old_index = wp_index
-        target_s, wp_index = planner_step(
-            pose_s, waypoints, config.planner.capture_radius, wp_index
-        )
+        target_s, wp_index = planner_step(pose_s, waypoints, capture_radius, wp_index)
         if wp_index > old_index:
             wp_captured += wp_index - old_index
             flags.extend(["waypoint_capture"] * (wp_index - old_index))
 
-        # region/tether bookkeeping (logged regardless of controller mode)
-        if obs_us.detected:
-            center, l_bar, h_bar = tag_geometry(obs_us)
-            region_us = classify_region(center, l_bar, h_bar, config.camera_u).value
-            ccx, ccy = config.camera_u.center
-            xi_us_arr[k] = math.hypot(center[0] - ccx, center[1] - ccy)
-        else:
-            region_us = "none"
-        if obs_su.detected:
-            center, l_bar, h_bar = tag_geometry(obs_su)
-            region_su = classify_region(center, l_bar, h_bar, config.camera_s).value
-            ccx, ccy = config.camera_s.center
-            xi_su_arr[k] = math.hypot(center[0] - ccx, center[1] - ccy)
-        else:
-            region_su = "none"
+        # one tag geometry per detected observation, shared by the logged
+        # region and xi and by the tether law
+        geo_us, label_us, xi_us = _measure(pixels_us, det_us, cam_u)
+        geo_su, label_su, xi_su = _measure(pixels_su, det_su, cam_s)
+        region_us = label_us.value if det_us else "none"
+        region_su = label_su.value if det_su else "none"
 
-        if prev_det_us is not None and obs_us.detected != prev_det_us:
-            flags.append("los_regain_us" if obs_us.detected else "los_loss_us")
-        if prev_det_su is not None and obs_su.detected != prev_det_su:
-            flags.append("los_regain_su" if obs_su.detected else "los_loss_su")
-        prev_det_us = obs_us.detected
-        prev_det_su = obs_su.detected
+        if prev_det_us is not None and det_us != prev_det_us:
+            flags.append("los_regain_us" if det_us else "los_loss_us")
+        if prev_det_su is not None and det_su != prev_det_su:
+            flags.append("los_regain_su" if det_su else "los_loss_su")
+        prev_det_us = det_us
+        prev_det_su = det_su
         if prev_region_us is not None and region_us != prev_region_us:
             flags.append(f"region_us:{prev_region_us}-{region_us}")
         if prev_region_su is not None and region_su != prev_region_su:
@@ -740,56 +776,45 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
         prev_region_su = region_su
 
         # control: underwater robot (own depth/attitude sensors plus camera)
-        partial = _depth_attitude_state(pose_u, nu_u)
-        u_sub_u = subtask_control_underwater(partial, target_u, config.pd_u)
+        u_sub_u = underwater_command(_depth_attitude_state(pose_u, nu_u), target_u, pd_u)
         if baseline:
-            cam_cmd_u, _leader_input = baseline_ibvs(obs_us, config.vet, config.camera_u)
-            xi_u = camera_to_body(cam_cmd_u, mount_u, 6)
+            cam_cmd_u = ibvs_command(geo_us, yaw_us, gains, cam_u)
         else:
-            vet_cmd_u, vet_state_u = vet_law(obs_us, vet_state_u, config.vet, config.camera_u)
-            xi_u = camera_to_body(vet_cmd_u.u, mount_u, 6)
-        u_tot_u = combined_control(u_sub_u, xi_u, config.params_u)
+            cam_cmd_u, _, vet_state_u = tether_command(
+                geo_us, label_us, yaw_us, t, vet_state_u, gains, cam_u
+            )
+        xi_u = body_command(cam_cmd_u, mount_u, 6)
+        u_tot_u = combine_commands(u_sub_u, xi_u, params_u)
 
         # control: surface robot; world rates through the surface Jacobian
         c, s = math.cos(pose_s.psi), math.sin(pose_s.psi)
-        su, sv, sr = nu_s.tolist()
+        su, sv, sr = nu_s
         if sign_convention:
             vel_world_s = (-c * su + s * sv, -s * su + c * sv, sr)
         else:
             vel_world_s = (c * su - s * sv, s * su + c * sv, sr)
-        u_sub_s = subtask_control_surface(
-            pose_s, vel_world_s, target_s, config.pd_s, speed_limit
-        )
+        u_sub_s = surface_command(pose_s, vel_world_s, target_s, pd_s, speed_limit)
         if baseline:
             # one-way coupling: the leader gets no tether input at all
-            xi_s = np.zeros(3)
+            xi_s = [0.0, 0.0, 0.0]
             weight_s = 1.0
         else:
-            vet_cmd_s, vet_state_s = vet_law(obs_su, vet_state_s, config.vet, config.camera_s)
-            xi_s = camera_to_body(vet_cmd_s.u, mount_s, 3)
-            weight_s = vet_cmd_s.subtask_weight
-        u_tot_s = combined_control(u_sub_s, xi_s, config.params_s, weight_s)
+            cam_cmd_s, weight_s, vet_state_s = tether_command(
+                geo_su, label_su, yaw_su, t, vet_state_s, gains, cam_s
+            )
+            xi_s = body_command(cam_cmd_s, mount_s, 3)
+        u_tot_s = combine_commands(u_sub_s, xi_s, params_s, weight_s)
 
-        # record
-        t_arr[k] = t
-        pose_u_arr[k] = pose_u.as_tuple()
-        pose_s_arr[k] = pose_s.as_tuple()
-        nu_u_arr[k] = nu_u
-        nu_s_arr[k] = nu_s
-        u_sub_u_arr[k] = u_sub_u
-        u_xi_u_arr[k] = xi_u
-        u_sub_s_arr[k] = u_sub_s
-        u_sub_s_arr[k, :2] *= weight_s
-        u_xi_s_arr[k] = xi_s
-        u_tot_u_arr[k] = u_tot_u
-        u_tot_s_arr[k] = u_tot_s
-        det_us_arr[k] = obs_us.detected
-        det_su_arr[k] = obs_su.detected
+        # record, in _LOG_FIELDS order
+        rows.fromlist([
+            t, *pose_u.as_tuple(), *pose_s.as_tuple(), *nu_u, *nu_s,
+            *u_sub_u, *xi_u, u_sub_s[0] * weight_s, u_sub_s[1] * weight_s, u_sub_s[2],
+            *xi_s, *u_tot_u, *u_tot_s, det_us, det_su, xi_us, xi_su,
+            math.hypot(pose_u.x - pose_s.x, pose_u.y - pose_s.y),
+        ])
         region_us_list.append(region_us)
         region_su_list.append(region_su)
-        dist_arr[k] = math.hypot(pose_u.x - pose_s.x, pose_u.y - pose_s.y)
-        flag_text = ";".join(flags)
-        flags_list.append(flag_text)
+        flags_list.append(";".join(flags))
         for item in flags:
             events.append((t, item))
 
@@ -805,13 +830,13 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
                 tx, ty, tz = tx + d.torque[0], ty + d.torque[1], tz + d.torque[2]
             force, torque = (fx, fy, fz), (tx, ty, tz)
         try:
-            pose_u, nu_u = model_u.step(
+            pose_u, nu_u = model_u.advance(
                 pose_u, nu_u, model_u.allocate(u_tot_u), dt, force, torque
             )
-            pose_s, nu_s = model_s.step(pose_s, nu_s, model_s.allocate(u_tot_s), dt)
+            pose_s, nu_s = model_s.advance(pose_s, nu_s, model_s.allocate(u_tot_s), dt)
         except GimbalSingularity:
             raise
-        except Exception as exc:
+        except (ArithmeticError, ValueError) as exc:
             raise SimFailure(f"integration failed at t={t:.3f}: {exc}") from exc
 
         pose_u, nu_u, clamped_u = walls.apply_u(pose_u, nu_u)
@@ -825,24 +850,9 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
 
     return TrajectoryLog(
         config=config,
-        t=t_arr,
-        pose_u=pose_u_arr,
-        pose_s=pose_s_arr,
-        nu_u=nu_u_arr,
-        nu_s=nu_s_arr,
-        u_sub_u=u_sub_u_arr,
-        u_xi_u=u_xi_u_arr,
-        u_sub_s=u_sub_s_arr,
-        u_xi_s=u_xi_s_arr,
-        u_total_u=u_tot_u_arr,
-        u_total_s=u_tot_s_arr,
-        detected_us=det_us_arr,
-        detected_su=det_su_arr,
+        **_log_arrays(rows, n_rec),
         region_us=region_us_list,
         region_su=region_su_list,
-        xi_us=xi_us_arr,
-        xi_su=xi_su_arr,
-        proj_dist=dist_arr,
         event_flags=flags_list,
         events=events,
         waypoints_total=len(waypoints),

@@ -110,7 +110,7 @@ def as_floats(v) -> list:
 def allocate_thrust(u: np.ndarray, params: VehicleParams) -> np.ndarray:
     """Map a command vector to a body wrench through the diagonal gain."""
     u = _check_dof(u, params)
-    return np.asarray(params.thrust_gain, dtype=float) * u
+    return np.array(VehicleModel(params).allocate(u.tolist()))
 
 
 def _coriolis_flat(nu: list, mass: tuple) -> list:
@@ -163,22 +163,36 @@ def saturate(u: np.ndarray, params: VehicleParams) -> np.ndarray:
     return np.array(clip_axes(u.tolist(), params))
 
 
-def clip_norm(vec: np.ndarray, bound: float) -> np.ndarray:
-    """Scale a vector down so its Euclidean norm is <= bound, exactly."""
-    out = np.asarray(vec, dtype=float).copy()
-    norm = float(np.linalg.norm(out))
+def clip_length(v: list, bound: float) -> list:
+    """Scale a float vector down so its Euclidean norm is <= bound, exactly.
+
+    math.hypot does not overflow where the sum of squares would, so huge
+    components still land on the bound instead of collapsing to zero.
+    """
+    norm = math.hypot(*v)
+    if norm <= bound or norm == 0.0:
+        return v
+    if norm == math.inf:  # the norm itself overflows: rescale first
+        largest = max(abs(x) for x in v)
+        v = [x / largest for x in v]
+        norm = math.hypot(*v)
     # One rescale can land a few ulp above the bound; repeat until it holds.
     for _ in range(4):
-        if norm <= bound or norm == 0.0:
-            return out
-        out *= bound / norm
-        norm = float(np.linalg.norm(out))
-    out *= 1.0 - 1e-15
-    return out
+        if norm <= bound:
+            return v
+        scale = bound / norm
+        v = [x * scale for x in v]
+        norm = math.hypot(*v)
+    return [x * (1.0 - 1e-15) for x in v]
+
+
+def clip_norm(vec: np.ndarray, bound: float) -> np.ndarray:
+    """Scale a vector down so its Euclidean norm is <= bound, exactly."""
+    return np.array(clip_length(np.asarray(vec, dtype=float).tolist(), bound))
 
 
 # Below this fraction of the squared bound a float sum of squares proves the
-# norm is within the bound, so clip_norm would return the vector unchanged.
+# norm is within the bound, so clip_length would return the vector unchanged.
 _INSIDE_BOUND = 1.0 - 1e-12
 
 
@@ -191,13 +205,14 @@ class VehicleModel:
         self._mass = tuple(float(m) for m in params.mass)
         self._d_lin = tuple(float(d) for d in params.damping_linear)
         self._d_quad = tuple(float(d) for d in params.damping_quadratic)
-        self._gain = np.asarray(params.thrust_gain, dtype=float)
+        self._gain = tuple(float(g) for g in params.thrust_gain)
         self._n_lin = 2 if self.dof == 3 else 3
         self._bound = params.velocity_bound_linear
         self._inside = self._bound * self._bound * _INSIDE_BOUND
 
-    def allocate(self, u: np.ndarray) -> np.ndarray:
-        return self._gain * u
+    def allocate(self, u: list) -> list:
+        """Body wrench for a float command, through the diagonal gain."""
+        return [g * v for g, v in zip(self._gain, u)]
 
     def step(
         self,
@@ -209,50 +224,68 @@ class VehicleModel:
         world_torque: np.ndarray | None = None,
     ):
         """Advance one step; returns (new_pose, new_body_velocity)."""
-        if self.dof == 6:
-            return self._step6(pose, nu, tau, dt, world_force, world_torque)
-        return self._step3(pose, nu, tau, dt, world_force, world_torque)
+        new_pose, nu_new = self.advance(
+            pose,
+            as_floats(nu),
+            as_floats(tau),
+            dt,
+            None if world_force is None else as_floats(world_force),
+            None if world_torque is None else as_floats(world_torque),
+        )
+        return new_pose, np.array(nu_new)
 
-    def _solve_velocity(self, nu: list, tau_total: list, dt: float) -> list:
+    def advance(self, pose, nu, tau, dt, world_force=None, world_torque=None):
+        """step on floats: nu, tau and the optional world-frame force and
+        torque are float sequences; returns (new_pose, new velocity list)."""
+        if self.dof == 6:
+            return self._advance6(pose, nu, tau, dt, world_force, world_torque)
+        return self._advance3(pose, nu, tau, dt, world_force, world_torque)
+
+    def _solve_velocity(self, nu, tau_total, dt: float) -> list:
         """Solve (M + dt*(C + D)) nu' = M nu + dt*tau and clip the linear norm."""
         mass = self._mass
-        n = self.dof
-        diag = [
-            m + dt * (dl + dq * abs(v))
-            for m, dl, dq, v in zip(mass, self._d_lin, self._d_quad, nu)
-        ]
-        rhs = [m * v + dt * f for m, v, f in zip(mass, nu, tau_total)]
-        coriolis = _coriolis_flat(nu, mass)
-        if n == 3:
+        d_lin, d_quad = self._d_lin, self._d_quad
+        diag = []
+        rhs = []
+        for i, v in enumerate(nu):
+            diag.append(mass[i] + dt * (d_lin[i] + d_quad[i] * abs(v)))
+            rhs.append(mass[i] * v + dt * tau_total[i])
+        c = _coriolis_flat(nu, mass)
+        if self.dof == 3:
             # Closed form for [[a, 0, p], [0, b, q], [-p, -q, e]], the 3-DoF
             # shape of M + dt*(C + D).
             a, b, e = diag
-            p, q = dt * coriolis[2], dt * coriolis[5]
+            p, q = dt * c[2], dt * c[5]
             r0, r1, r2 = rhs
             z = (r2 + p * r0 / a + q * r1 / b) / (e + p * p / a + q * q / b)
             nu_new = [(r0 - p * z) / a, (r1 - q * z) / b, z]
         else:
-            matrix = [dt * c for c in coriolis]
-            matrix[:: n + 1] = diag
-            nu_new = np.linalg.solve(np.array(matrix).reshape(n, n), np.array(rhs)).tolist()
+            nu_new = _solve_schur6(diag, c, rhs, dt)
         n_lin = self._n_lin
-        if sum([v * v for v in nu_new[:n_lin]]) > self._inside:
-            nu_new[:n_lin] = clip_norm(nu_new[:n_lin], self._bound).tolist()
+        squares = nu_new[0] * nu_new[0] + nu_new[1] * nu_new[1]
+        if n_lin == 3:
+            squares += nu_new[2] * nu_new[2]
+        if squares > self._inside:
+            nu_new[:n_lin] = clip_length(nu_new[:n_lin], self._bound)
         return nu_new
 
-    def _step6(self, pose: Pose6, nu, tau, dt, world_force, world_torque):
+    def _advance6(self, pose: Pose6, nu, tau, dt, world_force, world_torque):
         att = pose.attitude
         (r0, r1, r2, r3, r4, r5, r6, r7, r8), (x, y, z) = pose.flat_transform
         ea, eb, ec, ed, ee, ef = euler_rate_rows(att)
-        tau_total = as_floats(tau)
+        f0, f1, f2, f3, f4, f5 = tau
         # world wrenches enter through the transposed rotation
-        for offset, wrench in ((0, world_force), (3, world_torque)):
-            if wrench is not None:
-                wx, wy, wz = as_floats(wrench)
-                tau_total[offset] += r0 * wx + r3 * wy + r6 * wz
-                tau_total[offset + 1] += r1 * wx + r4 * wy + r7 * wz
-                tau_total[offset + 2] += r2 * wx + r5 * wy + r8 * wz
-        nu_new = self._solve_velocity(as_floats(nu), tau_total, dt)
+        if world_force is not None:
+            wx, wy, wz = world_force
+            f0 += r0 * wx + r3 * wy + r6 * wz
+            f1 += r1 * wx + r4 * wy + r7 * wz
+            f2 += r2 * wx + r5 * wy + r8 * wz
+        if world_torque is not None:
+            wx, wy, wz = world_torque
+            f3 += r0 * wx + r3 * wy + r6 * wz
+            f4 += r1 * wx + r4 * wy + r7 * wz
+            f5 += r2 * wx + r5 * wy + r8 * wz
+        nu_new = self._solve_velocity(nu, (f0, f1, f2, f3, f4, f5), dt)
         u, v, w, p, q, r = nu_new
         new_att = EulerAngles(
             wrap_angle(att.phi + dt * (p + ea * q + eb * r)),
@@ -265,26 +298,73 @@ class VehicleModel:
             z + dt * (r6 * u + r7 * v + r8 * w),
             new_att,
         )
-        return new_pose, np.array(nu_new)
+        return new_pose, nu_new
 
-    def _step3(self, pose: Pose3, nu, tau, dt, world_force, world_torque):
+    def _advance3(self, pose: Pose3, nu, tau, dt, world_force, world_torque):
         # surface Jacobian [[c, -s, 0], [s, c, 0], [0, 0, 1]]
         c, s = math.cos(pose.psi), math.sin(pose.psi)
-        tau_total = as_floats(tau)
+        f0, f1, f2 = tau
         if world_force is not None:
-            fx, fy = as_floats(world_force)[:2]
-            tau_total[0] += c * fx + s * fy
-            tau_total[1] += -s * fx + c * fy
+            fx, fy = world_force[0], world_force[1]
+            f0 += c * fx + s * fy
+            f1 += -s * fx + c * fy
         if world_torque is not None:
-            tau_total[2] += as_floats(world_torque)[2]
-        nu_new = self._solve_velocity(as_floats(nu), tau_total, dt)
+            f2 += world_torque[2]
+        nu_new = self._solve_velocity(nu, (f0, f1, f2), dt)
         u, v, r = nu_new
         new_pose = Pose3(
             pose.x + dt * (c * u - s * v),
             pose.y + dt * (s * u + c * v),
             wrap_angle(pose.psi + dt * r),
         )
-        return new_pose, np.array(nu_new)
+        return new_pose, nu_new
+
+
+def _solve_schur6(diag: list, c: list, rhs: list, dt: float) -> list:
+    """Solve the 6-DoF (M + dt*(C + D)) nu' = rhs in closed form.
+
+    diag is the diagonal of M + dt*D and c the row-major C(nu). The linear
+    3x3 block of C is zero, so the linear block of the matrix is diagonal:
+    eliminate it and solve the angular 3x3 Schur complement by cofactors.
+    """
+    i0, i1, i2 = 1.0 / diag[0], 1.0 / diag[1], 1.0 / diag[2]
+    # B = dt*C[lin, ang] and K = dt*C[ang, lin] (K scaled by the inverse
+    # linear diagonal)
+    b00, b01, b02 = dt * c[3], dt * c[4], dt * c[5]
+    b10, b11, b12 = dt * c[9], dt * c[10], dt * c[11]
+    b20, b21, b22 = dt * c[15], dt * c[16], dt * c[17]
+    k00, k01, k02 = dt * c[18] * i0, dt * c[19] * i1, dt * c[20] * i2
+    k10, k11, k12 = dt * c[24] * i0, dt * c[25] * i1, dt * c[26] * i2
+    k20, k21, k22 = dt * c[30] * i0, dt * c[31] * i1, dt * c[32] * i2
+    # S = diag(ang) + dt*C[ang, ang] - K B
+    s0 = diag[3] + dt * c[21] - (k00 * b00 + k01 * b10 + k02 * b20)
+    s1 = dt * c[22] - (k00 * b01 + k01 * b11 + k02 * b21)
+    s2 = dt * c[23] - (k00 * b02 + k01 * b12 + k02 * b22)
+    s3 = dt * c[27] - (k10 * b00 + k11 * b10 + k12 * b20)
+    s4 = diag[4] + dt * c[28] - (k10 * b01 + k11 * b11 + k12 * b21)
+    s5 = dt * c[29] - (k10 * b02 + k11 * b12 + k12 * b22)
+    s6 = dt * c[33] - (k20 * b00 + k21 * b10 + k22 * b20)
+    s7 = dt * c[34] - (k20 * b01 + k21 * b11 + k22 * b21)
+    s8 = diag[5] + dt * c[35] - (k20 * b02 + k21 * b12 + k22 * b22)
+    r0, r1, r2, r3, r4, r5 = rhs
+    q0 = r3 - (k00 * r0 + k01 * r1 + k02 * r2)
+    q1 = r4 - (k10 * r0 + k11 * r1 + k12 * r2)
+    q2 = r5 - (k20 * r0 + k21 * r1 + k22 * r2)
+    a00, a01, a02 = s4 * s8 - s5 * s7, s2 * s7 - s1 * s8, s1 * s5 - s2 * s4
+    a10, a11, a12 = s5 * s6 - s3 * s8, s0 * s8 - s2 * s6, s2 * s3 - s0 * s5
+    a20, a21, a22 = s3 * s7 - s4 * s6, s1 * s6 - s0 * s7, s0 * s4 - s1 * s3
+    inv_det = 1.0 / (s0 * a00 + s1 * a10 + s2 * a20)
+    y0 = (a00 * q0 + a01 * q1 + a02 * q2) * inv_det
+    y1 = (a10 * q0 + a11 * q1 + a12 * q2) * inv_det
+    y2 = (a20 * q0 + a21 * q1 + a22 * q2) * inv_det
+    return [
+        (r0 - (b00 * y0 + b01 * y1 + b02 * y2)) * i0,
+        (r1 - (b10 * y0 + b11 * y1 + b12 * y2)) * i1,
+        (r2 - (b20 * y0 + b21 * y1 + b22 * y2)) * i2,
+        y0,
+        y1,
+        y2,
+    ]
 
 
 def step(

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import vetsim.scenario as scenario
 from vetsim.frames import GimbalSingularity, Pose3
 from vetsim.scenario import (
     CSV_COLUMNS,
@@ -13,6 +14,7 @@ from vetsim.scenario import (
     Lawnmower,
     PRESET_NAMES,
     ScenarioConfig,
+    SimFailure,
     UnknownPreset,
     lawnmower_path,
     log_from_csv,
@@ -20,7 +22,7 @@ from vetsim.scenario import (
     preset,
     run,
 )
-from vetsim.vehicle import Disturbance
+from vetsim.vehicle import Disturbance, VehicleModel
 from vetsim.perception import DropoutModel
 
 
@@ -320,3 +322,97 @@ def test_baseline_mode_never_moves_the_leader_sideways():
     log = run(cfg)
     # the leader's tether command stays identically zero in baseline mode
     np.testing.assert_array_equal(log.u_xi_s, 0.0)
+
+
+def test_programming_errors_in_the_integrator_propagate(monkeypatch):
+    def broken(self, *args, **kwargs):
+        raise TypeError("a bug, not a simulation failure")
+
+    monkeypatch.setattr(VehicleModel, "advance", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        run(short("nominal", 1.0))
+
+
+def test_arithmetic_errors_in_the_integrator_become_sim_failures(monkeypatch):
+    def diverging(self, *args, **kwargs):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(VehicleModel, "advance", diverging)
+    with pytest.raises(SimFailure, match="t=0.000"):
+        run(short("nominal", 1.0))
+
+
+def dropout_run(mode):
+    """perturbation_real with random dropout through the push: NaN xi
+    cells, region changes, line-of-sight events and perturbation flags."""
+    return run(short("perturbation_real", 12.0, mode=mode,
+                     dropout=DropoutModel(random_rate=0.3)))
+
+
+def per_cell_csv(log):
+    """The CSV written one cell at a time, the way the schema reads."""
+    fmt = "%.12g"
+    lines = [",".join(CSV_COLUMNS)]
+    for k in range(len(log.t)):
+        row = [fmt % log.t[k]]
+        for block in (log.pose_u, log.pose_s, log.u_sub_u, log.u_xi_u, log.u_sub_s, log.u_xi_s):
+            row += [fmt % v for v in block[k]]
+        row.append("1" if log.detected_us[k] else "0")
+        row.append("1" if log.detected_su[k] else "0")
+        row.append(log.region_us[k])
+        row.append(log.region_su[k])
+        row.append(fmt % log.xi_us[k])
+        row.append(fmt % log.xi_su[k])
+        row.append(fmt % log.proj_dist[k])
+        row.append(log.event_flags[k])
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("mode", ["vet", "baseline"])
+def test_csv_writer_matches_the_per_cell_formatter(mode):
+    log = dropout_run(mode)
+    assert np.isnan(log.xi_us).any()
+    assert any("perturb_start" in flags for flags in log.event_flags)
+    assert log.to_csv_text() == per_cell_csv(log)
+
+
+@pytest.mark.parametrize("mode", ["vet", "baseline"])
+def test_log_arrays_have_the_documented_shapes_and_types(mode):
+    log = run(short("nominal", 2.0, mode=mode))
+    n = len(log)
+    assert n == 101
+    shapes = {
+        "t": (n,), "pose_u": (n, 6), "pose_s": (n, 3), "nu_u": (n, 6), "nu_s": (n, 3),
+        "u_sub_u": (n, 6), "u_xi_u": (n, 6), "u_sub_s": (n, 3), "u_xi_s": (n, 3),
+        "u_total_u": (n, 6), "u_total_s": (n, 3), "xi_us": (n,), "xi_su": (n,),
+        "proj_dist": (n,), "detected_us": (n,), "detected_su": (n,),
+    }
+    for name, shape in shapes.items():
+        array = getattr(log, name)
+        assert array.shape == shape, name
+        want = bool if name.startswith("detected_") else np.float64
+        assert array.dtype == want, name
+    for name in ("region_us", "region_su", "event_flags"):
+        assert len(getattr(log, name)) == n
+    # the arrays share one buffer; writing to one must leave the others alone
+    before = {name: getattr(log, name).copy() for name in shapes}
+    for name in shapes:
+        getattr(log, name)[...] = 7
+        for other in shapes:
+            if other != name:
+                np.testing.assert_array_equal(getattr(log, other), before[other])
+        getattr(log, name)[...] = before[name]
+
+
+def test_each_detected_observation_is_measured_once(monkeypatch):
+    calls = []
+    measure = scenario.corner_geometry
+
+    def counted(pixels):
+        calls.append(1)
+        return measure(pixels)
+
+    monkeypatch.setattr(scenario, "corner_geometry", counted)
+    log = dropout_run("vet")
+    assert len(calls) == int(log.detected_us.sum() + log.detected_su.sum()) > 0

@@ -1,6 +1,7 @@
 """Rigid-body dynamics: allocation, Coriolis, damping, bounds, energy."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,16 @@ def test_clip_norm_exact_on_the_bound():
     np.testing.assert_allclose(clipped, [0.6, 0.8], atol=1e-12)
     # below the bound the vector passes through untouched
     np.testing.assert_array_equal(clip_norm(np.array([0.1, 0.0]), 1.0), [0.1, 0.0])
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e200, 1e307])
+def test_clip_norm_puts_overflowing_vectors_on_the_bound(scale):
+    # the sum of squares overflows here; the clip must still keep the direction
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        clipped = clip_norm(np.array([scale, scale, 0.0]), 0.1)
+    np.testing.assert_allclose(clipped, [0.1 / math.sqrt(2.0)] * 2 + [0.0], rtol=1e-12)
+    assert math.hypot(*clipped) <= 0.1
 
 
 def reference_velocity(nu, tau, params, dt):
