@@ -7,166 +7,4 @@ elastic tether with no communication link. A conventional one-way visual
 servo is included as the comparison baseline.
 """
 
-from .control import (
-    DepthAttitudeState,
-    PdGains,
-    SubTaskTarget,
-    VetCommand,
-    VetFilterState,
-    VetGains,
-    baseline_ibvs,
-    camera_to_body,
-    check_connectivity,
-    combined_control,
-    subtask_control_surface,
-    subtask_control_underwater,
-    surface_pd,
-    underwater_pd,
-    vet_law,
-)
-from .frames import (
-    EulerAngles,
-    GimbalSingularity,
-    Pose3,
-    Pose6,
-    RigidTransform,
-    compose,
-    euler_rate_transform,
-    invert,
-    pose_from_transform,
-    rotation_body_to_world,
-    surface_jacobian,
-    transform_from_pose,
-    wrap_angle,
-)
-from .metrics import (
-    EmptyLog,
-    RunSummary,
-    mission_success,
-    pose_from_observation,
-    projected_distance,
-    recovery_time,
-    settling_time,
-    summarize,
-    time_of_los_loss,
-)
-from .perception import (
-    CameraModel,
-    DropoutModel,
-    NotDetected,
-    RegionLabel,
-    TagModel,
-    TagObservation,
-    TetherState,
-    apply_dropout,
-    classify_region,
-    elastic_penetration,
-    project_tag,
-    tag_geometry,
-    tether_state,
-)
-from .scenario import (
-    ConfigError,
-    InvalidBounds,
-    Lawnmower,
-    PRESET_NAMES,
-    ScenarioConfig,
-    Setpoints,
-    SimFailure,
-    TrajectoryLog,
-    UnknownPreset,
-    lawnmower_path,
-    log_from_csv,
-    planner_step,
-    preset,
-    run,
-)
-from .vehicle import (
-    Disturbance,
-    VehicleModel,
-    VehicleParams,
-    allocate_thrust,
-    clip_norm,
-    coriolis_matrix,
-    damping_force,
-    saturate,
-    step,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CameraModel",
-    "ConfigError",
-    "DepthAttitudeState",
-    "Disturbance",
-    "DropoutModel",
-    "EmptyLog",
-    "EulerAngles",
-    "GimbalSingularity",
-    "InvalidBounds",
-    "Lawnmower",
-    "NotDetected",
-    "PRESET_NAMES",
-    "PdGains",
-    "Pose3",
-    "Pose6",
-    "RegionLabel",
-    "RigidTransform",
-    "RunSummary",
-    "ScenarioConfig",
-    "Setpoints",
-    "SimFailure",
-    "SubTaskTarget",
-    "TagModel",
-    "TagObservation",
-    "TetherState",
-    "TrajectoryLog",
-    "UnknownPreset",
-    "VehicleModel",
-    "VehicleParams",
-    "VetCommand",
-    "VetFilterState",
-    "VetGains",
-    "allocate_thrust",
-    "apply_dropout",
-    "baseline_ibvs",
-    "camera_to_body",
-    "check_connectivity",
-    "classify_region",
-    "clip_norm",
-    "combined_control",
-    "compose",
-    "coriolis_matrix",
-    "damping_force",
-    "elastic_penetration",
-    "euler_rate_transform",
-    "invert",
-    "lawnmower_path",
-    "log_from_csv",
-    "mission_success",
-    "planner_step",
-    "pose_from_observation",
-    "pose_from_transform",
-    "preset",
-    "project_tag",
-    "projected_distance",
-    "recovery_time",
-    "rotation_body_to_world",
-    "run",
-    "saturate",
-    "settling_time",
-    "step",
-    "subtask_control_surface",
-    "subtask_control_underwater",
-    "summarize",
-    "surface_jacobian",
-    "surface_pd",
-    "tag_geometry",
-    "tether_state",
-    "time_of_los_loss",
-    "transform_from_pose",
-    "underwater_pd",
-    "vet_law",
-    "wrap_angle",
-]

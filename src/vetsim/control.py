@@ -42,8 +42,8 @@ from .vehicle import VehicleParams, as_floats, clip_axes
 class PdGains:
     """Per-axis proportional and derivative gains."""
 
-    kp: tuple
-    kd: tuple
+    kp: tuple[float, ...]
+    kd: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if len(self.kp) != len(self.kd):
@@ -316,20 +316,19 @@ def tether_command(
     return command, weight, VetFilterState(center, t, (rx, ry), command, weight)
 
 
-def baseline_ibvs(
-    obs: TagObservation, gains: VetGains, cam: CameraModel
-) -> tuple:
-    """One-way visual servo: follower command plus the leader's (zero) input.
+def baseline_ibvs(obs: TagObservation, gains: VetGains, cam: CameraModel) -> np.ndarray:
+    """One-way visual servo: the follower's camera-frame command. The leader
+    gets no tether input in this mode.
 
     Uniform proportional gain over the whole image, no region logic, no
     derivative term; detection loss commands zero immediately.
     """
     geometry = tag_geometry(obs) if obs.detected else None
-    return np.array(ibvs_command(geometry, obs.camera_yaw, gains, cam)), np.zeros(3)
+    return np.array(ibvs_command(geometry, obs.camera_yaw, gains, cam))
 
 
 def ibvs_command(geometry: tuple | None, yaw: float, gains: VetGains, cam: CameraModel) -> tuple:
-    """baseline_ibvs's follower command on floats; geometry as in
+    """baseline_ibvs on floats; geometry as in
     tether_command, None when the tag is not detected."""
     if geometry is None:
         return (0.0, 0.0, 0.0)

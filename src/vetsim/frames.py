@@ -36,11 +36,6 @@ class EulerAngles:
     theta: float
     psi: float
 
-    def normalized(self) -> "EulerAngles":
-        return EulerAngles(
-            wrap_angle(self.phi), wrap_angle(self.theta), wrap_angle(self.psi)
-        )
-
 
 @dataclass(frozen=True)
 class Pose6:

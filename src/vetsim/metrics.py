@@ -101,14 +101,8 @@ def settling_time(log: TrajectoryLog, fraction: float = 0.05) -> Optional[float]
     """
     if len(log) < 2:
         raise EmptyLog("need at least two records")
-    pu = log.config.params_u
-    ps = log.config.params_s
-    bound_u = np.array(
-        [pu.velocity_bound_linear] * 3 + [pu.velocity_bound_angular] * 3
-    )
-    bound_s = np.array(
-        [ps.velocity_bound_linear] * 2 + [ps.velocity_bound_angular]
-    )
+    bound_u = np.array(log.config.params_u.axis_bounds)
+    bound_s = np.array(log.config.params_s.axis_bounds)
     viol = (np.abs(log.u_total_u) > fraction * bound_u).any(axis=1)
     viol |= (np.abs(log.u_total_s) > fraction * bound_s).any(axis=1)
     if not viol.any():

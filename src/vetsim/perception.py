@@ -114,7 +114,7 @@ class TetherState:
 class DropoutModel:
     """Scheduled blackout windows plus an independent per-tick drop rate."""
 
-    scheduled_windows: tuple = ()
+    scheduled_windows: tuple[tuple[float, ...], ...] = ()
     random_rate: float = 0.0
     seed: int = 0
 

@@ -20,9 +20,14 @@ Runs are deterministic: a fixed seed reproduces byte-identical logs.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import re
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -79,7 +84,7 @@ class SimFailure(RuntimeError):
 class Setpoints:
     """Ordered planar targets, visited in sequence and held at the end."""
 
-    waypoints: tuple
+    waypoints: tuple[tuple[float, ...], ...]
     capture_radius: float = 0.15
 
     def __post_init__(self) -> None:
@@ -164,10 +169,10 @@ class ScenarioConfig:
     dt: float
     duration: float
     seed: int
-    tank_min: tuple
-    tank_max: tuple
-    initial_pose_u: tuple
-    initial_pose_s: tuple
+    tank_min: tuple[float, ...]
+    tank_max: tuple[float, ...]
+    initial_pose_u: tuple[float, ...]
+    initial_pose_s: tuple[float, ...]
     params_u: VehicleParams
     params_s: VehicleParams
     camera_u: CameraModel
@@ -180,8 +185,8 @@ class ScenarioConfig:
     depth_target: float
     roll_target: float
     pitch_target: float
-    planner: object
-    perturbations: tuple = ()
+    planner: Setpoints | Lawnmower
+    perturbations: tuple[Disturbance, ...] = ()
     dropout: DropoutModel = field(default_factory=DropoutModel)
     appendix_sign_convention: bool = False
 
@@ -223,94 +228,12 @@ class ScenarioConfig:
             raise ConfigError("planner must be Setpoints or Lawnmower")
         planner_waypoints(self.planner)  # raises InvalidBounds on bad areas
 
-    # -- serialisation ----------------------------------------------------
-
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "mode": self.mode,
-            "dt": self.dt,
-            "duration": self.duration,
-            "seed": self.seed,
-            "tank_min": list(self.tank_min),
-            "tank_max": list(self.tank_max),
-            "initial_pose_u": list(self.initial_pose_u),
-            "initial_pose_s": list(self.initial_pose_s),
-            "params_u": _params_to_dict(self.params_u),
-            "params_s": _params_to_dict(self.params_s),
-            "camera_u": _camera_to_dict(self.camera_u),
-            "camera_s": _camera_to_dict(self.camera_s),
-            "tag_u": _tag_to_dict(self.tag_u),
-            "tag_s": _tag_to_dict(self.tag_s),
-            "pd_u": {"kp": list(self.pd_u.kp), "kd": list(self.pd_u.kd)},
-            "pd_s": {"kp": list(self.pd_s.kp), "kd": list(self.pd_s.kd)},
-            "vet": _vet_to_dict(self.vet),
-            "depth_target": self.depth_target,
-            "roll_target": self.roll_target,
-            "pitch_target": self.pitch_target,
-            "planner": _planner_to_dict(self.planner),
-            "perturbations": [_disturbance_to_dict(d) for d in self.perturbations],
-            "dropout": _dropout_to_dict(self.dropout),
-            "appendix_sign_convention": self.appendix_sign_convention,
-        }
+        return _encode(self, ScenarioConfig)
 
     @staticmethod
     def from_dict(data: dict) -> "ScenarioConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("config root must be an object")
-        known = {
-            "name", "mode", "dt", "duration", "seed", "tank_min", "tank_max",
-            "initial_pose_u", "initial_pose_s", "params_u", "params_s",
-            "camera_u", "camera_s", "tag_u", "tag_s", "pd_u", "pd_s", "vet",
-            "depth_target", "roll_target", "pitch_target", "planner",
-            "perturbations", "dropout", "appendix_sign_convention",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        missing = known - set(data)
-        if missing:
-            raise ConfigError(f"missing config keys: {sorted(missing)}")
-        try:
-            cfg = ScenarioConfig(
-                name=str(data["name"]),
-                mode=str(data["mode"]),
-                dt=float(data["dt"]),
-                duration=float(data["duration"]),
-                seed=int(data["seed"]),
-                tank_min=_float_tuple(data["tank_min"], 3, "tank_min"),
-                tank_max=_float_tuple(data["tank_max"], 3, "tank_max"),
-                initial_pose_u=_float_tuple(data["initial_pose_u"], 6, "initial_pose_u"),
-                initial_pose_s=_float_tuple(data["initial_pose_s"], 3, "initial_pose_s"),
-                params_u=_params_from_dict(data["params_u"]),
-                params_s=_params_from_dict(data["params_s"]),
-                camera_u=_camera_from_dict(data["camera_u"]),
-                camera_s=_camera_from_dict(data["camera_s"]),
-                tag_u=_tag_from_dict(data["tag_u"]),
-                tag_s=_tag_from_dict(data["tag_s"]),
-                pd_u=PdGains(
-                    _float_tuple(data["pd_u"]["kp"], None, "pd_u.kp"),
-                    _float_tuple(data["pd_u"]["kd"], None, "pd_u.kd"),
-                ),
-                pd_s=PdGains(
-                    _float_tuple(data["pd_s"]["kp"], None, "pd_s.kp"),
-                    _float_tuple(data["pd_s"]["kd"], None, "pd_s.kd"),
-                ),
-                vet=_vet_from_dict(data["vet"]),
-                depth_target=float(data["depth_target"]),
-                roll_target=float(data["roll_target"]),
-                pitch_target=float(data["pitch_target"]),
-                planner=_planner_from_dict(data["planner"]),
-                perturbations=tuple(
-                    _disturbance_from_dict(d) for d in data["perturbations"]
-                ),
-                dropout=_dropout_from_dict(data["dropout"]),
-                appendix_sign_convention=bool(data["appendix_sign_convention"]),
-            )
-        except ConfigError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed config: {exc}") from exc
+        cfg = _decode(data, ScenarioConfig, "")
         cfg.validate()
         return cfg
 
@@ -327,203 +250,127 @@ def _non_finite_paths(tree, path: str = "") -> list:
     return [p for key, value in items for p in _non_finite_paths(value, f"{prefix}{key}")]
 
 
-def _float_tuple(values, length, label) -> tuple:
+# -- config codec ------------------------------------------------------------
+#
+# One walker maps every config dataclass to plain JSON data and back, driven
+# by the resolved field annotations: a dataclass is an object whose keys are
+# exactly its field names, a tuple or an array is a list, a scalar is itself.
+# A union of dataclasses (the planner) adds a "kind" key, the lower-cased
+# class name. Lengths and ranges are checked by the dataclasses themselves
+# and by ScenarioConfig.validate.
+
+@functools.cache
+def _field_types(cls) -> dict:
+    """Field name -> resolved annotation, in declaration order."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def _encode(value, hint):
+    if isinstance(hint, UnionType):
+        return {"kind": type(value).__name__.lower(), **_encode(value, type(value))}
+    if is_dataclass(hint):
+        return {name: _encode(getattr(value, name), sub)
+                for name, sub in _field_types(hint).items()}
+    if hint is np.ndarray:
+        return value.tolist()
+    if get_origin(hint) is tuple:
+        item = get_args(hint)[0]
+        return [_encode(v, item) for v in value]
+    return value
+
+
+def _decode(data, hint, path: str):
+    """Rebuild a value of type hint from its _encode form; path is the dotted
+    key of data in the config tree, for error messages."""
+    if isinstance(hint, UnionType):
+        kinds = {cls.__name__.lower(): cls for cls in get_args(hint)}
+        kind = data.get("kind") if isinstance(data, dict) else None
+        if kind not in kinds:
+            raise ConfigError(f"{path}.kind must be one of {sorted(kinds)}, got {kind!r}")
+        return _decode({k: v for k, v in data.items() if k != "kind"}, kinds[kind], path)
+    if is_dataclass(hint):
+        if not isinstance(data, dict):
+            raise ConfigError(f"{path or 'config root'} must be an object")
+        expected = _field_types(hint)
+        at = f" at {path}" if path else ""
+        unknown = data.keys() - expected.keys()
+        if unknown:
+            raise ConfigError(f"unknown config keys{at}: {sorted(unknown)}")
+        missing = expected.keys() - data.keys()
+        if missing:
+            raise ConfigError(f"missing config keys{at}: {sorted(missing)}")
+        prefix = f"{path}." if path else ""
+        values = {name: _decode(data[name], sub, prefix + name)
+                  for name, sub in expected.items()}
+        try:
+            return hint(**values)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed config{at}: {exc}") from exc
+    if get_origin(hint) is tuple:
+        if not isinstance(data, (list, tuple)):
+            raise ConfigError(f"{path} must be a list")
+        item = get_args(hint)[0]
+        return tuple(_decode(v, item, f"{path}.{i}") for i, v in enumerate(data))
     try:
-        out = tuple(float(v) for v in values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{label} must be a list of numbers") from exc
-    if length is not None and len(out) != length:
-        raise ConfigError(f"{label} must have {length} entries")
-    return out
-
-
-def _transform_to_dict(t: RigidTransform) -> dict:
-    return {"rotation": t.rotation.tolist(), "translation": t.translation.tolist()}
-
-
-def _transform_from_dict(d: dict) -> RigidTransform:
-    return RigidTransform(np.array(d["rotation"], dtype=float), np.array(d["translation"], dtype=float))
-
-
-def _camera_to_dict(cam: CameraModel) -> dict:
-    return {
-        "width": cam.width,
-        "height": cam.height,
-        "focal_length": cam.focal_length,
-        "mount": _transform_to_dict(cam.mount),
-    }
-
-
-def _camera_from_dict(d: dict) -> CameraModel:
-    return CameraModel(
-        int(d["width"]), int(d["height"]), float(d["focal_length"]),
-        _transform_from_dict(d["mount"]),
-    )
-
-
-def _tag_to_dict(tag: TagModel) -> dict:
-    return {"side": tag.side, "mount": _transform_to_dict(tag.mount)}
-
-
-def _tag_from_dict(d: dict) -> TagModel:
-    return TagModel(float(d["side"]), _transform_from_dict(d["mount"]))
-
-
-def _params_to_dict(p: VehicleParams) -> dict:
-    return {
-        "mass": list(p.mass),
-        "damping_linear": list(p.damping_linear),
-        "damping_quadratic": list(p.damping_quadratic),
-        "thrust_gain": list(p.thrust_gain),
-        "velocity_bound_linear": p.velocity_bound_linear,
-        "velocity_bound_angular": p.velocity_bound_angular,
-    }
-
-
-def _params_from_dict(d: dict) -> VehicleParams:
-    return VehicleParams(
-        mass=_float_tuple(d["mass"], None, "mass"),
-        damping_linear=_float_tuple(d["damping_linear"], None, "damping_linear"),
-        damping_quadratic=_float_tuple(d["damping_quadratic"], None, "damping_quadratic"),
-        thrust_gain=_float_tuple(d["thrust_gain"], None, "thrust_gain"),
-        velocity_bound_linear=float(d["velocity_bound_linear"]),
-        velocity_bound_angular=float(d["velocity_bound_angular"]),
-    )
-
-
-def _vet_to_dict(v: VetGains) -> dict:
-    return {
-        "k_safe_p": v.k_safe_p,
-        "k_elastic_p": v.k_elastic_p,
-        "k_elastic_d": v.k_elastic_d,
-        "k_psi": v.k_psi,
-        "u_max_x": v.u_max_x,
-        "u_max_y": v.u_max_y,
-        "yield_fraction": v.yield_fraction,
-        "hold_half_life": v.hold_half_life,
-        "rate_time_constant": v.rate_time_constant,
-    }
-
-
-def _vet_from_dict(d: dict) -> VetGains:
-    return VetGains(**{k: float(v) for k, v in d.items()})
-
-
-def _planner_to_dict(p) -> dict:
-    if isinstance(p, Lawnmower):
-        return {
-            "kind": "lawnmower",
-            "x_min": p.x_min,
-            "x_max": p.x_max,
-            "y_min": p.y_min,
-            "y_max": p.y_max,
-            "lane_spacing": p.lane_spacing,
-            "speed": p.speed,
-            "capture_radius": p.capture_radius,
-        }
-    return {
-        "kind": "setpoints",
-        "waypoints": [list(wp) for wp in p.waypoints],
-        "capture_radius": p.capture_radius,
-    }
-
-
-def _planner_from_dict(d: dict) -> object:
-    kind = d.get("kind")
-    if kind == "lawnmower":
-        return Lawnmower(
-            x_min=float(d["x_min"]),
-            x_max=float(d["x_max"]),
-            y_min=float(d["y_min"]),
-            y_max=float(d["y_max"]),
-            lane_spacing=float(d["lane_spacing"]),
-            speed=float(d["speed"]),
-            capture_radius=float(d["capture_radius"]),
-        )
-    if kind == "setpoints":
-        return Setpoints(
-            waypoints=tuple(_float_tuple(wp, 3, "waypoint") for wp in d["waypoints"]),
-            capture_radius=float(d["capture_radius"]),
-        )
-    raise ConfigError(f"unknown planner kind {kind!r}")
-
-
-def _disturbance_to_dict(d: Disturbance) -> dict:
-    return {
-        "force": list(d.force),
-        "torque": list(d.torque),
-        "t_start": d.t_start,
-        "t_end": d.t_end,
-    }
-
-
-def _disturbance_from_dict(d: dict) -> Disturbance:
-    return Disturbance(
-        force=_float_tuple(d["force"], 3, "force"),
-        torque=_float_tuple(d["torque"], 3, "torque"),
-        t_start=float(d["t_start"]),
-        t_end=float(d["t_end"]),
-    )
-
-
-def _dropout_to_dict(d: DropoutModel) -> dict:
-    return {
-        "scheduled_windows": [list(w) for w in d.scheduled_windows],
-        "random_rate": d.random_rate,
-        "seed": d.seed,
-    }
-
-
-def _dropout_from_dict(d: dict) -> DropoutModel:
-    return DropoutModel(
-        scheduled_windows=tuple(_float_tuple(w, 2, "window") for w in d["scheduled_windows"]),
-        random_rate=float(d["random_rate"]),
-        seed=int(d["seed"]),
-    )
+        return np.array(data, dtype=float) if hint is np.ndarray else hint(data)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"malformed config at {path}: {exc}") from exc
 
 
 # -- trajectory log --------------------------------------------------------
 
-CSV_COLUMNS = (
-    "t",
-    "xU", "yU", "zU", "phiU", "thetaU", "psiU",
-    "xS", "yS", "psiS",
-    "uU_sub_x", "uU_sub_y", "uU_sub_z", "uU_sub_phi", "uU_sub_theta", "uU_sub_psi",
-    "uU_xi_x", "uU_xi_y", "uU_xi_z", "uU_xi_phi", "uU_xi_theta", "uU_xi_psi",
-    "uS_sub_x", "uS_sub_y", "uS_sub_psi",
-    "uS_xi_x", "uS_xi_y", "uS_xi_psi",
-    "detectedUS", "detectedSU", "regionUS", "regionSU",
-    "xiUS", "xiSU", "projDist", "eventFlags",
+# The log layout, declared once: each TrajectoryLog field with its type, its
+# width and its CSV column names, in CSV order. float fields are float64
+# arrays and bool fields bool arrays, both kept as columns of one float row
+# table (the flags as 0.0/1.0); str fields are lists with one label per tick.
+# Fields with no CSV names (body velocities, saturated totals) live in the
+# row table only.
+_LOG_LAYOUT = (
+    ("t", float, 1, ("t",)),
+    ("pose_u", float, 6, ("xU", "yU", "zU", "phiU", "thetaU", "psiU")),
+    ("pose_s", float, 3, ("xS", "yS", "psiS")),
+    ("nu_u", float, 6, ()),
+    ("nu_s", float, 3, ()),
+    ("u_sub_u", float, 6, ("uU_sub_x", "uU_sub_y", "uU_sub_z",
+                           "uU_sub_phi", "uU_sub_theta", "uU_sub_psi")),
+    ("u_xi_u", float, 6, ("uU_xi_x", "uU_xi_y", "uU_xi_z",
+                          "uU_xi_phi", "uU_xi_theta", "uU_xi_psi")),
+    ("u_sub_s", float, 3, ("uS_sub_x", "uS_sub_y", "uS_sub_psi")),
+    ("u_xi_s", float, 3, ("uS_xi_x", "uS_xi_y", "uS_xi_psi")),
+    ("u_total_u", float, 6, ()),
+    ("u_total_s", float, 3, ()),
+    ("detected_us", bool, 1, ("detectedUS",)),
+    ("detected_su", bool, 1, ("detectedSU",)),
+    ("region_us", str, 1, ("regionUS",)),
+    ("region_su", str, 1, ("regionSU",)),
+    ("xi_us", float, 1, ("xiUS",)),
+    ("xi_su", float, 1, ("xiSU",)),
+    ("proj_dist", float, 1, ("projDist",)),
+    ("event_flags", str, 1, ("eventFlags",)),
 )
+_CSV_FORMATS = {float: "%.12g", bool: "%d", str: "%s"}
 
-
-# One CSV row: 28 numbers, the two detected flags, the two region labels,
-# three numbers and the event flags.
-_CSV_ROW = ",".join(["%.12g"] * 28 + ["%d"] * 2 + ["%s"] * 2 + ["%.12g"] * 3 + ["%s"])
+CSV_COLUMNS = tuple(name for *_, names in _LOG_LAYOUT for name in names)
+_CSV_ROW = ",".join(_CSV_FORMATS[kind] for _, kind, _, names in _LOG_LAYOUT for _ in names)
+# Rows are converted this many at a time, which bounds the memory the
+# per-cell Python objects take in both the writer and the reader.
 _CSV_CHUNK = 256
-
-# The numeric fields of TrajectoryLog in the order run() appends them to its
-# row buffer, with their widths; the detected flags are stored as 0.0/1.0.
-_LOG_FIELDS = (
-    ("t", 1), ("pose_u", 6), ("pose_s", 3), ("nu_u", 6), ("nu_s", 3),
-    ("u_sub_u", 6), ("u_xi_u", 6), ("u_sub_s", 3), ("u_xi_s", 3),
-    ("u_total_u", 6), ("u_total_s", 3), ("detected_us", 1), ("detected_su", 1),
-    ("xi_us", 1), ("xi_su", 1), ("proj_dist", 1),
-)
-_ROW_WIDTH = sum(width for _, width in _LOG_FIELDS)
+_ROW_WIDTH = sum(width for _, kind, width, _ in _LOG_LAYOUT if kind is not str)
 
 
-def _log_arrays(rows: array, n_rec: int) -> dict:
-    """Slice the row buffer into the TrajectoryLog arrays: float64 views of
-    disjoint columns of one table (no copies), bool for the detected flags."""
-    table = np.frombuffer(rows, dtype=float).reshape(n_rec, _ROW_WIDTH)
+def _log_arrays(table: np.ndarray) -> dict:
+    """Slice the (ticks, _ROW_WIDTH) row table into the TrajectoryLog arrays:
+    float64 views of disjoint columns (no copies), bool for the flags."""
     out = {}
     col = 0
-    for name, width in _LOG_FIELDS:
+    for name, kind, width, _ in _LOG_LAYOUT:
+        if kind is str:
+            continue
         out[name] = table[:, col] if width == 1 else table[:, col:col + width]
+        if kind is bool:
+            out[name] = out[name] != 0.0
         col += width
-    out["detected_us"] = out["detected_us"] != 0.0
-    out["detected_su"] = out["detected_su"] != 0.0
     return out
 
 
@@ -533,8 +380,9 @@ class TrajectoryLog:
 
     Per tick: t is (n,), poses (n, 6) and (n, 3), velocities and commands
     (n, 6) for the underwater and (n, 3) for the surface robot, xi_* and
-    proj_dist (n,), all float64; detected_* are (n,) bool. From run() the
-    float arrays are views of disjoint columns of one row table.
+    proj_dist (n,), all float64; detected_* are (n,) bool. From run() and
+    log_from_csv the float arrays are views of disjoint columns of one row
+    table laid out by _LOG_LAYOUT.
     """
 
     config: ScenarioConfig
@@ -567,30 +415,21 @@ class TrajectoryLog:
     def to_csv_text(self) -> str:
         """Render the fixed-schema CSV; identical runs give identical bytes."""
         lines = [",".join(CSV_COLUMNS)]
-        # Columns become Python lists a chunk of rows at a time, which bounds
-        # the memory they take.
         for lo in range(0, len(self.t), _CSV_CHUNK):
             rows = slice(lo, lo + _CSV_CHUNK)
-            columns = [self.t[rows].tolist()]
-            for block in (self.pose_u, self.pose_s, self.u_sub_u, self.u_xi_u,
-                          self.u_sub_s, self.u_xi_s):
-                columns += block[rows].T.tolist()
-            columns += [
-                self.detected_us[rows].astype(int).tolist(),
-                self.detected_su[rows].astype(int).tolist(),
-                self.region_us[rows],
-                self.region_su[rows],
-                self.xi_us[rows].tolist(),
-                self.xi_su[rows].tolist(),
-                self.proj_dist[rows].tolist(),
-                self.event_flags[rows],
-            ]
+            columns = []
+            for name, kind, width, names in _LOG_LAYOUT:
+                if not names:
+                    continue
+                block = getattr(self, name)[rows]
+                if kind is str:
+                    columns.append(block)
+                elif width == 1:
+                    columns.append(block.tolist())
+                else:
+                    columns += block.T.tolist()
             lines += [_CSV_ROW % row for row in zip(*columns)]
         return "\n".join(lines) + "\n"
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as handle:
-            handle.write(self.to_csv_text())
 
 
 # -- simulation loop -------------------------------------------------------
@@ -805,7 +644,7 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
             xi_s = body_command(cam_cmd_s, mount_s, 3)
         u_tot_s = combine_commands(u_sub_s, xi_s, params_s, weight_s)
 
-        # record, in _LOG_FIELDS order
+        # record the numeric fields, in _LOG_LAYOUT order
         rows.fromlist([
             t, *pose_u.as_tuple(), *pose_s.as_tuple(), *nu_u, *nu_s,
             *u_sub_u, *xi_u, u_sub_s[0] * weight_s, u_sub_s[1] * weight_s, u_sub_s[2],
@@ -850,7 +689,7 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
 
     return TrajectoryLog(
         config=config,
-        **_log_arrays(rows, n_rec),
+        **_log_arrays(np.frombuffer(rows, dtype=float).reshape(n_rec, _ROW_WIDTH)),
         region_us=region_us_list,
         region_su=region_su_list,
         event_flags=flags_list,
@@ -1015,87 +854,65 @@ def log_from_csv(text: str, config: ScenarioConfig) -> TrajectoryLog:
     header-only file yields an empty log, which the plots render as bare
     axes.
     """
-    from .vehicle import saturate
-
-    lines = [ln for ln in text.split("\n") if ln != ""]
-    if not lines or lines[0].split(",") != list(CSV_COLUMNS):
+    # Non-empty lines, split off the text one at a time: only one chunk of
+    # rows is ever held as Python strings.
+    lines = (match.group() for match in re.finditer("[^\n]+", text))
+    if next(lines, "").split(",") != list(CSV_COLUMNS):
         raise ConfigError("trajectory CSV header does not match the schema")
-    rows = lines[1:]
-    n = len(rows)
-    t_arr = np.empty(n)
-    pose_u_arr = np.empty((n, 6))
-    pose_s_arr = np.empty((n, 3))
-    u_sub_u_arr = np.empty((n, 6))
-    u_xi_u_arr = np.empty((n, 6))
-    u_sub_s_arr = np.empty((n, 3))
-    u_xi_s_arr = np.empty((n, 3))
-    u_tot_u_arr = np.empty((n, 6))
-    u_tot_s_arr = np.empty((n, 3))
-    det_us_arr = np.zeros(n, dtype=bool)
-    det_su_arr = np.zeros(n, dtype=bool)
-    region_us_list = []
-    region_su_list = []
-    xi_us_arr = np.empty(n)
-    xi_su_arr = np.empty(n)
-    dist_arr = np.empty(n)
-    flags_list = []
-    events = []
-    captured = 0
-    for k, row in enumerate(rows):
-        parts = row.split(",")
-        if len(parts) != len(CSV_COLUMNS):
-            raise ConfigError(f"row {k + 1} has {len(parts)} fields")
-        try:
-            t_arr[k] = float(parts[0])
-            pose_u_arr[k] = [float(v) for v in parts[1:7]]
-            pose_s_arr[k] = [float(v) for v in parts[7:10]]
-            u_sub_u_arr[k] = [float(v) for v in parts[10:16]]
-            u_xi_u_arr[k] = [float(v) for v in parts[16:22]]
-            u_sub_s_arr[k] = [float(v) for v in parts[22:25]]
-            u_xi_s_arr[k] = [float(v) for v in parts[25:28]]
-            det_us_arr[k] = parts[28] == "1"
-            det_su_arr[k] = parts[29] == "1"
-            xi_us_arr[k] = float(parts[32])
-            xi_su_arr[k] = float(parts[33])
-            dist_arr[k] = float(parts[34])
-        except ValueError as exc:
-            raise ConfigError(f"row {k + 1} is not numeric: {exc}") from exc
-        region_us_list.append(parts[30])
-        region_su_list.append(parts[31])
-        flags = parts[35]
-        flags_list.append(flags)
-        if flags:
-            for item in flags.split(";"):
-                events.append((float(parts[0]), item))
-                if item == "waypoint_capture":
-                    captured += 1
-        u_tot_u_arr[k] = saturate(u_sub_u_arr[k] + u_xi_u_arr[k], config.params_u)
-        u_tot_s_arr[k] = saturate(u_sub_s_arr[k] + u_xi_s_arr[k], config.params_s)
+    # Every well-formed row, the header too, holds len(CSV_COLUMNS) - 1 commas,
+    # which bounds the row count; unused rows are cut off below.
+    table = np.zeros((text.count(",") // (len(CSV_COLUMNS) - 1), _ROW_WIDTH))
+    labels = {name: [] for name, kind, _, _ in _LOG_LAYOUT if kind is str}
+    hi = 0
+    while chunk := list(itertools.islice(lines, _CSV_CHUNK)):
+        lo, hi = hi, hi + len(chunk)
+        cells = [row.split(",") for row in chunk]
+        for k, parts in enumerate(cells, lo + 1):
+            if len(parts) != len(CSV_COLUMNS):
+                raise ConfigError(f"row {k} has {len(parts)} fields")
+        columns = iter(zip(*cells))
+        col = 0
+        for name, kind, width, names in _LOG_LAYOUT:
+            if kind is str:
+                labels[name] += next(columns)
+                continue
+            for c in range(col, col + len(names)):
+                values = next(columns)
+                table[lo:hi, c] = (
+                    [v == "1" for v in values] if kind is bool else _floats(values, lo)
+                )
+            col += width
+    arrays = _log_arrays(table[:hi])
+    for params, sub, xi, total in ((config.params_u, "u_sub_u", "u_xi_u", "u_total_u"),
+                                   (config.params_s, "u_sub_s", "u_xi_s", "u_total_s")):
+        bounds = np.array(params.axis_bounds)
+        np.clip(arrays[sub] + arrays[xi], -bounds, bounds, out=arrays[total])
+    events = [
+        (t, item)
+        for t, flags in zip(arrays["t"].tolist(), labels["event_flags"]) if flags
+        for item in flags.split(";")
+    ]
     return TrajectoryLog(
         config=config,
-        t=t_arr,
-        pose_u=pose_u_arr,
-        pose_s=pose_s_arr,
-        nu_u=np.zeros((n, 6)),
-        nu_s=np.zeros((n, 3)),
-        u_sub_u=u_sub_u_arr,
-        u_xi_u=u_xi_u_arr,
-        u_sub_s=u_sub_s_arr,
-        u_xi_s=u_xi_s_arr,
-        u_total_u=u_tot_u_arr,
-        u_total_s=u_tot_s_arr,
-        detected_us=det_us_arr,
-        detected_su=det_su_arr,
-        region_us=region_us_list,
-        region_su=region_su_list,
-        xi_us=xi_us_arr,
-        xi_su=xi_su_arr,
-        proj_dist=dist_arr,
-        event_flags=flags_list,
+        **arrays,
+        **labels,
         events=events,
         waypoints_total=len(planner_waypoints(config.planner)),
-        waypoints_captured=captured,
+        waypoints_captured=sum(item == "waypoint_capture" for _, item in events),
     )
+
+
+def _floats(cells: tuple, lo: int) -> list:
+    """One CSV column chunk as floats; lo is the chunk's first row index."""
+    try:
+        return list(map(float, cells))
+    except ValueError:
+        for k, cell in enumerate(cells, lo + 1):
+            try:
+                float(cell)
+            except ValueError as exc:
+                raise ConfigError(f"row {k} is not numeric: {exc}") from exc
+        raise
 
 
 _PRESETS = {

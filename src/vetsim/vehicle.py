@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,10 +46,10 @@ class VehicleParams:
     velocity_bound_angular  per-component command clip for angular axes (rad/s)
     """
 
-    mass: tuple
-    damping_linear: tuple
-    damping_quadratic: tuple
-    thrust_gain: tuple
+    mass: tuple[float, ...]
+    damping_linear: tuple[float, ...]
+    damping_quadratic: tuple[float, ...]
+    thrust_gain: tuple[float, ...]
     velocity_bound_linear: float
     velocity_bound_angular: float
 
@@ -70,13 +71,21 @@ class VehicleParams:
     def dof(self) -> int:
         return len(self.mass)
 
+    @cached_property
+    def axis_bounds(self) -> tuple:
+        """Per-axis command bound: linear on surge, sway (and heave under
+        water), angular on the rotational axes."""
+        n_lin = 2 if self.dof == 3 else 3
+        return ((self.velocity_bound_linear,) * n_lin
+                + (self.velocity_bound_angular,) * (self.dof - n_lin))
+
 
 @dataclass(frozen=True)
 class Disturbance:
     """Constant world-frame wrench active over a closed time window."""
 
-    force: tuple
-    torque: tuple = (0.0, 0.0, 0.0)
+    force: tuple[float, ...]
+    torque: tuple[float, ...] = (0.0, 0.0, 0.0)
     t_start: float = 0.0
     t_end: float = 0.0
 
@@ -147,14 +156,7 @@ def damping_force(nu: np.ndarray, params: VehicleParams) -> np.ndarray:
 
 def clip_axes(u: list, params: VehicleParams) -> list:
     """Clip each component of a float command to its per-axis bound."""
-    lin = params.velocity_bound_linear
-    ang = params.velocity_bound_angular
-    n_lin = 2 if len(u) == 3 else 3
-    out = []
-    for i, v in enumerate(u):
-        bound = lin if i < n_lin else ang
-        out.append(bound if v > bound else -bound if v < -bound else v)
-    return out
+    return [b if v > b else -b if v < -b else v for v, b in zip(u, params.axis_bounds)]
 
 
 def saturate(u: np.ndarray, params: VehicleParams) -> np.ndarray:
@@ -365,20 +367,3 @@ def _solve_schur6(diag: list, c: list, rhs: list, dt: float) -> list:
         y1,
         y2,
     ]
-
-
-def step(
-    pose: Pose6 | Pose3,
-    nu: np.ndarray,
-    tau: np.ndarray,
-    params: VehicleParams,
-    dt: float,
-    disturbance: Disturbance | None = None,
-    t: float = 0.0,
-):
-    """One integration step; applies the disturbance if its window covers t."""
-    force = torque = None
-    if disturbance is not None and disturbance.active(t):
-        force = np.asarray(disturbance.force, dtype=float)
-        torque = np.asarray(disturbance.torque, dtype=float)
-    return VehicleModel(params).step(pose, nu, tau, dt, force, torque)

@@ -91,7 +91,8 @@ def test_unknown_override_key_fails_cleanly(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "override",
-    ["vet.k_psi=NaN", "duration=Infinity", "duration=1e12", "pd_u.kp.0=1.0"],
+    ["vet.k_psi=NaN", "duration=Infinity", "duration=1e12", "pd_u.kp.0=1.0",
+     "seed=Infinity", "planner=5"],
 )
 def test_invalid_values_fail_cleanly_before_the_run(tmp_path, capsys, override):
     out = tmp_path / "bundle"
@@ -199,6 +200,27 @@ def test_plot_accepts_a_header_only_csv(tmp_path, capsys):
 
 def test_plot_rejects_a_missing_bundle(tmp_path, capsys):
     assert run_cli("plot", "--run", str(tmp_path / "nowhere")) == 2
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda cells: cells[:-1], "row 3 has 35 fields"),
+        (lambda cells: cells[:5] + ["zero"] + cells[6:], "row 3 is not numeric"),
+    ],
+    ids=["short_row", "non_numeric_cell"],
+)
+def test_plot_rejects_a_corrupt_trajectory(tmp_path, capsys, corrupt, message):
+    src = tmp_path / "bundle"
+    assert run_cli("run", "--preset", "nominal", "--set", "duration=1", "--out", str(src)) == 0
+    csv = src / "trajectory.csv"
+    lines = csv.read_text().splitlines()
+    lines[3] = ",".join(corrupt(lines[3].split(",")))
+    csv.write_text("\n".join(lines) + "\n")
+    dst = tmp_path / "replot"
+    assert run_cli("plot", "--run", str(src), "--out", str(dst)) == 2
+    assert not dst.exists()
+    assert message in capsys.readouterr().err
 
 
 def test_env_var_sets_the_default_output_dir(tmp_path, capsys, monkeypatch):

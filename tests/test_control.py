@@ -272,29 +272,23 @@ def test_gain_validation():
 
 # --- one-way baseline ---------------------------------------------------------------
 
-def test_baseline_leader_input_is_always_zero():
-    for obs in (square_obs(480.0, 240.0), square_obs(0, 0, detected=False)):
-        _, leader = baseline_ibvs(obs, VetGains(), up_camera())
-        np.testing.assert_array_equal(leader, 0.0)
-
-
 def test_baseline_commands_zero_on_loss():
-    follower, _ = baseline_ibvs(square_obs(0, 0, detected=False), VetGains(), up_camera())
+    follower = baseline_ibvs(square_obs(0, 0, detected=False), VetGains(), up_camera())
     np.testing.assert_array_equal(follower, 0.0)
 
 
 def test_baseline_uses_a_uniform_gain_everywhere():
     gains = wide_gains()
     cam = up_camera()
-    near, _ = baseline_ibvs(square_obs(340.0, 240.0), gains, cam)
-    far, _ = baseline_ibvs(square_obs(480.0, 240.0), gains, cam)
+    near = baseline_ibvs(square_obs(340.0, 240.0), gains, cam)
+    far = baseline_ibvs(square_obs(480.0, 240.0), gains, cam)
     assert near[0] == pytest.approx(gains.k_elastic_p * 20.0 / 320.0)
     assert far[0] == pytest.approx(gains.k_elastic_p * 160.0 / 320.0)
 
 
 def test_baseline_is_stateless():
-    out1, _ = baseline_ibvs(square_obs(400.0, 300.0), VetGains(), up_camera())
-    out2, _ = baseline_ibvs(square_obs(400.0, 300.0), VetGains(), up_camera())
+    out1 = baseline_ibvs(square_obs(400.0, 300.0), VetGains(), up_camera())
+    out2 = baseline_ibvs(square_obs(400.0, 300.0), VetGains(), up_camera())
     np.testing.assert_array_equal(out1, out2)
 
 

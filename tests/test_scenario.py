@@ -1,6 +1,9 @@
 """Planners, configuration round trips and the closed-loop run."""
 
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,10 @@ from vetsim.scenario import (
 )
 from vetsim.vehicle import Disturbance, VehicleModel
 from vetsim.perception import DropoutModel
+
+# config_echo.json of every preset, as written before the config codec was
+# derived from the dataclasses.
+ECHOES = Path(__file__).with_name("config_echoes")
 
 
 def short(name, duration, **tweaks):
@@ -133,15 +140,30 @@ def test_config_round_trips_through_plain_data():
         assert again == cfg, name
 
 
+def test_config_echoes_match_the_recorded_ones():
+    for name in PRESET_NAMES:
+        text = (ECHOES / f"{name}.json").read_text()
+        cfg = ScenarioConfig.from_dict(json.loads(text))
+        assert cfg == preset(name), name
+        assert json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n" == text, name
+
+
 def test_config_rejects_unknown_and_missing_keys():
-    data = preset("nominal").to_dict()
-    data["extra"] = 1
-    with pytest.raises(ConfigError):
-        ScenarioConfig.from_dict(data)
-    data = preset("nominal").to_dict()
-    del data["dt"]
-    with pytest.raises(ConfigError):
-        ScenarioConfig.from_dict(data)
+    edits = {
+        "unknown config keys: ['extra']": lambda d: d.update(extra=1),
+        "missing config keys: ['dt']": lambda d: d.pop("dt"),
+        "unknown config keys at camera_u: ['bogus']": lambda d: d["camera_u"].update(bogus=1),
+        "unknown config keys at planner: ['nope']": lambda d: d["planner"].update(nope=1),
+        "unknown config keys at dropout: ['extra']": lambda d: d["dropout"].update(extra=1),
+        "unknown config keys at perturbations.0: ['bogus']":
+            lambda d: d["perturbations"][0].update(bogus=1),
+        "missing config keys at vet: ['k_psi']": lambda d: d["vet"].pop("k_psi"),
+    }
+    for message, edit in edits.items():
+        data = preset("perturbation_sim").to_dict()
+        edit(data)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ScenarioConfig.from_dict(data)
 
 
 def test_validate_rejects_bad_fields():
