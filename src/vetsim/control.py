@@ -27,15 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .frames import Pose3, Pose6, RigidTransform, rotation_body_to_world, wrap_angle
-from .perception import (
-    CameraModel,
-    RegionLabel,
-    TagObservation,
-    classify_region,
-    elastic_penetration,
-    tag_geometry,
-)
-from .vehicle import VehicleParams, as_floats, clip_axes
+from .perception import CameraModel, RegionLabel, elastic_penetration
+from .vehicle import VehicleParams, saturate
 
 
 @dataclass(frozen=True)
@@ -96,58 +89,29 @@ class DepthAttitudeState:
 
 def subtask_control_underwater(
     measured: DepthAttitudeState, target: SubTaskTarget, gains: PdGains
-) -> np.ndarray:
-    """PD on depth, roll and pitch; x, y and yaw outputs are exactly zero."""
-    if len(gains.kp) != 6:
-        raise ValueError("underwater sub-task needs 6-axis gains")
-    for idx in (0, 1, 5):
-        if gains.kp[idx] != 0.0 or gains.kd[idx] != 0.0:
-            raise ValueError("x, y and yaw gains must be exactly zero")
-    m = measured
-    return np.array(
-        underwater_command((m.z, m.phi, m.theta, m.dz, m.dphi, m.dtheta), target, gains)
-    )
-
-
-def underwater_command(measured: tuple, target: SubTaskTarget, gains: PdGains) -> list:
-    """subtask_control_underwater on floats; measured holds the
-    DepthAttitudeState fields in order (z, phi, theta, dz, dphi, dtheta)."""
-    z, phi, theta, dz, dphi, dtheta = measured
+) -> list:
+    """PD on depth, roll and pitch; x, y and yaw outputs are exactly zero
+    (ScenarioConfig.validate checks once that their gains are zero too)."""
     kp, kd = gains.kp, gains.kd
-    uz = kp[2] * (target.z_d - z) + kd[2] * -dz
-    uphi = kp[3] * wrap_angle(target.phi_d - phi) + kd[3] * -dphi
-    utheta = kp[4] * wrap_angle(target.theta_d - theta) + kd[4] * -dtheta
+    uz = kp[2] * (target.z_d - measured.z) + kd[2] * -measured.dz
+    uphi = kp[3] * wrap_angle(target.phi_d - measured.phi) + kd[3] * -measured.dphi
+    utheta = kp[4] * wrap_angle(target.theta_d - measured.theta) + kd[4] * -measured.dtheta
     return [0.0, 0.0, uz, uphi, utheta, 0.0]
 
 
 def subtask_control_surface(
-    pose: Pose3,
-    world_velocity: np.ndarray,
-    target: SubTaskTarget,
-    gains: PdGains,
-    speed_limit: float | None = None,
-) -> np.ndarray:
-    """Planar PD toward the waypoint, expressed in the body frame.
-
-    The position error is formed in the world frame and rotated into the
-    body frame (commands are body-frame velocity-valued). world_velocity is
-    (x_dot, y_dot, psi_dot).
-    """
-    if len(gains.kp) != 3:
-        raise ValueError("surface sub-task needs 3-axis gains")
-    return np.array(
-        surface_command(pose, as_floats(world_velocity), target, gains, speed_limit)
-    )
-
-
-def surface_command(
     pose: Pose3,
     world_velocity,
     target: SubTaskTarget,
     gains: PdGains,
     speed_limit: float | None = None,
 ) -> list:
-    """subtask_control_surface on floats."""
+    """Planar PD toward the waypoint, expressed in the body frame.
+
+    The position error is formed in the world frame and rotated into the
+    body frame (commands are body-frame velocity-valued). world_velocity is
+    (x_dot, y_dot, psi_dot); gains are 3-axis.
+    """
     vx, vy, vpsi = world_velocity
     ex = target.x_d - pose.x
     ey = target.y_d - pose.y
@@ -200,20 +164,6 @@ class VetGains:
             raise ValueError("rate_time_constant must be non-negative")
 
 
-@dataclass(frozen=True)
-class VetCommand:
-    """Camera-frame tether output: (u_x, u_y, u_psi) plus bookkeeping.
-
-    subtask_weight is the leader-side fade factor derived from the region
-    (1 in safe, ramping to 0 inside the elastic band); followers ignore it.
-    """
-
-    u: np.ndarray
-    region: RegionLabel | None
-    detected: bool
-    subtask_weight: float = 1.0
-
-
 class VetFilterState(NamedTuple):
     """Per-controller memory: centre history, rate filter, held command."""
 
@@ -229,28 +179,6 @@ class VetFilterState(NamedTuple):
 
 
 def vet_law(
-    obs: TagObservation,
-    state: VetFilterState,
-    gains: VetGains,
-    cam: CameraModel,
-) -> tuple:
-    """One tick of the elastic tether law; returns (VetCommand, new state).
-
-    Detected: command from the region law on the normalised centre offset,
-    clipped per axis to u_max. Undetected: the held command decays with the
-    configured half-life, reaching ~6% within two seconds at the default.
-    """
-    geometry = region = None
-    if obs.detected:
-        geometry = tag_geometry(obs)
-        region = classify_region(*geometry, cam)
-    command, weight, new_state = tether_command(
-        geometry, region, obs.camera_yaw, obs.timestamp, state, gains, cam
-    )
-    return VetCommand(np.array(command), region, obs.detected, weight), new_state
-
-
-def tether_command(
     geometry: tuple | None,
     region: RegionLabel | None,
     yaw: float,
@@ -259,11 +187,18 @@ def tether_command(
     gains: VetGains,
     cam: CameraModel,
 ) -> tuple:
-    """vet_law on floats.
+    """One tick of the elastic tether law at time t.
 
-    geometry is the tag's (center, l_bar, h_bar) and region its label, both
-    None when the tag is not detected. Returns ((u_x, u_y, u_psi), subtask
-    weight, new state).
+    geometry is the tag's (center, l_bar, h_bar) from tag_geometry and region
+    its label from classify_region, both None when the tag is not detected;
+    yaw is the relative yaw from project_tag. Returns ((u_x, u_y, u_psi),
+    subtask weight, new state): the camera-frame command, and the
+    leader-side fade factor derived from the region (1 in safe, ramping to 0
+    inside the elastic band), which followers ignore.
+
+    Detected: command from the region law on the normalised centre offset,
+    clipped per axis to u_max. Undetected: the held command decays with the
+    configured half-life, reaching ~6% within two seconds at the default.
     """
     if geometry is None:
         if state.last_time is None:
@@ -316,20 +251,14 @@ def tether_command(
     return command, weight, VetFilterState(center, t, (rx, ry), command, weight)
 
 
-def baseline_ibvs(obs: TagObservation, gains: VetGains, cam: CameraModel) -> np.ndarray:
-    """One-way visual servo: the follower's camera-frame command. The leader
-    gets no tether input in this mode.
+def baseline_ibvs(geometry: tuple | None, yaw: float, gains: VetGains, cam: CameraModel) -> tuple:
+    """One-way visual servo: the follower's camera-frame command
+    (u_x, u_y, u_psi). The leader gets no tether input in this mode.
 
-    Uniform proportional gain over the whole image, no region logic, no
-    derivative term; detection loss commands zero immediately.
+    geometry and yaw as in vet_law. Uniform proportional gain over the whole
+    image, no region logic, no derivative term; detection loss commands zero
+    immediately.
     """
-    geometry = tag_geometry(obs) if obs.detected else None
-    return np.array(ibvs_command(geometry, obs.camera_yaw, gains, cam))
-
-
-def ibvs_command(geometry: tuple | None, yaw: float, gains: VetGains, cam: CameraModel) -> tuple:
-    """baseline_ibvs on floats; geometry as in
-    tether_command, None when the tag is not detected."""
     if geometry is None:
         return (0.0, 0.0, 0.0)
     center = geometry[0]
@@ -342,25 +271,16 @@ def ibvs_command(geometry: tuple | None, yaw: float, gains: VetGains, cam: Camer
     return (ux, uy, gains.k_psi * yaw)
 
 
-def camera_to_body(cmd: np.ndarray, mount: RigidTransform, dof: int) -> np.ndarray:
+def camera_to_body(cmd, rotation: tuple, dof: int) -> list:
     """Map a camera-frame command (u_x, u_y, u_psi) into body-frame axes.
 
-    The linear part rotates as a vector and keeps only the surge/sway
-    components; the yaw part rotates as an axis and keeps only the body-z
-    component. The heave, roll and pitch rows are structurally zero: those
-    axes belong to the sub-task controller.
+    rotation is the camera mount's nine row-major entries
+    (CameraModel.flat_mount[0]) and dof is 3 or 6. The linear part rotates
+    as a vector and keeps only the surge/sway components; the yaw part
+    rotates as an axis and keeps only the body-z component. The heave, roll
+    and pitch rows are structurally zero: those axes belong to the sub-task
+    controller.
     """
-    cmd = as_floats(cmd)
-    if len(cmd) != 3:
-        raise ValueError("camera-frame command is (u_x, u_y, u_psi)")
-    if dof not in (3, 6):
-        raise ValueError("dof must be 3 or 6")
-    return np.array(body_command(cmd, mount.flat()[0], dof))
-
-
-def body_command(cmd, rotation: tuple, dof: int) -> list:
-    """camera_to_body on floats; rotation is the mount's nine row-major
-    entries (CameraModel.flat_mount[0])."""
     cx, cy, cpsi = cmd
     r0, r1, _, r3, r4, _, _, _, r8 = rotation
     # linear part rotates as a vector, yaw as an axis about camera z
@@ -373,34 +293,21 @@ def body_command(cmd, rotation: tuple, dof: int) -> list:
 
 
 def combined_control(
-    subtask_u: np.ndarray,
-    xi_u: np.ndarray,
-    params: VehicleParams,
-    subtask_weight: float = 1.0,
-) -> np.ndarray:
-    """Sum the sub-task and tether commands and saturate per axis.
+    subtask_u, xi_u, params: VehicleParams, subtask_weight: float = 1.0
+) -> list:
+    """Sum the sub-task and tether commands (both params.dof long) and
+    saturate per axis.
 
     subtask_weight scales the sub-task's linear components; it implements
     the leader's task priority (full sub-task while the tag is safe, fading
     to tether-only as the tag nears the border). Callers that do not use
     priority leave it at 1, which reduces to a plain sum.
     """
-    subtask_u = as_floats(subtask_u)
-    xi_u = as_floats(xi_u)
-    if len(subtask_u) != params.dof or len(xi_u) != params.dof:
-        raise ValueError("command vectors must both match the vehicle dof")
-    return np.array(combine_commands(subtask_u, xi_u, params, subtask_weight))
-
-
-def combine_commands(
-    subtask_u: list, xi_u: list, params: VehicleParams, subtask_weight: float = 1.0
-) -> list:
-    """combined_control on floats."""
     n_lin = 2 if len(subtask_u) == 3 else 3
     total = []
     for i, s in enumerate(subtask_u):
         total.append(s * subtask_weight + xi_u[i] if i < n_lin else s + xi_u[i])
-    return clip_axes(total, params)
+    return saturate(total, params)
 
 
 def check_connectivity(

@@ -55,9 +55,6 @@ class Pose6:
         a = self.attitude
         return (self.x, self.y, self.z, a.phi, a.theta, a.psi)
 
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
     @property
     def flat_transform(self) -> tuple:
         """Body-to-world transform as plain floats, computed once per pose:
@@ -104,6 +101,11 @@ class Pose3:
         return flat
 
 
+def projected_distance(pose_u: Pose6, pose_s: Pose3) -> float:
+    """Horizontal separation between the two robots in metres."""
+    return math.hypot(pose_u.x - pose_s.x, pose_u.y - pose_s.y)
+
+
 def rotation_zyx(phi: float, theta: float, psi: float) -> tuple:
     """ZYX body-to-world rotation as nine row-major floats."""
     cphi, sphi = math.cos(phi), math.sin(phi)
@@ -139,12 +141,6 @@ def euler_rate_rows(attitude: EulerAngles) -> tuple:
     cth = math.cos(attitude.theta)
     tth = math.tan(attitude.theta)
     return (sphi * tth, cphi * tth, cphi, -sphi, sphi / cth, cphi / cth)
-
-
-def euler_rate_transform(attitude: EulerAngles) -> np.ndarray:
-    """Map body angular velocity to Euler-angle rates (see euler_rate_rows)."""
-    a, b, c, d, e, f = euler_rate_rows(attitude)
-    return np.array([[1.0, a, b], [0.0, c, d], [0.0, e, f]])
 
 
 def surface_jacobian(psi: float, appendix_sign_convention: bool = False) -> np.ndarray:
@@ -247,7 +243,7 @@ def transform_from_pose(pose: Pose6 | Pose3) -> RigidTransform:
     if isinstance(pose, Pose3):
         pose = pose.lifted()
     return RigidTransform._trusted(
-        rotation_body_to_world(pose.attitude), pose.position()
+        rotation_body_to_world(pose.attitude), np.array([pose.x, pose.y, pose.z], dtype=float)
     )
 
 

@@ -12,17 +12,12 @@ from typing import Optional
 
 import numpy as np
 
-from .frames import Pose3, Pose6, RigidTransform, compose, invert, pose_from_transform
+from .frames import Pose6, RigidTransform, compose, invert, pose_from_transform
 from .scenario import TrajectoryLog
 
 
 class EmptyLog(ValueError):
     """The log is too short to evaluate (fewer than two records)."""
-
-
-def projected_distance(pose_u: Pose6, pose_s: Pose3) -> float:
-    """Horizontal separation between the two robots in metres."""
-    return math.hypot(pose_u.x - pose_s.x, pose_u.y - pose_s.y)
 
 
 def pose_from_observation(
@@ -62,18 +57,24 @@ def recovery_time(
     if start >= len(log.t):
         return None
     t = log.t[start:]
-    below = log.proj_dist[start:] < threshold
+    i = _first_stretch(t, log.proj_dist[start:] < threshold, 2.0)
+    return None if i is None else float(max(t[i] - perturbation_end, 0.0))
+
+
+def _first_stretch(t: np.ndarray, flags: np.ndarray, min_duration: float) -> Optional[int]:
+    """Index where the first contiguous run of true flags that lasts at least
+    min_duration seconds starts, or None."""
     i = 0
-    n = len(below)
+    n = len(flags)
     while i < n:
-        if not below[i]:
+        if not flags[i]:
             i += 1
             continue
         j = i
-        while j + 1 < n and below[j + 1]:
+        while j + 1 < n and flags[j + 1]:
             j += 1
-        if t[j] - t[i] >= 2.0 - 1e-9:
-            return float(max(t[i] - perturbation_end, 0.0))
+        if t[j] - t[i] >= min_duration - 1e-9:
+            return i
         i = j + 1
     return None
 
@@ -119,20 +120,8 @@ def time_of_los_loss(
     """Start of the first sustained loss of the upward camera's detection."""
     if len(log) < 2:
         raise EmptyLog("need at least two records")
-    lost = ~log.detected_us
-    i = 0
-    n = len(lost)
-    while i < n:
-        if not lost[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and lost[j + 1]:
-            j += 1
-        if log.t[j] - log.t[i] >= min_duration - 1e-9:
-            return float(log.t[i])
-        i = j + 1
-    return None
+    i = _first_stretch(log.t, ~log.detected_us, min_duration)
+    return None if i is None else float(log.t[i])
 
 
 @dataclass(frozen=True)

@@ -27,10 +27,6 @@ import numpy as np
 from .frames import Pose3, Pose6, RigidTransform, wrap_angle
 
 
-class NotDetected(ValueError):
-    """Operation needs a detected tag observation."""
-
-
 class RegionLabel(enum.Enum):
     SAFE = "safe"
     ELASTIC = "elastic"
@@ -49,10 +45,6 @@ class CameraModel:
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0 or self.focal_length <= 0:
             raise ValueError("camera dimensions and focal length must be positive")
-
-    @property
-    def center(self) -> tuple:
-        return (self.width / 2.0, self.height / 2.0)
 
     @cached_property
     def flat_mount(self) -> tuple:
@@ -93,24 +85,6 @@ class TagModel:
 
 
 @dataclass(frozen=True)
-class TagObservation:
-    """Projected tag corners plus the relative yaw about the optical axis."""
-
-    corners: np.ndarray  # (4, 2) pixel coordinates, rows a, b, c, d
-    camera_yaw: float
-    timestamp: float
-    detected: bool
-
-
-@dataclass(frozen=True)
-class TetherState:
-    """Pixel offset of the tag centre from the image centre."""
-
-    xi: float
-    center: tuple
-
-
-@dataclass(frozen=True)
 class DropoutModel:
     """Scheduled blackout windows plus an independent per-tick drop rate."""
 
@@ -144,26 +118,15 @@ def project_tag(
     target_pose: Pose6 | Pose3,
     cam: CameraModel,
     tag: TagModel,
-    t: float,
-) -> TagObservation:
+) -> tuple:
     """Project the target robot's tag into the observer's camera.
 
-    The relative yaw is the rotation of the tag's +x axis about the optical
+    Returns (pixels, yaw, detected): the eight pixel coordinates ax, ay, bx,
+    ..., dy of corners a, b, c, d; the relative yaw; the detected flag. The
+    relative yaw is the rotation of the tag's +x axis about the optical
     axis, measured in image coordinates; it is exact regardless of where the
     tag sits in the frame.
     """
-    pixels, yaw, detected = project_corners(observer_pose, target_pose, cam, tag)
-    return TagObservation(np.array(pixels).reshape(4, 2), yaw, t, detected)
-
-
-def project_corners(
-    observer_pose: Pose6 | Pose3,
-    target_pose: Pose6 | Pose3,
-    cam: CameraModel,
-    tag: TagModel,
-) -> tuple:
-    """project_tag on floats: (the eight pixel coordinates ax, ay, bx, ...,
-    dy of corners a, b, c, d; the relative yaw; the detected flag)."""
     (c0, c1, c2, c3, c4, c5, c6, c7, c8), (cx, cy, cz) = cam.flat_mount
     (o0, o1, o2, o3, o4, o5, o6, o7, o8), (ox, oy, oz) = observer_pose.flat_transform
     # world_from_cam = observer body-to-world composed with the camera mount
@@ -222,18 +185,12 @@ def project_corners(
     return pixels, wrap_angle(math.atan2(xa1, xa0)), detected
 
 
-def tag_geometry(obs: TagObservation) -> tuple:
-    """Centre, mean side length and mean diagonal of the projected tag.
+def tag_geometry(pixels) -> tuple:
+    """Centre, mean side length and mean diagonal of a projected tag, from
+    the eight corner floats of project_tag.
 
     Returns ((cx, cy), l_bar, h_bar) in pixels.
     """
-    if not obs.detected:
-        raise NotDetected("tag geometry needs a detected observation")
-    return corner_geometry(np.asarray(obs.corners, dtype=float).ravel().tolist())
-
-
-def corner_geometry(pixels) -> tuple:
-    """tag_geometry on the eight corner floats of project_corners."""
     ax, ay, bx, by, cx, cy, dx, dy = pixels
     center = ((ax + bx + cx + dx) / 4.0, (ay + by + cy + dy) / 4.0)
     l_bar = (
@@ -286,40 +243,18 @@ def _penetration(value: float, extent: float, l_bar: float, h_bar: float) -> flo
     return depth / span if span > 0.0 else math.inf
 
 
-def tether_state(obs: TagObservation, cam: CameraModel) -> TetherState:
-    """Distance in pixels between the tag centre and the image centre."""
-    center, _, _ = tag_geometry(obs)
-    return TetherState(tether_offset(center, cam), center)
-
-
 def tether_offset(center, cam: CameraModel) -> float:
     """xi: the distance in pixels from the image centre to a tag centre."""
-    cx, cy = cam.center
-    return math.hypot(center[0] - cx, center[1] - cy)
-
-
-def apply_dropout(
-    obs: TagObservation,
-    model: DropoutModel | None,
-    t: float,
-    rng: np.random.Generator,
-) -> TagObservation:
-    """Force the observation undetected during blackouts.
-
-    Corners are left untouched; only the detected flag is cleared. The
-    random draw consumes exactly one uniform sample per call while
-    random_rate > 0, so a fixed seed reproduces the same drop sequence.
-    """
-    if model is None:
-        return obs
-    if dropout_hits(model, model.scheduled(t), rng) and obs.detected:
-        return TagObservation(obs.corners, obs.camera_yaw, obs.timestamp, False)
-    return obs
+    return math.hypot(center[0] - cam.width / 2.0, center[1] - cam.height / 2.0)
 
 
 def dropout_hits(model: DropoutModel, scheduled: bool, rng: np.random.Generator) -> bool:
     """Whether the model blanks this tick, given whether a scheduled window
-    covers it; draws the one uniform sample while random_rate > 0."""
+    covers it.
+
+    The random draw consumes exactly one uniform sample per call while
+    random_rate > 0, so a fixed seed reproduces the same drop sequence.
+    """
     if model.random_rate > 0.0:
         return bool(rng.random() < model.random_rate) or scheduled
     return scheduled

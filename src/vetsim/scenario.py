@@ -32,28 +32,31 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .control import (
+    DepthAttitudeState,
     PdGains,
     SubTaskTarget,
     VetFilterState,
     VetGains,
-    body_command,
-    combine_commands,
-    ibvs_command,
-    surface_command,
+    baseline_ibvs,
+    camera_to_body,
+    combined_control,
+    subtask_control_surface,
+    subtask_control_underwater,
     surface_pd,
-    tether_command,
-    underwater_command,
     underwater_pd,
+    vet_law,
 )
-from .frames import GimbalSingularity, Pose3, Pose6, RigidTransform, euler_rate_rows
+from .frames import (
+    GimbalSingularity, Pose3, Pose6, RigidTransform, euler_rate_rows, projected_distance,
+)
 from .perception import (
     CameraModel,
     DropoutModel,
     TagModel,
     classify_region,
-    corner_geometry,
     dropout_hits,
-    project_corners,
+    project_tag,
+    tag_geometry,
     tether_offset,
 )
 from .vehicle import Disturbance, VehicleModel, VehicleParams
@@ -191,6 +194,9 @@ class ScenarioConfig:
     appendix_sign_convention: bool = False
 
     def validate(self) -> None:
+        # the planner's type first: to_dict below can only encode the two kinds
+        if not isinstance(self.planner, (Setpoints, Lawnmower)):
+            raise ConfigError("planner must be Setpoints or Lawnmower")
         non_finite = _non_finite_paths(self.to_dict())
         if non_finite:
             raise ConfigError(f"non-finite numbers at {', '.join(non_finite)}")
@@ -224,8 +230,6 @@ class ScenarioConfig:
             raise ConfigError("pd_u needs 6-axis gains and pd_s 3-axis gains")
         if any(self.pd_u.kp[i] != 0.0 or self.pd_u.kd[i] != 0.0 for i in (0, 1, 5)):
             raise ConfigError("pd_u gains on x, y and yaw must be exactly zero")
-        if not isinstance(self.planner, (Setpoints, Lawnmower)):
-            raise ConfigError("planner must be Setpoints or Lawnmower")
         planner_waypoints(self.planner)  # raises InvalidBounds on bad areas
 
     def to_dict(self) -> dict:
@@ -256,8 +260,12 @@ def _non_finite_paths(tree, path: str = "") -> list:
 # by the resolved field annotations: a dataclass is an object whose keys are
 # exactly its field names, a tuple or an array is a list, a scalar is itself.
 # A union of dataclasses (the planner) adds a "kind" key, the lower-cased
-# class name. Lengths and ranges are checked by the dataclasses themselves
-# and by ScenarioConfig.validate.
+# class name. A scalar keeps its JSON type: a bool field takes only true or
+# false, an int field only an integer and a float field an integer or a
+# float (_SCALAR_TYPES); a str field takes anything. Lengths and ranges are
+# checked by the dataclasses themselves and by ScenarioConfig.validate.
+_SCALAR_TYPES = {bool: (bool,), int: (int,), float: (int, float)}
+
 
 @functools.cache
 def _field_types(cls) -> dict:
@@ -312,6 +320,11 @@ def _decode(data, hint, path: str):
             raise ConfigError(f"{path} must be a list")
         item = get_args(hint)[0]
         return tuple(_decode(v, item, f"{path}.{i}") for i, v in enumerate(data))
+    accepted = _SCALAR_TYPES.get(hint)
+    if accepted is not None and (
+        not isinstance(data, accepted) or isinstance(data, bool) != (hint is bool)
+    ):
+        raise ConfigError(f"malformed config at {path}: expected {hint.__name__}, got {data!r}")
     try:
         return np.array(data, dtype=float) if hint is np.ndarray else hint(data)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -357,6 +370,13 @@ _CSV_ROW = ",".join(_CSV_FORMATS[kind] for _, kind, _, names in _LOG_LAYOUT for 
 # per-cell Python objects take in both the writer and the reader.
 _CSV_CHUNK = 256
 _ROW_WIDTH = sum(width for _, kind, width, _ in _LOG_LAYOUT if kind is not str)
+# Row-table columns ahead of the xi offsets, which are NaN by design on
+# undetected ticks: time, poses, velocities, commands and detection flags.
+_FINITE_WIDTH = sum(
+    width
+    for _, kind, width, _ in itertools.takewhile(lambda f: f[0] != "xi_us", _LOG_LAYOUT)
+    if kind is not str
+)
 
 
 def _log_arrays(table: np.ndarray) -> dict:
@@ -476,14 +496,14 @@ class _WallClamp:
         return Pose3(x, y, pose.psi), [c * wx + s * wy, -s * wx + c * wy, r], True
 
 
-def _depth_attitude_state(pose: Pose6, nu: list) -> tuple:
+def _depth_attitude_state(pose: Pose6, nu: list) -> DepthAttitudeState:
     """What the underwater robot's own sensors provide: depth and attitude,
-    as the DepthAttitudeState fields (z, phi, theta, dz, dphi, dtheta)."""
+    and their rates."""
     (_, _, _, _, _, _, r6, r7, r8), _ = pose.flat_transform
     att = pose.attitude
     ea, eb, ec, ed, _, _ = euler_rate_rows(att)
     u, v, w, p, q, r = nu
-    return (
+    return DepthAttitudeState(
         pose.z, att.phi, att.theta,
         r6 * u + r7 * v + r8 * w,
         p + ea * q + eb * r,
@@ -496,9 +516,22 @@ def _measure(pixels: list, detected: bool, cam: CameraModel) -> tuple:
     label, xi), or (None, None, nan) when the tag is not detected."""
     if not detected:
         return None, None, math.nan
-    geometry = corner_geometry(pixels)
+    geometry = tag_geometry(pixels)
     region = classify_region(*geometry, cam)
     return geometry, region, tether_offset(geometry[0], cam)
+
+
+def _check_finite(table: np.ndarray) -> None:
+    """Raise SimFailure at the first tick of a finished run's row table whose
+    pose, velocity or command columns hold a NaN or an infinity."""
+    bad = np.flatnonzero(~np.isfinite(table[:, :_FINITE_WIDTH]).all(axis=1))
+    if bad.size:
+        k = int(bad[0])
+        row = _log_arrays(table[k:k + 1])
+        raise SimFailure(
+            f"non-finite state at tick {k}, t={table[k, 0]:.3f} s: "
+            f"pose_u={row['pose_u'][0].tolist()}, pose_s={row['pose_s'][0].tolist()}"
+        )
 
 
 def run(config: ScenarioConfig) -> TrajectoryLog:
@@ -567,11 +600,11 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
         pending_flags = []
 
         # sense; the dropout draw comes first to keep the seeded sequence
-        pixels_us, yaw_us, det_us = project_corners(pose_u, pose_s, cam_u, tag_s)
+        pixels_us, yaw_us, det_us = project_tag(pose_u, pose_s, cam_u, tag_s)
         window_now = dropout.scheduled(t)
         if dropout_hits(dropout, window_now, rng):
             det_us = False
-        pixels_su, yaw_su, det_su = project_corners(pose_s, pose_u, cam_s, tag_u)
+        pixels_su, yaw_su, det_su = project_tag(pose_s, pose_u, cam_s, tag_u)
 
         if window_now and not prev_window:
             flags.append("dropout_start")
@@ -615,15 +648,17 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
         prev_region_su = region_su
 
         # control: underwater robot (own depth/attitude sensors plus camera)
-        u_sub_u = underwater_command(_depth_attitude_state(pose_u, nu_u), target_u, pd_u)
+        u_sub_u = subtask_control_underwater(
+            _depth_attitude_state(pose_u, nu_u), target_u, pd_u
+        )
         if baseline:
-            cam_cmd_u = ibvs_command(geo_us, yaw_us, gains, cam_u)
+            cam_cmd_u = baseline_ibvs(geo_us, yaw_us, gains, cam_u)
         else:
-            cam_cmd_u, _, vet_state_u = tether_command(
+            cam_cmd_u, _, vet_state_u = vet_law(
                 geo_us, label_us, yaw_us, t, vet_state_u, gains, cam_u
             )
-        xi_u = body_command(cam_cmd_u, mount_u, 6)
-        u_tot_u = combine_commands(u_sub_u, xi_u, params_u)
+        xi_u = camera_to_body(cam_cmd_u, mount_u, 6)
+        u_tot_u = combined_control(u_sub_u, xi_u, params_u)
 
         # control: surface robot; world rates through the surface Jacobian
         c, s = math.cos(pose_s.psi), math.sin(pose_s.psi)
@@ -632,24 +667,24 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
             vel_world_s = (-c * su + s * sv, -s * su + c * sv, sr)
         else:
             vel_world_s = (c * su - s * sv, s * su + c * sv, sr)
-        u_sub_s = surface_command(pose_s, vel_world_s, target_s, pd_s, speed_limit)
+        u_sub_s = subtask_control_surface(pose_s, vel_world_s, target_s, pd_s, speed_limit)
         if baseline:
             # one-way coupling: the leader gets no tether input at all
             xi_s = [0.0, 0.0, 0.0]
             weight_s = 1.0
         else:
-            cam_cmd_s, weight_s, vet_state_s = tether_command(
+            cam_cmd_s, weight_s, vet_state_s = vet_law(
                 geo_su, label_su, yaw_su, t, vet_state_s, gains, cam_s
             )
-            xi_s = body_command(cam_cmd_s, mount_s, 3)
-        u_tot_s = combine_commands(u_sub_s, xi_s, params_s, weight_s)
+            xi_s = camera_to_body(cam_cmd_s, mount_s, 3)
+        u_tot_s = combined_control(u_sub_s, xi_s, params_s, weight_s)
 
         # record the numeric fields, in _LOG_LAYOUT order
         rows.fromlist([
             t, *pose_u.as_tuple(), *pose_s.as_tuple(), *nu_u, *nu_s,
             *u_sub_u, *xi_u, u_sub_s[0] * weight_s, u_sub_s[1] * weight_s, u_sub_s[2],
             *xi_s, *u_tot_u, *u_tot_s, det_us, det_su, xi_us, xi_su,
-            math.hypot(pose_u.x - pose_s.x, pose_u.y - pose_s.y),
+            projected_distance(pose_u, pose_s),
         ])
         region_us_list.append(region_us)
         region_su_list.append(region_su)
@@ -669,10 +704,10 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
                 tx, ty, tz = tx + d.torque[0], ty + d.torque[1], tz + d.torque[2]
             force, torque = (fx, fy, fz), (tx, ty, tz)
         try:
-            pose_u, nu_u = model_u.advance(
+            pose_u, nu_u = model_u.step(
                 pose_u, nu_u, model_u.allocate(u_tot_u), dt, force, torque
             )
-            pose_s, nu_s = model_s.advance(pose_s, nu_s, model_s.allocate(u_tot_s), dt)
+            pose_s, nu_s = model_s.step(pose_s, nu_s, model_s.allocate(u_tot_s), dt)
         except GimbalSingularity:
             raise
         except (ArithmeticError, ValueError) as exc:
@@ -687,9 +722,11 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
         prev_clamp_u = clamped_u
         prev_clamp_s = clamped_s
 
+    table = np.frombuffer(rows, dtype=float).reshape(n_rec, _ROW_WIDTH)
+    _check_finite(table)
     return TrajectoryLog(
         config=config,
-        **_log_arrays(np.frombuffer(rows, dtype=float).reshape(n_rec, _ROW_WIDTH)),
+        **_log_arrays(table),
         region_us=region_us_list,
         region_su=region_su_list,
         event_flags=flags_list,

@@ -29,10 +29,6 @@ import numpy as np
 from .frames import EulerAngles, Pose3, Pose6, euler_rate_rows, wrap_angle
 
 
-class DimensionMismatch(ValueError):
-    """Vector length does not match the vehicle's degree-of-freedom count."""
-
-
 @dataclass(frozen=True)
 class VehicleParams:
     """Diagonal model parameters; length 6 (underwater) or 3 (surface).
@@ -99,29 +95,6 @@ class Disturbance:
         return self.t_start <= t <= self.t_end
 
 
-def _check_dof(u: np.ndarray, params: VehicleParams) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    if u.shape != (params.dof,):
-        raise DimensionMismatch(
-            f"expected a {params.dof}-vector, got shape {u.shape}"
-        )
-    return u
-
-
-def as_floats(v) -> list:
-    """A vector as a list of Python floats; per-tick scalar code runs several
-    times faster on these than on numpy scalars."""
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    return [float(x) for x in v]
-
-
-def allocate_thrust(u: np.ndarray, params: VehicleParams) -> np.ndarray:
-    """Map a command vector to a body wrench through the diagonal gain."""
-    u = _check_dof(u, params)
-    return np.array(VehicleModel(params).allocate(u.tolist()))
-
-
 def _coriolis_flat(nu: list, mass: tuple) -> list:
     """C(nu) for a diagonal mass, as a row-major list of floats."""
     if len(nu) == 3:
@@ -140,32 +113,18 @@ def _coriolis_flat(nu: list, mass: tuple) -> list:
     ]
 
 
-def coriolis_matrix(nu: np.ndarray, params: VehicleParams) -> np.ndarray:
+def coriolis_matrix(nu, params: VehicleParams) -> np.ndarray:
     """Skew-symmetric Coriolis/centripetal matrix for the diagonal mass."""
-    nu = _check_dof(nu, params)
-    return np.array(_coriolis_flat(nu.tolist(), params.mass)).reshape(params.dof, params.dof)
+    nu = [float(v) for v in nu]
+    return np.array(_coriolis_flat(nu, params.mass)).reshape(params.dof, params.dof)
 
 
-def damping_force(nu: np.ndarray, params: VehicleParams) -> np.ndarray:
-    """D(nu) nu with linear plus quadratic (|nu_i| nu_i) terms."""
-    nu = _check_dof(nu, params)
-    d_lin = np.asarray(params.damping_linear, dtype=float)
-    d_quad = np.asarray(params.damping_quadratic, dtype=float)
-    return (d_lin + d_quad * np.abs(nu)) * nu
-
-
-def clip_axes(u: list, params: VehicleParams) -> list:
+def saturate(u, params: VehicleParams) -> list:
     """Clip each component of a float command to its per-axis bound."""
     return [b if v > b else -b if v < -b else v for v, b in zip(u, params.axis_bounds)]
 
 
-def saturate(u: np.ndarray, params: VehicleParams) -> np.ndarray:
-    """Clip each command component to its per-axis bound."""
-    u = _check_dof(u, params)
-    return np.array(clip_axes(u.tolist(), params))
-
-
-def clip_length(v: list, bound: float) -> list:
+def clip_norm(v: list, bound: float) -> list:
     """Scale a float vector down so its Euclidean norm is <= bound, exactly.
 
     math.hypot does not overflow where the sum of squares would, so huge
@@ -188,13 +147,8 @@ def clip_length(v: list, bound: float) -> list:
     return [x * (1.0 - 1e-15) for x in v]
 
 
-def clip_norm(vec: np.ndarray, bound: float) -> np.ndarray:
-    """Scale a vector down so its Euclidean norm is <= bound, exactly."""
-    return np.array(clip_length(np.asarray(vec, dtype=float).tolist(), bound))
-
-
 # Below this fraction of the squared bound a float sum of squares proves the
-# norm is within the bound, so clip_length would return the vector unchanged.
+# norm is within the bound, so clip_norm would return the vector unchanged.
 _INSIDE_BOUND = 1.0 - 1e-12
 
 
@@ -216,28 +170,8 @@ class VehicleModel:
         """Body wrench for a float command, through the diagonal gain."""
         return [g * v for g, v in zip(self._gain, u)]
 
-    def step(
-        self,
-        pose: Pose6 | Pose3,
-        nu: np.ndarray,
-        tau: np.ndarray,
-        dt: float,
-        world_force: np.ndarray | None = None,
-        world_torque: np.ndarray | None = None,
-    ):
-        """Advance one step; returns (new_pose, new_body_velocity)."""
-        new_pose, nu_new = self.advance(
-            pose,
-            as_floats(nu),
-            as_floats(tau),
-            dt,
-            None if world_force is None else as_floats(world_force),
-            None if world_torque is None else as_floats(world_torque),
-        )
-        return new_pose, np.array(nu_new)
-
-    def advance(self, pose, nu, tau, dt, world_force=None, world_torque=None):
-        """step on floats: nu, tau and the optional world-frame force and
+    def step(self, pose, nu, tau, dt, world_force=None, world_torque=None):
+        """Advance one step. nu, tau and the optional world-frame force and
         torque are float sequences; returns (new_pose, new velocity list)."""
         if self.dof == 6:
             return self._advance6(pose, nu, tau, dt, world_force, world_torque)
@@ -268,7 +202,7 @@ class VehicleModel:
         if n_lin == 3:
             squares += nu_new[2] * nu_new[2]
         if squares > self._inside:
-            nu_new[:n_lin] = clip_length(nu_new[:n_lin], self._bound)
+            nu_new[:n_lin] = clip_norm(nu_new[:n_lin], self._bound)
         return nu_new
 
     def _advance6(self, pose: Pose6, nu, tau, dt, world_force, world_torque):

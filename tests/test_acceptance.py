@@ -41,11 +41,10 @@ from vetsim.perception import (
     CameraModel,
     RegionLabel,
     TagModel,
-    TagObservation,
     classify_region,
     project_tag,
     tag_geometry,
-    tether_state,
+    tether_offset,
 )
 from vetsim.scenario import preset, run
 from vetsim.vehicle import VehicleModel, VehicleParams
@@ -209,11 +208,11 @@ def _check_region_partition():
 
 def _check_translation_invariance():
     base = np.array([[300.0, 220.0], [340.0, 220.0], [340.0, 260.0], [300.0, 260.0]])
-    _, l0, h0 = tag_geometry(TagObservation(base, 0.0, 0.0, True))
+    _, l0, h0 = tag_geometry(base.ravel().tolist())
     rng = np.random.default_rng(2)
     for _ in range(50):
         shift = rng.uniform(-150, 150, 2)
-        _, l1, h1 = tag_geometry(TagObservation(base + shift, 0.0, 0.0, True))
+        _, l1, h1 = tag_geometry((base + shift).ravel().tolist())
         assert abs(l1 - l0) <= 1e-9 and abs(h1 - h0) <= 1e-9
 
 
@@ -229,7 +228,7 @@ def _check_passivity():
     pose = Pose6(0.0, 0.0, -1.0, EulerAngles(0.05, -0.1, 0.4))
     for _ in range(200):
         nu = rng.uniform(-0.3, 0.3, 6)
-        _, nu2 = model.step(pose, nu, np.zeros(6), 0.02)
+        _, nu2 = model.step(pose, nu.tolist(), np.zeros(6).tolist(), 0.02)
         before = 0.5 * float(nu @ (mass * nu))
         after = 0.5 * float(nu2 @ (mass * nu2))
         assert after <= before + 1e-12
@@ -239,20 +238,23 @@ def _check_velocity_bound():
     params = _underwater_params()
     model = VehicleModel(params)
     pose = Pose6(0.0, 0.0, -1.0, EulerAngles(0.0, 0.0, 0.0))
-    nu = np.zeros(6)
+    nu = np.zeros(6).tolist()
     for _ in range(20):
-        pose, nu = model.step(pose, nu, np.array([80.0, 50.0, 20.0, 0, 0, 0.0]), 0.02)
+        pose, nu = model.step(pose, nu, np.array([80.0, 50.0, 20.0, 0, 0, 0.0]).tolist(), 0.02)
         assert np.linalg.norm(nu[:3]) <= params.velocity_bound_linear + 1e-12
 
 
 def _centered_obs():
     corners = np.array([[300.0, 220.0], [340.0, 220.0], [340.0, 260.0], [300.0, 260.0]])
-    return TagObservation(corners, 0.0, 0.0, True)
+    return corners.ravel().tolist()
 
 
 def _check_zero_at_center():
-    cmd, _ = vet_law(_centered_obs(), VetFilterState.initial(), VetGains(), _up_camera())
-    assert np.all(np.abs(cmd.u) <= 1e-9)
+    geometry = tag_geometry(_centered_obs())
+    region = classify_region(*geometry, _up_camera())
+    cmd, _, _ = vet_law(geometry, region, 0.0, 0.0, VetFilterState.initial(), VetGains(),
+                        _up_camera())
+    assert np.all(np.abs(cmd) <= 1e-9)
 
 
 def _check_direction_symmetry():
@@ -267,16 +269,19 @@ def _check_direction_symmetry():
         dx, dy = r * math.cos(bearing), r * math.sin(bearing)
         pose_u = Pose6(dx, dy, -1.0, EulerAngles(0.0, 0.0, heading))
         pose_s = Pose3(0.0, 0.0, heading)
-        obs_us = project_tag(pose_u, pose_s, cam_u, tag_s, 0.0)
-        obs_su = project_tag(pose_s, pose_u, cam_s, tag_u, 0.0)
-        if not (obs_us.detected and obs_su.detected):
+        pixels_us, yaw_us, detected_us = project_tag(pose_u, pose_s, cam_u, tag_s)
+        pixels_su, yaw_su, detected_su = project_tag(pose_s, pose_u, cam_s, tag_u)
+        if not (detected_us and detected_su):
             continue
-        cmd_us, _ = vet_law(obs_us, VetFilterState.initial(), gains, cam_u)
-        cmd_su, _ = vet_law(obs_su, VetFilterState.initial(), gains, cam_s)
+        geo_us, geo_su = tag_geometry(pixels_us), tag_geometry(pixels_su)
+        cmd_us, _, _ = vet_law(geo_us, classify_region(*geo_us, cam_u), yaw_us, 0.0,
+                               VetFilterState.initial(), gains, cam_u)
+        cmd_su, _, _ = vet_law(geo_su, classify_region(*geo_su, cam_s), yaw_su, 0.0,
+                               VetFilterState.initial(), gains, cam_s)
         c, s = math.cos(heading), math.sin(heading)
         rot = np.array([[c, -s], [s, c]])
-        world_u = rot @ camera_to_body(cmd_us.u, cam_u.mount, 6)[:2]
-        world_s = (surface_jacobian(heading) @ camera_to_body(cmd_su.u, cam_s.mount, 3))[:2]
+        world_u = rot @ camera_to_body(cmd_us, cam_u.flat_mount[0], 6)[:2]
+        world_s = (surface_jacobian(heading) @ camera_to_body(cmd_su, cam_s.flat_mount[0], 3))[:2]
         nu_, ns_ = np.linalg.norm(world_u), np.linalg.norm(world_s)
         if nu_ < 1e-9:
             continue
@@ -294,13 +299,14 @@ def _check_elastic_decay():
     region = None
     for k in range(1200):
         pose_u = Pose6(x, 0.0, -1.0, EulerAngles(0.0, 0.0, 0.0))
-        obs = project_tag(pose_u, Pose3(0.0, 0.0, 0.0), cam, tag_s, k * dt)
-        xi = tether_state(obs, cam).xi
+        pixels, yaw, _ = project_tag(pose_u, Pose3(0.0, 0.0, 0.0), cam, tag_s)
+        geometry = tag_geometry(pixels)
+        xi = tether_offset(geometry[0], cam)
         assert xi <= last_xi + 1e-9
         last_xi = xi
-        cmd, state = vet_law(obs, state, gains, cam)
-        region = cmd.region
-        x += dt * float(cmd.u[0])
+        region = classify_region(*geometry, cam)
+        cmd, _, state = vet_law(geometry, region, yaw, k * dt, state, gains, cam)
+        x += dt * float(cmd[0])
     assert region is RegionLabel.SAFE
 
 
@@ -388,7 +394,7 @@ def _integrate_final_pose(dt: float) -> np.ndarray:
     params = _underwater_params()
     model = VehicleModel(params)
     pose = Pose6(0.0, 0.0, -1.0, EulerAngles(0.0, 0.0, 0.0))
-    nu = np.zeros(6)
+    nu = np.zeros(6).tolist()
     steps = int(round(10.0 / dt))
     for k in range(steps):
         t = k * dt
@@ -402,7 +408,7 @@ def _integrate_final_pose(dt: float) -> np.ndarray:
                 0.006 * math.sin(2.0 * math.pi * 0.5 * t + 1.3),
             ]
         )
-        pose, nu = model.step(pose, nu, tau, dt)
+        pose, nu = model.step(pose, nu, tau.tolist(), dt)
     att = pose.attitude
     return np.array([pose.x, pose.y, pose.z, att.phi, att.theta, att.psi])
 

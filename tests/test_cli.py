@@ -92,7 +92,8 @@ def test_unknown_override_key_fails_cleanly(tmp_path, capsys):
 @pytest.mark.parametrize(
     "override",
     ["vet.k_psi=NaN", "duration=Infinity", "duration=1e12", "pd_u.kp.0=1.0",
-     "seed=Infinity", "planner=5"],
+     "seed=Infinity", "planner=5", "appendix_sign_convention=no", "seed=1.7", "seed=true",
+     "camera_u.width=640.7", "vet.k_psi=true"],
 )
 def test_invalid_values_fail_cleanly_before_the_run(tmp_path, capsys, override):
     out = tmp_path / "bundle"
@@ -132,21 +133,34 @@ def test_unknown_preset_is_an_argparse_error(tmp_path, capsys):
     assert exc.value.code == 2
 
 
-def test_simulation_failure_maps_to_exit_three(tmp_path, capsys):
+PITCH_OVER = (
+    '[{"force": [0.0, 0.0, 0.0], "torque": [0.0, 5.0, 0.0],'
+    ' "t_start": 0.0, "t_end": 15.0}]'
+)
+
+
+@pytest.mark.parametrize(
+    "overrides, detail",
+    [
+        # a pitch runaway into the gimbal guard band
+        (["duration=15", f"perturbations={PITCH_OVER}"], "gimbal guard band"),
+        # every config number finite, but the state overflows: NaN poses from
+        # the third tick on
+        (["duration=2", "params_u.velocity_bound_linear=1e300",
+          "params_u.thrust_gain=[1e300,1e300,1e300,1e300,1e300,1e300]"],
+         "non-finite state at tick 3, t=0.060 s: pose_u=[nan, nan, nan, nan, nan, nan], pose_s=["),
+    ],
+    ids=["pitch_over", "overflow"],
+)
+def test_simulation_failure_maps_to_exit_three(tmp_path, capsys, overrides, detail):
     out = tmp_path / "bundle"
-    pitch_over = (
-        '[{"force": [0.0, 0.0, 0.0], "torque": [0.0, 5.0, 0.0],'
-        ' "t_start": 0.0, "t_end": 15.0}]'
-    )
-    code = run_cli(
-        "run", "--preset", "nominal",
-        "--set", "duration=15",
-        "--set", f"perturbations={pitch_over}",
-        "--out", str(out),
-    )
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    code = run_cli("run", "--preset", "nominal", *sets, "--out", str(out))
     assert code == 3
     assert not out.exists()
-    assert "simulation failed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "simulation failed" in err
+    assert detail in err
 
 
 def test_compare_writes_both_bundles_and_the_delta(tmp_path, capsys):

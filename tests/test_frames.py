@@ -14,7 +14,7 @@ from vetsim.frames import (
     RigidTransform,
     compose,
     euler_from_rotation,
-    euler_rate_transform,
+    euler_rate_rows,
     invert,
     pose_from_transform,
     rotation_body_to_world,
@@ -45,24 +45,26 @@ def test_roll_quarter_turn_sends_body_y_to_world_z():
     np.testing.assert_allclose(rot @ [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], atol=1e-12)
 
 
+# euler_rate_rows gives (a, b, c, d, e, f) of [[1, a, b], [0, c, d], [0, e, f]]
+
 def test_rate_transform_row_three_at_45_45():
-    t = euler_rate_transform(EulerAngles(math.pi / 4, math.pi / 4, 0.0))
-    np.testing.assert_allclose(t[2], [0.0, 1.0, 1.0], atol=1e-12)
+    *_, e, f = euler_rate_rows(EulerAngles(math.pi / 4, math.pi / 4, 0.0))
+    np.testing.assert_allclose([e, f], [1.0, 1.0], atol=1e-12)
 
 
 def test_rate_transform_identity_at_level_attitude():
     for psi in (-3.0, -0.5, 0.0, 1.2, 3.1):
-        t = euler_rate_transform(EulerAngles(0.0, 0.0, psi))
-        np.testing.assert_allclose(t, np.eye(3), atol=1e-12)
+        rows = euler_rate_rows(EulerAngles(0.0, 0.0, psi))
+        np.testing.assert_allclose(rows, [0.0, 0.0, 1.0, 0.0, 0.0, 1.0], atol=1e-12)
 
 
 def test_rate_transform_rejects_gimbal_pitch():
     with pytest.raises(GimbalSingularity):
-        euler_rate_transform(EulerAngles(0.0, math.pi / 2, 0.0))
+        euler_rate_rows(EulerAngles(0.0, math.pi / 2, 0.0))
     with pytest.raises(GimbalSingularity):
-        euler_rate_transform(EulerAngles(0.0, -math.pi / 2 + 1e-4, 0.0))
+        euler_rate_rows(EulerAngles(0.0, -math.pi / 2 + 1e-4, 0.0))
     # just outside the guard band is fine
-    euler_rate_transform(EulerAngles(0.0, math.pi / 2 - 2e-3, 0.0))
+    euler_rate_rows(EulerAngles(0.0, math.pi / 2 - 2e-3, 0.0))
 
 
 def test_wrap_angle_anchors():

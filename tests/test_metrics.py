@@ -13,6 +13,7 @@ from vetsim.frames import (
     RigidTransform,
     compose,
     invert,
+    projected_distance,
     rotation_body_to_world,
     transform_from_pose,
 )
@@ -20,7 +21,6 @@ from vetsim.metrics import (
     EmptyLog,
     mission_success,
     pose_from_observation,
-    projected_distance,
     recovery_time,
     settling_time,
     summarize,

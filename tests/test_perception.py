@@ -20,16 +20,14 @@ from vetsim.frames import (
 from vetsim.perception import (
     CameraModel,
     DropoutModel,
-    NotDetected,
     RegionLabel,
     TagModel,
-    TagObservation,
-    apply_dropout,
     classify_region,
+    dropout_hits,
     elastic_penetration,
     project_tag,
     tag_geometry,
-    tether_state,
+    tether_offset,
 )
 
 FLIP_X = np.diag([1.0, -1.0, -1.0])
@@ -52,37 +50,24 @@ def bottom_tag():
     return TagModel(0.1, RigidTransform(FLIP_X, np.zeros(3)))
 
 
-def square_obs(cx, cy, half=20.0, yaw=0.0, t=0.0, detected=True):
-    corners = np.array(
-        [
-            [cx - half, cy - half],
-            [cx + half, cy - half],
-            [cx + half, cy + half],
-            [cx - half, cy + half],
-        ]
-    )
-    return TagObservation(corners, yaw, t, detected)
+def square(cx, cy, half=20.0):
+    """Corner pixels ax, ay, bx, ..., dy of an axis-aligned square tag image."""
+    return [cx - half, cy - half, cx + half, cy - half, cx + half, cy + half, cx - half, cy + half]
 
 
 # --- tag geometry -------------------------------------------------------------
 
 def test_square_geometry_anchor():
-    obs = square_obs(320.0, 240.0)
-    center, l_bar, h_bar = tag_geometry(obs)
+    center, l_bar, h_bar = tag_geometry(square(320.0, 240.0))
     assert center == pytest.approx((320.0, 240.0))
     assert l_bar == pytest.approx(40.0)
     assert h_bar == pytest.approx(40.0 * math.sqrt(2.0))
 
 
-def test_geometry_requires_detection():
-    with pytest.raises(NotDetected):
-        tag_geometry(square_obs(320.0, 240.0, detected=False))
-
-
 @given(st.floats(-200, 200), st.floats(-200, 200))
 def test_geometry_is_translation_invariant(dx, dy):
-    base = square_obs(320.0, 240.0)
-    moved = TagObservation(base.corners + np.array([dx, dy]), 0.0, 0.0, True)
+    base = square(320.0, 240.0)
+    moved = [v + (dy if i % 2 else dx) for i, v in enumerate(base)]
     c0, l0, h0 = tag_geometry(base)
     c1, l1, h1 = tag_geometry(moved)
     assert c1[0] - c0[0] == pytest.approx(dx, abs=1e-9)
@@ -92,9 +77,9 @@ def test_geometry_is_translation_invariant(dx, dy):
 
 
 def test_geometry_size_survives_cyclic_corner_relabelling():
-    obs = square_obs(300.0, 200.0)
-    rolled = TagObservation(np.roll(obs.corners, 1, axis=0), 0.0, 0.0, True)
-    c0, l0, h0 = tag_geometry(obs)
+    pixels = square(300.0, 200.0)
+    rolled = pixels[-2:] + pixels[:-2]  # d, a, b, c
+    c0, l0, h0 = tag_geometry(pixels)
     c1, l1, h1 = tag_geometry(rolled)
     assert c0 == pytest.approx(c1)
     assert l0 == pytest.approx(l1)
@@ -163,9 +148,9 @@ def test_elastic_penetration_grows_toward_danger():
 
 def test_tether_state_anchors():
     cam = up_camera()
-    assert tether_state(square_obs(350.0, 280.0), cam).xi == pytest.approx(50.0)
-    assert tether_state(square_obs(0.0, 0.0), cam).xi == pytest.approx(400.0)
-    assert tether_state(square_obs(320.0, 240.0), cam).xi == 0.0
+    assert tether_offset(tag_geometry(square(350.0, 280.0))[0], cam) == pytest.approx(50.0)
+    assert tether_offset(tag_geometry(square(0.0, 0.0))[0], cam) == pytest.approx(400.0)
+    assert tether_offset(tag_geometry(square(320.0, 240.0))[0], cam) == 0.0
 
 
 # --- projection -----------------------------------------------------------------
@@ -173,9 +158,9 @@ def test_tether_state_anchors():
 def test_projection_of_facing_tag_lands_at_image_centre():
     pose_u = Pose6(0.0, 0.0, -1.0, EulerAngles(0.0, 0.0, 0.0))
     pose_s = Pose3(0.0, 0.0, 0.0)
-    obs = project_tag(pose_u, pose_s, up_camera(), bottom_tag(), 0.0)
-    assert obs.detected
-    center, l_bar, h_bar = tag_geometry(obs)
+    pixels, _, detected = project_tag(pose_u, pose_s, up_camera(), bottom_tag())
+    assert detected
+    center, l_bar, h_bar = tag_geometry(pixels)
     assert center == pytest.approx((320.0, 240.0), abs=1e-9)
     # apparent side: focal * side / depth = 400 * 0.1 / 1
     assert l_bar == pytest.approx(40.0, abs=1e-9)
@@ -184,30 +169,30 @@ def test_projection_of_facing_tag_lands_at_image_centre():
 
 def test_projection_scales_inversely_with_depth():
     pose_u = Pose6(0.0, 0.0, -2.0, EulerAngles(0.0, 0.0, 0.0))
-    obs = project_tag(pose_u, Pose3(0.0, 0.0, 0.0), up_camera(), bottom_tag(), 0.0)
-    _, l_bar, _ = tag_geometry(obs)
+    pixels, _, _ = project_tag(pose_u, Pose3(0.0, 0.0, 0.0), up_camera(), bottom_tag())
+    _, l_bar, _ = tag_geometry(pixels)
     assert l_bar == pytest.approx(20.0, abs=1e-9)
 
 
 def test_projection_is_mutual_for_the_default_mounts():
     pose_u = Pose6(0.3, -0.2, -1.0, EulerAngles(0.0, 0.0, 0.0))
     pose_s = Pose3(0.0, 0.0, 0.0)
-    obs_us = project_tag(pose_u, pose_s, up_camera(), bottom_tag(), 0.0)
-    obs_su = project_tag(pose_s, pose_u, down_camera(), top_tag(), 0.0)
-    assert obs_us.detected and obs_su.detected
+    _, _, detected_us = project_tag(pose_u, pose_s, up_camera(), bottom_tag())
+    _, _, detected_su = project_tag(pose_s, pose_u, down_camera(), top_tag())
+    assert detected_us and detected_su
 
 
 def test_tag_behind_the_camera_is_not_detected():
     pose_u = Pose6(0.0, 0.0, 1.0, EulerAngles(0.0, 0.0, 0.0))  # above the surface
-    obs = project_tag(pose_u, Pose3(0.0, 0.0, 0.0), up_camera(), bottom_tag(), 0.0)
-    assert not obs.detected
+    _, _, detected = project_tag(pose_u, Pose3(0.0, 0.0, 0.0), up_camera(), bottom_tag())
+    assert not detected
 
 
 def test_tag_leaving_the_frame_is_not_detected():
     # 0.9 m lateral offset at 1 m depth projects past the image border
     pose_u = Pose6(0.9, 0.0, -1.0, EulerAngles(0.0, 0.0, 0.0))
-    obs = project_tag(pose_u, Pose3(0.0, 0.0, 0.0), up_camera(), bottom_tag(), 0.0)
-    assert not obs.detected
+    _, _, detected = project_tag(pose_u, Pose3(0.0, 0.0, 0.0), up_camera(), bottom_tag())
+    assert not detected
 
 
 @settings(max_examples=60)
@@ -220,18 +205,18 @@ def test_projected_yaw_round_trip(dx, dy, psi):
     """The reported camera yaw recovers the relative heading exactly."""
     pose_u = Pose6(dx, dy, -1.0, EulerAngles(0.0, 0.0, 0.0))
     pose_s = Pose3(0.0, 0.0, psi)
-    obs = project_tag(pose_u, pose_s, up_camera(), bottom_tag(), 0.0)
-    if not obs.detected:
+    _, yaw, detected = project_tag(pose_u, pose_s, up_camera(), bottom_tag())
+    if not detected:
         return
     # the flipped surface tag appears at the surface robot's own heading,
     # so a yaw-tracking law on this signal aligns the pair
-    assert wrap_angle(obs.camera_yaw - psi) == pytest.approx(0.0, abs=1e-6)
+    assert wrap_angle(yaw - psi) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_projected_pixel_offset_matches_pinhole_model():
     pose_u = Pose6(0.25, -0.1, -1.0, EulerAngles(0.0, 0.0, 0.0))
-    obs = project_tag(pose_u, Pose3(0.0, 0.0, 0.0), up_camera(), bottom_tag(), 0.0)
-    center, _, _ = tag_geometry(obs)
+    pixels, _, _ = project_tag(pose_u, Pose3(0.0, 0.0, 0.0), up_camera(), bottom_tag())
+    center, _, _ = tag_geometry(pixels)
     # relative position of the tag in the camera frame is (-0.25, +0.1, 1)
     assert center[0] == pytest.approx(320.0 - 400.0 * 0.25, abs=1e-9)
     assert center[1] == pytest.approx(240.0 + 400.0 * 0.1, abs=1e-9)
@@ -276,37 +261,41 @@ def test_projection_matches_the_rigid_transform_reference(position, attitude, ps
         0.1, RigidTransform(FLIP_X @ rotation_about_z(tilt), np.array([0.0, offset, 0.0]))
     )
     for observer, target in ((pose_u, pose_s), (pose_s, pose_u)):
-        obs = project_tag(observer, target, cam, tag, 0.0)
+        corners, camera_yaw, detected = project_tag(observer, target, cam, tag)
         pixels, yaw, in_front = reference_projection(observer, target, cam, tag)
         if not in_front:
-            assert not obs.detected
+            assert not detected
             continue
-        np.testing.assert_allclose(obs.corners, pixels, rtol=1e-12, atol=1e-9)
-        assert wrap_angle(obs.camera_yaw - yaw) == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_allclose(np.reshape(corners, (4, 2)), pixels, rtol=1e-12, atol=1e-9)
+        assert wrap_angle(camera_yaw - yaw) == pytest.approx(0.0, abs=1e-12)
         in_frame = bool(
             np.all((pixels >= 0.0) & (pixels <= np.array([640.0, 480.0])))
         )
-        assert obs.detected == in_frame
+        assert detected == in_frame
 
 
 # --- dropout ----------------------------------------------------------------------
 
+def hits(model, t, rng):
+    """Whether the dropout model blanks the observation at time t."""
+    return dropout_hits(model, model.scheduled(t), rng)
+
+
 def test_scheduled_window_forces_loss():
     model = DropoutModel(scheduled_windows=((2.0, 4.0),))
     rng = np.random.default_rng(0)
-    obs = square_obs(320.0, 240.0)
-    assert apply_dropout(obs, model, 1.0, rng).detected
-    assert not apply_dropout(obs, model, 2.0, rng).detected
-    assert not apply_dropout(obs, model, 4.0, rng).detected
-    assert apply_dropout(obs, model, 4.5, rng).detected
+    assert not hits(model, 1.0, rng)
+    assert hits(model, 2.0, rng)
+    assert hits(model, 4.0, rng)
+    assert not hits(model, 4.5, rng)
 
 
 def test_zero_rate_passes_the_observation_through():
+    # no drop and no draw: the seeded sequence of later draws is untouched
     model = DropoutModel()
     rng = np.random.default_rng(0)
-    obs = square_obs(320.0, 240.0)
-    assert apply_dropout(obs, model, 0.0, rng) is obs
-    assert apply_dropout(obs, None, 0.0, rng) is obs
+    assert not any(hits(model, 0.02 * k, rng) for k in range(100))
+    assert rng.random() == np.random.default_rng(0).random()
 
 
 def test_random_rate_drop_count_is_binomial():
@@ -314,35 +303,20 @@ def test_random_rate_drop_count_is_binomial():
     n = 10_000
     model = DropoutModel(random_rate=rate)
     rng = np.random.default_rng(42)
-    obs = square_obs(320.0, 240.0)
-    dropped = sum(
-        not apply_dropout(obs, model, 0.02 * k, rng).detected for k in range(n)
-    )
+    dropped = sum(hits(model, 0.02 * k, rng) for k in range(n))
     sigma = math.sqrt(n * rate * (1.0 - rate))
     assert abs(dropped - n * rate) <= 3.0 * sigma
 
 
 def test_random_dropout_is_reproducible():
     model = DropoutModel(random_rate=0.5)
-    obs = square_obs(320.0, 240.0)
-    seq_a = [
-        apply_dropout(obs, model, 0.02 * k, np.random.default_rng(9)).detected
-        for k in range(1)
-    ]
+    seq_a = [hits(model, 0.02 * k, np.random.default_rng(9)) for k in range(1)]
     rng1 = np.random.default_rng(9)
     rng2 = np.random.default_rng(9)
-    seq1 = [apply_dropout(obs, model, 0.02 * k, rng1).detected for k in range(200)]
-    seq2 = [apply_dropout(obs, model, 0.02 * k, rng2).detected for k in range(200)]
+    seq1 = [hits(model, 0.02 * k, rng1) for k in range(200)]
+    seq2 = [hits(model, 0.02 * k, rng2) for k in range(200)]
     assert seq1 == seq2
     assert seq_a[0] == seq1[0]
-
-
-def test_dropout_clears_only_the_flag():
-    model = DropoutModel(scheduled_windows=((0.0, 1.0),))
-    obs = square_obs(300.0, 200.0)
-    out = apply_dropout(obs, model, 0.5, np.random.default_rng(0))
-    assert not out.detected
-    np.testing.assert_array_equal(out.corners, obs.corners)
 
 
 def test_dropout_model_rejects_bad_windows():

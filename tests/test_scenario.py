@@ -187,6 +187,12 @@ def test_validate_rejects_bad_fields():
     with pytest.raises(ConfigError):
         cfg.validate()
 
+    # the planner's type is checked before the config is serialised
+    cfg = preset("nominal")
+    cfg.planner = "x"
+    with pytest.raises(ConfigError, match="planner must be Setpoints or Lawnmower"):
+        cfg.validate()
+
 
 def test_preset_objects_are_independent():
     a = preset("nominal")
@@ -350,7 +356,7 @@ def test_programming_errors_in_the_integrator_propagate(monkeypatch):
     def broken(self, *args, **kwargs):
         raise TypeError("a bug, not a simulation failure")
 
-    monkeypatch.setattr(VehicleModel, "advance", broken)
+    monkeypatch.setattr(VehicleModel, "step", broken)
     with pytest.raises(TypeError, match="a bug"):
         run(short("nominal", 1.0))
 
@@ -359,7 +365,7 @@ def test_arithmetic_errors_in_the_integrator_become_sim_failures(monkeypatch):
     def diverging(self, *args, **kwargs):
         raise ZeroDivisionError("float division by zero")
 
-    monkeypatch.setattr(VehicleModel, "advance", diverging)
+    monkeypatch.setattr(VehicleModel, "step", diverging)
     with pytest.raises(SimFailure, match="t=0.000"):
         run(short("nominal", 1.0))
 
@@ -429,12 +435,12 @@ def test_log_arrays_have_the_documented_shapes_and_types(mode):
 
 def test_each_detected_observation_is_measured_once(monkeypatch):
     calls = []
-    measure = scenario.corner_geometry
+    measure = scenario.tag_geometry
 
     def counted(pixels):
         calls.append(1)
         return measure(pixels)
 
-    monkeypatch.setattr(scenario, "corner_geometry", counted)
+    monkeypatch.setattr(scenario, "tag_geometry", counted)
     log = dropout_run("vet")
     assert len(calls) == int(log.detected_us.sum() + log.detected_su.sum()) > 0
