@@ -25,7 +25,6 @@ from . import metrics, plotting
 from .frames import GimbalSingularity
 from .scenario import (
     ConfigError,
-    InvalidBounds,
     PRESET_NAMES,
     ScenarioConfig,
     SimFailure,
@@ -119,7 +118,11 @@ def _build_config(args) -> ScenarioConfig:
         tree["mode"] = args.mode
     if args.seed is not None:
         tree["seed"] = args.seed
-    return ScenarioConfig.from_dict(tree)
+    cfg = ScenarioConfig.from_dict(tree)
+    if round(cfg.duration / cfg.dt) < 1:
+        raise ConfigError(f"duration {cfg.duration:g} s is under one tick (dt {cfg.dt:g} s); "
+                          "a bundle needs two records")
+    return cfg
 
 
 def _out_dir(args) -> Path:
@@ -302,7 +305,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, UnknownPreset, InvalidBounds) as exc:
+    except (ConfigError, UnknownPreset) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (SimFailure, GimbalSingularity) as exc:

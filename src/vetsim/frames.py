@@ -143,28 +143,9 @@ def euler_rate_rows(attitude: EulerAngles) -> tuple:
     return (sphi * tth, cphi * tth, cphi, -sphi, sphi / cth, cphi / cth)
 
 
-def surface_jacobian(psi: float, appendix_sign_convention: bool = False) -> np.ndarray:
-    """Planar kinematic map from body velocity (u, v, r) to world rates.
-
-    The default is the proper rotation about z. The alternative sign
-    convention negates the first column's cosine terms; it is not a rotation
-    (determinant s^2 - c^2) and exists only for exact reproduction attempts
-    against legacy results.
-    """
-    c, s = math.cos(psi), math.sin(psi)
-    if appendix_sign_convention:
-        return np.array([[-c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
 def rotation_about_x(angle: float) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def rotation_about_y(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
 def rotation_about_z(angle: float) -> np.ndarray:
@@ -187,6 +168,9 @@ class RigidTransform:
         self.translation = np.asarray(self.translation, dtype=float)
         if self.rotation.shape != (3, 3) or self.translation.shape != (3,):
             raise ValueError("rigid transform needs a 3x3 rotation and 3-vector")
+        # checked first so that NaN or huge entries never reach the product
+        if not (np.abs(self.rotation) <= 1.0 + _ORTHONORMAL_TOL).all():
+            raise ValueError("rotation entries must lie in [-1, 1]")
         err = np.max(np.abs(self.rotation @ self.rotation.T - np.eye(3)))
         det = np.linalg.det(self.rotation)
         if err > _ORTHONORMAL_TOL or abs(det - 1.0) > _ORTHONORMAL_TOL:

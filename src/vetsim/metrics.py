@@ -7,7 +7,7 @@ positions, which is what the overhead view of the experiment measures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -136,24 +136,10 @@ class RunSummary:
     waypoints_total: int
 
     def to_dict(self) -> dict:
-        def _clean(v):
-            if v is None:
-                return None
-            if isinstance(v, float) and math.isnan(v):
-                return None
-            return v
-
+        """One key per field; a NaN becomes None (JSON null)."""
         return {
-            "max_projected_distance": _clean(self.max_projected_distance),
-            "time_of_los_loss": _clean(self.time_of_los_loss),
-            "recovery_time_after_perturbation": _clean(
-                self.recovery_time_after_perturbation
-            ),
-            "mission_success": self.mission_success,
-            "final_tether_state": _clean(self.final_tether_state),
-            "settling_time": _clean(self.settling_time),
-            "waypoints_captured": self.waypoints_captured,
-            "waypoints_total": self.waypoints_total,
+            f.name: None if isinstance(v := getattr(self, f.name), float) and math.isnan(v) else v
+            for f in fields(self)
         }
 
 

@@ -86,11 +86,11 @@ class TagModel:
 
 @dataclass(frozen=True)
 class DropoutModel:
-    """Scheduled blackout windows plus an independent per-tick drop rate."""
+    """Scheduled blackout windows plus an independent per-tick drop rate,
+    drawn from the run's generator (seeded by ScenarioConfig.seed)."""
 
     scheduled_windows: tuple[tuple[float, ...], ...] = ()
     random_rate: float = 0.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.random_rate < 1.0:

@@ -60,9 +60,9 @@ class _Frame:
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 5):
-    if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
+    span = hi - lo  # infinite also when finite ends are too far apart
+    if not math.isfinite(span) or span <= 0:
         return [0.0, 1.0]
-    span = hi - lo
     step = 10.0 ** math.floor(math.log10(span / max(target, 1)))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if span / (step * mult) <= target:

@@ -65,6 +65,8 @@ from .vehicle import Disturbance, VehicleModel, VehicleParams
 # The most integration steps one run may take; each step adds one log row of
 # 408 bytes, so this also bounds a run's memory (about 0.4 GB at the cap).
 MAX_TICKS = 1_000_000
+# The most lanes one lawnmower survey may have; each adds two waypoints.
+MAX_LANES = 10_000
 
 
 class ConfigError(ValueError):
@@ -75,7 +77,7 @@ class UnknownPreset(KeyError):
     """No preset registered under the requested name."""
 
 
-class InvalidBounds(ValueError):
+class InvalidBounds(ConfigError):
     """Planner area bounds are degenerate."""
 
 
@@ -118,14 +120,18 @@ class Lawnmower:
 def lawnmower_path(spec: Lawnmower) -> tuple:
     """Waypoints covering the rectangle, heading facing along each lane.
 
-    Lane count is floor(y extent / spacing) + 1; spacing wider than the
-    extent degenerates to a single lane with two waypoints.
+    Lane count is floor(y extent / spacing) + 1, at most MAX_LANES; spacing
+    wider than the extent degenerates to a single lane with two waypoints.
     """
     if spec.x_max <= spec.x_min or spec.y_max <= spec.y_min:
         raise InvalidBounds("lawnmower area must have positive extent")
     if spec.lane_spacing <= 0:
         raise InvalidBounds("lane spacing must be positive")
-    n_lanes = int(math.floor((spec.y_max - spec.y_min) / spec.lane_spacing + 1e-9)) + 1
+    # a float until it is known to be small: the ratio may be huge or infinite
+    lanes = (spec.y_max - spec.y_min) / spec.lane_spacing + 1e-9
+    if not lanes < MAX_LANES:
+        raise InvalidBounds(f"lawnmower area needs more than {MAX_LANES} lanes")
+    n_lanes = int(math.floor(lanes)) + 1
     points = []
     for i in range(n_lanes):
         y = spec.y_min + i * spec.lane_spacing
@@ -191,7 +197,6 @@ class ScenarioConfig:
     planner: Setpoints | Lawnmower
     perturbations: tuple[Disturbance, ...] = ()
     dropout: DropoutModel = field(default_factory=DropoutModel)
-    appendix_sign_convention: bool = False
 
     def validate(self) -> None:
         # the planner's type first: to_dict below can only encode the two kinds
@@ -199,14 +204,17 @@ class ScenarioConfig:
             raise ConfigError("planner must be Setpoints or Lawnmower")
         non_finite = _non_finite_paths(self.to_dict())
         if non_finite:
-            raise ConfigError(f"non-finite numbers at {', '.join(non_finite)}")
+            raise ConfigError(f"numbers that are not finite floats at {', '.join(non_finite)}")
         if self.mode not in ("vet", "baseline"):
             raise ConfigError(f"mode must be 'vet' or 'baseline', got {self.mode!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.dt <= 0.1:
             raise ConfigError("dt must be in (0, 0.1] seconds")
         if self.duration < 0:
             raise ConfigError("duration must be non-negative")
-        if round(self.duration / self.dt) > MAX_TICKS:
+        # compared as a float: round() of an infinite ratio would raise
+        if self.duration / self.dt > MAX_TICKS + 0.5:
             raise ConfigError(
                 f"duration {self.duration:g} s at dt {self.dt:g} s exceeds {MAX_TICKS} ticks"
             )
@@ -216,14 +224,10 @@ class ScenarioConfig:
             raise ConfigError("tank must have positive extent on every axis")
         if len(self.initial_pose_u) != 6 or len(self.initial_pose_s) != 3:
             raise ConfigError("initial poses are a 6-tuple and a 3-tuple")
-        ux, uy, uz = self.initial_pose_u[:3]
-        sx, sy = self.initial_pose_s[:2]
-        for axis, value in enumerate((ux, uy, uz)):
-            if not self.tank_min[axis] <= value <= self.tank_max[axis]:
-                raise ConfigError("underwater initial pose lies outside the tank")
-        for axis, value in enumerate((sx, sy)):
-            if not self.tank_min[axis] <= value <= self.tank_max[axis]:
-                raise ConfigError("surface initial pose lies outside the tank")
+        for robot, position in (("underwater", self.initial_pose_u[:3]),
+                                ("surface", self.initial_pose_s[:2])):
+            if not all(lo <= v <= hi for lo, v, hi in zip(self.tank_min, position, self.tank_max)):
+                raise ConfigError(f"{robot} initial pose lies outside the tank")
         if self.params_u.dof != 6 or self.params_s.dof != 3:
             raise ConfigError("underwater model is 6-DoF, surface model 3-DoF")
         if len(self.pd_u.kp) != 6 or len(self.pd_s.kp) != 3:
@@ -237,19 +241,25 @@ class ScenarioConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "ScenarioConfig":
+        """A validated config from its to_dict form, schema v1 included;
+        raises ConfigError on anything else."""
         cfg = _decode(data, ScenarioConfig, "")
         cfg.validate()
         return cfg
 
 
 def _non_finite_paths(tree, path: str = "") -> list:
-    """Dotted paths of every NaN or infinite number in a to_dict tree."""
+    """Dotted paths of every number in a to_dict tree that is not a finite
+    float: NaN, an infinity, or an int too large to convert."""
     if isinstance(tree, dict):
         items = tree.items()
     elif isinstance(tree, list):
         items = enumerate(tree)
     else:
-        return [path] if isinstance(tree, float) and not math.isfinite(tree) else []
+        try:
+            return [] if not isinstance(tree, (int, float)) or math.isfinite(tree) else [path]
+        except OverflowError:  # an int beyond the float range
+            return [path]
     prefix = f"{path}." if path else ""
     return [p for key, value in items for p in _non_finite_paths(value, f"{prefix}{key}")]
 
@@ -260,11 +270,19 @@ def _non_finite_paths(tree, path: str = "") -> list:
 # by the resolved field annotations: a dataclass is an object whose keys are
 # exactly its field names, a tuple or an array is a list, a scalar is itself.
 # A union of dataclasses (the planner) adds a "kind" key, the lower-cased
-# class name. A scalar keeps its JSON type: a bool field takes only true or
-# false, an int field only an integer and a float field an integer or a
-# float (_SCALAR_TYPES); a str field takes anything. Lengths and ranges are
-# checked by the dataclasses themselves and by ScenarioConfig.validate.
-_SCALAR_TYPES = {bool: (bool,), int: (int,), float: (int, float)}
+# class name. A number keeps its JSON type: an int field takes only an
+# integer and a float field an integer or a float, neither a bool
+# (_SCALAR_TYPES); a str field takes anything. Lengths and ranges are checked
+# by the dataclasses themselves and by ScenarioConfig.validate.
+_SCALAR_TYPES = {int: (int,), float: (int, float)}
+
+# Keys of config schema v1 that v2 removed: dotted key -> (the one value that
+# still loads, ... for any; why the key went). A key that loads is skipped, so
+# a saved v1 bundle loads to the config it ran with.
+_REMOVED_KEYS = {
+    "dropout.seed": (..., "it was never read; the top-level seed seeds the run"),
+    "appendix_sign_convention": (False, "the legacy sign convention was removed"),
+}
 
 
 @functools.cache
@@ -288,13 +306,24 @@ def _encode(value, hint):
     return value
 
 
+def _removed(dotted: str, value) -> bool:
+    """Whether dotted is a removed v1 key whose value still loads; a ConfigError
+    if it is one whose value does not."""
+    if dotted not in _REMOVED_KEYS:
+        return False
+    loads, why = _REMOVED_KEYS[dotted]
+    if loads is not ... and value is not loads:
+        raise ConfigError(f"config key {dotted} cannot be {value!r}: {why}")
+    return True
+
+
 def _decode(data, hint, path: str):
     """Rebuild a value of type hint from its _encode form; path is the dotted
     key of data in the config tree, for error messages."""
     if isinstance(hint, UnionType):
         kinds = {cls.__name__.lower(): cls for cls in get_args(hint)}
         kind = data.get("kind") if isinstance(data, dict) else None
-        if kind not in kinds:
+        if not isinstance(kind, str) or kind not in kinds:
             raise ConfigError(f"{path}.kind must be one of {sorted(kinds)}, got {kind!r}")
         return _decode({k: v for k, v in data.items() if k != "kind"}, kinds[kind], path)
     if is_dataclass(hint):
@@ -302,13 +331,13 @@ def _decode(data, hint, path: str):
             raise ConfigError(f"{path or 'config root'} must be an object")
         expected = _field_types(hint)
         at = f" at {path}" if path else ""
-        unknown = data.keys() - expected.keys()
+        prefix = f"{path}." if path else ""
+        unknown = [k for k in data.keys() - expected.keys() if not _removed(prefix + k, data[k])]
         if unknown:
             raise ConfigError(f"unknown config keys{at}: {sorted(unknown)}")
         missing = expected.keys() - data.keys()
         if missing:
             raise ConfigError(f"missing config keys{at}: {sorted(missing)}")
-        prefix = f"{path}." if path else ""
         values = {name: _decode(data[name], sub, prefix + name)
                   for name, sub in expected.items()}
         try:
@@ -321,9 +350,7 @@ def _decode(data, hint, path: str):
         item = get_args(hint)[0]
         return tuple(_decode(v, item, f"{path}.{i}") for i, v in enumerate(data))
     accepted = _SCALAR_TYPES.get(hint)
-    if accepted is not None and (
-        not isinstance(data, accepted) or isinstance(data, bool) != (hint is bool)
-    ):
+    if accepted is not None and (not isinstance(data, accepted) or isinstance(data, bool)):
         raise ConfigError(f"malformed config at {path}: expected {hint.__name__}, got {data!r}")
     try:
         return np.array(data, dtype=float) if hint is np.ndarray else hint(data)
@@ -593,7 +620,6 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
     prev_clamp_s = False
     pending_flags = []
 
-    sign_convention = config.appendix_sign_convention
     for k in range(n_rec):
         t = k * dt
         flags = pending_flags
@@ -660,13 +686,10 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
         xi_u = camera_to_body(cam_cmd_u, mount_u, 6)
         u_tot_u = combined_control(u_sub_u, xi_u, params_u)
 
-        # control: surface robot; world rates through the surface Jacobian
+        # control: surface robot; world rates by the rotation about z
         c, s = math.cos(pose_s.psi), math.sin(pose_s.psi)
         su, sv, sr = nu_s
-        if sign_convention:
-            vel_world_s = (-c * su + s * sv, -s * su + c * sv, sr)
-        else:
-            vel_world_s = (c * su - s * sv, s * su + c * sv, sr)
+        vel_world_s = (c * su - s * sv, s * su + c * sv, sr)
         u_sub_s = subtask_control_surface(pose_s, vel_world_s, target_s, pd_s, speed_limit)
         if baseline:
             # one-way coupling: the leader gets no tether input at all

@@ -28,7 +28,7 @@ from vetsim.frames import (
     compose,
     invert,
     rotation_body_to_world,
-    surface_jacobian,
+    rotation_about_z,
     transform_from_pose,
     wrap_angle,
 )
@@ -281,7 +281,7 @@ def _check_direction_symmetry():
         c, s = math.cos(heading), math.sin(heading)
         rot = np.array([[c, -s], [s, c]])
         world_u = rot @ camera_to_body(cmd_us, cam_u.flat_mount[0], 6)[:2]
-        world_s = (surface_jacobian(heading) @ camera_to_body(cmd_su, cam_s.flat_mount[0], 3))[:2]
+        world_s = (rotation_about_z(heading) @ camera_to_body(cmd_su, cam_s.flat_mount[0], 3))[:2]
         nu_, ns_ = np.linalg.norm(world_u), np.linalg.norm(world_s)
         if nu_ < 1e-9:
             continue

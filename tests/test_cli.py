@@ -89,18 +89,46 @@ def test_unknown_override_key_fails_cleanly(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def _override(text, preset_name="nominal", case_id=None):
+    return pytest.param(["--preset", preset_name, "--set", text], id=case_id or text)
+
+
+HUGE_INT = str(10**400)
+
+
 @pytest.mark.parametrize(
-    "override",
-    ["vet.k_psi=NaN", "duration=Infinity", "duration=1e12", "pd_u.kp.0=1.0",
-     "seed=Infinity", "planner=5", "appendix_sign_convention=no", "seed=1.7", "seed=true",
-     "camera_u.width=640.7", "vet.k_psi=true"],
+    "args",
+    [_override(text) for text in (
+        "vet.k_psi=NaN", "duration=Infinity", "duration=1e12", "pd_u.kp.0=1.0",
+        "seed=Infinity", "planner=5", "seed=1.7", "seed=true",
+        "camera_u.width=640.7", "vet.k_psi=true", "seed=-1", "planner.kind=[1,2]",
+        "planner.kind={}", "duration=0",
+        # keys that config schema v2 removed are unknown overrides
+        "appendix_sign_convention=no", "dropout.seed=0",
+    )] + [
+        pytest.param(["--preset", "nominal", "--seed", "-1"], id="--seed -1"),
+        _override(f"camera_u.width={HUGE_INT}", case_id="camera_u.width=10**400"),
+        _override(f"camera_s.height={HUGE_INT}", case_id="camera_s.height=10**400"),
+        _override("planner.y_max=1e300", "navigation_sim"),
+        _override("planner.lane_spacing=1e-300", "navigation_sim"),
+    ],
 )
-def test_invalid_values_fail_cleanly_before_the_run(tmp_path, capsys, override):
+def test_invalid_values_fail_cleanly_before_the_run(tmp_path, capsys, args):
     out = tmp_path / "bundle"
-    code = run_cli("run", "--preset", "nominal", "--set", override, "--out", str(out))
+    code = run_cli("run", "--set", "duration=0.2", *args, "--out", str(out))
     assert code == 2
     assert not out.exists()  # nothing written
     assert "config error" in capsys.readouterr().err
+
+
+def test_absurd_but_finite_bounds_still_render(tmp_path, capsys):
+    # the padded command axis spans more than the largest float
+    out = tmp_path / "bundle"
+    assert run_cli(
+        "run", "--preset", "nominal", "--set", "duration=1",
+        "--set", "params_s.velocity_bound_linear=6.92e307", "--out", str(out),
+    ) == 0
+    assert (out / "plots" / "velocity_vs_time.svg").is_file()
 
 
 def test_bundle_files_honour_the_umask(tmp_path, capsys):

@@ -1,0 +1,116 @@
+"""The failure contract under fuzzed configs: every input loads and runs, or
+fails with a config error (exit 2) or a simulation failure (exit 3), and a
+failed command writes nothing."""
+
+import copy
+import json
+import math
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from vetsim.cli import main
+from vetsim.frames import GimbalSingularity
+from vetsim.scenario import PRESET_NAMES, ConfigError, ScenarioConfig, SimFailure, preset, run
+
+V1_ECHO = Path(__file__).with_name("config_echoes") / "v1" / "navigation_real.json"
+
+# Fixed example sets, so the suite gives the same result on every run.
+FUZZ = settings(deadline=None, derandomize=True, database=None)
+
+
+def _paths(tree, prefix=()):
+    """The path of every node below the root, containers included; of a
+    list's items only the first, so that each field is drawn about as often."""
+    if isinstance(tree, dict):
+        items = tree.items()
+    elif isinstance(tree, list):
+        items = enumerate(tree[:1])
+    else:
+        return []
+    return [p for key, sub in items for p in [prefix + (key,), *_paths(sub, prefix + (key,))]]
+
+
+def _replace(tree, path, value):
+    """Put value at path, unless an earlier replacement removed the path."""
+    node = tree
+    try:
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    except (KeyError, IndexError, TypeError):
+        pass
+
+
+TREES = {name: preset(name).to_dict() for name in PRESET_NAMES}
+TREES["v1/navigation_real"] = json.loads(V1_ECHO.read_text())
+# tree name -> top-level key -> the paths under it, that key's own included
+PATHS = {name: {key: _paths({key: sub}) for key, sub in tree.items()}
+         for name, tree in TREES.items()}
+
+_SCALARS = st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4)
+# What replaces a node: an int (negative or huge), a float (NaN, an infinity,
+# subnormal or huge), a bool, a string, a list, an object or null.
+VALUES = st.one_of(
+    st.integers(max_value=-1),
+    st.integers(min_value=2**53) | st.just(10**400),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.floats(min_value=-2.2e-308, max_value=2.2e-308).filter(bool),  # subnormal
+    st.floats(min_value=1e200, allow_infinity=False)
+    | st.floats(max_value=-1e200, allow_infinity=False),
+    st.booleans(),
+    st.text(max_size=8) | st.sampled_from(["vet", "baseline", "setpoints", "lawnmower"]),
+    st.lists(_SCALARS | st.lists(_SCALARS, max_size=3), max_size=6),
+    st.dictionaries(st.text(max_size=4) | st.sampled_from(["kind", "rotation"]), _SCALARS,
+                    max_size=3),
+    st.none(),
+)
+
+
+def _path(name):
+    """A path in tree name: a top-level key first, so that one with many
+    nodes below it, such as a camera mount, is drawn no more often than seed."""
+    keys = sorted(PATHS[name])
+    return st.sampled_from(keys).flatmap(lambda key: st.sampled_from(PATHS[name][key]))
+
+
+def _edits(names):
+    """A tree name and one or two (path, value) replacements in it."""
+    return st.sampled_from(names).flatmap(lambda name: st.tuples(
+        st.just(name), st.lists(st.tuples(_path(name), VALUES), min_size=1, max_size=2),
+    ))
+
+
+@settings(FUZZ, max_examples=400)
+@given(_edits(sorted(TREES)))
+def test_from_dict_returns_a_valid_config_or_raises_config_error(case):
+    name, edits = case
+    tree = copy.deepcopy(TREES[name])
+    for path, value in edits:
+        _replace(tree, path, value)
+    try:
+        cfg = ScenarioConfig.from_dict(tree)
+    except ConfigError:
+        return
+    # a valid config is one the loop accepts: two ticks run or fail as a simulation
+    cfg.duration = 2 * cfg.dt
+    try:
+        run(cfg)
+    except (SimFailure, GimbalSingularity):
+        pass
+
+
+@settings(FUZZ, max_examples=120)
+@given(_edits(PRESET_NAMES), st.floats(0.1, 2.0), st.sampled_from(["vet", "baseline"]))
+def test_cli_overrides_run_or_fail_cleanly(case, duration, mode):
+    name, edits = case
+    overrides = [f"{'.'.join(map(str, path))}={json.dumps(value)}" for path, value in edits]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "bundle"
+        args = ["run", "--preset", name, "--mode", mode, "--set", f"duration={duration!r}"]
+        for item in overrides:
+            args += ["--set", item]
+        code = main(args + ["--out", str(out)])
+        assert code in (0, 2, 3), overrides
+        assert out.exists() == (code == 0), overrides

@@ -28,7 +28,7 @@ from vetsim.frames import (
     Pose3,
     Pose6,
     RigidTransform,
-    surface_jacobian,
+    rotation_about_z,
 )
 from vetsim.perception import (
     CameraModel,
@@ -415,7 +415,7 @@ def test_world_frame_tether_commands_are_anti_parallel(r, bearing, heading):
         [[math.cos(heading), -math.sin(heading)], [math.sin(heading), math.cos(heading)]]
     )
     world_u = rot_u @ camera_to_body(cmd_us, cam_u.flat_mount[0], 6)[:2]
-    world_s = (surface_jacobian(heading) @ camera_to_body(cmd_su, cam_s.flat_mount[0], 3))[:2]
+    world_s = (rotation_about_z(heading) @ camera_to_body(cmd_su, cam_s.flat_mount[0], 3))[:2]
 
     norm_u, norm_s = np.linalg.norm(world_u), np.linalg.norm(world_s)
     assume(norm_u > 1e-9)

@@ -17,8 +17,8 @@ from vetsim.frames import (
     euler_rate_rows,
     invert,
     pose_from_transform,
+    rotation_about_z,
     rotation_body_to_world,
-    surface_jacobian,
     transform_from_pose,
     wrap_angle,
 )
@@ -75,17 +75,10 @@ def test_wrap_angle_anchors():
 
 
 def test_surface_jacobian_quarter_turn():
-    j = surface_jacobian(math.pi / 2)
+    # the surface robot's body-to-world rate map is the rotation about z
+    j = rotation_about_z(math.pi / 2)
     np.testing.assert_allclose(j @ [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(j[:, 2], [0.0, 0.0, 1.0], atol=1e-12)
-
-
-def test_surface_jacobian_legacy_sign_convention():
-    # The opt-in variant negates the first column; it is not a rotation.
-    c, s = math.cos(0.7), math.sin(0.7)
-    j = surface_jacobian(0.7, appendix_sign_convention=True)
-    np.testing.assert_allclose(j, [[-c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
-    assert np.linalg.det(j) == pytest.approx(s * s - c * c)
 
 
 # --- properties ---------------------------------------------------------------
@@ -124,7 +117,7 @@ def test_euler_round_trip_reproduces_rotation(phi, theta, psi):
 
 @given(st.floats(-math.pi, math.pi))
 def test_surface_jacobian_is_planar_rotation(psi):
-    j = surface_jacobian(psi)
+    j = rotation_about_z(psi)
     np.testing.assert_allclose(j @ j.T, np.eye(3), atol=1e-12)
     assert np.linalg.det(j) == pytest.approx(1.0, abs=1e-12)
 
@@ -166,6 +159,12 @@ def test_transform_constructor_rejects_non_rotation():
         RigidTransform(np.eye(3) * 2.0, np.zeros(3))
     with pytest.raises(ValueError):
         RigidTransform(np.diag([1.0, 1.0, -1.0]), np.zeros(3))  # improper
+    # rejected before the orthonormality product, which would warn on these
+    for bad in (math.nan, math.inf, 1e300):
+        rotation = np.eye(3)
+        rotation[0, 1] = bad
+        with pytest.raises(ValueError, match=r"rotation entries must lie in \[-1, 1\]"):
+            RigidTransform(rotation, np.zeros(3))
 
 
 def test_pose_transform_round_trip():

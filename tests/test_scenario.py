@@ -15,6 +15,7 @@ from vetsim.scenario import (
     ConfigError,
     InvalidBounds,
     Lawnmower,
+    MAX_LANES,
     PRESET_NAMES,
     ScenarioConfig,
     SimFailure,
@@ -26,10 +27,11 @@ from vetsim.scenario import (
     run,
 )
 from vetsim.vehicle import Disturbance, VehicleModel
-from vetsim.perception import DropoutModel
+from vetsim.perception import CameraModel, DropoutModel
 
-# config_echo.json of every preset, as written before the config codec was
-# derived from the dataclasses.
+# config_echo.json of every preset in config schema v2; v1/ holds one echo in
+# schema v1, with the two keys v2 removed (dropout.seed and
+# appendix_sign_convention).
 ECHOES = Path(__file__).with_name("config_echoes")
 
 
@@ -78,6 +80,11 @@ def test_lawnmower_rejects_degenerate_areas():
         lawnmower_path(Lawnmower(1.0, 1.0, 0.0, 1.0, 0.5))
     with pytest.raises(InvalidBounds):
         lawnmower_path(Lawnmower(0.0, 1.0, 2.0, 1.0, 0.5))
+    # the lane count is checked against the cap before any waypoint is built
+    assert len(lawnmower_path(Lawnmower(0.0, 1.0, 0.0, MAX_LANES - 1.0, 1.0))) == 2 * MAX_LANES
+    for y_max, spacing in ((float(MAX_LANES), 1.0), (1e300, 0.6), (1.0, 1e-300)):
+        with pytest.raises(InvalidBounds, match=f"more than {MAX_LANES} lanes"):
+            lawnmower_path(Lawnmower(0.0, 1.0, 0.0, y_max, spacing))
 
 
 # --- waypoint sequencing ----------------------------------------------------------
@@ -148,6 +155,16 @@ def test_config_echoes_match_the_recorded_ones():
         assert json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n" == text, name
 
 
+def test_v1_echo_loads_to_the_same_config():
+    data = json.loads((ECHOES / "v1" / "navigation_real.json").read_text())
+    assert data["dropout"]["seed"] == 0 and data["appendix_sign_convention"] is False
+    assert ScenarioConfig.from_dict(data) == preset("navigation_real")
+    assert "seed" in data["dropout"]  # the input is not changed
+    data["appendix_sign_convention"] = True
+    with pytest.raises(ConfigError, match="appendix_sign_convention.*legacy sign convention"):
+        ScenarioConfig.from_dict(data)
+
+
 def test_config_rejects_unknown_and_missing_keys():
     edits = {
         "unknown config keys: ['extra']": lambda d: d.update(extra=1),
@@ -193,6 +210,17 @@ def test_validate_rejects_bad_fields():
     with pytest.raises(ConfigError, match="planner must be Setpoints or Lawnmower"):
         cfg.validate()
 
+    cfg = preset("nominal")
+    cfg.seed = -1
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        cfg.validate()
+
+    # an int beyond the float range is not a finite number either
+    cfg = preset("nominal")
+    cfg.camera_u = CameraModel(10**400, 480, 400.0, cfg.camera_u.mount)
+    with pytest.raises(ConfigError, match="not finite floats at camera_u.width"):
+        cfg.validate()
+
 
 def test_preset_objects_are_independent():
     a = preset("nominal")
@@ -222,11 +250,14 @@ def test_same_seed_is_bit_identical():
 
 
 def test_random_dropout_is_seed_deterministic():
-    cfg_a = short("nominal", 5.0, dropout=DropoutModel(random_rate=0.3, seed=0))
-    cfg_b = short("nominal", 5.0, dropout=DropoutModel(random_rate=0.3, seed=0))
+    cfg_a = short("nominal", 5.0, dropout=DropoutModel(random_rate=0.3))
+    cfg_b = short("nominal", 5.0, dropout=DropoutModel(random_rate=0.3))
     text_a = run(cfg_a).to_csv_text()
     assert text_a == run(cfg_b).to_csv_text()
     assert sum(not d for d in run(cfg_a).detected_us) > 10
+    # the top-level seed is the one seed, and it has an effect
+    cfg_c = short("nominal", 5.0, dropout=DropoutModel(random_rate=0.3), seed=cfg_a.seed + 1)
+    assert not np.array_equal(run(cfg_a).detected_us, run(cfg_c).detected_us)
 
 
 def test_csv_header_is_frozen():
