@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -96,6 +97,17 @@ def _parse_override(text: str):
     except json.JSONDecodeError:
         value = raw  # bare words pass through as strings
     return key, value
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of --threshold: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def _build_config(args) -> ScenarioConfig:
@@ -265,7 +277,7 @@ def _add_common(parser: argparse.ArgumentParser, with_mode: bool) -> None:
         "--out", help="output directory (default $VET_SIM_OUT or ./runs)"
     )
     parser.add_argument(
-        "--threshold", type=float, default=_DEFAULT_THRESHOLD,
+        "--threshold", type=_finite_float, default=_DEFAULT_THRESHOLD,
         help="separation threshold in metres used by the summary metrics",
     )
 
@@ -293,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_plot.add_argument("--out", help="write plots somewhere else")
     p_plot.add_argument(
-        "--threshold", type=float, default=_DEFAULT_THRESHOLD,
+        "--threshold", type=_finite_float, default=_DEFAULT_THRESHOLD,
         help="threshold line drawn on the distance plot",
     )
     p_plot.set_defaults(func=_cmd_plot)

@@ -103,11 +103,19 @@ class DropoutModel:
                 raise ValueError("windows must be ordered and non-overlapping")
             last_end = window[1]
 
-    def scheduled(self, t: float) -> bool:
+    def scheduled(self, t):
+        """Whether a window covers time t, elementwise for an array of times."""
+        hit = np.zeros(np.shape(t), dtype=bool)
         for t0, t1 in self.scheduled_windows:
-            if t0 <= t <= t1:
-                return True
-        return False
+            hit = hit | ((t0 <= t) & (t <= t1))
+        return hit
+
+    def blanked(self, t: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Which of the times t the model blanks: the scheduled ones, and others
+        at random_rate from one uniform draw per time (no draw at rate 0), so
+        a fixed seed reproduces the same drops."""
+        drawn = rng.random(len(t)) < self.random_rate if self.random_rate > 0.0 else False
+        return self.scheduled(t) | drawn
 
 
 _MIN_DEPTH = 1e-9
@@ -247,14 +255,3 @@ def tether_offset(center, cam: CameraModel) -> float:
     """xi: the distance in pixels from the image centre to a tag centre."""
     return math.hypot(center[0] - cam.width / 2.0, center[1] - cam.height / 2.0)
 
-
-def dropout_hits(model: DropoutModel, scheduled: bool, rng: np.random.Generator) -> bool:
-    """Whether the model blanks this tick, given whether a scheduled window
-    covers it.
-
-    The random draw consumes exactly one uniform sample per call while
-    random_rate > 0, so a fixed seed reproduces the same drop sequence.
-    """
-    if model.random_rate > 0.0:
-        return bool(rng.random() < model.random_rate) or scheduled
-    return scheduled

@@ -1,7 +1,9 @@
 """Scenario configuration, presets and the closed-loop simulation.
 
-One scenario couples the two robots through vision alone. Every tick (fixed
-50 Hz by default) runs sense -> control -> actuate -> log:
+One scenario couples the two robots through vision alone. The inputs that
+depend on time alone are computed before the loop, and the events are read
+off the log after it; every tick (fixed 50 Hz by default) runs sense ->
+control -> actuate -> log:
 
 1. sense: each robot's camera projects the other robot's tag; the upward
    camera's observation additionally passes through the dropout model.
@@ -13,7 +15,7 @@ One scenario couples the two robots through vision alone. Every tick (fixed
    integrated; scheduled world-frame perturbations push on the underwater
    robot; a soft wall clamp keeps both robots inside the tank.
 4. log: one record per tick with poses, split commands, detection state,
-   image regions, tether states and event flags.
+   image regions, tether states, the waypoint index and the wall clamps.
 
 Runs are deterministic: a fixed seed reproduces byte-identical logs.
 """
@@ -54,7 +56,6 @@ from .perception import (
     DropoutModel,
     TagModel,
     classify_region,
-    dropout_hits,
     project_tag,
     tag_geometry,
     tether_offset,
@@ -63,7 +64,7 @@ from .vehicle import Disturbance, VehicleModel, VehicleParams
 
 
 # The most integration steps one run may take; each step adds one log row of
-# 408 bytes, so this also bounds a run's memory (about 0.4 GB at the cap).
+# 432 bytes, so this also bounds a run's memory (about 0.43 GB at the cap).
 MAX_TICKS = 1_000_000
 # The most lanes one lawnmower survey may have; each adds two waypoints.
 MAX_LANES = 10_000
@@ -271,10 +272,10 @@ def _non_finite_paths(tree, path: str = "") -> list:
 # exactly its field names, a tuple or an array is a list, a scalar is itself.
 # A union of dataclasses (the planner) adds a "kind" key, the lower-cased
 # class name. A number keeps its JSON type: an int field takes only an
-# integer and a float field an integer or a float, neither a bool
-# (_SCALAR_TYPES); a str field takes anything. Lengths and ranges are checked
+# integer and a float field an integer or a float, neither a bool, and a str
+# field only a string (_SCALAR_TYPES). Lengths and ranges are checked
 # by the dataclasses themselves and by ScenarioConfig.validate.
-_SCALAR_TYPES = {int: (int,), float: (int, float)}
+_SCALAR_TYPES = {int: (int,), float: (int, float), str: (str,)}
 
 # Keys of config schema v1 that v2 removed: dotted key -> (the one value that
 # still loads, ... for any; why the key went). A key that loads is skipped, so
@@ -362,10 +363,11 @@ def _decode(data, hint, path: str):
 
 # The log layout, declared once: each TrajectoryLog field with its type, its
 # width and its CSV column names, in CSV order. float fields are float64
-# arrays and bool fields bool arrays, both kept as columns of one float row
-# table (the flags as 0.0/1.0); str fields are lists with one label per tick.
-# Fields with no CSV names (body velocities, saturated totals) live in the
-# row table only.
+# arrays, int and bool fields int64 and bool arrays, all kept as columns of one
+# float row table (the flags as 0.0/1.0); str fields are lists with one label
+# per tick. Fields with no CSV names (body velocities, saturated totals, the
+# planner's waypoint index and the wall-clamp flags) live in the row table
+# only.
 _LOG_LAYOUT = (
     ("t", float, 1, ("t",)),
     ("pose_u", float, 6, ("xU", "yU", "zU", "phiU", "thetaU", "psiU")),
@@ -387,6 +389,9 @@ _LOG_LAYOUT = (
     ("xi_us", float, 1, ("xiUS",)),
     ("xi_su", float, 1, ("xiSU",)),
     ("proj_dist", float, 1, ("projDist",)),
+    ("wp_index", int, 1, ()),
+    ("clamped_u", bool, 1, ()),
+    ("clamped_s", bool, 1, ()),
     ("event_flags", str, 1, ("eventFlags",)),
 )
 _CSV_FORMATS = {float: "%.12g", bool: "%d", str: "%s"}
@@ -408,15 +413,15 @@ _FINITE_WIDTH = sum(
 
 def _log_arrays(table: np.ndarray) -> dict:
     """Slice the (ticks, _ROW_WIDTH) row table into the TrajectoryLog arrays:
-    float64 views of disjoint columns (no copies), bool for the flags."""
+    float64 views of disjoint columns (no copies), int and bool copies."""
     out = {}
     col = 0
     for name, kind, width, _ in _LOG_LAYOUT:
         if kind is str:
             continue
         out[name] = table[:, col] if width == 1 else table[:, col:col + width]
-        if kind is bool:
-            out[name] = out[name] != 0.0
+        if kind is not float:
+            out[name] = out[name].astype(kind)
         col += width
     return out
 
@@ -427,9 +432,11 @@ class TrajectoryLog:
 
     Per tick: t is (n,), poses (n, 6) and (n, 3), velocities and commands
     (n, 6) for the underwater and (n, 3) for the surface robot, xi_* and
-    proj_dist (n,), all float64; detected_* are (n,) bool. From run() and
-    log_from_csv the float arrays are views of disjoint columns of one row
-    table laid out by _LOG_LAYOUT.
+    proj_dist (n,), all float64; wp_index (the planner's index after the
+    tick's step) is (n,) int64; detected_* and clamped_* (the wall clamp made
+    the row's pose) are (n,) bool. From run() and log_from_csv the float
+    arrays are views of disjoint columns of one row table laid out by
+    _LOG_LAYOUT. events and the waypoint counts are read off event_flags.
     """
 
     config: ScenarioConfig
@@ -451,13 +458,27 @@ class TrajectoryLog:
     xi_us: np.ndarray
     xi_su: np.ndarray
     proj_dist: np.ndarray
+    wp_index: np.ndarray
+    clamped_u: np.ndarray
+    clamped_s: np.ndarray
     event_flags: list
-    events: list
-    waypoints_total: int
-    waypoints_captured: int
 
     def __len__(self) -> int:
         return len(self.t)
+
+    @property
+    def events(self) -> list:
+        """(t, event) pairs in log order."""
+        return [(t, item) for t, flags in zip(self.t.tolist(), self.event_flags) if flags
+                for item in flags.split(";")]
+
+    @property
+    def waypoints_total(self) -> int:
+        return len(planner_waypoints(self.config.planner))
+
+    @property
+    def waypoints_captured(self) -> int:
+        return sum(flags.split(";").count("waypoint_capture") for flags in self.event_flags)
 
     def to_csv_text(self) -> str:
         """Render the fixed-schema CSV; identical runs give identical bytes."""
@@ -561,21 +582,73 @@ def _check_finite(table: np.ndarray) -> None:
         )
 
 
+def _time_inputs(config: ScenarioConfig, ts: np.ndarray) -> tuple:
+    """The inputs that depend on the tick times ts alone. Per-tick masks: a
+    dropout window covers the tick (scheduled), the upward camera is blanked,
+    a disturbance is active (perturbed); and wrenches, the world (force,
+    torque) the active disturbances sum to in config order, None if none."""
+    perturbed = np.zeros(len(ts), dtype=bool)
+    wrench = np.zeros((len(ts), 6))
+    for d in config.perturbations:
+        active = d.active(ts)
+        perturbed |= active
+        wrench[active] += d.force + d.torque
+    wrenches = [(w[:3], w[3:]) if on else None
+                for w, on in zip(wrench.tolist(), perturbed.tolist())]
+    blanked = config.dropout.blanked(ts, np.random.default_rng(config.seed))
+    return config.dropout.scheduled(ts), blanked, perturbed, wrenches
+
+
+def _transitions(mask: np.ndarray, before_first: bool, on: str, off: str = "") -> list:
+    """(tick, event) pairs: event on where a per-tick flag turns on and, if
+    named, event off where it turns off; tick 0 compares against before_first."""
+    before = np.concatenate(([before_first], mask[:-1]))
+    rises = [(k, on) for k in np.flatnonzero(mask & ~before).tolist()]
+    falls = [(k, off) for k in np.flatnonzero(before & ~mask).tolist()] if off else []
+    return rises + falls
+
+
+def _event_flags(arrays: dict, labels: dict, scheduled: np.ndarray,
+                 perturbed: np.ndarray) -> list:
+    """The eventFlags text of every tick, read off the transitions of the
+    logged state and of the scheduled-dropout and perturbation masks, each
+    tick's events in the order below. Starts and waypoint captures can fire
+    on tick 0; line-of-sight and region changes cannot."""
+    det_us, det_su = arrays["detected_us"], arrays["detected_su"]
+    passed = np.diff(arrays["wp_index"], prepend=0)  # waypoints captured per tick
+    found = [
+        *_transitions(arrays["clamped_u"], False, "wall_clamp_u"),
+        *_transitions(arrays["clamped_s"], False, "wall_clamp_s"),
+        *_transitions(scheduled, False, "dropout_start", "dropout_end"),
+        *_transitions(perturbed, False, "perturb_start", "perturb_end"),
+        *((k, "waypoint_capture") for k in np.repeat(np.arange(len(passed)), passed).tolist()),
+        *_transitions(det_us, det_us[0], "los_regain_us", "los_loss_us"),
+        *_transitions(det_su, det_su[0], "los_regain_su", "los_loss_su"),
+    ]
+    for pair in ("us", "su"):
+        regions = labels[f"region_{pair}"]
+        found += [(k, f"region_{pair}:{a}-{b}")
+                  for k, (a, b) in enumerate(zip(regions, regions[1:]), 1) if a != b]
+    flags = [""] * len(passed)
+    for k, event in sorted(found, key=lambda item: item[0]):  # stable: keeps the order
+        flags[k] = f"{flags[k]};{event}" if flags[k] else event
+    return flags
+
+
 def run(config: ScenarioConfig) -> TrajectoryLog:
     """Simulate one scenario; see the module docstring for the loop shape.
 
     Every per-tick vector is a list or tuple of Python floats; each tick's
-    numbers go to one flat row buffer that becomes the log's arrays at the
-    end.
+    numbers go to one flat row buffer that becomes the log's arrays.
     """
     config.validate()
     dt = config.dt
     n_steps = int(round(config.duration / dt))
     n_rec = n_steps + 1
+    ts = np.arange(n_rec) * dt  # k * dt, bit for bit
 
     model_u = VehicleModel(config.params_u)
     model_s = VehicleModel(config.params_s)
-    rng = np.random.default_rng(config.seed)
     walls = _WallClamp(config.tank_min, config.tank_max)
     cam_u, cam_s = config.camera_u, config.camera_s
     tag_u, tag_s = config.tag_u, config.tag_s
@@ -583,13 +656,13 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
     mount_s = cam_s.flat_mount[0]
     gains, pd_u, pd_s = config.vet, config.pd_u, config.pd_s
     params_u, params_s = config.params_u, config.params_s
-    dropout = config.dropout
-    perturbations = config.perturbations
+    scheduled, blanked, perturbed, wrenches = _time_inputs(config, ts)
 
     pose_u = Pose6.from_tuple(config.initial_pose_u)
     pose_s = Pose3.from_tuple(config.initial_pose_s)
     nu_u = [0.0] * 6
     nu_s = [0.0] * 3
+    clamped_u = clamped_s = False
 
     target_u = SubTaskTarget(
         z_d=config.depth_target, phi_d=config.roll_target, theta_d=config.pitch_target
@@ -597,7 +670,6 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
     waypoints = planner_waypoints(config.planner)
     capture_radius = config.planner.capture_radius
     wp_index = 0
-    wp_captured = 0
     speed_limit = config.planner.speed if isinstance(config.planner, Lawnmower) else None
 
     baseline = config.mode == "baseline"
@@ -607,71 +679,20 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
     rows = array("d")
     region_us_list = []
     region_su_list = []
-    flags_list = []
-    events = []
 
-    prev_det_us = None
-    prev_det_su = None
-    prev_region_us = None
-    prev_region_su = None
-    prev_perturb = False
-    prev_window = False
-    prev_clamp_u = False
-    prev_clamp_s = False
-    pending_flags = []
-
-    for k in range(n_rec):
-        t = k * dt
-        flags = pending_flags
-        pending_flags = []
-
-        # sense; the dropout draw comes first to keep the seeded sequence
+    for k, (t, blank) in enumerate(zip(ts.tolist(), blanked.tolist())):
+        # sense
         pixels_us, yaw_us, det_us = project_tag(pose_u, pose_s, cam_u, tag_s)
-        window_now = dropout.scheduled(t)
-        if dropout_hits(dropout, window_now, rng):
-            det_us = False
+        det_us = det_us and not blank
         pixels_su, yaw_su, det_su = project_tag(pose_s, pose_u, cam_s, tag_u)
 
-        if window_now and not prev_window:
-            flags.append("dropout_start")
-        elif prev_window and not window_now:
-            flags.append("dropout_end")
-        prev_window = window_now
-
-        active = [d for d in perturbations if d.active(t)]
-        perturb_now = bool(active)
-        if perturb_now and not prev_perturb:
-            flags.append("perturb_start")
-        elif prev_perturb and not perturb_now:
-            flags.append("perturb_end")
-        prev_perturb = perturb_now
-
         # plan
-        old_index = wp_index
         target_s, wp_index = planner_step(pose_s, waypoints, capture_radius, wp_index)
-        if wp_index > old_index:
-            wp_captured += wp_index - old_index
-            flags.extend(["waypoint_capture"] * (wp_index - old_index))
 
         # one tag geometry per detected observation, shared by the logged
         # region and xi and by the tether law
         geo_us, label_us, xi_us = _measure(pixels_us, det_us, cam_u)
         geo_su, label_su, xi_su = _measure(pixels_su, det_su, cam_s)
-        region_us = label_us.value if det_us else "none"
-        region_su = label_su.value if det_su else "none"
-
-        if prev_det_us is not None and det_us != prev_det_us:
-            flags.append("los_regain_us" if det_us else "los_loss_us")
-        if prev_det_su is not None and det_su != prev_det_su:
-            flags.append("los_regain_su" if det_su else "los_loss_su")
-        prev_det_us = det_us
-        prev_det_su = det_su
-        if prev_region_us is not None and region_us != prev_region_us:
-            flags.append(f"region_us:{prev_region_us}-{region_us}")
-        if prev_region_su is not None and region_su != prev_region_su:
-            flags.append(f"region_su:{prev_region_su}-{region_su}")
-        prev_region_us = region_us
-        prev_region_su = region_su
 
         # control: underwater robot (own depth/attitude sensors plus camera)
         u_sub_u = subtask_control_underwater(
@@ -707,25 +728,16 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
             t, *pose_u.as_tuple(), *pose_s.as_tuple(), *nu_u, *nu_s,
             *u_sub_u, *xi_u, u_sub_s[0] * weight_s, u_sub_s[1] * weight_s, u_sub_s[2],
             *xi_s, *u_tot_u, *u_tot_s, det_us, det_su, xi_us, xi_su,
-            projected_distance(pose_u, pose_s),
+            projected_distance(pose_u, pose_s), wp_index, clamped_u, clamped_s,
         ])
-        region_us_list.append(region_us)
-        region_su_list.append(region_su)
-        flags_list.append(";".join(flags))
-        for item in flags:
-            events.append((t, item))
+        region_us_list.append(label_us.value if det_us else "none")
+        region_su_list.append(label_su.value if det_su else "none")
 
         if k == n_steps:
             break
 
-        # actuate
-        force = torque = None
-        if active:
-            fx = fy = fz = tx = ty = tz = 0.0
-            for d in active:
-                fx, fy, fz = fx + d.force[0], fy + d.force[1], fz + d.force[2]
-                tx, ty, tz = tx + d.torque[0], ty + d.torque[1], tz + d.torque[2]
-            force, torque = (fx, fy, fz), (tx, ty, tz)
+        # actuate; the wall clamp's flags go with the pose it produces
+        force, torque = wrenches[k] or (None, None)
         try:
             pose_u, nu_u = model_u.step(
                 pose_u, nu_u, model_u.allocate(u_tot_u), dt, force, torque
@@ -735,27 +747,16 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
             raise
         except (ArithmeticError, ValueError) as exc:
             raise SimFailure(f"integration failed at t={t:.3f}: {exc}") from exc
-
         pose_u, nu_u, clamped_u = walls.apply_u(pose_u, nu_u)
         pose_s, nu_s, clamped_s = walls.apply_s(pose_s, nu_s)
-        if clamped_u and not prev_clamp_u:
-            pending_flags.append("wall_clamp_u")
-        if clamped_s and not prev_clamp_s:
-            pending_flags.append("wall_clamp_s")
-        prev_clamp_u = clamped_u
-        prev_clamp_s = clamped_s
 
     table = np.frombuffer(rows, dtype=float).reshape(n_rec, _ROW_WIDTH)
     _check_finite(table)
+    arrays = _log_arrays(table)
+    labels = {"region_us": region_us_list, "region_su": region_su_list}
     return TrajectoryLog(
-        config=config,
-        **_log_arrays(table),
-        region_us=region_us_list,
-        region_su=region_su_list,
-        event_flags=flags_list,
-        events=events,
-        waypoints_total=len(waypoints),
-        waypoints_captured=wp_captured,
+        config=config, **arrays, **labels,
+        event_flags=_event_flags(arrays, labels, scheduled, perturbed),
     )
 
 
@@ -909,10 +910,10 @@ def _preset_navigation_real() -> ScenarioConfig:
 def log_from_csv(text: str, config: ScenarioConfig) -> TrajectoryLog:
     """Rebuild a log from its CSV rendering plus the echoed config.
 
-    Body velocities are not part of the CSV schema and come back as zeros;
-    saturated totals are reconstructed from the logged command split. A
-    header-only file yields an empty log, which the plots render as bare
-    axes.
+    Body velocities, wp_index and the clamped_* flags are not part of the
+    CSV schema and come back as zeros; saturated totals are reconstructed
+    from the logged command split. A header-only file yields an empty log,
+    which the plots render as bare axes.
     """
     # Non-empty lines, split off the text one at a time: only one chunk of
     # rows is ever held as Python strings.
@@ -947,19 +948,7 @@ def log_from_csv(text: str, config: ScenarioConfig) -> TrajectoryLog:
                                    (config.params_s, "u_sub_s", "u_xi_s", "u_total_s")):
         bounds = np.array(params.axis_bounds)
         np.clip(arrays[sub] + arrays[xi], -bounds, bounds, out=arrays[total])
-    events = [
-        (t, item)
-        for t, flags in zip(arrays["t"].tolist(), labels["event_flags"]) if flags
-        for item in flags.split(";")
-    ]
-    return TrajectoryLog(
-        config=config,
-        **arrays,
-        **labels,
-        events=events,
-        waypoints_total=len(planner_waypoints(config.planner)),
-        waypoints_captured=sum(item == "waypoint_capture" for _, item in events),
-    )
+    return TrajectoryLog(config=config, **arrays, **labels)
 
 
 def _floats(cells: tuple, lo: int) -> list:

@@ -91,8 +91,9 @@ class Disturbance:
         if self.t_end < self.t_start:
             raise ValueError("disturbance window must have t_end >= t_start")
 
-    def active(self, t: float) -> bool:
-        return self.t_start <= t <= self.t_end
+    def active(self, t):
+        """Whether the window covers time t, elementwise for an array of times."""
+        return (self.t_start <= t) & (t <= self.t_end)
 
 
 def _coriolis_flat(nu: list, mass: tuple) -> list:

@@ -103,6 +103,8 @@ HUGE_INT = str(10**400)
         "seed=Infinity", "planner=5", "seed=1.7", "seed=true",
         "camera_u.width=640.7", "vet.k_psi=true", "seed=-1", "planner.kind=[1,2]",
         "planner.kind={}", "duration=0",
+        # a str field takes only a string
+        "name=[1,2]", "name=null", "mode=5",
         # keys that config schema v2 removed are unknown overrides
         "appendix_sign_convention=no", "dropout.seed=0",
     )] + [
@@ -119,6 +121,24 @@ def test_invalid_values_fail_cleanly_before_the_run(tmp_path, capsys, args):
     assert code == 2
     assert not out.exists()  # nothing written
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "-Infinity", "1e999", "abc"])
+@pytest.mark.parametrize("command", ["run", "compare", "plot"])
+def test_threshold_must_be_finite(tmp_path, capsys, command, value):
+    if command == "plot":
+        bundle = tmp_path / "bundle"
+        assert run_cli("run", "--preset", "nominal", "--set", "duration=0.2",
+                       "--out", str(bundle)) == 0
+        args = ["--run", str(bundle)]
+    else:
+        args = ["--preset", "nominal", "--set", "duration=0.2"]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, *args, f"--threshold={value}", "--out", str(out))
+    assert exc.value.code == 2
+    assert not out.exists()  # nothing written
+    assert "--threshold: must be a finite number" in capsys.readouterr().err
 
 
 def test_absurd_but_finite_bounds_still_render(tmp_path, capsys):

@@ -26,7 +26,7 @@ from vetsim.metrics import (
     summarize,
     time_of_los_loss,
 )
-from vetsim.scenario import TrajectoryLog, preset
+from vetsim.scenario import Setpoints, TrajectoryLog, preset
 from vetsim.vehicle import Disturbance
 
 FLIP_X = np.diag([1.0, -1.0, -1.0])
@@ -48,6 +48,7 @@ def make_log(
     n = len(t)
     cfg = preset("nominal")
     cfg.duration = float(t[-1]) if n else 0.0
+    cfg.planner = Setpoints(((0.0, 0.0, 0.0),) * total)
     if perturbations is not None:
         cfg.perturbations = tuple(perturbations)
     dist = np.asarray(dist, dtype=float)
@@ -77,10 +78,11 @@ def make_log(
         xi_us=np.zeros(n) if xi_us is None else np.asarray(xi_us, dtype=float),
         xi_su=np.zeros(n),
         proj_dist=dist,
-        event_flags=[""] * n,
-        events=[],
-        waypoints_total=total,
-        waypoints_captured=captured,
+        wp_index=np.zeros(n, dtype=int),
+        clamped_u=np.zeros(n, dtype=bool),
+        clamped_s=np.zeros(n, dtype=bool),
+        # the waypoint counts are read off the events
+        event_flags=[";".join(["waypoint_capture"] * captured)] + [""] * (n - 1),
     )
 
 

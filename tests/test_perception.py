@@ -23,7 +23,6 @@ from vetsim.perception import (
     RegionLabel,
     TagModel,
     classify_region,
-    dropout_hits,
     elastic_penetration,
     project_tag,
     tag_geometry,
@@ -276,25 +275,24 @@ def test_projection_matches_the_rigid_transform_reference(position, attitude, ps
 
 # --- dropout ----------------------------------------------------------------------
 
-def hits(model, t, rng):
-    """Whether the dropout model blanks the observation at time t."""
-    return dropout_hits(model, model.scheduled(t), rng)
+def ticks(n, dt=0.02):
+    return np.arange(n) * dt
 
 
 def test_scheduled_window_forces_loss():
     model = DropoutModel(scheduled_windows=((2.0, 4.0),))
-    rng = np.random.default_rng(0)
-    assert not hits(model, 1.0, rng)
-    assert hits(model, 2.0, rng)
-    assert hits(model, 4.0, rng)
-    assert not hits(model, 4.5, rng)
+    t = np.array([1.0, 2.0, 4.0, 4.5])
+    hits = model.blanked(t, np.random.default_rng(0))
+    np.testing.assert_array_equal(hits, [False, True, True, False])
+    # a single time still works
+    assert model.scheduled(2.0) and not model.scheduled(4.5)
 
 
 def test_zero_rate_passes_the_observation_through():
     # no drop and no draw: the seeded sequence of later draws is untouched
     model = DropoutModel()
     rng = np.random.default_rng(0)
-    assert not any(hits(model, 0.02 * k, rng) for k in range(100))
+    assert not model.blanked(ticks(100), rng).any()
     assert rng.random() == np.random.default_rng(0).random()
 
 
@@ -302,21 +300,30 @@ def test_random_rate_drop_count_is_binomial():
     rate = 0.3
     n = 10_000
     model = DropoutModel(random_rate=rate)
-    rng = np.random.default_rng(42)
-    dropped = sum(hits(model, 0.02 * k, rng) for k in range(n))
+    dropped = int(model.blanked(ticks(n), np.random.default_rng(42)).sum())
     sigma = math.sqrt(n * rate * (1.0 - rate))
     assert abs(dropped - n * rate) <= 3.0 * sigma
 
 
 def test_random_dropout_is_reproducible():
     model = DropoutModel(random_rate=0.5)
-    seq_a = [hits(model, 0.02 * k, np.random.default_rng(9)) for k in range(1)]
-    rng1 = np.random.default_rng(9)
-    rng2 = np.random.default_rng(9)
-    seq1 = [hits(model, 0.02 * k, rng1) for k in range(200)]
-    seq2 = [hits(model, 0.02 * k, rng2) for k in range(200)]
-    assert seq1 == seq2
+    seq_a = model.blanked(ticks(1), np.random.default_rng(9))
+    seq1 = model.blanked(ticks(200), np.random.default_rng(9))
+    seq2 = model.blanked(ticks(200), np.random.default_rng(9))
+    np.testing.assert_array_equal(seq1, seq2)
     assert seq_a[0] == seq1[0]
+
+
+def test_one_array_draw_equals_as_many_scalar_draws():
+    # why blanking a whole run at once reproduces the per-tick drops
+    n = 1000
+    rng = np.random.default_rng(5)
+    scalar = [rng.random() for _ in range(n)]
+    assert np.random.default_rng(5).random(n).tolist() == scalar
+    model = DropoutModel(scheduled_windows=((1.0, 2.0),), random_rate=0.3)
+    t = ticks(n)
+    per_tick = [bool(model.scheduled(tk)) or u < 0.3 for tk, u in zip(t.tolist(), scalar)]
+    assert model.blanked(t, np.random.default_rng(5)).tolist() == per_tick
 
 
 def test_dropout_model_rejects_bad_windows():

@@ -339,6 +339,114 @@ def test_waypoint_capture_flags_match_the_counter():
     assert log.waypoints_captured >= 4
 
 
+def test_events_at_tick_zero_come_in_the_documented_order():
+    cfg = short(
+        "nominal", 1.0,
+        dropout=DropoutModel(scheduled_windows=((0.0, 0.5), (0.9, 2.0))),
+        perturbations=(Disturbance((1.0, 0.0, 0.0), t_start=0.0, t_end=0.3),),
+    )
+    log = run(cfg)
+    assert log.event_flags[0] == "dropout_start;perturb_start"
+    assert log.events[:2] == [(0.0, "dropout_start"), (0.0, "perturb_start")]
+    # a window that covers the last tick never ends
+    assert log.event_flags[-1] == ""
+    flat = [f for _, f in log.events]
+    assert flat.count("dropout_start") == 2 and flat.count("dropout_end") == 1
+    assert flat.count("perturb_end") == 1
+    # line of sight and regions change only after tick 0, though the
+    # blackout hides the tag from the first tick on
+    assert not log.detected_us[0]
+    assert "los_loss_us" not in log.event_flags[0]
+
+
+def per_tick_events(log):
+    """eventFlags found by scanning the log one tick at a time against the
+    tick before, with the dropout windows and disturbances evaluated at each
+    time: the reference for the transitions run reads off all at once."""
+    cfg = log.config
+    out = []
+    before = {"clamped_u": False, "clamped_s": False, "dropout": False, "perturb": False,
+              "wp": 0}
+    for k, t in enumerate(log.t.tolist()):
+        now = {
+            "clamped_u": log.clamped_u[k], "clamped_s": log.clamped_s[k],
+            "dropout": bool(cfg.dropout.scheduled(t)),
+            "perturb": any(d.active(t) for d in cfg.perturbations),
+            "wp": int(log.wp_index[k]),
+            "us": log.detected_us[k], "su": log.detected_su[k],
+            "region_us": log.region_us[k], "region_su": log.region_su[k],
+        }
+        if k == 0:  # nothing to compare line of sight and regions with
+            before.update({key: now[key] for key in ("us", "su", "region_us", "region_su")})
+        events = [f"wall_clamp_{robot}" for robot in ("u", "s")
+                  if now[f"clamped_{robot}"] and not before[f"clamped_{robot}"]]
+        for name in ("dropout", "perturb"):
+            if now[name] != before[name]:
+                events.append(f"{name}_start" if now[name] else f"{name}_end")
+        events += ["waypoint_capture"] * (now["wp"] - before["wp"])
+        for pair in ("us", "su"):
+            if now[pair] != before[pair]:
+                events.append(f"los_regain_{pair}" if now[pair] else f"los_loss_{pair}")
+        for key in ("region_us", "region_su"):
+            if now[key] != before[key]:
+                events.append(f"{key}:{before[key]}-{now[key]}")
+        out.append(";".join(events))
+        before = now
+    return out
+
+
+@pytest.mark.parametrize("mode", ["vet", "baseline"])
+def test_event_flags_match_a_per_tick_scan(mode):
+    # random and scheduled blackouts, one window past the end, overlapping
+    # pushes from tick 0 on, and walls tight enough to clamp both robots
+    cfg = short(
+        "perturbation_real", 12.0, mode=mode,
+        dropout=DropoutModel(scheduled_windows=((0.0, 0.5), (3.0, 4.0), (11.5, 20.0)),
+                             random_rate=0.3),
+        perturbations=(Disturbance((-10.0, 0.0, 0.0), t_start=0.0, t_end=3.0),
+                       Disturbance((0.0, 5.0, 0.0), t_start=2.0, t_end=6.0)),
+        tank_min=(0.0, -1.0, -2.0), tank_max=(0.45, 0.66, 0.0),
+    )
+    log = run(cfg)
+    flat = {f.split(":")[0] for flags in log.event_flags for f in flags.split(";") if f}
+    assert flat >= {"wall_clamp_u", "wall_clamp_s", "dropout_start", "dropout_end",
+                    "perturb_start", "perturb_end", "los_loss_us", "los_regain_us",
+                    "region_us", "region_su"}
+    assert log.event_flags == per_tick_events(log)
+
+
+def test_waypoint_captures_match_a_per_tick_scan():
+    planner = scenario.Setpoints(((0.0, 0.0, 0.0), (0.05, 0.0, 0.0), (0.5, 0.5, 0.0)))
+    log = run(short("nominal", 20.0, planner=planner))
+    # the first two lie within the capture radius of the start
+    assert log.event_flags[0] == "waypoint_capture;waypoint_capture"
+    assert log.wp_index[0] == 2
+    assert log.waypoints_captured == log.waypoints_total == 3
+    assert log.event_flags == per_tick_events(log)
+
+
+def test_wrenches_sum_the_active_disturbances_in_config_order():
+    cfg = short("nominal", 4.0, perturbations=(
+        Disturbance((0.1, -0.0, 0.7), (0.01, 0.0, -0.03), t_start=0.5, t_end=3.0),
+        Disturbance((0.2, 0.0, -0.7), (0.02, -0.0, 0.03), t_start=1.0, t_end=2.0),
+        Disturbance((0.7, 1e-17, 0.0), (-0.03, 0.5, 1e-9), t_start=1.5, t_end=3.5),
+    ))
+    ts = np.arange(201) * cfg.dt
+    _, _, perturbed, wrenches = scenario._time_inputs(cfg, ts)
+    for k, t in enumerate(ts.tolist()):
+        active = [d for d in cfg.perturbations if d.active(t)]
+        assert perturbed[k] == bool(active)
+        if not active:
+            assert wrenches[k] is None
+            continue
+        force, torque = [0.0] * 3, [0.0] * 3
+        for d in active:
+            force = [a + b for a, b in zip(force, d.force)]
+            torque = [a + b for a, b in zip(torque, d.torque)]
+        # repr tells 0.0 from -0.0, which == does not
+        assert repr([list(v) for v in wrenches[k]]) == repr([force, torque]), k
+
+
 def test_wall_clamp_keeps_the_pair_inside_and_is_flagged():
     cfg = short(
         "nominal",
@@ -446,11 +554,15 @@ def test_log_arrays_have_the_documented_shapes_and_types(mode):
         "u_sub_u": (n, 6), "u_xi_u": (n, 6), "u_sub_s": (n, 3), "u_xi_s": (n, 3),
         "u_total_u": (n, 6), "u_total_s": (n, 3), "xi_us": (n,), "xi_su": (n,),
         "proj_dist": (n,), "detected_us": (n,), "detected_su": (n,),
+        "wp_index": (n,), "clamped_u": (n,), "clamped_s": (n,),
     }
     for name, shape in shapes.items():
         array = getattr(log, name)
         assert array.shape == shape, name
-        want = bool if name.startswith("detected_") else np.float64
+        if name.startswith(("detected_", "clamped_")):
+            want = bool
+        else:
+            want = np.int64 if name == "wp_index" else np.float64
         assert array.dtype == want, name
     for name in ("region_us", "region_su", "event_flags"):
         assert len(getattr(log, name)) == n

@@ -137,8 +137,10 @@ def test_3dof_closed_form_matches_the_dense_solve(nu, tau):
 
 def test_disturbance_window_is_closed():
     d = Disturbance(force=(1.0, 0.0, 0.0), t_start=2.0, t_end=5.0)
-    assert d.active(2.0) and d.active(5.0) and d.active(3.3)
-    assert not d.active(1.999) and not d.active(5.001)
+    t = np.array([2.0, 5.0, 3.3, 1.999, 5.001])
+    np.testing.assert_array_equal(d.active(t), [True, True, True, False, False])
+    # a single time still works
+    assert d.active(2.0) and not d.active(5.001)
 
 
 def test_steady_surge_speed_matches_drag_balance():
