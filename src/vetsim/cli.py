@@ -99,14 +99,20 @@ def _parse_override(text: str):
     return key, value
 
 
-def _finite_float(text: str) -> float:
-    """argparse type of --threshold: a float that is neither NaN nor infinite."""
+def _positive_float(text: str) -> float:
+    """argparse type of --threshold: a finite float above zero.
+
+    No separation falls below a threshold of zero or less, so every run
+    would fail its mission by construction.
+    """
     try:
         value = float(text)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
     return value
 
 
@@ -277,7 +283,7 @@ def _add_common(parser: argparse.ArgumentParser, with_mode: bool) -> None:
         "--out", help="output directory (default $VET_SIM_OUT or ./runs)"
     )
     parser.add_argument(
-        "--threshold", type=_finite_float, default=_DEFAULT_THRESHOLD,
+        "--threshold", type=_positive_float, default=_DEFAULT_THRESHOLD,
         help="separation threshold in metres used by the summary metrics",
     )
 
@@ -305,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_plot.add_argument("--out", help="write plots somewhere else")
     p_plot.add_argument(
-        "--threshold", type=_finite_float, default=_DEFAULT_THRESHOLD,
+        "--threshold", type=_positive_float, default=_DEFAULT_THRESHOLD,
         help="threshold line drawn on the distance plot",
     )
     p_plot.set_defaults(func=_cmd_plot)

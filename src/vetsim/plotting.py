@@ -4,7 +4,8 @@ Plots are built by direct string assembly so identical runs yield identical
 files, with no rendering backend involved. Four views cover the analysis:
 planar trajectories, separation over time, commanded velocities over time
 and tether state over time. Perturbation and camera-blackout intervals show
-up as shaded spans on the time plots.
+up as shaded spans on the time plots. Lines are drawn at display resolution,
+not with every tick (see ``_polyline``).
 """
 
 from __future__ import annotations
@@ -138,27 +139,49 @@ def _axes(frame: _Frame, title: str, x_label: str, y_label: str) -> list:
     return parts
 
 
-def _polyline(frame: _Frame, xs, ys, color: str, width: float = 1.5, dash=None) -> list:
-    """Polylines split at NaN so gaps in the data stay gaps in the plot."""
-    parts = []
-    run = []
+def _m4(qx, qy):
+    """M4 mask on hundredths of a pixel: each column's first, last, lowest and highest."""
+    new_col = np.r_[True, qx[1:] // 100 != qx[:-1] // 100]
+    starts = np.flatnonzero(new_col)
+    col = np.cumsum(new_col)
+    keep = np.zeros(len(qx), dtype=bool)
+    keep[starts] = keep[np.r_[starts[1:] - 1, len(qx) - 1]] = True
+    for extreme in (np.minimum, np.maximum):  # the earliest point at each extreme
+        at = np.flatnonzero(qy == extreme.reduceat(qy, starts)[col - 1])
+        keep[at[np.r_[True, col[at[1:]] != col[at[:-1]]]]] = True
+    return keep
+
+
+def _grid(qx, qy):
+    """Mask of each point in another 0.5 px cell than its predecessor, and the last."""
+    cell = np.column_stack((qx, qy)) // 50
+    return np.r_[True, (cell[1:-1] != cell[:-2]).any(axis=1), True]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow gives inf, as with Python floats
+def _polyline(frame: _Frame, xs, ys, color: str, width: float = 1.5, dash=None,
+              thin=_m4) -> list:
+    """Polylines at display resolution, split at non-finite points so gaps stay gaps.
+
+    Runs of one point are dropped. ``thin`` masks the points drawn, judged on the
+    printed hundredths of a pixel so that a log read back from its CSV draws the
+    same ones: M4 (Jugel et al., PVLDB 7(10), 2014) for time series draws the
+    raster of every point; ``_grid`` for x-y paths keeps each dropped one within 1 px.
+    """
     dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-
-    def _flush():
-        if len(run) >= 2:
-            pts = " ".join(f"{_fmt(frame.px(x))},{_fmt(frame.py(y))}" for x, y in run)
-            parts.append(
-                f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                f'stroke-width="{width}"{dash_attr}/>'
-            )
-        run.clear()
-
-    for x, y in zip(xs, ys):
-        if math.isnan(x) or math.isnan(y):
-            _flush()
-        else:
-            run.append((float(x), float(y)))
-    _flush()
+    finite = np.flatnonzero(np.isfinite(xs) & np.isfinite(ys))
+    parts = []
+    for run in np.split(finite, np.flatnonzero(np.diff(finite) != 1) + 1):
+        if len(run) < 2:
+            continue
+        px, py = frame.px(xs[run]), frame.py(ys[run])
+        keep = thin(np.rint(px * 100), np.rint(py * 100))
+        flat = np.column_stack((px[keep], py[keep])).ravel().tolist()
+        pts = ("%.2f,%.2f " * (len(flat) // 2))[:-1] % tuple(flat)
+        parts.append(
+            f'<polyline points="{pts}" fill="none" stroke="{color}" '
+            f'stroke-width="{width}"{dash_attr}/>'
+        )
     return parts
 
 
@@ -205,10 +228,17 @@ def _document(parts: list) -> str:
     )
 
 
-def _event_windows(config):
-    perturb = [(d.t_start, d.t_end) for d in config.perturbations]
-    dropout = list(config.dropout.scheduled_windows)
-    return perturb, dropout
+def _time_axes(frame: _Frame, config, title: str, y_label: str, threshold=None) -> list:
+    """Axes of a time plot with its event spans and the threshold line, if any."""
+    parts = _axes(frame, title, "t (s)", y_label)
+    parts += _spans(frame, config.dropout.scheduled_windows, _COLOR_SPAN_DROPOUT)
+    parts += _spans(frame, [(d.t_start, d.t_end) for d in config.perturbations],
+                    _COLOR_SPAN_PERTURB)
+    if threshold is not None:
+        y = _fmt(frame.py(threshold))
+        parts.append(f'<line x1="{_fmt(frame.left)}" y1="{y}" x2="{_fmt(frame.right)}" '
+                     f'y2="{y}" stroke="#555555" stroke-dasharray="5,4"/>')
+    return parts
 
 
 def plot_trajectory(log: TrajectoryLog) -> str:
@@ -231,8 +261,8 @@ def plot_trajectory(log: TrajectoryLog) -> str:
             'r="4" fill="none" stroke="#2ca02c" stroke-width="1.5"/>'
         )
     if len(log) > 0:
-        parts += _polyline(frame, log.pose_u[:, 0], log.pose_u[:, 1], _COLOR_U)
-        parts += _polyline(frame, log.pose_s[:, 0], log.pose_s[:, 1], _COLOR_S)
+        parts += _polyline(frame, log.pose_u[:, 0], log.pose_u[:, 1], _COLOR_U, thin=_grid)
+        parts += _polyline(frame, log.pose_s[:, 0], log.pose_s[:, 1], _COLOR_S, thin=_grid)
         parts.append(
             f'<circle cx="{_fmt(frame.px(log.pose_u[0, 0]))}" '
             f'cy="{_fmt(frame.py(log.pose_u[0, 1]))}" r="3" fill="{_COLOR_U}"/>'
@@ -258,19 +288,8 @@ def plot_distance(log: TrajectoryLog, threshold=None) -> str:
     if threshold is not None:
         d_hi = max(d_hi, threshold)
     frame = _Frame((t_lo, t_hi), _pad_range(0.0, max(d_hi, 1e-6)))
-    parts = _axes(frame, "horizontal separation", "t (s)", "distance (m)")
-    perturb, dropout = _event_windows(log.config)
-    parts += _spans(frame, dropout, _COLOR_SPAN_DROPOUT)
-    parts += _spans(frame, perturb, _COLOR_SPAN_PERTURB)
-    if threshold is not None:
-        y = frame.py(threshold)
-        parts.append(
-            f'<line x1="{_fmt(frame.left)}" y1="{_fmt(y)}" '
-            f'x2="{_fmt(frame.right)}" y2="{_fmt(y)}" stroke="#555555" '
-            'stroke-dasharray="5,4"/>'
-        )
-    if len(log) > 0:
-        parts += _polyline(frame, log.t, log.proj_dist, _COLOR_U)
+    parts = _time_axes(frame, log.config, "horizontal separation", "distance (m)", threshold)
+    parts += _polyline(frame, log.t, log.proj_dist, _COLOR_U)
     parts += _legend([("separation", _COLOR_U)])
     return _document(parts)
 
@@ -287,21 +306,9 @@ def plot_distance_overlay(log_a: TrajectoryLog, log_b: TrajectoryLog,
     if threshold is not None:
         d_hi = max(d_hi, threshold)
     frame = _Frame((0.0, t_hi), _pad_range(0.0, d_hi))
-    parts = _axes(frame, "horizontal separation", "t (s)", "distance (m)")
-    perturb, dropout = _event_windows(log_a.config)
-    parts += _spans(frame, dropout, _COLOR_SPAN_DROPOUT)
-    parts += _spans(frame, perturb, _COLOR_SPAN_PERTURB)
-    if threshold is not None:
-        y = frame.py(threshold)
-        parts.append(
-            f'<line x1="{_fmt(frame.left)}" y1="{_fmt(y)}" '
-            f'x2="{_fmt(frame.right)}" y2="{_fmt(y)}" stroke="#555555" '
-            'stroke-dasharray="5,4"/>'
-        )
-    if len(log_a):
-        parts += _polyline(frame, log_a.t, log_a.proj_dist, _COLOR_U)
-    if len(log_b):
-        parts += _polyline(frame, log_b.t, log_b.proj_dist, _COLOR_ALT)
+    parts = _time_axes(frame, log_a.config, "horizontal separation", "distance (m)", threshold)
+    parts += _polyline(frame, log_a.t, log_a.proj_dist, _COLOR_U)
+    parts += _polyline(frame, log_b.t, log_b.proj_dist, _COLOR_ALT)
     parts += _legend([(label_a, _COLOR_U), (label_b, _COLOR_ALT)])
     return _document(parts)
 
@@ -314,15 +321,11 @@ def plot_commands(log: TrajectoryLog) -> str:
         log.config.params_s.velocity_bound_linear,
     )
     frame = _Frame((t_lo, t_hi), _pad_range(-bound, bound, 0.15))
-    parts = _axes(frame, "commanded velocities", "t (s)", "command (m/s)")
-    perturb, dropout = _event_windows(log.config)
-    parts += _spans(frame, dropout, _COLOR_SPAN_DROPOUT)
-    parts += _spans(frame, perturb, _COLOR_SPAN_PERTURB)
-    if len(log) > 0:
-        parts += _polyline(frame, log.t, log.u_total_u[:, 0], _COLOR_U)
-        parts += _polyline(frame, log.t, log.u_total_u[:, 1], _COLOR_U, dash="4,3")
-        parts += _polyline(frame, log.t, log.u_total_s[:, 0], _COLOR_S)
-        parts += _polyline(frame, log.t, log.u_total_s[:, 1], _COLOR_S, dash="4,3")
+    parts = _time_axes(frame, log.config, "commanded velocities", "command (m/s)")
+    parts += _polyline(frame, log.t, log.u_total_u[:, 0], _COLOR_U)
+    parts += _polyline(frame, log.t, log.u_total_u[:, 1], _COLOR_U, dash="4,3")
+    parts += _polyline(frame, log.t, log.u_total_s[:, 0], _COLOR_S)
+    parts += _polyline(frame, log.t, log.u_total_s[:, 1], _COLOR_S, dash="4,3")
     parts += _legend(
         [("uU x", _COLOR_U), ("uU y (dash)", _COLOR_U),
          ("uS x", _COLOR_S), ("uS y (dash)", _COLOR_S)]
@@ -331,17 +334,14 @@ def plot_commands(log: TrajectoryLog) -> str:
 
 
 def plot_tether(log: TrajectoryLog) -> str:
-    """Tether state seen from each camera; gaps where detection dropped."""
+    """Tether offset xi seen from each camera; gaps where detection dropped."""
     t_lo, t_hi = _time_range(log)
-    finite = [v for v in np.concatenate([log.xi_us, log.xi_su]) if math.isfinite(v)]
-    xi_hi = max(finite) if finite else 1.0
+    xi = np.concatenate([log.xi_us, log.xi_su])
+    finite = xi[np.isfinite(xi)]
+    xi_hi = float(finite.max()) if finite.size else 1.0
     frame = _Frame((t_lo, t_hi), _pad_range(0.0, max(xi_hi, 1e-6)))
-    parts = _axes(frame, "tether state", "t (s)", "xi (px)")
-    perturb, dropout = _event_windows(log.config)
-    parts += _spans(frame, dropout, _COLOR_SPAN_DROPOUT)
-    parts += _spans(frame, perturb, _COLOR_SPAN_PERTURB)
-    if len(log) > 0:
-        parts += _polyline(frame, log.t, log.xi_us, _COLOR_U)
-        parts += _polyline(frame, log.t, log.xi_su, _COLOR_S)
+    parts = _time_axes(frame, log.config, "tether state", "xi (px)")
+    parts += _polyline(frame, log.t, log.xi_us, _COLOR_U)
+    parts += _polyline(frame, log.t, log.xi_su, _COLOR_S)
     parts += _legend([("upward view", _COLOR_U), ("downward view", _COLOR_S)])
     return _document(parts)

@@ -123,9 +123,8 @@ def test_invalid_values_fail_cleanly_before_the_run(tmp_path, capsys, args):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "-Infinity", "1e999", "abc"])
-@pytest.mark.parametrize("command", ["run", "compare", "plot"])
-def test_threshold_must_be_finite(tmp_path, capsys, command, value):
+def threshold_error(tmp_path, capsys, command, value):
+    """Run a command with --threshold=value; it must exit 2 and write nothing."""
     if command == "plot":
         bundle = tmp_path / "bundle"
         assert run_cli("run", "--preset", "nominal", "--set", "duration=0.2",
@@ -138,7 +137,21 @@ def test_threshold_must_be_finite(tmp_path, capsys, command, value):
         run_cli(command, *args, f"--threshold={value}", "--out", str(out))
     assert exc.value.code == 2
     assert not out.exists()  # nothing written
-    assert "--threshold: must be a finite number" in capsys.readouterr().err
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "-Infinity", "1e999", "abc"])
+@pytest.mark.parametrize("command", ["run", "compare", "plot"])
+def test_threshold_must_be_finite(tmp_path, capsys, command, value):
+    err = threshold_error(tmp_path, capsys, command, value)
+    assert "--threshold: must be a finite number" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-0.0", "-1"])
+@pytest.mark.parametrize("command", ["run", "compare", "plot"])
+def test_threshold_must_be_positive(tmp_path, capsys, command, value):
+    err = threshold_error(tmp_path, capsys, command, value)
+    assert "--threshold: must be positive" in err
 
 
 def test_absurd_but_finite_bounds_still_render(tmp_path, capsys):
@@ -237,6 +250,18 @@ def test_plot_regenerates_identical_svgs(tmp_path, capsys):
     assert run_cli("plot", "--run", str(src), "--out", str(dst)) == 0
     for rel in BUNDLE_FILES[3:]:
         assert (src / rel).read_bytes() == (dst / rel).read_bytes()
+
+
+def test_plot_regenerates_identical_decimated_svgs(tmp_path, capsys):
+    # 1,501 ticks on a 582 px wide plot: the polylines drop points
+    src = tmp_path / "bundle"
+    assert run_cli("run", "--preset", "nominal", "--set", "duration=30", "--out", str(src)) == 0
+    dst = tmp_path / "replot"
+    assert run_cli("plot", "--run", str(src), "--out", str(dst)) == 0
+    for rel in BUNDLE_FILES[3:]:
+        assert (src / rel).read_bytes() == (dst / rel).read_bytes()
+    points = (dst / "plots/distance_vs_time.svg").read_text().split('points="')[1]
+    assert points.split('"')[0].count(",") < 1501  # one comma per point
 
 
 def test_plot_can_select_a_single_kind(tmp_path, capsys):

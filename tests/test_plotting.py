@@ -1,0 +1,189 @@
+"""SVG polylines at display resolution: M4 on the time plots, a grid rule on paths.
+
+The reference renderer below draws every finite point, as the plots did before
+they were decimated; the tests compare the decimated plots against it.
+"""
+
+import dataclasses
+import math
+import re
+
+import numpy as np
+import pytest
+
+from vetsim import plotting
+from vetsim.scenario import preset, run
+
+COLUMNS = 582  # pixel columns of a plot area: 660 px wide less the margins
+
+
+def every_point(frame, xs, ys, color, width=1.5, dash=None, thin=None):
+    """Reference polylines: every point, split where x or y is not finite."""
+    parts, points = [], []
+    for x, y in list(zip(xs.tolist(), ys.tolist())) + [(math.nan, math.nan)]:
+        if math.isfinite(x) and math.isfinite(y):
+            points.append("%.2f,%.2f" % (frame.px(x), frame.py(y)))
+            continue
+        if len(points) >= 2:
+            parts.append(f'<polyline points="{" ".join(points)}"/>')
+        points = []
+    return parts
+
+
+def polylines(svg):
+    """Each polyline's points as an (n, 2) float array, in document order."""
+    return [np.array([p.split(",") for p in pts.split()], dtype=float)
+            for pts in re.findall(r'<polyline points="([^"]*)"', svg)]
+
+
+def finite_runs(*series):
+    """Runs of two or more ticks at which every series is finite."""
+    ok = np.logical_and.reduce([np.isfinite(s) for s in series]).astype(int)
+    starts = np.flatnonzero(np.diff(np.r_[0, ok]) == 1)
+    ends = np.flatnonzero(np.diff(np.r_[ok, 0]) == -1) + 1
+    return int(np.sum(ends - starts >= 2))
+
+
+def with_gaps(values, rng):
+    """Blank single ticks, short and long stretches, and the first tick."""
+    values = values.copy()
+    n = len(values)
+    values[0] = np.nan
+    for k in rng.choice(n - 3, size=30, replace=False):
+        values[k:k + rng.choice([1, 1, 2, 40, 700])] = np.nan
+    values[n // 2 - 1], values[n // 2 + 1] = np.nan, np.nan  # a lone finite tick
+    return values
+
+
+def synthetic_log(t, rng, gaps=True):
+    """A nominal log whose plotted series are noisy walks, flats and spikes."""
+    n = len(t)
+
+    def series(scale):
+        walk = np.cumsum(rng.normal(0.0, scale, n))
+        walk[n // 5:n // 4] = walk[n // 5]  # a flat stretch: ties at both extremes
+        # a stretch flat to 12 significant digits, the precision of trajectory.csv
+        walk[n // 3:n // 3 + 400] = walk[n // 3] * (1 + rng.normal(0.0, 1e-14, 400))
+        walk[rng.choice(n, size=50)] += rng.normal(0.0, 30 * scale, 50)
+        return with_gaps(walk, rng) if gaps else walk
+
+    commands = np.column_stack([series(0.002) for _ in range(6)])
+    log = run(dataclasses.replace(preset("nominal"), duration=0.1))
+    return dataclasses.replace(
+        log, t=t, proj_dist=np.abs(series(0.01)), xi_us=np.abs(series(1.0)),
+        xi_su=np.abs(series(1.0)), u_total_u=commands, u_total_s=commands[:, :3],
+    )
+
+
+def time_plots(log, other):
+    return {
+        "distance": (plotting.plot_distance(log, 0.3), [log.proj_dist]),
+        "overlay": (plotting.plot_distance_overlay(log, other, "a", "b", 0.3),
+                    [log.proj_dist, other.proj_dist]),
+        "commands": (plotting.plot_commands(log),
+                     [log.u_total_u[:, 0], log.u_total_u[:, 1],
+                      log.u_total_s[:, 0], log.u_total_s[:, 1]]),
+        "tether": (plotting.plot_tether(log), [log.xi_us, log.xi_su]),
+    }
+
+
+def column_summary(points):
+    """Per pixel column: the first and last point and the lowest and highest y."""
+    out = {}
+    for col in np.unique(np.floor(points[:, 0])):
+        pts = points[np.floor(points[:, 0]) == col]
+        out[col] = (tuple(pts[0]), tuple(pts[-1]), pts[:, 1].min(), pts[:, 1].max())
+    return out
+
+
+def test_m4_keeps_every_columns_first_last_min_and_max(monkeypatch):
+    rng = np.random.default_rng(3)
+    # 40 ticks per pixel column, none near a column edge except the first and
+    # last tick, so the printed x of every point names its column
+    inner = (np.arange(COLUMNS)[:, None] + (np.arange(40) + 0.5) / 40).ravel()
+    t = np.r_[0.0, inner, float(COLUMNS)]
+    log, other = synthetic_log(t, rng), synthetic_log(t, rng)
+    decimated = time_plots(log, other)
+    monkeypatch.setattr(plotting, "_polyline", every_point)
+    reference = time_plots(log, other)
+    for name, (svg, series) in decimated.items():
+        lines, full = polylines(svg), polylines(reference[name][0])
+        assert len(lines) == len(full) == sum(finite_runs(log.t, s) for s in series), name
+        for line, every in zip(lines, full):
+            assert column_summary(line) == column_summary(every), name
+        assert sum(map(len, lines)) < sum(map(len, full)) / 5, name  # decimation engaged
+
+
+def test_a_log_read_back_from_its_csv_draws_the_same_points():
+    rng = np.random.default_rng(11)
+    log = synthetic_log(np.arange(20_001) * 0.02, rng)
+    # what log_from_csv returns for the log that run() returned
+    read_back = dataclasses.replace(log, **{
+        name: np.char.mod("%.12g", getattr(log, name)).astype(float)
+        for name in ("t", "proj_dist", "xi_us", "xi_su", "u_total_u", "u_total_s")
+    })
+    for (name, (svg, _)), (again, _) in zip(time_plots(log, log).items(),
+                                           time_plots(read_back, read_back).values()):
+        assert svg == again, name
+
+
+def test_values_beyond_the_float_range_in_pixels_render():
+    # numpy warns where Python floats overflow to inf; warnings are errors here
+    log = run(dataclasses.replace(preset("nominal"), duration=1.0))
+    u = log.u_total_u.copy()
+    u[10, 0], u[11, 0] = 1e306, -1.7e308
+    pose = log.pose_u.copy()
+    pose[5, 0] = 1e306
+    assert "inf" in plotting.plot_commands(dataclasses.replace(log, u_total_u=u))
+    assert "<polyline" in plotting.plot_trajectory(dataclasses.replace(log, pose_u=pose))
+
+
+def distances_to_polyline(points, line):
+    """Each point's distance to the nearest segment of a polyline."""
+    a, b = line[:-1], line[1:]
+    ab = b - a
+    length2 = np.maximum((ab ** 2).sum(axis=1), 1e-12)
+    out = []
+    for chunk in np.array_split(points, max(1, len(points) // 256)):
+        ap = chunk[:, None, :] - a[None, :, :]
+        s = np.clip((ap * ab).sum(axis=2) / length2, 0.0, 1.0)
+        gap = ap - s[:, :, None] * ab[None, :, :]
+        out.append(np.sqrt((gap ** 2).sum(axis=2)).min(axis=1))
+    return np.concatenate(out)
+
+
+def test_trajectory_keeps_ends_and_gaps_within_one_pixel(monkeypatch):
+    rng = np.random.default_rng(5)
+    n = 6000
+    k = np.arange(n)
+    log = run(dataclasses.replace(preset("nominal"), duration=0.1))
+    pose_u = np.zeros((n, 6))
+    pose_s = np.zeros((n, 3))
+    for pose, phase in ((pose_u, 0.0), (pose_s, 1.0)):
+        pose[:, 0] = with_gaps(1.4 + 2.0 * np.sin(k / 3000 + phase)
+                               + rng.normal(0.0, 0.0005, n), rng)
+        pose[:, 1] = 0.8 + 1.5 * np.sin(k / 1500 + phase) + rng.normal(0.0, 0.0005, n)
+        pose[2000:2600, :2] += rng.normal(0.0, 0.008, (600, 2))  # about 1 px of jitter
+    log = dataclasses.replace(log, t=k * 0.05, pose_u=pose_u, pose_s=pose_s)
+    svg = plotting.plot_trajectory(log)
+    monkeypatch.setattr(plotting, "_polyline", every_point)
+    lines, full = polylines(svg), polylines(plotting.plot_trajectory(log))
+    expected = finite_runs(pose_u[:, 0], pose_u[:, 1]) + finite_runs(pose_s[:, 0], pose_s[:, 1])
+    assert len(lines) == len(full) == expected  # every gap is still a gap
+    for line, every in zip(lines, full):
+        assert (line[0] == every[0]).all() and (line[-1] == every[-1]).all()
+        assert distances_to_polyline(every, line).max() < 1.0
+    assert sum(map(len, lines)) < sum(map(len, full)) / 2  # decimation engaged
+
+
+@pytest.mark.parametrize("n", [10_001, 200_001])
+def test_time_series_polylines_are_bounded_by_the_plot_width(n):
+    rng = np.random.default_rng(n)
+    t = np.linspace(0.0, n * 0.02, n)
+    log = synthetic_log(t, rng, gaps=False)
+    for name, (svg, series) in time_plots(log, log).items():
+        lines = polylines(svg)
+        assert len(lines) == len(series), name
+        for line in lines:
+            # four points for each of the 582 columns and for the right edge
+            assert len(line) <= 4 * COLUMNS + 4, name
