@@ -71,8 +71,7 @@ class SubTaskTarget:
     psi_d: float = 0.0
 
 
-@dataclass(frozen=True)
-class DepthAttitudeState:
+class DepthAttitudeState(NamedTuple):
     """The underwater robot's own sensed state: depth and attitude only.
 
     This is everything its controller is allowed to know beyond its camera;
@@ -100,27 +99,29 @@ def subtask_control_underwater(
 
 
 def subtask_control_surface(
-    pose: Pose3,
-    world_velocity,
+    pose: tuple,
+    rotation: tuple,
+    nu,
     target: SubTaskTarget,
     gains: PdGains,
     speed_limit: float | None = None,
 ) -> list:
     """Planar PD toward the waypoint, expressed in the body frame.
 
-    The position error is formed in the world frame and rotated into the
-    body frame (commands are body-frame velocity-valued). world_velocity is
-    (x_dot, y_dot, psi_dot); gains are 3-axis.
+    pose is (x, y, psi), rotation its nine body-to-world floats
+    (frames.flat_transform) and nu the body velocity (u, v, r). The position
+    error and the damping on the world-frame velocity are formed in the
+    world frame and rotated into the body frame (commands are body-frame
+    velocity-valued); gains are 3-axis.
     """
-    vx, vy, vpsi = world_velocity
-    ex = target.x_d - pose.x
-    ey = target.y_d - pose.y
-    ux_w = gains.kp[0] * ex - gains.kd[0] * vx
-    uy_w = gains.kp[1] * ey - gains.kd[1] * vy
-    c, s = math.cos(pose.psi), math.sin(pose.psi)
+    x, y, psi = pose
+    c, s = rotation[0], rotation[3]
+    u, v, r = nu
+    ux_w = gains.kp[0] * (target.x_d - x) - gains.kd[0] * (c * u - s * v)
+    uy_w = gains.kp[1] * (target.y_d - y) - gains.kd[1] * (s * u + c * v)
     ux = c * ux_w + s * uy_w
     uy = -s * ux_w + c * uy_w
-    upsi = gains.kp[2] * wrap_angle(target.psi_d - pose.psi) - gains.kd[2] * vpsi
+    upsi = gains.kp[2] * wrap_angle(target.psi_d - psi) - gains.kd[2] * r
     if speed_limit is not None:
         ux = min(max(ux, -speed_limit), speed_limit)
         uy = min(max(uy, -speed_limit), speed_limit)

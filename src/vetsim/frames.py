@@ -46,27 +46,9 @@ class Pose6:
     z: float
     attitude: EulerAngles
 
-    @staticmethod
-    def from_tuple(values) -> "Pose6":
-        x, y, z, phi, theta, psi = (float(v) for v in values)
-        return Pose6(x, y, z, EulerAngles(phi, theta, psi))
-
     def as_tuple(self) -> tuple:
         a = self.attitude
         return (self.x, self.y, self.z, a.phi, a.theta, a.psi)
-
-    @property
-    def flat_transform(self) -> tuple:
-        """Body-to-world transform as plain floats, computed once per pose:
-        (nine row-major rotation entries, (x, y, z))."""
-        # A plain instance-dict cache: functools.cached_property takes a lock
-        # on every first access, and every tick makes new poses.
-        flat = self.__dict__.get("_flat")
-        if flat is None:
-            a = self.attitude
-            flat = rotation_zyx(a.phi, a.theta, a.psi), (self.x, self.y, self.z)
-            object.__setattr__(self, "_flat", flat)
-        return flat
 
 
 @dataclass(frozen=True)
@@ -77,11 +59,6 @@ class Pose3:
     y: float
     psi: float
 
-    @staticmethod
-    def from_tuple(values) -> "Pose3":
-        x, y, psi = (float(v) for v in values)
-        return Pose3(x, y, psi)
-
     def as_tuple(self) -> tuple:
         return (self.x, self.y, self.psi)
 
@@ -89,21 +66,23 @@ class Pose3:
         """Embed in 3D: the surface robot sits on the z = 0 plane, level."""
         return Pose6(self.x, self.y, 0.0, EulerAngles(0.0, 0.0, self.psi))
 
-    @property
-    def flat_transform(self) -> tuple:
-        """Body-to-world transform of the lifted pose as plain floats, cached
-        like Pose6's: (nine row-major entries of the yaw rotation, (x, y, 0))."""
-        flat = self.__dict__.get("_flat")
-        if flat is None:
-            c, s = math.cos(self.psi), math.sin(self.psi)
-            flat = (c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0), (self.x, self.y, 0.0)
-            object.__setattr__(self, "_flat", flat)
-        return flat
+
+def projected_distance(pose_u: tuple, pose_s: tuple) -> float:
+    """Horizontal separation in metres between two pose tuples, each led by
+    its x and y."""
+    return math.hypot(pose_u[0] - pose_s[0], pose_u[1] - pose_s[1])
 
 
-def projected_distance(pose_u: Pose6, pose_s: Pose3) -> float:
-    """Horizontal separation between the two robots in metres."""
-    return math.hypot(pose_u.x - pose_s.x, pose_u.y - pose_s.y)
+def flat_transform(pose: tuple) -> tuple:
+    """Body-to-world transform of a pose tuple as plain floats: (nine
+    row-major rotation entries, (x, y, z)). A pose is (x, y, z, phi, theta,
+    psi), or (x, y, psi) for the surface robot, which sits level at z = 0."""
+    if len(pose) == 3:
+        x, y, psi = pose
+        c, s = math.cos(psi), math.sin(psi)
+        return (c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0), (x, y, 0.0)
+    x, y, z, phi, theta, psi = pose
+    return rotation_zyx(phi, theta, psi), (x, y, z)
 
 
 def rotation_zyx(phi: float, theta: float, psi: float) -> tuple:
@@ -123,7 +102,7 @@ def rotation_body_to_world(attitude: EulerAngles) -> np.ndarray:
     return np.array(rotation_zyx(attitude.phi, attitude.theta, attitude.psi)).reshape(3, 3)
 
 
-def euler_rate_rows(attitude: EulerAngles) -> tuple:
+def euler_rate_rows(phi: float, theta: float) -> tuple:
     """The six non-constant entries (a, b, c, d, e, f) of the Euler-rate map
 
         [[1, a, b], [0, c, d], [0, e, f]]
@@ -133,13 +112,11 @@ def euler_rate_rows(attitude: EulerAngles) -> tuple:
     Raises GimbalSingularity when |theta| >= pi/2 - 1e-3, where the inverse
     does not exist (1/cos(theta) blows up).
     """
-    if abs(attitude.theta) >= math.pi / 2.0 - GIMBAL_GUARD:
-        raise GimbalSingularity(
-            f"pitch {attitude.theta:.6f} rad is inside the gimbal guard band"
-        )
-    cphi, sphi = math.cos(attitude.phi), math.sin(attitude.phi)
-    cth = math.cos(attitude.theta)
-    tth = math.tan(attitude.theta)
+    if abs(theta) >= math.pi / 2.0 - GIMBAL_GUARD:
+        raise GimbalSingularity(f"pitch {theta:.6f} rad is inside the gimbal guard band")
+    cphi, sphi = math.cos(phi), math.sin(phi)
+    cth = math.cos(theta)
+    tth = math.tan(theta)
     return (sphi * tth, cphi * tth, cphi, -sphi, sphi / cth, cphi / cth)
 
 

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .frames import Pose3, Pose6, RigidTransform, wrap_angle
+from .frames import RigidTransform, wrap_angle
 
 
 class RegionLabel(enum.Enum):
@@ -121,13 +121,11 @@ class DropoutModel:
 _MIN_DEPTH = 1e-9
 
 
-def project_tag(
-    observer_pose: Pose6 | Pose3,
-    target_pose: Pose6 | Pose3,
-    cam: CameraModel,
-    tag: TagModel,
-) -> tuple:
+def project_tag(observer: tuple, target: tuple, cam: CameraModel, tag: TagModel) -> tuple:
     """Project the target robot's tag into the observer's camera.
+
+    observer and target are the two bodies' flat transforms, (nine row-major
+    body-to-world rotation floats, (x, y, z)), as frames.flat_transform gives.
 
     Returns (pixels, yaw, detected): the eight pixel coordinates ax, ay, bx,
     ..., dy of corners a, b, c, d; the relative yaw; the detected flag. The
@@ -136,7 +134,7 @@ def project_tag(
     tag sits in the frame.
     """
     (c0, c1, c2, c3, c4, c5, c6, c7, c8), (cx, cy, cz) = cam.flat_mount
-    (o0, o1, o2, o3, o4, o5, o6, o7, o8), (ox, oy, oz) = observer_pose.flat_transform
+    (o0, o1, o2, o3, o4, o5, o6, o7, o8), (ox, oy, oz) = observer
     # world_from_cam = observer body-to-world composed with the camera mount
     w0 = o0 * c0 + o1 * c3 + o2 * c6
     w1 = o0 * c1 + o1 * c4 + o2 * c7
@@ -152,7 +150,7 @@ def project_tag(
     wz = o6 * cx + o7 * cy + o8 * cz + oz
 
     (g0, g1, g2, g3, g4, g5, g6, g7, g8), (gx, gy, gz) = tag.flat_mount
-    (r0, r1, r2, r3, r4, r5, r6, r7, r8), (tx, ty, tz) = target_pose.flat_transform
+    (r0, r1, r2, r3, r4, r5, r6, r7, r8), (tx, ty, tz) = target
     # the tag's x and y axes and its centre, in the world frame
     ax = r0 * g0 + r1 * g3 + r2 * g6
     ay = r3 * g0 + r4 * g3 + r5 * g6

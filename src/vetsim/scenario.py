@@ -48,9 +48,7 @@ from .control import (
     underwater_pd,
     vet_law,
 )
-from .frames import (
-    GimbalSingularity, Pose3, Pose6, RigidTransform, euler_rate_rows, projected_distance,
-)
+from .frames import RigidTransform, euler_rate_rows, flat_transform, projected_distance
 from .perception import (
     CameraModel,
     DropoutModel,
@@ -151,21 +149,28 @@ def planner_waypoints(spec) -> tuple:
     return tuple(tuple(float(v) for v in wp) for wp in spec.waypoints)
 
 
-def planner_step(current: Pose3, waypoints, capture_radius: float, index: int = 0):
-    """Advance past every waypoint within the capture radius, hold the last.
+def planner_step(current: tuple, waypoints, capture_radius: float, index: int = 0,
+                 target: SubTaskTarget | None = None):
+    """Advance past every waypoint within the capture radius of the current
+    (x, y, psi), hold the last.
 
-    Returns (target, new_index). With no waypoints the target holds the
-    current pose.
+    Returns (target, new_index). target, the one this returned with index,
+    comes back as is when the index does not move. With no waypoints the
+    target holds the current pose.
     """
     n = len(waypoints)
+    if n == 0:
+        x, y, psi = current
+        return SubTaskTarget(x_d=x, y_d=y, psi_d=psi), index
+    start = index
     while index < n:
         wx, wy, _ = waypoints[index]
-        if math.hypot(current.x - wx, current.y - wy) <= capture_radius:
+        if math.hypot(current[0] - wx, current[1] - wy) <= capture_radius:
             index += 1
         else:
             break
-    if n == 0:
-        return SubTaskTarget(x_d=current.x, y_d=current.y, psi_d=current.psi), index
+    if target is not None and index == start:
+        return target, index
     wx, wy, wpsi = waypoints[min(index, n - 1)]
     return SubTaskTarget(x_d=wx, y_d=wy, psi_d=wpsi), index
 
@@ -509,18 +514,18 @@ class _WallClamp:
         self.lo = tuple(float(v) for v in tank_min)
         self.hi = tuple(float(v) for v in tank_max)
 
-    def apply_u(self, pose: Pose6, nu: list):
+    def apply_u(self, pose: tuple, nu: list):
         """Returns (pose, body velocity list, clamped)."""
         lo, hi = self.lo, self.hi
-        pos = (pose.x, pose.y, pose.z)
+        pos = pose[:3]
         clipped = (
-            min(max(pose.x, lo[0]), hi[0]),
-            min(max(pose.y, lo[1]), hi[1]),
-            min(max(pose.z, lo[2]), hi[2]),
+            min(max(pos[0], lo[0]), hi[0]),
+            min(max(pos[1], lo[1]), hi[1]),
+            min(max(pos[2], lo[2]), hi[2]),
         )
         if clipped == pos:
             return pose, nu, False
-        (r0, r1, r2, r3, r4, r5, r6, r7, r8), _ = pose.flat_transform
+        (r0, r1, r2, r3, r4, r5, r6, r7, r8), _ = flat_transform(pose)
         u, v, w = nu[:3]
         world_v = [r0 * u + r1 * v + r2 * w, r3 * u + r4 * v + r5 * w, r6 * u + r7 * v + r8 * w]
         for axis in range(3):
@@ -529,33 +534,32 @@ class _WallClamp:
         wx, wy, wz = world_v
         nu = [r0 * wx + r3 * wy + r6 * wz, r1 * wx + r4 * wy + r7 * wz,
               r2 * wx + r5 * wy + r8 * wz] + nu[3:]
-        return Pose6(clipped[0], clipped[1], clipped[2], pose.attitude), nu, True
+        return clipped + pose[3:], nu, True
 
-    def apply_s(self, pose: Pose3, nu: list):
+    def apply_s(self, pose: tuple, nu: list):
         """Returns (pose, body velocity list, clamped)."""
-        x = min(max(pose.x, self.lo[0]), self.hi[0])
-        y = min(max(pose.y, self.lo[1]), self.hi[1])
-        if x == pose.x and y == pose.y:
+        px, py, psi = pose
+        x = min(max(px, self.lo[0]), self.hi[0])
+        y = min(max(py, self.lo[1]), self.hi[1])
+        if x == px and y == py:
             return pose, nu, False
-        c, s = math.cos(pose.psi), math.sin(pose.psi)
+        c, s = math.cos(psi), math.sin(psi)
         u, v, r = nu
-        wx = c * u - s * v if x == pose.x else 0.0
-        wy = s * u + c * v if y == pose.y else 0.0
-        return Pose3(x, y, pose.psi), [c * wx + s * wy, -s * wx + c * wy, r], True
+        wx = c * u - s * v if x == px else 0.0
+        wy = s * u + c * v if y == py else 0.0
+        return (x, y, psi), [c * wx + s * wy, -s * wx + c * wy, r], True
 
 
-def _depth_attitude_state(pose: Pose6, nu: list) -> DepthAttitudeState:
+def _depth_attitude_state(pose: tuple, nu: list, rotation: tuple,
+                          rates: tuple) -> DepthAttitudeState:
     """What the underwater robot's own sensors provide: depth and attitude,
-    and their rates."""
-    (_, _, _, _, _, _, r6, r7, r8), _ = pose.flat_transform
-    att = pose.attitude
-    ea, eb, ec, ed, _, _ = euler_rate_rows(att)
+    and their rates, from the tick's rotation and euler_rate_rows."""
+    _, _, z, phi, theta, _ = pose
+    _, _, _, _, _, _, r6, r7, r8 = rotation
+    ea, eb, ec, ed, _, _ = rates
     u, v, w, p, q, r = nu
     return DepthAttitudeState(
-        pose.z, att.phi, att.theta,
-        r6 * u + r7 * v + r8 * w,
-        p + ea * q + eb * r,
-        ec * q + ed * r,
+        z, phi, theta, r6 * u + r7 * v + r8 * w, p + ea * q + eb * r, ec * q + ed * r
     )
 
 
@@ -638,8 +642,12 @@ def _event_flags(arrays: dict, labels: dict, scheduled: np.ndarray,
 def run(config: ScenarioConfig) -> TrajectoryLog:
     """Simulate one scenario; see the module docstring for the loop shape.
 
-    Every per-tick vector is a list or tuple of Python floats; each tick's
-    numbers go to one flat row buffer that becomes the log's arrays.
+    Every per-tick vector is a list or tuple of Python floats, the poses
+    included: (x, y, z, phi, theta, psi) and (x, y, psi), the logged layout.
+    Each tick computes both poses' flat transforms and the underwater pose's
+    Euler-rate rows once; projection, the depth/attitude measurement, the
+    surface PD and both vehicle steps reuse them. Each tick's numbers go to
+    one flat row buffer that becomes the log's arrays.
     """
     config.validate()
     dt = config.dt
@@ -658,8 +666,8 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
     params_u, params_s = config.params_u, config.params_s
     scheduled, blanked, perturbed, wrenches = _time_inputs(config, ts)
 
-    pose_u = Pose6.from_tuple(config.initial_pose_u)
-    pose_s = Pose3.from_tuple(config.initial_pose_s)
+    pose_u = tuple(float(v) for v in config.initial_pose_u)
+    pose_s = tuple(float(v) for v in config.initial_pose_s)
     nu_u = [0.0] * 6
     nu_s = [0.0] * 3
     clamped_u = clamped_s = False
@@ -669,7 +677,7 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
     )
     waypoints = planner_waypoints(config.planner)
     capture_radius = config.planner.capture_radius
-    wp_index = 0
+    target_s, wp_index = None, 0
     speed_limit = config.planner.speed if isinstance(config.planner, Lawnmower) else None
 
     baseline = config.mode == "baseline"
@@ -681,13 +689,17 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
     region_su_list = []
 
     for k, (t, blank) in enumerate(zip(ts.tolist(), blanked.tolist())):
+        # one rotation per robot and one Euler-rate map per tick, for every use
+        tf_u, tf_s = flat_transform(pose_u), flat_transform(pose_s)
+        rates_u = euler_rate_rows(pose_u[3], pose_u[4])
+
         # sense
-        pixels_us, yaw_us, det_us = project_tag(pose_u, pose_s, cam_u, tag_s)
+        pixels_us, yaw_us, det_us = project_tag(tf_u, tf_s, cam_u, tag_s)
         det_us = det_us and not blank
-        pixels_su, yaw_su, det_su = project_tag(pose_s, pose_u, cam_s, tag_u)
+        pixels_su, yaw_su, det_su = project_tag(tf_s, tf_u, cam_s, tag_u)
 
         # plan
-        target_s, wp_index = planner_step(pose_s, waypoints, capture_radius, wp_index)
+        target_s, wp_index = planner_step(pose_s, waypoints, capture_radius, wp_index, target_s)
 
         # one tag geometry per detected observation, shared by the logged
         # region and xi and by the tether law
@@ -696,7 +708,7 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
 
         # control: underwater robot (own depth/attitude sensors plus camera)
         u_sub_u = subtask_control_underwater(
-            _depth_attitude_state(pose_u, nu_u), target_u, pd_u
+            _depth_attitude_state(pose_u, nu_u, tf_u[0], rates_u), target_u, pd_u
         )
         if baseline:
             cam_cmd_u = baseline_ibvs(geo_us, yaw_us, gains, cam_u)
@@ -707,11 +719,8 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
         xi_u = camera_to_body(cam_cmd_u, mount_u, 6)
         u_tot_u = combined_control(u_sub_u, xi_u, params_u)
 
-        # control: surface robot; world rates by the rotation about z
-        c, s = math.cos(pose_s.psi), math.sin(pose_s.psi)
-        su, sv, sr = nu_s
-        vel_world_s = (c * su - s * sv, s * su + c * sv, sr)
-        u_sub_s = subtask_control_surface(pose_s, vel_world_s, target_s, pd_s, speed_limit)
+        # control: surface robot
+        u_sub_s = subtask_control_surface(pose_s, tf_s[0], nu_s, target_s, pd_s, speed_limit)
         if baseline:
             # one-way coupling: the leader gets no tether input at all
             xi_s = [0.0, 0.0, 0.0]
@@ -725,7 +734,7 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
 
         # record the numeric fields, in _LOG_LAYOUT order
         rows.fromlist([
-            t, *pose_u.as_tuple(), *pose_s.as_tuple(), *nu_u, *nu_s,
+            t, *pose_u, *pose_s, *nu_u, *nu_s,
             *u_sub_u, *xi_u, u_sub_s[0] * weight_s, u_sub_s[1] * weight_s, u_sub_s[2],
             *xi_s, *u_tot_u, *u_tot_s, det_us, det_su, xi_us, xi_su,
             projected_distance(pose_u, pose_s), wp_index, clamped_u, clamped_s,
@@ -740,11 +749,9 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
         force, torque = wrenches[k] or (None, None)
         try:
             pose_u, nu_u = model_u.step(
-                pose_u, nu_u, model_u.allocate(u_tot_u), dt, force, torque
+                pose_u, nu_u, model_u.allocate(u_tot_u), dt, tf_u[0], rates_u, force, torque
             )
-            pose_s, nu_s = model_s.step(pose_s, nu_s, model_s.allocate(u_tot_s), dt)
-        except GimbalSingularity:
-            raise
+            pose_s, nu_s = model_s.step(pose_s, nu_s, model_s.allocate(u_tot_s), dt, tf_s[0])
         except (ArithmeticError, ValueError) as exc:
             raise SimFailure(f"integration failed at t={t:.3f}: {exc}") from exc
         pose_u, nu_u, clamped_u = walls.apply_u(pose_u, nu_u)

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .frames import EulerAngles, Pose3, Pose6, euler_rate_rows, wrap_angle
+from .frames import wrap_angle
 
 
 @dataclass(frozen=True)
@@ -171,12 +171,17 @@ class VehicleModel:
         """Body wrench for a float command, through the diagonal gain."""
         return [g * v for g, v in zip(self._gain, u)]
 
-    def step(self, pose, nu, tau, dt, world_force=None, world_torque=None):
-        """Advance one step. nu, tau and the optional world-frame force and
-        torque are float sequences; returns (new_pose, new velocity list)."""
+    def step(self, pose, nu, tau, dt, rotation, rates=None, world_force=None,
+             world_torque=None):
+        """Advance one step from a pose tuple, (x, y, z, phi, theta, psi) or
+        (x, y, psi). rotation is the pose's nine body-to-world floats
+        (frames.flat_transform) and, under water, rates its euler_rate_rows:
+        the tick computes both once. nu, tau and the optional world-frame
+        force and torque are float sequences; returns (new pose tuple, new
+        velocity list)."""
         if self.dof == 6:
-            return self._advance6(pose, nu, tau, dt, world_force, world_torque)
-        return self._advance3(pose, nu, tau, dt, world_force, world_torque)
+            return self._advance6(pose, nu, tau, dt, rotation, rates, world_force, world_torque)
+        return self._advance3(pose, nu, tau, dt, rotation, world_force, world_torque)
 
     def _solve_velocity(self, nu, tau_total, dt: float) -> list:
         """Solve (M + dt*(C + D)) nu' = M nu + dt*tau and clip the linear norm."""
@@ -206,10 +211,10 @@ class VehicleModel:
             nu_new[:n_lin] = clip_norm(nu_new[:n_lin], self._bound)
         return nu_new
 
-    def _advance6(self, pose: Pose6, nu, tau, dt, world_force, world_torque):
-        att = pose.attitude
-        (r0, r1, r2, r3, r4, r5, r6, r7, r8), (x, y, z) = pose.flat_transform
-        ea, eb, ec, ed, ee, ef = euler_rate_rows(att)
+    def _advance6(self, pose, nu, tau, dt, rotation, rates, world_force, world_torque):
+        x, y, z, phi, theta, psi = pose
+        r0, r1, r2, r3, r4, r5, r6, r7, r8 = rotation
+        ea, eb, ec, ed, ee, ef = rates
         f0, f1, f2, f3, f4, f5 = tau
         # world wrenches enter through the transposed rotation
         if world_force is not None:
@@ -224,22 +229,20 @@ class VehicleModel:
             f5 += r2 * wx + r5 * wy + r8 * wz
         nu_new = self._solve_velocity(nu, (f0, f1, f2, f3, f4, f5), dt)
         u, v, w, p, q, r = nu_new
-        new_att = EulerAngles(
-            wrap_angle(att.phi + dt * (p + ea * q + eb * r)),
-            wrap_angle(att.theta + dt * (ec * q + ed * r)),
-            wrap_angle(att.psi + dt * (ee * q + ef * r)),
-        )
-        new_pose = Pose6(
+        new_pose = (
             x + dt * (r0 * u + r1 * v + r2 * w),
             y + dt * (r3 * u + r4 * v + r5 * w),
             z + dt * (r6 * u + r7 * v + r8 * w),
-            new_att,
+            wrap_angle(phi + dt * (p + ea * q + eb * r)),
+            wrap_angle(theta + dt * (ec * q + ed * r)),
+            wrap_angle(psi + dt * (ee * q + ef * r)),
         )
         return new_pose, nu_new
 
-    def _advance3(self, pose: Pose3, nu, tau, dt, world_force, world_torque):
+    def _advance3(self, pose, nu, tau, dt, rotation, world_force, world_torque):
+        x, y, psi = pose
         # surface Jacobian [[c, -s, 0], [s, c, 0], [0, 0, 1]]
-        c, s = math.cos(pose.psi), math.sin(pose.psi)
+        c, s = rotation[0], rotation[3]
         f0, f1, f2 = tau
         if world_force is not None:
             fx, fy = world_force[0], world_force[1]
@@ -249,11 +252,7 @@ class VehicleModel:
             f2 += world_torque[2]
         nu_new = self._solve_velocity(nu, (f0, f1, f2), dt)
         u, v, r = nu_new
-        new_pose = Pose3(
-            pose.x + dt * (c * u - s * v),
-            pose.y + dt * (s * u + c * v),
-            wrap_angle(pose.psi + dt * r),
-        )
+        new_pose = (x + dt * (c * u - s * v), y + dt * (s * u + c * v), wrap_angle(psi + dt * r))
         return new_pose, nu_new
 
 

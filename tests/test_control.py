@@ -1,6 +1,5 @@
 """Sub-task PD laws, the elastic tether law, command mixing, mounting checks."""
 
-import dataclasses
 import inspect
 import math
 
@@ -28,6 +27,7 @@ from vetsim.frames import (
     Pose3,
     Pose6,
     RigidTransform,
+    flat_transform,
     rotation_about_z,
 )
 from vetsim.perception import (
@@ -80,6 +80,13 @@ def wide_gains(**overrides):
 
 # --- sub-task controllers ------------------------------------------------------
 
+def surface_command(pose, nu, target, gains, speed_limit=None):
+    """subtask_control_surface at a pose tuple, with its rotation."""
+    return subtask_control_surface(
+        pose, flat_transform(pose)[0], nu, target, gains, speed_limit
+    )
+
+
 def test_depth_error_anchor():
     gains = underwater_pd(0.5, 0.15)
     state = DepthAttitudeState(z=-1.5, phi=0.0, theta=0.0, dz=0.0, dphi=0.0, dtheta=0.0)
@@ -106,16 +113,16 @@ def test_underwater_pd_zero_pattern():
 
 
 def test_surface_anchor():
-    u = subtask_control_surface(
-        Pose3(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), SubTaskTarget(x_d=0.1), surface_pd(1.0, 0.0)
+    u = surface_command(
+        (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), SubTaskTarget(x_d=0.1), surface_pd(1.0, 0.0)
     )
     assert u[0] == pytest.approx(0.1)
     assert u[1] == 0.0 and u[2] == 0.0
 
 
 def test_surface_yaw_anchor():
-    u = subtask_control_surface(
-        Pose3(0.0, 0.0, 0.0),
+    u = surface_command(
+        (0.0, 0.0, 0.0),
         (0.0, 0.0, 0.0),
         SubTaskTarget(psi_d=math.pi / 2),
         surface_pd(1.0, 0.0),
@@ -125,8 +132,8 @@ def test_surface_yaw_anchor():
 
 def test_surface_error_rotates_into_the_body_frame():
     # world +x error seen from a vehicle yawed +90 degrees is a -y body error
-    u = subtask_control_surface(
-        Pose3(0.0, 0.0, math.pi / 2),
+    u = surface_command(
+        (0.0, 0.0, math.pi / 2),
         (0.0, 0.0, 0.0),
         SubTaskTarget(x_d=1.0),
         surface_pd(1.0, 0.0),
@@ -136,8 +143,8 @@ def test_surface_error_rotates_into_the_body_frame():
 
 
 def test_surface_speed_limit_clips_linear_axes_only():
-    u = subtask_control_surface(
-        Pose3(0.0, 0.0, 0.0),
+    u = surface_command(
+        (0.0, 0.0, 0.0),
         (0.0, 0.0, 0.0),
         SubTaskTarget(x_d=5.0, psi_d=1.0),
         surface_pd(1.0, 0.0),
@@ -148,8 +155,8 @@ def test_surface_speed_limit_clips_linear_axes_only():
 
 
 def test_surface_controller_is_zero_at_the_target():
-    pose = Pose3(0.7, -0.3, 1.1)
-    u = subtask_control_surface(
+    pose = (0.7, -0.3, 1.1)
+    u = surface_command(
         pose, (0.0, 0.0, 0.0), SubTaskTarget(x_d=0.7, y_d=-0.3, psi_d=1.1), surface_pd(5.0, 5.0)
     )
     np.testing.assert_allclose(u, 0.0, atol=1e-12)
@@ -396,14 +403,15 @@ def test_world_frame_tether_commands_are_anti_parallel(r, bearing, heading):
     """With aligned headings the two tether pulls cancel exactly (the
     convoy's operating condition once the yaw coupling has converged)."""
     dx, dy = r * math.cos(bearing), r * math.sin(bearing)
-    pose_u = Pose6(dx, dy, -1.0, EulerAngles(0.0, 0.0, heading))
-    pose_s = Pose3(0.0, 0.0, heading)
+    pose_u = (dx, dy, -1.0, 0.0, 0.0, heading)
+    pose_s = (0.0, 0.0, heading)
     cam_u, cam_s = up_camera(), down_camera()
     tag_u = TagModel(0.1, RigidTransform.identity())
     tag_s = TagModel(0.1, RigidTransform(FLIP_X, np.zeros(3)))
 
-    pixels_us, yaw_us, det_us = project_tag(pose_u, pose_s, cam_u, tag_s)
-    pixels_su, yaw_su, det_su = project_tag(pose_s, pose_u, cam_s, tag_u)
+    tf_u, tf_s = flat_transform(pose_u), flat_transform(pose_s)
+    pixels_us, yaw_us, det_us = project_tag(tf_u, tf_s, cam_u, tag_s)
+    pixels_su, yaw_su, det_su = project_tag(tf_s, tf_u, cam_s, tag_u)
     assume(det_us and det_su)
 
     gains = VetGains()
@@ -436,8 +444,8 @@ def test_elastic_stretch_decays_monotonically_in_closed_loop():
     xi_trace = []
     regions = []
     for k in range(1500):
-        pose_u = Pose6(x, 0.0, -1.0, EulerAngles(0.0, 0.0, 0.0))
-        pixels, yaw, detected = project_tag(pose_u, Pose3(0.0, 0.0, 0.0), cam, tag_s)
+        observer = flat_transform((x, 0.0, -1.0, 0.0, 0.0, 0.0))
+        pixels, yaw, detected = project_tag(observer, flat_transform((0.0, 0.0, 0.0)), cam, tag_s)
         assert detected
         geometry, region = measured(pixels, cam)
         xi_trace.append(tether_offset(geometry[0], cam))
@@ -456,7 +464,7 @@ def test_elastic_stretch_decays_monotonically_in_closed_loop():
 def test_underwater_controller_sees_only_self_measurable_state():
     """The depth controller's measured input carries three states and their
     rates; the surface robot's pose cannot reach it by construction."""
-    names = {f.name for f in dataclasses.fields(DepthAttitudeState)}
+    names = set(DepthAttitudeState._fields)
     assert names == {"z", "phi", "theta", "dz", "dphi", "dtheta"}
     measured = [n for n in names if not n.startswith("d")]
     assert len(measured) == 3  # strictly fewer than the six pose states

@@ -93,10 +93,10 @@ def ramp(t_end, dt=0.1):
 # --- projected distance -----------------------------------------------------------
 
 def test_projected_distance_anchors():
-    u = Pose6(0.3, 0.4, -1.0, EulerAngles(0.0, 0.0, 0.0))
-    s = Pose3(0.0, 0.0, 0.0)
+    u = (0.3, 0.4, -1.0, 0.0, 0.0, 0.0)
+    s = (0.0, 0.0, 0.0)
     assert projected_distance(u, s) == pytest.approx(0.5)
-    assert projected_distance(Pose6(1.0, 2.0, -3.0, EulerAngles(0, 0, 0)), Pose3(1.0, 2.0, 0.9)) == 0.0
+    assert projected_distance((1.0, 2.0, -3.0, 0.0, 0.0, 0.0), (1.0, 2.0, 0.9)) == 0.0
 
 
 @given(
@@ -105,8 +105,7 @@ def test_projected_distance_anchors():
 )
 def test_projected_distance_is_a_metric(ax, ay, bx, by, cx, cy):
     def d(p, q):
-        u = Pose6(p[0], p[1], -1.0, EulerAngles(0.0, 0.0, 0.0))
-        return projected_distance(u, Pose3(q[0], q[1], 0.0))
+        return projected_distance((p[0], p[1], -1.0, 0.0, 0.0, 0.0), (q[0], q[1], 0.0))
 
     a, b, c = (ax, ay), (bx, by), (cx, cy)
     assert d(a, b) >= 0.0

@@ -12,6 +12,7 @@ from vetsim.frames import (
     Pose6,
     RigidTransform,
     compose,
+    flat_transform,
     rotation_about_x,
     rotation_about_z,
     transform_from_pose,
@@ -154,10 +155,15 @@ def test_tether_state_anchors():
 
 # --- projection -----------------------------------------------------------------
 
+def project(observer, target, cam, tag):
+    """project_tag between two pose tuples."""
+    return project_tag(flat_transform(observer), flat_transform(target), cam, tag)
+
+
 def test_projection_of_facing_tag_lands_at_image_centre():
-    pose_u = Pose6(0.0, 0.0, -1.0, EulerAngles(0.0, 0.0, 0.0))
-    pose_s = Pose3(0.0, 0.0, 0.0)
-    pixels, _, detected = project_tag(pose_u, pose_s, up_camera(), bottom_tag())
+    pose_u = (0.0, 0.0, -1.0, 0.0, 0.0, 0.0)
+    pose_s = (0.0, 0.0, 0.0)
+    pixels, _, detected = project(pose_u, pose_s, up_camera(), bottom_tag())
     assert detected
     center, l_bar, h_bar = tag_geometry(pixels)
     assert center == pytest.approx((320.0, 240.0), abs=1e-9)
@@ -167,30 +173,30 @@ def test_projection_of_facing_tag_lands_at_image_centre():
 
 
 def test_projection_scales_inversely_with_depth():
-    pose_u = Pose6(0.0, 0.0, -2.0, EulerAngles(0.0, 0.0, 0.0))
-    pixels, _, _ = project_tag(pose_u, Pose3(0.0, 0.0, 0.0), up_camera(), bottom_tag())
+    pose_u = (0.0, 0.0, -2.0, 0.0, 0.0, 0.0)
+    pixels, _, _ = project(pose_u, (0.0, 0.0, 0.0), up_camera(), bottom_tag())
     _, l_bar, _ = tag_geometry(pixels)
     assert l_bar == pytest.approx(20.0, abs=1e-9)
 
 
 def test_projection_is_mutual_for_the_default_mounts():
-    pose_u = Pose6(0.3, -0.2, -1.0, EulerAngles(0.0, 0.0, 0.0))
-    pose_s = Pose3(0.0, 0.0, 0.0)
-    _, _, detected_us = project_tag(pose_u, pose_s, up_camera(), bottom_tag())
-    _, _, detected_su = project_tag(pose_s, pose_u, down_camera(), top_tag())
+    pose_u = (0.3, -0.2, -1.0, 0.0, 0.0, 0.0)
+    pose_s = (0.0, 0.0, 0.0)
+    _, _, detected_us = project(pose_u, pose_s, up_camera(), bottom_tag())
+    _, _, detected_su = project(pose_s, pose_u, down_camera(), top_tag())
     assert detected_us and detected_su
 
 
 def test_tag_behind_the_camera_is_not_detected():
-    pose_u = Pose6(0.0, 0.0, 1.0, EulerAngles(0.0, 0.0, 0.0))  # above the surface
-    _, _, detected = project_tag(pose_u, Pose3(0.0, 0.0, 0.0), up_camera(), bottom_tag())
+    pose_u = (0.0, 0.0, 1.0, 0.0, 0.0, 0.0)  # above the surface
+    _, _, detected = project(pose_u, (0.0, 0.0, 0.0), up_camera(), bottom_tag())
     assert not detected
 
 
 def test_tag_leaving_the_frame_is_not_detected():
     # 0.9 m lateral offset at 1 m depth projects past the image border
-    pose_u = Pose6(0.9, 0.0, -1.0, EulerAngles(0.0, 0.0, 0.0))
-    _, _, detected = project_tag(pose_u, Pose3(0.0, 0.0, 0.0), up_camera(), bottom_tag())
+    pose_u = (0.9, 0.0, -1.0, 0.0, 0.0, 0.0)
+    _, _, detected = project(pose_u, (0.0, 0.0, 0.0), up_camera(), bottom_tag())
     assert not detected
 
 
@@ -202,9 +208,9 @@ def test_tag_leaving_the_frame_is_not_detected():
 )
 def test_projected_yaw_round_trip(dx, dy, psi):
     """The reported camera yaw recovers the relative heading exactly."""
-    pose_u = Pose6(dx, dy, -1.0, EulerAngles(0.0, 0.0, 0.0))
-    pose_s = Pose3(0.0, 0.0, psi)
-    _, yaw, detected = project_tag(pose_u, pose_s, up_camera(), bottom_tag())
+    pose_u = (dx, dy, -1.0, 0.0, 0.0, 0.0)
+    pose_s = (0.0, 0.0, psi)
+    _, yaw, detected = project(pose_u, pose_s, up_camera(), bottom_tag())
     if not detected:
         return
     # the flipped surface tag appears at the surface robot's own heading,
@@ -213,8 +219,8 @@ def test_projected_yaw_round_trip(dx, dy, psi):
 
 
 def test_projected_pixel_offset_matches_pinhole_model():
-    pose_u = Pose6(0.25, -0.1, -1.0, EulerAngles(0.0, 0.0, 0.0))
-    pixels, _, _ = project_tag(pose_u, Pose3(0.0, 0.0, 0.0), up_camera(), bottom_tag())
+    pose_u = (0.25, -0.1, -1.0, 0.0, 0.0, 0.0)
+    pixels, _, _ = project(pose_u, (0.0, 0.0, 0.0), up_camera(), bottom_tag())
     center, _, _ = tag_geometry(pixels)
     # relative position of the tag in the camera frame is (-0.25, +0.1, 1)
     assert center[0] == pytest.approx(320.0 - 400.0 * 0.25, abs=1e-9)
@@ -260,7 +266,7 @@ def test_projection_matches_the_rigid_transform_reference(position, attitude, ps
         0.1, RigidTransform(FLIP_X @ rotation_about_z(tilt), np.array([0.0, offset, 0.0]))
     )
     for observer, target in ((pose_u, pose_s), (pose_s, pose_u)):
-        corners, camera_yaw, detected = project_tag(observer, target, cam, tag)
+        corners, camera_yaw, detected = project(observer.as_tuple(), target.as_tuple(), cam, tag)
         pixels, yaw, in_front = reference_projection(observer, target, cam, tag)
         if not in_front:
             assert not detected

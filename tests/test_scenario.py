@@ -8,8 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import vetsim.control as control
+import vetsim.frames as frames
+import vetsim.perception as perception
 import vetsim.scenario as scenario
-from vetsim.frames import GimbalSingularity, Pose3
+import vetsim.vehicle as vehicle
+from vetsim.control import SubTaskTarget, surface_pd
+from vetsim.frames import EulerAngles, GimbalSingularity, Pose3, Pose6
 from vetsim.scenario import (
     CSV_COLUMNS,
     ConfigError,
@@ -18,6 +23,7 @@ from vetsim.scenario import (
     MAX_LANES,
     PRESET_NAMES,
     ScenarioConfig,
+    Setpoints,
     SimFailure,
     UnknownPreset,
     lawnmower_path,
@@ -91,32 +97,46 @@ def test_lawnmower_rejects_degenerate_areas():
 
 def test_planner_advances_inside_the_capture_radius():
     wps = ((0.1, 0.0, 0.0), (1.0, 0.0, 0.5))
-    target, index = planner_step(Pose3(0.0, 0.0, 0.0), wps, 0.15)
+    target, index = planner_step((0.0, 0.0, 0.0), wps, 0.15)
     assert index == 1
     assert (target.x_d, target.y_d, target.psi_d) == (1.0, 0.0, 0.5)
 
 
 def test_planner_holds_position_before_capture():
     wps = ((1.0, 0.0, 0.0),)
-    target, index = planner_step(Pose3(0.0, 0.0, 0.0), wps, 0.15)
+    target, index = planner_step((0.0, 0.0, 0.0), wps, 0.15)
     assert index == 0
     assert target.x_d == 1.0
 
 
 def test_planner_holds_the_terminal_waypoint():
     wps = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.3))
-    target, index = planner_step(Pose3(1.0, 0.01, 0.0), wps, 0.15, index=1)
+    target, index = planner_step((1.0, 0.01, 0.0), wps, 0.15, index=1)
     assert index == 2  # captured, counted once
     assert target.x_d == 1.0
-    target, index = planner_step(Pose3(1.0, 0.0, 0.0), wps, 0.15, index=index)
+    target, index = planner_step((1.0, 0.0, 0.0), wps, 0.15, index=index)
     assert index == 2
     assert target.x_d == 1.0 and target.psi_d == 0.3
 
 
 def test_planner_with_no_waypoints_holds_the_current_pose():
-    target, index = planner_step(Pose3(0.4, -0.2, 0.9), (), 0.15)
+    target, index = planner_step((0.4, -0.2, 0.9), (), 0.15)
     assert index == 0
     assert (target.x_d, target.y_d, target.psi_d) == (0.4, -0.2, 0.9)
+    # a target passed back in is not reused: it must follow the pose
+    moved, _ = planner_step((0.5, -0.1, 1.0), (), 0.15, index, target)
+    assert moved is not target
+    assert (moved.x_d, moved.y_d, moved.psi_d) == (0.5, -0.1, 1.0)
+
+
+def test_planner_reuses_the_target_until_the_index_moves():
+    wps = ((1.0, 0.0, 0.0), (2.0, 0.0, 0.5))
+    target, index = planner_step((0.0, 0.0, 0.0), wps, 0.15)
+    same, index = planner_step((0.5, 0.0, 0.0), wps, 0.15, index, target)
+    assert same is target and index == 0
+    moved, index = planner_step((1.0, 0.1, 0.0), wps, 0.15, index, same)
+    assert moved is not target and index == 1
+    assert (moved.x_d, moved.y_d, moved.psi_d) == (2.0, 0.0, 0.5)
 
 
 # --- configuration -----------------------------------------------------------------
@@ -587,3 +607,45 @@ def test_each_detected_observation_is_measured_once(monkeypatch):
     monkeypatch.setattr(scenario, "tag_geometry", counted)
     log = dropout_run("vet")
     assert len(calls) == int(log.detected_us.sum() + log.detected_su.sum()) > 0
+
+
+def test_an_empty_planner_targets_the_current_pose_every_tick():
+    # With no waypoints and no damping the leader's sub-task command is
+    # zero on every tick, while the tether drags the leader away from its
+    # start; a target frozen at the start pose would pull it back.
+    cfg = short("perturbation_real", 12.0, planner=Setpoints(()), pd_s=surface_pd(1.0, 0.0))
+    log = run(cfg)
+    assert np.abs(log.pose_s[:, :2] - log.pose_s[0, :2]).max() > 0.05
+    assert np.abs(log.u_xi_s).max() > 0.0
+    np.testing.assert_array_equal(log.u_sub_s, 0.0)
+
+
+@pytest.mark.parametrize("mode", ["vet", "baseline"])
+def test_a_tick_transforms_each_pose_once_and_builds_no_pose(monkeypatch, mode):
+    """One rotation_zyx (plus one per wall clamp) and one euler_rate_rows per
+    tick for the underwater pose; no pose object, and a new SubTaskTarget only
+    when the waypoint index moves."""
+    cfg = short("perturbation_real", 12.0, mode=mode, dropout=DropoutModel(random_rate=0.3))
+    calls = {"rotation_zyx": 0, "euler_rate_rows": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(frames, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in (frames, perception, control, vehicle, scenario):
+            if name in vars(module):
+                monkeypatch.setattr(module, name, counted)
+    built = []
+    for cls in (Pose6, Pose3, EulerAngles, SubTaskTarget):
+        def counted_init(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted_init)
+    log = run(cfg)
+    n = len(log)
+    assert calls["euler_rate_rows"] == n
+    assert n <= calls["rotation_zyx"] <= n + int(log.clamped_u.sum())
+    # the underwater target, the first waypoint target and one per index move
+    moves = int(np.count_nonzero(np.diff(log.wp_index)))
+    assert built == ["SubTaskTarget"] * (2 + moves)

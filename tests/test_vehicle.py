@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vetsim.frames import EulerAngles, Pose3, Pose6
+from vetsim.frames import euler_rate_rows, flat_transform
 from vetsim.vehicle import (
     Disturbance,
     VehicleModel,
@@ -16,6 +16,13 @@ from vetsim.vehicle import (
     coriolis_matrix,
     saturate,
 )
+
+
+def step(model, pose, nu, tau, dt, **world):
+    """VehicleModel.step with the pose tuple's rotation and Euler-rate rows,
+    computed as one simulation tick computes them."""
+    rates = euler_rate_rows(pose[3], pose[4]) if len(pose) == 6 else None
+    return model.step(pose, nu, tau, dt, flat_transform(pose)[0], rates, **world)
 
 
 def params6(**overrides):
@@ -122,8 +129,8 @@ def reference_velocity(nu, tau, params, dt):
 @given(vel6, st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6))
 def test_6dof_velocity_update_matches_the_dense_solve(nu, tau):
     p = params6()
-    pose = Pose6(0.0, 0.0, -1.0, EulerAngles(0.0, 0.0, 0.0))
-    _, nu_new = VehicleModel(p).step(pose, nu, tau, 0.02)
+    pose = (0.0, 0.0, -1.0, 0.0, 0.0, 0.0)
+    _, nu_new = step(VehicleModel(p), pose, nu, tau, 0.02)
     np.testing.assert_allclose(nu_new, reference_velocity(nu, tau, p, 0.02), rtol=1e-12, atol=1e-15)
 
 
@@ -131,7 +138,7 @@ def test_6dof_velocity_update_matches_the_dense_solve(nu, tau):
 @given(vel3, st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
 def test_3dof_closed_form_matches_the_dense_solve(nu, tau):
     p = params3()
-    _, nu_new = VehicleModel(p).step(Pose3(0.0, 0.0, 0.0), nu, tau, 0.02)
+    _, nu_new = step(VehicleModel(p), (0.0, 0.0, 0.0), nu, tau, 0.02)
     np.testing.assert_allclose(nu_new, reference_velocity(nu, tau, p, 0.02), rtol=1e-12, atol=1e-15)
 
 
@@ -153,31 +160,31 @@ def test_steady_surge_speed_matches_drag_balance():
     assert expected < p.velocity_bound_linear  # below the norm clip
 
     model = VehicleModel(p)
-    pose = Pose6(0.0, 0.0, -1.0, EulerAngles(0.0, 0.0, 0.0))
+    pose = (0.0, 0.0, -1.0, 0.0, 0.0, 0.0)
     nu = [0.0] * 6
     tau = [f, 0.0, 0.0, 0.0, 0.0, 0.0]
     for _ in range(3000):
-        pose, nu = model.step(pose, nu, tau, 0.02)
+        pose, nu = step(model, pose, nu, tau, 0.02)
     assert nu[0] == pytest.approx(expected, rel=0.01)
 
 
 def test_pure_heave_advances_depth_by_dt_times_velocity():
     p = params6(damping_linear=(0.0,) * 6, damping_quadratic=(0.0,) * 6)
     model = VehicleModel(p)
-    pose = Pose6(0.0, 0.0, -1.0, EulerAngles(0.0, 0.0, 0.0))
+    pose = (0.0, 0.0, -1.0, 0.0, 0.0, 0.0)
     nu = [0.0, 0.0, 0.1, 0.0, 0.0, 0.0]
-    pose2, nu2 = model.step(pose, nu, [0.0] * 6, 0.02)
-    assert pose2.z == pytest.approx(-1.0 + 0.002, abs=1e-15)
+    pose2, nu2 = step(model, pose, nu, [0.0] * 6, 0.02)
+    assert pose2[2] == pytest.approx(-1.0 + 0.002, abs=1e-15)
     np.testing.assert_allclose(nu2, nu, atol=1e-12)
 
 
 def test_planar_step_integrates_heading():
     model = VehicleModel(params3(damping_linear=(0.0,) * 3, damping_quadratic=(0.0,) * 3))
-    pose = Pose3(0.0, 0.0, 0.0)
+    pose = (0.0, 0.0, 0.0)
     nu = [0.0, 0.0, 0.1]
-    pose2, _ = model.step(pose, nu, [0.0] * 3, 0.02)
-    assert pose2.psi == pytest.approx(0.002)
-    assert pose2.x == 0.0 and pose2.y == 0.0
+    pose2, _ = step(model, pose, nu, [0.0] * 3, 0.02)
+    assert pose2[2] == pytest.approx(0.002)
+    assert pose2[:2] == (0.0, 0.0)
 
 
 @settings(max_examples=100)
@@ -186,9 +193,9 @@ def test_unforced_step_never_gains_energy(nu):
     p = params6()
     model = VehicleModel(p)
     mass = np.asarray(p.mass)
-    pose = Pose6(0.0, 0.0, -1.0, EulerAngles(0.1, 0.2, -0.3))
+    pose = (0.0, 0.0, -1.0, 0.1, 0.2, -0.3)
     before = 0.5 * float(np.dot(nu, mass * nu))
-    _, nu2 = model.step(pose, nu, [0.0] * 6, 0.02)
+    _, nu2 = step(model, pose, nu, [0.0] * 6, 0.02)
     after = 0.5 * float(np.dot(nu2, mass * nu2))
     assert after <= before + 1e-12
 
@@ -197,22 +204,22 @@ def test_unforced_step_never_gains_energy(nu):
 def test_velocity_norm_bound_is_exact_under_large_forcing(scale, dy, dz):
     p = params6()
     model = VehicleModel(p)
-    pose = Pose6(0.0, 0.0, -1.0, EulerAngles(0.0, 0.0, 0.0))
+    pose = (0.0, 0.0, -1.0, 0.0, 0.0, 0.0)
     nu = [0.0] * 6
     tau = [scale, scale * dy, scale * dz, 0.0, 0.0, 0.0]
     for _ in range(10):
-        pose, nu = model.step(pose, nu, tau, 0.02)
+        pose, nu = step(model, pose, nu, tau, 0.02)
     assert np.linalg.norm(nu[:3]) <= p.velocity_bound_linear + 1e-12
 
 
 def test_planar_linear_norm_bound_under_large_forcing():
     p = params3()
     model = VehicleModel(p)
-    pose = Pose3(0.0, 0.0, 0.0)
+    pose = (0.0, 0.0, 0.0)
     nu = [0.0] * 3
     tau = [50.0, 30.0, 0.0]
     for _ in range(10):
-        pose, nu = model.step(pose, nu, tau, 0.02)
+        pose, nu = step(model, pose, nu, tau, 0.02)
     assert np.linalg.norm(nu[:2]) <= p.velocity_bound_linear + 1e-12
 
 
@@ -223,11 +230,11 @@ def test_steady_yaw_rate_matches_drag_balance():
     d_lin, d_quad = p.damping_linear[2], p.damping_quadratic[2]
     expected = (-d_lin + math.sqrt(d_lin**2 + 4.0 * d_quad * torque)) / (2.0 * d_quad)
     model = VehicleModel(p)
-    pose = Pose3(0.0, 0.0, 0.0)
+    pose = (0.0, 0.0, 0.0)
     nu = [0.0] * 3
     tau = [0.0, 0.0, torque]
     for _ in range(3000):
-        pose, nu = model.step(pose, nu, tau, 0.02)
+        pose, nu = step(model, pose, nu, tau, 0.02)
     assert nu[2] == pytest.approx(expected, rel=0.01)
 
 
@@ -235,10 +242,8 @@ def test_world_frame_disturbance_enters_through_the_attitude():
     # a world +x push on a yawed vehicle shows up rotated in the body frame
     p = params6(damping_linear=(0.0,) * 6, damping_quadratic=(0.0,) * 6)
     model = VehicleModel(p)
-    pose = Pose6(0.0, 0.0, -1.0, EulerAngles(0.0, 0.0, math.pi / 2))
-    _, nu = model.step(
-        pose, [0.0] * 6, [0.0] * 6, 0.02, world_force=(1.0, 0.0, 0.0)
-    )
+    pose = (0.0, 0.0, -1.0, 0.0, 0.0, math.pi / 2)
+    _, nu = step(model, pose, [0.0] * 6, [0.0] * 6, 0.02, world_force=(1.0, 0.0, 0.0))
     # body y axis points along world -x after a +90 degree yaw
     assert nu[0] == pytest.approx(0.0, abs=1e-12)
     assert nu[1] < 0.0
