@@ -23,7 +23,6 @@ import tempfile
 from pathlib import Path
 
 from . import metrics, plotting
-from .frames import GimbalSingularity
 from .scenario import (
     ConfigError,
     PRESET_NAMES,
@@ -326,7 +325,7 @@ def main(argv=None) -> int:
     except (ConfigError, UnknownPreset) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SimFailure, GimbalSingularity) as exc:
+    except SimFailure as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return 3
 

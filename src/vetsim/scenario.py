@@ -48,7 +48,8 @@ from .control import (
     underwater_pd,
     vet_law,
 )
-from .frames import RigidTransform, euler_rate_rows, flat_transform, projected_distance
+from .frames import GimbalSingularity, RigidTransform, euler_rate_rows, flat_transform
+from .frames import projected_distance
 from .perception import (
     CameraModel,
     DropoutModel,
@@ -403,31 +404,33 @@ _CSV_FORMATS = {float: "%.12g", bool: "%d", str: "%s"}
 
 CSV_COLUMNS = tuple(name for *_, names in _LOG_LAYOUT for name in names)
 _CSV_ROW = ",".join(_CSV_FORMATS[kind] for _, kind, _, names in _LOG_LAYOUT for _ in names)
-# Rows are converted this many at a time, which bounds the memory the
-# per-cell Python objects take in both the writer and the reader.
+# Rows are converted this many at a time, which bounds the per-cell Python
+# objects the writer builds and the line strings the reader holds.
 _CSV_CHUNK = 256
-_ROW_WIDTH = sum(width for _, kind, width, _ in _LOG_LAYOUT if kind is not str)
+# The row table's columns in order, (field, index in the field).
+_TABLE_CELLS = [(name, i) for name, kind, width, _ in _LOG_LAYOUT if kind is not str
+                for i in range(width)]
+_ROW_WIDTH = len(_TABLE_CELLS)
 # Row-table columns ahead of the xi offsets, which are NaN by design on
 # undetected ticks: time, poses, velocities, commands and detection flags.
-_FINITE_WIDTH = sum(
-    width
-    for _, kind, width, _ in itertools.takewhile(lambda f: f[0] != "xi_us", _LOG_LAYOUT)
-    if kind is not str
-)
+_FINITE_WIDTH = _TABLE_CELLS.index(("xi_us", 0))
+# The CSV's columns in order, (field, kind, index in the field, row-table column
+# or None), and its rows as loadtxt reads them: float cells as float64, others text.
+_CSV_CELLS = [(name, kind, i, None if kind is str else _TABLE_CELLS.index((name, i)))
+              for name, kind, _, names in _LOG_LAYOUT for i in range(len(names))]
+_CSV_DTYPE = np.dtype([(column, float if kind is float else object)
+                       for column, (_, kind, _, _) in zip(CSV_COLUMNS, _CSV_CELLS)])
 
 
 def _log_arrays(table: np.ndarray) -> dict:
     """Slice the (ticks, _ROW_WIDTH) row table into the TrajectoryLog arrays:
     float64 views of disjoint columns (no copies), int and bool copies."""
     out = {}
-    col = 0
     for name, kind, width, _ in _LOG_LAYOUT:
-        if kind is str:
-            continue
-        out[name] = table[:, col] if width == 1 else table[:, col:col + width]
-        if kind is not float:
-            out[name] = out[name].astype(kind)
-        col += width
+        if kind is not str:
+            col = _TABLE_CELLS.index((name, 0))
+            block = table[:, col] if width == 1 else table[:, col:col + width]
+            out[name] = block if kind is float else block.astype(kind)
     return out
 
 
@@ -490,17 +493,9 @@ class TrajectoryLog:
         lines = [",".join(CSV_COLUMNS)]
         for lo in range(0, len(self.t), _CSV_CHUNK):
             rows = slice(lo, lo + _CSV_CHUNK)
-            columns = []
-            for name, kind, width, names in _LOG_LAYOUT:
-                if not names:
-                    continue
-                block = getattr(self, name)[rows]
-                if kind is str:
-                    columns.append(block)
-                elif width == 1:
-                    columns.append(block.tolist())
-                else:
-                    columns += block.T.tolist()
+            columns = [getattr(self, name)[rows] if kind is str
+                       else np.atleast_2d(getattr(self, name)[rows].T)[i].tolist()
+                       for name, kind, i, _ in _CSV_CELLS]
             lines += [_CSV_ROW % row for row in zip(*columns)]
         return "\n".join(lines) + "\n"
 
@@ -691,7 +686,10 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
     for k, (t, blank) in enumerate(zip(ts.tolist(), blanked.tolist())):
         # one rotation per robot and one Euler-rate map per tick, for every use
         tf_u, tf_s = flat_transform(pose_u), flat_transform(pose_s)
-        rates_u = euler_rate_rows(pose_u[3], pose_u[4])
+        try:
+            rates_u = euler_rate_rows(pose_u[3], pose_u[4])
+        except GimbalSingularity as exc:
+            raise SimFailure(f"{exc} at tick {k}, t={t:.3f} s: pose_u={list(pose_u)}") from exc
 
         # sense
         pixels_us, yaw_us, det_us = project_tag(tf_u, tf_s, cam_u, tag_s)
@@ -920,11 +918,11 @@ def log_from_csv(text: str, config: ScenarioConfig) -> TrajectoryLog:
     Body velocities, wp_index and the clamped_* flags are not part of the
     CSV schema and come back as zeros; saturated totals are reconstructed
     from the logged command split. A header-only file yields an empty log,
-    which the plots render as bare axes.
+    which the plots render as bare axes. Blank lines are skipped; a row of the
+    wrong length, a flag not 0 or 1 or a bad number is a ConfigError naming its row.
     """
-    # Non-empty lines, split off the text one at a time: only one chunk of
-    # rows is ever held as Python strings.
-    lines = (match.group() for match in re.finditer("[^\n]+", text))
+    # Non-empty lines, split off one at a time: one chunk is held as strings.
+    lines = map(re.Match.group, re.finditer("[^\n]+", text))
     if next(lines, "").split(",") != list(CSV_COLUMNS):
         raise ConfigError("trajectory CSV header does not match the schema")
     # Every well-formed row, the header too, holds len(CSV_COLUMNS) - 1 commas,
@@ -934,22 +932,17 @@ def log_from_csv(text: str, config: ScenarioConfig) -> TrajectoryLog:
     hi = 0
     while chunk := list(itertools.islice(lines, _CSV_CHUNK)):
         lo, hi = hi, hi + len(chunk)
-        cells = [row.split(",") for row in chunk]
-        for k, parts in enumerate(cells, lo + 1):
-            if len(parts) != len(CSV_COLUMNS):
-                raise ConfigError(f"row {k} has {len(parts)} fields")
-        columns = iter(zip(*cells))
-        col = 0
-        for name, kind, width, names in _LOG_LAYOUT:
+        try:
+            block = np.loadtxt(chunk, delimiter=",", dtype=_CSV_DTYPE, comments=None, ndmin=1)
+        except ValueError:  # a row of the wrong length or a float cell that is not a number
+            block = _rescan(chunk, lo)
+        for column, (name, kind, _, slot) in zip(CSV_COLUMNS, _CSV_CELLS):
             if kind is str:
-                labels[name] += next(columns)
-                continue
-            for c in range(col, col + len(names)):
-                values = next(columns)
-                table[lo:hi, c] = (
-                    [v == "1" for v in values] if kind is bool else _floats(values, lo)
-                )
-            col += width
+                labels[name] += block[column].tolist()
+            elif kind is float or {"0", "1"}.issuperset(block[column]):
+                table[lo:hi, slot] = block[column] == "1" if kind is bool else block[column]
+            else:
+                _rescan(chunk, lo)  # raises: a flag is neither 0 nor 1
     arrays = _log_arrays(table[:hi])
     for params, sub, xi, total in ((config.params_u, "u_sub_u", "u_xi_u", "u_total_u"),
                                    (config.params_s, "u_sub_s", "u_xi_s", "u_total_s")):
@@ -958,17 +951,24 @@ def log_from_csv(text: str, config: ScenarioConfig) -> TrajectoryLog:
     return TrajectoryLog(config=config, **arrays, **labels)
 
 
-def _floats(cells: tuple, lo: int) -> list:
-    """One CSV column chunk as floats; lo is the chunk's first row index."""
-    try:
-        return list(map(float, cells))
-    except ValueError:
-        for k, cell in enumerate(cells, lo + 1):
-            try:
-                float(cell)
-            except ValueError as exc:
-                raise ConfigError(f"row {k} is not numeric: {exc}") from exc
-        raise
+def _rescan(rows: list, lo: int) -> np.ndarray:
+    """Rows loadtxt or the flag check rejected, read cell by cell: field counts,
+    then flags and float() cells column by column; the first fault is a ConfigError
+    naming its row (lo + 1 is the first). Rows float() takes whole (1_0, say) return."""
+    cells = [row.split(",") for row in rows]
+    for k, parts in enumerate(cells, lo + 1):
+        if len(parts) != len(CSV_COLUMNS):
+            raise ConfigError(f"row {k} has {len(parts)} fields")
+    for c, (column, (_, kind, _, _)) in enumerate(zip(CSV_COLUMNS, _CSV_CELLS)):
+        for k, parts in enumerate(cells, lo + 1):
+            if kind is bool and parts[c] not in ("0", "1"):
+                raise ConfigError(f"row {k} column {column} is not 0 or 1: {parts[c]!r}")
+            if kind is float:
+                try:
+                    float(parts[c])
+                except ValueError as exc:
+                    raise ConfigError(f"row {k} is not numeric: {exc}") from exc
+    return np.array([tuple(parts) for parts in cells], dtype=_CSV_DTYPE)
 
 
 _PRESETS = {

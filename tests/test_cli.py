@@ -203,8 +203,9 @@ PITCH_OVER = (
 @pytest.mark.parametrize(
     "overrides, detail",
     [
-        # a pitch runaway into the gimbal guard band
-        (["duration=15", f"perturbations={PITCH_OVER}"], "gimbal guard band"),
+        # a pitch runaway into the gimbal guard band, named with its tick and pose
+        (["duration=15", f"perturbations={PITCH_OVER}"],
+         "pitch 1.603415 rad is inside the gimbal guard band at tick 47, t=0.940 s: pose_u=["),
         # every config number finite, but the state overflows: NaN poses from
         # the third tick on
         (["duration=2", "params_u.velocity_bound_linear=1e300",
@@ -294,8 +295,11 @@ def test_plot_rejects_a_missing_bundle(tmp_path, capsys):
     [
         (lambda cells: cells[:-1], "row 3 has 35 fields"),
         (lambda cells: cells[:5] + ["zero"] + cells[6:], "row 3 is not numeric"),
+        (lambda cells: [("abc" if name == "detectedUS" else cell)
+                        for name, cell in zip(CSV_COLUMNS, cells)],
+         "row 3 column detectedUS is not 0 or 1: 'abc'"),
     ],
-    ids=["short_row", "non_numeric_cell"],
+    ids=["short_row", "non_numeric_cell", "bad_detection_flag"],
 )
 def test_plot_rejects_a_corrupt_trajectory(tmp_path, capsys, corrupt, message):
     src = tmp_path / "bundle"

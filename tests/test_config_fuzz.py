@@ -11,7 +11,6 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from vetsim.cli import main
-from vetsim.frames import GimbalSingularity
 from vetsim.scenario import PRESET_NAMES, ConfigError, ScenarioConfig, SimFailure, preset, run
 
 V1_ECHO = Path(__file__).with_name("config_echoes") / "v1" / "navigation_real.json"
@@ -97,7 +96,7 @@ def test_from_dict_returns_a_valid_config_or_raises_config_error(case):
     cfg.duration = 2 * cfg.dt
     try:
         run(cfg)
-    except (SimFailure, GimbalSingularity):
+    except SimFailure:
         pass
 
 

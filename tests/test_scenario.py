@@ -327,6 +327,61 @@ def test_log_from_csv_accepts_a_header_only_file():
     assert len(log) == 0
 
 
+@pytest.mark.parametrize("mode", ["vet", "baseline"])
+@pytest.mark.parametrize("name", [*PRESET_NAMES, "perturbation_real+dropout"])
+def test_log_from_csv_is_a_fixed_point_of_the_writer(name, mode):
+    # every cell bit for bit: NaN xi, -0 commands, labels and event flags
+    if name.endswith("+dropout"):
+        cfg = short(name.split("+")[0], 12.0, mode=mode, dropout=DropoutModel(random_rate=0.3))
+    else:
+        cfg = short(name, min(preset(name).duration, 20.0), mode=mode)
+    text = run(cfg).to_csv_text()
+    assert log_from_csv(text, cfg).to_csv_text() == text
+
+
+def corrupt_row(text, row, corrupt):
+    """text with data row `row` (1 is the first after the header) corrupted."""
+    lines = text.splitlines()
+    lines[row] = ",".join(corrupt(lines[row].split(",")))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("where", ["row_300", "last_row"])
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda cells: cells[:-1], "row {} has 35 fields"),
+        (lambda cells: cells[:5] + ["zero"] + cells[6:], "row {} is not numeric"),
+        (lambda cells: [("2" if name == "detectedSU" else cell)
+                        for name, cell in zip(CSV_COLUMNS, cells)],
+         "row {} column detectedSU is not 0 or 1: '2'"),
+    ],
+    ids=["short_row", "non_numeric_cell", "bad_detection_flag"],
+)
+def test_log_from_csv_names_the_global_row_beyond_the_first_chunk(where, corrupt, message):
+    cfg = short("nominal", 8.0)  # 401 rows: the reader's second chunk holds rows 257 to 401
+    text = run(cfg).to_csv_text()
+    row = 300 if where == "row_300" else 401
+    with pytest.raises(ConfigError, match=re.escape(message.format(row))):
+        log_from_csv(corrupt_row(text, row, corrupt), cfg)
+
+
+def test_log_from_csv_reads_blank_lines_and_a_missing_final_newline(monkeypatch):
+    cfg = short("nominal", 8.0)
+    text = run(cfg).to_csv_text()
+    lines = text.splitlines()
+    assert log_from_csv(text.rstrip("\n"), cfg).to_csv_text() == text
+    # blank lines after the header, at the chunk boundary and at the end
+    spaced = lines[:1] + [""] + lines[1:257] + ["", ""] + lines[257:] + [""]
+    assert log_from_csv("\n".join(spaced) + "\n", cfg).to_csv_text() == text
+
+    def no_loadtxt(*args, **kwargs):
+        raise AssertionError("a header-only file has no rows to parse")
+
+    monkeypatch.setattr(np, "loadtxt", no_loadtxt)
+    assert len(log_from_csv(lines[0] + "\n", cfg)) == 0
+
+
 def test_perturbation_window_is_flagged_and_applied():
     cfg = short("perturbation_sim", 16.0)
     log = run(cfg)
@@ -494,14 +549,16 @@ def test_nominal_run_stays_inside_the_tank():
     assert "wall_clamp_u" not in flat and "wall_clamp_s" not in flat
 
 
-def test_runaway_attitude_propagates_the_gimbal_error():
+def test_runaway_attitude_fails_naming_the_tick():
     cfg = short(
         "nominal",
         15.0,
         perturbations=(Disturbance((0.0, 0.0, 0.0), (0.0, 5.0, 0.0), 0.0, 15.0),),
     )
-    with pytest.raises(GimbalSingularity):
+    detail = r"gimbal guard band at tick 47, t=0\.940 s: pose_u=\["
+    with pytest.raises(SimFailure, match=detail) as info:
         run(cfg)
+    assert isinstance(info.value.__cause__, GimbalSingularity)
 
 
 def test_baseline_mode_never_moves_the_leader_sideways():
