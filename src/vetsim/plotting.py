@@ -139,50 +139,54 @@ def _axes(frame: _Frame, title: str, x_label: str, y_label: str) -> list:
     return parts
 
 
-def _m4(qx, qy):
-    """M4 mask on hundredths of a pixel: each column's first, last, lowest and highest."""
+def _m4(qx, qy, starts):
+    """M4 mask on hundredths of a pixel: each column's first, last, lowest and highest.
+    Each index in ``starts`` (the runs' first points) opens a column of its own."""
     new_col = np.r_[True, qx[1:] // 100 != qx[:-1] // 100]
-    starts = np.flatnonzero(new_col)
+    new_col[starts] = True
+    cols = np.flatnonzero(new_col)
     col = np.cumsum(new_col)
     keep = np.zeros(len(qx), dtype=bool)
-    keep[starts] = keep[np.r_[starts[1:] - 1, len(qx) - 1]] = True
+    keep[cols] = keep[np.r_[cols[1:] - 1, len(qx) - 1]] = True
     for extreme in (np.minimum, np.maximum):  # the earliest point at each extreme
-        at = np.flatnonzero(qy == extreme.reduceat(qy, starts)[col - 1])
+        at = np.flatnonzero(qy == extreme.reduceat(qy, cols)[col - 1])
         keep[at[np.r_[True, col[at[1:]] != col[at[:-1]]]]] = True
     return keep
 
 
-def _grid(qx, qy):
-    """Mask of each point in another 0.5 px cell than its predecessor, and the last."""
+def _grid(qx, qy, starts):
+    """Mask of each point in another 0.5 px cell than its predecessor, and of each
+    run's first and last (runs open at ``starts``)."""
     cell = np.column_stack((qx, qy)) // 50
-    return np.r_[True, (cell[1:-1] != cell[:-2]).any(axis=1), True]
+    keep = np.r_[True, (cell[1:] != cell[:-1]).any(axis=1)]
+    keep[starts] = keep[starts[1:] - 1] = keep[-1] = True
+    return keep
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow gives inf, as with Python floats
 def _polyline(frame: _Frame, xs, ys, color: str, width: float = 1.5, dash=None,
-              thin=_m4) -> list:
+              thin=None) -> list:
     """Polylines at display resolution, split at non-finite points so gaps stay gaps.
 
     Runs of one point are dropped. ``thin`` masks the points drawn, judged on the
     printed hundredths of a pixel so that a log read back from its CSV draws the
-    same ones: M4 (Jugel et al., PVLDB 7(10), 2014) for time series draws the
-    raster of every point; ``_grid`` for x-y paths keeps each dropped one within 1 px.
+    same ones: M4 (Jugel et al., PVLDB 7(10), 2014), the default, for time series
+    draws the raster of every point; ``_grid`` for x-y paths keeps each dropped one
+    within 1 px. A series is mapped, thinned and printed once, whatever its runs.
     """
     dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-    finite = np.flatnonzero(np.isfinite(xs) & np.isfinite(ys))
-    parts = []
-    for run in np.split(finite, np.flatnonzero(np.diff(finite) != 1) + 1):
-        if len(run) < 2:
-            continue
-        px, py = frame.px(xs[run]), frame.py(ys[run])
-        keep = thin(np.rint(px * 100), np.rint(py * 100))
-        flat = np.column_stack((px[keep], py[keep])).ravel().tolist()
-        pts = ("%.2f,%.2f " * (len(flat) // 2))[:-1] % tuple(flat)
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="{width}"{dash_attr}/>'
-        )
-    return parts
+    finite = np.r_[False, np.isfinite(xs) & np.isfinite(ys), False]
+    drawn = np.flatnonzero(finite[1:-1] & (finite[:-2] | finite[2:]))  # not lone points
+    if not len(drawn):
+        return []
+    starts = np.flatnonzero(np.diff(drawn, prepend=-2) != 1)  # run starts within drawn
+    px, py = frame.px(xs[drawn]), frame.py(ys[drawn])
+    kept = np.flatnonzero((thin or _m4)(np.rint(px * 100), np.rint(py * 100), starts))
+    flat = np.column_stack((px[kept], py[kept])).ravel().tolist()
+    points = (("%.2f,%.2f " * len(kept)) % tuple(flat)).split(" ")
+    bounds = np.searchsorted(kept, np.r_[starts, len(drawn)]).tolist()
+    return [f'<polyline points="{" ".join(points[lo:hi])}" fill="none" stroke="{color}" '
+            f'stroke-width="{width}"{dash_attr}/>' for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _spans(frame: _Frame, windows, color: str) -> list:

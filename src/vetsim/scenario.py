@@ -403,7 +403,6 @@ _LOG_LAYOUT = (
 _CSV_FORMATS = {float: "%.12g", bool: "%d", str: "%s"}
 
 CSV_COLUMNS = tuple(name for *_, names in _LOG_LAYOUT for name in names)
-_CSV_ROW = ",".join(_CSV_FORMATS[kind] for _, kind, _, names in _LOG_LAYOUT for _ in names)
 # Rows are converted this many at a time, which bounds the per-cell Python
 # objects the writer builds and the line strings the reader holds.
 _CSV_CHUNK = 256
@@ -489,14 +488,26 @@ class TrajectoryLog:
         return sum(flags.split(";").count("waypoint_capture") for flags in self.event_flags)
 
     def to_csv_text(self) -> str:
-        """Render the fixed-schema CSV; identical runs give identical bytes."""
+        """Render the fixed-schema CSV; identical runs give identical bytes. A float or
+        flag column bit-identical over a chunk (so -0 and nan print as they do cell by
+        cell) is printed once, into the chunk's row template."""
         lines = [",".join(CSV_COLUMNS)]
         for lo in range(0, len(self.t), _CSV_CHUNK):
             rows = slice(lo, lo + _CSV_CHUNK)
-            columns = [getattr(self, name)[rows] if kind is str
-                       else np.atleast_2d(getattr(self, name)[rows].T)[i].tolist()
-                       for name, kind, i, _ in _CSV_CELLS]
-            lines += [_CSV_ROW % row for row in zip(*columns)]
+            cells, columns = [], []
+            for name, kind, i, _ in _CSV_CELLS:
+                column = getattr(self, name)[rows]
+                if kind is not str:
+                    column = column if column.ndim == 1 else column[:, i]
+                    bits = column.view(f"u{column.itemsize}")
+                    if (bits == bits[0]).all():
+                        cells.append((_CSV_FORMATS[kind] % column[0].item()).replace("%", "%%"))
+                        continue
+                    column = column.tolist()
+                cells.append(_CSV_FORMATS[kind])
+                columns.append(column)
+            template = ",".join(cells)
+            lines += [template % row for row in zip(*columns)]
         return "\n".join(lines) + "\n"
 
 
@@ -568,17 +579,20 @@ def _measure(pixels: list, detected: bool, cam: CameraModel) -> tuple:
     return geometry, region, tether_offset(geometry[0], cam)
 
 
+def _state_at(k: int, row) -> str:
+    """Where a run failed: tick k, its time and both poses, off row k of the row table."""
+    row = _log_arrays(np.reshape(row, (1, _ROW_WIDTH)))
+    return (f"at tick {k}, t={row['t'][0]:.3f} s: "
+            f"pose_u={row['pose_u'][0].tolist()}, pose_s={row['pose_s'][0].tolist()}")
+
+
 def _check_finite(table: np.ndarray) -> None:
     """Raise SimFailure at the first tick of a finished run's row table whose
     pose, velocity or command columns hold a NaN or an infinity."""
     bad = np.flatnonzero(~np.isfinite(table[:, :_FINITE_WIDTH]).all(axis=1))
     if bad.size:
         k = int(bad[0])
-        row = _log_arrays(table[k:k + 1])
-        raise SimFailure(
-            f"non-finite state at tick {k}, t={table[k, 0]:.3f} s: "
-            f"pose_u={row['pose_u'][0].tolist()}, pose_s={row['pose_s'][0].tolist()}"
-        )
+        raise SimFailure(f"non-finite state {_state_at(k, table[k])}")
 
 
 def _time_inputs(config: ScenarioConfig, ts: np.ndarray) -> tuple:
@@ -751,7 +765,8 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
             )
             pose_s, nu_s = model_s.step(pose_s, nu_s, model_s.allocate(u_tot_s), dt, tf_s[0])
         except (ArithmeticError, ValueError) as exc:
-            raise SimFailure(f"integration failed at t={t:.3f}: {exc}") from exc
+            where = _state_at(k, rows[-_ROW_WIDTH:])  # the tick's logged row
+            raise SimFailure(f"integration failed ({exc}) {where}") from exc
         pose_u, nu_u, clamped_u = walls.apply_u(pose_u, nu_u)
         pose_s, nu_s, clamped_s = walls.apply_s(pose_s, nu_s)
 

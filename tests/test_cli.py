@@ -265,6 +265,18 @@ def test_plot_regenerates_identical_decimated_svgs(tmp_path, capsys):
     assert points.split('"')[0].count(",") < 1501  # one comma per point
 
 
+def test_plot_regenerates_identical_svgs_across_detection_gaps(tmp_path, capsys):
+    # 30% random dropout: NaN offsets split the tether plot into hundreds of runs
+    src = tmp_path / "bundle"
+    assert run_cli("run", "--preset", "perturbation_real", "--set", "duration=20",
+                   "--set", "dropout.random_rate=0.3", "--out", str(src)) == 0
+    assert (src / "trajectory.csv").read_text().count(",nan,") > 100
+    dst = tmp_path / "replot"
+    assert run_cli("plot", "--run", str(src), "--out", str(dst)) == 0
+    for rel in BUNDLE_FILES[3:]:
+        assert (src / rel).read_bytes() == (dst / rel).read_bytes(), rel
+
+
 def test_plot_can_select_a_single_kind(tmp_path, capsys):
     src = tmp_path / "bundle"
     assert run_cli("run", "--preset", "nominal", "--set", "duration=2", "--out", str(src)) == 0

@@ -187,3 +187,68 @@ def test_time_series_polylines_are_bounded_by_the_plot_width(n):
         for line in lines:
             # four points for each of the 582 columns and for the right edge
             assert len(line) <= 4 * COLUMNS + 4, name
+
+
+def per_run(frame, xs, ys, color, width=1.5, dash=None, thin=None):
+    """Reference polylines: the loop over finite runs, thinning each run on its own."""
+    dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+    finite = np.flatnonzero(np.isfinite(xs) & np.isfinite(ys))
+    parts = []
+    for run_ in np.split(finite, np.flatnonzero(np.diff(finite) != 1) + 1):
+        if len(run_) < 2:
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            px, py = frame.px(xs[run_]), frame.py(ys[run_])
+            keep = (thin or plotting._m4)(np.rint(px * 100), np.rint(py * 100), np.array([0]))
+        flat = np.column_stack((px[keep], py[keep])).ravel().tolist()
+        pts = ("%.2f,%.2f " * (len(flat) // 2))[:-1] % tuple(flat)
+        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                     f'stroke-width="{width}"{dash_attr}/>')
+    return parts
+
+
+def run_lengths(values):
+    """Lengths of the runs of finite values."""
+    ok = np.isfinite(values).astype(int)
+    return np.flatnonzero(np.diff(np.r_[ok, 0]) == -1) - np.flatnonzero(np.diff(np.r_[0, ok]) == 1)
+
+
+def test_dense_gaps_draw_as_the_per_run_loop_did(monkeypatch):
+    rng = np.random.default_rng(30)
+    n = 3001
+
+    def dropped(values):  # Bernoulli(0.3) single-tick gaps, as with random dropout
+        values = values.copy()
+        values[rng.random(values.shape) < 0.3] = np.nan
+        return values
+
+    log = synthetic_log(np.arange(n) * 0.02, rng, gaps=False)
+    k = np.arange(n)
+    path = np.column_stack([1.4 + 2.0 * np.sin(k / 900), 0.8 + 1.5 * np.sin(k / 450),
+                            rng.normal(0.0, 0.01, (n, 4))])
+    commands = dropped(log.u_total_u)
+    log = dataclasses.replace(
+        log, xi_us=dropped(log.xi_us), xi_su=dropped(log.xi_su), u_total_u=commands,
+        u_total_s=commands[:, :3], pose_u=dropped(path), pose_s=dropped(path[:, [1, 0, 2]]),
+    )
+    lengths = run_lengths(log.xi_us)
+    assert (lengths == 1).any() and (lengths == 2).any()  # lone points and 2-point runs
+
+    calls = []
+    real_m4 = plotting._m4
+    monkeypatch.setattr(plotting, "_m4", lambda *args: calls.append(1) or real_m4(*args))
+    plotting.plot_tether(log)
+    assert len(calls) == 2  # one thinning pass per series, not one per run
+    monkeypatch.setattr(plotting, "_m4", real_m4)
+
+    drawn = time_plots(log, log)
+    drawn["trajectory"] = (plotting.plot_trajectory(log), [])
+    monkeypatch.setattr(plotting, "_polyline", per_run)
+    reference = time_plots(log, log)
+    reference["trajectory"] = (plotting.plot_trajectory(log), [])
+    for name, (svg, series) in drawn.items():
+        assert svg == reference[name][0], name
+        if series:
+            assert len(polylines(svg)) == sum(finite_runs(log.t, s) for s in series), name
+    expected = sum(finite_runs(pose[:, 0], pose[:, 1]) for pose in (log.pose_u, log.pose_s))
+    assert len(polylines(drawn["trajectory"][0])) == expected

@@ -1,5 +1,6 @@
 """Planners, configuration round trips and the closed-loop run."""
 
+import dataclasses
 import json
 import math
 import re
@@ -582,8 +583,11 @@ def test_arithmetic_errors_in_the_integrator_become_sim_failures(monkeypatch):
         raise ZeroDivisionError("float division by zero")
 
     monkeypatch.setattr(VehicleModel, "step", diverging)
-    with pytest.raises(SimFailure, match="t=0.000"):
+    with pytest.raises(SimFailure, match=r"^integration failed \(float division by zero\) "
+                       r"at tick 0, t=0\.000 s: pose_u=\[") as failure:
         run(short("nominal", 1.0))
+    pose_s = [float(v) for v in preset("nominal").initial_pose_s]
+    assert str(failure.value).endswith(f"pose_s={pose_s}")  # the tick's logged state
 
 
 def dropout_run(mode):
@@ -618,6 +622,39 @@ def test_csv_writer_matches_the_per_cell_formatter(mode):
     log = dropout_run(mode)
     assert np.isnan(log.xi_us).any()
     assert any("perturb_start" in flags for flags in log.event_flags)
+    assert log.to_csv_text() == per_cell_csv(log)
+
+
+# (field, rows and column, value) written into a 601-row nominal log, whose
+# chunks are rows 0-255, 256-511 and 512-600
+CSV_EDITS = {
+    "constant_negative_zero": ("u_xi_u", np.s_[:256, 0], -0.0),
+    "zero_of_both_signs": ("u_xi_u", np.s_[:256, 1], np.tile([0.0, -0.0], 128)),
+    "constant_then_varying": ("proj_dist", np.s_[:256], 0.25),
+    "all_nan_xi_chunk": ("xi_us", np.s_[256:512], math.nan),
+    "nan_of_both_signs": ("xi_su", np.s_[:256], np.tile([math.nan, -math.nan], 128)),
+    "constant_false_flags": ("detected_us", np.s_[256:512], False),
+    "one_flag_flip": ("detected_su", np.s_[300], False),
+}
+
+
+@pytest.mark.parametrize("case", CSV_EDITS)
+def test_csv_writer_prints_chunk_constant_columns_as_the_per_cell_formatter(case):
+    name, rows, value = CSV_EDITS[case]
+    log = run(short("nominal", 12.0))
+    values = getattr(log, name).copy()
+    values[rows] = value
+    log = dataclasses.replace(log, **{name: values})
+    text = log.to_csv_text()
+    assert text == per_cell_csv(log)
+    if case == "constant_negative_zero":
+        column = CSV_COLUMNS.index("uU_xi_x")
+        assert all(line.split(",")[column] == "-0" for line in text.splitlines()[1:257])
+
+
+def test_csv_writer_prints_a_one_row_last_chunk():
+    log = run(short("nominal", 5.12))
+    assert len(log) == 257
     assert log.to_csv_text() == per_cell_csv(log)
 
 
