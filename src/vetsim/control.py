@@ -24,9 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
-from .frames import Pose3, Pose6, RigidTransform, rotation_body_to_world, wrap_angle
+from .frames import flat_transform, rotate, wrap_angle
 from .perception import CameraModel, RegionLabel, elastic_penetration
 from .vehicle import VehicleParams, saturate
 
@@ -312,22 +310,23 @@ def combined_control(
 
 
 def check_connectivity(
-    camera_mount_u: RigidTransform,
-    tag_mount_u: RigidTransform,
-    camera_mount_s: RigidTransform,
-    tag_mount_s: RigidTransform,
-    pose_u: Pose6,
-    pose_s: Pose3,
+    camera_mount_u: tuple,
+    tag_mount_u: tuple,
+    camera_mount_s: tuple,
+    tag_mount_s: tuple,
+    pose_u: tuple,
+    pose_s: tuple,
 ) -> float:
     """Residual of the mounting balance that lets both tether commands
     vanish at the same relative pose.
 
-    Rotates each robot's camera-to-tag offset into the world frame and
-    returns the norm of their sum; below 1e-6 m the mounting certifies the
-    coupled laws share a common equilibrium.
+    The mounts are flat transforms (RigidTransform.flat) and the poses are
+    pose tuples. Rotates each robot's camera-to-tag offset into the world
+    frame and returns the norm of their sum; below 1e-6 m the mounting
+    certifies the coupled laws share a common equilibrium.
     """
-    rot_u = rotation_body_to_world(pose_u.attitude)
-    rot_s = rotation_body_to_world(pose_s.lifted().attitude)
-    offset_u = camera_mount_u.translation - tag_mount_u.translation
-    offset_s = camera_mount_s.translation - tag_mount_s.translation
-    return float(np.linalg.norm(rot_u @ offset_u + rot_s @ offset_s))
+    offset_u = [c - t for c, t in zip(camera_mount_u[1], tag_mount_u[1])]
+    offset_s = [c - t for c, t in zip(camera_mount_s[1], tag_mount_s[1])]
+    world_u = rotate(flat_transform(pose_u)[0], offset_u)
+    world_s = rotate(flat_transform(pose_s)[0], offset_s)
+    return math.hypot(*(a + b for a, b in zip(world_u, world_s)))

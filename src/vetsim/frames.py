@@ -4,14 +4,16 @@ World frame: x/y horizontal, z up. Body frames coincide with the world frame
 at zero attitude. Attitude is yaw-pitch-roll (ZYX): rotate psi about world z,
 then theta about the intermediate y, then phi about the body x. All angles are
 radians; normalised angles live in (-pi, pi].
+
+A pose is a float tuple: (x, y, z, phi, theta, psi) for the underwater robot,
+(x, y, psi) for the surface robot, which sits level at z = 0. A transform is
+flat: (nine row-major rotation floats, (x, y, z)).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -28,45 +30,6 @@ def wrap_angle(angle: float) -> float:
     return math.pi - (math.pi - angle) % TWO_PI
 
 
-@dataclass(frozen=True)
-class EulerAngles:
-    """Roll (phi), pitch (theta), yaw (psi) in radians."""
-
-    phi: float
-    theta: float
-    psi: float
-
-
-@dataclass(frozen=True)
-class Pose6:
-    """Full pose of the underwater robot: world position plus attitude."""
-
-    x: float
-    y: float
-    z: float
-    attitude: EulerAngles
-
-    def as_tuple(self) -> tuple:
-        a = self.attitude
-        return (self.x, self.y, self.z, a.phi, a.theta, a.psi)
-
-
-@dataclass(frozen=True)
-class Pose3:
-    """Planar pose of the surface robot: x, y and yaw at z = 0."""
-
-    x: float
-    y: float
-    psi: float
-
-    def as_tuple(self) -> tuple:
-        return (self.x, self.y, self.psi)
-
-    def lifted(self) -> Pose6:
-        """Embed in 3D: the surface robot sits on the z = 0 plane, level."""
-        return Pose6(self.x, self.y, 0.0, EulerAngles(0.0, 0.0, self.psi))
-
-
 def projected_distance(pose_u: tuple, pose_s: tuple) -> float:
     """Horizontal separation in metres between two pose tuples, each led by
     its x and y."""
@@ -74,9 +37,7 @@ def projected_distance(pose_u: tuple, pose_s: tuple) -> float:
 
 
 def flat_transform(pose: tuple) -> tuple:
-    """Body-to-world transform of a pose tuple as plain floats: (nine
-    row-major rotation entries, (x, y, z)). A pose is (x, y, z, phi, theta,
-    psi), or (x, y, psi) for the surface robot, which sits level at z = 0."""
+    """Body-to-world flat transform of a pose tuple of either robot."""
     if len(pose) == 3:
         x, y, psi = pose
         c, s = math.cos(psi), math.sin(psi)
@@ -97,11 +58,6 @@ def rotation_zyx(phi: float, theta: float, psi: float) -> tuple:
     )
 
 
-def rotation_body_to_world(attitude: EulerAngles) -> np.ndarray:
-    """ZYX rotation matrix mapping body coordinates into world coordinates."""
-    return np.array(rotation_zyx(attitude.phi, attitude.theta, attitude.psi)).reshape(3, 3)
-
-
 def euler_rate_rows(phi: float, theta: float) -> tuple:
     """The six non-constant entries (a, b, c, d, e, f) of the Euler-rate map
 
@@ -120,36 +76,62 @@ def euler_rate_rows(phi: float, theta: float) -> tuple:
     return (sphi * tth, cphi * tth, cphi, -sphi, sphi / cth, cphi / cth)
 
 
-def rotation_about_x(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+def rotate(rotation: tuple, vector) -> tuple:
+    """A 3-vector rotated by nine row-major rotation floats."""
+    r0, r1, r2, r3, r4, r5, r6, r7, r8 = rotation
+    x, y, z = vector
+    return (r0 * x + r1 * y + r2 * z, r3 * x + r4 * y + r5 * z, r6 * x + r7 * y + r8 * z)
 
 
-def rotation_about_z(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+def compose(a: tuple, b: tuple) -> tuple:
+    """Flat transform equivalent to applying b first, then a."""
+    (rot_a, (ax, ay, az)), (rot_b, pos_b) = a, b
+    columns = [rotate(rot_a, rot_b[j::3]) for j in range(3)]
+    x, y, z = rotate(rot_a, pos_b)
+    return tuple(v for row in zip(*columns) for v in row), (x + ax, y + ay, z + az)
+
+
+def invert(t: tuple) -> tuple:
+    """Inverse of a flat transform: the transposed rotation, and the
+    translation rotated back and negated."""
+    rot, pos = t
+    back = rot[0::3] + rot[1::3] + rot[2::3]
+    x, y, z = rotate(back, pos)
+    return back, (-x, -y, -z)
+
+
+def pose_from_transform(t: tuple) -> tuple:
+    """The pose tuple (x, y, z, phi, theta, psi) of a flat body-to-world
+    transform, with the ZYX angles recovered from its rotation."""
+    (r0, _, _, r3, _, _, r6, r7, r8), (x, y, z) = t
+    theta = -math.asin(min(1.0, max(-1.0, r6)))
+    return (x, y, z, math.atan2(r7, r8), theta, math.atan2(r3, r0))
 
 
 _ORTHONORMAL_TOL = 1e-9
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class RigidTransform:
-    """Rotation plus translation; maps source-frame coordinates to target."""
+    """A camera or tag mount: the rotation (three rows) and translation that
+    map mount coordinates into body coordinates. It is checked once, when
+    built; the simulation reads its flat() form."""
 
-    rotation: np.ndarray
-    translation: np.ndarray
+    rotation: tuple[tuple[float, ...], ...]
+    translation: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        self.rotation = np.asarray(self.rotation, dtype=float)
-        self.translation = np.asarray(self.translation, dtype=float)
-        if self.rotation.shape != (3, 3) or self.translation.shape != (3,):
+        rows = self.rotation
+        if len(rows) != 3 or any(len(row) != 3 for row in rows) or len(self.translation) != 3:
             raise ValueError("rigid transform needs a 3x3 rotation and 3-vector")
+        rot = self.flat()[0]
         # checked first so that NaN or huge entries never reach the product
-        if not (np.abs(self.rotation) <= 1.0 + _ORTHONORMAL_TOL).all():
+        if not all(abs(v) <= 1.0 + _ORTHONORMAL_TOL for v in rot):
             raise ValueError("rotation entries must lie in [-1, 1]")
-        err = np.max(np.abs(self.rotation @ self.rotation.T - np.eye(3)))
-        det = np.linalg.det(self.rotation)
+        gram = [rotate(rot, row) for row in rows]
+        err = max(abs(gram[i][j] - (i == j)) for i in range(3) for j in range(3))
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
         if err > _ORTHONORMAL_TOL or abs(det - 1.0) > _ORTHONORMAL_TOL:
             raise ValueError(
                 f"rotation is not orthonormal within tolerance (err={err:.3e}, det={det:.12f})"
@@ -157,65 +139,8 @@ class RigidTransform:
 
     @staticmethod
     def identity() -> "RigidTransform":
-        return RigidTransform(np.eye(3), np.zeros(3))
-
-    @staticmethod
-    def _trusted(rotation: np.ndarray, translation: np.ndarray) -> "RigidTransform":
-        # Construction bypass for transforms that are orthonormal by
-        # algebra (products and inverses of validated rotations); the
-        # validating __init__ stays the only public entry point.
-        t = object.__new__(RigidTransform)
-        t.rotation = rotation
-        t.translation = translation
-        return t
-
-    def apply(self, point: np.ndarray) -> np.ndarray:
-        return self.rotation @ np.asarray(point, dtype=float) + self.translation
-
-    def apply_vector(self, vector: np.ndarray) -> np.ndarray:
-        return self.rotation @ np.asarray(vector, dtype=float)
+        return RigidTransform(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), (0.0, 0.0, 0.0))
 
     def flat(self) -> tuple:
         """(nine row-major rotation floats, three translation floats)."""
-        return tuple(self.rotation.ravel().tolist()), tuple(self.translation.tolist())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RigidTransform):
-            return NotImplemented
-        return np.array_equal(self.rotation, other.rotation) and np.array_equal(
-            self.translation, other.translation
-        )
-
-
-def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
-    """Transform equivalent to applying b first, then a."""
-    return RigidTransform._trusted(
-        a.rotation @ b.rotation, a.rotation @ b.translation + a.translation
-    )
-
-
-def invert(t: RigidTransform) -> RigidTransform:
-    rot = t.rotation.T
-    return RigidTransform._trusted(rot.copy(), -rot @ t.translation)
-
-
-def transform_from_pose(pose: Pose6 | Pose3) -> RigidTransform:
-    """Body-to-world transform for a pose (planar poses are lifted)."""
-    if isinstance(pose, Pose3):
-        pose = pose.lifted()
-    return RigidTransform._trusted(
-        rotation_body_to_world(pose.attitude), np.array([pose.x, pose.y, pose.z], dtype=float)
-    )
-
-
-def euler_from_rotation(rot: np.ndarray) -> EulerAngles:
-    """Recover ZYX Euler angles from a rotation matrix."""
-    theta = -math.asin(min(1.0, max(-1.0, float(rot[2, 0]))))
-    phi = math.atan2(float(rot[2, 1]), float(rot[2, 2]))
-    psi = math.atan2(float(rot[1, 0]), float(rot[0, 0]))
-    return EulerAngles(phi, theta, psi)
-
-
-def pose_from_transform(t: RigidTransform) -> Pose6:
-    x, y, z = (float(v) for v in t.translation)
-    return Pose6(x, y, z, euler_from_rotation(t.rotation))
+        return tuple(v for row in self.rotation for v in row), tuple(self.translation)

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .frames import Pose6, RigidTransform, compose, invert, pose_from_transform
+from .frames import compose, invert, pose_from_transform
 from .scenario import TrajectoryLog
 
 
@@ -21,12 +21,13 @@ class EmptyLog(ValueError):
 
 
 def pose_from_observation(
-    world_from_body_s: RigidTransform,
-    body_from_camera_s: RigidTransform,
-    camera_from_tag_su: RigidTransform,
-    tag_mount: Optional[RigidTransform] = None,
-) -> Pose6:
-    """Recover the observed robot's world pose from a tag detection.
+    world_from_body_s: tuple,
+    body_from_camera_s: tuple,
+    camera_from_tag_su: tuple,
+    tag_mount: Optional[tuple] = None,
+) -> tuple:
+    """Recover the observed robot's world pose tuple (x, y, z, phi, theta,
+    psi) from a tag detection; every argument is a flat transform.
 
     Chains the observer's world pose, its camera mount and the estimated
     camera-from-tag transform, then strips the tag's own mounting offset.
@@ -35,9 +36,8 @@ def pose_from_observation(
         compose(world_from_body_s, body_from_camera_s), camera_from_tag_su
     )
     if tag_mount is None:
-        tag_mount = RigidTransform.identity()
-    world_from_body = compose(world_from_tag, invert(tag_mount))
-    return pose_from_transform(world_from_body)
+        return pose_from_transform(world_from_tag)
+    return pose_from_transform(compose(world_from_tag, invert(tag_mount)))
 
 
 def recovery_time(

@@ -54,7 +54,12 @@ class CameraModel:
 
 @dataclass(frozen=True)
 class TagModel:
-    """Square tag of a given side length mounted on a robot body."""
+    """Square tag of a given side length mounted on a robot body.
+
+    Its corners a, b, c, d run counter-clockwise from top-left in the tag
+    plane z = 0, at (-h, -h), (h, -h), (h, h), (-h, h) for h = side / 2; the
+    a->b edge runs along the tag's +x axis (its centreline).
+    """
 
     side: float
     mount: RigidTransform
@@ -67,21 +72,6 @@ class TagModel:
     def flat_mount(self) -> tuple:
         """The mount as plain floats, converted once (see RigidTransform.flat)."""
         return self.mount.flat()
-
-    def corners_local(self) -> np.ndarray:
-        """Corners a, b, c, d counter-clockwise from top-left, z = 0.
-
-        The a->b edge runs along the tag's +x axis (its centreline).
-        """
-        h = self.side / 2.0
-        return np.array(
-            [
-                [-h, -h, 0.0],
-                [h, -h, 0.0],
-                [h, h, 0.0],
-                [-h, h, 0.0],
-            ]
-        )
 
 
 @dataclass(frozen=True)
@@ -173,7 +163,7 @@ def project_tag(observer: tuple, target: tuple, cam: CameraModel, tag: TagModel)
     p1 = w1 * dx + w4 * dy + w7 * dz
     p2 = w2 * dx + w5 * dy + w8 * dz
 
-    # corners a, b, c, d as in TagModel.corners_local
+    # corners a, b, c, d as in TagModel
     h = tag.side / 2.0
     f = cam.focal_length
     width, height = cam.width, cam.height

@@ -275,7 +275,7 @@ def _non_finite_paths(tree, path: str = "") -> list:
 #
 # One walker maps every config dataclass to plain JSON data and back, driven
 # by the resolved field annotations: a dataclass is an object whose keys are
-# exactly its field names, a tuple or an array is a list, a scalar is itself.
+# exactly its field names, a tuple is a list, a scalar is itself.
 # A union of dataclasses (the planner) adds a "kind" key, the lower-cased
 # class name. A number keeps its JSON type: an int field takes only an
 # integer and a float field an integer or a float, neither a bool, and a str
@@ -305,8 +305,6 @@ def _encode(value, hint):
     if is_dataclass(hint):
         return {name: _encode(getattr(value, name), sub)
                 for name, sub in _field_types(hint).items()}
-    if hint is np.ndarray:
-        return value.tolist()
     if get_origin(hint) is tuple:
         item = get_args(hint)[0]
         return [_encode(v, item) for v in value]
@@ -356,11 +354,10 @@ def _decode(data, hint, path: str):
             raise ConfigError(f"{path} must be a list")
         item = get_args(hint)[0]
         return tuple(_decode(v, item, f"{path}.{i}") for i, v in enumerate(data))
-    accepted = _SCALAR_TYPES.get(hint)
-    if accepted is not None and (not isinstance(data, accepted) or isinstance(data, bool)):
+    if not isinstance(data, _SCALAR_TYPES[hint]) or isinstance(data, bool):
         raise ConfigError(f"malformed config at {path}: expected {hint.__name__}, got {data!r}")
     try:
-        return np.array(data, dtype=float) if hint is np.ndarray else hint(data)
+        return hint(data)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed config at {path}: {exc}") from exc
 
@@ -783,7 +780,7 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
 # -- presets ---------------------------------------------------------------
 
 # 180 degree flip about body x, written exactly so sign patterns stay exact.
-_FLIP_X = np.diag([1.0, -1.0, -1.0])
+_FLIP_X = ((1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0))
 
 
 def _underwater_params() -> VehicleParams:
@@ -817,7 +814,7 @@ def _camera_u() -> CameraModel:
 
 def _camera_s() -> CameraModel:
     """Downward camera on the surface robot, flipped 180 degrees about x."""
-    return CameraModel(640, 480, 400.0, RigidTransform(_FLIP_X.copy(), np.zeros(3)))
+    return CameraModel(640, 480, 400.0, RigidTransform(_FLIP_X, (0.0, 0.0, 0.0)))
 
 
 def _tag_u() -> TagModel:
@@ -827,7 +824,7 @@ def _tag_u() -> TagModel:
 
 def _tag_s() -> TagModel:
     """Tag under the surface robot, facing down."""
-    return TagModel(0.1, RigidTransform(_FLIP_X.copy(), np.zeros(3)))
+    return TagModel(0.1, RigidTransform(_FLIP_X, (0.0, 0.0, 0.0)))
 
 
 def _base_config(name: str) -> ScenarioConfig:

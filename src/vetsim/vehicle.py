@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .frames import wrap_angle
 
 
@@ -112,12 +110,6 @@ def _coriolis_flat(nu: list, mass: tuple) -> list:
         -a2, 0.0, a0, -b2, 0.0, b0,
         a1, -a0, 0.0, b1, -b0, 0.0,
     ]
-
-
-def coriolis_matrix(nu, params: VehicleParams) -> np.ndarray:
-    """Skew-symmetric Coriolis/centripetal matrix for the diagonal mass."""
-    nu = [float(v) for v in nu]
-    return np.array(_coriolis_flat(nu, params.mass)).reshape(params.dof, params.dof)
 
 
 def saturate(u, params: VehicleParams) -> list:

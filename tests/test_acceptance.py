@@ -19,18 +19,12 @@ from vetsim.control import (
     subtask_control_underwater,
     vet_law,
 )
+from reference_geometry import as_flat, mount_matrix, pose_matrix, rotation
 from vetsim.frames import (
-    EulerAngles,
-    Pose3,
-    Pose6,
     RigidTransform,
-    compose,
     euler_rate_rows,
     flat_transform,
-    invert,
-    rotation_body_to_world,
-    rotation_about_z,
-    transform_from_pose,
+    rotation_zyx,
     wrap_angle,
 )
 from vetsim.metrics import (
@@ -50,7 +44,8 @@ from vetsim.perception import (
 from vetsim.scenario import preset, run
 from vetsim.vehicle import VehicleModel, VehicleParams
 
-FLIP_X = np.diag([1.0, -1.0, -1.0])
+FLIP_X = ((1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0))
+ZERO = (0.0, 0.0, 0.0)
 
 
 def _verdict(capsys, number: int, ok: bool, detail: str) -> None:
@@ -185,7 +180,7 @@ def _up_camera():
 def _check_rotations():
     rng = np.random.default_rng(0)
     for _ in range(100):
-        rot = rotation_body_to_world(EulerAngles(*rng.uniform(-math.pi, math.pi, 3)))
+        rot = np.reshape(rotation_zyx(*rng.uniform(-math.pi, math.pi, 3)), (3, 3))
         assert np.allclose(rot @ rot.T, np.eye(3), atol=1e-9)
         assert abs(np.linalg.det(rot) - 1.0) <= 1e-9
 
@@ -267,9 +262,9 @@ def _check_zero_at_center():
 
 def _check_direction_symmetry():
     cam_u = _up_camera()
-    cam_s = CameraModel(640, 480, 400.0, RigidTransform(FLIP_X, np.zeros(3)))
+    cam_s = CameraModel(640, 480, 400.0, RigidTransform(FLIP_X, ZERO))
     tag_u = TagModel(0.1, RigidTransform.identity())
-    tag_s = TagModel(0.1, RigidTransform(FLIP_X, np.zeros(3)))
+    tag_s = TagModel(0.1, RigidTransform(FLIP_X, ZERO))
     gains = VetGains()
     rng = np.random.default_rng(4)
     for _ in range(40):
@@ -289,7 +284,7 @@ def _check_direction_symmetry():
         c, s = math.cos(heading), math.sin(heading)
         rot = np.array([[c, -s], [s, c]])
         world_u = rot @ camera_to_body(cmd_us, cam_u.flat_mount[0], 6)[:2]
-        world_s = (rotation_about_z(heading) @ camera_to_body(cmd_su, cam_s.flat_mount[0], 3))[:2]
+        world_s = rot @ camera_to_body(cmd_su, cam_s.flat_mount[0], 3)[:2]
         nu_, ns_ = np.linalg.norm(world_u), np.linalg.norm(world_s)
         if nu_ < 1e-9:
             continue
@@ -299,7 +294,7 @@ def _check_direction_symmetry():
 
 def _check_elastic_decay():
     cam = _up_camera()
-    tag_s = TagModel(0.1, RigidTransform(FLIP_X, np.zeros(3)))
+    tag_s = TagModel(0.1, RigidTransform(FLIP_X, ZERO))
     gains = VetGains()
     state = VetFilterState.initial()
     x, dt = 0.5, 0.02
@@ -319,35 +314,30 @@ def _check_elastic_decay():
 
 
 def _check_connectivity_residual():
-    ident = RigidTransform.identity()
-    flip = RigidTransform(FLIP_X, np.zeros(3))
-    pose_u = Pose6(0.2, 0.1, -1.0, EulerAngles(0.0, 0.0, 1.1))
-    residual = check_connectivity(ident, ident, flip, flip, pose_u, Pose3(0.0, 0.0, -0.4))
+    ident = RigidTransform.identity().flat()
+    flip = RigidTransform(FLIP_X, ZERO).flat()
+    pose_u = (0.2, 0.1, -1.0, 0.0, 0.0, 1.1)
+    residual = check_connectivity(ident, ident, flip, flip, pose_u, (0.0, 0.0, -0.4))
     assert residual <= 1e-12
 
 
 def _check_pnp_round_trip():
     rng = np.random.default_rng(5)
-    cam_mount = RigidTransform(FLIP_X, np.zeros(3))
+    cam_mount = RigidTransform(FLIP_X, ZERO)
     tag_mount = RigidTransform.identity()
     for _ in range(25):
-        pose_s = Pose3(*rng.uniform(-2, 2, 2), rng.uniform(-math.pi, math.pi))
-        true_u = Pose6(
+        pose_s = (*rng.uniform(-2, 2, 2), rng.uniform(-math.pi, math.pi))
+        true_u = (
             *rng.uniform(-2, 2, 2), rng.uniform(-2, -0.5),
-            EulerAngles(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5), rng.uniform(-math.pi, math.pi)),
+            rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5), rng.uniform(-math.pi, math.pi),
         )
-        world_from_s = transform_from_pose(pose_s)
-        cam_from_tag = compose(
-            invert(compose(world_from_s, cam_mount)),
-            compose(transform_from_pose(true_u), tag_mount),
+        world_from_cam = pose_matrix(pose_s) @ mount_matrix(cam_mount)
+        cam_from_tag = np.linalg.inv(world_from_cam) @ pose_matrix(true_u) @ mount_matrix(tag_mount)
+        recovered = pose_from_observation(
+            as_flat(pose_matrix(pose_s)), cam_mount.flat(), as_flat(cam_from_tag), tag_mount.flat()
         )
-        recovered = pose_from_observation(world_from_s, cam_mount, cam_from_tag, tag_mount)
-        assert np.allclose(recovered.as_tuple()[:3], true_u.as_tuple()[:3], atol=1e-6)
-        assert np.allclose(
-            rotation_body_to_world(recovered.attitude),
-            rotation_body_to_world(true_u.attitude),
-            atol=1e-6,
-        )
+        assert np.allclose(recovered[:3], true_u[:3], atol=1e-6)
+        assert np.allclose(rotation(recovered), rotation(true_u), atol=1e-6)
 
 
 def _check_determinism():

@@ -107,6 +107,9 @@ HUGE_INT = str(10**400)
         "name=[1,2]", "name=null", "mode=5",
         # keys that config schema v2 removed are unknown overrides
         "appendix_sign_convention=no", "dropout.seed=0",
+        # mount entries are JSON numbers, not strings or bools
+        'camera_u.mount.translation=["0.1",true,0]',
+        'camera_u.mount.rotation=[["1","0","0"],["0","1","0"],["0","0","1"]]',
     )] + [
         pytest.param(["--preset", "nominal", "--seed", "-1"], id="--seed -1"),
         _override(f"camera_u.width={HUGE_INT}", case_id="camera_u.width=10**400"),

@@ -22,14 +22,7 @@ from vetsim.control import (
     underwater_pd,
     vet_law,
 )
-from vetsim.frames import (
-    EulerAngles,
-    Pose3,
-    Pose6,
-    RigidTransform,
-    flat_transform,
-    rotation_about_z,
-)
+from vetsim.frames import RigidTransform, flat_transform
 from vetsim.perception import (
     CameraModel,
     RegionLabel,
@@ -41,7 +34,8 @@ from vetsim.perception import (
 )
 from vetsim.vehicle import VehicleParams
 
-FLIP_X = np.diag([1.0, -1.0, -1.0])
+FLIP_X = ((1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0))
+ZERO = (0.0, 0.0, 0.0)
 
 
 def up_camera():
@@ -49,7 +43,7 @@ def up_camera():
 
 
 def down_camera():
-    return CameraModel(640, 480, 400.0, RigidTransform(FLIP_X, np.zeros(3)))
+    return CameraModel(640, 480, 400.0, RigidTransform(FLIP_X, ZERO))
 
 
 def measured(pixels, cam):
@@ -308,7 +302,7 @@ def test_baseline_is_stateless():
 
 # camera mounts as the nine row-major rotation entries camera_to_body takes
 IDENTITY = RigidTransform.identity().flat()[0]
-FLIPPED = RigidTransform(FLIP_X, np.zeros(3)).flat()[0]
+FLIPPED = RigidTransform(FLIP_X, ZERO).flat()[0]
 
 
 def test_camera_to_body_identity_mount():
@@ -364,30 +358,29 @@ def test_combined_control_weight_scales_linear_subtask_only():
 # --- mounting balance ------------------------------------------------------------------
 
 def test_connectivity_residual_for_colocated_mounts():
-    ident = RigidTransform.identity()
-    flip = RigidTransform(FLIP_X, np.zeros(3))
-    pose_u = Pose6(0.4, -0.2, -1.0, EulerAngles(0.0, 0.0, 0.3))
-    residual = check_connectivity(ident, ident, flip, flip, pose_u, Pose3(0.0, 0.0, -0.7))
+    ident, flip = (IDENTITY, ZERO), (FLIPPED, ZERO)
+    pose_u = (0.4, -0.2, -1.0, 0.0, 0.0, 0.3)
+    residual = check_connectivity(ident, ident, flip, flip, pose_u, (0.0, 0.0, -0.7))
     assert residual == pytest.approx(0.0, abs=1e-12)
 
 
 def test_connectivity_residual_for_mirrored_offsets():
-    cam_u = RigidTransform(np.eye(3), np.array([0.1, 0.0, 0.0]))
-    tag_u = RigidTransform.identity()
-    cam_s = RigidTransform(FLIP_X, np.array([-0.1, 0.0, 0.0]))
-    tag_s = RigidTransform(FLIP_X, np.zeros(3))
-    pose_u = Pose6(0.0, 0.0, -1.0, EulerAngles(0.0, 0.0, 0.0))
-    residual = check_connectivity(cam_u, tag_u, cam_s, tag_s, pose_u, Pose3(0.0, 0.0, 0.0))
+    cam_u = (IDENTITY, (0.1, 0.0, 0.0))
+    tag_u = (IDENTITY, ZERO)
+    cam_s = (FLIPPED, (-0.1, 0.0, 0.0))
+    tag_s = (FLIPPED, ZERO)
+    pose_u = (0.0, 0.0, -1.0, 0.0, 0.0, 0.0)
+    residual = check_connectivity(cam_u, tag_u, cam_s, tag_s, pose_u, (0.0, 0.0, 0.0))
     assert residual == pytest.approx(0.0, abs=1e-12)
 
 
 def test_connectivity_residual_flags_an_unbalanced_pair():
-    offset = RigidTransform(np.eye(3), np.array([0.1, 0.0, 0.0]))
-    ident = RigidTransform.identity()
-    flip = RigidTransform(FLIP_X, np.zeros(3))
-    cam_s = RigidTransform(FLIP_X, np.array([0.1, 0.0, 0.0]))
-    pose_u = Pose6(0.0, 0.0, -1.0, EulerAngles(0.0, 0.0, 0.0))
-    residual = check_connectivity(offset, ident, cam_s, flip, pose_u, Pose3(0.0, 0.0, 0.0))
+    offset = (IDENTITY, (0.1, 0.0, 0.0))
+    ident = (IDENTITY, ZERO)
+    flip = (FLIPPED, ZERO)
+    cam_s = (FLIPPED, (0.1, 0.0, 0.0))
+    pose_u = (0.0, 0.0, -1.0, 0.0, 0.0, 0.0)
+    residual = check_connectivity(offset, ident, cam_s, flip, pose_u, (0.0, 0.0, 0.0))
     assert residual == pytest.approx(0.2)
 
 
@@ -407,7 +400,7 @@ def test_world_frame_tether_commands_are_anti_parallel(r, bearing, heading):
     pose_s = (0.0, 0.0, heading)
     cam_u, cam_s = up_camera(), down_camera()
     tag_u = TagModel(0.1, RigidTransform.identity())
-    tag_s = TagModel(0.1, RigidTransform(FLIP_X, np.zeros(3)))
+    tag_s = TagModel(0.1, RigidTransform(FLIP_X, ZERO))
 
     tf_u, tf_s = flat_transform(pose_u), flat_transform(pose_s)
     pixels_us, yaw_us, det_us = project_tag(tf_u, tf_s, cam_u, tag_s)
@@ -419,11 +412,11 @@ def test_world_frame_tether_commands_are_anti_parallel(r, bearing, heading):
     cmd_us, _, _ = vet_law(*measured(pixels_us, cam_u), yaw_us, 0.0, state, gains, cam_u)
     cmd_su, _, _ = vet_law(*measured(pixels_su, cam_s), yaw_su, 0.0, state, gains, cam_s)
 
-    rot_u = np.array(
+    rot = np.array(
         [[math.cos(heading), -math.sin(heading)], [math.sin(heading), math.cos(heading)]]
     )
-    world_u = rot_u @ camera_to_body(cmd_us, cam_u.flat_mount[0], 6)[:2]
-    world_s = (rotation_about_z(heading) @ camera_to_body(cmd_su, cam_s.flat_mount[0], 3))[:2]
+    world_u = rot @ camera_to_body(cmd_us, cam_u.flat_mount[0], 6)[:2]
+    world_s = rot @ camera_to_body(cmd_su, cam_s.flat_mount[0], 3)[:2]
 
     norm_u, norm_s = np.linalg.norm(world_u), np.linalg.norm(world_s)
     assume(norm_u > 1e-9)
@@ -436,7 +429,7 @@ def test_elastic_stretch_decays_monotonically_in_closed_loop():
     """One robot on a 1-D single-integrator plant servoing on the other's
     tag: the pixel offset shrinks every step until the safe region."""
     cam = up_camera()
-    tag_s = TagModel(0.1, RigidTransform(FLIP_X, np.zeros(3)))
+    tag_s = TagModel(0.1, RigidTransform(FLIP_X, ZERO))
     gains = VetGains()
     state = VetFilterState.initial()
     x = 0.5

@@ -6,17 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from vetsim.frames import (
-    EulerAngles,
-    Pose3,
-    Pose6,
-    RigidTransform,
-    compose,
-    invert,
-    projected_distance,
-    rotation_body_to_world,
-    transform_from_pose,
-)
+from reference_geometry import as_flat, mount_matrix, pose_matrix, rotation
+from vetsim.frames import RigidTransform, projected_distance
 from vetsim.metrics import (
     EmptyLog,
     mission_success,
@@ -29,7 +20,7 @@ from vetsim.metrics import (
 from vetsim.scenario import Setpoints, TrajectoryLog, preset
 from vetsim.vehicle import Disturbance
 
-FLIP_X = np.diag([1.0, -1.0, -1.0])
+FLIP_X = ((1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0))
 
 
 def make_log(
@@ -283,42 +274,38 @@ def test_short_logs_are_rejected():
 # --- pose recovery from a tag observation ------------------------------------------------
 
 def test_identity_chain_gives_the_origin():
-    ident = RigidTransform.identity()
+    ident = RigidTransform.identity().flat()
     pose = pose_from_observation(ident, ident, ident)
-    assert pose.as_tuple()[:3] == (0.0, 0.0, 0.0)
+    assert pose[:3] == (0.0, 0.0, 0.0)
 
 
 def test_translation_chain_composes():
-    step = RigidTransform(np.eye(3), np.array([1.0, 0.0, 0.0]))
+    step = (RigidTransform.identity().flat()[0], (1.0, 0.0, 0.0))
     pose = pose_from_observation(step, step, step)
-    assert pose.x == pytest.approx(3.0)
+    assert pose[0] == pytest.approx(3.0)
 
 
 def test_pose_recovery_round_trip_against_ground_truth():
     """Noiseless camera-from-tag measurements invert to the true pose."""
     rng = np.random.default_rng(21)
-    cam_mount = RigidTransform(FLIP_X, np.array([0.02, -0.01, -0.03]))
-    tag_mount = RigidTransform(np.eye(3), np.array([0.0, 0.05, 0.04]))
+    cam_mount = RigidTransform(FLIP_X, (0.02, -0.01, -0.03))
+    tag_mount = RigidTransform(RigidTransform.identity().rotation, (0.0, 0.05, 0.04))
     for _ in range(25):
-        pose_s = Pose3(*rng.uniform(-2, 2, 2), rng.uniform(-math.pi, math.pi))
-        true_u = Pose6(
+        pose_s = (*rng.uniform(-2, 2, 2), rng.uniform(-math.pi, math.pi))
+        true_u = (
             *rng.uniform(-2, 2, 2),
             rng.uniform(-2, -0.5),
-            EulerAngles(
-                rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6), rng.uniform(-math.pi, math.pi)
-            ),
+            rng.uniform(-0.6, 0.6),
+            rng.uniform(-0.6, 0.6),
+            rng.uniform(-math.pi, math.pi),
         )
-        world_from_s = transform_from_pose(pose_s)
-        world_from_tag = compose(transform_from_pose(true_u), tag_mount)
-        world_from_cam = compose(world_from_s, cam_mount)
-        cam_from_tag = compose(invert(world_from_cam), world_from_tag)
+        # the noiseless measurement, from the homogeneous reference matrices
+        world_from_tag = pose_matrix(true_u) @ mount_matrix(tag_mount)
+        world_from_cam = pose_matrix(pose_s) @ mount_matrix(cam_mount)
+        cam_from_tag = as_flat(np.linalg.inv(world_from_cam) @ world_from_tag)
 
-        recovered = pose_from_observation(world_from_s, cam_mount, cam_from_tag, tag_mount)
-        np.testing.assert_allclose(
-            recovered.as_tuple()[:3], true_u.as_tuple()[:3], atol=1e-6
+        recovered = pose_from_observation(
+            as_flat(pose_matrix(pose_s)), cam_mount.flat(), cam_from_tag, tag_mount.flat()
         )
-        np.testing.assert_allclose(
-            rotation_body_to_world(recovered.attitude),
-            rotation_body_to_world(true_u.attitude),
-            atol=1e-6,
-        )
+        np.testing.assert_allclose(recovered[:3], true_u[:3], atol=1e-6)
+        np.testing.assert_allclose(rotation(recovered), rotation(true_u), atol=1e-6)

@@ -6,18 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vetsim.frames import (
-    EulerAngles,
-    Pose3,
-    Pose6,
-    RigidTransform,
-    compose,
-    flat_transform,
-    rotation_about_x,
-    rotation_about_z,
-    transform_from_pose,
-    wrap_angle,
-)
+from reference_geometry import mount_matrix, pose_matrix, rot_x, rot_z
+from vetsim.frames import RigidTransform, flat_transform, wrap_angle
 from vetsim.perception import (
     CameraModel,
     DropoutModel,
@@ -30,7 +20,7 @@ from vetsim.perception import (
     tether_offset,
 )
 
-FLIP_X = np.diag([1.0, -1.0, -1.0])
+FLIP_X = ((1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0))
 
 
 def up_camera():
@@ -39,7 +29,7 @@ def up_camera():
 
 
 def down_camera():
-    return CameraModel(640, 480, 400.0, RigidTransform(FLIP_X, np.zeros(3)))
+    return CameraModel(640, 480, 400.0, RigidTransform(FLIP_X, (0.0, 0.0, 0.0)))
 
 
 def top_tag():
@@ -47,7 +37,7 @@ def top_tag():
 
 
 def bottom_tag():
-    return TagModel(0.1, RigidTransform(FLIP_X, np.zeros(3)))
+    return TagModel(0.1, RigidTransform(FLIP_X, (0.0, 0.0, 0.0)))
 
 
 def square(cx, cy, half=20.0):
@@ -227,21 +217,32 @@ def test_projected_pixel_offset_matches_pinhole_model():
     assert center[1] == pytest.approx(240.0 + 400.0 * 0.1, abs=1e-9)
 
 
+def corners_local(side):
+    """Tag corners a, b, c, d counter-clockwise from top-left, z = 0; the
+    a->b edge runs along the tag's +x axis (its centreline)."""
+    h = side / 2.0
+    return np.array([[-h, -h, 0.0], [h, -h, 0.0], [h, h, 0.0], [-h, h, 0.0]])
+
+
 def reference_projection(observer_pose, target_pose, cam, tag):
-    """The projection written with rigid transforms and matrix products."""
-    world_from_cam = compose(transform_from_pose(observer_pose), cam.mount)
-    world_from_tag = compose(transform_from_pose(target_pose), tag.mount)
-    rot_cam_tag = world_from_cam.rotation.T @ world_from_tag.rotation
-    t_cam_tag = world_from_cam.rotation.T @ (
-        world_from_tag.translation - world_from_cam.translation
-    )
-    corners_cam = tag.corners_local() @ rot_cam_tag.T + t_cam_tag
+    """The projection written with homogeneous transforms and matrix products."""
+    world_from_cam = pose_matrix(observer_pose) @ mount_matrix(cam.mount)
+    world_from_tag = pose_matrix(target_pose) @ mount_matrix(tag.mount)
+    rot_cam = world_from_cam[:3, :3]
+    rot_cam_tag = rot_cam.T @ world_from_tag[:3, :3]
+    t_cam_tag = rot_cam.T @ (world_from_tag[:3, 3] - world_from_cam[:3, 3])
+    corners_cam = corners_local(tag.side) @ rot_cam_tag.T + t_cam_tag
     depths = corners_cam[:, 2]
     pixels = np.empty((4, 2))
     pixels[:, 0] = cam.focal_length * corners_cam[:, 0] / depths + cam.width / 2.0
     pixels[:, 1] = cam.focal_length * corners_cam[:, 1] / depths + cam.height / 2.0
     yaw = wrap_angle(math.atan2(rot_cam_tag[1, 0], rot_cam_tag[0, 0]))
     return pixels, yaw, bool(np.all(depths > 0.0))
+
+
+def rows(matrix):
+    """A numpy rotation as the tuple rows a RigidTransform holds."""
+    return tuple(map(tuple, matrix.tolist()))
 
 
 angle = st.floats(-0.5, 0.5)
@@ -256,17 +257,13 @@ angle = st.floats(-0.5, 0.5)
 )
 def test_projection_matches_the_rigid_transform_reference(position, attitude, psi_s, mount):
     """Both directions, with non-trivial mounts, agree with the matrix form."""
-    pose_u = Pose6(*position, EulerAngles(*attitude))
-    pose_s = Pose3(0.05, -0.02, psi_s)
+    pose_u = (*position, *attitude)
+    pose_s = (0.05, -0.02, psi_s)
     tilt, offset = mount
-    cam = CameraModel(
-        640, 480, 400.0, RigidTransform(rotation_about_x(tilt), np.array([offset, 0.0, 0.02]))
-    )
-    tag = TagModel(
-        0.1, RigidTransform(FLIP_X @ rotation_about_z(tilt), np.array([0.0, offset, 0.0]))
-    )
+    cam = CameraModel(640, 480, 400.0, RigidTransform(rows(rot_x(tilt)), (offset, 0.0, 0.02)))
+    tag = TagModel(0.1, RigidTransform(rows(FLIP_X @ rot_z(tilt)), (0.0, offset, 0.0)))
     for observer, target in ((pose_u, pose_s), (pose_s, pose_u)):
-        corners, camera_yaw, detected = project(observer.as_tuple(), target.as_tuple(), cam, tag)
+        corners, camera_yaw, detected = project(observer, target, cam, tag)
         pixels, yaw, in_front = reference_projection(observer, target, cam, tag)
         if not in_front:
             assert not detected

@@ -15,7 +15,7 @@ import vetsim.perception as perception
 import vetsim.scenario as scenario
 import vetsim.vehicle as vehicle
 from vetsim.control import SubTaskTarget, surface_pd
-from vetsim.frames import EulerAngles, GimbalSingularity, Pose3, Pose6
+from vetsim.frames import GimbalSingularity, RigidTransform
 from vetsim.scenario import (
     CSV_COLUMNS,
     ConfigError,
@@ -717,8 +717,8 @@ def test_an_empty_planner_targets_the_current_pose_every_tick():
 @pytest.mark.parametrize("mode", ["vet", "baseline"])
 def test_a_tick_transforms_each_pose_once_and_builds_no_pose(monkeypatch, mode):
     """One rotation_zyx (plus one per wall clamp) and one euler_rate_rows per
-    tick for the underwater pose; no pose object, and a new SubTaskTarget only
-    when the waypoint index moves."""
+    tick for the underwater pose; no mount is built, and a new SubTaskTarget
+    only when the waypoint index moves."""
     cfg = short("perturbation_real", 12.0, mode=mode, dropout=DropoutModel(random_rate=0.3))
     calls = {"rotation_zyx": 0, "euler_rate_rows": 0}
     for name in calls:
@@ -730,7 +730,7 @@ def test_a_tick_transforms_each_pose_once_and_builds_no_pose(monkeypatch, mode):
             if name in vars(module):
                 monkeypatch.setattr(module, name, counted)
     built = []
-    for cls in (Pose6, Pose3, EulerAngles, SubTaskTarget):
+    for cls in (RigidTransform, SubTaskTarget):
         def counted_init(self, *args, _init=cls.__init__, **kwargs):
             built.append(type(self).__name__)
             _init(self, *args, **kwargs)
