@@ -303,9 +303,8 @@ def combined_control(
     priority leave it at 1, which reduces to a plain sum.
     """
     n_lin = 2 if len(subtask_u) == 3 else 3
-    total = []
-    for i, s in enumerate(subtask_u):
-        total.append(s * subtask_weight + xi_u[i] if i < n_lin else s + xi_u[i])
+    total = [s * subtask_weight + x for s, x in zip(subtask_u[:n_lin], xi_u[:n_lin])]
+    total += [s + x for s, x in zip(subtask_u[n_lin:], xi_u[n_lin:])]
     return saturate(total, params)
 
 

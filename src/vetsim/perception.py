@@ -163,21 +163,34 @@ def project_tag(observer: tuple, target: tuple, cam: CameraModel, tag: TagModel)
     p1 = w1 * dx + w4 * dy + w7 * dz
     p2 = w2 * dx + w5 * dy + w8 * dz
 
-    # corners a, b, c, d as in TagModel
+    # corners a, b, c, d as in TagModel, at -hx - hy, hx - hy, hx + hy and
+    # -hx + hy from the tag centre
     h = tag.side / 2.0
+    hx0, hx1, hx2 = h * xa0, h * xa1, h * xa2
+    hy0, hy1, hy2 = h * ya0, h * ya1, h * ya2
+    da = -hx2 - hy2 + p2
+    db = hx2 - hy2 + p2
+    dc = hx2 + hy2 + p2
+    dd = -hx2 + hy2 + p2
+    if (-_MIN_DEPTH < da < _MIN_DEPTH or -_MIN_DEPTH < db < _MIN_DEPTH
+            or -_MIN_DEPTH < dc < _MIN_DEPTH or -_MIN_DEPTH < dd < _MIN_DEPTH):
+        return (0.0,) * 8, 0.0, False
     f = cam.focal_length
     width, height = cam.width, cam.height
     half_w, half_v = width / 2.0, height / 2.0
-    pixels = []
-    detected = True
-    for sx, sy in ((-h, -h), (h, -h), (h, h), (-h, h)):
-        depth = sx * xa2 + sy * ya2 + p2
-        if abs(depth) < _MIN_DEPTH:
-            return (0.0,) * 8, 0.0, False
-        u = f * (sx * xa0 + sy * ya0 + p0) / depth + half_w
-        v = f * (sx * xa1 + sy * ya1 + p1) / depth + half_v
-        detected = detected and depth > 0.0 and 0.0 <= u <= width and 0.0 <= v <= height
-        pixels += (u, v)
+    pixels = (
+        f * (-hx0 - hy0 + p0) / da + half_w, f * (-hx1 - hy1 + p1) / da + half_v,
+        f * (hx0 - hy0 + p0) / db + half_w, f * (hx1 - hy1 + p1) / db + half_v,
+        f * (hx0 + hy0 + p0) / dc + half_w, f * (hx1 + hy1 + p1) / dc + half_v,
+        f * (-hx0 + hy0 + p0) / dd + half_w, f * (-hx1 + hy1 + p1) / dd + half_v,
+    )
+    ua, va, ub, vb, uc, vc, ud, vd = pixels
+    detected = (
+        da > 0.0 and db > 0.0 and dc > 0.0 and dd > 0.0
+        and 0.0 <= ua <= width and 0.0 <= va <= height and 0.0 <= ub <= width
+        and 0.0 <= vb <= height and 0.0 <= uc <= width and 0.0 <= vc <= height
+        and 0.0 <= ud <= width and 0.0 <= vd <= height
+    )
     return pixels, wrap_angle(math.atan2(xa1, xa0)), detected
 
 
@@ -206,8 +219,8 @@ def classify_region(center, l_bar: float, h_bar: float, cam: CameraModel) -> Reg
     elastic is the open box h_bar clear of every border, minus safe; danger
     is everything else. Every pixel receives exactly one label.
     """
-    x, y = float(center[0]), float(center[1])
-    w, v = float(cam.width), float(cam.height)
+    x, y = center
+    w, v = cam.width, cam.height
     if (w - l_bar) / 2.0 < x < (w + l_bar) / 2.0 and (v - l_bar) / 2.0 < y < (v + l_bar) / 2.0:
         return RegionLabel.SAFE
     if h_bar < x < w - h_bar and h_bar < y < v - h_bar:

@@ -482,7 +482,8 @@ class TrajectoryLog:
 
     @property
     def waypoints_captured(self) -> int:
-        return sum(flags.split(";").count("waypoint_capture") for flags in self.event_flags)
+        return sum(flags.split(";").count("waypoint_capture") for flags in self.event_flags
+                   if flags)
 
     def to_csv_text(self) -> str:
         """Render the fixed-schema CSV; identical runs give identical bytes. A float or
@@ -520,13 +521,15 @@ class _WallClamp:
     def apply_u(self, pose: tuple, nu: list):
         """Returns (pose, body velocity list, clamped)."""
         lo, hi = self.lo, self.hi
+        if lo[0] <= pose[0] <= hi[0] and lo[1] <= pose[1] <= hi[1] and lo[2] <= pose[2] <= hi[2]:
+            return pose, nu, False
         pos = pose[:3]
         clipped = (
             min(max(pos[0], lo[0]), hi[0]),
             min(max(pos[1], lo[1]), hi[1]),
             min(max(pos[2], lo[2]), hi[2]),
         )
-        if clipped == pos:
+        if clipped == pos:  # only a NaN gets here: the tuples hold the same object
             return pose, nu, False
         (r0, r1, r2, r3, r4, r5, r6, r7, r8), _ = flat_transform(pose)
         u, v, w = nu[:3]
@@ -542,10 +545,11 @@ class _WallClamp:
     def apply_s(self, pose: tuple, nu: list):
         """Returns (pose, body velocity list, clamped)."""
         px, py, psi = pose
-        x = min(max(px, self.lo[0]), self.hi[0])
-        y = min(max(py, self.lo[1]), self.hi[1])
-        if x == px and y == py:
+        lo, hi = self.lo, self.hi
+        if lo[0] <= px <= hi[0] and lo[1] <= py <= hi[1]:
             return pose, nu, False
+        x = min(max(px, lo[0]), hi[0])
+        y = min(max(py, lo[1]), hi[1])
         c, s = math.cos(psi), math.sin(psi)
         u, v, r = nu
         wx = c * u - s * v if x == px else 0.0

@@ -13,7 +13,11 @@ Integration is semi-implicit Euler at a fixed step: the velocity update
 solves (M + dt*(C + D)) nu' = M nu + dt * tau_total with C and D frozen at
 the current velocity, which keeps the step passive for any non-negative
 damping and stable under stiff damping; the pose then integrates with the
-new velocity. Commands are velocity-valued; thrust allocation scales them
+new velocity. C(nu) is never formed: for a diagonal M it is made of the
+linear momentum a = M1 v and the angular momentum b = M2 w alone, so each
+update reads the momenta directly. In 6-DoF the linear block of the matrix
+is diagonal and is eliminated (_solve_schur6); in 3-DoF the system has a
+closed form. Commands are velocity-valued; thrust allocation scales them
 by a constant gain so the steady-state speed approximately equals the
 commanded value.
 """
@@ -94,24 +98,6 @@ class Disturbance:
         return (self.t_start <= t) & (t <= self.t_end)
 
 
-def _coriolis_flat(nu: list, mass: tuple) -> list:
-    """C(nu) for a diagonal mass, as a row-major list of floats."""
-    if len(nu) == 3:
-        mu, mv = mass[0] * nu[0], mass[1] * nu[1]
-        return [0.0, 0.0, -mv, 0.0, 0.0, mu, mv, -mu, 0.0]
-    # linear (a) and angular (b) momentum
-    a0, a1, a2 = mass[0] * nu[0], mass[1] * nu[1], mass[2] * nu[2]
-    b0, b1, b2 = mass[3] * nu[3], mass[4] * nu[4], mass[5] * nu[5]
-    return [
-        0.0, 0.0, 0.0, 0.0, a2, -a1,
-        0.0, 0.0, 0.0, -a2, 0.0, a0,
-        0.0, 0.0, 0.0, a1, -a0, 0.0,
-        0.0, a2, -a1, 0.0, b2, -b1,
-        -a2, 0.0, a0, -b2, 0.0, b0,
-        a1, -a0, 0.0, b1, -b0, 0.0,
-    ]
-
-
 def saturate(u, params: VehicleParams) -> list:
     """Clip each component of a float command to its per-axis bound."""
     return [b if v > b else -b if v < -b else v for v, b in zip(u, params.axis_bounds)]
@@ -175,26 +161,8 @@ class VehicleModel:
             return self._advance6(pose, nu, tau, dt, rotation, rates, world_force, world_torque)
         return self._advance3(pose, nu, tau, dt, rotation, world_force, world_torque)
 
-    def _solve_velocity(self, nu, tau_total, dt: float) -> list:
-        """Solve (M + dt*(C + D)) nu' = M nu + dt*tau and clip the linear norm."""
-        mass = self._mass
-        d_lin, d_quad = self._d_lin, self._d_quad
-        diag = []
-        rhs = []
-        for i, v in enumerate(nu):
-            diag.append(mass[i] + dt * (d_lin[i] + d_quad[i] * abs(v)))
-            rhs.append(mass[i] * v + dt * tau_total[i])
-        c = _coriolis_flat(nu, mass)
-        if self.dof == 3:
-            # Closed form for [[a, 0, p], [0, b, q], [-p, -q, e]], the 3-DoF
-            # shape of M + dt*(C + D).
-            a, b, e = diag
-            p, q = dt * c[2], dt * c[5]
-            r0, r1, r2 = rhs
-            z = (r2 + p * r0 / a + q * r1 / b) / (e + p * p / a + q * q / b)
-            nu_new = [(r0 - p * z) / a, (r1 - q * z) / b, z]
-        else:
-            nu_new = _solve_schur6(diag, c, rhs, dt)
+    def _clip_linear(self, nu_new: list) -> list:
+        """nu_new with its linear part scaled onto the norm bound, in place."""
         n_lin = self._n_lin
         squares = nu_new[0] * nu_new[0] + nu_new[1] * nu_new[1]
         if n_lin == 3:
@@ -219,7 +187,9 @@ class VehicleModel:
             f3 += r0 * wx + r3 * wy + r6 * wz
             f4 += r1 * wx + r4 * wy + r7 * wz
             f5 += r2 * wx + r5 * wy + r8 * wz
-        nu_new = self._solve_velocity(nu, (f0, f1, f2, f3, f4, f5), dt)
+        nu_new = self._clip_linear(_solve_schur6(
+            nu, (f0, f1, f2, f3, f4, f5), dt, self._mass, self._d_lin, self._d_quad
+        ))
         u, v, w, p, q, r = nu_new
         new_pose = (
             x + dt * (r0 * u + r1 * v + r2 * w),
@@ -242,42 +212,69 @@ class VehicleModel:
             f1 += -s * fx + c * fy
         if world_torque is not None:
             f2 += world_torque[2]
-        nu_new = self._solve_velocity(nu, (f0, f1, f2), dt)
+        m0, m1, m2 = self._mass
+        dl0, dl1, dl2 = self._d_lin
+        dq0, dq1, dq2 = self._d_quad
+        u, v, r = nu
+        mu, mv = m0 * u, m1 * v
+        # Closed form for [[a, 0, p], [0, b, q], [-p, -q, e]], the 3-DoF
+        # shape of M + dt*(C + D); C's two entries are the momenta -mv, mu.
+        a = m0 + dt * (dl0 + dq0 * abs(u))
+        b = m1 + dt * (dl1 + dq1 * abs(v))
+        e = m2 + dt * (dl2 + dq2 * abs(r))
+        p, q = dt * -mv, dt * mu
+        r0, r1, r2 = mu + dt * f0, mv + dt * f1, m2 * r + dt * f2
+        z = (r2 + p * r0 / a + q * r1 / b) / (e + p * p / a + q * q / b)
+        nu_new = self._clip_linear([(r0 - p * z) / a, (r1 - q * z) / b, z])
         u, v, r = nu_new
         new_pose = (x + dt * (c * u - s * v), y + dt * (s * u + c * v), wrap_angle(psi + dt * r))
         return new_pose, nu_new
 
 
-def _solve_schur6(diag: list, c: list, rhs: list, dt: float) -> list:
-    """Solve the 6-DoF (M + dt*(C + D)) nu' = rhs in closed form.
+def _solve_schur6(nu, tau, dt: float, mass: tuple, d_lin: tuple, d_quad: tuple) -> list:
+    """Solve the 6-DoF (M + dt*(C + D)) nu' = M nu + dt*tau in closed form.
 
-    diag is the diagonal of M + dt*D and c the row-major C(nu). The linear
-    3x3 block of C is zero, so the linear block of the matrix is diagonal:
+    C(nu) is written on the linear momentum a = M1 v and the angular
+    momentum b = M2 w: its lin-lin block is zero, its lin-ang and ang-lin
+    blocks are both -S(a) and its ang-ang block is -S(b), with S(x) @ y the
+    cross product x X y. So the linear block of the matrix is diagonal:
     eliminate it and solve the angular 3x3 Schur complement by cofactors.
+    Only C's structural zeros are left out of the sums.
     """
-    i0, i1, i2 = 1.0 / diag[0], 1.0 / diag[1], 1.0 / diag[2]
-    # B = dt*C[lin, ang] and K = dt*C[ang, lin] (K scaled by the inverse
-    # linear diagonal)
-    b00, b01, b02 = dt * c[3], dt * c[4], dt * c[5]
-    b10, b11, b12 = dt * c[9], dt * c[10], dt * c[11]
-    b20, b21, b22 = dt * c[15], dt * c[16], dt * c[17]
-    k00, k01, k02 = dt * c[18] * i0, dt * c[19] * i1, dt * c[20] * i2
-    k10, k11, k12 = dt * c[24] * i0, dt * c[25] * i1, dt * c[26] * i2
-    k20, k21, k22 = dt * c[30] * i0, dt * c[31] * i1, dt * c[32] * i2
-    # S = diag(ang) + dt*C[ang, ang] - K B
-    s0 = diag[3] + dt * c[21] - (k00 * b00 + k01 * b10 + k02 * b20)
-    s1 = dt * c[22] - (k00 * b01 + k01 * b11 + k02 * b21)
-    s2 = dt * c[23] - (k00 * b02 + k01 * b12 + k02 * b22)
-    s3 = dt * c[27] - (k10 * b00 + k11 * b10 + k12 * b20)
-    s4 = diag[4] + dt * c[28] - (k10 * b01 + k11 * b11 + k12 * b21)
-    s5 = dt * c[29] - (k10 * b02 + k11 * b12 + k12 * b22)
-    s6 = dt * c[33] - (k20 * b00 + k21 * b10 + k22 * b20)
-    s7 = dt * c[34] - (k20 * b01 + k21 * b11 + k22 * b21)
-    s8 = diag[5] + dt * c[35] - (k20 * b02 + k21 * b12 + k22 * b22)
-    r0, r1, r2, r3, r4, r5 = rhs
-    q0 = r3 - (k00 * r0 + k01 * r1 + k02 * r2)
-    q1 = r4 - (k10 * r0 + k11 * r1 + k12 * r2)
-    q2 = r5 - (k20 * r0 + k21 * r1 + k22 * r2)
+    m0, m1, m2, m3, m4, m5 = mass
+    u, v, w, p, q, r = nu
+    a0, a1, a2 = m0 * u, m1 * v, m2 * w
+    b0, b1, b2 = m3 * p, m4 * q, m5 * r
+    # the diagonal of M + dt*D, and the right-hand side
+    i0 = 1.0 / (m0 + dt * (d_lin[0] + d_quad[0] * abs(u)))
+    i1 = 1.0 / (m1 + dt * (d_lin[1] + d_quad[1] * abs(v)))
+    i2 = 1.0 / (m2 + dt * (d_lin[2] + d_quad[2] * abs(w)))
+    d3 = m3 + dt * (d_lin[3] + d_quad[3] * abs(p))
+    d4 = m4 + dt * (d_lin[4] + d_quad[4] * abs(q))
+    d5 = m5 + dt * (d_lin[5] + d_quad[5] * abs(r))
+    f0, f1, f2, f3, f4, f5 = tau
+    r0, r1, r2 = a0 + dt * f0, a1 + dt * f1, a2 + dt * f2
+    r3, r4, r5 = b0 + dt * f3, b1 + dt * f4, b2 + dt * f5
+    # B = dt*C[lin, ang] = -dt*S(a), and K = dt*C[ang, lin] (the same
+    # entries) scaled by the inverse linear diagonal
+    c01, c02, c12 = dt * a2, dt * -a1, dt * a0
+    c10, c20, c21 = -c01, -c02, -c12
+    k01, k02, k12 = c01 * i1, c02 * i2, c12 * i2
+    k10, k20, k21 = c10 * i0, c20 * i0, c21 * i1
+    # S = diag(ang) + dt*C[ang, ang] - K B, with dt*C[ang, ang] = -dt*S(b)
+    g01, g02, g12 = dt * b2, dt * -b1, dt * b0
+    s0 = d3 - (k01 * c10 + k02 * c20)
+    s1 = g01 - k02 * c21
+    s2 = g02 - k01 * c12
+    s3 = -g01 - k12 * c20
+    s4 = d4 - (k10 * c01 + k12 * c21)
+    s5 = g12 - k10 * c02
+    s6 = -g02 - k21 * c10
+    s7 = -g12 - k20 * c01
+    s8 = d5 - (k20 * c02 + k21 * c12)
+    q0 = r3 - (k01 * r1 + k02 * r2)
+    q1 = r4 - (k10 * r0 + k12 * r2)
+    q2 = r5 - (k20 * r0 + k21 * r1)
     a00, a01, a02 = s4 * s8 - s5 * s7, s2 * s7 - s1 * s8, s1 * s5 - s2 * s4
     a10, a11, a12 = s5 * s6 - s3 * s8, s0 * s8 - s2 * s6, s2 * s3 - s0 * s5
     a20, a21, a22 = s3 * s7 - s4 * s6, s1 * s6 - s0 * s7, s0 * s4 - s1 * s3
@@ -286,9 +283,9 @@ def _solve_schur6(diag: list, c: list, rhs: list, dt: float) -> list:
     y1 = (a10 * q0 + a11 * q1 + a12 * q2) * inv_det
     y2 = (a20 * q0 + a21 * q1 + a22 * q2) * inv_det
     return [
-        (r0 - (b00 * y0 + b01 * y1 + b02 * y2)) * i0,
-        (r1 - (b10 * y0 + b11 * y1 + b12 * y2)) * i1,
-        (r2 - (b20 * y0 + b21 * y1 + b22 * y2)) * i2,
+        (r0 - (c01 * y1 + c02 * y2)) * i0,
+        (r1 - (c10 * y0 + c12 * y2)) * i1,
+        (r2 - (c20 * y0 + c21 * y1)) * i2,
         y0,
         y1,
         y2,

@@ -324,7 +324,9 @@ def _check_connectivity_residual():
 def _check_pnp_round_trip():
     rng = np.random.default_rng(5)
     cam_mount = RigidTransform(FLIP_X, ZERO)
-    tag_mount = RigidTransform.identity()
+    # rotated and offset along the flip axis, so the mount is not its own
+    # inverse and a recovery that skips the inversion fails
+    tag_mount = RigidTransform(FLIP_X, (0.05, 0.0, 0.0))
     for _ in range(25):
         pose_s = (*rng.uniform(-2, 2, 2), rng.uniform(-math.pi, math.pi))
         true_u = (

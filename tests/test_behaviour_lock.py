@@ -7,6 +7,12 @@ is informational: a rewrite that sums in another order changes the last
 printed digit of some cells without changing the behaviour, so a differing
 hash is reported but does not fail the test.
 
+No preset moves the underwater robot's heave, roll or pitch, so one probe
+config (probe_tilt.json, locked in both modes like a preset) starts tilted
+and off depth and pushes with a heave force and a roll/pitch torque: it pins
+the depth/attitude channel, the coupled 6-DoF velocity solve and the
+Euler-rate map.
+
 Re-record only in a change that is meant to alter the program's outputs:
 
     PYTHONPATH=src python tests/test_behaviour_lock.py
@@ -18,22 +24,28 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vetsim.metrics import summarize
-from vetsim.scenario import PRESET_NAMES, preset, run
+from vetsim.scenario import PRESET_NAMES, ScenarioConfig, preset, run
 
 REFERENCE = Path(__file__).with_name("behaviour_lock.json")
+PROBE = Path(__file__).with_name("probe_tilt.json")
 STRIDE = 100
 THRESHOLD = 0.3
 TOL = 1e-9
 MODES = ("vet", "baseline")
 
 
-def _record(name: str, mode: str) -> dict:
-    cfg = preset(name)
+def _config(name: str, mode: str) -> ScenarioConfig:
+    cfg = (ScenarioConfig.from_dict(json.loads(PROBE.read_text())) if name == "probe_tilt"
+           else preset(name))
     cfg.mode = mode
-    log = run(cfg)
+    return cfg
+
+
+def _record(log) -> dict:
     text = log.to_csv_text()
     lines = text.splitlines()[1:]
     return {
@@ -84,16 +96,7 @@ def _mismatches(expected, actual, path="") -> list:
     return [f"{path}: {expected!r} != {actual!r}"]
 
 
-@pytest.fixture(scope="module")
-def reference():
-    return json.loads(REFERENCE.read_text())
-
-
-@pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("name", PRESET_NAMES)
-def test_preset_matches_the_reference(name, mode, reference):
-    expected = reference["runs"][f"{name}/{mode}"]
-    actual = _record(name, mode)
+def _check(expected: dict, actual: dict, key: str) -> None:
     assert actual["ticks"] == expected["ticks"]
     assert _mismatches(expected["summary"], actual["summary"], "summary") == []
     assert set(actual["rows"]) == set(expected["rows"])
@@ -108,7 +111,29 @@ def test_preset_matches_the_reference(name, mode, reference):
         ]
     assert bad == []
     if actual["csv_sha256"] != expected["csv_sha256"]:
-        print(f"{name}/{mode}: trajectory.csv differs in bytes but matches within {TOL}")
+        print(f"{key}: trajectory.csv differs in bytes but matches within {TOL}")
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return json.loads(REFERENCE.read_text())
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_matches_the_reference(name, mode, reference):
+    key = f"{name}/{mode}"
+    _check(reference["runs"][key], _record(run(_config(name, mode))), key)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_the_tilted_probe_matches_the_reference(mode, reference):
+    log = run(_config("probe_tilt", mode))
+    # the probe exists to move the channel no preset moves
+    assert (np.ptp(log.pose_u[:, 2:5], axis=0) > 0.0).all()
+    assert (np.abs(log.nu_u[:, 2:5]).max(axis=0) > 0.0).all()
+    key = f"probe_tilt/{mode}"
+    _check(reference["runs"][key], _record(log), key)
 
 
 def test_the_tolerance_rejects_a_real_change():
@@ -122,7 +147,8 @@ def test_the_tolerance_rejects_a_real_change():
 
 if __name__ == "__main__":
     runs = {
-        f"{name}/{mode}": _record(name, mode) for name in PRESET_NAMES for mode in MODES
+        f"{name}/{mode}": _record(run(_config(name, mode)))
+        for name in (*PRESET_NAMES, "probe_tilt") for mode in MODES
     }
     doc = {"stride": STRIDE, "threshold": THRESHOLD, "runs": runs}
     REFERENCE.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")

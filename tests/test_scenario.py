@@ -718,17 +718,28 @@ def test_an_empty_planner_targets_the_current_pose_every_tick():
 def test_a_tick_transforms_each_pose_once_and_builds_no_pose(monkeypatch, mode):
     """One rotation_zyx (plus one per wall clamp) and one euler_rate_rows per
     tick for the underwater pose; no mount is built, and a new SubTaskTarget
-    only when the waypoint index moves."""
+    only when the waypoint index moves. The tick's call budget: two
+    projections per logged tick, one tag geometry per detected observation
+    and two vehicle steps per stepped tick (every tick but the last)."""
     cfg = short("perturbation_real", 12.0, mode=mode, dropout=DropoutModel(random_rate=0.3))
-    calls = {"rotation_zyx": 0, "euler_rate_rows": 0}
-    for name in calls:
-        def counted(*args, _name=name, _original=getattr(frames, name)):
+    homes = {"rotation_zyx": frames, "euler_rate_rows": frames,
+             "project_tag": perception, "tag_geometry": perception}
+    calls = dict.fromkeys(homes, 0)
+    for name, home in homes.items():
+        def counted(*args, _name=name, _original=getattr(home, name)):
             calls[_name] += 1
             return _original(*args)
 
         for module in (frames, perception, control, vehicle, scenario):
             if name in vars(module):
                 monkeypatch.setattr(module, name, counted)
+    steps = []
+
+    def counted_step(self, *args, _step=VehicleModel.step):
+        steps.append(self.dof)
+        return _step(self, *args)
+
+    monkeypatch.setattr(VehicleModel, "step", counted_step)
     built = []
     for cls in (RigidTransform, SubTaskTarget):
         def counted_init(self, *args, _init=cls.__init__, **kwargs):
@@ -739,6 +750,9 @@ def test_a_tick_transforms_each_pose_once_and_builds_no_pose(monkeypatch, mode):
     log = run(cfg)
     n = len(log)
     assert calls["euler_rate_rows"] == n
+    assert calls["project_tag"] == 2 * n
+    assert calls["tag_geometry"] == int(log.detected_us.sum() + log.detected_su.sum())
+    assert steps == [6, 3] * (n - 1)
     assert n <= calls["rotation_zyx"] <= n + int(log.clamped_u.sum())
     # the underwater target, the first waypoint target and one per index move
     moves = int(np.count_nonzero(np.diff(log.wp_index)))

@@ -5,9 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from vetsim import vehicle
 from vetsim.frames import euler_rate_rows, flat_transform
 from vetsim.vehicle import (
     Disturbance,
@@ -79,23 +78,18 @@ def coriolis_matrix(nu, params):
     return np.block([[np.zeros((3, 3)), linear], [linear, -skew(momentum[3:])]])
 
 
-def model_coriolis(nu, params):
-    """The vehicle model's own C(nu), as a matrix."""
-    return np.reshape(vehicle._coriolis_flat(nu, params.mass), (params.dof, params.dof))
-
-
+# The model never forms C(nu): its solves read the momenta directly. The
+# dense-solve tests below check them against this matrix.
 @given(vel6)
 def test_coriolis_produces_no_power_6dof(nu):
-    c = model_coriolis(nu, params6())
-    np.testing.assert_array_equal(c, coriolis_matrix(nu, params6()))
+    c = coriolis_matrix(nu, params6())
     nu = np.array(nu)
     assert abs(nu @ (c @ nu)) <= 1e-10
 
 
 @given(vel3)
 def test_coriolis_produces_no_power_3dof(nu):
-    c = model_coriolis(nu, params3())
-    np.testing.assert_array_equal(c, coriolis_matrix(nu, params3()))
+    c = coriolis_matrix(nu, params3())
     nu = np.array(nu)
     assert abs(nu @ (c @ nu)) <= 1e-10
 
@@ -150,6 +144,11 @@ def reference_velocity(nu, tau, params, dt):
 
 @settings(max_examples=60)
 @given(vel6, st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6))
+# at rest; pure angular velocity; linear speed exactly on the norm bound
+@example([0.0] * 6, [0.0] * 6)
+@example([0.0] * 6, [0.5, -0.3, 0.2, 0.01, -0.02, 0.03])
+@example([0.0, 0.0, 0.0, 0.1, -0.2, 0.15], [0.0, 0.0, 0.0, 0.02, 0.01, -0.03])
+@example([0.0, 0.06, 0.08, 0.05, 0.0, -0.1], [0.0, 3.0, 3.0, 0.0, 0.0, 0.0])
 def test_6dof_velocity_update_matches_the_dense_solve(nu, tau):
     p = params6()
     pose = (0.0, 0.0, -1.0, 0.0, 0.0, 0.0)
@@ -159,6 +158,9 @@ def test_6dof_velocity_update_matches_the_dense_solve(nu, tau):
 
 @settings(max_examples=60)
 @given(vel3, st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+@example([0.0] * 3, [0.0] * 3)
+@example([0.0, 0.0, 0.15], [0.0, 0.0, -0.05])
+@example([0.06, 0.08, 0.1], [3.0, 3.0, 0.0])
 def test_3dof_closed_form_matches_the_dense_solve(nu, tau):
     p = params3()
     _, nu_new = step(VehicleModel(p), (0.0, 0.0, 0.0), nu, tau, 0.02)
