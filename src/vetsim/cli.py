@@ -68,14 +68,13 @@ def _set_dotted(tree, dotted_key: str, value) -> None:
     for i, part in enumerate(parts):
         last = i == len(parts) - 1
         if isinstance(node, list):
-            try:
-                idx = int(part)
-                if last:
-                    node[idx] = value
-                    return
-                node = node[idx]
-            except (ValueError, IndexError) as exc:
-                raise ConfigError(f"bad override index {part!r} in {dotted_key!r}") from exc
+            # an index as the config paths print it: not -6, +0, 0_0 or 01
+            if part not in map(str, range(len(node))):
+                raise ConfigError(f"bad override index {part!r} in {dotted_key!r}")
+            if last:
+                node[int(part)] = value
+                return
+            node = node[int(part)]
         elif isinstance(node, dict):
             if part not in node:
                 raise ConfigError(f"unknown override key {part!r} in {dotted_key!r}")

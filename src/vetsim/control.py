@@ -52,23 +52,6 @@ def surface_pd(kp: float, kd: float) -> PdGains:
     return PdGains((kp, kp, kp), (kd, kd, kd))
 
 
-@dataclass(frozen=True)
-class SubTaskTarget:
-    """Constant references for the per-robot sub-tasks.
-
-    The underwater robot regulates depth, roll and pitch; the surface robot
-    tracks a planar waypoint. One type carries both groups so the planner can
-    emit a single object.
-    """
-
-    z_d: float = 0.0
-    phi_d: float = 0.0
-    theta_d: float = 0.0
-    x_d: float = 0.0
-    y_d: float = 0.0
-    psi_d: float = 0.0
-
-
 class DepthAttitudeState(NamedTuple):
     """The underwater robot's own sensed state: depth and attitude only.
 
@@ -85,14 +68,16 @@ class DepthAttitudeState(NamedTuple):
 
 
 def subtask_control_underwater(
-    measured: DepthAttitudeState, target: SubTaskTarget, gains: PdGains
+    measured: DepthAttitudeState, target: tuple, gains: PdGains
 ) -> list:
-    """PD on depth, roll and pitch; x, y and yaw outputs are exactly zero
-    (ScenarioConfig.validate checks once that their gains are zero too)."""
+    """PD on depth, roll and pitch toward target (z, phi, theta); x, y and yaw
+    outputs are exactly zero (ScenarioConfig.validate checks once that their
+    gains are zero too)."""
     kp, kd = gains.kp, gains.kd
-    uz = kp[2] * (target.z_d - measured.z) + kd[2] * -measured.dz
-    uphi = kp[3] * wrap_angle(target.phi_d - measured.phi) + kd[3] * -measured.dphi
-    utheta = kp[4] * wrap_angle(target.theta_d - measured.theta) + kd[4] * -measured.dtheta
+    z_d, phi_d, theta_d = target
+    uz = kp[2] * (z_d - measured.z) + kd[2] * -measured.dz
+    uphi = kp[3] * wrap_angle(phi_d - measured.phi) + kd[3] * -measured.dphi
+    utheta = kp[4] * wrap_angle(theta_d - measured.theta) + kd[4] * -measured.dtheta
     return [0.0, 0.0, uz, uphi, utheta, 0.0]
 
 
@@ -100,11 +85,12 @@ def subtask_control_surface(
     pose: tuple,
     rotation: tuple,
     nu,
-    target: SubTaskTarget,
+    target: tuple,
     gains: PdGains,
     speed_limit: float | None = None,
 ) -> list:
-    """Planar PD toward the waypoint, expressed in the body frame.
+    """Planar PD toward the waypoint target (x, y, psi), expressed in the body
+    frame.
 
     pose is (x, y, psi), rotation its nine body-to-world floats
     (frames.flat_transform) and nu the body velocity (u, v, r). The position
@@ -113,13 +99,14 @@ def subtask_control_surface(
     velocity-valued); gains are 3-axis.
     """
     x, y, psi = pose
+    x_d, y_d, psi_d = target
     c, s = rotation[0], rotation[3]
     u, v, r = nu
-    ux_w = gains.kp[0] * (target.x_d - x) - gains.kd[0] * (c * u - s * v)
-    uy_w = gains.kp[1] * (target.y_d - y) - gains.kd[1] * (s * u + c * v)
+    ux_w = gains.kp[0] * (x_d - x) - gains.kd[0] * (c * u - s * v)
+    uy_w = gains.kp[1] * (y_d - y) - gains.kd[1] * (s * u + c * v)
     ux = c * ux_w + s * uy_w
     uy = -s * ux_w + c * uy_w
-    upsi = gains.kp[2] * wrap_angle(target.psi_d - psi) - gains.kd[2] * r
+    upsi = gains.kp[2] * wrap_angle(psi_d - psi) - gains.kd[2] * r
     if speed_limit is not None:
         ux = min(max(ux, -speed_limit), speed_limit)
         uy = min(max(uy, -speed_limit), speed_limit)

@@ -14,8 +14,8 @@ control -> actuate -> log:
 3. actuate: commands are saturated, allocated to body wrenches and
    integrated; scheduled world-frame perturbations push on the underwater
    robot; a soft wall clamp keeps both robots inside the tank.
-4. log: one record per tick with poses, split commands, detection state,
-   image regions, tether states, the waypoint index and the wall clamps.
+4. log: one CSV row per tick with poses, split commands, detection state,
+   image regions and tether states; the events read off it and the loop.
 
 Runs are deterministic: a fixed seed reproduces byte-identical logs.
 """
@@ -36,7 +36,6 @@ import numpy as np
 from .control import (
     DepthAttitudeState,
     PdGains,
-    SubTaskTarget,
     VetFilterState,
     VetGains,
     baseline_ibvs,
@@ -62,8 +61,8 @@ from .perception import (
 from .vehicle import Disturbance, VehicleModel, VehicleParams
 
 
-# The most integration steps one run may take; each step adds one log row of
-# 432 bytes, so this also bounds a run's memory (about 0.43 GB at the cap).
+# The most integration steps one run may take; each step adds a 288-byte row and
+# 72 bytes of saturated totals to the log, so about 0.36 GB at the cap.
 MAX_TICKS = 1_000_000
 # The most lanes one lawnmower survey may have; each adds two waypoints.
 MAX_LANES = 10_000
@@ -150,30 +149,23 @@ def planner_waypoints(spec) -> tuple:
     return tuple(tuple(float(v) for v in wp) for wp in spec.waypoints)
 
 
-def planner_step(current: tuple, waypoints, capture_radius: float, index: int = 0,
-                 target: SubTaskTarget | None = None):
+def planner_step(current: tuple, waypoints, capture_radius: float, index: int = 0):
     """Advance past every waypoint within the capture radius of the current
     (x, y, psi), hold the last.
 
-    Returns (target, new_index). target, the one this returned with index,
-    comes back as is when the index does not move. With no waypoints the
-    target holds the current pose.
+    Returns (target, new_index): the (x, y, psi) waypoint now targeted, the
+    waypoints entry itself, or current itself when there are no waypoints.
     """
     n = len(waypoints)
     if n == 0:
-        x, y, psi = current
-        return SubTaskTarget(x_d=x, y_d=y, psi_d=psi), index
-    start = index
+        return current, index
     while index < n:
         wx, wy, _ = waypoints[index]
         if math.hypot(current[0] - wx, current[1] - wy) <= capture_radius:
             index += 1
         else:
             break
-    if target is not None and index == start:
-        return target, index
-    wx, wy, wpsi = waypoints[min(index, n - 1)]
-    return SubTaskTarget(x_d=wx, y_d=wy, psi_d=wpsi), index
+    return waypoints[min(index, n - 1)], index
 
 
 @dataclass
@@ -364,38 +356,28 @@ def _decode(data, hint, path: str):
 
 # -- trajectory log --------------------------------------------------------
 
-# The log layout, declared once: each TrajectoryLog field with its type, its
-# width and its CSV column names, in CSV order. float fields are float64
-# arrays, int and bool fields int64 and bool arrays, all kept as columns of one
-# float row table (the flags as 0.0/1.0); str fields are lists with one label
-# per tick. Fields with no CSV names (body velocities, saturated totals, the
-# planner's waypoint index and the wall-clamp flags) live in the row table
-# only.
+# The log layout, declared once: each CSV-backed TrajectoryLog field with its
+# type and its CSV column names, in CSV order. float fields are float64 arrays
+# and bool fields bool arrays, both kept as columns of one float row table (the
+# flags as 0.0/1.0); str fields are lists with one label per tick.
 _LOG_LAYOUT = (
-    ("t", float, 1, ("t",)),
-    ("pose_u", float, 6, ("xU", "yU", "zU", "phiU", "thetaU", "psiU")),
-    ("pose_s", float, 3, ("xS", "yS", "psiS")),
-    ("nu_u", float, 6, ()),
-    ("nu_s", float, 3, ()),
-    ("u_sub_u", float, 6, ("uU_sub_x", "uU_sub_y", "uU_sub_z",
-                           "uU_sub_phi", "uU_sub_theta", "uU_sub_psi")),
-    ("u_xi_u", float, 6, ("uU_xi_x", "uU_xi_y", "uU_xi_z",
-                          "uU_xi_phi", "uU_xi_theta", "uU_xi_psi")),
-    ("u_sub_s", float, 3, ("uS_sub_x", "uS_sub_y", "uS_sub_psi")),
-    ("u_xi_s", float, 3, ("uS_xi_x", "uS_xi_y", "uS_xi_psi")),
-    ("u_total_u", float, 6, ()),
-    ("u_total_s", float, 3, ()),
-    ("detected_us", bool, 1, ("detectedUS",)),
-    ("detected_su", bool, 1, ("detectedSU",)),
-    ("region_us", str, 1, ("regionUS",)),
-    ("region_su", str, 1, ("regionSU",)),
-    ("xi_us", float, 1, ("xiUS",)),
-    ("xi_su", float, 1, ("xiSU",)),
-    ("proj_dist", float, 1, ("projDist",)),
-    ("wp_index", int, 1, ()),
-    ("clamped_u", bool, 1, ()),
-    ("clamped_s", bool, 1, ()),
-    ("event_flags", str, 1, ("eventFlags",)),
+    ("t", float, ("t",)),
+    ("pose_u", float, ("xU", "yU", "zU", "phiU", "thetaU", "psiU")),
+    ("pose_s", float, ("xS", "yS", "psiS")),
+    ("u_sub_u", float, ("uU_sub_x", "uU_sub_y", "uU_sub_z",
+                        "uU_sub_phi", "uU_sub_theta", "uU_sub_psi")),
+    ("u_xi_u", float, ("uU_xi_x", "uU_xi_y", "uU_xi_z",
+                       "uU_xi_phi", "uU_xi_theta", "uU_xi_psi")),
+    ("u_sub_s", float, ("uS_sub_x", "uS_sub_y", "uS_sub_psi")),
+    ("u_xi_s", float, ("uS_xi_x", "uS_xi_y", "uS_xi_psi")),
+    ("detected_us", bool, ("detectedUS",)),
+    ("detected_su", bool, ("detectedSU",)),
+    ("region_us", str, ("regionUS",)),
+    ("region_su", str, ("regionSU",)),
+    ("xi_us", float, ("xiUS",)),
+    ("xi_su", float, ("xiSU",)),
+    ("proj_dist", float, ("projDist",)),
+    ("event_flags", str, ("eventFlags",)),
 )
 _CSV_FORMATS = {float: "%.12g", bool: "%d", str: "%s"}
 
@@ -403,58 +385,65 @@ CSV_COLUMNS = tuple(name for *_, names in _LOG_LAYOUT for name in names)
 # Rows are converted this many at a time, which bounds the per-cell Python
 # objects the writer builds and the line strings the reader holds.
 _CSV_CHUNK = 256
-# The row table's columns in order, (field, index in the field).
-_TABLE_CELLS = [(name, i) for name, kind, width, _ in _LOG_LAYOUT if kind is not str
-                for i in range(width)]
+# The row table's columns in order, (field, index in the field): the CSV's float
+# and flag columns, then three only run() writes, for _event_flags: the planner's
+# index after the tick's step and whether the wall clamp made each robot's pose.
+_LOOP_COLUMNS = ("waypoint_index", "wall_clamp_u", "wall_clamp_s")
+_TABLE_CELLS = [(name, i) for name, kind, names in _LOG_LAYOUT if kind is not str
+                for i in range(len(names))] + [(name, 0) for name in _LOOP_COLUMNS]
 _ROW_WIDTH = len(_TABLE_CELLS)
 # Row-table columns ahead of the xi offsets, which are NaN by design on
-# undetected ticks: time, poses, velocities, commands and detection flags.
+# undetected ticks: time, poses, commands and detection flags.
 _FINITE_WIDTH = _TABLE_CELLS.index(("xi_us", 0))
 # The CSV's columns in order, (field, kind, index in the field, row-table column
 # or None), and its rows as loadtxt reads them: float cells as float64, others text.
 _CSV_CELLS = [(name, kind, i, None if kind is str else _TABLE_CELLS.index((name, i)))
-              for name, kind, _, names in _LOG_LAYOUT for i in range(len(names))]
+              for name, kind, names in _LOG_LAYOUT for i in range(len(names))]
 _CSV_DTYPE = np.dtype([(column, float if kind is float else object)
                        for column, (_, kind, _, _) in zip(CSV_COLUMNS, _CSV_CELLS)])
 
 
 def _log_arrays(table: np.ndarray) -> dict:
-    """Slice the (ticks, _ROW_WIDTH) row table into the TrajectoryLog arrays:
-    float64 views of disjoint columns (no copies), int and bool copies."""
+    """Slice the (ticks, _ROW_WIDTH) row table into the CSV-backed TrajectoryLog
+    arrays: float64 views of disjoint columns (no copies), bool copies."""
     out = {}
-    for name, kind, width, _ in _LOG_LAYOUT:
+    for name, kind, names in _LOG_LAYOUT:
         if kind is not str:
             col = _TABLE_CELLS.index((name, 0))
-            block = table[:, col] if width == 1 else table[:, col:col + width]
+            block = table[:, col] if len(names) == 1 else table[:, col:col + len(names)]
             out[name] = block if kind is float else block.astype(kind)
     return out
 
 
+def _saturated_totals(arrays: dict, config: ScenarioConfig) -> dict:
+    """u_total_u and u_total_s: each robot's logged split u_sub + u_xi clipped
+    to its axis_bounds, bit for bit the command run() gave its vehicle."""
+    bounds = {"u": config.params_u.axis_bounds, "s": config.params_s.axis_bounds}
+    return {f"u_total_{r}": np.clip(arrays[f"u_sub_{r}"] + arrays[f"u_xi_{r}"], -np.array(b), b)
+            for r, b in bounds.items()}
+
+
 @dataclass
 class TrajectoryLog:
-    """Complete tick-by-tick record of one run.
+    """Complete tick-by-tick record of one run: the trajectory.csv columns
+    laid out by _LOG_LAYOUT, and u_total_u and u_total_s, which
+    _saturated_totals derives from them for run() and log_from_csv alike.
 
-    Per tick: t is (n,), poses (n, 6) and (n, 3), velocities and commands
-    (n, 6) for the underwater and (n, 3) for the surface robot, xi_* and
-    proj_dist (n,), all float64; wp_index (the planner's index after the
-    tick's step) is (n,) int64; detected_* and clamped_* (the wall clamp made
-    the row's pose) are (n,) bool. From run() and log_from_csv the float
-    arrays are views of disjoint columns of one row table laid out by
-    _LOG_LAYOUT. events and the waypoint counts are read off event_flags.
+    Per tick: t is (n,), poses (n, 6) and (n, 3), commands (n, 6) for the
+    underwater and (n, 3) for the surface robot, xi_* and proj_dist (n,), all
+    float64, the CSV-backed ones views of disjoint columns of one row table;
+    detected_* are (n,) bool; region_* and event_flags hold n labels. events
+    and the waypoint counts are read off event_flags.
     """
 
     config: ScenarioConfig
     t: np.ndarray
     pose_u: np.ndarray
     pose_s: np.ndarray
-    nu_u: np.ndarray
-    nu_s: np.ndarray
     u_sub_u: np.ndarray
     u_xi_u: np.ndarray
     u_sub_s: np.ndarray
     u_xi_s: np.ndarray
-    u_total_u: np.ndarray
-    u_total_s: np.ndarray
     detected_us: np.ndarray
     detected_su: np.ndarray
     region_us: list
@@ -462,10 +451,9 @@ class TrajectoryLog:
     xi_us: np.ndarray
     xi_su: np.ndarray
     proj_dist: np.ndarray
-    wp_index: np.ndarray
-    clamped_u: np.ndarray
-    clamped_s: np.ndarray
     event_flags: list
+    u_total_u: np.ndarray
+    u_total_s: np.ndarray
 
     def __len__(self) -> int:
         return len(self.t)
@@ -589,7 +577,8 @@ def _state_at(k: int, row) -> str:
 
 def _check_finite(table: np.ndarray) -> None:
     """Raise SimFailure at the first tick of a finished run's row table whose
-    pose, velocity or command columns hold a NaN or an infinity."""
+    pose or command columns hold a NaN or an infinity. Velocities are not
+    logged: a non-finite one reaches the pose its step makes."""
     bad = np.flatnonzero(~np.isfinite(table[:, :_FINITE_WIDTH]).all(axis=1))
     if bad.size:
         k = int(bad[0])
@@ -624,15 +613,16 @@ def _transitions(mask: np.ndarray, before_first: bool, on: str, off: str = "") -
 
 def _event_flags(arrays: dict, labels: dict, scheduled: np.ndarray,
                  perturbed: np.ndarray) -> list:
-    """The eventFlags text of every tick, read off the transitions of the
-    logged state and of the scheduled-dropout and perturbation masks, each
-    tick's events in the order below. Starts and waypoint captures can fire
-    on tick 0; line-of-sight and region changes cannot."""
+    """The eventFlags text of every tick, read off the transitions of arrays
+    (detection flags and _LOOP_COLUMNS) and of the scheduled-dropout and
+    perturbation masks, each tick's events in the order below. Starts and
+    waypoint captures can fire on tick 0; line-of-sight and region changes
+    cannot."""
     det_us, det_su = arrays["detected_us"], arrays["detected_su"]
-    passed = np.diff(arrays["wp_index"], prepend=0)  # waypoints captured per tick
+    passed = np.diff(arrays["waypoint_index"], prepend=0)  # waypoints captured per tick
     found = [
-        *_transitions(arrays["clamped_u"], False, "wall_clamp_u"),
-        *_transitions(arrays["clamped_s"], False, "wall_clamp_s"),
+        *_transitions(arrays["wall_clamp_u"], False, "wall_clamp_u"),
+        *_transitions(arrays["wall_clamp_s"], False, "wall_clamp_s"),
         *_transitions(scheduled, False, "dropout_start", "dropout_end"),
         *_transitions(perturbed, False, "perturb_start", "perturb_end"),
         *((k, "waypoint_capture") for k in np.repeat(np.arange(len(passed)), passed).tolist()),
@@ -657,7 +647,8 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
     Each tick computes both poses' flat transforms and the underwater pose's
     Euler-rate rows once; projection, the depth/attitude measurement, the
     surface PD and both vehicle steps reuse them. Each tick's numbers go to
-    one flat row buffer that becomes the log's arrays.
+    one flat row buffer that becomes the log's arrays; the saturated totals
+    are derived from the logged split after the loop, as log_from_csv does.
     """
     config.validate()
     dt = config.dt
@@ -678,16 +669,14 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
 
     pose_u = tuple(float(v) for v in config.initial_pose_u)
     pose_s = tuple(float(v) for v in config.initial_pose_s)
-    nu_u = [0.0] * 6
-    nu_s = [0.0] * 3
-    clamped_u = clamped_s = False
+    vel_u = [0.0] * 6
+    vel_s = [0.0] * 3
+    wall_clamp_u = wall_clamp_s = False
 
-    target_u = SubTaskTarget(
-        z_d=config.depth_target, phi_d=config.roll_target, theta_d=config.pitch_target
-    )
+    target_u = (config.depth_target, config.roll_target, config.pitch_target)
     waypoints = planner_waypoints(config.planner)
     capture_radius = config.planner.capture_radius
-    target_s, wp_index = None, 0
+    waypoint_index = 0
     speed_limit = config.planner.speed if isinstance(config.planner, Lawnmower) else None
 
     baseline = config.mode == "baseline"
@@ -712,7 +701,7 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
         pixels_su, yaw_su, det_su = project_tag(tf_s, tf_u, cam_s, tag_u)
 
         # plan
-        target_s, wp_index = planner_step(pose_s, waypoints, capture_radius, wp_index, target_s)
+        target_s, waypoint_index = planner_step(pose_s, waypoints, capture_radius, waypoint_index)
 
         # one tag geometry per detected observation, shared by the logged
         # region and xi and by the tether law
@@ -721,7 +710,7 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
 
         # control: underwater robot (own depth/attitude sensors plus camera)
         u_sub_u = subtask_control_underwater(
-            _depth_attitude_state(pose_u, nu_u, tf_u[0], rates_u), target_u, pd_u
+            _depth_attitude_state(pose_u, vel_u, tf_u[0], rates_u), target_u, pd_u
         )
         if baseline:
             cam_cmd_u = baseline_ibvs(geo_us, yaw_us, gains, cam_u)
@@ -733,7 +722,7 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
         u_tot_u = combined_control(u_sub_u, xi_u, params_u)
 
         # control: surface robot
-        u_sub_s = subtask_control_surface(pose_s, tf_s[0], nu_s, target_s, pd_s, speed_limit)
+        u_sub_s = subtask_control_surface(pose_s, tf_s[0], vel_s, target_s, pd_s, speed_limit)
         if baseline:
             # one-way coupling: the leader gets no tether input at all
             xi_s = [0.0, 0.0, 0.0]
@@ -745,12 +734,12 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
             xi_s = camera_to_body(cam_cmd_s, mount_s, 3)
         u_tot_s = combined_control(u_sub_s, xi_s, params_s, weight_s)
 
-        # record the numeric fields, in _LOG_LAYOUT order
+        # record the row table's columns, in _TABLE_CELLS order
         rows.fromlist([
-            t, *pose_u, *pose_s, *nu_u, *nu_s,
+            t, *pose_u, *pose_s,
             *u_sub_u, *xi_u, u_sub_s[0] * weight_s, u_sub_s[1] * weight_s, u_sub_s[2],
-            *xi_s, *u_tot_u, *u_tot_s, det_us, det_su, xi_us, xi_su,
-            projected_distance(pose_u, pose_s), wp_index, clamped_u, clamped_s,
+            *xi_s, det_us, det_su, xi_us, xi_su,
+            projected_distance(pose_u, pose_s), waypoint_index, wall_clamp_u, wall_clamp_s,
         ])
         region_us_list.append(label_us.value if det_us else "none")
         region_su_list.append(label_su.value if det_su else "none")
@@ -761,23 +750,24 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
         # actuate; the wall clamp's flags go with the pose it produces
         force, torque = wrenches[k] or (None, None)
         try:
-            pose_u, nu_u = model_u.step(
-                pose_u, nu_u, model_u.allocate(u_tot_u), dt, tf_u[0], rates_u, force, torque
+            pose_u, vel_u = model_u.step(
+                pose_u, vel_u, model_u.allocate(u_tot_u), dt, tf_u[0], rates_u, force, torque
             )
-            pose_s, nu_s = model_s.step(pose_s, nu_s, model_s.allocate(u_tot_s), dt, tf_s[0])
+            pose_s, vel_s = model_s.step(pose_s, vel_s, model_s.allocate(u_tot_s), dt, tf_s[0])
         except (ArithmeticError, ValueError) as exc:
             where = _state_at(k, rows[-_ROW_WIDTH:])  # the tick's logged row
             raise SimFailure(f"integration failed ({exc}) {where}") from exc
-        pose_u, nu_u, clamped_u = walls.apply_u(pose_u, nu_u)
-        pose_s, nu_s, clamped_s = walls.apply_s(pose_s, nu_s)
+        pose_u, vel_u, wall_clamp_u = walls.apply_u(pose_u, vel_u)
+        pose_s, vel_s, wall_clamp_s = walls.apply_s(pose_s, vel_s)
 
     table = np.frombuffer(rows, dtype=float).reshape(n_rec, _ROW_WIDTH)
     _check_finite(table)
     arrays = _log_arrays(table)
+    loop = dict(zip(_LOOP_COLUMNS, (table[:, -3].astype(int), *(table[:, -2:].T == 1.0))))
     labels = {"region_us": region_us_list, "region_su": region_su_list}
     return TrajectoryLog(
-        config=config, **arrays, **labels,
-        event_flags=_event_flags(arrays, labels, scheduled, perturbed),
+        config=config, **arrays, **labels, **_saturated_totals(arrays, config),
+        event_flags=_event_flags(arrays | loop, labels, scheduled, perturbed),
     )
 
 
@@ -929,13 +919,11 @@ def _preset_navigation_real() -> ScenarioConfig:
 
 
 def log_from_csv(text: str, config: ScenarioConfig) -> TrajectoryLog:
-    """Rebuild a log from its CSV rendering plus the echoed config.
-
-    Body velocities, wp_index and the clamped_* flags are not part of the
-    CSV schema and come back as zeros; saturated totals are reconstructed
-    from the logged command split. A header-only file yields an empty log,
-    which the plots render as bare axes. Blank lines are skipped; a row of the
-    wrong length, a flag not 0 or 1 or a bad number is a ConfigError naming its row.
+    """Rebuild a log from its CSV rendering plus the echoed config: every field
+    as run() built it, the floats to the 12 printed digits. A header-only file
+    yields an empty log, which the plots render as bare axes. Blank lines are
+    skipped; a row of the wrong length, a flag not 0 or 1 or a bad number is a
+    ConfigError naming its row.
     """
     # Non-empty lines, split off one at a time: one chunk is held as strings.
     lines = map(re.Match.group, re.finditer("[^\n]+", text))
@@ -944,7 +932,7 @@ def log_from_csv(text: str, config: ScenarioConfig) -> TrajectoryLog:
     # Every well-formed row, the header too, holds len(CSV_COLUMNS) - 1 commas,
     # which bounds the row count; unused rows are cut off below.
     table = np.zeros((text.count(",") // (len(CSV_COLUMNS) - 1), _ROW_WIDTH))
-    labels = {name: [] for name, kind, _, _ in _LOG_LAYOUT if kind is str}
+    labels = {name: [] for name, kind, _ in _LOG_LAYOUT if kind is str}
     hi = 0
     while chunk := list(itertools.islice(lines, _CSV_CHUNK)):
         lo, hi = hi, hi + len(chunk)
@@ -960,11 +948,7 @@ def log_from_csv(text: str, config: ScenarioConfig) -> TrajectoryLog:
             else:
                 _rescan(chunk, lo)  # raises: a flag is neither 0 nor 1
     arrays = _log_arrays(table[:hi])
-    for params, sub, xi, total in ((config.params_u, "u_sub_u", "u_xi_u", "u_total_u"),
-                                   (config.params_s, "u_sub_s", "u_xi_s", "u_total_s")):
-        bounds = np.array(params.axis_bounds)
-        np.clip(arrays[sub] + arrays[xi], -bounds, bounds, out=arrays[total])
-    return TrajectoryLog(config=config, **arrays, **labels)
+    return TrajectoryLog(config=config, **arrays, **labels, **_saturated_totals(arrays, config))
 
 
 def _rescan(rows: list, lo: int) -> np.ndarray:

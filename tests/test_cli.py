@@ -110,6 +110,8 @@ HUGE_INT = str(10**400)
         # mount entries are JSON numbers, not strings or bools
         'camera_u.mount.translation=["0.1",true,0]',
         'camera_u.mount.rotation=[["1","0","0"],["0","1","0"],["0","0","1"]]',
+        # list indexes are plain non-negative decimals, not any int() spelling
+        "initial_pose_u.-6=0.5", "initial_pose_u.+0=0.5", "initial_pose_u.0_0=0.5",
     )] + [
         pytest.param(["--preset", "nominal", "--seed", "-1"], id="--seed -1"),
         _override(f"camera_u.width={HUGE_INT}", case_id="camera_u.width=10**400"),

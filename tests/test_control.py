@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from vetsim.control import (
     DepthAttitudeState,
-    SubTaskTarget,
     VetFilterState,
     VetGains,
     baseline_ibvs,
@@ -84,7 +83,7 @@ def surface_command(pose, nu, target, gains, speed_limit=None):
 def test_depth_error_anchor():
     gains = underwater_pd(0.5, 0.15)
     state = DepthAttitudeState(z=-1.5, phi=0.0, theta=0.0, dz=0.0, dphi=0.0, dtheta=0.0)
-    target = SubTaskTarget(z_d=-1.0)
+    target = (-1.0, 0.0, 0.0)  # (z, phi, theta)
     u = subtask_control_underwater(state, target, gains)
     assert u[2] == pytest.approx(0.25)
     assert [u[0], u[1], u[5]] == [0.0, 0.0, 0.0]
@@ -95,7 +94,7 @@ def test_attitude_errors_wrap():
     state = DepthAttitudeState(
         z=-1.0, phi=-math.pi + 0.1, theta=0.0, dz=0.0, dphi=0.0, dtheta=0.0
     )
-    target = SubTaskTarget(z_d=-1.0, phi_d=math.pi - 0.1)
+    target = (-1.0, math.pi - 0.1, 0.0)
     u = subtask_control_underwater(state, target, gains)
     assert u[3] == pytest.approx(-0.2)  # short way round, not 2*pi - 0.2
 
@@ -108,7 +107,7 @@ def test_underwater_pd_zero_pattern():
 
 def test_surface_anchor():
     u = surface_command(
-        (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), SubTaskTarget(x_d=0.1), surface_pd(1.0, 0.0)
+        (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.1, 0.0, 0.0), surface_pd(1.0, 0.0)
     )
     assert u[0] == pytest.approx(0.1)
     assert u[1] == 0.0 and u[2] == 0.0
@@ -118,7 +117,7 @@ def test_surface_yaw_anchor():
     u = surface_command(
         (0.0, 0.0, 0.0),
         (0.0, 0.0, 0.0),
-        SubTaskTarget(psi_d=math.pi / 2),
+        (0.0, 0.0, math.pi / 2),
         surface_pd(1.0, 0.0),
     )
     assert u[2] == pytest.approx(math.pi / 2)
@@ -129,7 +128,7 @@ def test_surface_error_rotates_into_the_body_frame():
     u = surface_command(
         (0.0, 0.0, math.pi / 2),
         (0.0, 0.0, 0.0),
-        SubTaskTarget(x_d=1.0),
+        (1.0, 0.0, 0.0),
         surface_pd(1.0, 0.0),
     )
     assert u[0] == pytest.approx(0.0, abs=1e-12)
@@ -140,7 +139,7 @@ def test_surface_speed_limit_clips_linear_axes_only():
     u = surface_command(
         (0.0, 0.0, 0.0),
         (0.0, 0.0, 0.0),
-        SubTaskTarget(x_d=5.0, psi_d=1.0),
+        (5.0, 0.0, 1.0),
         surface_pd(1.0, 0.0),
         speed_limit=0.1,
     )
@@ -151,7 +150,7 @@ def test_surface_speed_limit_clips_linear_axes_only():
 def test_surface_controller_is_zero_at_the_target():
     pose = (0.7, -0.3, 1.1)
     u = surface_command(
-        pose, (0.0, 0.0, 0.0), SubTaskTarget(x_d=0.7, y_d=-0.3, psi_d=1.1), surface_pd(5.0, 5.0)
+        pose, (0.0, 0.0, 0.0), (0.7, -0.3, 1.1), surface_pd(5.0, 5.0)
     )
     np.testing.assert_allclose(u, 0.0, atol=1e-12)
 

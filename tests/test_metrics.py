@@ -54,8 +54,6 @@ def make_log(
         t=t,
         pose_u=pose_u,
         pose_s=np.zeros((n, 3)),
-        nu_u=np.zeros((n, 6)),
-        nu_s=np.zeros((n, 3)),
         u_sub_u=np.zeros((n, 6)),
         u_xi_u=np.zeros((n, 6)),
         u_sub_s=np.zeros((n, 3)),
@@ -69,9 +67,6 @@ def make_log(
         xi_us=np.zeros(n) if xi_us is None else np.asarray(xi_us, dtype=float),
         xi_su=np.zeros(n),
         proj_dist=dist,
-        wp_index=np.zeros(n, dtype=int),
-        clamped_u=np.zeros(n, dtype=bool),
-        clamped_s=np.zeros(n, dtype=bool),
         # the waypoint counts are read off the events
         event_flags=[";".join(["waypoint_capture"] * captured)] + [""] * (n - 1),
     )

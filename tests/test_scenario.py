@@ -14,7 +14,7 @@ import vetsim.frames as frames
 import vetsim.perception as perception
 import vetsim.scenario as scenario
 import vetsim.vehicle as vehicle
-from vetsim.control import SubTaskTarget, surface_pd
+from vetsim.control import surface_pd
 from vetsim.frames import GimbalSingularity, RigidTransform
 from vetsim.scenario import (
     CSV_COLUMNS,
@@ -26,6 +26,7 @@ from vetsim.scenario import (
     ScenarioConfig,
     Setpoints,
     SimFailure,
+    TrajectoryLog,
     UnknownPreset,
     lawnmower_path,
     log_from_csv,
@@ -100,44 +101,44 @@ def test_planner_advances_inside_the_capture_radius():
     wps = ((0.1, 0.0, 0.0), (1.0, 0.0, 0.5))
     target, index = planner_step((0.0, 0.0, 0.0), wps, 0.15)
     assert index == 1
-    assert (target.x_d, target.y_d, target.psi_d) == (1.0, 0.0, 0.5)
+    assert target == (1.0, 0.0, 0.5)
 
 
 def test_planner_holds_position_before_capture():
     wps = ((1.0, 0.0, 0.0),)
     target, index = planner_step((0.0, 0.0, 0.0), wps, 0.15)
     assert index == 0
-    assert target.x_d == 1.0
+    assert target == (1.0, 0.0, 0.0)
 
 
 def test_planner_holds_the_terminal_waypoint():
     wps = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.3))
     target, index = planner_step((1.0, 0.01, 0.0), wps, 0.15, index=1)
     assert index == 2  # captured, counted once
-    assert target.x_d == 1.0
+    assert target == (1.0, 0.0, 0.3)
     target, index = planner_step((1.0, 0.0, 0.0), wps, 0.15, index=index)
     assert index == 2
-    assert target.x_d == 1.0 and target.psi_d == 0.3
+    assert target == (1.0, 0.0, 0.3)
 
 
 def test_planner_with_no_waypoints_holds_the_current_pose():
-    target, index = planner_step((0.4, -0.2, 0.9), (), 0.15)
-    assert index == 0
-    assert (target.x_d, target.y_d, target.psi_d) == (0.4, -0.2, 0.9)
-    # a target passed back in is not reused: it must follow the pose
-    moved, _ = planner_step((0.5, -0.1, 1.0), (), 0.15, index, target)
-    assert moved is not target
-    assert (moved.x_d, moved.y_d, moved.psi_d) == (0.5, -0.1, 1.0)
+    current = (0.4, -0.2, 0.9)
+    target, index = planner_step(current, (), 0.15)
+    assert target is current and index == 0
+    # the target follows the pose tick by tick
+    moved = (0.5, -0.1, 1.0)
+    assert planner_step(moved, (), 0.15, index) == (moved, 0)
 
 
 def test_planner_reuses_the_target_until_the_index_moves():
+    # the target is the waypoints entry itself: nothing is built per tick
     wps = ((1.0, 0.0, 0.0), (2.0, 0.0, 0.5))
     target, index = planner_step((0.0, 0.0, 0.0), wps, 0.15)
-    same, index = planner_step((0.5, 0.0, 0.0), wps, 0.15, index, target)
+    assert target is wps[0] and index == 0
+    same, index = planner_step((0.5, 0.0, 0.0), wps, 0.15, index)
     assert same is target and index == 0
-    moved, index = planner_step((1.0, 0.1, 0.0), wps, 0.15, index, same)
-    assert moved is not target and index == 1
-    assert (moved.x_d, moved.y_d, moved.psi_d) == (2.0, 0.0, 0.5)
+    moved, index = planner_step((1.0, 0.1, 0.0), wps, 0.15, index)
+    assert moved is wps[1] and index == 1
 
 
 # --- configuration -----------------------------------------------------------------
@@ -336,8 +337,26 @@ def test_log_from_csv_is_a_fixed_point_of_the_writer(name, mode):
         cfg = short(name.split("+")[0], 12.0, mode=mode, dropout=DropoutModel(random_rate=0.3))
     else:
         cfg = short(name, min(preset(name).duration, 20.0), mode=mode)
-    text = run(cfg).to_csv_text()
-    assert log_from_csv(text, cfg).to_csv_text() == text
+    log = run(cfg)
+    text = log.to_csv_text()
+    again = log_from_csv(text, cfg)
+    assert again.to_csv_text() == text
+    # every field as run() built it: the CSV's floats to their 12 printed
+    # digits, flags, labels and event flags exactly, the totals derived alike
+    for item in dataclasses.fields(TrajectoryLog):
+        ran, read = getattr(log, item.name), getattr(again, item.name)
+        if item.name == "config" or isinstance(ran, list):
+            assert read is ran or read == ran, item.name
+        elif ran.dtype == bool:
+            np.testing.assert_array_equal(read, ran, err_msg=item.name)
+        elif item.name.startswith("u_total_"):
+            # within the rounding of the two printed addends, sub and xi
+            robot = item.name[-1]
+            split = np.abs(getattr(log, f"u_sub_{robot}")) + np.abs(getattr(log, f"u_xi_{robot}"))
+            assert (np.abs(read - ran) <= 5e-12 * split + 1e-17).all(), item.name
+        else:
+            printed = [float(f"{v:.12g}") for v in ran.ravel().tolist()]
+            np.testing.assert_array_equal(read.ravel(), printed, err_msg=item.name)
 
 
 def corrupt_row(text, row, corrupt):
@@ -435,27 +454,41 @@ def test_events_at_tick_zero_come_in_the_documented_order():
     assert "los_loss_us" not in log.event_flags[0]
 
 
-def per_tick_events(log):
-    """eventFlags found by scanning the log one tick at a time against the
-    tick before, with the dropout windows and disturbances evaluated at each
-    time: the reference for the transitions run reads off all at once."""
+def run_with_event_inputs(monkeypatch, cfg):
+    """run(cfg), and the arrays _event_flags read the events off: the log's
+    detection flags plus the loop's waypoint index and wall-clamp flags."""
+    inputs = {}
+
+    def capture(arrays, *args, _original=scenario._event_flags):
+        inputs.update(arrays)
+        return _original(arrays, *args)
+
+    monkeypatch.setattr(scenario, "_event_flags", capture)
+    return run(cfg), inputs
+
+
+def per_tick_events(log, inputs):
+    """eventFlags found by scanning the log and the loop's inputs one tick at
+    a time against the tick before, with the dropout windows and disturbances
+    evaluated at each time: the reference for the transitions run reads off
+    all at once."""
     cfg = log.config
     out = []
-    before = {"clamped_u": False, "clamped_s": False, "dropout": False, "perturb": False,
-              "wp": 0}
+    before = {"wall_clamp_u": False, "wall_clamp_s": False, "dropout": False,
+              "perturb": False, "wp": 0}
     for k, t in enumerate(log.t.tolist()):
         now = {
-            "clamped_u": log.clamped_u[k], "clamped_s": log.clamped_s[k],
+            "wall_clamp_u": inputs["wall_clamp_u"][k], "wall_clamp_s": inputs["wall_clamp_s"][k],
             "dropout": bool(cfg.dropout.scheduled(t)),
             "perturb": any(d.active(t) for d in cfg.perturbations),
-            "wp": int(log.wp_index[k]),
+            "wp": int(inputs["waypoint_index"][k]),
             "us": log.detected_us[k], "su": log.detected_su[k],
             "region_us": log.region_us[k], "region_su": log.region_su[k],
         }
         if k == 0:  # nothing to compare line of sight and regions with
             before.update({key: now[key] for key in ("us", "su", "region_us", "region_su")})
         events = [f"wall_clamp_{robot}" for robot in ("u", "s")
-                  if now[f"clamped_{robot}"] and not before[f"clamped_{robot}"]]
+                  if now[f"wall_clamp_{robot}"] and not before[f"wall_clamp_{robot}"]]
         for name in ("dropout", "perturb"):
             if now[name] != before[name]:
                 events.append(f"{name}_start" if now[name] else f"{name}_end")
@@ -472,7 +505,7 @@ def per_tick_events(log):
 
 
 @pytest.mark.parametrize("mode", ["vet", "baseline"])
-def test_event_flags_match_a_per_tick_scan(mode):
+def test_event_flags_match_a_per_tick_scan(monkeypatch, mode):
     # random and scheduled blackouts, one window past the end, overlapping
     # pushes from tick 0 on, and walls tight enough to clamp both robots
     cfg = short(
@@ -483,22 +516,46 @@ def test_event_flags_match_a_per_tick_scan(mode):
                        Disturbance((0.0, 5.0, 0.0), t_start=2.0, t_end=6.0)),
         tank_min=(0.0, -1.0, -2.0), tank_max=(0.45, 0.66, 0.0),
     )
-    log = run(cfg)
+    log, inputs = run_with_event_inputs(monkeypatch, cfg)
     flat = {f.split(":")[0] for flags in log.event_flags for f in flags.split(";") if f}
     assert flat >= {"wall_clamp_u", "wall_clamp_s", "dropout_start", "dropout_end",
                     "perturb_start", "perturb_end", "los_loss_us", "los_regain_us",
                     "region_us", "region_su"}
-    assert log.event_flags == per_tick_events(log)
+    assert log.event_flags == per_tick_events(log, inputs)
 
 
-def test_waypoint_captures_match_a_per_tick_scan():
+def test_waypoint_captures_match_a_per_tick_scan(monkeypatch):
     planner = scenario.Setpoints(((0.0, 0.0, 0.0), (0.05, 0.0, 0.0), (0.5, 0.5, 0.0)))
-    log = run(short("nominal", 20.0, planner=planner))
+    log, inputs = run_with_event_inputs(monkeypatch, short("nominal", 20.0, planner=planner))
     # the first two lie within the capture radius of the start
     assert log.event_flags[0] == "waypoint_capture;waypoint_capture"
-    assert log.wp_index[0] == 2
+    assert inputs["waypoint_index"][0] == 2
     assert log.waypoints_captured == log.waypoints_total == 3
-    assert log.event_flags == per_tick_events(log)
+    assert log.event_flags == per_tick_events(log, inputs)
+
+
+@pytest.mark.parametrize("mode", ["vet", "baseline"])
+def test_saturated_totals_are_the_commands_the_vehicles_got(monkeypatch, mode):
+    # the tight tank clamps both robots and the pull saturates the commands
+    cfg = short(
+        "perturbation_real", 12.0, mode=mode, dropout=DropoutModel(random_rate=0.3),
+        perturbations=(Disturbance((-10.0, 0.0, 0.0), t_start=0.0, t_end=3.0),),
+        tank_min=(0.0, -1.0, -2.0), tank_max=(0.45, 0.66, 0.0),
+    )
+    given = {6: [], 3: []}
+
+    def recorded(*args, _original=scenario.combined_control):
+        command = _original(*args)
+        given[len(command)].append(command)
+        return command
+
+    monkeypatch.setattr(scenario, "combined_control", recorded)
+    log = run(cfg)
+    bounds = np.array(cfg.params_u.axis_bounds)
+    assert (np.abs(log.u_total_u) == bounds).any()
+    # bit for bit: -0 and the clipped bounds included
+    assert np.array(given[6]).tobytes() == log.u_total_u.tobytes()
+    assert np.array(given[3]).tobytes() == log.u_total_s.tobytes()
 
 
 def test_wrenches_sum_the_active_disturbances_in_config_order():
@@ -664,20 +721,15 @@ def test_log_arrays_have_the_documented_shapes_and_types(mode):
     n = len(log)
     assert n == 101
     shapes = {
-        "t": (n,), "pose_u": (n, 6), "pose_s": (n, 3), "nu_u": (n, 6), "nu_s": (n, 3),
+        "t": (n,), "pose_u": (n, 6), "pose_s": (n, 3),
         "u_sub_u": (n, 6), "u_xi_u": (n, 6), "u_sub_s": (n, 3), "u_xi_s": (n, 3),
         "u_total_u": (n, 6), "u_total_s": (n, 3), "xi_us": (n,), "xi_su": (n,),
         "proj_dist": (n,), "detected_us": (n,), "detected_su": (n,),
-        "wp_index": (n,), "clamped_u": (n,), "clamped_s": (n,),
     }
     for name, shape in shapes.items():
         array = getattr(log, name)
         assert array.shape == shape, name
-        if name.startswith(("detected_", "clamped_")):
-            want = bool
-        else:
-            want = np.int64 if name == "wp_index" else np.float64
-        assert array.dtype == want, name
+        assert array.dtype == (bool if name.startswith("detected_") else np.float64), name
     for name in ("region_us", "region_su", "event_flags"):
         assert len(getattr(log, name)) == n
     # the arrays share one buffer; writing to one must leave the others alone
@@ -717,8 +769,9 @@ def test_an_empty_planner_targets_the_current_pose_every_tick():
 @pytest.mark.parametrize("mode", ["vet", "baseline"])
 def test_a_tick_transforms_each_pose_once_and_builds_no_pose(monkeypatch, mode):
     """One rotation_zyx (plus one per wall clamp) and one euler_rate_rows per
-    tick for the underwater pose; no mount is built, and a new SubTaskTarget
-    only when the waypoint index moves. The tick's call budget: two
+    tick for the underwater pose; no mount is built, and no target: the
+    sub-tasks get the same target objects tick after tick, one underwater and
+    one per waypoint the surface robot heads for. The tick's call budget: two
     projections per logged tick, one tag geometry per detected observation
     and two vehicle steps per stepped tick (every tick but the last)."""
     cfg = short("perturbation_real", 12.0, mode=mode, dropout=DropoutModel(random_rate=0.3))
@@ -741,19 +794,30 @@ def test_a_tick_transforms_each_pose_once_and_builds_no_pose(monkeypatch, mode):
 
     monkeypatch.setattr(VehicleModel, "step", counted_step)
     built = []
-    for cls in (RigidTransform, SubTaskTarget):
-        def counted_init(self, *args, _init=cls.__init__, **kwargs):
-            built.append(type(self).__name__)
-            _init(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__init__", counted_init)
-    log = run(cfg)
+    def counted_init(self, *args, _init=RigidTransform.__init__, **kwargs):
+        built.append(type(self).__name__)
+        _init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RigidTransform, "__init__", counted_init)
+    # the targets themselves are kept, so no two distinct ones share an id
+    targets = {"underwater": [], "surface": []}
+    for robot in targets:
+        def targeted(*args, _robot=robot, _law=getattr(scenario, f"subtask_control_{robot}")):
+            targets[_robot].append(args[1] if _robot == "underwater" else args[3])
+            return _law(*args)
+
+        monkeypatch.setattr(scenario, f"subtask_control_{robot}", targeted)
+    log, inputs = run_with_event_inputs(monkeypatch, cfg)
     n = len(log)
     assert calls["euler_rate_rows"] == n
     assert calls["project_tag"] == 2 * n
     assert calls["tag_geometry"] == int(log.detected_us.sum() + log.detected_su.sum())
     assert steps == [6, 3] * (n - 1)
-    assert n <= calls["rotation_zyx"] <= n + int(log.clamped_u.sum())
-    # the underwater target, the first waypoint target and one per index move
-    moves = int(np.count_nonzero(np.diff(log.wp_index)))
-    assert built == ["SubTaskTarget"] * (2 + moves)
+    assert n <= calls["rotation_zyx"] <= n + int(inputs["wall_clamp_u"].sum())
+    assert built == []
+    assert len(targets["underwater"]) == len(targets["surface"]) == n
+    assert len({id(target) for target in targets["underwater"]}) == 1
+    # one surface target object per waypoint headed for: the first and one per index move
+    moves = int(np.count_nonzero(np.diff(inputs["waypoint_index"])))
+    assert len({id(target) for target in targets["surface"]}) == 1 + moves
