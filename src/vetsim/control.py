@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .frames import flat_transform, rotate, wrap_angle
-from .perception import CameraModel, RegionLabel, elastic_penetration
+from .perception import CameraModel, Observation
 from .vehicle import VehicleParams, saturate
 
 
@@ -159,14 +159,9 @@ class VetFilterState(NamedTuple):
     held_command: tuple = (0.0, 0.0, 0.0)
     held_weight: float = 1.0
 
-    @staticmethod
-    def initial() -> "VetFilterState":
-        return VetFilterState()
-
 
 def vet_law(
-    geometry: tuple | None,
-    region: RegionLabel | None,
+    obs: Observation,
     yaw: float,
     t: float,
     state: VetFilterState,
@@ -175,18 +170,20 @@ def vet_law(
 ) -> tuple:
     """One tick of the elastic tether law at time t.
 
-    geometry is the tag's (center, l_bar, h_bar) from tag_geometry and region
-    its label from classify_region, both None when the tag is not detected;
-    yaw is the relative yaw from project_tag. Returns ((u_x, u_y, u_psi),
-    subtask weight, new state): the camera-frame command, and the
-    leader-side fade factor derived from the region (1 in safe, ramping to 0
-    inside the elastic band), which followers ignore.
+    obs is the camera's observation of the tag (perception.observe, or
+    perception.UNSEEN when it is not detected) and yaw the relative yaw from
+    project_tag; cam only normalises the centre rate. Returns ((u_x, u_y,
+    u_psi), subtask weight, new state): the camera-frame command, and the
+    leader-side fade factor derived from obs.penetration (1 in safe, ramping
+    to 0 inside the elastic band), which followers ignore.
 
-    Detected: command from the region law on the normalised centre offset,
-    clipped per axis to u_max. Undetected: the held command decays with the
-    configured half-life, reaching ~6% within two seconds at the default.
+    Detected: command from the region law on obs.error, clipped per axis to
+    u_max. Undetected: the held command decays with the configured
+    half-life, reaching ~6% within two seconds at the default, and the
+    weight relaxes back toward 1 at the same rate.
     """
-    if geometry is None:
+    center = obs.center
+    if center is None:
         if state.last_time is None:
             factor = 0.0
         else:
@@ -197,28 +194,23 @@ def vet_law(
         weight = 1.0 - (1.0 - state.held_weight) * factor
         return held, weight, VetFilterState(None, t, (0.0, 0.0), held, weight)
 
-    center, l_bar, h_bar = geometry
-    half_w = cam.width / 2.0
-    half_v = cam.height / 2.0
-    ex = (center[0] - half_w) / half_w
-    ey = (center[1] - half_v) / half_v
-
+    ex, ey = obs.error
     if state.last_center is not None and state.last_time is not None:
         rx, ry = state.rate
         dt = t - state.last_time
         if dt > 0.0:
-            raw_x = (center[0] - state.last_center[0]) / half_w / dt
-            raw_y = (center[1] - state.last_center[1]) / half_v / dt
+            raw_x = (center[0] - state.last_center[0]) / (cam.width / 2.0) / dt
+            raw_y = (center[1] - state.last_center[1]) / (cam.height / 2.0) / dt
             alpha = dt / (gains.rate_time_constant + dt)
             rx = rx + alpha * (raw_x - rx)
             ry = ry + alpha * (raw_y - ry)
     else:
         rx = ry = 0.0
 
-    if region is RegionLabel.SAFE:
+    if obs.region == "safe":
         ux = gains.k_safe_p * ex
         uy = gains.k_safe_p * ey
-    elif region is RegionLabel.ELASTIC:
+    elif obs.region == "elastic":
         ux = gains.k_elastic_p * ex + gains.k_elastic_d * rx
         uy = gains.k_elastic_p * ey + gains.k_elastic_d * ry
     else:
@@ -232,26 +224,21 @@ def vet_law(
     uy = min(max(uy, -gains.u_max_y), gains.u_max_y)
     command = (ux, uy, gains.k_psi * yaw)
 
-    penetration = elastic_penetration(center, l_bar, h_bar, cam)
-    weight = min(max(1.0 - penetration / gains.yield_fraction, 0.0), 1.0)
+    weight = min(max(1.0 - obs.penetration / gains.yield_fraction, 0.0), 1.0)
     return command, weight, VetFilterState(center, t, (rx, ry), command, weight)
 
 
-def baseline_ibvs(geometry: tuple | None, yaw: float, gains: VetGains, cam: CameraModel) -> tuple:
+def baseline_ibvs(obs: Observation, yaw: float, gains: VetGains) -> tuple:
     """One-way visual servo: the follower's camera-frame command
     (u_x, u_y, u_psi). The leader gets no tether input in this mode.
 
-    geometry and yaw as in vet_law. Uniform proportional gain over the whole
-    image, no region logic, no derivative term; detection loss commands zero
-    immediately.
+    obs and yaw as in vet_law. Uniform proportional gain on obs.error over
+    the whole image, no region logic, no derivative term; detection loss
+    commands zero immediately.
     """
-    if geometry is None:
+    if obs.center is None:
         return (0.0, 0.0, 0.0)
-    center = geometry[0]
-    half_w = cam.width / 2.0
-    half_v = cam.height / 2.0
-    ex = (center[0] - half_w) / half_w
-    ey = (center[1] - half_v) / half_v
+    ex, ey = obs.error
     ux = min(max(gains.k_elastic_p * ex, -gains.u_max_x), gains.u_max_x)
     uy = min(max(gains.k_elastic_p * ey, -gains.u_max_y), gains.u_max_y)
     return (ux, uy, gains.k_psi * yaw)
@@ -278,21 +265,13 @@ def camera_to_body(cmd, rotation: tuple, dof: int) -> list:
     return [lx, ly, wz]
 
 
-def combined_control(
-    subtask_u, xi_u, params: VehicleParams, subtask_weight: float = 1.0
-) -> list:
+def combined_control(subtask_u, xi_u, params: VehicleParams) -> list:
     """Sum the sub-task and tether commands (both params.dof long) and
-    saturate per axis.
-
-    subtask_weight scales the sub-task's linear components; it implements
-    the leader's task priority (full sub-task while the tag is safe, fading
-    to tether-only as the tag nears the border). Callers that do not use
-    priority leave it at 1, which reduces to a plain sum.
+    saturate per axis. The leader's task priority is already in subtask_u:
+    the loop weights its linear components by vet_law's weight once, and
+    logs and sums that same list.
     """
-    n_lin = 2 if len(subtask_u) == 3 else 3
-    total = [s * subtask_weight + x for s, x in zip(subtask_u[:n_lin], xi_u[:n_lin])]
-    total += [s + x for s, x in zip(subtask_u[n_lin:], xi_u[n_lin:])]
-    return saturate(total, params)
+    return saturate([s + x for s, x in zip(subtask_u, xi_u)], params)
 
 
 def check_connectivity(

@@ -17,20 +17,14 @@ danger margin near the image border sized by the mean tag diagonal.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .frames import RigidTransform, wrap_angle
-
-
-class RegionLabel(enum.Enum):
-    SAFE = "safe"
-    ELASTIC = "elastic"
-    DANGER = "danger"
 
 
 @dataclass(frozen=True)
@@ -212,8 +206,31 @@ def tag_geometry(pixels) -> tuple:
     return center, l_bar, h_bar
 
 
-def classify_region(center, l_bar: float, h_bar: float, cam: CameraModel) -> RegionLabel:
-    """Label the tag centre as safe, elastic or danger.
+class Observation(NamedTuple):
+    """One camera's measurement of the other robot's tag, as observe gives it.
+
+    center is the tag centre (cx, cy) in pixels and error its offset from
+    the image centre normalised by the image half-extents; region is "safe",
+    "elastic", "danger" or "none"; penetration is how far the centre sits
+    into the elastic band (0 inside the safe box, 1 at the danger boundary,
+    above 1 inside danger); xi is the centre's distance in pixels from the
+    image centre.
+    """
+
+    center: tuple | None
+    error: tuple | None
+    region: str
+    penetration: float
+    xi: float
+
+
+UNSEEN = Observation(None, None, "none", math.nan, math.nan)
+"""The observation of a tag the camera does not detect."""
+
+
+def observe(center, l_bar: float, h_bar: float, cam: CameraModel) -> Observation:
+    """Measure a detected tag once, from tag_geometry's centre, mean side
+    length and mean diagonal.
 
     Safe is the open box of half-width l_bar/2 around the image centre;
     elastic is the open box h_bar clear of every border, minus safe; danger
@@ -221,38 +238,24 @@ def classify_region(center, l_bar: float, h_bar: float, cam: CameraModel) -> Reg
     """
     x, y = center
     w, v = cam.width, cam.height
-    if (w - l_bar) / 2.0 < x < (w + l_bar) / 2.0 and (v - l_bar) / 2.0 < y < (v + l_bar) / 2.0:
-        return RegionLabel.SAFE
-    if h_bar < x < w - h_bar and h_bar < y < v - h_bar:
-        return RegionLabel.ELASTIC
-    return RegionLabel.DANGER
-
-
-def elastic_penetration(center, l_bar: float, h_bar: float, cam: CameraModel) -> float:
-    """How far the tag centre sits into the elastic band, per axis maximum.
-
-    0 inside the safe box, 1 at the danger boundary, above 1 inside danger.
-    Used by the control layer to fade the leader's own task out as the tag
-    drifts toward the border.
-    """
-    return max(
-        _penetration(center[0], cam.width, l_bar, h_bar),
-        _penetration(center[1], cam.height, l_bar, h_bar),
+    half_w, half_v = w / 2.0, v / 2.0
+    lo_x, hi_x = (w - l_bar) / 2.0, (w + l_bar) / 2.0
+    lo_y, hi_y = (v - l_bar) / 2.0, (v + l_bar) / 2.0
+    if lo_x < x < hi_x and lo_y < y < hi_y:
+        region, penetration = "safe", 0.0
+    else:
+        region = "elastic" if h_bar < x < w - h_bar and h_bar < y < v - h_bar else "danger"
+        penetration = max(_penetration(x, lo_x, hi_x, h_bar), _penetration(y, lo_y, hi_y, h_bar))
+    return Observation(
+        center, ((x - half_w) / half_w, (y - half_v) / half_v), region, penetration,
+        math.hypot(x - half_w, y - half_v),
     )
 
 
-def _penetration(value: float, extent: float, l_bar: float, h_bar: float) -> float:
-    """elastic_penetration along one image axis."""
-    safe_lo = (extent - l_bar) / 2.0
-    safe_hi = (extent + l_bar) / 2.0
+def _penetration(value: float, safe_lo: float, safe_hi: float, h_bar: float) -> float:
+    """Observation.penetration along one image axis, from the safe box's edges."""
     depth = max(safe_lo - value, value - safe_hi, 0.0)
     if depth == 0.0:
         return 0.0
     span = safe_lo - h_bar  # distance from the safe edge to the danger edge
     return depth / span if span > 0.0 else math.inf
-
-
-def tether_offset(center, cam: CameraModel) -> float:
-    """xi: the distance in pixels from the image centre to a tag centre."""
-    return math.hypot(center[0] - cam.width / 2.0, center[1] - cam.height / 2.0)
-

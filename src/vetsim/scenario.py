@@ -6,11 +6,17 @@ off the log after it; every tick (fixed 50 Hz by default) runs sense ->
 control -> actuate -> log:
 
 1. sense: each robot's camera projects the other robot's tag; the upward
-   camera's observation additionally passes through the dropout model.
+   camera's detection additionally passes through the dropout model. Each
+   detected tag is measured once into a perception.Observation (region,
+   normalised offset, elastic penetration, xi) that the log and the tether
+   law both read; an undetected one is perception.UNSEEN.
 2. control: each robot combines its own sub-task PD (depth/attitude under
    water, waypoint tracking on the surface) with the tether command derived
-   from its own camera. In baseline mode the follower runs the one-way
-   visual servo and the leader ignores its camera entirely.
+   from its own camera's observation. In vet mode the leader's linear
+   sub-task is weighted once by the tether law's task-priority weight, and
+   that one weighted command is both logged and summed. In baseline mode the
+   follower runs the one-way visual servo and the leader ignores its camera
+   entirely.
 3. actuate: commands are saturated, allocated to body wrenches and
    integrated; scheduled world-frame perturbations push on the underwater
    robot; a soft wall clamp keeps both robots inside the tank.
@@ -50,13 +56,7 @@ from .control import (
 from .frames import GimbalSingularity, RigidTransform, euler_rate_rows, flat_transform
 from .frames import projected_distance
 from .perception import (
-    CameraModel,
-    DropoutModel,
-    TagModel,
-    classify_region,
-    project_tag,
-    tag_geometry,
-    tether_offset,
+    UNSEEN, CameraModel, DropoutModel, TagModel, observe, project_tag, tag_geometry,
 )
 from .vehicle import Disturbance, VehicleModel, VehicleParams
 
@@ -558,16 +558,6 @@ def _depth_attitude_state(pose: tuple, nu: list, rotation: tuple,
     )
 
 
-def _measure(pixels: list, detected: bool, cam: CameraModel) -> tuple:
-    """The one geometry evaluation of an observation: (geometry, region
-    label, xi), or (None, None, nan) when the tag is not detected."""
-    if not detected:
-        return None, None, math.nan
-    geometry = tag_geometry(pixels)
-    region = classify_region(*geometry, cam)
-    return geometry, region, tether_offset(geometry[0], cam)
-
-
 def _state_at(k: int, row) -> str:
     """Where a run failed: tick k, its time and both poses, off row k of the row table."""
     row = _log_arrays(np.reshape(row, (1, _ROW_WIDTH)))
@@ -680,8 +670,7 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
     speed_limit = config.planner.speed if isinstance(config.planner, Lawnmower) else None
 
     baseline = config.mode == "baseline"
-    vet_state_u = VetFilterState.initial()
-    vet_state_s = VetFilterState.initial()
+    vet_state_u = vet_state_s = VetFilterState()
 
     rows = array("d")
     region_us_list = []
@@ -703,21 +692,18 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
         # plan
         target_s, waypoint_index = planner_step(pose_s, waypoints, capture_radius, waypoint_index)
 
-        # one tag geometry per detected observation, shared by the logged
-        # region and xi and by the tether law
-        geo_us, label_us, xi_us = _measure(pixels_us, det_us, cam_u)
-        geo_su, label_su, xi_su = _measure(pixels_su, det_su, cam_s)
+        # one observation per camera, read by the log and by the tether law
+        obs_us = observe(*tag_geometry(pixels_us), cam_u) if det_us else UNSEEN
+        obs_su = observe(*tag_geometry(pixels_su), cam_s) if det_su else UNSEEN
 
         # control: underwater robot (own depth/attitude sensors plus camera)
         u_sub_u = subtask_control_underwater(
             _depth_attitude_state(pose_u, vel_u, tf_u[0], rates_u), target_u, pd_u
         )
         if baseline:
-            cam_cmd_u = baseline_ibvs(geo_us, yaw_us, gains, cam_u)
+            cam_cmd_u = baseline_ibvs(obs_us, yaw_us, gains)
         else:
-            cam_cmd_u, _, vet_state_u = vet_law(
-                geo_us, label_us, yaw_us, t, vet_state_u, gains, cam_u
-            )
+            cam_cmd_u, _, vet_state_u = vet_law(obs_us, yaw_us, t, vet_state_u, gains, cam_u)
         xi_u = camera_to_body(cam_cmd_u, mount_u, 6)
         u_tot_u = combined_control(u_sub_u, xi_u, params_u)
 
@@ -726,23 +712,21 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
         if baseline:
             # one-way coupling: the leader gets no tether input at all
             xi_s = [0.0, 0.0, 0.0]
-            weight_s = 1.0
         else:
-            cam_cmd_s, weight_s, vet_state_s = vet_law(
-                geo_su, label_su, yaw_su, t, vet_state_s, gains, cam_s
-            )
+            # the leader's task priority: its linear sub-task fades by the weight
+            cam_cmd_s, w, vet_state_s = vet_law(obs_su, yaw_su, t, vet_state_s, gains, cam_s)
             xi_s = camera_to_body(cam_cmd_s, mount_s, 3)
-        u_tot_s = combined_control(u_sub_s, xi_s, params_s, weight_s)
+            u_sub_s = [u_sub_s[0] * w, u_sub_s[1] * w, u_sub_s[2]]
+        u_tot_s = combined_control(u_sub_s, xi_s, params_s)
 
         # record the row table's columns, in _TABLE_CELLS order
         rows.fromlist([
             t, *pose_u, *pose_s,
-            *u_sub_u, *xi_u, u_sub_s[0] * weight_s, u_sub_s[1] * weight_s, u_sub_s[2],
-            *xi_s, det_us, det_su, xi_us, xi_su,
+            *u_sub_u, *xi_u, *u_sub_s, *xi_s, det_us, det_su, obs_us.xi, obs_su.xi,
             projected_distance(pose_u, pose_s), waypoint_index, wall_clamp_u, wall_clamp_s,
         ])
-        region_us_list.append(label_us.value if det_us else "none")
-        region_su_list.append(label_su.value if det_su else "none")
+        region_us_list.append(obs_us.region)
+        region_su_list.append(obs_su.region)
 
         if k == n_steps:
             break

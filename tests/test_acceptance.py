@@ -32,20 +32,13 @@ from vetsim.metrics import (
     pose_from_observation,
     recovery_time,
 )
-from vetsim.perception import (
-    CameraModel,
-    RegionLabel,
-    TagModel,
-    classify_region,
-    project_tag,
-    tag_geometry,
-    tether_offset,
-)
+from vetsim.perception import CameraModel, TagModel, observe, project_tag, tag_geometry
 from vetsim.scenario import preset, run
 from vetsim.vehicle import VehicleModel, VehicleParams
 
 FLIP_X = ((1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0))
 ZERO = (0.0, 0.0, 0.0)
+REGIONS = ("safe", "elastic", "danger")
 
 
 def _verdict(capsys, number: int, ok: bool, detail: str) -> None:
@@ -197,9 +190,9 @@ def _check_region_partition():
     cam = _up_camera()
     for x in range(0, 641, 1):
         for y in range(0, 481, 7):
-            assert classify_region((float(x), float(y)), 48.0, 66.0, cam) in RegionLabel
+            assert observe((float(x), float(y)), 48.0, 66.0, cam).region in REGIONS
     for y in range(0, 481, 1):
-        assert classify_region((117.0, float(y)), 48.0, 66.0, cam) in RegionLabel
+        assert observe((117.0, float(y)), 48.0, 66.0, cam).region in REGIONS
 
 
 def _check_translation_invariance():
@@ -253,10 +246,8 @@ def _centered_obs():
 
 
 def _check_zero_at_center():
-    geometry = tag_geometry(_centered_obs())
-    region = classify_region(*geometry, _up_camera())
-    cmd, _, _ = vet_law(geometry, region, 0.0, 0.0, VetFilterState.initial(), VetGains(),
-                        _up_camera())
+    obs = observe(*tag_geometry(_centered_obs()), _up_camera())
+    cmd, _, _ = vet_law(obs, 0.0, 0.0, VetFilterState(), VetGains(), _up_camera())
     assert np.all(np.abs(cmd) <= 1e-9)
 
 
@@ -276,11 +267,10 @@ def _check_direction_symmetry():
         pixels_su, yaw_su, detected_su = project_tag(tf_s, tf_u, cam_s, tag_u)
         if not (detected_us and detected_su):
             continue
-        geo_us, geo_su = tag_geometry(pixels_us), tag_geometry(pixels_su)
-        cmd_us, _, _ = vet_law(geo_us, classify_region(*geo_us, cam_u), yaw_us, 0.0,
-                               VetFilterState.initial(), gains, cam_u)
-        cmd_su, _, _ = vet_law(geo_su, classify_region(*geo_su, cam_s), yaw_su, 0.0,
-                               VetFilterState.initial(), gains, cam_s)
+        obs_us = observe(*tag_geometry(pixels_us), cam_u)
+        obs_su = observe(*tag_geometry(pixels_su), cam_s)
+        cmd_us, _, _ = vet_law(obs_us, yaw_us, 0.0, VetFilterState(), gains, cam_u)
+        cmd_su, _, _ = vet_law(obs_su, yaw_su, 0.0, VetFilterState(), gains, cam_s)
         c, s = math.cos(heading), math.sin(heading)
         rot = np.array([[c, -s], [s, c]])
         world_u = rot @ camera_to_body(cmd_us, cam_u.flat_mount[0], 6)[:2]
@@ -296,21 +286,20 @@ def _check_elastic_decay():
     cam = _up_camera()
     tag_s = TagModel(0.1, RigidTransform(FLIP_X, ZERO))
     gains = VetGains()
-    state = VetFilterState.initial()
+    state = VetFilterState()
     x, dt = 0.5, 0.02
     last_xi = math.inf
     region = None
     for k in range(1200):
         tf_u = flat_transform((x, 0.0, -1.0, 0.0, 0.0, 0.0))
         pixels, yaw, _ = project_tag(tf_u, flat_transform((0.0, 0.0, 0.0)), cam, tag_s)
-        geometry = tag_geometry(pixels)
-        xi = tether_offset(geometry[0], cam)
-        assert xi <= last_xi + 1e-9
-        last_xi = xi
-        region = classify_region(*geometry, cam)
-        cmd, _, state = vet_law(geometry, region, yaw, k * dt, state, gains, cam)
+        obs = observe(*tag_geometry(pixels), cam)
+        assert obs.xi <= last_xi + 1e-9
+        last_xi = obs.xi
+        region = obs.region
+        cmd, _, state = vet_law(obs, yaw, k * dt, state, gains, cam)
         x += dt * float(cmd[0])
-    assert region is RegionLabel.SAFE
+    assert region == "safe"
 
 
 def _check_connectivity_residual():

@@ -7,11 +7,15 @@ is informational: a rewrite that sums in another order changes the last
 printed digit of some cells without changing the behaviour, so a differing
 hash is reported but does not fail the test.
 
-No preset moves the underwater robot's heave, roll or pitch, so one probe
-config (probe_tilt.json, locked in both modes like a preset) starts tilted
-and off depth and pushes with a heave force and a roll/pitch torque: it pins
-the depth/attitude channel, the coupled 6-DoF velocity solve and the
-Euler-rate map.
+Probe configs (probe_*.json, locked in both modes like a preset) pin what
+no preset reaches. No preset moves the underwater robot's heave, roll or
+pitch, so probe_tilt starts tilted and off depth and pushes with a heave
+force and a roll/pitch torque: it pins the depth/attitude channel, the
+coupled 6-DoF velocity solve and the Euler-rate map. In vet mode no preset
+reaches the tether law's danger branch, and the downward camera never loses
+the tag once seen, so probe_vision (a small downward image, a sideways
+push, random and scheduled dropout, a tank that clamps both robots and a
+lawnmower survey) pins the danger branch and the leader's held weight.
 
 Re-record only in a change that is meant to alter the program's outputs:
 
@@ -27,11 +31,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import vetsim.scenario as scenario
 from vetsim.metrics import summarize
 from vetsim.scenario import PRESET_NAMES, ScenarioConfig, preset, run
 
 REFERENCE = Path(__file__).with_name("behaviour_lock.json")
-PROBE = Path(__file__).with_name("probe_tilt.json")
+PROBES = tuple(sorted(path.stem for path in Path(__file__).parent.glob("probe_*.json")))
 STRIDE = 100
 THRESHOLD = 0.3
 TOL = 1e-9
@@ -39,8 +44,10 @@ MODES = ("vet", "baseline")
 
 
 def _config(name: str, mode: str) -> ScenarioConfig:
-    cfg = (ScenarioConfig.from_dict(json.loads(PROBE.read_text())) if name == "probe_tilt"
-           else preset(name))
+    if name in PROBES:
+        cfg = ScenarioConfig.from_dict(json.loads(REFERENCE.with_name(f"{name}.json").read_text()))
+    else:
+        cfg = preset(name)
     cfg.mode = mode
     return cfg
 
@@ -136,6 +143,34 @@ def test_the_tilted_probe_matches_the_reference(mode, reference):
     _check(reference["runs"][key], _record(log), key)
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_the_vision_probe_matches_the_reference(mode, reference, monkeypatch):
+    cfg = _config("probe_vision", mode)
+    held = []  # the leader's weight on each tick its camera misses the tag
+
+    def leader_weights(obs, *args, _law=scenario.vet_law):
+        out = _law(obs, *args)
+        if args[-1] is cfg.camera_s and obs.center is None:
+            held.append(out[1])
+        return out
+
+    monkeypatch.setattr(scenario, "vet_law", leader_weights)
+    log = run(cfg)
+    # the probe exists to reach what no preset reaches in vet mode
+    assert "danger" in log.region_us and "danger" in log.region_su
+    names = [event for _, event in log.events]
+    assert {"los_loss_su", "wall_clamp_u", "wall_clamp_s"} <= set(names)
+    assert log.waypoints_total == 4
+    if mode == "vet":
+        assert sum(0.0 < weight < 1.0 for weight in held) == 238
+        assert log.waypoints_captured == 3
+    else:
+        assert held == []
+        assert log.waypoints_captured == 4
+    key = f"probe_vision/{mode}"
+    _check(reference["runs"][key], _record(log), key)
+
+
 def test_the_tolerance_rejects_a_real_change():
     assert _cell_matches("0.5", "0.5000000001")
     assert not _cell_matches("0.5", "0.500001")
@@ -148,7 +183,7 @@ def test_the_tolerance_rejects_a_real_change():
 if __name__ == "__main__":
     runs = {
         f"{name}/{mode}": _record(run(_config(name, mode)))
-        for name in (*PRESET_NAMES, "probe_tilt") for mode in MODES
+        for name in (*PRESET_NAMES, *PROBES) for mode in MODES
     }
     doc = {"stride": STRIDE, "threshold": THRESHOLD, "runs": runs}
     REFERENCE.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")

@@ -22,15 +22,7 @@ from vetsim.control import (
     vet_law,
 )
 from vetsim.frames import RigidTransform, flat_transform
-from vetsim.perception import (
-    CameraModel,
-    RegionLabel,
-    TagModel,
-    classify_region,
-    project_tag,
-    tag_geometry,
-    tether_offset,
-)
+from vetsim.perception import UNSEEN, CameraModel, TagModel, observe, project_tag, tag_geometry
 from vetsim.vehicle import VehicleParams
 
 FLIP_X = ((1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0))
@@ -46,22 +38,17 @@ def down_camera():
 
 
 def measured(pixels, cam):
-    """(geometry, region) of projected corner pixels, the way the run loop
-    measures a detected observation."""
-    geometry = tag_geometry(pixels)
-    return geometry, classify_region(*geometry, cam)
+    """The observation of projected corner pixels, the way the run loop
+    measures a detected tag."""
+    return observe(*tag_geometry(pixels), cam)
 
 
 def seen(cx, cy, cam, half=20.0):
-    """(geometry, region) of a detected square tag image centred at (cx, cy)."""
+    """The observation of a detected square tag image centred at (cx, cy)."""
     return measured(
         [cx - half, cy - half, cx + half, cy - half, cx + half, cy + half, cx - half, cy + half],
         cam,
     )
-
-
-# what vet_law gets for an undetected tag: no geometry, no region
-LOST = (None, None)
 
 
 def wide_gains(**overrides):
@@ -159,9 +146,9 @@ def test_surface_controller_is_zero_at_the_target():
 
 def test_tether_command_is_zero_at_the_image_centre():
     cam = up_camera()
-    geometry, region = seen(320.0, 240.0, cam)
-    assert region is RegionLabel.SAFE
-    u, weight, _ = vet_law(geometry, region, 0.0, 0.0, VetFilterState.initial(), VetGains(), cam)
+    obs = seen(320.0, 240.0, cam)
+    assert obs.region == "safe"
+    u, weight, _ = vet_law(obs, 0.0, 0.0, VetFilterState(), VetGains(), cam)
     np.testing.assert_allclose(u, 0.0, atol=1e-9)
     assert weight == 1.0
 
@@ -169,26 +156,26 @@ def test_tether_command_is_zero_at_the_image_centre():
 def test_elastic_gain_anchor():
     # half-normalised offset with unit elastic gain and no clipping
     cam = up_camera()
-    geometry, region = seen(480.0, 240.0, cam)
-    assert region is RegionLabel.ELASTIC
-    u, _, _ = vet_law(geometry, region, 0.0, 0.0, VetFilterState.initial(), wide_gains(), cam)
+    obs = seen(480.0, 240.0, cam)
+    assert obs.region == "elastic"
+    u, _, _ = vet_law(obs, 0.0, 0.0, VetFilterState(), wide_gains(), cam)
     assert u[0] == pytest.approx(0.5)
     assert u[1] == pytest.approx(0.0)
 
 
 def test_safe_region_uses_the_weaker_gain():
     cam = up_camera()
-    geometry, region = seen(330.0, 240.0, cam, half=40.0)  # l_bar 80, inside the safe box
-    assert region is RegionLabel.SAFE
-    u, _, _ = vet_law(geometry, region, 0.0, 0.0, VetFilterState.initial(), wide_gains(), cam)
+    obs = seen(330.0, 240.0, cam, half=40.0)  # l_bar 80, inside the safe box
+    assert obs.region == "safe"
+    u, _, _ = vet_law(obs, 0.0, 0.0, VetFilterState(), wide_gains(), cam)
     assert u[0] == pytest.approx(0.5 * 10.0 / 320.0)
 
 
 def test_danger_region_commands_the_bound_along_the_error():
     cam = up_camera()
-    geometry, region = seen(20.0, 240.0, cam)
-    assert region is RegionLabel.DANGER
-    u, _, _ = vet_law(geometry, region, 0.0, 0.0, VetFilterState.initial(), VetGains(), cam)
+    obs = seen(20.0, 240.0, cam)
+    assert obs.region == "danger"
+    u, _, _ = vet_law(obs, 0.0, 0.0, VetFilterState(), VetGains(), cam)
     assert abs(u[0]) == pytest.approx(0.1)
     assert u[0] < 0.0
     assert u[1] == pytest.approx(0.0, abs=1e-12)
@@ -196,14 +183,14 @@ def test_danger_region_commands_the_bound_along_the_error():
 
 def test_command_clips_per_axis():
     cam = up_camera()
-    u, _, _ = vet_law(*seen(480.0, 240.0, cam), 0.0, 0.0, VetFilterState.initial(), VetGains(), cam)
+    u, _, _ = vet_law(seen(480.0, 240.0, cam), 0.0, 0.0, VetFilterState(), VetGains(), cam)
     assert u[0] == pytest.approx(0.1)  # 0.5 raw, clipped to u_max
 
 
 def test_yaw_gain_acts_on_the_relative_yaw():
     cam = up_camera()
     u, _, _ = vet_law(
-        *seen(320.0, 240.0, cam), 0.4, 0.0, VetFilterState.initial(), VetGains(k_psi=0.5), cam
+        seen(320.0, 240.0, cam), 0.4, 0.0, VetFilterState(), VetGains(k_psi=0.5), cam
     )
     assert u[2] == pytest.approx(0.2)
 
@@ -211,18 +198,18 @@ def test_yaw_gain_acts_on_the_relative_yaw():
 def test_lost_detection_holds_and_decays_the_command():
     gains = VetGains()  # hold_half_life 0.5 s
     cam = up_camera()
-    u0, _, state = vet_law(*seen(480.0, 240.0, cam), 0.0, 0.0, VetFilterState.initial(), gains, cam)
+    u0, _, state = vet_law(seen(480.0, 240.0, cam), 0.0, 0.0, VetFilterState(), gains, cam)
     assert u0[0] == pytest.approx(0.1)
 
-    lost1, _, state = vet_law(*LOST, 0.0, 0.5, state, gains, cam)
+    lost1, _, state = vet_law(UNSEEN, 0.0, 0.5, state, gains, cam)
     assert lost1[0] == pytest.approx(0.05)
 
-    lost2, _, state = vet_law(*LOST, 0.0, 1.0, state, gains, cam)
+    lost2, _, state = vet_law(UNSEEN, 0.0, 1.0, state, gains, cam)
     assert lost2[0] == pytest.approx(0.025)
 
 
 def test_lost_detection_with_no_history_commands_zero():
-    u, weight, _ = vet_law(*LOST, 0.0, 0.0, VetFilterState.initial(), VetGains(), up_camera())
+    u, weight, _ = vet_law(UNSEEN, 0.0, 0.0, VetFilterState(), VetGains(), up_camera())
     assert list(u) == [0.0, 0.0, 0.0]
     assert weight == 1.0
 
@@ -232,31 +219,31 @@ def test_hold_weight_relaxes_toward_full_subtask():
     gains = VetGains(yield_fraction=0.2)
     cam = up_camera()
     # deep in the elastic band: the leader is yielding (weight < 1)
-    _, _, state = vet_law(*seen(560.0, 240.0, cam), 0.0, 0.0, VetFilterState.initial(), gains, cam)
+    _, _, state = vet_law(seen(560.0, 240.0, cam), 0.0, 0.0, VetFilterState(), gains, cam)
     assert state.held_weight < 1.0
-    _, weight, _ = vet_law(*LOST, 0.0, 0.5, state, gains, cam)
+    _, weight, _ = vet_law(UNSEEN, 0.0, 0.5, state, gains, cam)
     assert state.held_weight < weight < 1.0
 
 
 def test_rate_damping_opposes_closing_motion():
     gains = wide_gains()
     cam = up_camera()
-    _, _, state = vet_law(*seen(480.0, 240.0, cam), 0.0, 0.0, VetFilterState.initial(), gains, cam)
-    geometry, region = seen(470.0, 240.0, cam)
-    moving, _, _ = vet_law(geometry, region, 0.0, 0.02, state, gains, cam)
-    static, _, _ = vet_law(geometry, region, 0.0, 0.02, VetFilterState.initial(), gains, cam)
-    assert region is RegionLabel.ELASTIC
+    _, _, state = vet_law(seen(480.0, 240.0, cam), 0.0, 0.0, VetFilterState(), gains, cam)
+    obs = seen(470.0, 240.0, cam)
+    moving, _, _ = vet_law(obs, 0.0, 0.02, state, gains, cam)
+    static, _, _ = vet_law(obs, 0.0, 0.02, VetFilterState(), gains, cam)
+    assert obs.region == "elastic"
     assert moving[0] < static[0]  # error is shrinking, damping pulls back
 
 
 def test_rate_filter_resets_after_reacquisition():
     gains = VetGains()
     cam = up_camera()
-    _, _, state = vet_law(*seen(480.0, 240.0, cam), 0.0, 0.0, VetFilterState.initial(), gains, cam)
-    _, _, state = vet_law(*seen(460.0, 240.0, cam), 0.0, 0.02, state, gains, cam)
+    _, _, state = vet_law(seen(480.0, 240.0, cam), 0.0, 0.0, VetFilterState(), gains, cam)
+    _, _, state = vet_law(seen(460.0, 240.0, cam), 0.0, 0.02, state, gains, cam)
     assert state.rate != (0.0, 0.0)
-    _, _, state = vet_law(*LOST, 0.0, 0.04, state, gains, cam)
-    _, _, state = vet_law(*seen(440.0, 240.0, cam), 0.0, 0.06, state, gains, cam)
+    _, _, state = vet_law(UNSEEN, 0.0, 0.04, state, gains, cam)
+    _, _, state = vet_law(seen(440.0, 240.0, cam), 0.0, 0.06, state, gains, cam)
     assert state.rate == (0.0, 0.0)
     assert state.last_center is not None
 
@@ -277,23 +264,23 @@ def test_gain_validation():
 # --- one-way baseline ---------------------------------------------------------------
 
 def test_baseline_commands_zero_on_loss():
-    follower = baseline_ibvs(None, 0.0, VetGains(), up_camera())
+    follower = baseline_ibvs(UNSEEN, 0.0, VetGains())
     assert list(follower) == [0.0, 0.0, 0.0]
 
 
 def test_baseline_uses_a_uniform_gain_everywhere():
     gains = wide_gains()
     cam = up_camera()
-    near = baseline_ibvs(seen(340.0, 240.0, cam)[0], 0.0, gains, cam)
-    far = baseline_ibvs(seen(480.0, 240.0, cam)[0], 0.0, gains, cam)
+    near = baseline_ibvs(seen(340.0, 240.0, cam), 0.0, gains)
+    far = baseline_ibvs(seen(480.0, 240.0, cam), 0.0, gains)
     assert near[0] == pytest.approx(gains.k_elastic_p * 20.0 / 320.0)
     assert far[0] == pytest.approx(gains.k_elastic_p * 160.0 / 320.0)
 
 
 def test_baseline_is_stateless():
     cam = up_camera()
-    out1 = baseline_ibvs(seen(400.0, 300.0, cam)[0], 0.0, VetGains(), cam)
-    out2 = baseline_ibvs(seen(400.0, 300.0, cam)[0], 0.0, VetGains(), cam)
+    out1 = baseline_ibvs(seen(400.0, 300.0, cam), 0.0, VetGains())
+    out2 = baseline_ibvs(seen(400.0, 300.0, cam), 0.0, VetGains())
     assert out1 == out2
 
 
@@ -345,13 +332,6 @@ def test_combined_control_saturates_the_sum():
     xi = [0.08, 0.0, 0.0, 0.0, 0.0, 0.0]
     out = combined_control(sub, xi, params6())
     assert out[0] == pytest.approx(0.1)
-
-
-def test_combined_control_weight_scales_linear_subtask_only():
-    sub = [0.04, 0.02, 0.06, 0.01, 0.0, 0.0]
-    xi = [0.0] * 6
-    out = combined_control(sub, xi, params6(), subtask_weight=0.5)
-    np.testing.assert_allclose(out, [0.02, 0.01, 0.03, 0.01, 0.0, 0.0])
 
 
 # --- mounting balance ------------------------------------------------------------------
@@ -407,9 +387,9 @@ def test_world_frame_tether_commands_are_anti_parallel(r, bearing, heading):
     assume(det_us and det_su)
 
     gains = VetGains()
-    state = VetFilterState.initial()
-    cmd_us, _, _ = vet_law(*measured(pixels_us, cam_u), yaw_us, 0.0, state, gains, cam_u)
-    cmd_su, _, _ = vet_law(*measured(pixels_su, cam_s), yaw_su, 0.0, state, gains, cam_s)
+    state = VetFilterState()
+    cmd_us, _, _ = vet_law(measured(pixels_us, cam_u), yaw_us, 0.0, state, gains, cam_u)
+    cmd_su, _, _ = vet_law(measured(pixels_su, cam_s), yaw_su, 0.0, state, gains, cam_s)
 
     rot = np.array(
         [[math.cos(heading), -math.sin(heading)], [math.sin(heading), math.cos(heading)]]
@@ -430,7 +410,7 @@ def test_elastic_stretch_decays_monotonically_in_closed_loop():
     cam = up_camera()
     tag_s = TagModel(0.1, RigidTransform(FLIP_X, ZERO))
     gains = VetGains()
-    state = VetFilterState.initial()
+    state = VetFilterState()
     x = 0.5
     dt = 0.02
     xi_trace = []
@@ -439,13 +419,13 @@ def test_elastic_stretch_decays_monotonically_in_closed_loop():
         observer = flat_transform((x, 0.0, -1.0, 0.0, 0.0, 0.0))
         pixels, yaw, detected = project_tag(observer, flat_transform((0.0, 0.0, 0.0)), cam, tag_s)
         assert detected
-        geometry, region = measured(pixels, cam)
-        xi_trace.append(tether_offset(geometry[0], cam))
-        u, _, state = vet_law(geometry, region, yaw, k * dt, state, gains, cam)
-        regions.append(region)
+        obs = measured(pixels, cam)
+        xi_trace.append(obs.xi)
+        u, _, state = vet_law(obs, yaw, k * dt, state, gains, cam)
+        regions.append(obs.region)
         x += dt * u[0]
-    assert regions[0] is RegionLabel.ELASTIC
-    assert regions[-1] is RegionLabel.SAFE
+    assert regions[0] == "elastic"
+    assert regions[-1] == "safe"
     diffs = np.diff(np.asarray(xi_trace))
     assert np.all(diffs <= 1e-9)
     assert abs(x) < 0.1

@@ -10,14 +10,12 @@ from reference_geometry import mount_matrix, pose_matrix, rot_x, rot_z
 from vetsim.frames import RigidTransform, flat_transform, wrap_angle
 from vetsim.perception import (
     CameraModel,
+    UNSEEN,
     DropoutModel,
-    RegionLabel,
     TagModel,
-    classify_region,
-    elastic_penetration,
+    observe,
     project_tag,
     tag_geometry,
-    tether_offset,
 )
 
 FLIP_X = ((1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0))
@@ -80,19 +78,19 @@ def test_geometry_size_survives_cyclic_corner_relabelling():
 
 def test_region_anchors():
     cam = up_camera()
-    assert classify_region((320.0, 240.0), 100.0, 60.0, cam) is RegionLabel.SAFE
-    assert classify_region((100.0, 240.0), 100.0, 60.0, cam) is RegionLabel.ELASTIC
-    assert classify_region((20.0, 240.0), 100.0, 60.0, cam) is RegionLabel.DANGER
+    assert observe((320.0, 240.0), 100.0, 60.0, cam).region == "safe"
+    assert observe((100.0, 240.0), 100.0, 60.0, cam).region == "elastic"
+    assert observe((20.0, 240.0), 100.0, 60.0, cam).region == "danger"
 
 
 def test_region_partition_covers_every_pixel():
     cam = up_camera()
     labels = {
-        classify_region((float(x), float(y)), 48.0, 66.0, cam)
+        observe((float(x), float(y)), 48.0, 66.0, cam).region
         for x in range(0, 641, 1)
         for y in range(0, 481, 1)
     }
-    assert labels == {RegionLabel.SAFE, RegionLabel.ELASTIC, RegionLabel.DANGER}
+    assert labels == {"safe", "elastic", "danger"}
 
 
 @given(
@@ -102,8 +100,8 @@ def test_region_partition_covers_every_pixel():
     st.floats(1.0, 300.0),
 )
 def test_region_always_classifies(cx, cy, l_bar, h_bar):
-    label = classify_region((cx, cy), l_bar, h_bar, up_camera())
-    assert label in (RegionLabel.SAFE, RegionLabel.ELASTIC, RegionLabel.DANGER)
+    label = observe((cx, cy), l_bar, h_bar, up_camera()).region
+    assert label in ("safe", "elastic", "danger")
 
 
 @given(
@@ -115,32 +113,42 @@ def test_region_always_classifies(cx, cy, l_bar, h_bar):
 )
 def test_growing_tag_never_reduces_safety(cx, cy, l_bar, h_bar, grow):
     """A closer (larger) tag can only move the label toward safe."""
-    rank = {RegionLabel.DANGER: 0, RegionLabel.ELASTIC: 1, RegionLabel.SAFE: 2}
+    rank = {"danger": 0, "elastic": 1, "safe": 2}
     cam = up_camera()
-    before = classify_region((cx, cy), l_bar, h_bar, cam)
-    after = classify_region((cx, cy), l_bar + grow, h_bar, cam)
+    before = observe((cx, cy), l_bar, h_bar, cam).region
+    after = observe((cx, cy), l_bar + grow, h_bar, cam).region
     assert rank[after] >= rank[before]
 
 
 def test_elastic_penetration_grows_toward_danger():
     cam = up_camera()
     l_bar, h_bar = 48.0, 66.0
-    inner = elastic_penetration((330.0, 240.0), l_bar, h_bar, cam)
-    deeper = elastic_penetration((150.0, 240.0), l_bar, h_bar, cam)
+    inner = observe((330.0, 240.0), l_bar, h_bar, cam).penetration
+    deeper = observe((150.0, 240.0), l_bar, h_bar, cam).penetration
     assert inner == 0.0  # still in the safe box
     assert deeper > 0.0
     # at the elastic border the penetration reaches one
-    at_border = elastic_penetration((float(h_bar), 240.0), l_bar, h_bar, cam)
+    at_border = observe((float(h_bar), 240.0), l_bar, h_bar, cam).penetration
     assert at_border >= 1.0
+
+
+def test_observation_offsets_are_normalised_by_the_half_extents():
+    cam = up_camera()
+    obs = observe((480.0, 120.0), 48.0, 66.0, cam)
+    assert obs.center == (480.0, 120.0)
+    assert obs.error == (0.5, -0.5)
+    assert obs.xi == pytest.approx(math.hypot(160.0, 120.0))
+    assert UNSEEN.center is None and UNSEEN.error is None and UNSEEN.region == "none"
+    assert math.isnan(UNSEEN.penetration) and math.isnan(UNSEEN.xi)
 
 
 # --- tether state ---------------------------------------------------------------
 
 def test_tether_state_anchors():
     cam = up_camera()
-    assert tether_offset(tag_geometry(square(350.0, 280.0))[0], cam) == pytest.approx(50.0)
-    assert tether_offset(tag_geometry(square(0.0, 0.0))[0], cam) == pytest.approx(400.0)
-    assert tether_offset(tag_geometry(square(320.0, 240.0))[0], cam) == 0.0
+    assert observe(*tag_geometry(square(350.0, 280.0)), cam).xi == pytest.approx(50.0)
+    assert observe(*tag_geometry(square(0.0, 0.0)), cam).xi == pytest.approx(400.0)
+    assert observe(*tag_geometry(square(320.0, 240.0)), cam).xi == 0.0
 
 
 # --- projection -----------------------------------------------------------------

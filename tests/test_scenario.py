@@ -743,16 +743,48 @@ def test_log_arrays_have_the_documented_shapes_and_types(mode):
 
 
 def test_each_detected_observation_is_measured_once(monkeypatch):
-    calls = []
-    measure = scenario.tag_geometry
+    calls = {"tag_geometry": 0, "observe": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(scenario, name)):
+            calls[_name] += 1
+            return _original(*args)
 
-    def counted(pixels):
-        calls.append(1)
-        return measure(pixels)
-
-    monkeypatch.setattr(scenario, "tag_geometry", counted)
+        monkeypatch.setattr(scenario, name, counted)
     log = dropout_run("vet")
-    assert len(calls) == int(log.detected_us.sum() + log.detected_su.sum()) > 0
+    detected = int(log.detected_us.sum() + log.detected_su.sum())
+    assert calls == {"tag_geometry": detected, "observe": detected}
+    assert 0 < detected < 2 * len(log)
+
+
+@pytest.mark.parametrize("mode", ["vet", "baseline"])
+def test_the_leaders_subtask_is_weighted_once_where_it_is_logged(monkeypatch, mode):
+    """vet mode logs, and sums, the surface sub-task with its linear
+    components times the leader's vet_law weight, bit for bit; baseline mode
+    logs the sub-task as the PD gave it."""
+    cfg = short("perturbation_real", 12.0, mode=mode, dropout=DropoutModel(random_rate=0.3))
+    subtasks, weights = [], []
+
+    def surface(*args, _law=scenario.subtask_control_surface):
+        subtasks.append(_law(*args))
+        return subtasks[-1]
+
+    def tether(*args, _law=scenario.vet_law):
+        out = _law(*args)
+        if args[-1] is cfg.camera_s:
+            weights.append(out[1])
+        return out
+
+    monkeypatch.setattr(scenario, "subtask_control_surface", surface)
+    monkeypatch.setattr(scenario, "vet_law", tether)
+    log = run(cfg)
+    if mode == "vet":
+        assert any(0.0 < w < 1.0 for w in weights)  # the leader does yield
+        expected = [(ux * w, uy * w, upsi) for (ux, uy, upsi), w in zip(subtasks, weights)]
+    else:
+        assert weights == []
+        expected = subtasks
+    assert len(expected) == len(log)
+    assert np.array(expected).tobytes() == log.u_sub_s.tobytes()
 
 
 def test_an_empty_planner_targets_the_current_pose_every_tick():
@@ -772,11 +804,13 @@ def test_a_tick_transforms_each_pose_once_and_builds_no_pose(monkeypatch, mode):
     tick for the underwater pose; no mount is built, and no target: the
     sub-tasks get the same target objects tick after tick, one underwater and
     one per waypoint the surface robot heads for. The tick's call budget: two
-    projections per logged tick, one tag geometry per detected observation
-    and two vehicle steps per stepped tick (every tick but the last)."""
+    projections per logged tick, one tag geometry and one observe per
+    detected observation and two vehicle steps per stepped tick (every tick
+    but the last)."""
     cfg = short("perturbation_real", 12.0, mode=mode, dropout=DropoutModel(random_rate=0.3))
     homes = {"rotation_zyx": frames, "euler_rate_rows": frames,
-             "project_tag": perception, "tag_geometry": perception}
+             "project_tag": perception, "tag_geometry": perception,
+             "observe": perception}
     calls = dict.fromkeys(homes, 0)
     for name, home in homes.items():
         def counted(*args, _name=name, _original=getattr(home, name)):
@@ -812,7 +846,8 @@ def test_a_tick_transforms_each_pose_once_and_builds_no_pose(monkeypatch, mode):
     n = len(log)
     assert calls["euler_rate_rows"] == n
     assert calls["project_tag"] == 2 * n
-    assert calls["tag_geometry"] == int(log.detected_us.sum() + log.detected_su.sum())
+    detected = int(log.detected_us.sum() + log.detected_su.sum())
+    assert calls["tag_geometry"] == calls["observe"] == detected
     assert steps == [6, 3] * (n - 1)
     assert n <= calls["rotation_zyx"] <= n + int(inputs["wall_clamp_u"].sum())
     assert built == []
