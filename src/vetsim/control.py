@@ -26,7 +26,6 @@ from typing import NamedTuple
 
 from .frames import flat_transform, rotate, wrap_angle
 from .perception import CameraModel, Observation
-from .vehicle import VehicleParams, saturate
 
 
 @dataclass(frozen=True)
@@ -263,15 +262,6 @@ def camera_to_body(cmd, rotation: tuple, dof: int) -> list:
     if dof == 6:
         return [lx, ly, 0.0, 0.0, 0.0, wz]
     return [lx, ly, wz]
-
-
-def combined_control(subtask_u, xi_u, params: VehicleParams) -> list:
-    """Sum the sub-task and tether commands (both params.dof long) and
-    saturate per axis. The leader's task priority is already in subtask_u:
-    the loop weights its linear components by vet_law's weight once, and
-    logs and sums that same list.
-    """
-    return saturate([s + x for s, x in zip(subtask_u, xi_u)], params)
 
 
 def check_connectivity(

@@ -5,9 +5,9 @@ depend on time alone are computed before the loop, and the events are read
 off the log after it; every tick (fixed 50 Hz by default) runs sense ->
 control -> actuate -> log:
 
-1. sense: each robot's camera projects the other robot's tag; the upward
-   camera's detection additionally passes through the dropout model. Each
-   detected tag is measured once into a perception.Observation (region,
+1. sense: each robot's camera projects the other robot's tag, except the
+   upward camera on a tick the dropout model blanks: it sees nothing then.
+   Each detected tag is measured once into a perception.Observation (region,
    normalised offset, elastic penetration, xi) that the log and the tether
    law both read; an undetected one is perception.UNSEEN.
 2. control: each robot combines its own sub-task PD (depth/attitude under
@@ -17,9 +17,10 @@ control -> actuate -> log:
    that one weighted command is both logged and summed. In baseline mode the
    follower runs the one-way visual servo and the leader ignores its camera
    entirely.
-3. actuate: commands are saturated, allocated to body wrenches and
-   integrated; scheduled world-frame perturbations push on the underwater
-   robot; a soft wall clamp keeps both robots inside the tank.
+3. actuate: each robot's two logged commands are summed, clipped and scaled
+   to a body wrench in one pass, and integrated; scheduled world-frame
+   perturbations push on the underwater robot; a soft wall clamp keeps both
+   robots inside the tank.
 4. log: one CSV row per tick with poses, split commands, detection state,
    image regions and tether states; the events read off it and the loop.
 
@@ -46,7 +47,6 @@ from .control import (
     VetGains,
     baseline_ibvs,
     camera_to_body,
-    combined_control,
     subtask_control_surface,
     subtask_control_underwater,
     surface_pd,
@@ -565,14 +565,19 @@ def _state_at(k: int, row) -> str:
             f"pose_u={row['pose_u'][0].tolist()}, pose_s={row['pose_s'][0].tolist()}")
 
 
+def _first_non_finite(table: np.ndarray) -> tuple | None:
+    """(row, column) of the row table's first NaN or infinity, row-major, in the
+    columns run() and log_from_csv both hold finite; None if there is none."""
+    finite = np.isfinite(table[:, :_FINITE_WIDTH])
+    return None if finite.all() else divmod(int(finite.argmin()), _FINITE_WIDTH)
+
+
 def _check_finite(table: np.ndarray) -> None:
     """Raise SimFailure at the first tick of a finished run's row table whose
     pose or command columns hold a NaN or an infinity. Velocities are not
     logged: a non-finite one reaches the pose its step makes."""
-    bad = np.flatnonzero(~np.isfinite(table[:, :_FINITE_WIDTH]).all(axis=1))
-    if bad.size:
-        k = int(bad[0])
-        raise SimFailure(f"non-finite state {_state_at(k, table[k])}")
+    if (bad := _first_non_finite(table)) is not None:
+        raise SimFailure(f"non-finite state {_state_at(bad[0], table[bad[0]])}")
 
 
 def _time_inputs(config: ScenarioConfig, ts: np.ndarray) -> tuple:
@@ -636,7 +641,9 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
     included: (x, y, z, phi, theta, psi) and (x, y, psi), the logged layout.
     Each tick computes both poses' flat transforms and the underwater pose's
     Euler-rate rows once; projection, the depth/attitude measurement, the
-    surface PD and both vehicle steps reuse them. Each tick's numbers go to
+    surface PD and both vehicle steps reuse them. A blanked upward camera is
+    not projected, and VehicleModel.allocate takes each robot's logged split
+    u_sub, u_xi as it is. Each tick's numbers go to
     one flat row buffer that becomes the log's arrays; the saturated totals
     are derived from the logged split after the loop, as log_from_csv does.
     """
@@ -654,7 +661,6 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
     mount_u = cam_u.flat_mount[0]
     mount_s = cam_s.flat_mount[0]
     gains, pd_u, pd_s = config.vet, config.pd_u, config.pd_s
-    params_u, params_s = config.params_u, config.params_s
     scheduled, blanked, perturbed, wrenches = _time_inputs(config, ts)
 
     pose_u = tuple(float(v) for v in config.initial_pose_u)
@@ -684,9 +690,10 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
         except GimbalSingularity as exc:
             raise SimFailure(f"{exc} at tick {k}, t={t:.3f} s: pose_u={list(pose_u)}") from exc
 
-        # sense
-        pixels_us, yaw_us, det_us = project_tag(tf_u, tf_s, cam_u, tag_s)
-        det_us = det_us and not blank
+        # sense; a blanked camera is not projected, as nothing would read it
+        pixels_us, yaw_us, det_us = (
+            (None, 0.0, False) if blank else project_tag(tf_u, tf_s, cam_u, tag_s)
+        )
         pixels_su, yaw_su, det_su = project_tag(tf_s, tf_u, cam_s, tag_u)
 
         # plan
@@ -705,7 +712,6 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
         else:
             cam_cmd_u, _, vet_state_u = vet_law(obs_us, yaw_us, t, vet_state_u, gains, cam_u)
         xi_u = camera_to_body(cam_cmd_u, mount_u, 6)
-        u_tot_u = combined_control(u_sub_u, xi_u, params_u)
 
         # control: surface robot
         u_sub_s = subtask_control_surface(pose_s, tf_s[0], vel_s, target_s, pd_s, speed_limit)
@@ -717,7 +723,6 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
             cam_cmd_s, w, vet_state_s = vet_law(obs_su, yaw_su, t, vet_state_s, gains, cam_s)
             xi_s = camera_to_body(cam_cmd_s, mount_s, 3)
             u_sub_s = [u_sub_s[0] * w, u_sub_s[1] * w, u_sub_s[2]]
-        u_tot_s = combined_control(u_sub_s, xi_s, params_s)
 
         # record the row table's columns, in _TABLE_CELLS order
         rows.fromlist([
@@ -734,10 +739,9 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
         # actuate; the wall clamp's flags go with the pose it produces
         force, torque = wrenches[k] or (None, None)
         try:
-            pose_u, vel_u = model_u.step(
-                pose_u, vel_u, model_u.allocate(u_tot_u), dt, tf_u[0], rates_u, force, torque
-            )
-            pose_s, vel_s = model_s.step(pose_s, vel_s, model_s.allocate(u_tot_s), dt, tf_s[0])
+            tau_u, tau_s = model_u.allocate(u_sub_u, xi_u), model_s.allocate(u_sub_s, xi_s)
+            pose_u, vel_u = model_u.step(pose_u, vel_u, tau_u, dt, tf_u[0], rates_u, force, torque)
+            pose_s, vel_s = model_s.step(pose_s, vel_s, tau_s, dt, tf_s[0])
         except (ArithmeticError, ValueError) as exc:
             where = _state_at(k, rows[-_ROW_WIDTH:])  # the tick's logged row
             raise SimFailure(f"integration failed ({exc}) {where}") from exc
@@ -907,7 +911,8 @@ def log_from_csv(text: str, config: ScenarioConfig) -> TrajectoryLog:
     as run() built it, the floats to the 12 printed digits. A header-only file
     yields an empty log, which the plots render as bare axes. Blank lines are
     skipped; a row of the wrong length, a flag not 0 or 1 or a bad number is a
-    ConfigError naming its row.
+    ConfigError naming its row, and a time, pose or command that is NaN or
+    infinite, which run() never writes, one naming its row and column.
     """
     # Non-empty lines, split off one at a time: one chunk is held as strings.
     lines = map(re.Match.group, re.finditer("[^\n]+", text))
@@ -931,6 +936,9 @@ def log_from_csv(text: str, config: ScenarioConfig) -> TrajectoryLog:
                 table[lo:hi, slot] = block[column] == "1" if kind is bool else block[column]
             else:
                 _rescan(chunk, lo)  # raises: a flag is neither 0 nor 1
+    if (bad := _first_non_finite(table[:hi])) is not None:
+        k, c = bad  # these columns lead both the table and the CSV, in one order
+        raise ConfigError(f"row {k + 1} column {CSV_COLUMNS[c]} is not finite: {table[bad]:g}")
     arrays = _log_arrays(table[:hi])
     return TrajectoryLog(config=config, **arrays, **labels, **_saturated_totals(arrays, config))
 

@@ -17,7 +17,8 @@ new velocity. C(nu) is never formed: for a diagonal M it is made of the
 linear momentum a = M1 v and the angular momentum b = M2 w alone, so each
 update reads the momenta directly. In 6-DoF the linear block of the matrix
 is diagonal and is eliminated (_solve_schur6); in 3-DoF the system has a
-closed form. Commands are velocity-valued; thrust allocation scales them
+closed form. Commands are velocity-valued; thrust allocation sums a
+robot's sub-task and tether commands, clips the sum per axis and scales it
 by a constant gain so the steady-state speed approximately equals the
 commanded value.
 """
@@ -98,11 +99,6 @@ class Disturbance:
         return (self.t_start <= t) & (t <= self.t_end)
 
 
-def saturate(u, params: VehicleParams) -> list:
-    """Clip each component of a float command to its per-axis bound."""
-    return [b if v > b else -b if v < -b else v for v, b in zip(u, params.axis_bounds)]
-
-
 def clip_norm(v: list, bound: float) -> list:
     """Scale a float vector down so its Euclidean norm is <= bound, exactly.
 
@@ -141,13 +137,17 @@ class VehicleModel:
         self._d_lin = tuple(float(d) for d in params.damping_linear)
         self._d_quad = tuple(float(d) for d in params.damping_quadratic)
         self._gain = tuple(float(g) for g in params.thrust_gain)
+        self._axis_bounds = params.axis_bounds
         self._n_lin = 2 if self.dof == 3 else 3
         self._bound = params.velocity_bound_linear
         self._inside = self._bound * self._bound * _INSIDE_BOUND
 
-    def allocate(self, u: list) -> list:
-        """Body wrench for a float command, through the diagonal gain."""
-        return [g * v for g, v in zip(self._gain, u)]
+    def allocate(self, u_sub, u_xi) -> list:
+        """Body wrench for the sub-task and tether commands (float sequences
+        dof long): their sum, clipped per axis to the axis bounds, through
+        the diagonal gain. A NaN sum passes the clip unchanged."""
+        return [g * (b if (v := s + x) > b else -b if v < -b else v)
+                for g, b, s, x in zip(self._gain, self._axis_bounds, u_sub, u_xi)]
 
     def step(self, pose, nu, tau, dt, rotation, rates=None, world_force=None,
              world_torque=None):

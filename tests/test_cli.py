@@ -307,6 +307,12 @@ def test_plot_rejects_a_missing_bundle(tmp_path, capsys):
     assert run_cli("plot", "--run", str(tmp_path / "nowhere")) == 2
 
 
+def with_cell(column, value):
+    """A corruption that sets one named cell of a row."""
+    return lambda cells: [value if name == column else cell
+                          for name, cell in zip(CSV_COLUMNS, cells)]
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -315,8 +321,14 @@ def test_plot_rejects_a_missing_bundle(tmp_path, capsys):
         (lambda cells: [("abc" if name == "detectedUS" else cell)
                         for name, cell in zip(CSV_COLUMNS, cells)],
          "row 3 column detectedUS is not 0 or 1: 'abc'"),
+        # run() never writes a non-finite time, pose or command
+        (with_cell("xU", "nan"), "row 3 column xU is not finite: nan"),
+        (with_cell("xU", "inf"), "row 3 column xU is not finite: inf"),
+        (with_cell("xU", "1e999"), "row 3 column xU is not finite: inf"),
+        (with_cell("t", "nan"), "row 3 column t is not finite: nan"),
     ],
-    ids=["short_row", "non_numeric_cell", "bad_detection_flag"],
+    ids=["short_row", "non_numeric_cell", "bad_detection_flag",
+         "pose_nan", "pose_inf", "pose_overflow", "time_nan"],
 )
 def test_plot_rejects_a_corrupt_trajectory(tmp_path, capsys, corrupt, message):
     src = tmp_path / "bundle"

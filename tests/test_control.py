@@ -1,4 +1,4 @@
-"""Sub-task PD laws, the elastic tether law, command mixing, mounting checks."""
+"""Sub-task PD laws, the elastic tether law and mounting checks."""
 
 import inspect
 import math
@@ -14,7 +14,6 @@ from vetsim.control import (
     baseline_ibvs,
     camera_to_body,
     check_connectivity,
-    combined_control,
     subtask_control_surface,
     subtask_control_underwater,
     surface_pd,
@@ -23,7 +22,6 @@ from vetsim.control import (
 )
 from vetsim.frames import RigidTransform, flat_transform
 from vetsim.perception import UNSEEN, CameraModel, TagModel, observe, project_tag, tag_geometry
-from vetsim.vehicle import VehicleParams
 
 FLIP_X = ((1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0))
 ZERO = (0.0, 0.0, 0.0)
@@ -308,30 +306,6 @@ def test_camera_to_body_never_touches_subtask_axes():
     for _ in range(20):
         out = camera_to_body(rng.uniform(-1, 1, 3).tolist(), FLIPPED, 6)
         assert out[2:5] == [0.0, 0.0, 0.0]
-
-
-def params6():
-    return VehicleParams(
-        mass=(11.0,) * 3 + (0.2, 0.2, 0.25),
-        damping_linear=(4.0,) * 3 + (0.07,) * 3,
-        damping_quadratic=(18.0,) * 3 + (1.5,) * 3,
-        thrust_gain=(5.8,) * 3 + (0.38,) * 3,
-        velocity_bound_linear=0.1,
-        velocity_bound_angular=0.2,
-    )
-
-
-def test_combined_control_concatenates_disjoint_commands():
-    sub = [0.0, 0.0, 0.05, 0.01, 0.0, 0.0]
-    xi = [0.02, -0.01, 0.0, 0.0, 0.0, 0.03]
-    np.testing.assert_allclose(combined_control(sub, xi, params6()), np.add(sub, xi))
-
-
-def test_combined_control_saturates_the_sum():
-    sub = [0.08, 0.0, 0.0, 0.0, 0.0, 0.0]
-    xi = [0.08, 0.0, 0.0, 0.0, 0.0, 0.0]
-    out = combined_control(sub, xi, params6())
-    assert out[0] == pytest.approx(0.1)
 
 
 # --- mounting balance ------------------------------------------------------------------

@@ -544,18 +544,21 @@ def test_saturated_totals_are_the_commands_the_vehicles_got(monkeypatch, mode):
     )
     given = {6: [], 3: []}
 
-    def recorded(*args, _original=scenario.combined_control):
-        command = _original(*args)
-        given[len(command)].append(command)
-        return command
+    def recorded(self, *args, _original=VehicleModel.allocate):
+        wrench = _original(self, *args)
+        given[self.dof].append(wrench)
+        return wrench
 
-    monkeypatch.setattr(scenario, "combined_control", recorded)
+    monkeypatch.setattr(VehicleModel, "allocate", recorded)
     log = run(cfg)
     bounds = np.array(cfg.params_u.axis_bounds)
     assert (np.abs(log.u_total_u) == bounds).any()
-    # bit for bit: -0 and the clipped bounds included
-    assert np.array(given[6]).tobytes() == log.u_total_u.tobytes()
-    assert np.array(given[3]).tobytes() == log.u_total_s.tobytes()
+    # bit for bit: -0 and the clipped bounds included. The last record's
+    # command never reaches a vehicle: the run ends before that tick's step.
+    for dof, total, params in ((6, log.u_total_u, cfg.params_u), (3, log.u_total_s, cfg.params_s)):
+        assert len(given[dof]) == len(log) - 1
+        expected = total[:-1] * np.array(params.thrust_gain)
+        assert np.array(given[dof]).tobytes() == expected.tobytes()
 
 
 def test_wrenches_sum_the_active_disturbances_in_config_order():
@@ -804,9 +807,9 @@ def test_a_tick_transforms_each_pose_once_and_builds_no_pose(monkeypatch, mode):
     tick for the underwater pose; no mount is built, and no target: the
     sub-tasks get the same target objects tick after tick, one underwater and
     one per waypoint the surface robot heads for. The tick's call budget: two
-    projections per logged tick, one tag geometry and one observe per
-    detected observation and two vehicle steps per stepped tick (every tick
-    but the last)."""
+    projections per logged tick less one per blanked upward camera, one tag
+    geometry and one observe per detected observation and two vehicle steps
+    per stepped tick (every tick but the last)."""
     cfg = short("perturbation_real", 12.0, mode=mode, dropout=DropoutModel(random_rate=0.3))
     homes = {"rotation_zyx": frames, "euler_rate_rows": frames,
              "project_tag": perception, "tag_geometry": perception,
@@ -844,8 +847,9 @@ def test_a_tick_transforms_each_pose_once_and_builds_no_pose(monkeypatch, mode):
         monkeypatch.setattr(scenario, f"subtask_control_{robot}", targeted)
     log, inputs = run_with_event_inputs(monkeypatch, cfg)
     n = len(log)
+    _, blanked, _, _ = scenario._time_inputs(cfg, log.t)
     assert calls["euler_rate_rows"] == n
-    assert calls["project_tag"] == 2 * n
+    assert calls["project_tag"] == 2 * n - int(blanked.sum()) < 2 * n
     detected = int(log.detected_us.sum() + log.detected_su.sum())
     assert calls["tag_geometry"] == calls["observe"] == detected
     assert steps == [6, 3] * (n - 1)
@@ -856,3 +860,29 @@ def test_a_tick_transforms_each_pose_once_and_builds_no_pose(monkeypatch, mode):
     # one surface target object per waypoint headed for: the first and one per index move
     moves = int(np.count_nonzero(np.diff(inputs["waypoint_index"])))
     assert len({id(target) for target in targets["surface"]}) == 1 + moves
+
+
+@pytest.mark.parametrize("mode", ["vet", "baseline"])
+def test_a_blanked_camera_is_never_projected(monkeypatch, mode):
+    """The upward camera is projected on every tick the dropout leaves it,
+    and on no other; the downward camera on every tick. Skipping the blanked
+    projections changes no logged value."""
+    cfg = short("perturbation_real", 12.0, mode=mode, dropout=DropoutModel(random_rate=0.3))
+    reference = run(cfg)
+    upward = []
+
+    def counted(observer, target, cam, tag, _original=scenario.project_tag):
+        upward.append(cam is cfg.camera_u)
+        return _original(observer, target, cam, tag)
+
+    monkeypatch.setattr(scenario, "project_tag", counted)
+    log = run(cfg)
+    _, blanked, _, _ = scenario._time_inputs(cfg, log.t)
+    assert 0 < blanked.sum() < len(log)
+    assert len(upward) == 2 * len(log) - int(blanked.sum())
+    # per tick: the upward camera first unless blanked, then the downward one
+    assert upward == [up for blank in blanked.tolist()
+                      for up in ([False] if blank else [True, False])]
+    assert log.to_csv_text() == reference.to_csv_text()
+    assert log.u_total_u.tobytes() == reference.u_total_u.tobytes()
+    assert log.u_total_s.tobytes() == reference.u_total_s.tobytes()

@@ -1,5 +1,6 @@
-"""Rigid-body dynamics: allocation, Coriolis, damping, bounds, energy."""
+"""Rigid-body dynamics: allocation and its clip, Coriolis, damping, bounds, energy."""
 
+import dataclasses
 import math
 import warnings
 
@@ -13,7 +14,6 @@ from vetsim.vehicle import (
     VehicleModel,
     VehicleParams,
     clip_norm,
-    saturate,
 )
 
 
@@ -54,12 +54,85 @@ vel6 = st.lists(st.floats(-0.5, 0.5), min_size=6, max_size=6)
 vel3 = st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3)
 
 
+def unit_gain(params):
+    """params with every thrust gain 1, so allocate returns the clipped sum."""
+    return dataclasses.replace(params, thrust_gain=(1.0,) * params.dof)
+
+
 def test_allocation_is_the_diagonal_gain():
     p = params6(thrust_gain=(2.0, 2.0, 2.0, 1.0, 1.0, 1.0))
     u = [0.1, 0.0, 0.0, 0.0, 0.0, 0.2]
     np.testing.assert_allclose(
-        VehicleModel(p).allocate(u), [0.2, 0.0, 0.0, 0.0, 0.0, 0.2]
+        VehicleModel(p).allocate(u, [0.0] * 6), [0.2, 0.0, 0.0, 0.0, 0.0, 0.2]
     )
+
+
+def test_allocation_sums_disjoint_commands():
+    sub = [0.0, 0.0, 0.05, 0.01, 0.0, 0.0]
+    xi = [0.02, -0.01, 0.0, 0.0, 0.0, 0.03]
+    assert VehicleModel(unit_gain(params6())).allocate(sub, xi) == [
+        0.02, -0.01, 0.05, 0.01, 0.0, 0.03
+    ]
+
+
+@pytest.mark.parametrize("params", [params6(), params3()], ids=["6dof", "3dof"])
+def test_allocation_clips_every_axis_on_both_sides(params):
+    """Each axis on its own, driven past its bound either way by the
+    sub-task, by the tether command, and by their sum alone: the wrench is
+    the gain times the bound, and every other axis stays zero. A sum that
+    only one part pushes past the bound is pulled back by the other."""
+    model = VehicleModel(params)
+    n = params.dof
+    for axis, (g, b) in enumerate(zip(params.thrust_gain, params.axis_bounds)):
+        # (sub-task, tether, whether their sum is past the bound)
+        cases = (
+            (3.0 * b, 0.0, True),
+            (0.0, 3.0 * b, True),
+            (0.75 * b, 0.75 * b, True),  # each part within the bound
+            (3.0 * b, -2.5 * b, False),  # clipping each part first would give 0
+        )
+        for sign in (1.0, -1.0):
+            for s, x, clips in cases:
+                u_sub, u_xi = [0.0] * n, [0.0] * n
+                u_sub[axis], u_xi[axis] = sign * s, sign * x
+                wrench = model.allocate(u_sub, u_xi)
+                expected = sign * b if clips else sign * s + sign * x
+                assert wrench[axis] == g * expected, (axis, sign, s, x)
+                assert wrench[:axis] + wrench[axis + 1:] == [0.0] * (n - 1)
+
+
+@pytest.mark.parametrize("params", [params6(), params3()], ids=["6dof", "3dof"])
+def test_allocation_passes_nan_and_keeps_the_sign_of_zero(params):
+    model = VehicleModel(params)
+    n = params.dof
+    for axis in range(n):
+        u_sub = [0.0] * n
+        u_sub[axis] = math.nan
+        wrench = model.allocate(u_sub, [0.0] * n)
+        assert math.isnan(wrench[axis]), axis
+        assert wrench[:axis] + wrench[axis + 1:] == [0.0] * (n - 1)
+    # -0 + -0 is -0, and the gain keeps it; -0 + 0 is +0
+    negative = model.allocate([-0.0] * n, [-0.0] * n)
+    assert [math.copysign(1.0, w) for w in negative] == [-1.0] * n
+    positive = model.allocate([-0.0] * n, [0.0] * n)
+    assert [math.copysign(1.0, w) for w in positive] == [1.0] * n
+
+
+finite_command = st.floats(-1.0, 1.0)
+
+
+@given(st.lists(finite_command, min_size=6, max_size=6),
+       st.lists(finite_command, min_size=6, max_size=6))
+@example([0.1, -0.1, 0.2, -0.2, -0.0, 0.0], [0.0, -0.0, -0.1, 0.1, -0.0, -0.0])
+def test_allocation_is_the_clipped_sum_through_the_gain(u_sub, u_xi):
+    """Bit for bit the clip-then-scale the log derives its saturated totals
+    with, for both models (the surface one takes the first three axes)."""
+    for params in (params6(), params3()):
+        n = params.dof
+        s, x = u_sub[:n], u_xi[:n]
+        expected = np.clip(np.add(s, x), -np.array(params.axis_bounds), params.axis_bounds)
+        expected *= params.thrust_gain
+        assert np.array(VehicleModel(params).allocate(s, x)).tobytes() == expected.tobytes()
 
 
 def skew(a):
@@ -95,19 +168,18 @@ def test_coriolis_produces_no_power_3dof(nu):
 
 
 def test_saturation_anchors():
-    p = params6()
-    out = saturate([0.5, 0.0, 0.0, 0.0, 0.0, -1.0], p)
+    out = VehicleModel(unit_gain(params6())).allocate([0.5, 0.0, 0.0, 0.0, 0.0, -1.0], [0.0] * 6)
     assert out == [0.1, 0.0, 0.0, 0.0, 0.0, -0.2]
 
-    out3 = saturate([0.5, -0.01, -1.0], params3())
+    out3 = VehicleModel(unit_gain(params3())).allocate([0.5, -0.01, -1.0], [0.0] * 3)
     assert out3 == [0.1, -0.01, -0.2]
 
 
 @given(st.lists(st.floats(-3, 3), min_size=6, max_size=6))
 def test_saturation_is_idempotent(u):
-    p = params6()
-    once = saturate(u, p)
-    assert saturate(once, p) == once
+    model = VehicleModel(unit_gain(params6()))
+    once = model.allocate(u, [0.0] * 6)
+    assert model.allocate(once, [0.0] * 6) == once
     assert all(abs(v) <= 0.1 + 1e-15 for v in once[:3])
     assert all(abs(v) <= 0.2 + 1e-15 for v in once[3:])
 
