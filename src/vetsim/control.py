@@ -30,24 +30,18 @@ from .perception import CameraModel, Observation
 
 @dataclass(frozen=True)
 class PdGains:
-    """Per-axis proportional and derivative gains."""
+    """PD gains on a robot's three sub-task axes: (z, phi, theta) or (x, y, psi)."""
 
     kp: tuple[float, ...]
     kd: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.kp) != len(self.kd):
-            raise ValueError("kp and kd must have the same length")
-        if len(self.kp) not in (3, 6):
-            raise ValueError("gains are per-axis vectors of length 3 or 6")
+        if len(self.kp) != 3 or len(self.kd) != 3:
+            raise ValueError("kp and kd are per-axis vectors of length 3")
 
 
-def underwater_pd(kp: float, kd: float) -> PdGains:
-    """Depth/roll/pitch PD gains with the x, y, yaw entries pinned to zero."""
-    return PdGains((0.0, 0.0, kp, kp, kp, 0.0), (0.0, 0.0, kd, kd, kd, 0.0))
-
-
-def surface_pd(kp: float, kd: float) -> PdGains:
+def uniform_pd(kp: float, kd: float) -> PdGains:
+    """The same PD gains on all three axes."""
     return PdGains((kp, kp, kp), (kd, kd, kd))
 
 
@@ -69,14 +63,13 @@ class DepthAttitudeState(NamedTuple):
 def subtask_control_underwater(
     measured: DepthAttitudeState, target: tuple, gains: PdGains
 ) -> list:
-    """PD on depth, roll and pitch toward target (z, phi, theta); x, y and yaw
-    outputs are exactly zero (ScenarioConfig.validate checks once that their
-    gains are zero too)."""
+    """PD on depth, roll and pitch toward target (z, phi, theta), gains in that
+    order; the x, y and yaw outputs are exactly zero: no sub-task drives them."""
     kp, kd = gains.kp, gains.kd
     z_d, phi_d, theta_d = target
-    uz = kp[2] * (z_d - measured.z) + kd[2] * -measured.dz
-    uphi = kp[3] * wrap_angle(phi_d - measured.phi) + kd[3] * -measured.dphi
-    utheta = kp[4] * wrap_angle(theta_d - measured.theta) + kd[4] * -measured.dtheta
+    uz = kp[0] * (z_d - measured.z) + kd[0] * -measured.dz
+    uphi = kp[1] * wrap_angle(phi_d - measured.phi) + kd[1] * -measured.dphi
+    utheta = kp[2] * wrap_angle(theta_d - measured.theta) + kd[2] * -measured.dtheta
     return [0.0, 0.0, uz, uphi, utheta, 0.0]
 
 

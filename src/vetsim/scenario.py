@@ -49,8 +49,7 @@ from .control import (
     camera_to_body,
     subtask_control_surface,
     subtask_control_underwater,
-    surface_pd,
-    underwater_pd,
+    uniform_pd,
     vet_law,
 )
 from .frames import GimbalSingularity, RigidTransform, euler_rate_rows, flat_transform
@@ -229,10 +228,6 @@ class ScenarioConfig:
                 raise ConfigError(f"{robot} initial pose lies outside the tank")
         if self.params_u.dof != 6 or self.params_s.dof != 3:
             raise ConfigError("underwater model is 6-DoF, surface model 3-DoF")
-        if len(self.pd_u.kp) != 6 or len(self.pd_s.kp) != 3:
-            raise ConfigError("pd_u needs 6-axis gains and pd_s 3-axis gains")
-        if any(self.pd_u.kp[i] != 0.0 or self.pd_u.kd[i] != 0.0 for i in (0, 1, 5)):
-            raise ConfigError("pd_u gains on x, y and yaw must be exactly zero")
         planner_waypoints(self.planner)  # raises InvalidBounds on bad areas
 
     def to_dict(self) -> dict:
@@ -240,9 +235,9 @@ class ScenarioConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "ScenarioConfig":
-        """A validated config from its to_dict form, schema v1 included;
+        """A validated config from its to_dict form, schemas v1 and v2 included;
         raises ConfigError on anything else."""
-        cfg = _decode(data, ScenarioConfig, "")
+        cfg = _decode(_pd_u_v3(data), ScenarioConfig, "")
         cfg.validate()
         return cfg
 
@@ -282,6 +277,18 @@ _REMOVED_KEYS = {
     "dropout.seed": (..., "it was never read; the top-level seed seeds the run"),
     "appendix_sign_convention": (False, "the legacy sign convention was removed"),
 }
+
+
+def _pd_u_v3(data):
+    """data (not changed) with a schema v1/v2 pd_u of six gains per vector cut to its
+    (z, phi, theta) gains; a ConfigError if a dropped x, y or yaw gain is not 0."""
+    pd = data.get("pd_u") if isinstance(data, dict) else None
+    gains = [pd.get(k) for k in ("kp", "kd")] if isinstance(pd, dict) else ()
+    if not gains or not all(isinstance(g, (list, tuple)) and len(g) == 6 for g in gains):
+        return data
+    if any(g[i] != 0 or isinstance(g[i], bool) for g in gains for i in (0, 1, 5)):
+        raise ConfigError("pd_u gains on x, y and yaw must be exactly zero: no sub-task uses them")
+    return {**data, "pd_u": {**pd, "kp": gains[0][2:5], "kd": gains[1][2:5]}}
 
 
 @functools.cache
@@ -826,8 +833,8 @@ def _base_config(name: str) -> ScenarioConfig:
         camera_s=_camera_s(),
         tag_u=_tag_u(),
         tag_s=_tag_s(),
-        pd_u=underwater_pd(0.5, 0.15),
-        pd_s=surface_pd(5.0, 5.0),
+        pd_u=uniform_pd(0.5, 0.15),
+        pd_s=uniform_pd(5.0, 5.0),
         vet=VetGains(k_safe_p=0.5, k_elastic_p=1.0, k_elastic_d=0.15),
         depth_target=-1.0,
         roll_target=0.0,
@@ -877,7 +884,7 @@ def _preset_perturbation_real() -> ScenarioConfig:
     cfg.planner = Setpoints(((1.0, -2.5, 0.0),))
     cfg.tank_min = (-1.0, -3.0, -2.66)
     cfg.tank_max = (3.88, 0.66, 0.0)
-    cfg.pd_s = surface_pd(1.0, 0.5)
+    cfg.pd_s = uniform_pd(1.0, 0.5)
     cfg.vet = VetGains(k_safe_p=0.35, k_elastic_p=1.0, k_elastic_d=0.15)
     cfg.duration = 60.0
     # Same pull shape as the sim preset, at this preset's y = -1 crossing.
@@ -897,7 +904,7 @@ def _preset_navigation_real() -> ScenarioConfig:
     )
     cfg.tank_min = (-0.5, -3.0, -2.66)
     cfg.tank_max = (4.38, 0.66, 0.0)
-    cfg.pd_s = surface_pd(1.0, 0.5)
+    cfg.pd_s = uniform_pd(1.0, 0.5)
     cfg.vet = VetGains(k_safe_p=0.35, k_elastic_p=1.0, k_elastic_d=0.15)
     cfg.duration = 340.0
     # Scheduled blackouts of the upward camera: one long window that breaks
@@ -912,7 +919,8 @@ def log_from_csv(text: str, config: ScenarioConfig) -> TrajectoryLog:
     yields an empty log, which the plots render as bare axes. Blank lines are
     skipped; a row of the wrong length, a flag not 0 or 1 or a bad number is a
     ConfigError naming its row, and a time, pose or command that is NaN or
-    infinite, which run() never writes, one naming its row and column.
+    infinite, which run() never writes, one naming its row and column; so is
+    a row count or a time that config's duration and dt could not give.
     """
     # Non-empty lines, split off one at a time: one chunk is held as strings.
     lines = map(re.Match.group, re.finditer("[^\n]+", text))
@@ -939,6 +947,14 @@ def log_from_csv(text: str, config: ScenarioConfig) -> TrajectoryLog:
     if (bad := _first_non_finite(table[:hi])) is not None:
         k, c = bad  # these columns lead both the table and the CSV, in one order
         raise ConfigError(f"row {k + 1} column {CSV_COLUMNS[c]} is not finite: {table[bad]:g}")
+    # run() writes round(duration / dt) + 1 rows, row k at t = k * dt (to 12 digits)
+    ts, n = np.arange(hi) * config.dt, round(config.duration / config.dt) + 1
+    if (off := np.flatnonzero(np.abs(table[:hi, 0] - ts) > 1e-11 * ts)).size:
+        k = int(off[0])
+        raise ConfigError(f"row {k + 1} column t is {table[k, 0]:.12g}, not {k} * dt = {ts[k]:.12g}")
+    if hi not in (0, n):
+        raise ConfigError(f"row {min(hi, n) + 1} is {'missing' if hi < n else 'past the end'}: "
+                          f"duration {config.duration:g} s at dt {config.dt:g} s makes {n} rows")
     arrays = _log_arrays(table[:hi])
     return TrajectoryLog(config=config, **arrays, **labels, **_saturated_totals(arrays, config))
 

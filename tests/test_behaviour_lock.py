@@ -15,7 +15,12 @@ coupled 6-DoF velocity solve and the Euler-rate map. In vet mode no preset
 reaches the tether law's danger branch, and the downward camera never loses
 the tag once seen, so probe_vision (a small downward image, a sideways
 push, random and scheduled dropout, a tank that clamps both robots and a
-lawnmower survey) pins the danger branch and the leader's held weight.
+lawnmower survey) pins the danger branch and the leader's held weight. Only
+probe_vision's x faces clamped, so probe_walls (a tank a few centimetres
+wide, the surface robot sent past two opposite corners, and the underwater
+robot pushed toward one corner and the floor, then toward the other corner
+and the top) clamps each robot on every face it has: x, y and z under
+water, x and y on the surface.
 
 Re-record only in a change that is meant to alter the program's outputs:
 
@@ -168,6 +173,22 @@ def test_the_vision_probe_matches_the_reference(mode, reference, monkeypatch):
         assert held == []
         assert log.waypoints_captured == 4
     key = f"probe_vision/{mode}"
+    _check(reference["runs"][key], _record(log), key)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_the_walls_probe_matches_the_reference(mode, reference):
+    cfg = _config("probe_walls", mode)
+    log = run(cfg)
+    # the probe exists to clamp each robot on each face of the tank it has
+    for pose, axes in ((log.pose_u, 3), (log.pose_s, 2)):
+        for axis in range(axes):
+            assert (pose[:, axis] == cfg.tank_min[axis]).any(), (axis, "min")
+            assert (pose[:, axis] == cfg.tank_max[axis]).any(), (axis, "max")
+    names = [event for _, event in log.events]
+    assert {"wall_clamp_u", "wall_clamp_s"} <= set(names)
+    assert log.waypoints_captured == log.waypoints_total == 2
+    key = f"probe_walls/{mode}"
     _check(reference["runs"][key], _record(log), key)
 
 

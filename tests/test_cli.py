@@ -3,11 +3,14 @@
 import json
 import os
 import stat
+from pathlib import Path
 
 import pytest
 
 from vetsim.cli import main
 from vetsim.scenario import CSV_COLUMNS, preset
+
+ECHOES = Path(__file__).with_name("config_echoes")
 
 BUNDLE_FILES = (
     "config_echo.json",
@@ -99,7 +102,7 @@ HUGE_INT = str(10**400)
 @pytest.mark.parametrize(
     "args",
     [_override(text) for text in (
-        "vet.k_psi=NaN", "duration=Infinity", "duration=1e12", "pd_u.kp.0=1.0",
+        "vet.k_psi=NaN", "duration=Infinity", "duration=1e12", "pd_u.kp.3=1.0",
         "seed=Infinity", "planner=5", "seed=1.7", "seed=true",
         "camera_u.width=640.7", "vet.k_psi=true", "seed=-1", "planner.kind=[1,2]",
         "planner.kind={}", "duration=0",
@@ -126,6 +129,19 @@ def test_invalid_values_fail_cleanly_before_the_run(tmp_path, capsys, args):
     assert code == 2
     assert not out.exists()  # nothing written
     assert "config error" in capsys.readouterr().err
+
+
+def test_a_v2_config_with_a_yaw_gain_fails_cleanly(tmp_path, capsys):
+    data = json.loads((ECHOES / "v2" / "nominal.json").read_text())
+    assert run_cli("run", "--config", str(ECHOES / "v2" / "nominal.json"),
+                   "--set", "duration=0.2", "--out", str(tmp_path / "ok")) == 0
+    data["pd_u"]["kp"][5] = 0.5
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "bundle"
+    assert run_cli("run", "--config", str(cfg_path), "--out", str(out)) == 2
+    assert not out.exists()
+    assert "pd_u gains on x, y and yaw must be exactly zero" in capsys.readouterr().err
 
 
 def threshold_error(tmp_path, capsys, command, value):
@@ -337,6 +353,53 @@ def test_plot_rejects_a_corrupt_trajectory(tmp_path, capsys, corrupt, message):
     lines = csv.read_text().splitlines()
     lines[3] = ",".join(corrupt(lines[3].split(",")))
     csv.write_text("\n".join(lines) + "\n")
+    dst = tmp_path / "replot"
+    assert run_cli("plot", "--run", str(src), "--out", str(dst)) == 2
+    assert not dst.exists()
+    assert message in capsys.readouterr().err
+
+
+def with_echo(key, value):
+    """A damage that sets one top-level key of the bundle's config echo."""
+    def damage(bundle):
+        echo = json.loads((bundle / "config_echo.json").read_text())
+        echo[key] = value
+        (bundle / "config_echo.json").write_text(json.dumps(echo))
+    return damage
+
+
+def with_lines(edit):
+    """A damage that edits the list of trajectory.csv lines, header first."""
+    def damage(bundle):
+        csv = bundle / "trajectory.csv"
+        lines = csv.read_text().splitlines()
+        csv.write_text("\n".join(edit(lines)) + "\n")
+    return damage
+
+
+def row_3_time(lines):
+    cells = lines[3].split(",")
+    lines[3] = ",".join(["-5", *cells[1:]])
+    return lines
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (with_echo("dt", 0.01), "row 2 column t is 0.02, not 1 * dt = 0.01"),
+        (with_echo("duration", 50), "row 52 is missing: duration 50 s at dt 0.02 s makes 2501 rows"),
+        (with_lines(row_3_time), "row 3 column t is -5, not 2 * dt = 0.04"),
+        (with_lines(lambda lines: lines[:5]), "row 5 is missing: duration 1 s at dt 0.02 s makes 51"),
+        (with_lines(lambda lines: lines + lines[-1:]), "row 52 column t is 1, not 51 * dt = 1.02"),
+        (with_lines(lambda lines: lines + ["1.02" + lines[-1][1:]]),
+         "row 52 is past the end: duration 1 s"),
+    ],
+    ids=["echo_dt", "echo_duration", "time_row_3", "rows_deleted", "row_repeated", "row_added"],
+)
+def test_plot_rejects_a_trajectory_off_its_configs_clock(tmp_path, capsys, damage, message):
+    src = tmp_path / "bundle"
+    assert run_cli("run", "--preset", "nominal", "--set", "duration=1", "--out", str(src)) == 0
+    damage(src)
     dst = tmp_path / "replot"
     assert run_cli("plot", "--run", str(src), "--out", str(dst)) == 2
     assert not dst.exists()

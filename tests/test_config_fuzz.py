@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from vetsim.cli import main
 from vetsim.scenario import PRESET_NAMES, ConfigError, ScenarioConfig, SimFailure, preset, run
 
-V1_ECHO = Path(__file__).with_name("config_echoes") / "v1" / "navigation_real.json"
+ECHOES = Path(__file__).with_name("config_echoes")
 
 # Fixed example sets, so the suite gives the same result on every run.
 FUZZ = settings(deadline=None, derandomize=True, database=None)
@@ -43,7 +43,9 @@ def _replace(tree, path, value):
 
 
 TREES = {name: preset(name).to_dict() for name in PRESET_NAMES}
-TREES["v1/navigation_real"] = json.loads(V1_ECHO.read_text())
+# saved bundles in older schemas: v1 and v2 (a pd_u of six gains per vector)
+for old in ("v1/navigation_real", "v2/perturbation_real"):
+    TREES[old] = json.loads((ECHOES / f"{old}.json").read_text())
 # tree name -> top-level key -> the paths under it, that key's own included
 PATHS = {name: {key: _paths({key: sub}) for key, sub in tree.items()}
          for name, tree in TREES.items()}

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from vetsim.control import (
     DepthAttitudeState,
+    PdGains,
     VetFilterState,
     VetGains,
     baseline_ibvs,
@@ -16,8 +17,7 @@ from vetsim.control import (
     check_connectivity,
     subtask_control_surface,
     subtask_control_underwater,
-    surface_pd,
-    underwater_pd,
+    uniform_pd,
     vet_law,
 )
 from vetsim.frames import RigidTransform, flat_transform
@@ -66,7 +66,7 @@ def surface_command(pose, nu, target, gains, speed_limit=None):
 
 
 def test_depth_error_anchor():
-    gains = underwater_pd(0.5, 0.15)
+    gains = uniform_pd(0.5, 0.15)
     state = DepthAttitudeState(z=-1.5, phi=0.0, theta=0.0, dz=0.0, dphi=0.0, dtheta=0.0)
     target = (-1.0, 0.0, 0.0)  # (z, phi, theta)
     u = subtask_control_underwater(state, target, gains)
@@ -75,7 +75,7 @@ def test_depth_error_anchor():
 
 
 def test_attitude_errors_wrap():
-    gains = underwater_pd(1.0, 0.0)
+    gains = uniform_pd(1.0, 0.0)
     state = DepthAttitudeState(
         z=-1.0, phi=-math.pi + 0.1, theta=0.0, dz=0.0, dphi=0.0, dtheta=0.0
     )
@@ -84,15 +84,19 @@ def test_attitude_errors_wrap():
     assert u[3] == pytest.approx(-0.2)  # short way round, not 2*pi - 0.2
 
 
-def test_underwater_pd_zero_pattern():
-    gains = underwater_pd(0.5, 0.15)
-    assert gains.kp == (0.0, 0.0, 0.5, 0.5, 0.5, 0.0)
-    assert gains.kd == (0.0, 0.0, 0.15, 0.15, 0.15, 0.0)
+def test_underwater_x_y_and_yaw_outputs_are_zero_for_any_gains():
+    # the gains are (z, phi, theta) only: no gain can reach the other three axes
+    gains = PdGains((0.7, 1.3, 2.1), (0.4, 0.9, 1.7))
+    state = DepthAttitudeState(z=-1.5, phi=0.2, theta=-0.3, dz=0.1, dphi=-0.2, dtheta=0.3)
+    u = subtask_control_underwater(state, (-1.0, 0.0, 0.0), gains)
+    assert all(v != 0.0 for v in u[2:5])
+    assert [u[0], u[1], u[5]] == [0.0, 0.0, 0.0]
+    assert u[2] == pytest.approx(0.7 * 0.5 - 0.4 * 0.1)
 
 
 def test_surface_anchor():
     u = surface_command(
-        (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.1, 0.0, 0.0), surface_pd(1.0, 0.0)
+        (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.1, 0.0, 0.0), uniform_pd(1.0, 0.0)
     )
     assert u[0] == pytest.approx(0.1)
     assert u[1] == 0.0 and u[2] == 0.0
@@ -103,7 +107,7 @@ def test_surface_yaw_anchor():
         (0.0, 0.0, 0.0),
         (0.0, 0.0, 0.0),
         (0.0, 0.0, math.pi / 2),
-        surface_pd(1.0, 0.0),
+        uniform_pd(1.0, 0.0),
     )
     assert u[2] == pytest.approx(math.pi / 2)
 
@@ -114,7 +118,7 @@ def test_surface_error_rotates_into_the_body_frame():
         (0.0, 0.0, math.pi / 2),
         (0.0, 0.0, 0.0),
         (1.0, 0.0, 0.0),
-        surface_pd(1.0, 0.0),
+        uniform_pd(1.0, 0.0),
     )
     assert u[0] == pytest.approx(0.0, abs=1e-12)
     assert u[1] == pytest.approx(-1.0)
@@ -125,7 +129,7 @@ def test_surface_speed_limit_clips_linear_axes_only():
         (0.0, 0.0, 0.0),
         (0.0, 0.0, 0.0),
         (5.0, 0.0, 1.0),
-        surface_pd(1.0, 0.0),
+        uniform_pd(1.0, 0.0),
         speed_limit=0.1,
     )
     assert u[0] == pytest.approx(0.1)
@@ -135,7 +139,7 @@ def test_surface_speed_limit_clips_linear_axes_only():
 def test_surface_controller_is_zero_at_the_target():
     pose = (0.7, -0.3, 1.1)
     u = surface_command(
-        pose, (0.0, 0.0, 0.0), (0.7, -0.3, 1.1), surface_pd(5.0, 5.0)
+        pose, (0.0, 0.0, 0.0), (0.7, -0.3, 1.1), uniform_pd(5.0, 5.0)
     )
     np.testing.assert_allclose(u, 0.0, atol=1e-12)
 

@@ -14,7 +14,7 @@ import vetsim.frames as frames
 import vetsim.perception as perception
 import vetsim.scenario as scenario
 import vetsim.vehicle as vehicle
-from vetsim.control import surface_pd
+from vetsim.control import uniform_pd
 from vetsim.frames import GimbalSingularity, RigidTransform
 from vetsim.scenario import (
     CSV_COLUMNS,
@@ -37,8 +37,9 @@ from vetsim.scenario import (
 from vetsim.vehicle import Disturbance, VehicleModel
 from vetsim.perception import CameraModel, DropoutModel
 
-# config_echo.json of every preset in config schema v2; v1/ holds one echo in
-# schema v1, with the two keys v2 removed (dropout.seed and
+# config_echo.json of every preset in config schema v3; v2/ holds them in schema
+# v2, whose pd_u has six gains per vector (x, y and yaw at 0), and v1/ one echo
+# in schema v1, with the two keys v2 removed (dropout.seed and
 # appendix_sign_convention).
 ECHOES = Path(__file__).with_name("config_echoes")
 
@@ -184,6 +185,34 @@ def test_v1_echo_loads_to_the_same_config():
     assert "seed" in data["dropout"]  # the input is not changed
     data["appendix_sign_convention"] = True
     with pytest.raises(ConfigError, match="appendix_sign_convention.*legacy sign convention"):
+        ScenarioConfig.from_dict(data)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_v2_echoes_load_to_the_same_config(name):
+    data = json.loads((ECHOES / "v2" / f"{name}.json").read_text())
+    assert data["pd_u"]["kp"] == [0.0, 0.0, 0.5, 0.5, 0.5, 0.0]
+    assert ScenarioConfig.from_dict(data) == preset(name)
+    assert len(data["pd_u"]["kd"]) == 6  # the input is not changed
+    # a zero is a zero whatever its JSON spelling
+    data["pd_u"]["kd"][:2] = [0, -0.0]
+    assert ScenarioConfig.from_dict(data) == preset(name)
+
+
+@pytest.mark.parametrize("value", [0.1, -1e-300, math.nan, False, "0"])
+@pytest.mark.parametrize("gain", [("kp", 0), ("kp", 1), ("kd", 5)])
+def test_a_v2_pd_u_with_a_non_zero_x_y_or_yaw_gain_is_refused(gain, value):
+    data = json.loads((ECHOES / "v2" / "nominal.json").read_text())
+    data["pd_u"][gain[0]][gain[1]] = value
+    with pytest.raises(ConfigError, match="pd_u gains on x, y and yaw must be exactly zero"):
+        ScenarioConfig.from_dict(data)
+
+
+@pytest.mark.parametrize("kp, kd", [(6, 3), (3, 6), (4, 4), (2, 2)])
+def test_pd_u_gains_of_other_lengths_are_refused(kp, kd):
+    data = preset("nominal").to_dict()
+    data["pd_u"] = {"kp": [0.0] * kp, "kd": [0.0] * kd}
+    with pytest.raises(ConfigError, match="malformed config at pd_u: kp and kd are per-axis"):
         ScenarioConfig.from_dict(data)
 
 
@@ -794,7 +823,7 @@ def test_an_empty_planner_targets_the_current_pose_every_tick():
     # With no waypoints and no damping the leader's sub-task command is
     # zero on every tick, while the tether drags the leader away from its
     # start; a target frozen at the start pose would pull it back.
-    cfg = short("perturbation_real", 12.0, planner=Setpoints(()), pd_s=surface_pd(1.0, 0.0))
+    cfg = short("perturbation_real", 12.0, planner=Setpoints(()), pd_s=uniform_pd(1.0, 0.0))
     log = run(cfg)
     assert np.abs(log.pose_s[:, :2] - log.pose_s[0, :2]).max() > 0.05
     assert np.abs(log.u_xi_s).max() > 0.0
