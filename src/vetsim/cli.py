@@ -23,17 +23,9 @@ import tempfile
 from pathlib import Path
 
 from . import metrics, plotting
-from .scenario import (
-    ConfigError,
-    PRESET_NAMES,
-    ScenarioConfig,
-    SimFailure,
-    TrajectoryLog,
-    UnknownPreset,
-    log_from_csv,
-    preset,
-    run,
-)
+from .config import ConfigError, ScenarioConfig
+from .log import TrajectoryLog, log_from_csv
+from .scenario import PRESET_NAMES, SimFailure, UnknownPreset, preset, run
 
 _DEFAULT_THRESHOLD = 0.3
 

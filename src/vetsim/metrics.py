@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .frames import compose, invert, pose_from_transform
-from .scenario import TrajectoryLog
+from .log import TrajectoryLog
 
 
 class EmptyLog(ValueError):

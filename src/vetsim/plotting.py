@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from .scenario import Lawnmower, TrajectoryLog, planner_waypoints
+from .config import Lawnmower, planner_waypoints
+from .log import TrajectoryLog
 
 _WIDTH = 660
 _HEIGHT = 420

@@ -1,4 +1,4 @@
-"""Scenario configuration, presets and the closed-loop simulation.
+"""Experiment presets and the closed-loop simulation.
 
 One scenario couples the two robots through vision alone. The inputs that
 depend on time alone are computed before the loop, and the events are read
@@ -29,123 +29,34 @@ Runs are deterministic: a fixed seed reproduces byte-identical logs.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
-import re
 from array import array
-from dataclasses import dataclass, field, fields, is_dataclass
-from types import UnionType
-from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from .config import Lawnmower, ScenarioConfig, Setpoints, planner_waypoints
 from .control import (
-    DepthAttitudeState,
-    PdGains,
-    VetFilterState,
-    VetGains,
-    baseline_ibvs,
-    camera_to_body,
-    subtask_control_surface,
-    subtask_control_underwater,
-    uniform_pd,
-    vet_law,
+    DepthAttitudeState, VetFilterState, VetGains, baseline_ibvs, camera_to_body,
+    subtask_control_surface, subtask_control_underwater, uniform_pd, vet_law,
 )
 from .frames import GimbalSingularity, RigidTransform, euler_rate_rows, flat_transform
 from .frames import projected_distance
+from .log import (
+    TrajectoryLog, _LOOP_COLUMNS, _ROW_WIDTH, _event_flags, _first_non_finite, _log_arrays,
+    _saturated_totals,
+)
 from .perception import (
     UNSEEN, CameraModel, DropoutModel, TagModel, observe, project_tag, tag_geometry,
 )
 from .vehicle import Disturbance, VehicleModel, VehicleParams
 
 
-# The most integration steps one run may take; each step adds a 288-byte row and
-# 72 bytes of saturated totals to the log, so about 0.36 GB at the cap.
-MAX_TICKS = 1_000_000
-# The most lanes one lawnmower survey may have; each adds two waypoints.
-MAX_LANES = 10_000
-
-
-class ConfigError(ValueError):
-    """Configuration dictionary is malformed or inconsistent."""
-
-
 class UnknownPreset(KeyError):
     """No preset registered under the requested name."""
 
 
-class InvalidBounds(ConfigError):
-    """Planner area bounds are degenerate."""
-
-
 class SimFailure(RuntimeError):
     """The simulation loop hit an unrecoverable state."""
-
-
-@dataclass(frozen=True)
-class Setpoints:
-    """Ordered planar targets, visited in sequence and held at the end."""
-
-    waypoints: tuple[tuple[float, ...], ...]
-    capture_radius: float = 0.15
-
-    def __post_init__(self) -> None:
-        if self.capture_radius <= 0:
-            raise ValueError("capture_radius must be positive")
-        for wp in self.waypoints:
-            if len(wp) != 3:
-                raise ValueError("waypoints are (x, y, psi) triples")
-
-
-@dataclass(frozen=True)
-class Lawnmower:
-    """Boustrophedon coverage of a rectangle, lanes along x."""
-
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
-    lane_spacing: float
-    speed: float = 0.1
-    capture_radius: float = 0.15
-
-    def __post_init__(self) -> None:
-        if self.capture_radius <= 0 or self.speed <= 0:
-            raise ValueError("speed and capture_radius must be positive")
-
-
-def lawnmower_path(spec: Lawnmower) -> tuple:
-    """Waypoints covering the rectangle, heading facing along each lane.
-
-    Lane count is floor(y extent / spacing) + 1, at most MAX_LANES; spacing
-    wider than the extent degenerates to a single lane with two waypoints.
-    """
-    if spec.x_max <= spec.x_min or spec.y_max <= spec.y_min:
-        raise InvalidBounds("lawnmower area must have positive extent")
-    if spec.lane_spacing <= 0:
-        raise InvalidBounds("lane spacing must be positive")
-    # a float until it is known to be small: the ratio may be huge or infinite
-    lanes = (spec.y_max - spec.y_min) / spec.lane_spacing + 1e-9
-    if not lanes < MAX_LANES:
-        raise InvalidBounds(f"lawnmower area needs more than {MAX_LANES} lanes")
-    n_lanes = int(math.floor(lanes)) + 1
-    points = []
-    for i in range(n_lanes):
-        y = spec.y_min + i * spec.lane_spacing
-        if i % 2 == 0:
-            points.append((spec.x_min, y, 0.0))
-            points.append((spec.x_max, y, 0.0))
-        else:
-            points.append((spec.x_max, y, math.pi))
-            points.append((spec.x_min, y, math.pi))
-    return tuple(points)
-
-
-def planner_waypoints(spec) -> tuple:
-    if isinstance(spec, Lawnmower):
-        return lawnmower_path(spec)
-    return tuple(tuple(float(v) for v in wp) for wp in spec.waypoints)
 
 
 def planner_step(current: tuple, waypoints, capture_radius: float, index: int = 0):
@@ -165,343 +76,6 @@ def planner_step(current: tuple, waypoints, capture_radius: float, index: int = 
         else:
             break
     return waypoints[min(index, n - 1)], index
-
-
-@dataclass
-class ScenarioConfig:
-    """Complete, serialisable description of one run."""
-
-    name: str
-    mode: str
-    dt: float
-    duration: float
-    seed: int
-    tank_min: tuple[float, ...]
-    tank_max: tuple[float, ...]
-    initial_pose_u: tuple[float, ...]
-    initial_pose_s: tuple[float, ...]
-    params_u: VehicleParams
-    params_s: VehicleParams
-    camera_u: CameraModel
-    camera_s: CameraModel
-    tag_u: TagModel
-    tag_s: TagModel
-    pd_u: PdGains
-    pd_s: PdGains
-    vet: VetGains
-    depth_target: float
-    roll_target: float
-    pitch_target: float
-    planner: Setpoints | Lawnmower
-    perturbations: tuple[Disturbance, ...] = ()
-    dropout: DropoutModel = field(default_factory=DropoutModel)
-
-    def validate(self) -> None:
-        # the planner's type first: to_dict below can only encode the two kinds
-        if not isinstance(self.planner, (Setpoints, Lawnmower)):
-            raise ConfigError("planner must be Setpoints or Lawnmower")
-        non_finite = _non_finite_paths(self.to_dict())
-        if non_finite:
-            raise ConfigError(f"numbers that are not finite floats at {', '.join(non_finite)}")
-        if self.mode not in ("vet", "baseline"):
-            raise ConfigError(f"mode must be 'vet' or 'baseline', got {self.mode!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if not 0.0 < self.dt <= 0.1:
-            raise ConfigError("dt must be in (0, 0.1] seconds")
-        if self.duration < 0:
-            raise ConfigError("duration must be non-negative")
-        # compared as a float: round() of an infinite ratio would raise
-        if self.duration / self.dt > MAX_TICKS + 0.5:
-            raise ConfigError(
-                f"duration {self.duration:g} s at dt {self.dt:g} s exceeds {MAX_TICKS} ticks"
-            )
-        if len(self.tank_min) != 3 or len(self.tank_max) != 3:
-            raise ConfigError("tank bounds are 3-vectors")
-        if any(hi <= lo for lo, hi in zip(self.tank_min, self.tank_max)):
-            raise ConfigError("tank must have positive extent on every axis")
-        if len(self.initial_pose_u) != 6 or len(self.initial_pose_s) != 3:
-            raise ConfigError("initial poses are a 6-tuple and a 3-tuple")
-        for robot, position in (("underwater", self.initial_pose_u[:3]),
-                                ("surface", self.initial_pose_s[:2])):
-            if not all(lo <= v <= hi for lo, v, hi in zip(self.tank_min, position, self.tank_max)):
-                raise ConfigError(f"{robot} initial pose lies outside the tank")
-        if self.params_u.dof != 6 or self.params_s.dof != 3:
-            raise ConfigError("underwater model is 6-DoF, surface model 3-DoF")
-        planner_waypoints(self.planner)  # raises InvalidBounds on bad areas
-
-    def to_dict(self) -> dict:
-        return _encode(self, ScenarioConfig)
-
-    @staticmethod
-    def from_dict(data: dict) -> "ScenarioConfig":
-        """A validated config from its to_dict form, schemas v1 and v2 included;
-        raises ConfigError on anything else."""
-        cfg = _decode(_pd_u_v3(data), ScenarioConfig, "")
-        cfg.validate()
-        return cfg
-
-
-def _non_finite_paths(tree, path: str = "") -> list:
-    """Dotted paths of every number in a to_dict tree that is not a finite
-    float: NaN, an infinity, or an int too large to convert."""
-    if isinstance(tree, dict):
-        items = tree.items()
-    elif isinstance(tree, list):
-        items = enumerate(tree)
-    else:
-        try:
-            return [] if not isinstance(tree, (int, float)) or math.isfinite(tree) else [path]
-        except OverflowError:  # an int beyond the float range
-            return [path]
-    prefix = f"{path}." if path else ""
-    return [p for key, value in items for p in _non_finite_paths(value, f"{prefix}{key}")]
-
-
-# -- config codec ------------------------------------------------------------
-#
-# One walker maps every config dataclass to plain JSON data and back, driven
-# by the resolved field annotations: a dataclass is an object whose keys are
-# exactly its field names, a tuple is a list, a scalar is itself.
-# A union of dataclasses (the planner) adds a "kind" key, the lower-cased
-# class name. A number keeps its JSON type: an int field takes only an
-# integer and a float field an integer or a float, neither a bool, and a str
-# field only a string (_SCALAR_TYPES). Lengths and ranges are checked
-# by the dataclasses themselves and by ScenarioConfig.validate.
-_SCALAR_TYPES = {int: (int,), float: (int, float), str: (str,)}
-
-# Keys of config schema v1 that v2 removed: dotted key -> (the one value that
-# still loads, ... for any; why the key went). A key that loads is skipped, so
-# a saved v1 bundle loads to the config it ran with.
-_REMOVED_KEYS = {
-    "dropout.seed": (..., "it was never read; the top-level seed seeds the run"),
-    "appendix_sign_convention": (False, "the legacy sign convention was removed"),
-}
-
-
-def _pd_u_v3(data):
-    """data (not changed) with a schema v1/v2 pd_u of six gains per vector cut to its
-    (z, phi, theta) gains; a ConfigError if a dropped x, y or yaw gain is not 0."""
-    pd = data.get("pd_u") if isinstance(data, dict) else None
-    gains = [pd.get(k) for k in ("kp", "kd")] if isinstance(pd, dict) else ()
-    if not gains or not all(isinstance(g, (list, tuple)) and len(g) == 6 for g in gains):
-        return data
-    if any(g[i] != 0 or isinstance(g[i], bool) for g in gains for i in (0, 1, 5)):
-        raise ConfigError("pd_u gains on x, y and yaw must be exactly zero: no sub-task uses them")
-    return {**data, "pd_u": {**pd, "kp": gains[0][2:5], "kd": gains[1][2:5]}}
-
-
-@functools.cache
-def _field_types(cls) -> dict:
-    """Field name -> resolved annotation, in declaration order."""
-    hints = get_type_hints(cls)
-    return {f.name: hints[f.name] for f in fields(cls)}
-
-
-def _encode(value, hint):
-    if isinstance(hint, UnionType):
-        return {"kind": type(value).__name__.lower(), **_encode(value, type(value))}
-    if is_dataclass(hint):
-        return {name: _encode(getattr(value, name), sub)
-                for name, sub in _field_types(hint).items()}
-    if get_origin(hint) is tuple:
-        item = get_args(hint)[0]
-        return [_encode(v, item) for v in value]
-    return value
-
-
-def _removed(dotted: str, value) -> bool:
-    """Whether dotted is a removed v1 key whose value still loads; a ConfigError
-    if it is one whose value does not."""
-    if dotted not in _REMOVED_KEYS:
-        return False
-    loads, why = _REMOVED_KEYS[dotted]
-    if loads is not ... and value is not loads:
-        raise ConfigError(f"config key {dotted} cannot be {value!r}: {why}")
-    return True
-
-
-def _decode(data, hint, path: str):
-    """Rebuild a value of type hint from its _encode form; path is the dotted
-    key of data in the config tree, for error messages."""
-    if isinstance(hint, UnionType):
-        kinds = {cls.__name__.lower(): cls for cls in get_args(hint)}
-        kind = data.get("kind") if isinstance(data, dict) else None
-        if not isinstance(kind, str) or kind not in kinds:
-            raise ConfigError(f"{path}.kind must be one of {sorted(kinds)}, got {kind!r}")
-        return _decode({k: v for k, v in data.items() if k != "kind"}, kinds[kind], path)
-    if is_dataclass(hint):
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path or 'config root'} must be an object")
-        expected = _field_types(hint)
-        at = f" at {path}" if path else ""
-        prefix = f"{path}." if path else ""
-        unknown = [k for k in data.keys() - expected.keys() if not _removed(prefix + k, data[k])]
-        if unknown:
-            raise ConfigError(f"unknown config keys{at}: {sorted(unknown)}")
-        missing = expected.keys() - data.keys()
-        if missing:
-            raise ConfigError(f"missing config keys{at}: {sorted(missing)}")
-        values = {name: _decode(data[name], sub, prefix + name)
-                  for name, sub in expected.items()}
-        try:
-            return hint(**values)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed config{at}: {exc}") from exc
-    if get_origin(hint) is tuple:
-        if not isinstance(data, (list, tuple)):
-            raise ConfigError(f"{path} must be a list")
-        item = get_args(hint)[0]
-        return tuple(_decode(v, item, f"{path}.{i}") for i, v in enumerate(data))
-    if not isinstance(data, _SCALAR_TYPES[hint]) or isinstance(data, bool):
-        raise ConfigError(f"malformed config at {path}: expected {hint.__name__}, got {data!r}")
-    try:
-        return hint(data)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"malformed config at {path}: {exc}") from exc
-
-
-# -- trajectory log --------------------------------------------------------
-
-# The log layout, declared once: each CSV-backed TrajectoryLog field with its
-# type and its CSV column names, in CSV order. float fields are float64 arrays
-# and bool fields bool arrays, both kept as columns of one float row table (the
-# flags as 0.0/1.0); str fields are lists with one label per tick.
-_LOG_LAYOUT = (
-    ("t", float, ("t",)),
-    ("pose_u", float, ("xU", "yU", "zU", "phiU", "thetaU", "psiU")),
-    ("pose_s", float, ("xS", "yS", "psiS")),
-    ("u_sub_u", float, ("uU_sub_x", "uU_sub_y", "uU_sub_z",
-                        "uU_sub_phi", "uU_sub_theta", "uU_sub_psi")),
-    ("u_xi_u", float, ("uU_xi_x", "uU_xi_y", "uU_xi_z",
-                       "uU_xi_phi", "uU_xi_theta", "uU_xi_psi")),
-    ("u_sub_s", float, ("uS_sub_x", "uS_sub_y", "uS_sub_psi")),
-    ("u_xi_s", float, ("uS_xi_x", "uS_xi_y", "uS_xi_psi")),
-    ("detected_us", bool, ("detectedUS",)),
-    ("detected_su", bool, ("detectedSU",)),
-    ("region_us", str, ("regionUS",)),
-    ("region_su", str, ("regionSU",)),
-    ("xi_us", float, ("xiUS",)),
-    ("xi_su", float, ("xiSU",)),
-    ("proj_dist", float, ("projDist",)),
-    ("event_flags", str, ("eventFlags",)),
-)
-_CSV_FORMATS = {float: "%.12g", bool: "%d", str: "%s"}
-
-CSV_COLUMNS = tuple(name for *_, names in _LOG_LAYOUT for name in names)
-# Rows are converted this many at a time, which bounds the per-cell Python
-# objects the writer builds and the line strings the reader holds.
-_CSV_CHUNK = 256
-# The row table's columns in order, (field, index in the field): the CSV's float
-# and flag columns, then three only run() writes, for _event_flags: the planner's
-# index after the tick's step and whether the wall clamp made each robot's pose.
-_LOOP_COLUMNS = ("waypoint_index", "wall_clamp_u", "wall_clamp_s")
-_TABLE_CELLS = [(name, i) for name, kind, names in _LOG_LAYOUT if kind is not str
-                for i in range(len(names))] + [(name, 0) for name in _LOOP_COLUMNS]
-_ROW_WIDTH = len(_TABLE_CELLS)
-# Row-table columns ahead of the xi offsets, which are NaN by design on
-# undetected ticks: time, poses, commands and detection flags.
-_FINITE_WIDTH = _TABLE_CELLS.index(("xi_us", 0))
-# The CSV's columns in order, (field, kind, index in the field, row-table column
-# or None), and its rows as loadtxt reads them: float cells as float64, others text.
-_CSV_CELLS = [(name, kind, i, None if kind is str else _TABLE_CELLS.index((name, i)))
-              for name, kind, names in _LOG_LAYOUT for i in range(len(names))]
-_CSV_DTYPE = np.dtype([(column, float if kind is float else object)
-                       for column, (_, kind, _, _) in zip(CSV_COLUMNS, _CSV_CELLS)])
-
-
-def _log_arrays(table: np.ndarray) -> dict:
-    """Slice the (ticks, _ROW_WIDTH) row table into the CSV-backed TrajectoryLog
-    arrays: float64 views of disjoint columns (no copies), bool copies."""
-    out = {}
-    for name, kind, names in _LOG_LAYOUT:
-        if kind is not str:
-            col = _TABLE_CELLS.index((name, 0))
-            block = table[:, col] if len(names) == 1 else table[:, col:col + len(names)]
-            out[name] = block if kind is float else block.astype(kind)
-    return out
-
-
-def _saturated_totals(arrays: dict, config: ScenarioConfig) -> dict:
-    """u_total_u and u_total_s: each robot's logged split u_sub + u_xi clipped
-    to its axis_bounds, bit for bit the command run() gave its vehicle."""
-    bounds = {"u": config.params_u.axis_bounds, "s": config.params_s.axis_bounds}
-    return {f"u_total_{r}": np.clip(arrays[f"u_sub_{r}"] + arrays[f"u_xi_{r}"], -np.array(b), b)
-            for r, b in bounds.items()}
-
-
-@dataclass
-class TrajectoryLog:
-    """Complete tick-by-tick record of one run: the trajectory.csv columns
-    laid out by _LOG_LAYOUT, and u_total_u and u_total_s, which
-    _saturated_totals derives from them for run() and log_from_csv alike.
-
-    Per tick: t is (n,), poses (n, 6) and (n, 3), commands (n, 6) for the
-    underwater and (n, 3) for the surface robot, xi_* and proj_dist (n,), all
-    float64, the CSV-backed ones views of disjoint columns of one row table;
-    detected_* are (n,) bool; region_* and event_flags hold n labels. events
-    and the waypoint counts are read off event_flags.
-    """
-
-    config: ScenarioConfig
-    t: np.ndarray
-    pose_u: np.ndarray
-    pose_s: np.ndarray
-    u_sub_u: np.ndarray
-    u_xi_u: np.ndarray
-    u_sub_s: np.ndarray
-    u_xi_s: np.ndarray
-    detected_us: np.ndarray
-    detected_su: np.ndarray
-    region_us: list
-    region_su: list
-    xi_us: np.ndarray
-    xi_su: np.ndarray
-    proj_dist: np.ndarray
-    event_flags: list
-    u_total_u: np.ndarray
-    u_total_s: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-    @property
-    def events(self) -> list:
-        """(t, event) pairs in log order."""
-        return [(t, item) for t, flags in zip(self.t.tolist(), self.event_flags) if flags
-                for item in flags.split(";")]
-
-    @property
-    def waypoints_total(self) -> int:
-        return len(planner_waypoints(self.config.planner))
-
-    @property
-    def waypoints_captured(self) -> int:
-        return sum(flags.split(";").count("waypoint_capture") for flags in self.event_flags
-                   if flags)
-
-    def to_csv_text(self) -> str:
-        """Render the fixed-schema CSV; identical runs give identical bytes. A float or
-        flag column bit-identical over a chunk (so -0 and nan print as they do cell by
-        cell) is printed once, into the chunk's row template."""
-        lines = [",".join(CSV_COLUMNS)]
-        for lo in range(0, len(self.t), _CSV_CHUNK):
-            rows = slice(lo, lo + _CSV_CHUNK)
-            cells, columns = [], []
-            for name, kind, i, _ in _CSV_CELLS:
-                column = getattr(self, name)[rows]
-                if kind is not str:
-                    column = column if column.ndim == 1 else column[:, i]
-                    bits = column.view(f"u{column.itemsize}")
-                    if (bits == bits[0]).all():
-                        cells.append((_CSV_FORMATS[kind] % column[0].item()).replace("%", "%%"))
-                        continue
-                    column = column.tolist()
-                cells.append(_CSV_FORMATS[kind])
-                columns.append(column)
-            template = ",".join(cells)
-            lines += [template % row for row in zip(*columns)]
-        return "\n".join(lines) + "\n"
 
 
 # -- simulation loop -------------------------------------------------------
@@ -572,13 +146,6 @@ def _state_at(k: int, row) -> str:
             f"pose_u={row['pose_u'][0].tolist()}, pose_s={row['pose_s'][0].tolist()}")
 
 
-def _first_non_finite(table: np.ndarray) -> tuple | None:
-    """(row, column) of the row table's first NaN or infinity, row-major, in the
-    columns run() and log_from_csv both hold finite; None if there is none."""
-    finite = np.isfinite(table[:, :_FINITE_WIDTH])
-    return None if finite.all() else divmod(int(finite.argmin()), _FINITE_WIDTH)
-
-
 def _check_finite(table: np.ndarray) -> None:
     """Raise SimFailure at the first tick of a finished run's row table whose
     pose or command columns hold a NaN or an infinity. Velocities are not
@@ -602,43 +169,6 @@ def _time_inputs(config: ScenarioConfig, ts: np.ndarray) -> tuple:
                 for w, on in zip(wrench.tolist(), perturbed.tolist())]
     blanked = config.dropout.blanked(ts, np.random.default_rng(config.seed))
     return config.dropout.scheduled(ts), blanked, perturbed, wrenches
-
-
-def _transitions(mask: np.ndarray, before_first: bool, on: str, off: str = "") -> list:
-    """(tick, event) pairs: event on where a per-tick flag turns on and, if
-    named, event off where it turns off; tick 0 compares against before_first."""
-    before = np.concatenate(([before_first], mask[:-1]))
-    rises = [(k, on) for k in np.flatnonzero(mask & ~before).tolist()]
-    falls = [(k, off) for k in np.flatnonzero(before & ~mask).tolist()] if off else []
-    return rises + falls
-
-
-def _event_flags(arrays: dict, labels: dict, scheduled: np.ndarray,
-                 perturbed: np.ndarray) -> list:
-    """The eventFlags text of every tick, read off the transitions of arrays
-    (detection flags and _LOOP_COLUMNS) and of the scheduled-dropout and
-    perturbation masks, each tick's events in the order below. Starts and
-    waypoint captures can fire on tick 0; line-of-sight and region changes
-    cannot."""
-    det_us, det_su = arrays["detected_us"], arrays["detected_su"]
-    passed = np.diff(arrays["waypoint_index"], prepend=0)  # waypoints captured per tick
-    found = [
-        *_transitions(arrays["wall_clamp_u"], False, "wall_clamp_u"),
-        *_transitions(arrays["wall_clamp_s"], False, "wall_clamp_s"),
-        *_transitions(scheduled, False, "dropout_start", "dropout_end"),
-        *_transitions(perturbed, False, "perturb_start", "perturb_end"),
-        *((k, "waypoint_capture") for k in np.repeat(np.arange(len(passed)), passed).tolist()),
-        *_transitions(det_us, det_us[0], "los_regain_us", "los_loss_us"),
-        *_transitions(det_su, det_su[0], "los_regain_su", "los_loss_su"),
-    ]
-    for pair in ("us", "su"):
-        regions = labels[f"region_{pair}"]
-        found += [(k, f"region_{pair}:{a}-{b}")
-                  for k, (a, b) in enumerate(zip(regions, regions[1:]), 1) if a != b]
-    flags = [""] * len(passed)
-    for k, event in sorted(found, key=lambda item: item[0]):  # stable: keeps the order
-        flags[k] = f"{flags[k]};{event}" if flags[k] else event
-    return flags
 
 
 def run(config: ScenarioConfig) -> TrajectoryLog:
@@ -913,70 +443,6 @@ def _preset_navigation_real() -> ScenarioConfig:
     return cfg
 
 
-def log_from_csv(text: str, config: ScenarioConfig) -> TrajectoryLog:
-    """Rebuild a log from its CSV rendering plus the echoed config: every field
-    as run() built it, the floats to the 12 printed digits. A header-only file
-    yields an empty log, which the plots render as bare axes. Blank lines are
-    skipped; a row of the wrong length, a flag not 0 or 1 or a bad number is a
-    ConfigError naming its row, and a time, pose or command that is NaN or
-    infinite, which run() never writes, one naming its row and column; so is
-    a row count or a time that config's duration and dt could not give.
-    """
-    # Non-empty lines, split off one at a time: one chunk is held as strings.
-    lines = map(re.Match.group, re.finditer("[^\n]+", text))
-    if next(lines, "").split(",") != list(CSV_COLUMNS):
-        raise ConfigError("trajectory CSV header does not match the schema")
-    # Every well-formed row, the header too, holds len(CSV_COLUMNS) - 1 commas,
-    # which bounds the row count; unused rows are cut off below.
-    table = np.zeros((text.count(",") // (len(CSV_COLUMNS) - 1), _ROW_WIDTH))
-    labels = {name: [] for name, kind, _ in _LOG_LAYOUT if kind is str}
-    hi = 0
-    while chunk := list(itertools.islice(lines, _CSV_CHUNK)):
-        lo, hi = hi, hi + len(chunk)
-        try:
-            block = np.loadtxt(chunk, delimiter=",", dtype=_CSV_DTYPE, comments=None, ndmin=1)
-        except ValueError:  # a row of the wrong length or a float cell that is not a number
-            block = _rescan(chunk, lo)
-        for column, (name, kind, _, slot) in zip(CSV_COLUMNS, _CSV_CELLS):
-            if kind is str:
-                labels[name] += block[column].tolist()
-            elif kind is float or {"0", "1"}.issuperset(block[column]):
-                table[lo:hi, slot] = block[column] == "1" if kind is bool else block[column]
-            else:
-                _rescan(chunk, lo)  # raises: a flag is neither 0 nor 1
-    if (bad := _first_non_finite(table[:hi])) is not None:
-        k, c = bad  # these columns lead both the table and the CSV, in one order
-        raise ConfigError(f"row {k + 1} column {CSV_COLUMNS[c]} is not finite: {table[bad]:g}")
-    # run() writes round(duration / dt) + 1 rows, row k at t = k * dt (to 12 digits)
-    ts, n = np.arange(hi) * config.dt, round(config.duration / config.dt) + 1
-    if (off := np.flatnonzero(np.abs(table[:hi, 0] - ts) > 1e-11 * ts)).size:
-        k = int(off[0])
-        raise ConfigError(f"row {k + 1} column t is {table[k, 0]:.12g}, not {k} * dt = {ts[k]:.12g}")
-    if hi not in (0, n):
-        raise ConfigError(f"row {min(hi, n) + 1} is {'missing' if hi < n else 'past the end'}: "
-                          f"duration {config.duration:g} s at dt {config.dt:g} s makes {n} rows")
-    arrays = _log_arrays(table[:hi])
-    return TrajectoryLog(config=config, **arrays, **labels, **_saturated_totals(arrays, config))
-
-
-def _rescan(rows: list, lo: int) -> np.ndarray:
-    """Rows loadtxt or the flag check rejected, read cell by cell: field counts,
-    then flags and float() cells column by column; the first fault is a ConfigError
-    naming its row (lo + 1 is the first). Rows float() takes whole (1_0, say) return."""
-    cells = [row.split(",") for row in rows]
-    for k, parts in enumerate(cells, lo + 1):
-        if len(parts) != len(CSV_COLUMNS):
-            raise ConfigError(f"row {k} has {len(parts)} fields")
-    for c, (column, (_, kind, _, _)) in enumerate(zip(CSV_COLUMNS, _CSV_CELLS)):
-        for k, parts in enumerate(cells, lo + 1):
-            if kind is bool and parts[c] not in ("0", "1"):
-                raise ConfigError(f"row {k} column {column} is not 0 or 1: {parts[c]!r}")
-            if kind is float:
-                try:
-                    float(parts[c])
-                except ValueError as exc:
-                    raise ConfigError(f"row {k} is not numeric: {exc}") from exc
-    return np.array([tuple(parts) for parts in cells], dtype=_CSV_DTYPE)
 
 
 _PRESETS = {

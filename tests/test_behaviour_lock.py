@@ -38,7 +38,8 @@ import pytest
 
 import vetsim.scenario as scenario
 from vetsim.metrics import summarize
-from vetsim.scenario import PRESET_NAMES, ScenarioConfig, preset, run
+from vetsim.config import ScenarioConfig
+from vetsim.scenario import PRESET_NAMES, preset, run
 
 REFERENCE = Path(__file__).with_name("behaviour_lock.json")
 PROBES = tuple(sorted(path.stem for path in Path(__file__).parent.glob("probe_*.json")))

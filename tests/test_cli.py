@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from vetsim.cli import main
-from vetsim.scenario import CSV_COLUMNS, preset
+from vetsim.log import CSV_COLUMNS
+from vetsim.scenario import preset
 
 ECHOES = Path(__file__).with_name("config_echoes")
 

@@ -18,7 +18,8 @@ import copy
 import json
 from pathlib import Path
 
-from vetsim.scenario import ScenarioConfig, run
+from vetsim.config import ScenarioConfig
+from vetsim.scenario import run
 
 PROBES = {path.stem: json.loads(path.read_text())
           for path in sorted(Path(__file__).parent.glob("probe_*.json"))}

@@ -11,7 +11,8 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from vetsim.cli import main
-from vetsim.scenario import PRESET_NAMES, ConfigError, ScenarioConfig, SimFailure, preset, run
+from vetsim.config import ConfigError, ScenarioConfig
+from vetsim.scenario import PRESET_NAMES, SimFailure, preset, run
 
 ECHOES = Path(__file__).with_name("config_echoes")
 

@@ -17,7 +17,9 @@ from vetsim.metrics import (
     summarize,
     time_of_los_loss,
 )
-from vetsim.scenario import Setpoints, TrajectoryLog, preset
+from vetsim.config import Setpoints
+from vetsim.log import TrajectoryLog
+from vetsim.scenario import preset
 from vetsim.vehicle import Disturbance
 
 FLIP_X = ((1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0))

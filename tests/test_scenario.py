@@ -16,20 +16,20 @@ import vetsim.scenario as scenario
 import vetsim.vehicle as vehicle
 from vetsim.control import uniform_pd
 from vetsim.frames import GimbalSingularity, RigidTransform
-from vetsim.scenario import (
-    CSV_COLUMNS,
+from vetsim.config import (
     ConfigError,
     InvalidBounds,
     Lawnmower,
     MAX_LANES,
-    PRESET_NAMES,
     ScenarioConfig,
     Setpoints,
-    SimFailure,
-    TrajectoryLog,
-    UnknownPreset,
     lawnmower_path,
-    log_from_csv,
+)
+from vetsim.log import CSV_COLUMNS, TrajectoryLog, _event_flags, log_from_csv
+from vetsim.scenario import (
+    PRESET_NAMES,
+    SimFailure,
+    UnknownPreset,
     planner_step,
     preset,
     run,
@@ -488,7 +488,7 @@ def run_with_event_inputs(monkeypatch, cfg):
     detection flags plus the loop's waypoint index and wall-clamp flags."""
     inputs = {}
 
-    def capture(arrays, *args, _original=scenario._event_flags):
+    def capture(arrays, *args, _original=_event_flags):
         inputs.update(arrays)
         return _original(arrays, *args)
 
