@@ -169,6 +169,17 @@ def _transitions(mask: np.ndarray, before_first: bool, on: str, off: str = "") -
     return rises + falls
 
 
+# The labels a region column can hold, and every token _event_flags emits: a
+# region change names two different labels.
+_REGIONS = frozenset(("safe", "elastic", "danger", "none"))
+_EVENTS = frozenset((
+    "wall_clamp_u", "wall_clamp_s", "dropout_start", "dropout_end", "perturb_start",
+    "perturb_end", "waypoint_capture", "los_regain_us", "los_loss_us", "los_regain_su",
+    "los_loss_su", *(f"region_{pair}:{a}-{b}" for pair in ("us", "su")
+                     for a in _REGIONS for b in _REGIONS if a != b),
+))
+
+
 def _event_flags(arrays: dict, labels: dict, scheduled: np.ndarray,
                  perturbed: np.ndarray) -> list:
     """The eventFlags text of every tick, read off the transitions of arrays
@@ -204,7 +215,9 @@ def log_from_csv(text: str, config: ScenarioConfig) -> TrajectoryLog:
     skipped; a row of the wrong length, a flag not 0 or 1 or a bad number is a
     ConfigError naming its row, and a time, pose or command that is NaN or
     infinite, which run() never writes, one naming its row and column; so is
-    a row count or a time that config's duration and dt could not give.
+    a row count or a time that config's duration and dt could not give, a
+    region label or event token run() cannot write, or camera columns that
+    disagree (_check_labels).
     """
     # Non-empty lines, split off one at a time: one chunk is held as strings.
     lines = map(re.Match.group, re.finditer("[^\n]+", text))
@@ -239,8 +252,35 @@ def log_from_csv(text: str, config: ScenarioConfig) -> TrajectoryLog:
     if hi not in (0, n):
         raise ConfigError(f"row {min(hi, n) + 1} is {'missing' if hi < n else 'past the end'}: "
                           f"duration {config.duration:g} s at dt {config.dt:g} s makes {n} rows")
+    _check_labels(table[:hi], labels)
     arrays = _log_arrays(table[:hi])
     return TrajectoryLog(config=config, **arrays, **labels, **_saturated_totals(arrays, config))
+
+
+def _check_labels(table: np.ndarray, labels: dict) -> None:
+    """A ConfigError naming the first row and column where a region is not in
+    _REGIONS, a region is "none" or an xi NaN other than exactly where its
+    detection flag is 0, or an eventFlags token is not in _EVENTS."""
+    for pair in ("us", "su"):
+        tag, regions = pair.upper(), labels[f"region_{pair}"]
+        if unknown := set(regions) - _REGIONS:
+            k = next(k for k, label in enumerate(regions) if label in unknown)
+            raise ConfigError(f"row {k + 1} column region{tag} is not a region: {regions[k]!r}")
+        seen = table[:, _TABLE_CELLS.index((f"detected_{pair}", 0))]
+        xi = table[:, _TABLE_CELLS.index((f"xi_{pair}", 0))]
+        for column, values, unseen in (
+            (f"region{tag}", regions, np.array(regions, dtype=object) == "none"),
+            (f"xi{tag}", xi, np.isnan(xi)),
+        ):
+            if (wrong := unseen != (seen == 0.0)).any():
+                k = int(wrong.argmax())
+                raise ConfigError(f"row {k + 1} column {column} is {values[k]} where detected{tag} "
+                                  f"is {seen[k]:g}: only undetected rows are none and NaN")
+    flags = labels["event_flags"]
+    if {token for cell in set(flags) if cell for token in cell.split(";")} - _EVENTS:
+        k, token = next((k, token) for k, cell in enumerate(flags) if cell
+                        for token in cell.split(";") if token not in _EVENTS)
+        raise ConfigError(f"row {k + 1} column eventFlags holds {token!r}, not an event")
 
 
 def _rescan(rows: list, lo: int) -> np.ndarray:

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .config import Lawnmower, planner_waypoints
+from .config import planner_waypoints
 from .log import TrajectoryLog
 
 _WIDTH = 660

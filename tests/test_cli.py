@@ -343,9 +343,25 @@ def with_cell(column, value):
         (with_cell("xU", "inf"), "row 3 column xU is not finite: inf"),
         (with_cell("xU", "1e999"), "row 3 column xU is not finite: inf"),
         (with_cell("t", "nan"), "row 3 column t is not finite: nan"),
+        # run() writes region "none" and xi NaN exactly on undetected rows
+        (with_cell("regionUS", "bogus"), "row 3 column regionUS is not a region: 'bogus'"),
+        (with_cell("detectedUS", "0"), "row 3 column regionUS is safe where detectedUS is 0"),
+        (with_cell("regionSU", "none"), "row 3 column regionSU is none where detectedSU is 1"),
+        (with_cell("xiUS", "nan"), "row 3 column xiUS is nan where detectedUS is 1"),
+        (lambda cells: with_cell("regionSU", "none")(with_cell("detectedSU", "0")(cells)),
+         "row 3 column xiSU is 0.0336184668519 where detectedSU is 0"),
+        # and only the events _event_flags derives
+        (with_cell("eventFlags", "not_an_event"),
+         "row 3 column eventFlags holds 'not_an_event', not an event"),
+        (with_cell("eventFlags", "perturb_start;region_us:safe-safe"),
+         "row 3 column eventFlags holds 'region_us:safe-safe', not an event"),
+        (with_cell("eventFlags", "los_loss_us;"), "row 3 column eventFlags holds '', not an event"),
     ],
     ids=["short_row", "non_numeric_cell", "bad_detection_flag",
-         "pose_nan", "pose_inf", "pose_overflow", "time_nan"],
+         "pose_nan", "pose_inf", "pose_overflow", "time_nan",
+         "region_unknown", "region_on_undetected_row", "none_on_detected_row",
+         "xi_nan_on_detected_row", "xi_on_undetected_row",
+         "event_unknown", "event_region_unchanged", "event_empty_token"],
 )
 def test_plot_rejects_a_corrupt_trajectory(tmp_path, capsys, corrupt, message):
     src = tmp_path / "bundle"
