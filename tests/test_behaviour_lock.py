@@ -22,9 +22,13 @@ robot pushed toward one corner and the floor, then toward the other corner
 and the top) clamps each robot on every face it has: x, y and z under
 water, x and y on the surface.
 
-Re-record only in a change that is meant to alter the program's outputs:
+The entry point records only the entries the reference lacks (a new probe,
+say) and leaves every existing entry byte for byte:
 
     PYTHONPATH=src python tests/test_behaviour_lock.py
+
+To re-record an entry, in a change that is meant to alter the program's
+outputs, delete it from behaviour_lock.json first.
 """
 
 import hashlib
@@ -37,8 +41,8 @@ import numpy as np
 import pytest
 
 import vetsim.scenario as scenario
-from vetsim.metrics import summarize
 from vetsim.config import ScenarioConfig
+from vetsim.metrics import summarize
 from vetsim.scenario import PRESET_NAMES, preset, run
 
 REFERENCE = Path(__file__).with_name("behaviour_lock.json")
@@ -203,10 +207,11 @@ def test_the_tolerance_rejects_a_real_change():
 
 
 if __name__ == "__main__":
-    runs = {
-        f"{name}/{mode}": _record(run(_config(name, mode)))
-        for name in (*PRESET_NAMES, *PROBES) for mode in MODES
-    }
-    doc = {"stride": STRIDE, "threshold": THRESHOLD, "runs": runs}
+    doc = (json.loads(REFERENCE.read_text()) if REFERENCE.exists()
+           else {"stride": STRIDE, "threshold": THRESHOLD, "runs": {}})
+    missing = [(name, mode) for name in (*PRESET_NAMES, *PROBES) for mode in MODES
+               if f"{name}/{mode}" not in doc["runs"]]
+    for name, mode in missing:
+        doc["runs"][f"{name}/{mode}"] = _record(run(_config(name, mode)))
     REFERENCE.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {REFERENCE} ({len(runs)} runs)", file=sys.stderr)
+    print(f"added {len(missing)} runs to {REFERENCE} ({len(doc['runs'])} in all)", file=sys.stderr)
