@@ -274,8 +274,9 @@ def _check_labels(table: np.ndarray, labels: dict) -> None:
         ):
             if (wrong := unseen != (seen == 0.0)).any():
                 k = int(wrong.argmax())
-                raise ConfigError(f"row {k + 1} column {column} is {values[k]} where detected{tag} "
-                                  f"is {seen[k]:g}: only undetected rows are none and NaN")
+                raise ConfigError(f"row {k + 1} column {column} is {values[k]} where "
+                                  f"detected{tag} is {seen[k]:g}: only undetected rows are "
+                                  "none and NaN")
     flags = labels["event_flags"]
     if {token for cell in set(flags) if cell for token in cell.split(";")} - _EVENTS:
         k, token = next((k, token) for k, cell in enumerate(flags) if cell

@@ -34,3 +34,32 @@ def unreferenced_public_names(src: Path) -> list:
 
 def test_every_unreferenced_public_name_is_allowed_with_a_reason():
     assert unreferenced_public_names(SRC) == sorted(UNREFERENCED_ALLOWED)
+
+
+# The package's import order: each module imports only the modules before it.
+LAYERS = ("frames", "perception", "control", "vehicle", "config", "log", "scenario",
+          "metrics", "plotting", "cli")
+
+
+def package_imports(path: Path) -> set:
+    """The vetsim modules the file at path imports, relatively or by name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module if node.level == 0 else f"vetsim.{node.module or ''}"
+            if module in ("vetsim", "vetsim."):  # from . import x, from vetsim import x
+                found |= {f"vetsim.{a.name}" for a in node.names}
+            elif module.startswith("vetsim."):
+                found.add(module)
+        elif isinstance(node, ast.Import):
+            found |= {a.name for a in node.names if a.name.startswith("vetsim.")}
+    return {name.removeprefix("vetsim.").split(".")[0] for name in found}
+
+
+def test_modules_import_only_earlier_layers_and_the_bundle_code_not_the_loop():
+    assert {path.stem for path in SRC.glob("*.py")} == {"__init__", *LAYERS}
+    for k, module in enumerate(LAYERS):
+        imported = package_imports(SRC / f"{module}.py")
+        assert imported <= set(LAYERS[:k]), f"{module} imports {sorted(imported)}"
+        if module in ("metrics", "plotting"):
+            assert "scenario" not in imported, f"{module} imports the simulation loop"
