@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 configuration problem, 3 simulation failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -127,7 +128,7 @@ def _build_config(args) -> ScenarioConfig:
     if args.seed is not None:
         tree["seed"] = args.seed
     cfg = ScenarioConfig.from_dict(tree)
-    if round(cfg.duration / cfg.dt) < 1:
+    if cfg.steps < 1:
         raise ConfigError(f"duration {cfg.duration:g} s is under one tick (dt {cfg.dt:g} s); "
                           "a bundle needs two records")
     return cfg
@@ -197,22 +198,21 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     base = _out_dir(args)
+    cfg = _build_config(args)
     results = {}
     for mode in ("vet", "baseline"):
-        args.mode = mode
-        cfg = _build_config(args)
-        log = run(cfg)
-        results[mode] = (cfg, log, _render_bundle(log, args.threshold))
-    for mode, (_, _, files) in results.items():
+        log = run(dataclasses.replace(cfg, mode=mode))
+        results[mode] = (log, _render_bundle(log, args.threshold))
+    for mode, (_, files) in results.items():
         _write_bundle(base / mode, files)
-    log_vet = results["vet"][1]
-    log_base = results["baseline"][1]
+    log_vet = results["vet"][0]
+    log_base = results["baseline"][0]
     overlay = plotting.plot_distance_overlay(
         log_vet, log_base, "tethered", "one-way", args.threshold
     )
     _write_atomic(base / "distance_overlay.svg", overlay)
-    sum_vet = json.loads(results["vet"][2]["summary.json"])
-    sum_base = json.loads(results["baseline"][2]["summary.json"])
+    sum_vet = json.loads(results["vet"][1]["summary.json"])
+    sum_base = json.loads(results["baseline"][1]["summary.json"])
     delta = {
         "scenario": log_vet.config.name,
         "distance_threshold": args.threshold,

@@ -94,9 +94,10 @@ def planner_waypoints(spec) -> tuple:
     return tuple(tuple(float(v) for v in wp) for wp in spec.waypoints)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """Complete, serialisable description of one run."""
+    """Complete, serialisable description of one run; checked when it is made,
+    so derive a changed one with dataclasses.replace."""
 
     name: str
     mode: str
@@ -123,7 +124,7 @@ class ScenarioConfig:
     perturbations: tuple[Disturbance, ...] = ()
     dropout: DropoutModel = field(default_factory=DropoutModel)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         # the planner's type first: to_dict below can only encode the two kinds
         if not isinstance(self.planner, (Setpoints, Lawnmower)):
             raise ConfigError("planner must be Setpoints or Lawnmower")
@@ -157,16 +158,20 @@ class ScenarioConfig:
             raise ConfigError("underwater model is 6-DoF, surface model 3-DoF")
         planner_waypoints(self.planner)  # raises InvalidBounds on bad areas
 
+    @property
+    def steps(self) -> int:
+        """Integration steps of one run, whose log holds steps + 1 rows; the
+        ratio is finite, as construction checked it against MAX_TICKS."""
+        return round(self.duration / self.dt)
+
     def to_dict(self) -> dict:
         return _encode(self, ScenarioConfig)
 
     @staticmethod
     def from_dict(data: dict) -> "ScenarioConfig":
-        """A validated config from its to_dict form, schemas v1 and v2 included;
-        raises ConfigError on anything else."""
-        cfg = _decode(_pd_u_v3(data), ScenarioConfig, "")
-        cfg.validate()
-        return cfg
+        """A config from its to_dict form, schemas v1 and v2 included; raises
+        ConfigError on anything else."""
+        return _decode(_pd_u_v3(data), ScenarioConfig, "")
 
 
 def _non_finite_paths(tree, path: str = "") -> list:
@@ -194,7 +199,7 @@ def _non_finite_paths(tree, path: str = "") -> list:
 # class name. A number keeps its JSON type: an int field takes only an
 # integer and a float field an integer or a float, neither a bool, and a str
 # field only a string (_SCALAR_TYPES). Lengths and ranges are checked
-# by the dataclasses themselves and by ScenarioConfig.validate.
+# by the dataclasses themselves, ScenarioConfig's cross-field rules included.
 _SCALAR_TYPES = {int: (int,), float: (int, float), str: (str,)}
 
 # Keys of config schema v1 that v2 removed: dotted key -> (the one value that
@@ -273,6 +278,8 @@ def _decode(data, hint, path: str):
                   for name, sub in expected.items()}
         try:
             return hint(**values)
+        except ConfigError:  # ScenarioConfig's own rules name their fields
+            raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed config{at}: {exc}") from exc
     if get_origin(hint) is tuple:

@@ -244,8 +244,8 @@ def log_from_csv(text: str, config: ScenarioConfig) -> TrajectoryLog:
     if (bad := _first_non_finite(table[:hi])) is not None:
         k, c = bad  # these columns lead both the table and the CSV, in one order
         raise ConfigError(f"row {k + 1} column {CSV_COLUMNS[c]} is not finite: {table[bad]:g}")
-    # run() writes round(duration / dt) + 1 rows, row k at t = k * dt (to 12 digits)
-    ts, n = np.arange(hi) * config.dt, round(config.duration / config.dt) + 1
+    # run() writes config.steps + 1 rows, row k at t = k * dt (to 12 digits)
+    ts, n = np.arange(hi) * config.dt, config.steps + 1
     if (off := np.flatnonzero(np.abs(table[:hi, 0] - ts) > 1e-11 * ts)).size:
         k = int(off[0])
         raise ConfigError(f"row {k + 1} column t is {table[k, 0]:.12g}, not {k} * dt = {ts[k]:.12g}")

@@ -183,10 +183,10 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
     u_sub, u_xi as it is. Each tick's numbers go to
     one flat row buffer that becomes the log's arrays; the saturated totals
     are derived from the logged split after the loop, as log_from_csv does.
+    A ScenarioConfig is checked when it is made, so run() trusts it.
     """
-    config.validate()
     dt = config.dt
-    n_steps = int(round(config.duration / dt))
+    n_steps = config.steps
     n_rec = n_steps + 1
     ts = np.arange(n_rec) * dt  # k * dt, bit for bit
 
@@ -299,55 +299,12 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
 # -- presets ---------------------------------------------------------------
 
 # 180 degree flip about body x, written exactly so sign patterns stay exact.
-_FLIP_X = ((1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0))
+_FLIP_X = RigidTransform(((1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0)), (0.0, 0.0, 0.0))
 
 
-def _underwater_params() -> VehicleParams:
-    # Thrust gains solve d_lin*v + d_quad*v^2 = gain*v at the command bound,
-    # so a full command settles at exactly 0.1 m/s (0.2 rad/s in yaw).
-    return VehicleParams(
-        mass=(11.5, 11.5, 11.5, 0.16, 0.16, 0.16),
-        damping_linear=(4.0, 4.0, 4.0, 0.07, 0.07, 0.07),
-        damping_quadratic=(18.0, 18.0, 18.0, 1.55, 1.55, 1.55),
-        thrust_gain=(5.8, 5.8, 5.8, 0.38, 0.38, 0.38),
-        velocity_bound_linear=0.1,
-        velocity_bound_angular=0.2,
-    )
-
-
-def _surface_params() -> VehicleParams:
-    return VehicleParams(
-        mass=(14.0, 14.0, 0.25),
-        damping_linear=(5.0, 5.0, 0.2),
-        damping_quadratic=(20.0, 20.0, 1.0),
-        thrust_gain=(7.0, 7.0, 0.4),
-        velocity_bound_linear=0.1,
-        velocity_bound_angular=0.2,
-    )
-
-
-def _camera_u() -> CameraModel:
-    """Upward camera on the underwater robot; camera frame equals body frame."""
-    return CameraModel(640, 480, 400.0, RigidTransform.identity())
-
-
-def _camera_s() -> CameraModel:
-    """Downward camera on the surface robot, flipped 180 degrees about x."""
-    return CameraModel(640, 480, 400.0, RigidTransform(_FLIP_X, (0.0, 0.0, 0.0)))
-
-
-def _tag_u() -> TagModel:
-    """Tag on top of the underwater robot, facing up."""
-    return TagModel(0.1, RigidTransform.identity())
-
-
-def _tag_s() -> TagModel:
-    """Tag under the surface robot, facing down."""
-    return TagModel(0.1, RigidTransform(_FLIP_X, (0.0, 0.0, 0.0)))
-
-
-def _base_config(name: str) -> ScenarioConfig:
-    return ScenarioConfig(
+def _base_config(name: str, **changes) -> ScenarioConfig:
+    """The setup every preset shares, with one preset's fields changed."""
+    base = dict(
         name=name,
         mode="vet",
         dt=0.02,
@@ -357,12 +314,30 @@ def _base_config(name: str) -> ScenarioConfig:
         tank_max=(3.88, 2.66, 0.0),
         initial_pose_u=(0.0, 0.0, -1.0, 0.0, 0.0, 0.0),
         initial_pose_s=(0.0, 0.0, 0.0),
-        params_u=_underwater_params(),
-        params_s=_surface_params(),
-        camera_u=_camera_u(),
-        camera_s=_camera_s(),
-        tag_u=_tag_u(),
-        tag_s=_tag_s(),
+        # Thrust gains solve d_lin*v + d_quad*v^2 = gain*v at the command bound,
+        # so a full command settles at exactly 0.1 m/s (0.2 rad/s in yaw).
+        params_u=VehicleParams(
+            mass=(11.5, 11.5, 11.5, 0.16, 0.16, 0.16),
+            damping_linear=(4.0, 4.0, 4.0, 0.07, 0.07, 0.07),
+            damping_quadratic=(18.0, 18.0, 18.0, 1.55, 1.55, 1.55),
+            thrust_gain=(5.8, 5.8, 5.8, 0.38, 0.38, 0.38),
+            velocity_bound_linear=0.1,
+            velocity_bound_angular=0.2,
+        ),
+        params_s=VehicleParams(
+            mass=(14.0, 14.0, 0.25),
+            damping_linear=(5.0, 5.0, 0.2),
+            damping_quadratic=(20.0, 20.0, 1.0),
+            thrust_gain=(7.0, 7.0, 0.4),
+            velocity_bound_linear=0.1,
+            velocity_bound_angular=0.2,
+        ),
+        # the upward camera's frame is the underwater robot's body frame; the
+        # surface robot's camera looks down, and each tag faces the other robot
+        camera_u=CameraModel(640, 480, 400.0, RigidTransform.identity()),
+        camera_s=CameraModel(640, 480, 400.0, _FLIP_X),
+        tag_u=TagModel(0.1, RigidTransform.identity()),
+        tag_s=TagModel(0.1, _FLIP_X),
         pd_u=uniform_pd(0.5, 0.15),
         pd_s=uniform_pd(5.0, 5.0),
         vet=VetGains(k_safe_p=0.5, k_elastic_p=1.0, k_elastic_d=0.15),
@@ -371,97 +346,72 @@ def _base_config(name: str) -> ScenarioConfig:
         pitch_target=0.0,
         planner=Setpoints(((1.0, 1.0, -1.57),)),
     )
+    return ScenarioConfig(**(base | changes))
 
 
-def _preset_nominal() -> ScenarioConfig:
-    return _base_config("nominal")
-
-
-def _preset_perturbation_sim() -> ScenarioConfig:
-    cfg = _base_config("perturbation_sim")
-    cfg.initial_pose_u = (0.1, 0.0, -1.0, 0.0, 0.0, 0.0)
-    cfg.initial_pose_s = (0.1, 0.0, 0.0)
-    cfg.planner = Setpoints(((0.1, 3.0, 0.0),))
-    cfg.tank_min = (-2.0, -0.5, -2.66)
-    cfg.tank_max = (2.88, 3.16, 0.0)
-    cfg.duration = 60.0
-    # 10 N pull along -x for 3 s, starting where the convoy crosses y = 0.75
-    # (calibrated against the nominal convoy speed of the sim gains).
-    cfg.perturbations = (
-        Disturbance(force=(-10.0, 0.0, 0.0), t_start=11.0, t_end=14.0),
-    )
-    return cfg
-
-
-def _preset_navigation_sim() -> ScenarioConfig:
-    cfg = _base_config("navigation_sim")
-    cfg.initial_pose_u = (1.1, -0.25, -1.0, 0.0, 0.0, 0.0)
-    cfg.initial_pose_s = (1.1, -0.25, 0.0)
-    cfg.planner = Lawnmower(
-        x_min=1.1, x_max=3.1, y_min=-0.25, y_max=1.55,
-        lane_spacing=0.6, speed=0.1, capture_radius=0.15,
-    )
-    cfg.tank_min = (-0.5, -1.0, -2.66)
-    cfg.tank_max = (4.38, 2.66, 0.0)
-    cfg.duration = 300.0
-    return cfg
-
-
-def _preset_perturbation_real() -> ScenarioConfig:
-    cfg = _base_config("perturbation_real")
-    cfg.initial_pose_u = (0.2, -0.5, -1.0, 0.0, 0.0, 0.0)
-    cfg.initial_pose_s = (0.2, -0.5, 0.0)
-    cfg.planner = Setpoints(((1.0, -2.5, 0.0),))
-    cfg.tank_min = (-1.0, -3.0, -2.66)
-    cfg.tank_max = (3.88, 0.66, 0.0)
-    cfg.pd_s = uniform_pd(1.0, 0.5)
-    cfg.vet = VetGains(k_safe_p=0.35, k_elastic_p=1.0, k_elastic_d=0.15)
-    cfg.duration = 60.0
-    # Same pull shape as the sim preset, at this preset's y = -1 crossing.
-    cfg.perturbations = (
-        Disturbance(force=(-10.0, 0.0, 0.0), t_start=9.5, t_end=12.5),
-    )
-    return cfg
-
-
-def _preset_navigation_real() -> ScenarioConfig:
-    cfg = _base_config("navigation_real")
-    cfg.initial_pose_u = (0.2, -2.2, -1.0, 0.0, 0.0, 0.0)
-    cfg.initial_pose_s = (0.2, -2.2, 0.0)
-    cfg.planner = Lawnmower(
-        x_min=0.2, x_max=3.0, y_min=-2.2, y_max=-0.4,
-        lane_spacing=0.6, speed=0.1, capture_radius=0.15,
-    )
-    cfg.tank_min = (-0.5, -3.0, -2.66)
-    cfg.tank_max = (4.38, 0.66, 0.0)
-    cfg.pd_s = uniform_pd(1.0, 0.5)
-    cfg.vet = VetGains(k_safe_p=0.35, k_elastic_p=1.0, k_elastic_d=0.15)
-    cfg.duration = 340.0
-    # Scheduled blackouts of the upward camera: one long window that breaks
-    # the one-way baseline for good, then two short ones the tether rides out.
-    cfg.dropout = DropoutModel(scheduled_windows=((65.0, 73.0), (75.0, 77.0), (85.0, 87.0)))
-    return cfg
-
-
-
-
+# Each preset's changes to _base_config; configs and their parts are frozen,
+# so every preset() call may share them.
 _PRESETS = {
-    "nominal": _preset_nominal,
-    "perturbation_sim": _preset_perturbation_sim,
-    "navigation_sim": _preset_navigation_sim,
-    "perturbation_real": _preset_perturbation_real,
-    "navigation_real": _preset_navigation_real,
+    "nominal": {},
+    "perturbation_sim": dict(
+        initial_pose_u=(0.1, 0.0, -1.0, 0.0, 0.0, 0.0),
+        initial_pose_s=(0.1, 0.0, 0.0),
+        planner=Setpoints(((0.1, 3.0, 0.0),)),
+        tank_min=(-2.0, -0.5, -2.66),
+        tank_max=(2.88, 3.16, 0.0),
+        # 10 N pull along -x for 3 s, starting where the convoy crosses y = 0.75
+        # (calibrated against the nominal convoy speed of the sim gains).
+        perturbations=(Disturbance(force=(-10.0, 0.0, 0.0), t_start=11.0, t_end=14.0),),
+    ),
+    "navigation_sim": dict(
+        initial_pose_u=(1.1, -0.25, -1.0, 0.0, 0.0, 0.0),
+        initial_pose_s=(1.1, -0.25, 0.0),
+        planner=Lawnmower(
+            x_min=1.1, x_max=3.1, y_min=-0.25, y_max=1.55,
+            lane_spacing=0.6, speed=0.1, capture_radius=0.15,
+        ),
+        tank_min=(-0.5, -1.0, -2.66),
+        tank_max=(4.38, 2.66, 0.0),
+        duration=300.0,
+    ),
+    "perturbation_real": dict(
+        initial_pose_u=(0.2, -0.5, -1.0, 0.0, 0.0, 0.0),
+        initial_pose_s=(0.2, -0.5, 0.0),
+        planner=Setpoints(((1.0, -2.5, 0.0),)),
+        tank_min=(-1.0, -3.0, -2.66),
+        tank_max=(3.88, 0.66, 0.0),
+        pd_s=uniform_pd(1.0, 0.5),
+        vet=VetGains(k_safe_p=0.35, k_elastic_p=1.0, k_elastic_d=0.15),
+        # Same pull shape as the sim preset, at this preset's y = -1 crossing.
+        perturbations=(Disturbance(force=(-10.0, 0.0, 0.0), t_start=9.5, t_end=12.5),),
+    ),
+    "navigation_real": dict(
+        initial_pose_u=(0.2, -2.2, -1.0, 0.0, 0.0, 0.0),
+        initial_pose_s=(0.2, -2.2, 0.0),
+        planner=Lawnmower(
+            x_min=0.2, x_max=3.0, y_min=-2.2, y_max=-0.4,
+            lane_spacing=0.6, speed=0.1, capture_radius=0.15,
+        ),
+        tank_min=(-0.5, -3.0, -2.66),
+        tank_max=(4.38, 0.66, 0.0),
+        pd_s=uniform_pd(1.0, 0.5),
+        vet=VetGains(k_safe_p=0.35, k_elastic_p=1.0, k_elastic_d=0.15),
+        duration=340.0,
+        # Scheduled blackouts of the upward camera: one long window that breaks
+        # the one-way baseline for good, then two short ones the tether rides out.
+        dropout=DropoutModel(scheduled_windows=((65.0, 73.0), (75.0, 77.0), (85.0, 87.0))),
+    ),
 }
 
 PRESET_NAMES = tuple(sorted(_PRESETS))
 
 
 def preset(name: str) -> ScenarioConfig:
-    """Build a fresh config for one of the named experiment presets."""
+    """The config of one of the named experiment presets."""
     try:
-        builder = _PRESETS[name]
+        changes = _PRESETS[name]
     except KeyError:
         raise UnknownPreset(
             f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}"
         ) from None
-    return builder()
+    return _base_config(name, **changes)

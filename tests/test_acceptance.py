@@ -4,6 +4,7 @@ Each test prints a single PASS/FAIL line through the capture-disabled
 stream so the verdicts are visible in any pytest invocation.
 """
 
+import dataclasses
 import inspect
 import math
 import time
@@ -90,8 +91,7 @@ def test_criterion_2_perturbation_ordering(capsys):
     parts = []
     for name, threshold in (("perturbation_sim", 0.6), ("perturbation_real", 0.3)):
         cfg_vet = preset(name)
-        cfg_base = preset(name)
-        cfg_base.mode = "baseline"
+        cfg_base = dataclasses.replace(cfg_vet, mode="baseline")
         t0 = time.perf_counter()
         log_vet = run(cfg_vet)
         log_base = run(cfg_base)
@@ -122,8 +122,7 @@ def test_criterion_2_perturbation_ordering(capsys):
 
 def test_criterion_3_navigation_formation_bound(capsys):
     cfg_vet = preset("navigation_sim")
-    cfg_base = preset("navigation_sim")
-    cfg_base.mode = "baseline"
+    cfg_base = dataclasses.replace(cfg_vet, mode="baseline")
     t0 = time.perf_counter()
     log_vet = run(cfg_vet)
     log_base = run(cfg_base)
@@ -146,8 +145,7 @@ def test_criterion_3_navigation_formation_bound(capsys):
 
 def test_criterion_4_dropout_robustness(capsys):
     cfg_vet = preset("navigation_real")
-    cfg_base = preset("navigation_real")
-    cfg_base.mode = "baseline"
+    cfg_base = dataclasses.replace(cfg_vet, mode="baseline")
     log_vet = run(cfg_vet)
     log_base = run(cfg_base)
 
@@ -332,10 +330,8 @@ def _check_pnp_round_trip():
 
 
 def _check_determinism():
-    cfg_a = preset("nominal")
-    cfg_a.duration = 2.0
-    cfg_b = preset("nominal")
-    cfg_b.duration = 2.0
+    cfg_a = dataclasses.replace(preset("nominal"), duration=2.0)
+    cfg_b = dataclasses.replace(preset("nominal"), duration=2.0)
     assert run(cfg_a).to_csv_text() == run(cfg_b).to_csv_text()
 
 

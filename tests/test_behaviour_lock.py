@@ -31,6 +31,7 @@ To re-record an entry, in a change that is meant to alter the program's
 outputs, delete it from behaviour_lock.json first.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -58,8 +59,7 @@ def _config(name: str, mode: str) -> ScenarioConfig:
         cfg = ScenarioConfig.from_dict(json.loads(REFERENCE.with_name(f"{name}.json").read_text()))
     else:
         cfg = preset(name)
-    cfg.mode = mode
-    return cfg
+    return dataclasses.replace(cfg, mode=mode)
 
 
 def _record(log) -> dict:

@@ -132,6 +132,26 @@ def test_invalid_values_fail_cleanly_before_the_run(tmp_path, capsys, args):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--preset", "nominal", "--seed", "-1"], "seed must be non-negative, got -1"),
+    (["--preset", "nominal", "--set", "mode=teleport"],
+     "mode must be 'vet' or 'baseline', got 'teleport'"),
+    (["--preset", "nominal", "--set", "dt=0.5"], "dt must be in (0, 0.1] seconds"),
+    (["--preset", "nominal", "--set", "vet.k_psi=NaN"],
+     "numbers that are not finite floats at vet.k_psi"),
+    (["--preset", "navigation_sim", "--set", "planner.lane_spacing=1e-300"],
+     "lawnmower area needs more than 10000 lanes"),
+    (["--preset", "nominal", "--set", "duration=0.001"],
+     "duration 0.001 s is under one tick (dt 0.02 s); a bundle needs two records"),
+], ids=["seed", "mode", "dt", "nan", "lanes", "under_one_tick"])
+def test_a_config_error_prints_its_rule(tmp_path, capsys, args, message):
+    out = tmp_path / "bundle"
+    assert run_cli("run", *args, "--out", str(out)) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"config error: {message}\n")
+
+
 def test_a_v2_config_with_a_yaw_gain_fails_cleanly(tmp_path, capsys):
     data = json.loads((ECHOES / "v2" / "nominal.json").read_text())
     assert run_cli("run", "--config", str(ECHOES / "v2" / "nominal.json"),
@@ -264,6 +284,15 @@ def test_compare_writes_both_bundles_and_the_delta(tmp_path, capsys):
     assert set(delta) >= {"vet", "baseline", "baseline_lost_los", "vet_lost_los"}
     assert delta["vet"]["mode"] == "vet"
     assert delta["baseline"]["mode"] == "baseline"
+
+
+def test_compare_runs_each_mode_whatever_the_config_says(tmp_path, capsys):
+    out = tmp_path / "cmp"
+    code = run_cli("compare", "--preset", "nominal", "--set", "mode=baseline",
+                   "--set", "duration=0.2", "--out", str(out))
+    assert code == 0
+    for mode in ("vet", "baseline"):
+        assert json.loads((out / mode / "config_echo.json").read_text())["mode"] == mode
 
 
 def test_plot_regenerates_identical_svgs(tmp_path, capsys):

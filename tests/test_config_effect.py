@@ -15,6 +15,7 @@ baseline does, and the tether law's own gains.
 """
 
 import copy
+import dataclasses
 import json
 from pathlib import Path
 
@@ -66,9 +67,7 @@ def _nudged(tree: dict, path: tuple) -> dict:
 
 
 def _csv(tree: dict) -> str:
-    cfg = ScenarioConfig.from_dict(tree)
-    cfg.mode = "vet"
-    return run(cfg).to_csv_text()
+    return run(dataclasses.replace(ScenarioConfig.from_dict(tree), mode="vet")).to_csv_text()
 
 
 def _copies() -> list:

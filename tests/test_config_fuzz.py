@@ -3,6 +3,7 @@ fails with a config error (exit 2) or a simulation failure (exit 3), and a
 failed command writes nothing."""
 
 import copy
+import dataclasses
 import json
 import math
 import tempfile
@@ -96,9 +97,8 @@ def test_from_dict_returns_a_valid_config_or_raises_config_error(case):
     except ConfigError:
         return
     # a valid config is one the loop accepts: two ticks run or fail as a simulation
-    cfg.duration = 2 * cfg.dt
     try:
-        run(cfg)
+        run(dataclasses.replace(cfg, duration=2 * cfg.dt))
     except SimFailure:
         pass
 

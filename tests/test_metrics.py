@@ -1,5 +1,6 @@
 """Run-level metrics: distances, recovery timing, settling, pose recovery."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -39,11 +40,12 @@ def make_log(
     """A minimal but structurally complete log for metric tests."""
     t = np.asarray(t, dtype=float)
     n = len(t)
-    cfg = preset("nominal")
-    cfg.duration = float(t[-1]) if n else 0.0
-    cfg.planner = Setpoints(((0.0, 0.0, 0.0),) * total)
-    if perturbations is not None:
-        cfg.perturbations = tuple(perturbations)
+    cfg = dataclasses.replace(
+        preset("nominal"),
+        duration=float(t[-1]) if n else 0.0,
+        planner=Setpoints(((0.0, 0.0, 0.0),) * total),
+        perturbations=tuple(perturbations or ()),
+    )
     dist = np.asarray(dist, dtype=float)
     if detected is None:
         detected = np.ones(n, dtype=bool)

@@ -2,7 +2,12 @@
 is referenced by some other src code, or is listed here with its reason."""
 
 import ast
+from dataclasses import is_dataclass
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin
+
+from vetsim.config import ScenarioConfig, _field_types
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "vetsim"
 
@@ -63,3 +68,18 @@ def test_modules_import_only_earlier_layers_and_the_bundle_code_not_the_loop():
         assert imported <= set(LAYERS[:k]), f"{module} imports {sorted(imported)}"
         if module in ("metrics", "plotting"):
             assert "scenario" not in imported, f"{module} imports the simulation loop"
+
+
+def config_dataclasses(hint) -> set:
+    """The dataclasses a config value of type hint may hold, hint included."""
+    if isinstance(hint, UnionType) or get_origin(hint) is tuple:
+        return set().union(*map(config_dataclasses, get_args(hint)))
+    if is_dataclass(hint):
+        return {hint}.union(*map(config_dataclasses, _field_types(hint).values()))
+    return set()
+
+
+def test_every_config_type_is_frozen():
+    reached = config_dataclasses(ScenarioConfig)
+    assert len(reached) == 11  # ScenarioConfig and the ten types it holds
+    assert sorted(cls.__name__ for cls in reached if not cls.__dataclass_params__.frozen) == []

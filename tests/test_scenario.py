@@ -23,6 +23,8 @@ from vetsim.config import (
     MAX_LANES,
     ScenarioConfig,
     Setpoints,
+    _encode,
+    _field_types,
     lawnmower_path,
 )
 from vetsim.log import CSV_COLUMNS, TrajectoryLog, _event_flags, log_from_csv
@@ -45,12 +47,7 @@ ECHOES = Path(__file__).with_name("config_echoes")
 
 
 def short(name, duration, **tweaks):
-    cfg = preset(name)
-    cfg.duration = duration
-    for key, value in tweaks.items():
-        setattr(cfg, key, value)
-    cfg.validate()
-    return cfg
+    return dataclasses.replace(preset(name), duration=duration, **tweaks)
 
 
 # --- lawnmower planner ----------------------------------------------------------
@@ -153,9 +150,7 @@ def test_presets_are_known_and_validated():
         "perturbation_sim",
     )
     for name in PRESET_NAMES:
-        cfg = preset(name)
-        cfg.validate()
-        assert cfg.name == name
+        assert preset(name).name == name
 
 
 def test_unknown_preset_raises():
@@ -234,49 +229,57 @@ def test_config_rejects_unknown_and_missing_keys():
             ScenarioConfig.from_dict(data)
 
 
-def test_validate_rejects_bad_fields():
-    cfg = preset("nominal")
-    cfg.mode = "teleport"
-    with pytest.raises(ConfigError):
-        cfg.validate()
+NOMINAL = preset("nominal")
 
-    cfg = preset("nominal")
-    cfg.dt = 0.5
-    with pytest.raises(ConfigError):
-        cfg.validate()
 
-    cfg = preset("nominal")
-    cfg.tank_max = (cfg.tank_min[0], 2.66, 0.0)
-    with pytest.raises(ConfigError):
-        cfg.validate()
+def _rule(case_id, message, **changes):
+    return pytest.param(changes, message, id=case_id)
 
-    cfg = preset("nominal")
-    cfg.initial_pose_u = (99.0, 0.0, -1.0, 0.0, 0.0, 0.0)
-    with pytest.raises(ConfigError):
-        cfg.validate()
 
-    # the planner's type is checked before the config is serialised
-    cfg = preset("nominal")
-    cfg.planner = "x"
-    with pytest.raises(ConfigError, match="planner must be Setpoints or Lawnmower"):
-        cfg.validate()
-
-    cfg = preset("nominal")
-    cfg.seed = -1
-    with pytest.raises(ConfigError, match="seed must be non-negative"):
-        cfg.validate()
-
+@pytest.mark.parametrize("changes, message", [
+    _rule("mode", "mode must be 'vet' or 'baseline', got 'teleport'", mode="teleport"),
+    _rule("seed", "seed must be non-negative, got -1", seed=-1),
+    _rule("dt_high", "dt must be in (0, 0.1] seconds", dt=0.5),
+    _rule("dt_zero", "dt must be in (0, 0.1] seconds", dt=0.0),
+    _rule("duration", "duration must be non-negative", duration=-1.0),
+    _rule("ticks", "duration 1e+12 s at dt 0.02 s exceeds 1000000 ticks", duration=1e12),
+    _rule("nan", "numbers that are not finite floats at vet.k_psi",
+          vet=dataclasses.replace(NOMINAL.vet, k_psi=math.nan)),
     # an int beyond the float range is not a finite number either
-    cfg = preset("nominal")
-    cfg.camera_u = CameraModel(10**400, 480, 400.0, cfg.camera_u.mount)
-    with pytest.raises(ConfigError, match="not finite floats at camera_u.width"):
-        cfg.validate()
+    _rule("huge_int", "numbers that are not finite floats at camera_u.width",
+          camera_u=CameraModel(10**400, 480, 400.0, NOMINAL.camera_u.mount)),
+    _rule("tank_length", "tank bounds are 3-vectors", tank_min=(-1.0, -1.0)),
+    _rule("tank_extent", "tank must have positive extent on every axis",
+          tank_max=(-1.0, 2.66, 0.0)),
+    _rule("pose_length", "initial poses are a 6-tuple and a 3-tuple", initial_pose_s=(0.0, 0.0)),
+    _rule("pose_u_outside", "underwater initial pose lies outside the tank",
+          initial_pose_u=(99.0, 0.0, -1.0, 0.0, 0.0, 0.0)),
+    _rule("pose_s_outside", "surface initial pose lies outside the tank",
+          initial_pose_s=(0.0, 99.0, 0.0)),
+    _rule("dof", "underwater model is 6-DoF, surface model 3-DoF", params_u=NOMINAL.params_s),
+    _rule("lanes", "lawnmower area needs more than 10000 lanes",
+          planner=Lawnmower(0.0, 1.0, 0.0, 1.0, 1e-300)),
+])
+def test_a_config_breaking_a_rule_is_never_made(changes, message):
+    """Each rule holds for a config derived with dataclasses.replace and for
+    one read from_dict, with the same message."""
+    exact = f"^{re.escape(message)}$"
+    with pytest.raises(ConfigError, match=exact):
+        dataclasses.replace(NOMINAL, **changes)
+    hints = _field_types(ScenarioConfig)
+    tree = NOMINAL.to_dict() | {key: _encode(value, hints[key]) for key, value in changes.items()}
+    with pytest.raises(ConfigError, match=exact):
+        ScenarioConfig.from_dict(tree)
 
 
-def test_preset_objects_are_independent():
-    a = preset("nominal")
-    a.duration = 1.0
-    assert preset("nominal").duration != 1.0
+def test_the_planner_type_is_checked_before_the_config_is_serialised():
+    with pytest.raises(ConfigError, match="planner must be Setpoints or Lawnmower"):
+        dataclasses.replace(NOMINAL, planner="x")
+
+
+def test_a_config_field_cannot_be_assigned():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        preset("nominal").duration = 1.0
 
 
 # --- the run loop ----------------------------------------------------------------------
