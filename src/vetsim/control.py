@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .frames import flat_transform, rotate, wrap_angle
-from .perception import CameraModel, Observation
+from .perception import CameraModel
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,11 @@ def subtask_control_underwater(
     """PD on depth, roll and pitch toward target (z, phi, theta), gains in that
     order; the x, y and yaw outputs are exactly zero: no sub-task drives them."""
     kp, kd = gains.kp, gains.kd
+    z, phi, theta, dz, dphi, dtheta = measured
     z_d, phi_d, theta_d = target
-    uz = kp[0] * (z_d - measured.z) + kd[0] * -measured.dz
-    uphi = kp[1] * wrap_angle(phi_d - measured.phi) + kd[1] * -measured.dphi
-    utheta = kp[2] * wrap_angle(theta_d - measured.theta) + kd[2] * -measured.dtheta
+    uz = kp[0] * (z_d - z) + kd[0] * -dz
+    uphi = kp[1] * wrap_angle(phi_d - phi) + kd[1] * -dphi
+    utheta = kp[2] * wrap_angle(theta_d - theta) + kd[2] * -dtheta
     return [0.0, 0.0, uz, uphi, utheta, 0.0]
 
 
@@ -142,67 +143,60 @@ class VetGains:
             raise ValueError("rate_time_constant must be non-negative")
 
 
-class VetFilterState(NamedTuple):
-    """Per-controller memory: centre history, rate filter, held command."""
-
-    last_center: tuple | None = None
-    last_time: float | None = None
-    rate: tuple = (0.0, 0.0)
-    held_command: tuple = (0.0, 0.0, 0.0)
-    held_weight: float = 1.0
+VET_START = (None, None, (0.0, 0.0), (0.0, 0.0, 0.0), 1.0)
+"""The tether law's state before its first tick, in vet_law's layout."""
 
 
-def vet_law(
-    obs: Observation,
-    yaw: float,
-    t: float,
-    state: VetFilterState,
-    gains: VetGains,
-    cam: CameraModel,
-) -> tuple:
+def vet_law(obs: tuple, yaw: float, t: float, state: tuple, gains: VetGains,
+            cam: CameraModel) -> tuple:
     """One tick of the elastic tether law at time t.
 
     obs is the camera's observation of the tag (perception.observe, or
     perception.UNSEEN when it is not detected) and yaw the relative yaw from
-    project_tag; cam only normalises the centre rate. Returns ((u_x, u_y,
-    u_psi), subtask weight, new state): the camera-frame command, and the
-    leader-side fade factor derived from obs.penetration (1 in safe, ramping
-    to 0 inside the elastic band), which followers ignore.
+    project_tag; cam only normalises the centre rate. state is the law's
+    memory, the plain tuple (last_center, last_time, rate, held_command,
+    held_weight): the centre seen on the last tick (None if it was not
+    detected) and that tick's time, the low-passed centre rate (rx, ry), and
+    the last command and weight; VET_START is the state before the first
+    tick. Returns ((u_x, u_y, u_psi), subtask weight, new state): the
+    camera-frame command, and the leader-side fade factor derived from obs's
+    penetration (1 in safe, ramping to 0 inside the elastic band), which
+    followers ignore.
 
-    Detected: command from the region law on obs.error, clipped per axis to
-    u_max. Undetected: the held command decays with the configured
+    Detected: command from the region law on obs's error, clipped per axis
+    to u_max. Undetected: the held command decays with the configured
     half-life, reaching ~6% within two seconds at the default, and the
     weight relaxes back toward 1 at the same rate.
     """
-    center = obs.center
+    center, error, region, penetration, _ = obs
+    last_center, last_time, (rx, ry), held_command, held_weight = state
     if center is None:
-        if state.last_time is None:
+        if last_time is None:
             factor = 0.0
         else:
-            dt = max(t - state.last_time, 0.0)
+            dt = max(t - last_time, 0.0)
             factor = 0.5 ** (dt / gains.hold_half_life)
-        hx, hy, hpsi = state.held_command
+        hx, hy, hpsi = held_command
         held = (hx * factor, hy * factor, hpsi * factor)
-        weight = 1.0 - (1.0 - state.held_weight) * factor
-        return held, weight, VetFilterState(None, t, (0.0, 0.0), held, weight)
+        weight = 1.0 - (1.0 - held_weight) * factor
+        return held, weight, (None, t, (0.0, 0.0), held, weight)
 
-    ex, ey = obs.error
-    if state.last_center is not None and state.last_time is not None:
-        rx, ry = state.rate
-        dt = t - state.last_time
+    ex, ey = error
+    if last_center is not None and last_time is not None:
+        dt = t - last_time
         if dt > 0.0:
-            raw_x = (center[0] - state.last_center[0]) / (cam.width / 2.0) / dt
-            raw_y = (center[1] - state.last_center[1]) / (cam.height / 2.0) / dt
+            raw_x = (center[0] - last_center[0]) / (cam.width / 2.0) / dt
+            raw_y = (center[1] - last_center[1]) / (cam.height / 2.0) / dt
             alpha = dt / (gains.rate_time_constant + dt)
             rx = rx + alpha * (raw_x - rx)
             ry = ry + alpha * (raw_y - ry)
     else:
         rx = ry = 0.0
 
-    if obs.region == "safe":
+    if region == "safe":
         ux = gains.k_safe_p * ex
         uy = gains.k_safe_p * ey
-    elif obs.region == "elastic":
+    elif region == "elastic":
         ux = gains.k_elastic_p * ex + gains.k_elastic_d * rx
         uy = gains.k_elastic_p * ey + gains.k_elastic_d * ry
     else:
@@ -216,21 +210,22 @@ def vet_law(
     uy = min(max(uy, -gains.u_max_y), gains.u_max_y)
     command = (ux, uy, gains.k_psi * yaw)
 
-    weight = min(max(1.0 - obs.penetration / gains.yield_fraction, 0.0), 1.0)
-    return command, weight, VetFilterState(center, t, (rx, ry), command, weight)
+    weight = min(max(1.0 - penetration / gains.yield_fraction, 0.0), 1.0)
+    return command, weight, (center, t, (rx, ry), command, weight)
 
 
-def baseline_ibvs(obs: Observation, yaw: float, gains: VetGains) -> tuple:
+def baseline_ibvs(obs: tuple, yaw: float, gains: VetGains) -> tuple:
     """One-way visual servo: the follower's camera-frame command
     (u_x, u_y, u_psi). The leader gets no tether input in this mode.
 
-    obs and yaw as in vet_law. Uniform proportional gain on obs.error over
+    obs and yaw as in vet_law. Uniform proportional gain on obs's error over
     the whole image, no region logic, no derivative term; detection loss
     commands zero immediately.
     """
-    if obs.center is None:
+    center, error, _, _, _ = obs
+    if center is None:
         return (0.0, 0.0, 0.0)
-    ex, ey = obs.error
+    ex, ey = error
     ux = min(max(gains.k_elastic_p * ex, -gains.u_max_x), gains.u_max_x)
     uy = min(max(gains.k_elastic_p * ey, -gains.u_max_y), gains.u_max_y)
     return (ux, uy, gains.k_psi * yaw)

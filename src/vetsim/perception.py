@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -104,6 +103,9 @@ class DropoutModel:
 
 _MIN_DEPTH = 1e-9
 
+UNDETECTED = (None, 0.0, False)
+"""project_tag's result for every tag the camera does not detect."""
+
 
 def project_tag(observer: tuple, target: tuple, cam: CameraModel, tag: TagModel) -> tuple:
     """Project the target robot's tag into the observer's camera.
@@ -111,11 +113,13 @@ def project_tag(observer: tuple, target: tuple, cam: CameraModel, tag: TagModel)
     observer and target are the two bodies' flat transforms, (nine row-major
     body-to-world rotation floats, (x, y, z)), as frames.flat_transform gives.
 
-    Returns (pixels, yaw, detected): the eight pixel coordinates ax, ay, bx,
-    ..., dy of corners a, b, c, d; the relative yaw; the detected flag. The
-    relative yaw is the rotation of the tag's +x axis about the optical
-    axis, measured in image coordinates; it is exact regardless of where the
-    tag sits in the frame.
+    Returns (pixels, yaw, True) for a detected tag: the eight pixel
+    coordinates ax, ay, bx, ..., dy of corners a, b, c, d and the relative
+    yaw, the rotation of the tag's +x axis about the optical axis, measured
+    in image coordinates; it is exact regardless of where the tag sits in
+    the frame. Returns UNDETECTED itself, with no pixels and no yaw, for a
+    tag with a corner less than _MIN_DEPTH in front of the camera or
+    outside the image, or with a NaN in its pose.
     """
     (c0, c1, c2, c3, c4, c5, c6, c7, c8), (cx, cy, cz) = cam.flat_mount
     (o0, o1, o2, o3, o4, o5, o6, o7, o8), (ox, oy, oz) = observer
@@ -158,34 +162,34 @@ def project_tag(observer: tuple, target: tuple, cam: CameraModel, tag: TagModel)
     p2 = w2 * dx + w5 * dy + w8 * dz
 
     # corners a, b, c, d as in TagModel, at -hx - hy, hx - hy, hx + hy and
-    # -hx + hy from the tag centre
+    # -hx + hy from the tag centre; the first one out of view ends it
     h = tag.side / 2.0
     hx0, hx1, hx2 = h * xa0, h * xa1, h * xa2
     hy0, hy1, hy2 = h * ya0, h * ya1, h * ya2
-    da = -hx2 - hy2 + p2
-    db = hx2 - hy2 + p2
-    dc = hx2 + hy2 + p2
-    dd = -hx2 + hy2 + p2
-    if (-_MIN_DEPTH < da < _MIN_DEPTH or -_MIN_DEPTH < db < _MIN_DEPTH
-            or -_MIN_DEPTH < dc < _MIN_DEPTH or -_MIN_DEPTH < dd < _MIN_DEPTH):
-        return (0.0,) * 8, 0.0, False
     f = cam.focal_length
     width, height = cam.width, cam.height
     half_w, half_v = width / 2.0, height / 2.0
-    pixels = (
-        f * (-hx0 - hy0 + p0) / da + half_w, f * (-hx1 - hy1 + p1) / da + half_v,
-        f * (hx0 - hy0 + p0) / db + half_w, f * (hx1 - hy1 + p1) / db + half_v,
-        f * (hx0 + hy0 + p0) / dc + half_w, f * (hx1 + hy1 + p1) / dc + half_v,
-        f * (-hx0 + hy0 + p0) / dd + half_w, f * (-hx1 + hy1 + p1) / dd + half_v,
-    )
-    ua, va, ub, vb, uc, vc, ud, vd = pixels
-    detected = (
-        da > 0.0 and db > 0.0 and dc > 0.0 and dd > 0.0
-        and 0.0 <= ua <= width and 0.0 <= va <= height and 0.0 <= ub <= width
-        and 0.0 <= vb <= height and 0.0 <= uc <= width and 0.0 <= vc <= height
-        and 0.0 <= ud <= width and 0.0 <= vd <= height
-    )
-    return pixels, wrap_angle(math.atan2(xa1, xa0)), detected
+    if (da := -hx2 - hy2 + p2) < _MIN_DEPTH:
+        return UNDETECTED
+    ua, va = f * (-hx0 - hy0 + p0) / da + half_w, f * (-hx1 - hy1 + p1) / da + half_v
+    if not (0.0 <= ua <= width and 0.0 <= va <= height):
+        return UNDETECTED
+    if (db := hx2 - hy2 + p2) < _MIN_DEPTH:
+        return UNDETECTED
+    ub, vb = f * (hx0 - hy0 + p0) / db + half_w, f * (hx1 - hy1 + p1) / db + half_v
+    if not (0.0 <= ub <= width and 0.0 <= vb <= height):
+        return UNDETECTED
+    if (dc := hx2 + hy2 + p2) < _MIN_DEPTH:
+        return UNDETECTED
+    uc, vc = f * (hx0 + hy0 + p0) / dc + half_w, f * (hx1 + hy1 + p1) / dc + half_v
+    if not (0.0 <= uc <= width and 0.0 <= vc <= height):
+        return UNDETECTED
+    if (dd := -hx2 + hy2 + p2) < _MIN_DEPTH:
+        return UNDETECTED
+    ud, vd = f * (-hx0 + hy0 + p0) / dd + half_w, f * (-hx1 + hy1 + p1) / dd + half_v
+    if not (0.0 <= ud <= width and 0.0 <= vd <= height):
+        return UNDETECTED
+    return (ua, va, ub, vb, uc, vc, ud, vd), wrap_angle(math.atan2(xa1, xa0)), True
 
 
 def tag_geometry(pixels) -> tuple:
@@ -206,31 +210,22 @@ def tag_geometry(pixels) -> tuple:
     return center, l_bar, h_bar
 
 
-class Observation(NamedTuple):
-    """One camera's measurement of the other robot's tag, as observe gives it.
-
-    center is the tag centre (cx, cy) in pixels and error its offset from
-    the image centre normalised by the image half-extents; region is "safe",
-    "elastic", "danger" or "none"; penetration is how far the centre sits
-    into the elastic band (0 inside the safe box, 1 at the danger boundary,
-    above 1 inside danger); xi is the centre's distance in pixels from the
-    image centre.
-    """
-
-    center: tuple | None
-    error: tuple | None
-    region: str
-    penetration: float
-    xi: float
+UNSEEN = (None, None, "none", math.nan, math.nan)
+"""The observation of a tag the camera does not detect, in observe's layout."""
 
 
-UNSEEN = Observation(None, None, "none", math.nan, math.nan)
-"""The observation of a tag the camera does not detect."""
-
-
-def observe(center, l_bar: float, h_bar: float, cam: CameraModel) -> Observation:
+def observe(center, l_bar: float, h_bar: float, cam: CameraModel) -> tuple:
     """Measure a detected tag once, from tag_geometry's centre, mean side
     length and mean diagonal.
+
+    Returns the plain tuple (center, error, region, penetration, xi): the
+    tag centre (cx, cy) in pixels; error, its offset from the image centre
+    normalised by the image half-extents; region, "safe", "elastic" or
+    "danger"; penetration, how far the centre sits into the elastic band (0
+    inside the safe box, 1 at the danger boundary, above 1 inside danger);
+    and xi, the centre's distance in pixels from the image centre. UNSEEN is
+    the same layout for an undetected tag: region "none", no centre or
+    error, NaN penetration and xi.
 
     Safe is the open box of half-width l_bar/2 around the image centre;
     elastic is the open box h_bar clear of every border, minus safe; danger
@@ -246,14 +241,14 @@ def observe(center, l_bar: float, h_bar: float, cam: CameraModel) -> Observation
     else:
         region = "elastic" if h_bar < x < w - h_bar and h_bar < y < v - h_bar else "danger"
         penetration = max(_penetration(x, lo_x, hi_x, h_bar), _penetration(y, lo_y, hi_y, h_bar))
-    return Observation(
+    return (
         center, ((x - half_w) / half_w, (y - half_v) / half_v), region, penetration,
         math.hypot(x - half_w, y - half_v),
     )
 
 
 def _penetration(value: float, safe_lo: float, safe_hi: float, h_bar: float) -> float:
-    """Observation.penetration along one image axis, from the safe box's edges."""
+    """observe's penetration along one image axis, from the safe box's edges."""
     depth = max(safe_lo - value, value - safe_hi, 0.0)
     if depth == 0.0:
         return 0.0

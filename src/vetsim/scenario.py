@@ -7,9 +7,10 @@ control -> actuate -> log:
 
 1. sense: each robot's camera projects the other robot's tag, except the
    upward camera on a tick the dropout model blanks: it sees nothing then.
-   Each detected tag is measured once into a perception.Observation (region,
-   normalised offset, elastic penetration, xi) that the log and the tether
-   law both read; an undetected one is perception.UNSEEN.
+   Each detected tag is measured once by perception.observe into a plain
+   tuple (centre, normalised offset, region, elastic penetration, xi) that
+   the log and the tether law both read; an undetected one is
+   perception.UNSEEN.
 2. control: each robot combines its own sub-task PD (depth/attitude under
    water, waypoint tracking on the surface) with the tether command derived
    from its own camera's observation. In vet mode the leader's linear
@@ -36,7 +37,7 @@ import numpy as np
 
 from .config import Lawnmower, ScenarioConfig, Setpoints, planner_waypoints
 from .control import (
-    DepthAttitudeState, VetFilterState, VetGains, baseline_ibvs, camera_to_body,
+    VET_START, DepthAttitudeState, VetGains, baseline_ibvs, camera_to_body,
     subtask_control_surface, subtask_control_underwater, uniform_pd, vet_law,
 )
 from .frames import GimbalSingularity, RigidTransform, euler_rate_rows, flat_transform
@@ -46,7 +47,7 @@ from .log import (
     _saturated_totals,
 )
 from .perception import (
-    UNSEEN, CameraModel, DropoutModel, TagModel, observe, project_tag, tag_geometry,
+    UNDETECTED, UNSEEN, CameraModel, DropoutModel, TagModel, observe, project_tag, tag_geometry,
 )
 from .vehicle import Disturbance, VehicleModel, VehicleParams
 
@@ -176,13 +177,15 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
 
     Every per-tick vector is a list or tuple of Python floats, the poses
     included: (x, y, z, phi, theta, psi) and (x, y, psi), the logged layout.
-    Each tick computes both poses' flat transforms and the underwater pose's
-    Euler-rate rows once; projection, the depth/attitude measurement, the
-    surface PD and both vehicle steps reuse them. A blanked upward camera is
-    not projected, and VehicleModel.allocate takes each robot's logged split
-    u_sub, u_xi as it is. Each tick's numbers go to
-    one flat row buffer that becomes the log's arrays; the saturated totals
-    are derived from the logged split after the loop, as log_from_csv does.
+    Projections, observations and tether states are plain tuples too; the
+    one record built per tick is a DepthAttitudeState. Each tick computes
+    both poses' flat transforms and the underwater pose's Euler-rate rows
+    once; projection, the depth/attitude measurement, the surface PD and
+    both vehicle steps reuse them. A blanked upward camera is not projected
+    but given perception.UNDETECTED. VehicleModel.allocate takes each
+    robot's logged split u_sub, u_xi as it is. Each tick's numbers go to one
+    flat row buffer that becomes the log's arrays; the saturated totals are
+    derived from the logged split after the loop, as log_from_csv does.
     A ScenarioConfig is checked when it is made, so run() trusts it.
     """
     dt = config.dt
@@ -213,7 +216,7 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
     speed_limit = config.planner.speed if isinstance(config.planner, Lawnmower) else None
 
     baseline = config.mode == "baseline"
-    vet_state_u = vet_state_s = VetFilterState()
+    vet_state_u = vet_state_s = VET_START
 
     rows = array("d")
     region_us_list = []
@@ -228,9 +231,7 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
             raise SimFailure(f"{exc} at tick {k}, t={t:.3f} s: pose_u={list(pose_u)}") from exc
 
         # sense; a blanked camera is not projected, as nothing would read it
-        pixels_us, yaw_us, det_us = (
-            (None, 0.0, False) if blank else project_tag(tf_u, tf_s, cam_u, tag_s)
-        )
+        pixels_us, yaw_us, det_us = UNDETECTED if blank else project_tag(tf_u, tf_s, cam_u, tag_s)
         pixels_su, yaw_su, det_su = project_tag(tf_s, tf_u, cam_s, tag_u)
 
         # plan
@@ -239,6 +240,8 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
         # one observation per camera, read by the log and by the tether law
         obs_us = observe(*tag_geometry(pixels_us), cam_u) if det_us else UNSEEN
         obs_su = observe(*tag_geometry(pixels_su), cam_s) if det_su else UNSEEN
+        _, _, region_us, _, xi_us = obs_us
+        _, _, region_su, _, xi_su = obs_su
 
         # control: underwater robot (own depth/attitude sensors plus camera)
         u_sub_u = subtask_control_underwater(
@@ -264,11 +267,11 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
         # record the row table's columns, in _TABLE_CELLS order
         rows.fromlist([
             t, *pose_u, *pose_s,
-            *u_sub_u, *xi_u, *u_sub_s, *xi_s, det_us, det_su, obs_us.xi, obs_su.xi,
+            *u_sub_u, *xi_u, *u_sub_s, *xi_s, det_us, det_su, xi_us, xi_su,
             projected_distance(pose_u, pose_s), waypoint_index, wall_clamp_u, wall_clamp_s,
         ])
-        region_us_list.append(obs_us.region)
-        region_su_list.append(obs_su.region)
+        region_us_list.append(region_us)
+        region_su_list.append(region_su)
 
         if k == n_steps:
             break

@@ -145,9 +145,26 @@ class VehicleModel:
     def allocate(self, u_sub, u_xi) -> list:
         """Body wrench for the sub-task and tether commands (float sequences
         dof long): their sum, clipped per axis to the axis bounds, through
-        the diagonal gain. A NaN sum passes the clip unchanged."""
-        return [g * (b if (v := s + x) > b else -b if v < -b else v)
-                for g, b, s, x in zip(self._gain, self._axis_bounds, u_sub, u_xi)]
+        the diagonal gain. A NaN sum passes the clip unchanged. Each axis is
+        written out, one body per model, so no iterator is built per call."""
+        if self.dof == 6:
+            (g0, g1, g2, g3, g4, g5), (b0, b1, b2, b3, b4, b5) = self._gain, self._axis_bounds
+            (s0, s1, s2, s3, s4, s5), (x0, x1, x2, x3, x4, x5) = u_sub, u_xi
+            return [
+                g0 * (b0 if (v := s0 + x0) > b0 else -b0 if v < -b0 else v),
+                g1 * (b1 if (v := s1 + x1) > b1 else -b1 if v < -b1 else v),
+                g2 * (b2 if (v := s2 + x2) > b2 else -b2 if v < -b2 else v),
+                g3 * (b3 if (v := s3 + x3) > b3 else -b3 if v < -b3 else v),
+                g4 * (b4 if (v := s4 + x4) > b4 else -b4 if v < -b4 else v),
+                g5 * (b5 if (v := s5 + x5) > b5 else -b5 if v < -b5 else v),
+            ]
+        (g0, g1, g2), (b0, b1, b2) = self._gain, self._axis_bounds
+        (s0, s1, s2), (x0, x1, x2) = u_sub, u_xi
+        return [
+            g0 * (b0 if (v := s0 + x0) > b0 else -b0 if v < -b0 else v),
+            g1 * (b1 if (v := s1 + x1) > b1 else -b1 if v < -b1 else v),
+            g2 * (b2 if (v := s2 + x2) > b2 else -b2 if v < -b2 else v),
+        ]
 
     def step(self, pose, nu, tau, dt, rotation, rates=None, world_force=None,
              world_torque=None):

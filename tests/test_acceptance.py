@@ -13,7 +13,7 @@ import numpy as np
 
 from vetsim.control import (
     DepthAttitudeState,
-    VetFilterState,
+    VET_START,
     VetGains,
     camera_to_body,
     check_connectivity,
@@ -188,9 +188,11 @@ def _check_region_partition():
     cam = _up_camera()
     for x in range(0, 641, 1):
         for y in range(0, 481, 7):
-            assert observe((float(x), float(y)), 48.0, 66.0, cam).region in REGIONS
+            _, _, region, _, _ = observe((float(x), float(y)), 48.0, 66.0, cam)
+            assert region in REGIONS
     for y in range(0, 481, 1):
-        assert observe((117.0, float(y)), 48.0, 66.0, cam).region in REGIONS
+        _, _, region, _, _ = observe((117.0, float(y)), 48.0, 66.0, cam)
+        assert region in REGIONS
 
 
 def _check_translation_invariance():
@@ -245,7 +247,7 @@ def _centered_obs():
 
 def _check_zero_at_center():
     obs = observe(*tag_geometry(_centered_obs()), _up_camera())
-    cmd, _, _ = vet_law(obs, 0.0, 0.0, VetFilterState(), VetGains(), _up_camera())
+    cmd, _, _ = vet_law(obs, 0.0, 0.0, VET_START, VetGains(), _up_camera())
     assert np.all(np.abs(cmd) <= 1e-9)
 
 
@@ -267,8 +269,8 @@ def _check_direction_symmetry():
             continue
         obs_us = observe(*tag_geometry(pixels_us), cam_u)
         obs_su = observe(*tag_geometry(pixels_su), cam_s)
-        cmd_us, _, _ = vet_law(obs_us, yaw_us, 0.0, VetFilterState(), gains, cam_u)
-        cmd_su, _, _ = vet_law(obs_su, yaw_su, 0.0, VetFilterState(), gains, cam_s)
+        cmd_us, _, _ = vet_law(obs_us, yaw_us, 0.0, VET_START, gains, cam_u)
+        cmd_su, _, _ = vet_law(obs_su, yaw_su, 0.0, VET_START, gains, cam_s)
         c, s = math.cos(heading), math.sin(heading)
         rot = np.array([[c, -s], [s, c]])
         world_u = rot @ camera_to_body(cmd_us, cam_u.flat_mount[0], 6)[:2]
@@ -284,7 +286,7 @@ def _check_elastic_decay():
     cam = _up_camera()
     tag_s = TagModel(0.1, RigidTransform(FLIP_X, ZERO))
     gains = VetGains()
-    state = VetFilterState()
+    state = VET_START
     x, dt = 0.5, 0.02
     last_xi = math.inf
     region = None
@@ -292,9 +294,9 @@ def _check_elastic_decay():
         tf_u = flat_transform((x, 0.0, -1.0, 0.0, 0.0, 0.0))
         pixels, yaw, _ = project_tag(tf_u, flat_transform((0.0, 0.0, 0.0)), cam, tag_s)
         obs = observe(*tag_geometry(pixels), cam)
-        assert obs.xi <= last_xi + 1e-9
-        last_xi = obs.xi
-        region = obs.region
+        _, _, region, _, xi = obs
+        assert xi <= last_xi + 1e-9
+        last_xi = xi
         cmd, _, state = vet_law(obs, yaw, k * dt, state, gains, cam)
         x += dt * float(cmd[0])
     assert region == "safe"

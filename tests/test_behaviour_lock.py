@@ -160,7 +160,8 @@ def test_the_vision_probe_matches_the_reference(mode, reference, monkeypatch):
 
     def leader_weights(obs, *args, _law=scenario.vet_law):
         out = _law(obs, *args)
-        if args[-1] is cfg.camera_s and obs.center is None:
+        center, _, _, _, _ = obs
+        if args[-1] is cfg.camera_s and center is None:
             held.append(out[1])
         return out
 

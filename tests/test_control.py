@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from vetsim.control import (
     DepthAttitudeState,
     PdGains,
-    VetFilterState,
+    VET_START,
     VetGains,
     baseline_ibvs,
     camera_to_body,
@@ -149,8 +149,9 @@ def test_surface_controller_is_zero_at_the_target():
 def test_tether_command_is_zero_at_the_image_centre():
     cam = up_camera()
     obs = seen(320.0, 240.0, cam)
-    assert obs.region == "safe"
-    u, weight, _ = vet_law(obs, 0.0, 0.0, VetFilterState(), VetGains(), cam)
+    _, _, region, _, _ = obs
+    assert region == "safe"
+    u, weight, _ = vet_law(obs, 0.0, 0.0, VET_START, VetGains(), cam)
     np.testing.assert_allclose(u, 0.0, atol=1e-9)
     assert weight == 1.0
 
@@ -159,8 +160,9 @@ def test_elastic_gain_anchor():
     # half-normalised offset with unit elastic gain and no clipping
     cam = up_camera()
     obs = seen(480.0, 240.0, cam)
-    assert obs.region == "elastic"
-    u, _, _ = vet_law(obs, 0.0, 0.0, VetFilterState(), wide_gains(), cam)
+    _, _, region, _, _ = obs
+    assert region == "elastic"
+    u, _, _ = vet_law(obs, 0.0, 0.0, VET_START, wide_gains(), cam)
     assert u[0] == pytest.approx(0.5)
     assert u[1] == pytest.approx(0.0)
 
@@ -168,16 +170,18 @@ def test_elastic_gain_anchor():
 def test_safe_region_uses_the_weaker_gain():
     cam = up_camera()
     obs = seen(330.0, 240.0, cam, half=40.0)  # l_bar 80, inside the safe box
-    assert obs.region == "safe"
-    u, _, _ = vet_law(obs, 0.0, 0.0, VetFilterState(), wide_gains(), cam)
+    _, _, region, _, _ = obs
+    assert region == "safe"
+    u, _, _ = vet_law(obs, 0.0, 0.0, VET_START, wide_gains(), cam)
     assert u[0] == pytest.approx(0.5 * 10.0 / 320.0)
 
 
 def test_danger_region_commands_the_bound_along_the_error():
     cam = up_camera()
     obs = seen(20.0, 240.0, cam)
-    assert obs.region == "danger"
-    u, _, _ = vet_law(obs, 0.0, 0.0, VetFilterState(), VetGains(), cam)
+    _, _, region, _, _ = obs
+    assert region == "danger"
+    u, _, _ = vet_law(obs, 0.0, 0.0, VET_START, VetGains(), cam)
     assert abs(u[0]) == pytest.approx(0.1)
     assert u[0] < 0.0
     assert u[1] == pytest.approx(0.0, abs=1e-12)
@@ -185,14 +189,14 @@ def test_danger_region_commands_the_bound_along_the_error():
 
 def test_command_clips_per_axis():
     cam = up_camera()
-    u, _, _ = vet_law(seen(480.0, 240.0, cam), 0.0, 0.0, VetFilterState(), VetGains(), cam)
+    u, _, _ = vet_law(seen(480.0, 240.0, cam), 0.0, 0.0, VET_START, VetGains(), cam)
     assert u[0] == pytest.approx(0.1)  # 0.5 raw, clipped to u_max
 
 
 def test_yaw_gain_acts_on_the_relative_yaw():
     cam = up_camera()
     u, _, _ = vet_law(
-        seen(320.0, 240.0, cam), 0.4, 0.0, VetFilterState(), VetGains(k_psi=0.5), cam
+        seen(320.0, 240.0, cam), 0.4, 0.0, VET_START, VetGains(k_psi=0.5), cam
     )
     assert u[2] == pytest.approx(0.2)
 
@@ -200,7 +204,7 @@ def test_yaw_gain_acts_on_the_relative_yaw():
 def test_lost_detection_holds_and_decays_the_command():
     gains = VetGains()  # hold_half_life 0.5 s
     cam = up_camera()
-    u0, _, state = vet_law(seen(480.0, 240.0, cam), 0.0, 0.0, VetFilterState(), gains, cam)
+    u0, _, state = vet_law(seen(480.0, 240.0, cam), 0.0, 0.0, VET_START, gains, cam)
     assert u0[0] == pytest.approx(0.1)
 
     lost1, _, state = vet_law(UNSEEN, 0.0, 0.5, state, gains, cam)
@@ -211,7 +215,7 @@ def test_lost_detection_holds_and_decays_the_command():
 
 
 def test_lost_detection_with_no_history_commands_zero():
-    u, weight, _ = vet_law(UNSEEN, 0.0, 0.0, VetFilterState(), VetGains(), up_camera())
+    u, weight, _ = vet_law(UNSEEN, 0.0, 0.0, VET_START, VetGains(), up_camera())
     assert list(u) == [0.0, 0.0, 0.0]
     assert weight == 1.0
 
@@ -221,33 +225,37 @@ def test_hold_weight_relaxes_toward_full_subtask():
     gains = VetGains(yield_fraction=0.2)
     cam = up_camera()
     # deep in the elastic band: the leader is yielding (weight < 1)
-    _, _, state = vet_law(seen(560.0, 240.0, cam), 0.0, 0.0, VetFilterState(), gains, cam)
-    assert state.held_weight < 1.0
+    _, _, state = vet_law(seen(560.0, 240.0, cam), 0.0, 0.0, VET_START, gains, cam)
+    _, _, _, _, held_weight = state
+    assert held_weight < 1.0
     _, weight, _ = vet_law(UNSEEN, 0.0, 0.5, state, gains, cam)
-    assert state.held_weight < weight < 1.0
+    assert held_weight < weight < 1.0
 
 
 def test_rate_damping_opposes_closing_motion():
     gains = wide_gains()
     cam = up_camera()
-    _, _, state = vet_law(seen(480.0, 240.0, cam), 0.0, 0.0, VetFilterState(), gains, cam)
+    _, _, state = vet_law(seen(480.0, 240.0, cam), 0.0, 0.0, VET_START, gains, cam)
     obs = seen(470.0, 240.0, cam)
     moving, _, _ = vet_law(obs, 0.0, 0.02, state, gains, cam)
-    static, _, _ = vet_law(obs, 0.0, 0.02, VetFilterState(), gains, cam)
-    assert obs.region == "elastic"
+    static, _, _ = vet_law(obs, 0.0, 0.02, VET_START, gains, cam)
+    _, _, region, _, _ = obs
+    assert region == "elastic"
     assert moving[0] < static[0]  # error is shrinking, damping pulls back
 
 
 def test_rate_filter_resets_after_reacquisition():
     gains = VetGains()
     cam = up_camera()
-    _, _, state = vet_law(seen(480.0, 240.0, cam), 0.0, 0.0, VetFilterState(), gains, cam)
+    _, _, state = vet_law(seen(480.0, 240.0, cam), 0.0, 0.0, VET_START, gains, cam)
     _, _, state = vet_law(seen(460.0, 240.0, cam), 0.0, 0.02, state, gains, cam)
-    assert state.rate != (0.0, 0.0)
+    _, _, rate, _, _ = state
+    assert rate != (0.0, 0.0)
     _, _, state = vet_law(UNSEEN, 0.0, 0.04, state, gains, cam)
     _, _, state = vet_law(seen(440.0, 240.0, cam), 0.0, 0.06, state, gains, cam)
-    assert state.rate == (0.0, 0.0)
-    assert state.last_center is not None
+    last_center, _, rate, _, _ = state
+    assert rate == (0.0, 0.0)
+    assert last_center is not None
 
 
 def test_gain_validation():
@@ -365,7 +373,7 @@ def test_world_frame_tether_commands_are_anti_parallel(r, bearing, heading):
     assume(det_us and det_su)
 
     gains = VetGains()
-    state = VetFilterState()
+    state = VET_START
     cmd_us, _, _ = vet_law(measured(pixels_us, cam_u), yaw_us, 0.0, state, gains, cam_u)
     cmd_su, _, _ = vet_law(measured(pixels_su, cam_s), yaw_su, 0.0, state, gains, cam_s)
 
@@ -388,7 +396,7 @@ def test_elastic_stretch_decays_monotonically_in_closed_loop():
     cam = up_camera()
     tag_s = TagModel(0.1, RigidTransform(FLIP_X, ZERO))
     gains = VetGains()
-    state = VetFilterState()
+    state = VET_START
     x = 0.5
     dt = 0.02
     xi_trace = []
@@ -398,9 +406,10 @@ def test_elastic_stretch_decays_monotonically_in_closed_loop():
         pixels, yaw, detected = project_tag(observer, flat_transform((0.0, 0.0, 0.0)), cam, tag_s)
         assert detected
         obs = measured(pixels, cam)
-        xi_trace.append(obs.xi)
+        _, _, region, _, xi = obs
+        xi_trace.append(xi)
         u, _, state = vet_law(obs, yaw, k * dt, state, gains, cam)
-        regions.append(obs.region)
+        regions.append(region)
         x += dt * u[0]
     assert regions[0] == "elastic"
     assert regions[-1] == "safe"

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from reference_geometry import mount_matrix, pose_matrix, rot_x, rot_z
 from vetsim.frames import RigidTransform, flat_transform, wrap_angle
 from vetsim.perception import (
+    _MIN_DEPTH,
     CameraModel,
+    UNDETECTED,
     UNSEEN,
     DropoutModel,
     TagModel,
@@ -78,18 +80,21 @@ def test_geometry_size_survives_cyclic_corner_relabelling():
 
 def test_region_anchors():
     cam = up_camera()
-    assert observe((320.0, 240.0), 100.0, 60.0, cam).region == "safe"
-    assert observe((100.0, 240.0), 100.0, 60.0, cam).region == "elastic"
-    assert observe((20.0, 240.0), 100.0, 60.0, cam).region == "danger"
+    _, _, region, _, _ = observe((320.0, 240.0), 100.0, 60.0, cam)
+    assert region == "safe"
+    _, _, region, _, _ = observe((100.0, 240.0), 100.0, 60.0, cam)
+    assert region == "elastic"
+    _, _, region, _, _ = observe((20.0, 240.0), 100.0, 60.0, cam)
+    assert region == "danger"
 
 
 def test_region_partition_covers_every_pixel():
     cam = up_camera()
-    labels = {
-        observe((float(x), float(y)), 48.0, 66.0, cam).region
-        for x in range(0, 641, 1)
-        for y in range(0, 481, 1)
-    }
+    labels = set()
+    for x in range(0, 641, 1):
+        for y in range(0, 481, 1):
+            _, _, region, _, _ = observe((float(x), float(y)), 48.0, 66.0, cam)
+            labels.add(region)
     assert labels == {"safe", "elastic", "danger"}
 
 
@@ -100,7 +105,7 @@ def test_region_partition_covers_every_pixel():
     st.floats(1.0, 300.0),
 )
 def test_region_always_classifies(cx, cy, l_bar, h_bar):
-    label = observe((cx, cy), l_bar, h_bar, up_camera()).region
+    _, _, label, _, _ = observe((cx, cy), l_bar, h_bar, up_camera())
     assert label in ("safe", "elastic", "danger")
 
 
@@ -115,40 +120,44 @@ def test_growing_tag_never_reduces_safety(cx, cy, l_bar, h_bar, grow):
     """A closer (larger) tag can only move the label toward safe."""
     rank = {"danger": 0, "elastic": 1, "safe": 2}
     cam = up_camera()
-    before = observe((cx, cy), l_bar, h_bar, cam).region
-    after = observe((cx, cy), l_bar + grow, h_bar, cam).region
+    _, _, before, _, _ = observe((cx, cy), l_bar, h_bar, cam)
+    _, _, after, _, _ = observe((cx, cy), l_bar + grow, h_bar, cam)
     assert rank[after] >= rank[before]
 
 
 def test_elastic_penetration_grows_toward_danger():
     cam = up_camera()
     l_bar, h_bar = 48.0, 66.0
-    inner = observe((330.0, 240.0), l_bar, h_bar, cam).penetration
-    deeper = observe((150.0, 240.0), l_bar, h_bar, cam).penetration
+    _, _, _, inner, _ = observe((330.0, 240.0), l_bar, h_bar, cam)
+    _, _, _, deeper, _ = observe((150.0, 240.0), l_bar, h_bar, cam)
     assert inner == 0.0  # still in the safe box
     assert deeper > 0.0
     # at the elastic border the penetration reaches one
-    at_border = observe((float(h_bar), 240.0), l_bar, h_bar, cam).penetration
+    _, _, _, at_border, _ = observe((float(h_bar), 240.0), l_bar, h_bar, cam)
     assert at_border >= 1.0
 
 
 def test_observation_offsets_are_normalised_by_the_half_extents():
     cam = up_camera()
-    obs = observe((480.0, 120.0), 48.0, 66.0, cam)
-    assert obs.center == (480.0, 120.0)
-    assert obs.error == (0.5, -0.5)
-    assert obs.xi == pytest.approx(math.hypot(160.0, 120.0))
-    assert UNSEEN.center is None and UNSEEN.error is None and UNSEEN.region == "none"
-    assert math.isnan(UNSEEN.penetration) and math.isnan(UNSEEN.xi)
+    center, error, _, _, xi = observe((480.0, 120.0), 48.0, 66.0, cam)
+    assert center == (480.0, 120.0)
+    assert error == (0.5, -0.5)
+    assert xi == pytest.approx(math.hypot(160.0, 120.0))
+    center, error, region, penetration, xi = UNSEEN
+    assert center is None and error is None and region == "none"
+    assert math.isnan(penetration) and math.isnan(xi)
 
 
 # --- tether state ---------------------------------------------------------------
 
 def test_tether_state_anchors():
     cam = up_camera()
-    assert observe(*tag_geometry(square(350.0, 280.0)), cam).xi == pytest.approx(50.0)
-    assert observe(*tag_geometry(square(0.0, 0.0)), cam).xi == pytest.approx(400.0)
-    assert observe(*tag_geometry(square(320.0, 240.0)), cam).xi == 0.0
+    _, _, _, _, xi = observe(*tag_geometry(square(350.0, 280.0)), cam)
+    assert xi == pytest.approx(50.0)
+    _, _, _, _, xi = observe(*tag_geometry(square(0.0, 0.0)), cam)
+    assert xi == pytest.approx(400.0)
+    _, _, _, _, xi = observe(*tag_geometry(square(320.0, 240.0)), cam)
+    assert xi == 0.0
 
 
 # --- projection -----------------------------------------------------------------
@@ -276,12 +285,43 @@ def test_projection_matches_the_rigid_transform_reference(position, attitude, ps
         if not in_front:
             assert not detected
             continue
-        np.testing.assert_allclose(np.reshape(corners, (4, 2)), pixels, rtol=1e-12, atol=1e-9)
-        assert wrap_angle(camera_yaw - yaw) == pytest.approx(0.0, abs=1e-12)
         in_frame = bool(
             np.all((pixels >= 0.0) & (pixels <= np.array([640.0, 480.0])))
         )
         assert detected == in_frame
+        if detected:  # an undetected tag has no pixels and no yaw
+            np.testing.assert_allclose(
+                np.reshape(corners, (4, 2)), pixels, rtol=1e-12, atol=1e-9
+            )
+            assert wrap_angle(camera_yaw - yaw) == pytest.approx(0.0, abs=1e-12)
+
+
+# With the surface robot turned 45 degrees its tag images as a diamond: corner
+# a leftmost, b lowest, c rightmost, d highest. Each of these offsets of the
+# underwater robot pushes that one corner alone past the image border.
+ONE_CORNER_OUT = {"a": (0.75, 0.0), "b": (0.0, -0.55), "c": (-0.75, 0.0), "d": (0.0, 0.55)}
+
+
+@pytest.mark.parametrize("pose_u", [
+    (0.0, 0.0, 1.0, 0.0, 0.0, 0.0),  # above the surface: the tag is behind the camera
+    (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),  # every corner at depth zero
+    (0.0, 0.0, -0.5 * _MIN_DEPTH, 0.0, 0.0, 0.0),  # in front, but within _MIN_DEPTH
+    (0.0, 0.0, 0.5 * _MIN_DEPTH, 0.0, 0.0, 0.0),
+    (math.nan, 0.0, -1.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, -1.0, math.nan, 0.0, 0.0),
+], ids=["behind", "zero_depth", "near_depth_front", "near_depth_behind", "nan_x", "nan_roll"])
+def test_every_undetected_tag_is_the_one_undetected_value(pose_u):
+    assert project(pose_u, (0.0, 0.0, 0.0), up_camera(), bottom_tag()) is UNDETECTED
+
+
+@pytest.mark.parametrize("corner", sorted(ONE_CORNER_OUT))
+def test_a_tag_with_one_corner_out_of_frame_is_the_one_undetected_value(corner):
+    pose_u = (*ONE_CORNER_OUT[corner], -1.0, 0.0, 0.0, 0.0)
+    pose_s = (0.0, 0.0, math.pi / 4.0)
+    pixels, _, in_front = reference_projection(pose_u, pose_s, up_camera(), bottom_tag())
+    out = ~np.all((pixels >= 0.0) & (pixels <= np.array([640.0, 480.0])), axis=1)
+    assert in_front and out.tolist() == [name == corner for name in "abcd"]
+    assert project(pose_u, pose_s, up_camera(), bottom_tag()) is UNDETECTED
 
 
 # --- dropout ----------------------------------------------------------------------

@@ -894,6 +894,28 @@ def test_a_tick_transforms_each_pose_once_and_builds_no_pose(monkeypatch, mode):
     assert len({id(target) for target in targets["surface"]}) == 1 + moves
 
 
+def test_the_tick_builds_its_records_as_plain_tuples(monkeypatch):
+    """The per-tick records are plain tuples, not record classes: the
+    constants UNDETECTED, UNSEEN and VET_START, and what project_tag,
+    observe and vet_law (its new state) give the loop on every tick, so a
+    NamedTuple or dataclass back on the hot path fails here."""
+    constants = (perception.UNDETECTED, perception.UNSEEN, control.VET_START)
+    assert [type(value) for value in constants] == [tuple] * 3
+    outputs = {"project_tag": [], "observe": [], "vet_law": []}
+    for name, made in outputs.items():
+        def recorded(*args, _made=made, _original=getattr(scenario, name)):
+            _made.append(_original(*args))
+            return _made[-1]
+
+        monkeypatch.setattr(scenario, name, recorded)
+    dropout_run("vet")
+    states = [state for _, _, state in outputs["vet_law"]]
+    # both of vet_law's branches ran: seen and held through a dropout
+    assert {center is None for center, _, _, _, _ in states} == {True, False}
+    values = outputs["project_tag"] + outputs["observe"] + states
+    assert {type(value) for value in values} == {tuple}
+
+
 @pytest.mark.parametrize("mode", ["vet", "baseline"])
 def test_a_blanked_camera_is_never_projected(monkeypatch, mode):
     """The upward camera is projected on every tick the dropout leaves it,

@@ -122,12 +122,17 @@ finite_command = st.floats(-1.0, 1.0)
 
 
 @given(st.lists(finite_command, min_size=6, max_size=6),
-       st.lists(finite_command, min_size=6, max_size=6))
-@example([0.1, -0.1, 0.2, -0.2, -0.0, 0.0], [0.0, -0.0, -0.1, 0.1, -0.0, -0.0])
-def test_allocation_is_the_clipped_sum_through_the_gain(u_sub, u_xi):
+       st.lists(finite_command, min_size=6, max_size=6),
+       st.lists(st.floats(0.1, 10.0), min_size=6, max_size=6, unique=True))
+@example([0.1, -0.1, 0.2, -0.2, -0.0, 0.0], [0.0, -0.0, -0.1, 0.1, -0.0, -0.0],
+         [1.5, 2.5, 3.5, 4.5, 5.5, 6.5])
+def test_allocation_is_the_clipped_sum_through_the_gain(u_sub, u_xi, gains):
     """Bit for bit the clip-then-scale the log derives its saturated totals
-    with, for both models (the surface one takes the first three axes)."""
-    for params in (params6(), params3()):
+    with, for both models (the surface one takes the first three axes), at
+    the preset gains and at distinct per-axis gains, so each axis is pinned
+    to its own gain and its own operands."""
+    distinct = (params6(thrust_gain=tuple(gains)), params3(thrust_gain=tuple(gains[:3])))
+    for params in (params6(), params3(), *distinct):
         n = params.dof
         s, x = u_sub[:n], u_xi[:n]
         expected = np.clip(np.add(s, x), -np.array(params.axis_bounds), params.axis_bounds)
