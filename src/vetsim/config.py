@@ -9,6 +9,8 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
+import numpy as np
+
 from .control import PdGains, VetGains
 from .perception import CameraModel, DropoutModel, TagModel
 from .vehicle import Disturbance, VehicleParams
@@ -171,7 +173,16 @@ class ScenarioConfig:
     def from_dict(data: dict) -> "ScenarioConfig":
         """A config from its to_dict form, schemas v1 and v2 included; raises
         ConfigError on anything else."""
-        return _decode(_pd_u_v3(data), ScenarioConfig, "")
+        return _decode(_upgrade(data) if isinstance(data, dict) else data, ScenarioConfig, "")
+
+
+def _window_masks(config: ScenarioConfig, ts: np.ndarray) -> tuple:
+    """Per-tick masks at the tick times ts: a scheduled dropout window covers
+    the tick, a disturbance is active; for run() and log_from_csv alike."""
+    perturbed = np.zeros(len(ts), dtype=bool)
+    for d in config.perturbations:
+        perturbed |= d.active(ts)
+    return config.dropout.scheduled(ts), perturbed
 
 
 def _non_finite_paths(tree, path: str = "") -> list:
@@ -202,25 +213,25 @@ def _non_finite_paths(tree, path: str = "") -> list:
 # by the dataclasses themselves, ScenarioConfig's cross-field rules included.
 _SCALAR_TYPES = {int: (int,), float: (int, float), str: (str,)}
 
-# Keys of config schema v1 that v2 removed: dotted key -> (the one value that
-# still loads, ... for any; why the key went). A key that loads is skipped, so
-# a saved v1 bundle loads to the config it ran with.
-_REMOVED_KEYS = {
-    "dropout.seed": (..., "it was never read; the top-level seed seeds the run"),
-    "appendix_sign_convention": (False, "the legacy sign convention was removed"),
-}
 
-
-def _pd_u_v3(data):
-    """data (not changed) with a schema v1/v2 pd_u of six gains per vector cut to its
-    (z, phi, theta) gains; a ConfigError if a dropped x, y or yaw gain is not 0."""
-    pd = data.get("pd_u") if isinstance(data, dict) else None
-    gains = [pd.get(k) for k in ("kp", "kd")] if isinstance(pd, dict) else ()
-    if not gains or not all(isinstance(g, (list, tuple)) and len(g) == 6 for g in gains):
-        return data
-    if any(g[i] != 0 or isinstance(g[i], bool) for g in gains for i in (0, 1, 5)):
-        raise ConfigError("pd_u gains on x, y and yaw must be exactly zero: no sub-task uses them")
-    return {**data, "pd_u": {**pd, "kp": gains[0][2:5], "kd": gains[1][2:5]}}
+def _upgrade(data: dict) -> dict:
+    """data (not changed) in the current schema, so _decode knows no other: v1's
+    dropout.seed, never read, and appendix_sign_convention, of which only false
+    loads, are dropped, and a v1/v2 pd_u of six gains per vector is cut to its
+    (z, phi, theta) gains; the x, y and yaw gains it drops must be exactly 0."""
+    data = dict(data)
+    if (legacy := data.pop("appendix_sign_convention", False)) is not False:
+        raise ConfigError(f"config key appendix_sign_convention cannot be {legacy!r}: "
+                          "the legacy sign convention was removed")
+    if isinstance(dropout := data.get("dropout"), dict):
+        data["dropout"] = {k: v for k, v in dropout.items() if k != "seed"}
+    gains = [pd.get(k) for k in ("kp", "kd")] if isinstance(pd := data.get("pd_u"), dict) else ()
+    if gains and all(isinstance(g, (list, tuple)) and len(g) == 6 for g in gains):
+        if any(g[i] != 0 or isinstance(g[i], bool) for g in gains for i in (0, 1, 5)):
+            raise ConfigError("pd_u gains on x, y and yaw must be exactly zero: "
+                              "no sub-task uses them")
+        data["pd_u"] = {**pd, "kp": gains[0][2:5], "kd": gains[1][2:5]}
+    return data
 
 
 @functools.cache
@@ -242,17 +253,6 @@ def _encode(value, hint):
     return value
 
 
-def _removed(dotted: str, value) -> bool:
-    """Whether dotted is a removed v1 key whose value still loads; a ConfigError
-    if it is one whose value does not."""
-    if dotted not in _REMOVED_KEYS:
-        return False
-    loads, why = _REMOVED_KEYS[dotted]
-    if loads is not ... and value is not loads:
-        raise ConfigError(f"config key {dotted} cannot be {value!r}: {why}")
-    return True
-
-
 def _decode(data, hint, path: str):
     """Rebuild a value of type hint from its _encode form; path is the dotted
     key of data in the config tree, for error messages."""
@@ -268,7 +268,7 @@ def _decode(data, hint, path: str):
         expected = _field_types(hint)
         at = f" at {path}" if path else ""
         prefix = f"{path}." if path else ""
-        unknown = [k for k in data.keys() - expected.keys() if not _removed(prefix + k, data[k])]
+        unknown = data.keys() - expected.keys()
         if unknown:
             raise ConfigError(f"unknown config keys{at}: {sorted(unknown)}")
         missing = expected.keys() - data.keys()

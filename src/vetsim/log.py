@@ -1,15 +1,16 @@
 """The trajectory log: its column layout, the CSV writer and reader, and the
-events read off the columns (_event_flags, the one event path)."""
+events read off the columns (_event_flags, the one event path of run() and the reader)."""
 
 from __future__ import annotations
 
 import itertools
 import re
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
-from .config import ConfigError, ScenarioConfig, planner_waypoints
+from .config import ConfigError, ScenarioConfig, _window_masks, planner_waypoints
 
 
 # The log layout, declared once: each CSV-backed TrajectoryLog field with its
@@ -169,15 +170,8 @@ def _transitions(mask: np.ndarray, before_first: bool, on: str, off: str = "") -
     return rises + falls
 
 
-# The labels a region column can hold, and every token _event_flags emits: a
-# region change names two different labels.
+# The labels a region column can hold.
 _REGIONS = frozenset(("safe", "elastic", "danger", "none"))
-_EVENTS = frozenset((
-    "wall_clamp_u", "wall_clamp_s", "dropout_start", "dropout_end", "perturb_start",
-    "perturb_end", "waypoint_capture", "los_regain_us", "los_loss_us", "los_regain_su",
-    "los_loss_su", *(f"region_{pair}:{a}-{b}" for pair in ("us", "su")
-                     for a in _REGIONS for b in _REGIONS if a != b),
-))
 
 
 def _event_flags(arrays: dict, labels: dict, scheduled: np.ndarray,
@@ -212,12 +206,11 @@ def log_from_csv(text: str, config: ScenarioConfig) -> TrajectoryLog:
     """Rebuild a log from its CSV rendering plus the echoed config: every field
     as run() built it, the floats to the 12 printed digits. A header-only file
     yields an empty log, which the plots render as bare axes. Blank lines are
-    skipped; a row of the wrong length, a flag not 0 or 1 or a bad number is a
-    ConfigError naming its row, and a time, pose or command that is NaN or
-    infinite, which run() never writes, one naming its row and column; so is
-    a row count or a time that config's duration and dt could not give, a
-    region label or event token run() cannot write, or camera columns that
-    disagree (_check_labels).
+    skipped; a row of the wrong length, a flag not 0 or 1 or a cell loadtxt
+    does not read as a number is a ConfigError naming its row, and a time,
+    pose or command that is NaN or infinite, which run() never writes, one
+    naming its row and column; so is a row count or a time that config's
+    duration and dt could not give, or columns that disagree (_check_columns).
     """
     # Non-empty lines, split off one at a time: one chunk is held as strings.
     lines = map(re.Match.group, re.finditer("[^\n]+", text))
@@ -233,14 +226,14 @@ def log_from_csv(text: str, config: ScenarioConfig) -> TrajectoryLog:
         try:
             block = np.loadtxt(chunk, delimiter=",", dtype=_CSV_DTYPE, comments=None, ndmin=1)
         except ValueError:  # a row of the wrong length or a float cell that is not a number
-            block = _rescan(chunk, lo)
+            _rescan(chunk, lo)
         for column, (name, kind, _, slot) in zip(CSV_COLUMNS, _CSV_CELLS):
             if kind is str:
                 labels[name] += block[column].tolist()
             elif kind is float or {"0", "1"}.issuperset(block[column]):
                 table[lo:hi, slot] = block[column] == "1" if kind is bool else block[column]
             else:
-                _rescan(chunk, lo)  # raises: a flag is neither 0 nor 1
+                _rescan(chunk, lo)  # a flag is neither 0 nor 1
     if (bad := _first_non_finite(table[:hi])) is not None:
         k, c = bad  # these columns lead both the table and the CSV, in one order
         raise ConfigError(f"row {k + 1} column {CSV_COLUMNS[c]} is not finite: {table[bad]:g}")
@@ -252,53 +245,72 @@ def log_from_csv(text: str, config: ScenarioConfig) -> TrajectoryLog:
     if hi not in (0, n):
         raise ConfigError(f"row {min(hi, n) + 1} is {'missing' if hi < n else 'past the end'}: "
                           f"duration {config.duration:g} s at dt {config.dt:g} s makes {n} rows")
-    _check_labels(table[:hi], labels)
     arrays = _log_arrays(table[:hi])
+    if hi:
+        _check_columns(arrays, labels, config, ts)
     return TrajectoryLog(config=config, **arrays, **labels, **_saturated_totals(arrays, config))
 
 
-def _check_labels(table: np.ndarray, labels: dict) -> None:
-    """A ConfigError naming the first row and column where a region is not in
-    _REGIONS, a region is "none" or an xi NaN other than exactly where its
-    detection flag is 0, or an eventFlags token is not in _EVENTS."""
+def _check_columns(arrays: dict, labels: dict, config: ScenarioConfig, ts: np.ndarray) -> None:
+    """A ConfigError naming the first row and column run() could not write: a
+    region not in _REGIONS; a region "none" or an xi NaN but exactly where its
+    detection flag is 0; a projDist off the distance of the row's poses by more
+    than their 12-digit rounding carries; an eventFlags text other than
+    _event_flags reads off the log, config's windows at the times ts and the
+    _LOOP_COLUMNS the tokens give (the running waypoint_capture count, clamp
+    masks true exactly on their wall_clamp_* rows), or one past the planner's
+    last waypoint. A lone spurious or missing waypoint_capture or wall_clamp_*
+    token is thus self-consistent: only a re-run of config can catch it."""
     for pair in ("us", "su"):
-        tag, regions = pair.upper(), labels[f"region_{pair}"]
+        tag, regions, seen = pair.upper(), labels[f"region_{pair}"], arrays[f"detected_{pair}"]
         if unknown := set(regions) - _REGIONS:
             k = next(k for k, label in enumerate(regions) if label in unknown)
             raise ConfigError(f"row {k + 1} column region{tag} is not a region: {regions[k]!r}")
-        seen = table[:, _TABLE_CELLS.index((f"detected_{pair}", 0))]
-        xi = table[:, _TABLE_CELLS.index((f"xi_{pair}", 0))]
         for column, values, unseen in (
             (f"region{tag}", regions, np.array(regions, dtype=object) == "none"),
-            (f"xi{tag}", xi, np.isnan(xi)),
+            (f"xi{tag}", arrays[f"xi_{pair}"], np.isnan(arrays[f"xi_{pair}"])),
         ):
-            if (wrong := unseen != (seen == 0.0)).any():
+            if (wrong := unseen == seen).any():
                 k = int(wrong.argmax())
                 raise ConfigError(f"row {k + 1} column {column} is {values[k]} where "
-                                  f"detected{tag} is {seen[k]:g}: only undetected rows are "
+                                  f"detected{tag} is {seen[k]:d}: only undetected rows are "
                                   "none and NaN")
+    (xu, yu, *_), (xs, ys, _), dist = arrays["pose_u"].T, arrays["pose_s"].T, arrays["proj_dist"]
+    between, rounding = np.hypot(xu - xs, yu - ys), abs(xu) + abs(yu) + abs(xs) + abs(ys)
+    if (off := np.flatnonzero(~(abs(between - dist) <= 1e-11 * (rounding + abs(dist))))).size:
+        k = int(off[0])
+        raise ConfigError(f"row {k + 1} column projDist is {dist[k]:.12g}, not the "
+                          f"{between[k]:.12g} m between the row's poses")
     flags = labels["event_flags"]
-    if {token for cell in set(flags) if cell for token in cell.split(";")} - _EVENTS:
-        k, token = next((k, token) for k, cell in enumerate(flags) if cell
-                        for token in cell.split(";") if token not in _EVENTS)
-        raise ConfigError(f"row {k + 1} column eventFlags holds {token!r}, not an event")
+    rows = list(itertools.compress(range(len(flags)), flags))  # only non-empty cells are split
+    counts = np.zeros((len(flags), len(_LOOP_COLUMNS)), dtype=int)
+    counts[rows] = [[cell.count(token) for token in ("waypoint_capture", *_LOOP_COLUMNS[1:])]
+                    for cell in (flags[k].split(";") for k in rows)]
+    loop = dict(zip(_LOOP_COLUMNS, (counts[:, 0].cumsum(), *(counts[:, 1:].T > 0))))
+    derived = _event_flags(arrays | loop, labels, *_window_masks(config, ts))
+    if derived != flags:
+        k = next(k for k, (got, want) in enumerate(zip(flags, derived)) if got != want)
+        raise ConfigError(f"row {k + 1} column eventFlags is {flags[k]!r}, not the "
+                          f"{derived[k]!r} the log and its config give")
+    n = len(planner_waypoints(config.planner))
+    if (past := np.flatnonzero(loop["waypoint_index"] > n)).size:
+        raise ConfigError(f"row {past[0] + 1} column eventFlags captures waypoint {n + 1} of {n}")
 
 
-def _rescan(rows: list, lo: int) -> np.ndarray:
-    """Rows loadtxt or the flag check rejected, read cell by cell: field counts,
-    then flags and float() cells column by column; the first fault is a ConfigError
-    naming its row (lo + 1 is the first). Rows float() takes whole (1_0, say) return."""
-    cells = [row.split(",") for row in rows]
-    for k, parts in enumerate(cells, lo + 1):
-        if len(parts) != len(CSV_COLUMNS):
-            raise ConfigError(f"row {k} has {len(parts)} fields")
-    for c, (column, (_, kind, _, _)) in enumerate(zip(CSV_COLUMNS, _CSV_CELLS)):
-        for k, parts in enumerate(cells, lo + 1):
-            if kind is bool and parts[c] not in ("0", "1"):
-                raise ConfigError(f"row {k} column {column} is not 0 or 1: {parts[c]!r}")
+def _rescan(rows: list, lo: int) -> NoReturn:
+    """Raise a ConfigError naming the first of rows (lo + 1 is the first) that, read
+    alone, has the wrong length, a flag not 0 or 1 or a float cell loadtxt rejects."""
+    for k, row in enumerate(rows, lo + 1):
+        cells = row.split(",")
+        if len(cells) != len(CSV_COLUMNS):
+            raise ConfigError(f"row {k} has {len(cells)} fields")
+        for c, (column, (_, kind, _, _)) in enumerate(zip(CSV_COLUMNS, _CSV_CELLS)):
+            if kind is bool and cells[c] not in ("0", "1"):
+                raise ConfigError(f"row {k} column {column} is not 0 or 1: {cells[c]!r}")
             if kind is float:
                 try:
-                    float(parts[c])
-                except ValueError as exc:
-                    raise ConfigError(f"row {k} is not numeric: {exc}") from exc
-    return np.array([tuple(parts) for parts in cells], dtype=_CSV_DTYPE)
+                    np.loadtxt([row], delimiter=",", usecols=c, comments=None)
+                except ValueError:
+                    raise ConfigError(f"row {k} is not numeric: column {column} "
+                                      f"is {cells[c]!r}") from None
+    raise ConfigError(f"rows {lo + 1} to {lo + len(rows)} do not parse")

@@ -35,7 +35,7 @@ from array import array
 
 import numpy as np
 
-from .config import Lawnmower, ScenarioConfig, Setpoints, planner_waypoints
+from .config import Lawnmower, ScenarioConfig, Setpoints, _window_masks, planner_waypoints
 from .control import (
     VET_START, DepthAttitudeState, VetGains, baseline_ibvs, camera_to_body,
     subtask_control_surface, subtask_control_underwater, uniform_pd, vet_law,
@@ -156,20 +156,17 @@ def _check_finite(table: np.ndarray) -> None:
 
 
 def _time_inputs(config: ScenarioConfig, ts: np.ndarray) -> tuple:
-    """The inputs that depend on the tick times ts alone. Per-tick masks: a
-    dropout window covers the tick (scheduled), the upward camera is blanked,
-    a disturbance is active (perturbed); and wrenches, the world (force,
-    torque) the active disturbances sum to in config order, None if none."""
-    perturbed = np.zeros(len(ts), dtype=bool)
+    """The inputs that depend on the tick times ts alone: _window_masks' scheduled
+    and perturbed, the mask of blanked upward-camera ticks, and wrenches, the
+    world (force, torque) the active disturbances sum to in config order, or None."""
+    scheduled, perturbed = _window_masks(config, ts)
     wrench = np.zeros((len(ts), 6))
     for d in config.perturbations:
-        active = d.active(ts)
-        perturbed |= active
-        wrench[active] += d.force + d.torque
+        wrench[d.active(ts)] += d.force + d.torque
     wrenches = [(w[:3], w[3:]) if on else None
                 for w, on in zip(wrench.tolist(), perturbed.tolist())]
     blanked = config.dropout.blanked(ts, np.random.default_rng(config.seed))
-    return config.dropout.scheduled(ts), blanked, perturbed, wrenches
+    return scheduled, blanked, perturbed, wrenches
 
 
 def run(config: ScenarioConfig) -> TrajectoryLog:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import stat
 from pathlib import Path
 
@@ -364,6 +365,8 @@ def with_cell(column, value):
     [
         (lambda cells: cells[:-1], "row 3 has 35 fields"),
         (lambda cells: cells[:5] + ["zero"] + cells[6:], "row 3 is not numeric"),
+        # the one number grammar is loadtxt's: float() would read 0_0 as 0
+        (with_cell("phiU", "0_0"), "row 3 is not numeric: column phiU is '0_0'"),
         (lambda cells: [("abc" if name == "detectedUS" else cell)
                         for name, cell in zip(CSV_COLUMNS, cells)],
          "row 3 column detectedUS is not 0 or 1: 'abc'"),
@@ -379,14 +382,15 @@ def with_cell(column, value):
         (with_cell("xiUS", "nan"), "row 3 column xiUS is nan where detectedUS is 1"),
         (lambda cells: with_cell("regionSU", "none")(with_cell("detectedSU", "0")(cells)),
          "row 3 column xiSU is 0.0336184668519 where detectedSU is 0"),
-        # and only the events _event_flags derives
+        # and exactly the events _event_flags reads off the rest of the log
         (with_cell("eventFlags", "not_an_event"),
-         "row 3 column eventFlags holds 'not_an_event', not an event"),
+         "row 3 column eventFlags is 'not_an_event', not the '' the log and its config give"),
         (with_cell("eventFlags", "perturb_start;region_us:safe-safe"),
-         "row 3 column eventFlags holds 'region_us:safe-safe', not an event"),
-        (with_cell("eventFlags", "los_loss_us;"), "row 3 column eventFlags holds '', not an event"),
+         "row 3 column eventFlags is 'perturb_start;region_us:safe-safe', not the ''"),
+        (with_cell("eventFlags", "los_loss_us;"),
+         "row 3 column eventFlags is 'los_loss_us;', not the ''"),
     ],
-    ids=["short_row", "non_numeric_cell", "bad_detection_flag",
+    ids=["short_row", "non_numeric_cell", "underscored_number", "bad_detection_flag",
          "pose_nan", "pose_inf", "pose_overflow", "time_nan",
          "region_unknown", "region_on_undetected_row", "none_on_detected_row",
          "xi_nan_on_detected_row", "xi_on_undetected_row",
@@ -450,6 +454,78 @@ def test_plot_rejects_a_trajectory_off_its_configs_clock(tmp_path, capsys, damag
     assert run_cli("plot", "--run", str(src), "--out", str(dst)) == 2
     assert not dst.exists()
     assert message in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def event_bundle(tmp_path_factory):
+    """A 5 s perturbation_real bundle with a pull from 1 to 2 s and a blackout
+    of the upward camera from 2.5 to 3 s. Its non-empty eventFlags rows:
+    51 perturb_start; 63 region_us:safe-elastic;region_su:safe-elastic;
+    102 perturb_end; 126 dropout_start;los_loss_us;region_us:elastic-none;
+    152 dropout_end;los_regain_us;region_us:none-elastic."""
+    out = tmp_path_factory.mktemp("events") / "bundle"
+    assert run_cli("run", "--preset", "perturbation_real", "--set", "duration=5",
+                   "--set", "perturbations.0.t_start=1", "--set", "perturbations.0.t_end=2",
+                   "--set", "dropout.scheduled_windows=[[2.5,3]]", "--out", str(out)) == 0
+    return out
+
+
+def on_rows(*rows, **cells):
+    """A damage that sets the named cells of each given row (1 is the first)."""
+    def edit(lines):
+        for row in rows:
+            lines[row] = ",".join(cells.get(name, cell)
+                                  for name, cell in zip(CSV_COLUMNS, lines[row].split(",")))
+        return lines
+    return with_lines(edit)
+
+
+def pull_moved_to_3_s(bundle):
+    echo = json.loads((bundle / "config_echo.json").read_text())
+    echo["perturbations"][0].update(t_start=3.0, t_end=4.0)
+    (bundle / "config_echo.json").write_text(json.dumps(echo))
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (on_rows(126, eventFlags="dropout_start;region_us:elastic-none"),
+         "row 126 column eventFlags is 'dropout_start;region_us:elastic-none', not the "
+         "'dropout_start;los_loss_us;region_us:elastic-none' the log and its config give"),
+        (on_rows(63, eventFlags=""),
+         "row 63 column eventFlags is '', not the 'region_us:safe-elastic;region_su:safe-elastic'"),
+        (on_rows(20, eventFlags="dropout_start"),
+         "row 20 column eventFlags is 'dropout_start', not the ''"),
+        (pull_moved_to_3_s, "row 51 column eventFlags is 'perturb_start', not the ''"),
+        (on_rows(40, projDist="5"), "row 40 column projDist is 5, not the 0.01967138973"),
+        # run() cannot clamp on two ticks running and write the token twice
+        (on_rows(20, 21, eventFlags="wall_clamp_u"),
+         "row 21 column eventFlags is 'wall_clamp_u', not the ''"),
+        # the preset's planner has one waypoint
+        (on_rows(20, 30, eventFlags="waypoint_capture"),
+         "row 30 column eventFlags captures waypoint 2 of 1"),
+    ],
+    ids=["los_loss_removed", "row_emptied", "spurious_dropout_start", "echo_pull_moved",
+         "proj_dist", "clamp_on_consecutive_rows", "waypoint_capture_too_many"],
+)
+def test_plot_rejects_events_and_distances_the_log_cannot_give(event_bundle, tmp_path, capsys,
+                                                               damage, message):
+    src = tmp_path / "bundle"
+    shutil.copytree(event_bundle, src)
+    damage(src)
+    dst = tmp_path / "replot"
+    assert run_cli("plot", "--run", str(src), "--out", str(dst)) == 2
+    assert not dst.exists()
+    assert message in capsys.readouterr().err
+
+
+def test_a_lone_clamp_or_capture_token_is_self_consistent(event_bundle, tmp_path, capsys):
+    # the limit of reading the loop columns off the tokens: only a re-run sees these
+    src = tmp_path / "bundle"
+    shutil.copytree(event_bundle, src)
+    on_rows(20, eventFlags="wall_clamp_s")(src)
+    on_rows(30, eventFlags="waypoint_capture")(src)
+    assert run_cli("plot", "--run", str(src), "--out", str(tmp_path / "replot")) == 0
 
 
 def test_env_var_sets_the_default_output_dir(tmp_path, capsys, monkeypatch):

@@ -1,18 +1,22 @@
-"""The failure contract under fuzzed configs: every input loads and runs, or
-fails with a config error (exit 2) or a simulation failure (exit 3), and a
-failed command writes nothing."""
+"""The failure contract under fuzzed configs and damaged bundles: every input
+loads and runs, or fails with a config error (exit 2) or a simulation failure
+(exit 3), and a failed command writes nothing."""
 
+import contextlib
 import copy
 import dataclasses
+import io
 import json
 import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from vetsim.cli import main
+from vetsim.cli import PLOT_KINDS, main
 from vetsim.config import ConfigError, ScenarioConfig
+from vetsim.log import CSV_COLUMNS
 from vetsim.scenario import PRESET_NAMES, SimFailure, preset, run
 
 ECHOES = Path(__file__).with_name("config_echoes")
@@ -116,3 +120,69 @@ def test_cli_overrides_run_or_fail_cleanly(case, duration, mode):
         code = main(args + ["--out", str(out)])
         assert code in (0, 2, 3), overrides
         assert out.exists() == (code == 0), overrides
+
+
+@pytest.fixture(scope="module")
+def short_bundle(tmp_path_factory):
+    """The config echo and trajectory.csv lines of a 2 s perturbation_real run
+    with a pull from 0.5 to 1 s and a blackout of the upward camera from 1.2
+    to 1.5 s, so that its eventFlags hold perturb, dropout, los and region tokens."""
+    out = tmp_path_factory.mktemp("fuzz") / "bundle"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", "--preset", "perturbation_real", "--set", "duration=2",
+                     "--set", "perturbations.0.t_start=0.5", "--set", "perturbations.0.t_end=1",
+                     "--set", "dropout.scheduled_windows=[[1.2,1.5]]", "--out", str(out)]) == 0
+    return (json.loads((out / "config_echo.json").read_text()),
+            (out / "trajectory.csv").read_text().splitlines())
+
+
+# What replaces one trajectory.csv cell: a number, a spelling loadtxt rejects
+# and float() does not, a flag, a label or event tokens, or any short text.
+CELLS = st.one_of(
+    st.sampled_from(["", "0", "1", "-0", "5", "nan", "inf", "1e999", "0_0", "\uff11", " 1",
+                     "safe", "none", "danger", "waypoint_capture", "wall_clamp_u", "los_loss_us",
+                     "dropout_start", "perturb_end;perturb_start", "region_us:safe-none"]),
+    st.floats().map(repr),
+    st.text(max_size=6),
+)
+
+
+def _is_leaf(tree, path):
+    for key in path:
+        tree = tree[key]
+    return not isinstance(tree, (dict, list))
+
+
+@settings(FUZZ, max_examples=150)
+@given(data=st.data())
+def test_a_damaged_bundle_plots_or_fails_cleanly(short_bundle, data):
+    echo, lines = copy.deepcopy(short_bundle[0]), list(short_bundle[1])
+    kind = data.draw(st.sampled_from(["cell", "row", "echo leaf"]), label="kind")
+    if kind == "cell":
+        k = data.draw(st.integers(1, len(lines) - 1), label="row")
+        cells = lines[k].split(",")
+        cells[data.draw(st.integers(0, len(CSV_COLUMNS) - 1), label="column")] = data.draw(CELLS)
+        lines[k] = ",".join(cells)
+    elif kind == "row":
+        k = data.draw(st.integers(1, len(lines) - 2), label="row")
+        edit = data.draw(st.sampled_from(["delete", "repeat", "swap with the next"]))
+        lines[k:k + 2] = {"delete": lines[k + 1:k + 2], "repeat": [lines[k]] + lines[k:k + 2],
+                          "swap with the next": lines[k:k + 2][::-1]}[edit]
+    else:
+        leaves = [path for path in _paths(echo) if _is_leaf(echo, path)]
+        path = data.draw(st.sampled_from(leaves), label="leaf")
+        _replace(echo, path, data.draw(VALUES | st.floats(-5, 5) | st.integers(0, 5)))
+    with tempfile.TemporaryDirectory() as tmp:
+        src, dst = Path(tmp) / "bundle", Path(tmp) / "replot"
+        src.mkdir()
+        (src / "config_echo.json").write_text(json.dumps(echo))
+        (src / "trajectory.csv").write_text("\n".join(lines) + "\n")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["plot", "--run", str(src), "--out", str(dst)])  # raises on a traceback
+        if code == 0:
+            assert sorted(p.name for p in (dst / "plots").iterdir()) == sorted(
+                f"{name}.svg" for name in PLOT_KINDS)
+        else:
+            assert (code, err.getvalue()[:14]) == (2, "config error: ")
+            assert not dst.exists()

@@ -313,6 +313,27 @@ def test_camera_to_body_flipped_mount():
     np.testing.assert_allclose(out3, [0.02, 0.03, -0.04])
 
 
+@pytest.mark.parametrize("yaw", [0.3, -2.0])
+@pytest.mark.parametrize("base", [((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), FLIP_X],
+                         ids=["up", "down"])
+def test_camera_to_body_with_a_yawed_mount_matches_the_rotation(base, yaw):
+    # a mount turned about the optical axis has non-zero r1 and r3, so every
+    # term of the linear part counts
+    c, s = math.cos(yaw), math.sin(yaw)
+    rot = np.array(base) @ np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    mount = RigidTransform(tuple(map(tuple, rot.tolist())), ZERO).flat()[0]
+    assert mount[1] != 0.0 and mount[3] != 0.0
+    rng = np.random.default_rng(11)
+    for cx, cy, cpsi in rng.uniform(-1, 1, (20, 3)).tolist():
+        linear = rot @ [cx, cy, 0.0]  # rotates as a vector
+        spin = rot @ [0.0, 0.0, cpsi]  # rotates as an axis
+        expected6 = [linear[0], linear[1], 0.0, 0.0, 0.0, spin[2]]
+        np.testing.assert_allclose(camera_to_body((cx, cy, cpsi), mount, 6), expected6,
+                                   rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(camera_to_body((cx, cy, cpsi), mount, 3),
+                                   [linear[0], linear[1], spin[2]], rtol=1e-12, atol=1e-15)
+
+
 def test_camera_to_body_never_touches_subtask_axes():
     rng = np.random.default_rng(5)
     for _ in range(20):
