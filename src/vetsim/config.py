@@ -9,8 +9,6 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
-import numpy as np
-
 from .control import PdGains, VetGains
 from .perception import CameraModel, DropoutModel, TagModel
 from .vehicle import Disturbance, VehicleParams
@@ -174,15 +172,6 @@ class ScenarioConfig:
         """A config from its to_dict form, schemas v1 and v2 included; raises
         ConfigError on anything else."""
         return _decode(_upgrade(data) if isinstance(data, dict) else data, ScenarioConfig, "")
-
-
-def _window_masks(config: ScenarioConfig, ts: np.ndarray) -> tuple:
-    """Per-tick masks at the tick times ts: a scheduled dropout window covers
-    the tick, a disturbance is active; for run() and log_from_csv alike."""
-    perturbed = np.zeros(len(ts), dtype=bool)
-    for d in config.perturbations:
-        perturbed |= d.active(ts)
-    return config.dropout.scheduled(ts), perturbed
 
 
 def _non_finite_paths(tree, path: str = "") -> list:

@@ -10,7 +10,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .config import ConfigError, ScenarioConfig, _window_masks, planner_waypoints
+from .config import ConfigError, ScenarioConfig, planner_waypoints
 
 
 # The log layout, declared once: each CSV-backed TrajectoryLog field with its
@@ -174,6 +174,16 @@ def _transitions(mask: np.ndarray, before_first: bool, on: str, off: str = "") -
 _REGIONS = frozenset(("safe", "elastic", "danger", "none"))
 
 
+def _window_masks(config: ScenarioConfig, ts: np.ndarray) -> tuple:
+    """Per-tick masks at the tick times ts, _event_flags' scheduled and perturbed:
+    a scheduled dropout window covers the tick, a disturbance is active; for
+    run() and log_from_csv alike."""
+    perturbed = np.zeros(len(ts), dtype=bool)
+    for d in config.perturbations:
+        perturbed |= d.active(ts)
+    return config.dropout.scheduled(ts), perturbed
+
+
 def _event_flags(arrays: dict, labels: dict, scheduled: np.ndarray,
                  perturbed: np.ndarray) -> list:
     """The eventFlags text of every tick, read off the transitions of arrays
@@ -257,10 +267,11 @@ def _check_columns(arrays: dict, labels: dict, config: ScenarioConfig, ts: np.nd
     detection flag is 0; a projDist off the distance of the row's poses by more
     than their 12-digit rounding carries; an eventFlags text other than
     _event_flags reads off the log, config's windows at the times ts and the
-    _LOOP_COLUMNS the tokens give (the running waypoint_capture count, clamp
-    masks true exactly on their wall_clamp_* rows), or one past the planner's
-    last waypoint. A lone spurious or missing waypoint_capture or wall_clamp_*
-    token is thus self-consistent: only a re-run of config can catch it."""
+    _LOOP_COLUMNS the tokens give (the running waypoint_capture count, which
+    like run()'s stops at the planner's last waypoint, and clamp masks true
+    exactly on their wall_clamp_* rows). A lone spurious or missing
+    waypoint_capture or wall_clamp_* token is thus self-consistent, unless it
+    is a capture past the last waypoint: only a re-run of config can catch it."""
     for pair in ("us", "su"):
         tag, regions, seen = pair.upper(), labels[f"region_{pair}"], arrays[f"detected_{pair}"]
         if unknown := set(regions) - _REGIONS:
@@ -283,18 +294,19 @@ def _check_columns(arrays: dict, labels: dict, config: ScenarioConfig, ts: np.nd
                           f"{between[k]:.12g} m between the row's poses")
     flags = labels["event_flags"]
     rows = list(itertools.compress(range(len(flags)), flags))  # only non-empty cells are split
-    counts = np.zeros((len(flags), len(_LOOP_COLUMNS)), dtype=int)
-    counts[rows] = [[cell.count(token) for token in ("waypoint_capture", *_LOOP_COLUMNS[1:])]
-                    for cell in (flags[k].split(";") for k in rows)]
-    loop = dict(zip(_LOOP_COLUMNS, (counts[:, 0].cumsum(), *(counts[:, 1:].T > 0))))
+    tokens = ("waypoint_capture", *_LOOP_COLUMNS[1:])
+    found = [[cell.count(token) for token in tokens]
+             for cell in (flags[k].split(";") for k in rows)]
+    counts = np.zeros((len(flags), len(tokens)), dtype=int)
+    counts[rows] = np.reshape(found, (-1, len(tokens)))  # shape (0, 3) on a log with no event
+    # run()'s planner index stops at the last waypoint, so a capture past it derives no token
+    index = counts[:, 0].cumsum().clip(max=len(planner_waypoints(config.planner)))
+    loop = dict(zip(_LOOP_COLUMNS, (index, *(counts[:, 1:].T > 0))))
     derived = _event_flags(arrays | loop, labels, *_window_masks(config, ts))
     if derived != flags:
         k = next(k for k, (got, want) in enumerate(zip(flags, derived)) if got != want)
         raise ConfigError(f"row {k + 1} column eventFlags is {flags[k]!r}, not the "
                           f"{derived[k]!r} the log and its config give")
-    n = len(planner_waypoints(config.planner))
-    if (past := np.flatnonzero(loop["waypoint_index"] > n)).size:
-        raise ConfigError(f"row {past[0] + 1} column eventFlags captures waypoint {n + 1} of {n}")
 
 
 def _rescan(rows: list, lo: int) -> NoReturn:

@@ -35,7 +35,7 @@ from array import array
 
 import numpy as np
 
-from .config import Lawnmower, ScenarioConfig, Setpoints, _window_masks, planner_waypoints
+from .config import Lawnmower, ScenarioConfig, Setpoints, planner_waypoints
 from .control import (
     VET_START, DepthAttitudeState, VetGains, baseline_ibvs, camera_to_body,
     subtask_control_surface, subtask_control_underwater, uniform_pd, vet_law,
@@ -44,7 +44,7 @@ from .frames import GimbalSingularity, RigidTransform, euler_rate_rows, flat_tra
 from .frames import projected_distance
 from .log import (
     TrajectoryLog, _LOOP_COLUMNS, _ROW_WIDTH, _event_flags, _first_non_finite, _log_arrays,
-    _saturated_totals,
+    _saturated_totals, _window_masks,
 )
 from .perception import (
     UNDETECTED, UNSEEN, CameraModel, DropoutModel, TagModel, observe, project_tag, tag_geometry,

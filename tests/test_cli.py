@@ -305,6 +305,18 @@ def test_plot_regenerates_identical_svgs(tmp_path, capsys):
         assert (src / rel).read_bytes() == (dst / rel).read_bytes()
 
 
+def test_plot_regenerates_identical_svgs_of_a_log_with_no_event(tmp_path, capsys):
+    # 0.2 s of nominal: no pull, no dropout, no clamp, no capture, the tag stays safe
+    src = tmp_path / "bundle"
+    assert run_cli("run", "--preset", "nominal", "--set", "duration=0.2", "--out", str(src)) == 0
+    rows = (src / "trajectory.csv").read_text().splitlines()[1:]
+    assert len(rows) == 11 and all(row.endswith(",") for row in rows)  # eventFlags is last
+    dst = tmp_path / "replot"
+    assert run_cli("plot", "--run", str(src), "--out", str(dst)) == 0
+    for rel in BUNDLE_FILES[3:]:
+        assert (src / rel).read_bytes() == (dst / rel).read_bytes()
+
+
 def test_plot_regenerates_identical_decimated_svgs(tmp_path, capsys):
     # 1,501 ticks on a 582 px wide plot: the polylines drop points
     src = tmp_path / "bundle"
@@ -503,7 +515,7 @@ def pull_moved_to_3_s(bundle):
          "row 21 column eventFlags is 'wall_clamp_u', not the ''"),
         # the preset's planner has one waypoint
         (on_rows(20, 30, eventFlags="waypoint_capture"),
-         "row 30 column eventFlags captures waypoint 2 of 1"),
+         "row 30 column eventFlags is 'waypoint_capture', not the ''"),
     ],
     ids=["los_loss_removed", "row_emptied", "spurious_dropout_start", "echo_pull_moved",
          "proj_dist", "clamp_on_consecutive_rows", "waypoint_capture_too_many"],
