@@ -352,16 +352,6 @@ def test_plot_can_select_a_single_kind(tmp_path, capsys):
     assert not (dst / "plots/trajectory_xy.svg").exists()
 
 
-def test_plot_accepts_a_header_only_csv(tmp_path, capsys):
-    rundir = tmp_path / "empty"
-    rundir.mkdir()
-    (rundir / "config_echo.json").write_text(json.dumps(preset("nominal").to_dict()))
-    (rundir / "trajectory.csv").write_text(",".join(CSV_COLUMNS) + "\n")
-    assert run_cli("plot", "--run", str(rundir)) == 0
-    svg = (rundir / "plots/distance_vs_time.svg").read_text()
-    assert svg.startswith("<svg") or "<svg" in svg
-
-
 def test_plot_rejects_a_missing_bundle(tmp_path, capsys):
     assert run_cli("plot", "--run", str(tmp_path / "nowhere")) == 2
 
