@@ -88,56 +88,40 @@ def _pad_range(lo: float, hi: float, frac: float = 0.05):
     return lo - pad, hi + pad
 
 
+def _el(tag: str, text=None, **attrs) -> str:
+    """One SVG element. Attributes come out in call order with ``_`` in a name
+    written ``-``; numbers are printed by ``_fmt``, strings as they are."""
+    attr = " ".join(f'{name.replace("_", "-")}="{v if isinstance(v, str) else _fmt(v)}"'
+                    for name, v in attrs.items())
+    return f"<{tag} {attr}/>" if text is None else f"<{tag} {attr}>{text}</{tag}>"
+
+
 def _axes(frame: _Frame, title: str, x_label: str, y_label: str) -> list:
-    parts = [
-        f'<rect x="{_fmt(frame.left)}" y="{_fmt(frame.top)}" '
-        f'width="{_fmt(frame.right - frame.left)}" '
-        f'height="{_fmt(frame.bottom - frame.top)}" '
-        'fill="white" stroke="#444444" stroke-width="1"/>'
-    ]
+    parts = [_el("rect", x=frame.left, y=frame.top, width=frame.right - frame.left,
+                 height=frame.bottom - frame.top, fill="white", stroke="#444444",
+                 stroke_width="1")]
     for tx in _nice_ticks(frame.x_lo, frame.x_hi):
         if tx < frame.x_lo - 1e-12 or tx > frame.x_hi + 1e-12:
             continue
         x = frame.px(tx)
-        parts.append(
-            f'<line x1="{_fmt(x)}" y1="{_fmt(frame.bottom)}" '
-            f'x2="{_fmt(x)}" y2="{_fmt(frame.bottom + 5)}" stroke="#444444"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(frame.bottom + 18)}" '
-            'font-size="11" text-anchor="middle" fill="#222222">'
-            f"{tx:g}</text>"
-        )
+        parts += [_el("line", x1=x, y1=frame.bottom, x2=x, y2=frame.bottom + 5, stroke="#444444"),
+                  _el("text", f"{tx:g}", x=x, y=frame.bottom + 18, font_size="11",
+                      text_anchor="middle", fill="#222222")]
     for ty in _nice_ticks(frame.y_lo, frame.y_hi):
         if ty < frame.y_lo - 1e-12 or ty > frame.y_hi + 1e-12:
             continue
         y = frame.py(ty)
-        parts.append(
-            f'<line x1="{_fmt(frame.left - 5)}" y1="{_fmt(y)}" '
-            f'x2="{_fmt(frame.left)}" y2="{_fmt(y)}" stroke="#444444"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(frame.left - 8)}" y="{_fmt(y + 4)}" '
-            'font-size="11" text-anchor="end" fill="#222222">'
-            f"{ty:g}</text>"
-        )
-    parts.append(
-        f'<text x="{_fmt((frame.left + frame.right) / 2)}" y="20" '
-        'font-size="13" text-anchor="middle" fill="#111111">'
-        f"{title}</text>"
-    )
-    parts.append(
-        f'<text x="{_fmt((frame.left + frame.right) / 2)}" '
-        f'y="{_fmt(_HEIGHT - 10)}" font-size="11" text-anchor="middle" '
-        f'fill="#222222">{x_label}</text>'
-    )
-    parts.append(
-        f'<text x="14" y="{_fmt((frame.top + frame.bottom) / 2)}" '
-        'font-size="11" text-anchor="middle" fill="#222222" '
-        f'transform="rotate(-90 14 {_fmt((frame.top + frame.bottom) / 2)})">'
-        f"{y_label}</text>"
-    )
-    return parts
+        parts += [_el("line", x1=frame.left - 5, y1=y, x2=frame.left, y2=y, stroke="#444444"),
+                  _el("text", f"{ty:g}", x=frame.left - 8, y=y + 4, font_size="11",
+                      text_anchor="end", fill="#222222")]
+    mid_x, mid_y = (frame.left + frame.right) / 2, (frame.top + frame.bottom) / 2
+    return parts + [
+        _el("text", title, x=mid_x, y="20", font_size="13", text_anchor="middle", fill="#111111"),
+        _el("text", x_label, x=mid_x, y=_HEIGHT - 10, font_size="11", text_anchor="middle",
+            fill="#222222"),
+        _el("text", y_label, x="14", y=mid_y, font_size="11", text_anchor="middle",
+            fill="#222222", transform=f"rotate(-90 14 {_fmt(mid_y)})"),
+    ]
 
 
 def _m4(qx, qy, starts):
@@ -191,34 +175,19 @@ def _polyline(frame: _Frame, xs, ys, color: str, width: float = 1.5, dash=None,
 
 
 def _spans(frame: _Frame, windows, color: str) -> list:
-    parts = []
-    for t0, t1 in windows:
-        a = max(t0, frame.x_lo)
-        b = min(t1, frame.x_hi)
-        if b <= a:
-            continue
-        parts.append(
-            f'<rect x="{_fmt(frame.px(a))}" y="{_fmt(frame.top)}" '
-            f'width="{_fmt(frame.px(b) - frame.px(a))}" '
-            f'height="{_fmt(frame.bottom - frame.top)}" '
-            f'fill="{color}" fill-opacity="0.45" stroke="none"/>'
-        )
-    return parts
+    clipped = [(max(t0, frame.x_lo), min(t1, frame.x_hi)) for t0, t1 in windows]
+    return [_el("rect", x=frame.px(a), y=frame.top, width=frame.px(b) - frame.px(a),
+                height=frame.bottom - frame.top, fill=color, fill_opacity="0.45", stroke="none")
+            for a, b in clipped if b > a]
 
 
 def _legend(entries) -> list:
     parts = []
     x = _MARGIN_L + 8
     for label, color in entries:
-        parts.append(
-            f'<line x1="{_fmt(x)}" y1="{_fmt(_MARGIN_T + 12)}" '
-            f'x2="{_fmt(x + 18)}" y2="{_fmt(_MARGIN_T + 12)}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x + 22)}" y="{_fmt(_MARGIN_T + 16)}" '
-            f'font-size="11" fill="#222222">{label}</text>'
-        )
+        parts += [_el("line", x1=x, y1=_MARGIN_T + 12, x2=x + 18, y2=_MARGIN_T + 12,
+                      stroke=color, stroke_width="2"),
+                  _el("text", label, x=x + 22, y=_MARGIN_T + 16, font_size="11", fill="#222222")]
         x += 30 + 7 * len(label)
     return parts
 
@@ -233,49 +202,42 @@ def _document(parts: list) -> str:
     )
 
 
-def _time_axes(frame: _Frame, config, title: str, y_label: str, threshold=None) -> list:
-    """Axes of a time plot with its event spans and the threshold line, if any."""
+def _time_plot(config, t_range, y_range, title, y_label, traces, threshold=None) -> str:
+    """A time plot: axes, the config's event spans, the threshold line if any, and
+    one polyline and legend entry per ``(t, values, label, color, dash)`` trace."""
+    frame = _Frame(t_range, y_range)
     parts = _axes(frame, title, "t (s)", y_label)
     parts += _spans(frame, config.dropout.scheduled_windows, _COLOR_SPAN_DROPOUT)
     parts += _spans(frame, [(d.t_start, d.t_end) for d in config.perturbations],
                     _COLOR_SPAN_PERTURB)
     if threshold is not None:
-        y = _fmt(frame.py(threshold))
-        parts.append(f'<line x1="{_fmt(frame.left)}" y1="{y}" x2="{_fmt(frame.right)}" '
-                     f'y2="{y}" stroke="#555555" stroke-dasharray="5,4"/>')
-    return parts
+        y = frame.py(threshold)
+        parts.append(_el("line", x1=frame.left, y1=y, x2=frame.right, y2=y, stroke="#555555",
+                         stroke_dasharray="5,4"))
+    for t, values, _, color, dash in traces:
+        parts += _polyline(frame, t, values, color, dash=dash)
+    parts += _legend([(label, color) for _, _, label, color, _ in traces])
+    return _document(parts)
 
 
 def plot_trajectory(log: TrajectoryLog) -> str:
     """Top view of both robots' paths, waypoints and the tank outline."""
     cfg = log.config
-    xs = [cfg.tank_min[0], cfg.tank_max[0]]
-    ys = [cfg.tank_min[1], cfg.tank_max[1]]
-    frame = _Frame(_pad_range(min(xs), max(xs)), _pad_range(min(ys), max(ys)))
+    (x_lo, y_lo), (x_hi, y_hi) = cfg.tank_min[:2], cfg.tank_max[:2]
+    frame = _Frame(_pad_range(x_lo, x_hi), _pad_range(y_lo, y_hi))
     parts = _axes(frame, "planar trajectories", "x (m)", "y (m)")
-    parts.append(
-        f'<rect x="{_fmt(frame.px(cfg.tank_min[0]))}" '
-        f'y="{_fmt(frame.py(cfg.tank_max[1]))}" '
-        f'width="{_fmt(frame.px(cfg.tank_max[0]) - frame.px(cfg.tank_min[0]))}" '
-        f'height="{_fmt(frame.py(cfg.tank_min[1]) - frame.py(cfg.tank_max[1]))}" '
-        'fill="none" stroke="#999999" stroke-dasharray="4,3"/>'
-    )
+    parts.append(_el("rect", x=frame.px(x_lo), y=frame.py(y_hi),
+                     width=frame.px(x_hi) - frame.px(x_lo), height=frame.py(y_lo) - frame.py(y_hi),
+                     fill="none", stroke="#999999", stroke_dasharray="4,3"))
     for wx, wy, _ in planner_waypoints(cfg.planner):
-        parts.append(
-            f'<circle cx="{_fmt(frame.px(wx))}" cy="{_fmt(frame.py(wy))}" '
-            'r="4" fill="none" stroke="#2ca02c" stroke-width="1.5"/>'
-        )
+        parts.append(_el("circle", cx=frame.px(wx), cy=frame.py(wy), r="4", fill="none",
+                         stroke="#2ca02c", stroke_width="1.5"))
     if len(log) > 0:
         parts += _polyline(frame, log.pose_u[:, 0], log.pose_u[:, 1], _COLOR_U, thin=_grid)
         parts += _polyline(frame, log.pose_s[:, 0], log.pose_s[:, 1], _COLOR_S, thin=_grid)
-        parts.append(
-            f'<circle cx="{_fmt(frame.px(log.pose_u[0, 0]))}" '
-            f'cy="{_fmt(frame.py(log.pose_u[0, 1]))}" r="3" fill="{_COLOR_U}"/>'
-        )
-        parts.append(
-            f'<circle cx="{_fmt(frame.px(log.pose_s[0, 0]))}" '
-            f'cy="{_fmt(frame.py(log.pose_s[0, 1]))}" r="3" fill="{_COLOR_S}"/>'
-        )
+        for pose, color in ((log.pose_u, _COLOR_U), (log.pose_s, _COLOR_S)):
+            parts.append(_el("circle", cx=frame.px(pose[0, 0]), cy=frame.py(pose[0, 1]), r="3",
+                             fill=color))
     parts += _legend([("underwater", _COLOR_U), ("surface", _COLOR_S)])
     return _document(parts)
 
@@ -286,67 +248,51 @@ def _time_range(log: TrajectoryLog):
     return float(log.t[0]), max(float(log.t[-1]), float(log.t[0]) + 1e-9)
 
 
-def plot_distance(log: TrajectoryLog, threshold=None) -> str:
-    """Horizontal separation over time with shaded event intervals."""
-    t_lo, t_hi = _time_range(log)
-    d_hi = float(np.max(log.proj_dist)) if len(log) else 1.0
+def _distance_plot(logs, labels, t_range, d_hi: float, threshold) -> str:
+    """Separation traces on shared axes that reach d_hi, the threshold and 1e-6 m."""
     if threshold is not None:
         d_hi = max(d_hi, threshold)
-    frame = _Frame((t_lo, t_hi), _pad_range(0.0, max(d_hi, 1e-6)))
-    parts = _time_axes(frame, log.config, "horizontal separation", "distance (m)", threshold)
-    parts += _polyline(frame, log.t, log.proj_dist, _COLOR_U)
-    parts += _legend([("separation", _COLOR_U)])
-    return _document(parts)
+    traces = [(log.t, log.proj_dist, label, color, None)
+              for log, label, color in zip(logs, labels, (_COLOR_U, _COLOR_ALT))]
+    return _time_plot(logs[0].config, t_range, _pad_range(0.0, max(d_hi, 1e-6)),
+                      "horizontal separation", "distance (m)", traces, threshold)
+
+
+def plot_distance(log: TrajectoryLog, threshold=None) -> str:
+    """Horizontal separation over time with shaded event intervals."""
+    d_hi = float(np.max(log.proj_dist)) if len(log) else 1.0
+    return _distance_plot((log,), ("separation",), _time_range(log), d_hi, threshold)
 
 
 def plot_distance_overlay(log_a: TrajectoryLog, log_b: TrajectoryLog,
                           label_a: str, label_b: str, threshold=None) -> str:
     """Two separation traces on shared axes, for method comparison."""
-    t_hi = 1.0
-    d_hi = 1e-6
+    t_hi, d_hi = 1.0, 1e-6
     for log in (log_a, log_b):
         if len(log):
             t_hi = max(t_hi, float(log.t[-1]))
             d_hi = max(d_hi, float(np.max(log.proj_dist)))
-    if threshold is not None:
-        d_hi = max(d_hi, threshold)
-    frame = _Frame((0.0, t_hi), _pad_range(0.0, d_hi))
-    parts = _time_axes(frame, log_a.config, "horizontal separation", "distance (m)", threshold)
-    parts += _polyline(frame, log_a.t, log_a.proj_dist, _COLOR_U)
-    parts += _polyline(frame, log_b.t, log_b.proj_dist, _COLOR_ALT)
-    parts += _legend([(label_a, _COLOR_U), (label_b, _COLOR_ALT)])
-    return _document(parts)
+    return _distance_plot((log_a, log_b), (label_a, label_b), (0.0, t_hi), d_hi, threshold)
 
 
 def plot_commands(log: TrajectoryLog) -> str:
     """Planar components of both robots' saturated velocity commands."""
-    t_lo, t_hi = _time_range(log)
-    bound = max(
-        log.config.params_u.velocity_bound_linear,
-        log.config.params_s.velocity_bound_linear,
-    )
-    frame = _Frame((t_lo, t_hi), _pad_range(-bound, bound, 0.15))
-    parts = _time_axes(frame, log.config, "commanded velocities", "command (m/s)")
-    parts += _polyline(frame, log.t, log.u_total_u[:, 0], _COLOR_U)
-    parts += _polyline(frame, log.t, log.u_total_u[:, 1], _COLOR_U, dash="4,3")
-    parts += _polyline(frame, log.t, log.u_total_s[:, 0], _COLOR_S)
-    parts += _polyline(frame, log.t, log.u_total_s[:, 1], _COLOR_S, dash="4,3")
-    parts += _legend(
-        [("uU x", _COLOR_U), ("uU y (dash)", _COLOR_U),
-         ("uS x", _COLOR_S), ("uS y (dash)", _COLOR_S)]
-    )
-    return _document(parts)
+    bound = max(log.config.params_u.velocity_bound_linear,
+                log.config.params_s.velocity_bound_linear)
+    return _time_plot(log.config, _time_range(log), _pad_range(-bound, bound, 0.15),
+                      "commanded velocities", "command (m/s)",
+                      [(log.t, log.u_total_u[:, 0], "uU x", _COLOR_U, None),
+                       (log.t, log.u_total_u[:, 1], "uU y (dash)", _COLOR_U, "4,3"),
+                       (log.t, log.u_total_s[:, 0], "uS x", _COLOR_S, None),
+                       (log.t, log.u_total_s[:, 1], "uS y (dash)", _COLOR_S, "4,3")])
 
 
 def plot_tether(log: TrajectoryLog) -> str:
     """Tether offset xi seen from each camera; gaps where detection dropped."""
-    t_lo, t_hi = _time_range(log)
     xi = np.concatenate([log.xi_us, log.xi_su])
     finite = xi[np.isfinite(xi)]
     xi_hi = float(finite.max()) if finite.size else 1.0
-    frame = _Frame((t_lo, t_hi), _pad_range(0.0, max(xi_hi, 1e-6)))
-    parts = _time_axes(frame, log.config, "tether state", "xi (px)")
-    parts += _polyline(frame, log.t, log.xi_us, _COLOR_U)
-    parts += _polyline(frame, log.t, log.xi_su, _COLOR_S)
-    parts += _legend([("upward view", _COLOR_U), ("downward view", _COLOR_S)])
-    return _document(parts)
+    return _time_plot(log.config, _time_range(log), _pad_range(0.0, max(xi_hi, 1e-6)),
+                      "tether state", "xi (px)",
+                      [(log.t, log.xi_us, "upward view", _COLOR_U, None),
+                       (log.t, log.xi_su, "downward view", _COLOR_S, None)])
