@@ -116,7 +116,7 @@ def _build_config(args) -> ScenarioConfig:
             data = json.loads(path.read_text())
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         cfg = ScenarioConfig.from_dict(data)
     tree = cfg.to_dict()
@@ -241,11 +241,16 @@ def _cmd_plot(args) -> int:
     run_dir = Path(args.run)
     try:
         cfg_data = json.loads((run_dir / "config_echo.json").read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read bundle: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"bundle config is not valid JSON: {exc}") from exc
+    try:
         csv_text = (run_dir / "trajectory.csv").read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read bundle: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"bundle config is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"bundle trajectory cannot be decoded: {exc}") from exc
     cfg = ScenarioConfig.from_dict(cfg_data)
     log = log_from_csv(csv_text, cfg)
     out = Path(args.out) if args.out else run_dir

@@ -231,6 +231,28 @@ def test_malformed_config_file_fails_cleanly(tmp_path, capsys):
     assert run_cli("run", "--config", str(incomplete), "--out", str(out)) == 2
 
 
+@pytest.mark.parametrize("command, damaged", [("run", "config_echo.json"),
+                                              ("plot", "config_echo.json"),
+                                              ("plot", "trajectory.csv")])
+def test_a_file_that_is_not_utf8_fails_cleanly(tmp_path, capsys, command, damaged):
+    src = tmp_path / "bundle"
+    assert run_cli("run", "--preset", "nominal", "--set", "duration=1", "--out", str(src)) == 0
+    path = src / damaged
+    text = bytearray(path.read_bytes())
+    text[len(text) // 2] = 0xFF  # a byte no UTF-8 text holds
+    path.write_bytes(bytes(text))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    if command == "run":
+        assert run_cli("run", "--config", str(path), "--out", str(out)) == 2
+    else:
+        assert run_cli("plot", "--run", str(src), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert "can't decode byte 0xff" in err
+    assert not out.exists()
+
+
 def test_unknown_preset_is_an_argparse_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("run", "--preset", "nope", "--out", str(tmp_path))

@@ -187,6 +187,16 @@ def test_danger_region_commands_the_bound_along_the_error():
     assert u[1] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_danger_region_with_no_error_commands_only_the_yaw():
+    # built by hand: observe() puts a centred tag in the safe box, whose half-width
+    # l_bar / 2 is above zero for any tag it measures
+    obs = ((320.0, 240.0), (0.0, 0.0), "danger", 1.5, 0.0)
+    gains = VetGains(k_psi=0.5)
+    u, weight, _ = vet_law(obs, 0.4, 0.0, VET_START, gains, up_camera())
+    assert u == (0.0, 0.0, gains.k_psi * 0.4)
+    assert weight == 0.0
+
+
 def test_command_clips_per_axis():
     cam = up_camera()
     u, _, _ = vet_law(seen(480.0, 240.0, cam), 0.0, 0.0, VET_START, VetGains(), cam)
