@@ -72,7 +72,7 @@ def _sha256(svgs: dict) -> dict:
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_svgs_match_the_lock(case, tmp_path, capsys):
+def test_svgs_match_the_lock(case, tmp_path):
     svgs = _draw(case, tmp_path)
     if case in ("vet", "baseline"):
         # the fixture exists to draw a dropout span and a perturbation span
