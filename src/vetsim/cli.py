@@ -245,14 +245,18 @@ def _cmd_plot(args) -> int:
         raise ConfigError(f"cannot read bundle: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"bundle config is not valid JSON: {exc}") from exc
-    try:
-        csv_text = (run_dir / "trajectory.csv").read_text()
+    path = run_dir / "trajectory.csv"
+    try:  # log_from_csv streams the file: a byte that does not decode fails mid-read
+        with path.open() as lines:
+            log = log_from_csv(lines, ScenarioConfig.from_dict(cfg_data))
     except OSError as exc:
         raise ConfigError(f"cannot read bundle: {exc}") from exc
     except UnicodeDecodeError as exc:
+        try:  # name the byte's position in the file, not in the stream's last block
+            path.read_text()
+        except UnicodeDecodeError as whole:
+            exc = whole
         raise ConfigError(f"bundle trajectory cannot be decoded: {exc}") from exc
-    cfg = ScenarioConfig.from_dict(cfg_data)
-    log = log_from_csv(csv_text, cfg)
     out = Path(args.out) if args.out else run_dir
     kinds = PLOT_KINDS if args.kind == "all" else (args.kind,)
     _write_bundle(out, _render_plots(log, args.threshold, kinds))

@@ -4,7 +4,8 @@ events read off the columns (_event_flags, the one event path of run() and the r
 from __future__ import annotations
 
 import itertools
-import re
+import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -170,8 +171,9 @@ def _transitions(mask: np.ndarray, before_first: bool, on: str, off: str = "") -
     return rises + falls
 
 
-# The labels a region column can hold.
-_REGIONS = frozenset(("safe", "elastic", "danger", "none"))
+# The labels a region column can hold, each keyed by its text, so that a log
+# read back holds the very label strings run() logged.
+_REGIONS = {label: label for label in ("safe", "elastic", "danger", "none")}
 
 
 def _window_masks(config: ScenarioConfig, ts: np.ndarray) -> tuple:
@@ -203,35 +205,38 @@ def _event_flags(arrays: dict, labels: dict, scheduled: np.ndarray,
         *_transitions(det_su, det_su[0], "los_regain_su", "los_loss_su"),
     ]
     for pair in ("us", "su"):
-        regions = labels[f"region_{pair}"]
-        found += [(k, f"region_{pair}:{a}-{b}")
-                  for k, (a, b) in enumerate(zip(regions, regions[1:]), 1) if a != b]
+        r = labels[f"region_{pair}"]
+        found += [(k, f"region_{pair}:{r[k - 1]}-{r[k]}")
+                  for k in itertools.compress(itertools.count(1), map(operator.ne, r, r[1:]))]
     flags = [""] * len(passed)
     for k, event in sorted(found, key=lambda item: item[0]):  # stable: keeps the order
         flags[k] = f"{flags[k]};{event}" if flags[k] else event
     return flags
 
 
-def log_from_csv(text: str, config: ScenarioConfig) -> TrajectoryLog:
+def log_from_csv(lines: Iterable[str], config: ScenarioConfig) -> TrajectoryLog:
     """Rebuild a log from its CSV rendering plus the echoed config: every field
-    as run() built it, the floats to the 12 printed digits. A header-only file
-    yields an empty log, which the plots render as bare axes. Blank lines are
-    skipped; a row of the wrong length, a flag not 0 or 1 or a cell loadtxt
-    does not read as a number is a ConfigError naming its row, and a time,
-    pose or command that is NaN or infinite, which run() never writes, one
-    naming its row and column; so is a row count or a time that config's
-    duration and dt could not give, or columns that disagree (_check_columns).
+    as run() built it, the floats to the 12 printed digits. lines is an open
+    text file or any iterable of its lines, each ending in "\n" but perhaps the
+    last; it is read one _CSV_CHUNK of lines at a time, into a row table sized
+    by config. A header-only file yields an empty log, which the plots render
+    as bare axes. Blank lines are skipped; a row of the wrong length, a flag
+    not 0 or 1 or a cell loadtxt does not read as a number is a ConfigError
+    naming its row, and a time, pose or command that is NaN or infinite, which
+    run() never writes, one naming its row and column; so is a row count or a
+    time that config's duration and dt could not give, or columns that
+    disagree (_check_columns). A file longer than config's row count is read
+    at most one chunk past its end.
     """
-    # Non-empty lines, split off one at a time: one chunk is held as strings.
-    lines = map(re.Match.group, re.finditer("[^\n]+", text))
-    if next(lines, "").split(",") != list(CSV_COLUMNS):
+    lines = filter("\n".__ne__, lines)  # blank lines are skipped
+    if next(lines, "").rstrip("\n").split(",") != list(CSV_COLUMNS):
         raise ConfigError("trajectory CSV header does not match the schema")
-    # Every well-formed row, the header too, holds len(CSV_COLUMNS) - 1 commas,
-    # which bounds the row count; unused rows are cut off below.
-    table = np.zeros((text.count(",") // (len(CSV_COLUMNS) - 1), _ROW_WIDTH))
+    # run() writes config.steps + 1 rows; once a chunk ends past them, no more is read
+    n = config.steps + 1
+    table = np.zeros((n + _CSV_CHUNK, _ROW_WIDTH))
     labels = {name: [] for name, kind, _ in _LOG_LAYOUT if kind is str}
     hi = 0
-    while chunk := list(itertools.islice(lines, _CSV_CHUNK)):
+    while hi <= n and (chunk := list(itertools.islice(lines, _CSV_CHUNK))):
         lo, hi = hi, hi + len(chunk)
         try:
             block = np.loadtxt(chunk, delimiter=",", dtype=_CSV_DTYPE, comments=None, ndmin=1)
@@ -239,7 +244,9 @@ def log_from_csv(text: str, config: ScenarioConfig) -> TrajectoryLog:
             _rescan(chunk, lo)
         for column, (name, kind, _, slot) in zip(CSV_COLUMNS, _CSV_CELLS):
             if kind is str:
-                labels[name] += block[column].tolist()
+                cells = block[column].tolist()
+                # a known region becomes run()'s own label; _check_columns refuses the rest
+                labels[name] += cells if name == "event_flags" else map(_REGIONS.get, cells, cells)
             elif kind is float or {"0", "1"}.issuperset(block[column]):
                 table[lo:hi, slot] = block[column] == "1" if kind is bool else block[column]
             else:
@@ -247,8 +254,8 @@ def log_from_csv(text: str, config: ScenarioConfig) -> TrajectoryLog:
     if (bad := _first_non_finite(table[:hi])) is not None:
         k, c = bad  # these columns lead both the table and the CSV, in one order
         raise ConfigError(f"row {k + 1} column {CSV_COLUMNS[c]} is not finite: {table[bad]:g}")
-    # run() writes config.steps + 1 rows, row k at t = k * dt (to 12 digits)
-    ts, n = np.arange(hi) * config.dt, config.steps + 1
+    # row k is at t = k * dt (to 12 digits)
+    ts = np.arange(hi) * config.dt
     if (off := np.flatnonzero(np.abs(table[:hi, 0] - ts) > 1e-11 * ts)).size:
         k = int(off[0])
         raise ConfigError(f"row {k + 1} column t is {table[k, 0]:.12g}, not {k} * dt = {ts[k]:.12g}")
@@ -274,7 +281,7 @@ def _check_columns(arrays: dict, labels: dict, config: ScenarioConfig, ts: np.nd
     is a capture past the last waypoint: only a re-run of config can catch it."""
     for pair in ("us", "su"):
         tag, regions, seen = pair.upper(), labels[f"region_{pair}"], arrays[f"detected_{pair}"]
-        if unknown := set(regions) - _REGIONS:
+        if unknown := set(regions) - _REGIONS.keys():
             k = next(k for k, label in enumerate(regions) if label in unknown)
             raise ConfigError(f"row {k + 1} column region{tag} is not a region: {regions[k]!r}")
         for column, values, unseen in (
@@ -313,7 +320,7 @@ def _rescan(rows: list, lo: int) -> NoReturn:
     """Raise a ConfigError naming the first of rows (lo + 1 is the first) that, read
     alone, has the wrong length, a flag not 0 or 1 or a float cell loadtxt rejects."""
     for k, row in enumerate(rows, lo + 1):
-        cells = row.split(",")
+        cells = row.rstrip("\n").split(",")
         if len(cells) != len(CSV_COLUMNS):
             raise ConfigError(f"row {k} has {len(cells)} fields")
         for c, (column, (_, kind, _, _)) in enumerate(zip(CSV_COLUMNS, _CSV_CELLS)):

@@ -20,7 +20,11 @@ probe_vision's x faces clamped, so probe_walls (a tank a few centimetres
 wide, the surface robot sent past two opposite corners, and the underwater
 robot pushed toward one corner and the floor, then toward the other corner
 and the top) clamps each robot on every face it has: x, y and z under
-water, x and y on the surface.
+water, x and y on the surface. Every preset mounts its cameras square to the
+body, so camera_to_body's cross terms r1 and r3 are zero in all of them;
+probe_mounts turns each camera about its optical axis (the upward one by
+0.5 rad, the downward one by -0.4 rad) and pins the tether commands those
+terms rotate, through a sideways pull.
 
 The entry point records only the entries the reference lacks (a new probe,
 say) and leaves every existing entry byte for byte:
@@ -195,6 +199,20 @@ def test_the_walls_probe_matches_the_reference(mode, reference):
     assert {"wall_clamp_u", "wall_clamp_s"} <= set(names)
     assert log.waypoints_captured == log.waypoints_total == 2
     key = f"probe_walls/{mode}"
+    _check(reference["runs"][key], _record(log), key)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_the_turned_mounts_probe_matches_the_reference(mode, reference):
+    cfg = _config("probe_mounts", mode)
+    log = run(cfg)
+    # the probe exists to rotate both linear tether components through r1 and r3
+    for camera, xi, steered in ((cfg.camera_u, log.u_xi_u, True),
+                                (cfg.camera_s, log.u_xi_s, mode == "vet")):
+        rotation = camera.flat_mount[0]
+        assert rotation[1] != 0.0 and rotation[3] != 0.0  # r1 and r3
+        assert (xi[:, :2] != 0.0).all(axis=1).any() == steered
+    key = f"probe_mounts/{mode}"
     _check(reference["runs"][key], _record(log), key)
 
 

@@ -231,15 +231,21 @@ def test_malformed_config_file_fails_cleanly(tmp_path, capsys):
     assert run_cli("run", "--config", str(incomplete), "--out", str(out)) == 2
 
 
-@pytest.mark.parametrize("command, damaged", [("run", "config_echo.json"),
-                                              ("plot", "config_echo.json"),
-                                              ("plot", "trajectory.csv")])
-def test_a_file_that_is_not_utf8_fails_cleanly(tmp_path, capsys, command, damaged):
+@pytest.mark.parametrize("command, damaged, duration", [
+    pytest.param("run", "config_echo.json", 1, id="run-config_echo.json"),
+    pytest.param("plot", "config_echo.json", 1, id="plot-config_echo.json"),
+    pytest.param("plot", "trajectory.csv", 1, id="plot-trajectory.csv"),
+    # 401 rows, the damage in the last: decoding fails after the first chunks are parsed
+    pytest.param("plot", "trajectory.csv", 8, id="plot-trajectory.csv-last_row"),
+])
+def test_a_file_that_is_not_utf8_fails_cleanly(tmp_path, capsys, command, damaged, duration):
     src = tmp_path / "bundle"
-    assert run_cli("run", "--preset", "nominal", "--set", "duration=1", "--out", str(src)) == 0
+    assert run_cli("run", "--preset", "nominal", "--set", f"duration={duration}",
+                   "--out", str(src)) == 0
     path = src / damaged
     text = bytearray(path.read_bytes())
-    text[len(text) // 2] = 0xFF  # a byte no UTF-8 text holds
+    at = len(text) // 2 if duration == 1 else text.rindex(b"\n", 0, -1) + 1
+    text[at] = 0xFF  # a byte no UTF-8 text holds
     path.write_bytes(bytes(text))
     capsys.readouterr()
     out = tmp_path / "out"
@@ -249,7 +255,7 @@ def test_a_file_that_is_not_utf8_fails_cleanly(tmp_path, capsys, command, damage
         assert run_cli("plot", "--run", str(src), "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1, err
-    assert "can't decode byte 0xff" in err
+    assert f"can't decode byte 0xff in position {at}:" in err  # counted from the file's start
     assert not out.exists()
 
 
@@ -325,6 +331,18 @@ def test_plot_regenerates_identical_svgs(tmp_path, capsys):
     assert run_cli("plot", "--run", str(src), "--out", str(dst)) == 0
     for rel in BUNDLE_FILES[3:]:
         assert (src / rel).read_bytes() == (dst / rel).read_bytes()
+
+
+def test_plot_regenerates_identical_svgs_from_crlf_line_ends(tmp_path, capsys):
+    # 501 rows: the reader's second chunk starts mid-file, after a translated line end
+    src = tmp_path / "bundle"
+    assert run_cli("run", "--preset", "nominal", "--set", "duration=10", "--out", str(src)) == 0
+    csv = src / "trajectory.csv"
+    csv.write_bytes(csv.read_bytes().replace(b"\n", b"\r\n"))
+    dst = tmp_path / "replot"
+    assert run_cli("plot", "--run", str(src), "--out", str(dst)) == 0
+    for rel in BUNDLE_FILES[3:]:
+        assert (src / rel).read_bytes() == (dst / rel).read_bytes(), rel
 
 
 def test_plot_regenerates_identical_svgs_of_a_log_with_no_event(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Planners, configuration round trips and the closed-loop run."""
 
 import dataclasses
+import io
+import itertools
 import json
 import math
 import re
@@ -27,7 +29,7 @@ from vetsim.config import (
     _field_types,
     lawnmower_path,
 )
-from vetsim.log import CSV_COLUMNS, TrajectoryLog, _event_flags, log_from_csv
+from vetsim.log import CSV_COLUMNS, _CSV_CHUNK, TrajectoryLog, _event_flags, log_from_csv
 from vetsim.scenario import (
     PRESET_NAMES,
     SimFailure,
@@ -330,7 +332,7 @@ def test_csv_header_is_frozen():
 def test_log_round_trips_through_csv():
     cfg = short("perturbation_sim", 16.0)
     log = run(cfg)
-    again = log_from_csv(log.to_csv_text(), cfg)
+    again = log_from_csv(io.StringIO(log.to_csv_text()), cfg)
     assert len(again) == len(log)
     np.testing.assert_allclose(again.pose_u, log.pose_u, atol=1e-9)
     np.testing.assert_allclose(again.pose_s, log.pose_s, atol=1e-9)
@@ -352,12 +354,12 @@ def test_log_round_trips_through_csv():
 def test_log_from_csv_rejects_foreign_headers():
     cfg = short("nominal", 0.0)
     with pytest.raises(ConfigError):
-        log_from_csv("a,b,c\n1,2,3\n", cfg)
+        log_from_csv(io.StringIO("a,b,c\n1,2,3\n"), cfg)
 
 
 def test_log_from_csv_accepts_a_header_only_file():
     cfg = short("nominal", 0.0)
-    log = log_from_csv(",".join(CSV_COLUMNS) + "\n", cfg)
+    log = log_from_csv(io.StringIO(",".join(CSV_COLUMNS) + "\n"), cfg)
     assert len(log) == 0
 
 
@@ -371,7 +373,7 @@ def test_log_from_csv_is_a_fixed_point_of_the_writer(name, mode):
         cfg = short(name, min(preset(name).duration, 20.0), mode=mode)
     log = run(cfg)
     text = log.to_csv_text()
-    again = log_from_csv(text, cfg)
+    again = log_from_csv(io.StringIO(text), cfg)
     assert again.to_csv_text() == text
     # every field as run() built it: the CSV's floats to their 12 printed
     # digits, flags, labels and event flags exactly, the totals derived alike
@@ -415,23 +417,43 @@ def test_log_from_csv_names_the_global_row_beyond_the_first_chunk(where, corrupt
     text = run(cfg).to_csv_text()
     row = 300 if where == "row_300" else 401
     with pytest.raises(ConfigError, match=re.escape(message.format(row))):
-        log_from_csv(corrupt_row(text, row, corrupt), cfg)
+        log_from_csv(io.StringIO(corrupt_row(text, row, corrupt)), cfg)
 
 
 def test_log_from_csv_reads_blank_lines_and_a_missing_final_newline(monkeypatch):
     cfg = short("nominal", 8.0)
     text = run(cfg).to_csv_text()
     lines = text.splitlines()
-    assert log_from_csv(text.rstrip("\n"), cfg).to_csv_text() == text
+    assert log_from_csv(io.StringIO(text.rstrip("\n")), cfg).to_csv_text() == text
     # blank lines after the header, at the chunk boundary and at the end
     spaced = lines[:1] + [""] + lines[1:257] + ["", ""] + lines[257:] + [""]
-    assert log_from_csv("\n".join(spaced) + "\n", cfg).to_csv_text() == text
+    assert log_from_csv(io.StringIO("\n".join(spaced) + "\n"), cfg).to_csv_text() == text
+
+    # a line of spaces is not blank: it is a row of one field
+    with pytest.raises(ConfigError, match="row 2 has 1 fields"):
+        log_from_csv(io.StringIO("\n".join(lines[:2] + [" "] + lines[2:]) + "\n"), cfg)
 
     def no_loadtxt(*args, **kwargs):
         raise AssertionError("a header-only file has no rows to parse")
 
     monkeypatch.setattr(np, "loadtxt", no_loadtxt)
-    assert len(log_from_csv(lines[0] + "\n", cfg)) == 0
+    assert len(log_from_csv(io.StringIO(lines[0] + "\n"), cfg)) == 0
+
+
+def test_log_from_csv_reads_at_most_one_chunk_past_the_configs_rows():
+    cfg = short("nominal", 1.0)  # 51 rows
+    header, *rows = run(cfg).to_csv_text().splitlines(keepends=True)
+    taken = 0
+
+    def endless():  # the rows, then the last one again and again
+        nonlocal taken
+        for line in itertools.chain([header], rows, itertools.repeat(rows[-1])):
+            taken += 1
+            yield line
+
+    with pytest.raises(ConfigError, match=re.escape("row 52 column t is 1, not 51 * dt = 1.02")):
+        log_from_csv(endless(), cfg)
+    assert taken <= 1 + len(rows) + _CSV_CHUNK
 
 
 def test_perturbation_window_is_flagged_and_applied():

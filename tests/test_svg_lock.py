@@ -46,7 +46,8 @@ CASES = ("vet", "baseline", "header_only", "overlay")
 def _read(mode: str):
     bundle = FIXTURE / mode
     cfg = ScenarioConfig.from_dict(json.loads((bundle / "config_echo.json").read_text()))
-    return log_from_csv((bundle / "trajectory.csv").read_text(), cfg)
+    with (bundle / "trajectory.csv").open() as lines:
+        return log_from_csv(lines, cfg)
 
 
 def _draw(case: str, tmp: Path) -> dict:
