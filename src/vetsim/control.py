@@ -206,11 +206,16 @@ def vet_law(obs: tuple, yaw: float, t: float, state: tuple, gains: VetGains,
             uy = gains.u_max_y * (ey / norm)
         else:
             ux = uy = 0.0
-    ux = min(max(ux, -gains.u_max_x), gains.u_max_x)
-    uy = min(max(uy, -gains.u_max_y), gains.u_max_y)
-    command = (ux, uy, gains.k_psi * yaw)
+    # clipped as VehicleModel.allocate clips: a NaN and -0.0 pass unchanged
+    bx, by = gains.u_max_x, gains.u_max_y
+    command = (
+        bx if ux > bx else -bx if ux < -bx else ux,
+        by if uy > by else -by if uy < -by else uy,
+        gains.k_psi * yaw,
+    )
 
-    weight = min(max(1.0 - penetration / gains.yield_fraction, 0.0), 1.0)
+    w = 1.0 - penetration / gains.yield_fraction
+    weight = 1.0 if w > 1.0 else 0.0 if w < 0.0 else w
     return command, weight, (center, t, (rx, ry), command, weight)
 
 
@@ -226,9 +231,13 @@ def baseline_ibvs(obs: tuple, yaw: float, gains: VetGains) -> tuple:
     if center is None:
         return (0.0, 0.0, 0.0)
     ex, ey = error
-    ux = min(max(gains.k_elastic_p * ex, -gains.u_max_x), gains.u_max_x)
-    uy = min(max(gains.k_elastic_p * ey, -gains.u_max_y), gains.u_max_y)
-    return (ux, uy, gains.k_psi * yaw)
+    bx, by = gains.u_max_x, gains.u_max_y
+    ux, uy = gains.k_elastic_p * ex, gains.k_elastic_p * ey
+    return (
+        bx if ux > bx else -bx if ux < -bx else ux,
+        by if uy > by else -by if uy < -by else uy,
+        gains.k_psi * yaw,
+    )
 
 
 def camera_to_body(cmd, rotation: tuple, dof: int) -> list:

@@ -259,6 +259,7 @@ def log_from_csv(lines: Iterable[str], config: ScenarioConfig) -> TrajectoryLog:
     if (off := np.flatnonzero(np.abs(table[:hi, 0] - ts) > 1e-11 * ts)).size:
         k = int(off[0])
         raise ConfigError(f"row {k + 1} column t is {table[k, 0]:.12g}, not {k} * dt = {ts[k]:.12g}")
+    table[:hi, 0] = ts  # run()'s own clock, not its 12 printed digits
     if hi not in (0, n):
         raise ConfigError(f"row {min(hi, n) + 1} is {'missing' if hi < n else 'past the end'}: "
                           f"duration {config.duration:g} s at dt {config.dt:g} s makes {n} rows")

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .frames import RigidTransform, wrap_angle
+from .frames import TWO_PI, RigidTransform
 
 
 @dataclass(frozen=True)
@@ -103,23 +103,27 @@ class DropoutModel:
 
 _MIN_DEPTH = 1e-9
 
-UNDETECTED = (None, 0.0, False)
-"""project_tag's result for every tag the camera does not detect."""
+UNSEEN = (None, None, "none", math.nan, math.nan)
+"""The observation of a tag the camera does not detect, in observe's layout."""
+
+_UNSEEN_TAG = (UNSEEN, 0.0)
+"""project_tag's result for every tag the camera does not detect, and the
+run loop's for a blanked camera."""
 
 
 def project_tag(observer: tuple, target: tuple, cam: CameraModel, tag: TagModel) -> tuple:
-    """Project the target robot's tag into the observer's camera.
+    """Project the target robot's tag into the observer's camera and measure it.
 
     observer and target are the two bodies' flat transforms, (nine row-major
     body-to-world rotation floats, (x, y, z)), as frames.flat_transform gives.
 
-    Returns (pixels, yaw, True) for a detected tag: the eight pixel
-    coordinates ax, ay, bx, ..., dy of corners a, b, c, d and the relative
-    yaw, the rotation of the tag's +x axis about the optical axis, measured
-    in image coordinates; it is exact regardless of where the tag sits in
-    the frame. Returns UNDETECTED itself, with no pixels and no yaw, for a
-    tag with a corner less than _MIN_DEPTH in front of the camera or
-    outside the image, or with a NaN in its pose.
+    Returns (observation, yaw) for a detected tag: observe's tuple, from the
+    centre, mean side length and mean diagonal of the projected corners a,
+    b, c, d, and the relative yaw, the rotation of the tag's +x axis about
+    the optical axis, measured in image coordinates; it is exact regardless
+    of where the tag sits in the frame. Returns _UNSEEN_TAG itself, UNSEEN
+    with a zero yaw, for a tag with a corner less than _MIN_DEPTH in front
+    of the camera or outside the image, or with a NaN in its pose.
     """
     (c0, c1, c2, c3, c4, c5, c6, c7, c8), (cx, cy, cz) = cam.flat_mount
     (o0, o1, o2, o3, o4, o5, o6, o7, o8), (ox, oy, oz) = observer
@@ -170,53 +174,41 @@ def project_tag(observer: tuple, target: tuple, cam: CameraModel, tag: TagModel)
     width, height = cam.width, cam.height
     half_w, half_v = width / 2.0, height / 2.0
     if (da := -hx2 - hy2 + p2) < _MIN_DEPTH:
-        return UNDETECTED
+        return _UNSEEN_TAG
     ua, va = f * (-hx0 - hy0 + p0) / da + half_w, f * (-hx1 - hy1 + p1) / da + half_v
     if not (0.0 <= ua <= width and 0.0 <= va <= height):
-        return UNDETECTED
+        return _UNSEEN_TAG
     if (db := hx2 - hy2 + p2) < _MIN_DEPTH:
-        return UNDETECTED
+        return _UNSEEN_TAG
     ub, vb = f * (hx0 - hy0 + p0) / db + half_w, f * (hx1 - hy1 + p1) / db + half_v
     if not (0.0 <= ub <= width and 0.0 <= vb <= height):
-        return UNDETECTED
+        return _UNSEEN_TAG
     if (dc := hx2 + hy2 + p2) < _MIN_DEPTH:
-        return UNDETECTED
+        return _UNSEEN_TAG
     uc, vc = f * (hx0 + hy0 + p0) / dc + half_w, f * (hx1 + hy1 + p1) / dc + half_v
     if not (0.0 <= uc <= width and 0.0 <= vc <= height):
-        return UNDETECTED
+        return _UNSEEN_TAG
     if (dd := -hx2 + hy2 + p2) < _MIN_DEPTH:
-        return UNDETECTED
+        return _UNSEEN_TAG
     ud, vd = f * (-hx0 + hy0 + p0) / dd + half_w, f * (-hx1 + hy1 + p1) / dd + half_v
     if not (0.0 <= ud <= width and 0.0 <= vd <= height):
-        return UNDETECTED
-    return (ua, va, ub, vb, uc, vc, ud, vd), wrap_angle(math.atan2(xa1, xa0)), True
-
-
-def tag_geometry(pixels) -> tuple:
-    """Centre, mean side length and mean diagonal of a projected tag, from
-    the eight corner floats of project_tag.
-
-    Returns ((cx, cy), l_bar, h_bar) in pixels.
-    """
-    ax, ay, bx, by, cx, cy, dx, dy = pixels
-    center = ((ax + bx + cx + dx) / 4.0, (ay + by + cy + dy) / 4.0)
+        return _UNSEEN_TAG
+    # the centre, mean side and mean diagonal of the four corners
+    center = ((ua + ub + uc + ud) / 4.0, (va + vb + vc + vd) / 4.0)
     l_bar = (
-        math.hypot(ax - bx, ay - by)
-        + math.hypot(bx - cx, by - cy)
-        + math.hypot(cx - dx, cy - dy)
-        + math.hypot(ax - dx, ay - dy)
+        math.hypot(ua - ub, va - vb)
+        + math.hypot(ub - uc, vb - vc)
+        + math.hypot(uc - ud, vc - vd)
+        + math.hypot(ua - ud, va - vd)
     ) / 4.0
-    h_bar = (math.hypot(ax - cx, ay - cy) + math.hypot(bx - dx, by - dy)) / 2.0
-    return center, l_bar, h_bar
-
-
-UNSEEN = (None, None, "none", math.nan, math.nan)
-"""The observation of a tag the camera does not detect, in observe's layout."""
+    h_bar = (math.hypot(ua - uc, va - vc) + math.hypot(ub - ud, vb - vd)) / 2.0
+    # the yaw wrapped to (-pi, pi], frames.wrap_angle's expression
+    return observe(center, l_bar, h_bar, cam), math.pi - (math.pi - math.atan2(xa1, xa0)) % TWO_PI
 
 
 def observe(center, l_bar: float, h_bar: float, cam: CameraModel) -> tuple:
-    """Measure a detected tag once, from tag_geometry's centre, mean side
-    length and mean diagonal.
+    """Measure a detected tag once, from its centre, mean side length and
+    mean diagonal in pixels, as project_tag takes them off the corners.
 
     Returns the plain tuple (center, error, region, penetration, xi): the
     tag centre (cx, cy) in pixels; error, its offset from the image centre
@@ -240,17 +232,14 @@ def observe(center, l_bar: float, h_bar: float, cam: CameraModel) -> tuple:
         region, penetration = "safe", 0.0
     else:
         region = "elastic" if h_bar < x < w - h_bar and h_bar < y < v - h_bar else "danger"
-        penetration = max(_penetration(x, lo_x, hi_x, h_bar), _penetration(y, lo_y, hi_y, h_bar))
+        # per axis, the depth past the safe box over the span from its edge
+        # to the danger edge; the deeper axis counts, as max would pick it
+        depth_x, span_x = max(lo_x - x, x - hi_x, 0.0), lo_x - h_bar
+        depth_y, span_y = max(lo_y - y, y - hi_y, 0.0), lo_y - h_bar
+        pen_x = 0.0 if depth_x == 0.0 else depth_x / span_x if span_x > 0.0 else math.inf
+        pen_y = 0.0 if depth_y == 0.0 else depth_y / span_y if span_y > 0.0 else math.inf
+        penetration = pen_y if pen_y > pen_x else pen_x
     return (
         center, ((x - half_w) / half_w, (y - half_v) / half_v), region, penetration,
         math.hypot(x - half_w, y - half_v),
     )
-
-
-def _penetration(value: float, safe_lo: float, safe_hi: float, h_bar: float) -> float:
-    """observe's penetration along one image axis, from the safe box's edges."""
-    depth = max(safe_lo - value, value - safe_hi, 0.0)
-    if depth == 0.0:
-        return 0.0
-    span = safe_lo - h_bar  # distance from the safe edge to the danger edge
-    return depth / span if span > 0.0 else math.inf

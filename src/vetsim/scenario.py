@@ -7,10 +7,11 @@ control -> actuate -> log:
 
 1. sense: each robot's camera projects the other robot's tag, except the
    upward camera on a tick the dropout model blanks: it sees nothing then.
-   Each detected tag is measured once by perception.observe into a plain
+   perception.project_tag measures a detected tag once, into the plain
    tuple (centre, normalised offset, region, elastic penetration, xi) that
-   the log and the tether law both read; an undetected one is
-   perception.UNSEEN.
+   the log and the tether law both read, with the relative yaw; an
+   undetected or blanked tag is perception.UNSEEN with a zero yaw, and the
+   logged detection flag is whether the observation is not UNSEEN.
 2. control: each robot combines its own sub-task PD (depth/attitude under
    water, waypoint tracking on the surface) with the tether command derived
    from its own camera's observation. In vet mode the leader's linear
@@ -46,9 +47,7 @@ from .log import (
     TrajectoryLog, _LOOP_COLUMNS, _ROW_WIDTH, _event_flags, _first_non_finite, _log_arrays,
     _saturated_totals, _window_masks,
 )
-from .perception import (
-    UNDETECTED, UNSEEN, CameraModel, DropoutModel, TagModel, observe, project_tag, tag_geometry,
-)
+from .perception import UNSEEN, _UNSEEN_TAG, CameraModel, DropoutModel, TagModel, project_tag
 from .vehicle import Disturbance, VehicleModel, VehicleParams
 
 
@@ -174,12 +173,16 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
 
     Every per-tick vector is a list or tuple of Python floats, the poses
     included: (x, y, z, phi, theta, psi) and (x, y, psi), the logged layout.
-    Projections, observations and tether states are plain tuples too; the
-    one record built per tick is a DepthAttitudeState. Each tick computes
-    both poses' flat transforms and the underwater pose's Euler-rate rows
-    once; projection, the depth/attitude measurement, the surface PD and
-    both vehicle steps reuse them. A blanked upward camera is not projected
-    but given perception.UNDETECTED. VehicleModel.allocate takes each
+    Observations and tether states are plain tuples too; the one record
+    built per tick is a DepthAttitudeState. Each tick computes both poses'
+    flat transforms and the underwater pose's Euler-rate rows once;
+    projection, the depth/attitude measurement, the surface PD and both
+    vehicle steps reuse them. Each stage does its work in one body:
+    project_tag projects and measures a tag (one observe call on a detected
+    one), the tether law is one vet_law or baseline_ibvs call, and
+    VehicleModel.step integrates a robot (it calls clip_norm only past the
+    velocity bound). A blanked upward camera is not projected but given
+    (UNSEEN, 0.0), as an undetected tag is. VehicleModel.allocate takes each
     robot's logged split u_sub, u_xi as it is. Each tick's numbers go to one
     flat row buffer that becomes the log's arrays; the saturated totals are
     derived from the logged split after the loop, as log_from_csv does.
@@ -227,18 +230,15 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
         except GimbalSingularity as exc:
             raise SimFailure(f"{exc} at tick {k}, t={t:.3f} s: pose_u={list(pose_u)}") from exc
 
-        # sense; a blanked camera is not projected, as nothing would read it
-        pixels_us, yaw_us, det_us = UNDETECTED if blank else project_tag(tf_u, tf_s, cam_u, tag_s)
-        pixels_su, yaw_su, det_su = project_tag(tf_s, tf_u, cam_s, tag_u)
+        # sense: one observation per camera, read by the log and by the
+        # tether law; a blanked camera is not projected, as nothing would read it
+        obs_us, yaw_us = _UNSEEN_TAG if blank else project_tag(tf_u, tf_s, cam_u, tag_s)
+        obs_su, yaw_su = project_tag(tf_s, tf_u, cam_s, tag_u)
+        _, _, region_us, _, xi_us = obs_us
+        _, _, region_su, _, xi_su = obs_su
 
         # plan
         target_s, waypoint_index = planner_step(pose_s, waypoints, capture_radius, waypoint_index)
-
-        # one observation per camera, read by the log and by the tether law
-        obs_us = observe(*tag_geometry(pixels_us), cam_u) if det_us else UNSEEN
-        obs_su = observe(*tag_geometry(pixels_su), cam_s) if det_su else UNSEEN
-        _, _, region_us, _, xi_us = obs_us
-        _, _, region_su, _, xi_su = obs_su
 
         # control: underwater robot (own depth/attitude sensors plus camera)
         u_sub_u = subtask_control_underwater(
@@ -264,7 +264,8 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
         # record the row table's columns, in _TABLE_CELLS order
         rows.fromlist([
             t, *pose_u, *pose_s,
-            *u_sub_u, *xi_u, *u_sub_s, *xi_s, det_us, det_su, xi_us, xi_su,
+            *u_sub_u, *xi_u, *u_sub_s, *xi_s, obs_us is not UNSEEN, obs_su is not UNSEEN,
+            xi_us, xi_su,
             projected_distance(pose_u, pose_s), waypoint_index, wall_clamp_u, wall_clamp_s,
         ])
         region_us_list.append(region_us)

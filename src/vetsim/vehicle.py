@@ -16,8 +16,7 @@ damping and stable under stiff damping; the pose then integrates with the
 new velocity. C(nu) is never formed: for a diagonal M it is made of the
 linear momentum a = M1 v and the angular momentum b = M2 w alone, so each
 update reads the momenta directly. In 6-DoF the linear block of the matrix
-is diagonal and is eliminated (_solve_schur6); in 3-DoF the system has a
-closed form. Commands are velocity-valued; thrust allocation sums a
+is diagonal and is eliminated; in 3-DoF the system has a closed form. Commands are velocity-valued; thrust allocation sums a
 robot's sub-task and tether commands, clips the sum per axis and scales it
 by a constant gain so the steady-state speed approximately equals the
 commanded value.
@@ -29,7 +28,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .frames import wrap_angle
+from .frames import TWO_PI
 
 
 @dataclass(frozen=True)
@@ -138,7 +137,6 @@ class VehicleModel:
         self._d_quad = tuple(float(d) for d in params.damping_quadratic)
         self._gain = tuple(float(g) for g in params.thrust_gain)
         self._axis_bounds = params.axis_bounds
-        self._n_lin = 2 if self.dof == 3 else 3
         self._bound = params.velocity_bound_linear
         self._inside = self._bound * self._bound * _INSIDE_BOUND
 
@@ -173,52 +171,90 @@ class VehicleModel:
         (frames.flat_transform) and, under water, rates its euler_rate_rows:
         the tick computes both once. nu, tau and the optional world-frame
         force and torque are float sequences; returns (new pose tuple, new
-        velocity list)."""
+        velocity list). Each model's body is written out in full, the
+        velocity solve, the norm bound on the linear velocity and the angle
+        wraps (frames.wrap_angle's expression) included, so a step makes no
+        call but clip_norm on a velocity past the bound."""
         if self.dof == 6:
-            return self._advance6(pose, nu, tau, dt, rotation, rates, world_force, world_torque)
-        return self._advance3(pose, nu, tau, dt, rotation, world_force, world_torque)
-
-    def _clip_linear(self, nu_new: list) -> list:
-        """nu_new with its linear part scaled onto the norm bound, in place."""
-        n_lin = self._n_lin
-        squares = nu_new[0] * nu_new[0] + nu_new[1] * nu_new[1]
-        if n_lin == 3:
-            squares += nu_new[2] * nu_new[2]
-        if squares > self._inside:
-            nu_new[:n_lin] = clip_norm(nu_new[:n_lin], self._bound)
-        return nu_new
-
-    def _advance6(self, pose, nu, tau, dt, rotation, rates, world_force, world_torque):
-        x, y, z, phi, theta, psi = pose
-        r0, r1, r2, r3, r4, r5, r6, r7, r8 = rotation
-        ea, eb, ec, ed, ee, ef = rates
-        f0, f1, f2, f3, f4, f5 = tau
-        # world wrenches enter through the transposed rotation
-        if world_force is not None:
-            wx, wy, wz = world_force
-            f0 += r0 * wx + r3 * wy + r6 * wz
-            f1 += r1 * wx + r4 * wy + r7 * wz
-            f2 += r2 * wx + r5 * wy + r8 * wz
-        if world_torque is not None:
-            wx, wy, wz = world_torque
-            f3 += r0 * wx + r3 * wy + r6 * wz
-            f4 += r1 * wx + r4 * wy + r7 * wz
-            f5 += r2 * wx + r5 * wy + r8 * wz
-        nu_new = self._clip_linear(_solve_schur6(
-            nu, (f0, f1, f2, f3, f4, f5), dt, self._mass, self._d_lin, self._d_quad
-        ))
-        u, v, w, p, q, r = nu_new
-        new_pose = (
-            x + dt * (r0 * u + r1 * v + r2 * w),
-            y + dt * (r3 * u + r4 * v + r5 * w),
-            z + dt * (r6 * u + r7 * v + r8 * w),
-            wrap_angle(phi + dt * (p + ea * q + eb * r)),
-            wrap_angle(theta + dt * (ec * q + ed * r)),
-            wrap_angle(psi + dt * (ee * q + ef * r)),
-        )
-        return new_pose, nu_new
-
-    def _advance3(self, pose, nu, tau, dt, rotation, world_force, world_torque):
+            x, y, z, phi, theta, psi = pose
+            r0, r1, r2, r3, r4, r5, r6, r7, r8 = rotation
+            ea, eb, ec, ed, ee, ef = rates
+            f0, f1, f2, f3, f4, f5 = tau
+            # world wrenches enter through the transposed rotation
+            if world_force is not None:
+                wx, wy, wz = world_force
+                f0 += r0 * wx + r3 * wy + r6 * wz
+                f1 += r1 * wx + r4 * wy + r7 * wz
+                f2 += r2 * wx + r5 * wy + r8 * wz
+            if world_torque is not None:
+                wx, wy, wz = world_torque
+                f3 += r0 * wx + r3 * wy + r6 * wz
+                f4 += r1 * wx + r4 * wy + r7 * wz
+                f5 += r2 * wx + r5 * wy + r8 * wz
+            # Solve (M + dt*(C + D)) nu' = M nu + dt*tau in closed form. C(nu)
+            # is written on the linear momentum a = M1 v and the angular
+            # momentum b = M2 w: its lin-lin block is zero, its lin-ang and
+            # ang-lin blocks are both -S(a) and its ang-ang block is -S(b),
+            # with S(x) @ y the cross product x X y. So the linear block of
+            # the matrix is diagonal: eliminate it and solve the angular 3x3
+            # Schur complement by cofactors. Only C's structural zeros are
+            # left out of the sums.
+            m0, m1, m2, m3, m4, m5 = self._mass
+            l0, l1, l2, l3, l4, l5 = self._d_lin
+            n0, n1, n2, n3, n4, n5 = self._d_quad
+            u, v, w, p, q, r = nu
+            a0, a1, a2 = m0 * u, m1 * v, m2 * w
+            b0, b1, b2 = m3 * p, m4 * q, m5 * r
+            # the diagonal of M + dt*D, and the right-hand side
+            i0 = 1.0 / (m0 + dt * (l0 + n0 * abs(u)))
+            i1 = 1.0 / (m1 + dt * (l1 + n1 * abs(v)))
+            i2 = 1.0 / (m2 + dt * (l2 + n2 * abs(w)))
+            d3 = m3 + dt * (l3 + n3 * abs(p))
+            d4 = m4 + dt * (l4 + n4 * abs(q))
+            d5 = m5 + dt * (l5 + n5 * abs(r))
+            h0, h1, h2 = a0 + dt * f0, a1 + dt * f1, a2 + dt * f2
+            h3, h4, h5 = b0 + dt * f3, b1 + dt * f4, b2 + dt * f5
+            # B = dt*C[lin, ang] = -dt*S(a), and K = dt*C[ang, lin] (the same
+            # entries) scaled by the inverse linear diagonal
+            c01, c02, c12 = dt * a2, dt * -a1, dt * a0
+            c10, c20, c21 = -c01, -c02, -c12
+            k01, k02, k12 = c01 * i1, c02 * i2, c12 * i2
+            k10, k20, k21 = c10 * i0, c20 * i0, c21 * i1
+            # S = diag(ang) + dt*C[ang, ang] - K B, with dt*C[ang, ang] = -dt*S(b)
+            g01, g02, g12 = dt * b2, dt * -b1, dt * b0
+            s0 = d3 - (k01 * c10 + k02 * c20)
+            s1 = g01 - k02 * c21
+            s2 = g02 - k01 * c12
+            s3 = -g01 - k12 * c20
+            s4 = d4 - (k10 * c01 + k12 * c21)
+            s5 = g12 - k10 * c02
+            s6 = -g02 - k21 * c10
+            s7 = -g12 - k20 * c01
+            s8 = d5 - (k20 * c02 + k21 * c12)
+            q0 = h3 - (k01 * h1 + k02 * h2)
+            q1 = h4 - (k10 * h0 + k12 * h2)
+            q2 = h5 - (k20 * h0 + k21 * h1)
+            a00, a01, a02 = s4 * s8 - s5 * s7, s2 * s7 - s1 * s8, s1 * s5 - s2 * s4
+            a10, a11, a12 = s5 * s6 - s3 * s8, s0 * s8 - s2 * s6, s2 * s3 - s0 * s5
+            a20, a21, a22 = s3 * s7 - s4 * s6, s1 * s6 - s0 * s7, s0 * s4 - s1 * s3
+            inv_det = 1.0 / (s0 * a00 + s1 * a10 + s2 * a20)
+            p = (a00 * q0 + a01 * q1 + a02 * q2) * inv_det
+            q = (a10 * q0 + a11 * q1 + a12 * q2) * inv_det
+            r = (a20 * q0 + a21 * q1 + a22 * q2) * inv_det
+            u = (h0 - (c01 * q + c02 * r)) * i0
+            v = (h1 - (c10 * p + c12 * r)) * i1
+            w = (h2 - (c20 * p + c21 * q)) * i2
+            if u * u + v * v + w * w > self._inside:
+                u, v, w = clip_norm([u, v, w], self._bound)
+            new_pose = (
+                x + dt * (r0 * u + r1 * v + r2 * w),
+                y + dt * (r3 * u + r4 * v + r5 * w),
+                z + dt * (r6 * u + r7 * v + r8 * w),
+                math.pi - (math.pi - (phi + dt * (p + ea * q + eb * r))) % TWO_PI,
+                math.pi - (math.pi - (theta + dt * (ec * q + ed * r))) % TWO_PI,
+                math.pi - (math.pi - (psi + dt * (ee * q + ef * r))) % TWO_PI,
+            )
+            return new_pose, [u, v, w, p, q, r]
         x, y, psi = pose
         # surface Jacobian [[c, -s, 0], [s, c, 0], [0, 0, 1]]
         c, s = rotation[0], rotation[3]
@@ -241,69 +277,12 @@ class VehicleModel:
         e = m2 + dt * (dl2 + dq2 * abs(r))
         p, q = dt * -mv, dt * mu
         r0, r1, r2 = mu + dt * f0, mv + dt * f1, m2 * r + dt * f2
-        z = (r2 + p * r0 / a + q * r1 / b) / (e + p * p / a + q * q / b)
-        nu_new = self._clip_linear([(r0 - p * z) / a, (r1 - q * z) / b, z])
-        u, v, r = nu_new
-        new_pose = (x + dt * (c * u - s * v), y + dt * (s * u + c * v), wrap_angle(psi + dt * r))
-        return new_pose, nu_new
-
-
-def _solve_schur6(nu, tau, dt: float, mass: tuple, d_lin: tuple, d_quad: tuple) -> list:
-    """Solve the 6-DoF (M + dt*(C + D)) nu' = M nu + dt*tau in closed form.
-
-    C(nu) is written on the linear momentum a = M1 v and the angular
-    momentum b = M2 w: its lin-lin block is zero, its lin-ang and ang-lin
-    blocks are both -S(a) and its ang-ang block is -S(b), with S(x) @ y the
-    cross product x X y. So the linear block of the matrix is diagonal:
-    eliminate it and solve the angular 3x3 Schur complement by cofactors.
-    Only C's structural zeros are left out of the sums.
-    """
-    m0, m1, m2, m3, m4, m5 = mass
-    u, v, w, p, q, r = nu
-    a0, a1, a2 = m0 * u, m1 * v, m2 * w
-    b0, b1, b2 = m3 * p, m4 * q, m5 * r
-    # the diagonal of M + dt*D, and the right-hand side
-    i0 = 1.0 / (m0 + dt * (d_lin[0] + d_quad[0] * abs(u)))
-    i1 = 1.0 / (m1 + dt * (d_lin[1] + d_quad[1] * abs(v)))
-    i2 = 1.0 / (m2 + dt * (d_lin[2] + d_quad[2] * abs(w)))
-    d3 = m3 + dt * (d_lin[3] + d_quad[3] * abs(p))
-    d4 = m4 + dt * (d_lin[4] + d_quad[4] * abs(q))
-    d5 = m5 + dt * (d_lin[5] + d_quad[5] * abs(r))
-    f0, f1, f2, f3, f4, f5 = tau
-    r0, r1, r2 = a0 + dt * f0, a1 + dt * f1, a2 + dt * f2
-    r3, r4, r5 = b0 + dt * f3, b1 + dt * f4, b2 + dt * f5
-    # B = dt*C[lin, ang] = -dt*S(a), and K = dt*C[ang, lin] (the same
-    # entries) scaled by the inverse linear diagonal
-    c01, c02, c12 = dt * a2, dt * -a1, dt * a0
-    c10, c20, c21 = -c01, -c02, -c12
-    k01, k02, k12 = c01 * i1, c02 * i2, c12 * i2
-    k10, k20, k21 = c10 * i0, c20 * i0, c21 * i1
-    # S = diag(ang) + dt*C[ang, ang] - K B, with dt*C[ang, ang] = -dt*S(b)
-    g01, g02, g12 = dt * b2, dt * -b1, dt * b0
-    s0 = d3 - (k01 * c10 + k02 * c20)
-    s1 = g01 - k02 * c21
-    s2 = g02 - k01 * c12
-    s3 = -g01 - k12 * c20
-    s4 = d4 - (k10 * c01 + k12 * c21)
-    s5 = g12 - k10 * c02
-    s6 = -g02 - k21 * c10
-    s7 = -g12 - k20 * c01
-    s8 = d5 - (k20 * c02 + k21 * c12)
-    q0 = r3 - (k01 * r1 + k02 * r2)
-    q1 = r4 - (k10 * r0 + k12 * r2)
-    q2 = r5 - (k20 * r0 + k21 * r1)
-    a00, a01, a02 = s4 * s8 - s5 * s7, s2 * s7 - s1 * s8, s1 * s5 - s2 * s4
-    a10, a11, a12 = s5 * s6 - s3 * s8, s0 * s8 - s2 * s6, s2 * s3 - s0 * s5
-    a20, a21, a22 = s3 * s7 - s4 * s6, s1 * s6 - s0 * s7, s0 * s4 - s1 * s3
-    inv_det = 1.0 / (s0 * a00 + s1 * a10 + s2 * a20)
-    y0 = (a00 * q0 + a01 * q1 + a02 * q2) * inv_det
-    y1 = (a10 * q0 + a11 * q1 + a12 * q2) * inv_det
-    y2 = (a20 * q0 + a21 * q1 + a22 * q2) * inv_det
-    return [
-        (r0 - (c01 * y1 + c02 * y2)) * i0,
-        (r1 - (c10 * y0 + c12 * y2)) * i1,
-        (r2 - (c20 * y0 + c21 * y1)) * i2,
-        y0,
-        y1,
-        y2,
-    ]
+        r = (r2 + p * r0 / a + q * r1 / b) / (e + p * p / a + q * q / b)
+        u, v = (r0 - p * r) / a, (r1 - q * r) / b
+        if u * u + v * v > self._inside:
+            u, v = clip_norm([u, v], self._bound)
+        new_pose = (
+            x + dt * (c * u - s * v), y + dt * (s * u + c * v),
+            math.pi - (math.pi - (psi + dt * r)) % TWO_PI,
+        )
+        return new_pose, [u, v, r]

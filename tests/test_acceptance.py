@@ -8,6 +8,7 @@ import dataclasses
 import inspect
 import math
 import time
+from unittest import mock
 
 import numpy as np
 
@@ -33,7 +34,8 @@ from vetsim.metrics import (
     pose_from_observation,
     recovery_time,
 )
-from vetsim.perception import CameraModel, TagModel, observe, project_tag, tag_geometry
+from vetsim import perception
+from vetsim.perception import UNSEEN, CameraModel, TagModel, observe, project_tag
 from vetsim.scenario import preset, run
 from vetsim.vehicle import VehicleModel, VehicleParams
 
@@ -196,12 +198,24 @@ def _check_region_partition():
 
 
 def _check_translation_invariance():
-    base = np.array([[300.0, 220.0], [340.0, 220.0], [340.0, 260.0], [300.0, 260.0]])
-    _, l0, h0 = tag_geometry(base.ravel().tolist())
+    # the mean side and diagonal project_tag measures do not change as the
+    # camera slides parallel to the tag (up to 140 px of image shift)
+    cam, tag_s = _up_camera(), TagModel(0.1, RigidTransform(FLIP_X, ZERO))
+    tf_s = flat_transform((0.0, 0.0, 0.0))
+    sizes = []
+
+    def measure(center, l_bar, h_bar, cam):
+        sizes.append((l_bar, h_bar))
+
     rng = np.random.default_rng(2)
-    for _ in range(50):
-        shift = rng.uniform(-150, 150, 2)
-        _, l1, h1 = tag_geometry((base + shift).ravel().tolist())
+    with mock.patch.object(perception, "observe", measure):
+        project_tag(flat_transform((0.0, 0.0, -1.0, 0.0, 0.0, 0.0)), tf_s, cam, tag_s)
+        for _ in range(50):
+            dx, dy = rng.uniform(-0.35, 0.35, 2)
+            project_tag(flat_transform((dx, dy, -1.0, 0.0, 0.0, 0.0)), tf_s, cam, tag_s)
+    (l0, h0), *moved = sizes
+    assert len(moved) == 50
+    for l1, h1 in moved:
         assert abs(l1 - l0) <= 1e-9 and abs(h1 - h0) <= 1e-9
 
 
@@ -240,13 +254,9 @@ def _check_velocity_bound():
         assert np.linalg.norm(nu[:3]) <= params.velocity_bound_linear + 1e-12
 
 
-def _centered_obs():
-    corners = np.array([[300.0, 220.0], [340.0, 220.0], [340.0, 260.0], [300.0, 260.0]])
-    return corners.ravel().tolist()
-
-
 def _check_zero_at_center():
-    obs = observe(*tag_geometry(_centered_obs()), _up_camera())
+    # a 40 px square tag image centred in the frame
+    obs = observe((320.0, 240.0), 40.0, math.hypot(40.0, 40.0), _up_camera())
     cmd, _, _ = vet_law(obs, 0.0, 0.0, VET_START, VetGains(), _up_camera())
     assert np.all(np.abs(cmd) <= 1e-9)
 
@@ -263,12 +273,10 @@ def _check_direction_symmetry():
         dx, dy = r * math.cos(bearing), r * math.sin(bearing)
         tf_u = flat_transform((dx, dy, -1.0, 0.0, 0.0, heading))
         tf_s = flat_transform((0.0, 0.0, heading))
-        pixels_us, yaw_us, detected_us = project_tag(tf_u, tf_s, cam_u, tag_s)
-        pixels_su, yaw_su, detected_su = project_tag(tf_s, tf_u, cam_s, tag_u)
-        if not (detected_us and detected_su):
+        obs_us, yaw_us = project_tag(tf_u, tf_s, cam_u, tag_s)
+        obs_su, yaw_su = project_tag(tf_s, tf_u, cam_s, tag_u)
+        if obs_us is UNSEEN or obs_su is UNSEEN:
             continue
-        obs_us = observe(*tag_geometry(pixels_us), cam_u)
-        obs_su = observe(*tag_geometry(pixels_su), cam_s)
         cmd_us, _, _ = vet_law(obs_us, yaw_us, 0.0, VET_START, gains, cam_u)
         cmd_su, _, _ = vet_law(obs_su, yaw_su, 0.0, VET_START, gains, cam_s)
         c, s = math.cos(heading), math.sin(heading)
@@ -292,8 +300,7 @@ def _check_elastic_decay():
     region = None
     for k in range(1200):
         tf_u = flat_transform((x, 0.0, -1.0, 0.0, 0.0, 0.0))
-        pixels, yaw, _ = project_tag(tf_u, flat_transform((0.0, 0.0, 0.0)), cam, tag_s)
-        obs = observe(*tag_geometry(pixels), cam)
+        obs, yaw = project_tag(tf_u, flat_transform((0.0, 0.0, 0.0)), cam, tag_s)
         _, _, region, _, xi = obs
         assert xi <= last_xi + 1e-9
         last_xi = xi

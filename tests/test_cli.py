@@ -333,6 +333,21 @@ def test_plot_regenerates_identical_svgs(tmp_path, capsys):
         assert (src / rel).read_bytes() == (dst / rel).read_bytes()
 
 
+@pytest.mark.parametrize("mode", ["vet", "baseline"])
+@pytest.mark.parametrize("duration", ["8", "16"])
+@pytest.mark.parametrize("name", ["nominal", "perturbation_real"])
+def test_plot_redraws_the_runs_svgs_byte_for_byte(tmp_path, capsys, name, duration, mode):
+    # at these durations a few ticks' printed times round to the other side
+    # of a 0.01 px tie than k * dt does, so the reader must keep run()'s clock
+    src = tmp_path / "bundle"
+    assert run_cli("run", "--preset", name, "--mode", mode, "--set", f"duration={duration}",
+                   "--out", str(src)) == 0
+    dst = tmp_path / "replot"
+    assert run_cli("plot", "--run", str(src), "--out", str(dst)) == 0
+    for rel in BUNDLE_FILES[3:]:
+        assert (src / rel).read_bytes() == (dst / rel).read_bytes(), rel
+
+
 def test_plot_regenerates_identical_svgs_from_crlf_line_ends(tmp_path, capsys):
     # 501 rows: the reader's second chunk starts mid-file, after a translated line end
     src = tmp_path / "bundle"

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from vetsim.control import (
     vet_law,
 )
 from vetsim.frames import RigidTransform, flat_transform
-from vetsim.perception import UNSEEN, CameraModel, TagModel, observe, project_tag, tag_geometry
+from vetsim.perception import UNSEEN, CameraModel, TagModel, observe, project_tag
 
 FLIP_X = ((1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0))
 ZERO = (0.0, 0.0, 0.0)
@@ -35,18 +36,10 @@ def down_camera():
     return CameraModel(640, 480, 400.0, RigidTransform(FLIP_X, ZERO))
 
 
-def measured(pixels, cam):
-    """The observation of projected corner pixels, the way the run loop
-    measures a detected tag."""
-    return observe(*tag_geometry(pixels), cam)
-
-
 def seen(cx, cy, cam, half=20.0):
-    """The observation of a detected square tag image centred at (cx, cy)."""
-    return measured(
-        [cx - half, cy - half, cx + half, cy - half, cx + half, cy + half, cx - half, cy + half],
-        cam,
-    )
+    """The observation of a detected axis-aligned square tag image centred at
+    (cx, cy), its sides 2 * half pixels long, as project_tag measures one."""
+    return observe((cx, cy), 2.0 * half, math.hypot(2.0 * half, 2.0 * half), cam)
 
 
 def wide_gains(**overrides):
@@ -201,6 +194,35 @@ def test_command_clips_per_axis():
     cam = up_camera()
     u, _, _ = vet_law(seen(480.0, 240.0, cam), 0.0, 0.0, VET_START, VetGains(), cam)
     assert u[0] == pytest.approx(0.1)  # 0.5 raw, clipped to u_max
+
+
+# an error component and the command component both tether laws make of it at
+# unit gain, clipped to the default u_max of 0.1
+CLIP_CASES = {
+    "nan": (math.nan, math.nan),
+    "zero": (0.0, 0.0),
+    "negative_zero": (-0.0, -0.0),
+    "upper_bound": (0.1, 0.1),
+    "lower_bound": (-0.1, -0.1),
+    "past_upper": (0.5, 0.1),
+    "past_lower": (-math.inf, -0.1),
+}
+
+
+@pytest.mark.parametrize("case", CLIP_CASES)
+def test_tether_laws_clip_bit_for_bit_and_pass_nan(case):
+    """The per-axis clip keeps -0.0 and the exact bounds bit for bit and lets
+    a NaN error through, in vet_law and baseline_ibvs alike."""
+    error, expected = CLIP_CASES[case]
+    obs = ((320.0, 240.0), (error, error), "safe", 0.0, 0.0)
+    cam = up_camera()
+    vet, _, _ = vet_law(obs, 0.0, 0.0, VET_START, VetGains(k_safe_p=1.0, k_elastic_p=2.0), cam)
+    base = baseline_ibvs(obs, 0.0, VetGains(k_elastic_p=1.0))
+    for got in (*vet[:2], *base[:2]):
+        if math.isnan(expected):
+            assert math.isnan(got)
+        else:
+            assert struct.pack("<d", got) == struct.pack("<d", expected)
 
 
 def test_yaw_gain_acts_on_the_relative_yaw():
@@ -399,14 +421,14 @@ def test_world_frame_tether_commands_are_anti_parallel(r, bearing, heading):
     tag_s = TagModel(0.1, RigidTransform(FLIP_X, ZERO))
 
     tf_u, tf_s = flat_transform(pose_u), flat_transform(pose_s)
-    pixels_us, yaw_us, det_us = project_tag(tf_u, tf_s, cam_u, tag_s)
-    pixels_su, yaw_su, det_su = project_tag(tf_s, tf_u, cam_s, tag_u)
-    assume(det_us and det_su)
+    obs_us, yaw_us = project_tag(tf_u, tf_s, cam_u, tag_s)
+    obs_su, yaw_su = project_tag(tf_s, tf_u, cam_s, tag_u)
+    assume(obs_us is not UNSEEN and obs_su is not UNSEEN)
 
     gains = VetGains()
     state = VET_START
-    cmd_us, _, _ = vet_law(measured(pixels_us, cam_u), yaw_us, 0.0, state, gains, cam_u)
-    cmd_su, _, _ = vet_law(measured(pixels_su, cam_s), yaw_su, 0.0, state, gains, cam_s)
+    cmd_us, _, _ = vet_law(obs_us, yaw_us, 0.0, state, gains, cam_u)
+    cmd_su, _, _ = vet_law(obs_su, yaw_su, 0.0, state, gains, cam_s)
 
     rot = np.array(
         [[math.cos(heading), -math.sin(heading)], [math.sin(heading), math.cos(heading)]]
@@ -434,9 +456,8 @@ def test_elastic_stretch_decays_monotonically_in_closed_loop():
     regions = []
     for k in range(1500):
         observer = flat_transform((x, 0.0, -1.0, 0.0, 0.0, 0.0))
-        pixels, yaw, detected = project_tag(observer, flat_transform((0.0, 0.0, 0.0)), cam, tag_s)
-        assert detected
-        obs = measured(pixels, cam)
+        obs, yaw = project_tag(observer, flat_transform((0.0, 0.0, 0.0)), cam, tag_s)
+        assert obs is not UNSEEN
         _, _, region, _, xi = obs
         xi_trace.append(xi)
         u, _, state = vet_law(obs, yaw, k * dt, state, gains, cam)

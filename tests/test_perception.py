@@ -1,23 +1,24 @@
 """Tag projection, image-plane geometry, region labels and dropout."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference_geometry import mount_matrix, pose_matrix, rot_x, rot_z
+from vetsim import perception
 from vetsim.frames import RigidTransform, flat_transform, wrap_angle
 from vetsim.perception import (
     _MIN_DEPTH,
+    _UNSEEN_TAG,
     CameraModel,
-    UNDETECTED,
     UNSEEN,
     DropoutModel,
     TagModel,
     observe,
     project_tag,
-    tag_geometry,
 )
 
 FLIP_X = ((1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0))
@@ -40,40 +41,53 @@ def bottom_tag():
     return TagModel(0.1, RigidTransform(FLIP_X, (0.0, 0.0, 0.0)))
 
 
-def square(cx, cy, half=20.0):
-    """Corner pixels ax, ay, bx, ..., dy of an axis-aligned square tag image."""
-    return [cx - half, cy - half, cx + half, cy - half, cx + half, cy + half, cx - half, cy + half]
+def project(observer, target, cam, tag):
+    """project_tag between two pose tuples."""
+    return project_tag(flat_transform(observer), flat_transform(target), cam, tag)
+
+
+def geometry(observer, target, cam=None, tag=None):
+    """The centre, mean side and mean diagonal that project_tag hands observe
+    for a detected tag, by default the surface robot's seen from below, or
+    None when it measures nothing."""
+    handed = []
+    with mock.patch.object(perception, "observe", lambda *args: handed.append(args[:3])):
+        project(observer, target, cam or up_camera(), tag or bottom_tag())
+    assert len(handed) <= 1
+    return handed[0] if handed else None
 
 
 # --- tag geometry -------------------------------------------------------------
 
 def test_square_geometry_anchor():
-    center, l_bar, h_bar = tag_geometry(square(320.0, 240.0))
-    assert center == pytest.approx((320.0, 240.0))
-    assert l_bar == pytest.approx(40.0)
-    assert h_bar == pytest.approx(40.0 * math.sqrt(2.0))
+    # half a metre below the tag: 400 px * 0.1 m / 0.5 m = 80 px sides
+    center, l_bar, h_bar = geometry((0.0, 0.0, -0.5, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    assert center == pytest.approx((320.0, 240.0), abs=1e-9)
+    assert l_bar == pytest.approx(80.0, abs=1e-9)
+    assert h_bar == pytest.approx(80.0 * math.sqrt(2.0), abs=1e-9)
 
 
-@given(st.floats(-200, 200), st.floats(-200, 200))
+@given(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))
 def test_geometry_is_translation_invariant(dx, dy):
-    base = square(320.0, 240.0)
-    moved = [v + (dy if i % 2 else dx) for i, v in enumerate(base)]
-    c0, l0, h0 = tag_geometry(base)
-    c1, l1, h1 = tag_geometry(moved)
-    assert c1[0] - c0[0] == pytest.approx(dx, abs=1e-9)
-    assert c1[1] - c0[1] == pytest.approx(dy, abs=1e-9)
+    """Moving the camera parallel to the tag moves its image by f / depth
+    pixels per metre, the other way, and leaves its size alone."""
+    c0, l0, h0 = geometry((0.0, 0.0, -1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    c1, l1, h1 = geometry((dx, dy, -1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    assert c1[0] - c0[0] == pytest.approx(-400.0 * dx, abs=1e-9)
+    assert c1[1] - c0[1] == pytest.approx(-400.0 * dy, abs=1e-9)
     assert l1 == pytest.approx(l0)
     assert h1 == pytest.approx(h0)
 
 
 def test_geometry_size_survives_cyclic_corner_relabelling():
-    pixels = square(300.0, 200.0)
-    rolled = pixels[-2:] + pixels[:-2]  # d, a, b, c
-    c0, l0, h0 = tag_geometry(pixels)
-    c1, l1, h1 = tag_geometry(rolled)
-    assert c0 == pytest.approx(c1)
-    assert l0 == pytest.approx(l1)
-    assert h0 == pytest.approx(h1)
+    # turning the tag by quarter turns relabels its image's corners cyclically
+    pose_u = (0.05, -0.1, -1.0, 0.0, 0.0, 0.0)
+    c0, l0, h0 = geometry(pose_u, (0.0, 0.0, 0.0))
+    for quarter_turns in (1, 2, 3):
+        c1, l1, h1 = geometry(pose_u, (0.0, 0.0, quarter_turns * math.pi / 2.0))
+        assert c0 == pytest.approx(c1)
+        assert l0 == pytest.approx(l1)
+        assert h0 == pytest.approx(h1)
 
 
 # --- region classification ------------------------------------------------------
@@ -135,6 +149,11 @@ def test_elastic_penetration_grows_toward_danger():
     # at the elastic border the penetration reaches one
     _, _, _, at_border, _ = observe((float(h_bar), 240.0), l_bar, h_bar, cam)
     assert at_border >= 1.0
+    # off the centre on both axes the deeper one counts: 96 px of the 150 px
+    # band above the safe box, against 96 px of the 230 px band beside it
+    for x in (320.0, 200.0):
+        _, _, _, penetration, _ = observe((x, 120.0), l_bar, h_bar, cam)
+        assert penetration == pytest.approx(96.0 / 150.0)
 
 
 def test_observation_offsets_are_normalised_by_the_half_extents():
@@ -152,59 +171,55 @@ def test_observation_offsets_are_normalised_by_the_half_extents():
 
 def test_tether_state_anchors():
     cam = up_camera()
-    _, _, _, _, xi = observe(*tag_geometry(square(350.0, 280.0)), cam)
+    l_bar, h_bar = 40.0, 40.0 * math.sqrt(2.0)
+    _, _, _, _, xi = observe((350.0, 280.0), l_bar, h_bar, cam)
     assert xi == pytest.approx(50.0)
-    _, _, _, _, xi = observe(*tag_geometry(square(0.0, 0.0)), cam)
+    _, _, _, _, xi = observe((0.0, 0.0), l_bar, h_bar, cam)
     assert xi == pytest.approx(400.0)
-    _, _, _, _, xi = observe(*tag_geometry(square(320.0, 240.0)), cam)
+    _, _, _, _, xi = observe((320.0, 240.0), l_bar, h_bar, cam)
     assert xi == 0.0
 
 
 # --- projection -----------------------------------------------------------------
 
-def project(observer, target, cam, tag):
-    """project_tag between two pose tuples."""
-    return project_tag(flat_transform(observer), flat_transform(target), cam, tag)
-
-
 def test_projection_of_facing_tag_lands_at_image_centre():
     pose_u = (0.0, 0.0, -1.0, 0.0, 0.0, 0.0)
     pose_s = (0.0, 0.0, 0.0)
-    pixels, _, detected = project(pose_u, pose_s, up_camera(), bottom_tag())
-    assert detected
-    center, l_bar, h_bar = tag_geometry(pixels)
+    (center, error, region, penetration, xi), _ = project(pose_u, pose_s, up_camera(), bottom_tag())
     assert center == pytest.approx((320.0, 240.0), abs=1e-9)
+    assert error == pytest.approx((0.0, 0.0), abs=1e-12)
+    assert (region, penetration) == ("safe", 0.0)
+    assert xi == pytest.approx(0.0, abs=1e-9)
     # apparent side: focal * side / depth = 400 * 0.1 / 1
+    _, l_bar, h_bar = geometry(pose_u, pose_s)
     assert l_bar == pytest.approx(40.0, abs=1e-9)
     assert h_bar == pytest.approx(40.0 * math.sqrt(2.0), abs=1e-9)
 
 
 def test_projection_scales_inversely_with_depth():
-    pose_u = (0.0, 0.0, -2.0, 0.0, 0.0, 0.0)
-    pixels, _, _ = project(pose_u, (0.0, 0.0, 0.0), up_camera(), bottom_tag())
-    _, l_bar, _ = tag_geometry(pixels)
+    _, l_bar, _ = geometry((0.0, 0.0, -2.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
     assert l_bar == pytest.approx(20.0, abs=1e-9)
 
 
 def test_projection_is_mutual_for_the_default_mounts():
     pose_u = (0.3, -0.2, -1.0, 0.0, 0.0, 0.0)
     pose_s = (0.0, 0.0, 0.0)
-    _, _, detected_us = project(pose_u, pose_s, up_camera(), bottom_tag())
-    _, _, detected_su = project(pose_s, pose_u, down_camera(), top_tag())
-    assert detected_us and detected_su
+    obs_us, _ = project(pose_u, pose_s, up_camera(), bottom_tag())
+    obs_su, _ = project(pose_s, pose_u, down_camera(), top_tag())
+    assert obs_us is not UNSEEN and obs_su is not UNSEEN
 
 
 def test_tag_behind_the_camera_is_not_detected():
     pose_u = (0.0, 0.0, 1.0, 0.0, 0.0, 0.0)  # above the surface
-    _, _, detected = project(pose_u, (0.0, 0.0, 0.0), up_camera(), bottom_tag())
-    assert not detected
+    obs, _ = project(pose_u, (0.0, 0.0, 0.0), up_camera(), bottom_tag())
+    assert obs is UNSEEN
 
 
 def test_tag_leaving_the_frame_is_not_detected():
     # 0.9 m lateral offset at 1 m depth projects past the image border
     pose_u = (0.9, 0.0, -1.0, 0.0, 0.0, 0.0)
-    _, _, detected = project(pose_u, (0.0, 0.0, 0.0), up_camera(), bottom_tag())
-    assert not detected
+    obs, _ = project(pose_u, (0.0, 0.0, 0.0), up_camera(), bottom_tag())
+    assert obs is UNSEEN
 
 
 @settings(max_examples=60)
@@ -217,8 +232,8 @@ def test_projected_yaw_round_trip(dx, dy, psi):
     """The reported camera yaw recovers the relative heading exactly."""
     pose_u = (dx, dy, -1.0, 0.0, 0.0, 0.0)
     pose_s = (0.0, 0.0, psi)
-    _, yaw, detected = project(pose_u, pose_s, up_camera(), bottom_tag())
-    if not detected:
+    obs, yaw = project(pose_u, pose_s, up_camera(), bottom_tag())
+    if obs is UNSEEN:
         return
     # the flipped surface tag appears at the surface robot's own heading,
     # so a yaw-tracking law on this signal aligns the pair
@@ -227,8 +242,7 @@ def test_projected_yaw_round_trip(dx, dy, psi):
 
 def test_projected_pixel_offset_matches_pinhole_model():
     pose_u = (0.25, -0.1, -1.0, 0.0, 0.0, 0.0)
-    pixels, _, _ = project(pose_u, (0.0, 0.0, 0.0), up_camera(), bottom_tag())
-    center, _, _ = tag_geometry(pixels)
+    (center, _, _, _, _), _ = project(pose_u, (0.0, 0.0, 0.0), up_camera(), bottom_tag())
     # relative position of the tag in the camera frame is (-0.25, +0.1, 1)
     assert center[0] == pytest.approx(320.0 - 400.0 * 0.25, abs=1e-9)
     assert center[1] == pytest.approx(240.0 + 400.0 * 0.1, abs=1e-9)
@@ -280,19 +294,25 @@ def test_projection_matches_the_rigid_transform_reference(position, attitude, ps
     cam = CameraModel(640, 480, 400.0, RigidTransform(rows(rot_x(tilt)), (offset, 0.0, 0.02)))
     tag = TagModel(0.1, RigidTransform(rows(FLIP_X @ rot_z(tilt)), (0.0, offset, 0.0)))
     for observer, target in ((pose_u, pose_s), (pose_s, pose_u)):
-        corners, camera_yaw, detected = project(observer, target, cam, tag)
+        obs, camera_yaw = project(observer, target, cam, tag)
+        measured = geometry(observer, target, cam, tag)
         pixels, yaw, in_front = reference_projection(observer, target, cam, tag)
         if not in_front:
-            assert not detected
+            assert (obs, camera_yaw) == (UNSEEN, 0.0) and measured is None
             continue
         in_frame = bool(
             np.all((pixels >= 0.0) & (pixels <= np.array([640.0, 480.0])))
         )
-        assert detected == in_frame
-        if detected:  # an undetected tag has no pixels and no yaw
+        assert (obs is not UNSEEN) == in_frame == (measured is not None)
+        if in_frame:  # an undetected tag is measured not at all, its yaw is zero
+            center, l_bar, h_bar = measured
+            sides = np.linalg.norm(pixels - np.roll(pixels, -1, axis=0), axis=1)
+            diagonals = np.linalg.norm(pixels[:2] - pixels[2:], axis=1)
             np.testing.assert_allclose(
-                np.reshape(corners, (4, 2)), pixels, rtol=1e-12, atol=1e-9
+                [*center, l_bar, h_bar], [*pixels.mean(axis=0), sides.mean(), diagonals.mean()],
+                rtol=1e-12, atol=1e-9,
             )
+            assert obs[0] == center
             assert wrap_angle(camera_yaw - yaw) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -311,7 +331,7 @@ ONE_CORNER_OUT = {"a": (0.75, 0.0), "b": (0.0, -0.55), "c": (-0.75, 0.0), "d": (
     (0.0, 0.0, -1.0, math.nan, 0.0, 0.0),
 ], ids=["behind", "zero_depth", "near_depth_front", "near_depth_behind", "nan_x", "nan_roll"])
 def test_every_undetected_tag_is_the_one_undetected_value(pose_u):
-    assert project(pose_u, (0.0, 0.0, 0.0), up_camera(), bottom_tag()) is UNDETECTED
+    assert project(pose_u, (0.0, 0.0, 0.0), up_camera(), bottom_tag()) is _UNSEEN_TAG
 
 
 @pytest.mark.parametrize("corner", sorted(ONE_CORNER_OUT))
@@ -321,7 +341,7 @@ def test_a_tag_with_one_corner_out_of_frame_is_the_one_undetected_value(corner):
     pixels, _, in_front = reference_projection(pose_u, pose_s, up_camera(), bottom_tag())
     out = ~np.all((pixels >= 0.0) & (pixels <= np.array([640.0, 480.0])), axis=1)
     assert in_front and out.tolist() == [name == corner for name in "abcd"]
-    assert project(pose_u, pose_s, up_camera(), bottom_tag()) is UNDETECTED
+    assert project(pose_u, pose_s, up_camera(), bottom_tag()) is _UNSEEN_TAG
 
 
 # --- dropout ----------------------------------------------------------------------
