@@ -173,8 +173,9 @@ class VehicleModel:
         force and torque are float sequences; returns (new pose tuple, new
         velocity list). Each model's body is written out in full, the
         velocity solve, the norm bound on the linear velocity and the angle
-        wraps (frames.wrap_angle's expression) included, so a step makes no
-        call but clip_norm on a velocity past the bound."""
+        wraps (frames.wrap_angle's expression) included, so a step calls no
+        Python function but clip_norm, and that only on a velocity past the
+        bound."""
         if self.dof == 6:
             x, y, z, phi, theta, psi = pose
             r0, r1, r2, r3, r4, r5, r6, r7, r8 = rotation

@@ -821,11 +821,10 @@ def test_each_detected_observation_is_measured_once(monkeypatch):
     assert 0 < detected < 2 * len(log)
 
 
-# Python-level calls per tick of dropout_run, counted by sys.setprofile: 29.73
-# (vet) and 27.88 (baseline) when the tick's stages were written one body
-# each, against 45.18 and 43.32 with the geometry, the Schur solve, the norm
-# clip, the angle wraps and the penetration in helpers of their own. Wrapping
-# any per-tick step in a helper again adds a call to every tick, or nearly.
+# Python-level calls per tick of run() on dropout_config, counted by
+# sys.setprofile: 29.73 (vet) and 27.88 (baseline), each tick stage being one
+# body. Wrapping any per-tick step in a helper adds about one call to every
+# tick, which these bounds do not leave room for.
 CALLS_PER_TICK = {"vet": 30.0, "baseline": 28.0}
 
 
