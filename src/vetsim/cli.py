@@ -7,15 +7,21 @@ Three subcommands:
   plot     regenerate the plots for a previously saved bundle
 
 A result bundle is a directory holding config_echo.json, trajectory.csv,
-summary.json and plots/*.svg. All outputs are written atomically and only
-after the simulation has finished, so a failed run leaves no partial bundle.
+summary.json and plots/*.svg. Each command renders every file it writes
+before it writes any, then commits them in two phases: it stages each file
+as a temp file beside its target, then renames each onto its target. A
+staging failure, such as an output path that cannot be written, removes
+what the stage made, leaves every old file as it was and exits 2. A failure
+during the renames cannot restore the files already replaced.
 Exit codes: 0 success, 2 configuration problem, 3 simulation failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -31,28 +37,37 @@ from .scenario import PRESET_NAMES, SimFailure, UnknownPreset, preset, run
 _DEFAULT_THRESHOLD = 0.3
 
 
-def _umask() -> int:
-    # The umask can only be read by setting it; put it straight back.
-    mask = os.umask(0)
+def _commit(files: dict[Path, str]) -> None:
+    """Write every file, or none if any cannot be staged (see the module doc)."""
+    mask = os.umask(0)  # the umask can only be read by setting it; put it straight back
     os.umask(mask)
-    return mask
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.")
+    made, staged = [], []
     try:
-        with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
-        # mkstemp creates the file 0600; give it the mode open() would have
-        os.chmod(tmp, 0o666 & ~_umask())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        for path, text in files.items():
+            for parent in reversed(path.parents):
+                if not parent.is_dir():
+                    parent.mkdir()
+                    made.append(parent)
+            if path.is_dir():  # the rename would refuse it only after earlier renames
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+            staged.append(tmp)
+            with os.fdopen(fd, "w", newline="") as handle:
+                handle.write(text)
+            # the temp file is created 0600; give it the mode open() would have
+            os.chmod(tmp, 0o666 & ~mask)
+    except BaseException as exc:
+        for tmp in staged:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        for directory in reversed(made):
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write bundle: {exc}") from exc
         raise
+    for tmp, path in zip(staged, files):
+        os.replace(tmp, path)
 
 
 def _set_dotted(tree, dotted_key: str, value) -> None:
@@ -146,20 +161,18 @@ def _out_dir(args) -> Path:
 PLOT_KINDS = ("trajectory_xy", "distance_vs_time", "velocity_vs_time", "tether_state_vs_time")
 
 
-def _render_plots(log: TrajectoryLog, threshold: float, kinds=PLOT_KINDS) -> dict:
+def _render_plots(log: TrajectoryLog, threshold: float, out: Path, kinds=PLOT_KINDS) -> dict:
     renderers = {
         "trajectory_xy": lambda: plotting.plot_trajectory(log),
         "distance_vs_time": lambda: plotting.plot_distance(log, threshold),
         "velocity_vs_time": lambda: plotting.plot_commands(log),
         "tether_state_vs_time": lambda: plotting.plot_tether(log),
     }
-    return {
-        os.path.join("plots", f"{kind}.svg"): renderers[kind]() for kind in kinds
-    }
+    return {out / "plots" / f"{kind}.svg": renderers[kind]() for kind in kinds}
 
 
-def _render_bundle(log: TrajectoryLog, threshold: float) -> dict:
-    """Everything a bundle holds, rendered in memory before any file I/O."""
+def _render_bundle(log: TrajectoryLog, threshold: float, out: Path) -> dict:
+    """Everything a bundle holds, keyed by target path, rendered before any file I/O."""
     summary = metrics.summarize(log, threshold)
     summary_doc = {
         "scenario": log.config.name,
@@ -169,26 +182,21 @@ def _render_bundle(log: TrajectoryLog, threshold: float) -> dict:
         **summary.to_dict(),
     }
     files = {
-        "config_echo.json": json.dumps(log.config.to_dict(), indent=2, sort_keys=True) + "\n",
-        "trajectory.csv": log.to_csv_text(),
-        "summary.json": json.dumps(summary_doc, indent=2, sort_keys=True) + "\n",
+        out / "config_echo.json": json.dumps(log.config.to_dict(), indent=2, sort_keys=True) + "\n",
+        out / "trajectory.csv": log.to_csv_text(),
+        out / "summary.json": json.dumps(summary_doc, indent=2, sort_keys=True) + "\n",
     }
-    files.update(_render_plots(log, threshold))
+    files.update(_render_plots(log, threshold, out))
     return files
-
-
-def _write_bundle(base: Path, files: dict) -> None:
-    for rel, text in files.items():
-        _write_atomic(base / rel, text)
 
 
 def _cmd_run(args) -> int:
     cfg = _build_config(args)
     log = run(cfg)
-    files = _render_bundle(log, args.threshold)
     base = _out_dir(args)
-    _write_bundle(base, files)
-    summary = json.loads(files["summary.json"])
+    files = _render_bundle(log, args.threshold, base)
+    _commit(files)
+    summary = json.loads(files[base / "summary.json"])
     print(f"run complete: {cfg.name} ({cfg.mode}), {len(log)} records")
     print(f"  max separation after transient: {summary['max_projected_distance']:.3f} m")
     print(f"  mission success: {summary['mission_success']}")
@@ -199,30 +207,26 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     base = _out_dir(args)
     cfg = _build_config(args)
-    results = {}
+    logs, files = {}, {}
     for mode in ("vet", "baseline"):
-        log = run(dataclasses.replace(cfg, mode=mode))
-        results[mode] = (log, _render_bundle(log, args.threshold))
-    for mode, (_, files) in results.items():
-        _write_bundle(base / mode, files)
-    log_vet = results["vet"][0]
-    log_base = results["baseline"][0]
-    overlay = plotting.plot_distance_overlay(
-        log_vet, log_base, "tethered", "one-way", args.threshold
+        logs[mode] = run(dataclasses.replace(cfg, mode=mode))
+        files.update(_render_bundle(logs[mode], args.threshold, base / mode))
+    sum_vet = json.loads(files[base / "vet" / "summary.json"])
+    sum_base = json.loads(files[base / "baseline" / "summary.json"])
+    files[base / "distance_overlay.svg"] = plotting.plot_distance_overlay(
+        logs["vet"], logs["baseline"], "tethered", "one-way", args.threshold
     )
-    _write_atomic(base / "distance_overlay.svg", overlay)
-    sum_vet = json.loads(results["vet"][1]["summary.json"])
-    sum_base = json.loads(results["baseline"][1]["summary.json"])
     delta = {
-        "scenario": log_vet.config.name,
+        "scenario": cfg.name,
         "distance_threshold": args.threshold,
         "vet": sum_vet,
         "baseline": sum_base,
         "baseline_lost_los": sum_base["time_of_los_loss"] is not None,
         "vet_lost_los": sum_vet["time_of_los_loss"] is not None,
     }
-    _write_atomic(base / "compare.json", json.dumps(delta, indent=2, sort_keys=True) + "\n")
-    print(f"compare complete: {log_vet.config.name}")
+    files[base / "compare.json"] = json.dumps(delta, indent=2, sort_keys=True) + "\n"
+    _commit(files)
+    print(f"compare complete: {cfg.name}")
     print(
         "  tethered: success={0}, max separation {1:.3f} m".format(
             sum_vet["mission_success"], sum_vet["max_projected_distance"]
@@ -259,7 +263,7 @@ def _cmd_plot(args) -> int:
         raise ConfigError(f"bundle trajectory cannot be decoded: {exc}") from exc
     out = Path(args.out) if args.out else run_dir
     kinds = PLOT_KINDS if args.kind == "all" else (args.kind,)
-    _write_bundle(out, _render_plots(log, args.threshold, kinds))
+    _commit(_render_plots(log, args.threshold, out, kinds))
     print(f"plots written to {out / 'plots'}")
     return 0
 

@@ -1,16 +1,22 @@
 """End-to-end command line behaviour: bundles, overrides, exit codes."""
 
+import errno
 import json
 import os
 import shutil
 import stat
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_config_fuzz import FUZZ
 
 from vetsim.cli import main
-from vetsim.log import CSV_COLUMNS
-from vetsim.scenario import preset
+from vetsim.config import ScenarioConfig
+from vetsim.log import CSV_COLUMNS, log_from_csv
+from vetsim.scenario import PRESET_NAMES, preset
 
 ECHOES = Path(__file__).with_name("config_echoes")
 
@@ -207,16 +213,104 @@ def test_absurd_but_finite_bounds_still_render(tmp_path, capsys):
     assert (out / "plots" / "velocity_vs_time.svg").is_file()
 
 
-def test_bundle_files_honour_the_umask(tmp_path, capsys):
+@pytest.mark.parametrize("command, count", [("run", 7), ("compare", 16), ("plot", 4)],
+                         ids=["run", "compare", "plot"])
+def test_bundle_files_honour_the_umask(tmp_path, capsys, command, count):
+    args = ["--preset", "nominal", "--set", "duration=1"]
+    if command == "plot":
+        assert run_cli("run", *args, "--out", str(tmp_path / "src")) == 0
+        args = ["--run", str(tmp_path / "src")]
     out = tmp_path / "bundle"
     old = os.umask(0o027)
     try:
-        assert run_cli("run", "--preset", "nominal", "--set", "duration=1", "--out", str(out)) == 0
+        assert run_cli(command, *args, "--out", str(out)) == 0
     finally:
         os.umask(old)
-    for rel in BUNDLE_FILES:
-        assert stat.S_IMODE((out / rel).stat().st_mode) == 0o640, rel
+    files = [p for p in out.rglob("*") if p.is_file()]
+    assert len(files) == count
+    for path in files:
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640, path
     assert not [p for p in out.rglob(".*")]  # no temporary files left behind
+
+
+SHORT = ("--preset", "nominal", "--set", "duration=0.2")
+LONGER = ("--preset", "nominal", "--set", "duration=0.4")  # bytes unlike SHORT's bundle
+
+
+def tree(root):
+    """Every path below root, with each file's bytes."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+def assert_writes_nothing(tmp_path, capsys, argv):
+    """The command exits 2 with one line and leaves tmp_path as it found it."""
+    before = tree(tmp_path)
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: cannot write bundle: "), captured.err
+    assert captured.err.count("\n") == 1, captured.err
+    assert tree(tmp_path) == before  # no new file, directory or temp file; old bytes kept
+
+
+@pytest.mark.parametrize("made, blocker, kind, argv", [
+    # --out below a regular file
+    (None, "f", "file", ["run", *LONGER, "--out", "f/x"]),
+    (None, "f", "file", ["compare", *LONGER, "--out", "f/x"]),
+    ("run", "f", "file", ["plot", "--run", "b", "--out", "f/y"]),
+    # --out that is a regular file
+    (None, "f", "file", ["run", *LONGER, "--out", "f"]),
+    (None, "f", "file", ["compare", *LONGER, "--out", "f"]),
+    ("run", "f", "file", ["plot", "--run", "b", "--out", "f"]),
+    # an existing bundle that a file or directory of it blocks
+    ("run", "b/plots", "file", ["run", *LONGER, "--out", "b"]),
+    ("run", "b/plots", "file", ["plot", "--run", "b"]),
+    ("run", "b/trajectory.csv", "dir", ["run", *LONGER, "--out", "b"]),
+    (None, "b/baseline", "file", ["compare", *LONGER, "--out", "b"]),
+    ("compare", "b/baseline/plots", "file", ["compare", *LONGER, "--out", "b"]),
+], ids=["run-below_a_file", "compare-below_a_file", "plot-below_a_file",
+        "run-out_is_a_file", "compare-out_is_a_file", "plot-out_is_a_file",
+        "run-plots_is_a_file", "plot-plots_is_a_file", "run-csv_is_a_dir",
+        "compare-baseline_is_a_file", "compare-baseline_plots_is_a_file"])
+def test_an_output_path_that_cannot_be_written_writes_nothing(
+        tmp_path, capsys, monkeypatch, made, blocker, kind, argv):
+    monkeypatch.chdir(tmp_path)
+    if made:  # a good bundle at b, written before the failing command
+        assert run_cli(made, *SHORT, "--out", "b") == 0
+    block = Path(blocker)
+    if block.is_dir():
+        shutil.rmtree(block)
+    block.unlink(missing_ok=True)
+    block.parent.mkdir(parents=True, exist_ok=True)
+    if kind == "dir":
+        block.mkdir()
+    else:
+        block.write_text("in the way\n")
+    assert_writes_nothing(tmp_path, capsys, argv)
+
+
+@pytest.mark.parametrize("out", ["b", "new/sub/x"], ids=["over_a_bundle", "new_dirs"])
+@pytest.mark.parametrize("command, k", [("run", k) for k in range(7)]
+                         + [("compare", k) for k in range(16)])
+def test_a_failed_staged_write_writes_nothing(tmp_path, capsys, monkeypatch, command, k, out):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(command, *SHORT, "--out", "b") == 0
+    real_fdopen, opened = os.fdopen, []
+
+    def fdopen(*args, **kwargs):
+        handle = real_fdopen(*args, **kwargs)
+        opened.append(handle)
+        if len(opened) == k + 1:  # staged file k, from 0, runs out of space mid-write
+            def write(text, _write=handle.write):
+                _write(text[:len(text) // 2])
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            handle.write = write
+        return handle
+
+    monkeypatch.setattr(os, "fdopen", fdopen)
+    assert_writes_nothing(tmp_path, capsys, [command, *LONGER, "--out", out])
+    assert len(opened) == k + 1
 
 
 def test_malformed_config_file_fails_cleanly(tmp_path, capsys):
@@ -333,19 +427,54 @@ def test_plot_regenerates_identical_svgs(tmp_path, capsys):
         assert (src / rel).read_bytes() == (dst / rel).read_bytes()
 
 
+def assert_redraw_round_trips(tmp, name, mode, duration, dt="0.02", threshold="0.3",
+                              dropout=None):
+    """run, then plot --run elsewhere: the SVGs redraw byte for byte, the CSV
+    reads back to itself, and every row keeps the run's physical bounds."""
+    src, dst = tmp / "bundle", tmp / "replot"
+    sets = [f"duration={duration}", f"dt={dt}"]
+    if dropout is not None:
+        sets.append(f"dropout.random_rate={dropout}")
+    assert run_cli("run", "--preset", name, "--mode", mode, "--threshold", threshold,
+                   *[arg for item in sets for arg in ("--set", item)], "--out", str(src)) == 0
+    assert run_cli("plot", "--run", str(src), "--threshold", threshold,
+                   "--out", str(dst)) == 0
+    for rel in BUNDLE_FILES[3:]:
+        assert (src / rel).read_bytes() == (dst / rel).read_bytes(), rel
+    cfg = ScenarioConfig.from_dict(json.loads((src / "config_echo.json").read_text()))
+    text = (src / "trajectory.csv").read_text()
+    log = log_from_csv(text.splitlines(keepends=True), cfg)
+    assert log.to_csv_text() == text
+    for pose, axes in ((log.pose_u, 3), (log.pose_s, 2)):  # the surface robot's z is free
+        assert np.all(pose[:, :axes] >= np.array(cfg.tank_min[:axes]) - 1e-9)
+        assert np.all(pose[:, :axes] <= np.array(cfg.tank_max[:axes]) + 1e-9)
+    for total, params in ((log.u_total_u, cfg.params_u), (log.u_total_s, cfg.params_s)):
+        assert np.all(np.abs(total) <= np.array(params.axis_bounds))
+    if mode == "baseline":  # the leader never moves sideways
+        assert np.all(log.u_xi_s == 0.0)
+
+
 @pytest.mark.parametrize("mode", ["vet", "baseline"])
 @pytest.mark.parametrize("duration", ["8", "16"])
 @pytest.mark.parametrize("name", ["nominal", "perturbation_real"])
 def test_plot_redraws_the_runs_svgs_byte_for_byte(tmp_path, capsys, name, duration, mode):
     # at these durations a few ticks' printed times round to the other side
     # of a 0.01 px tie than k * dt does, so the reader must keep run()'s clock
-    src = tmp_path / "bundle"
-    assert run_cli("run", "--preset", name, "--mode", mode, "--set", f"duration={duration}",
-                   "--out", str(src)) == 0
-    dst = tmp_path / "replot"
-    assert run_cli("plot", "--run", str(src), "--out", str(dst)) == 0
-    for rel in BUNDLE_FILES[3:]:
-        assert (src / rel).read_bytes() == (dst / rel).read_bytes(), rel
+    assert_redraw_round_trips(tmp_path, name, mode, duration)
+
+
+@settings(FUZZ, max_examples=40)
+@given(
+    name=st.sampled_from(PRESET_NAMES),
+    mode=st.sampled_from(["vet", "baseline"]),
+    duration=st.floats(0.1, 20.0),
+    dt=st.sampled_from(["0.01", "0.02", "0.05"]),
+    threshold=st.floats(0.05, 2.0).map(repr),
+    dropout=st.none() | st.floats(0.0, 0.5),
+)
+def test_generated_bundles_redraw_byte_for_byte(name, mode, duration, dt, threshold, dropout):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_redraw_round_trips(Path(tmp), name, mode, repr(duration), dt, threshold, dropout)
 
 
 def test_plot_regenerates_identical_svgs_from_crlf_line_ends(tmp_path, capsys):
