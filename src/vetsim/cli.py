@@ -150,12 +150,7 @@ def _build_config(args) -> ScenarioConfig:
 
 
 def _out_dir(args) -> Path:
-    if args.out:
-        return Path(args.out)
-    env = os.environ.get("VET_SIM_OUT")
-    if env:
-        return Path(env)
-    return Path("runs")
+    return Path(args.out or os.environ.get("VET_SIM_OUT") or "runs")
 
 
 PLOT_KINDS = ("trajectory_xy", "distance_vs_time", "velocity_vs_time", "tether_state_vs_time")
@@ -227,16 +222,9 @@ def _cmd_compare(args) -> int:
     files[base / "compare.json"] = json.dumps(delta, indent=2, sort_keys=True) + "\n"
     _commit(files)
     print(f"compare complete: {cfg.name}")
-    print(
-        "  tethered: success={0}, max separation {1:.3f} m".format(
-            sum_vet["mission_success"], sum_vet["max_projected_distance"]
-        )
-    )
-    print(
-        "  one-way:  success={0}, max separation {1:.3f} m".format(
-            sum_base["mission_success"], sum_base["max_projected_distance"]
-        )
-    )
+    for label, summary in (("tethered:", sum_vet), ("one-way:", sum_base)):
+        print(f"  {label:<9} success={summary['mission_success']}, "
+              f"max separation {summary['max_projected_distance']:.3f} m")
     print(f"  bundle: {base}")
     return 0
 

@@ -1,5 +1,6 @@
 """The trajectory log: its column layout, the CSV writer and reader, and the
-events read off the columns (_event_flags, the one event path of run() and the reader)."""
+one constructor of a log from its row table (_log_from_table), which run()
+and the reader share: it reads the events off the columns with _event_flags."""
 
 from __future__ import annotations
 
@@ -44,8 +45,9 @@ CSV_COLUMNS = tuple(name for *_, names in _LOG_LAYOUT for name in names)
 # objects the writer builds and the line strings the reader holds.
 _CSV_CHUNK = 256
 # The row table's columns in order, (field, index in the field): the CSV's float
-# and flag columns, then three only run() writes, for _event_flags: the planner's
-# index after the tick's step and whether the wall clamp made each robot's pose.
+# and flag columns, then three for _event_flags that the CSV holds only as tokens:
+# the planner's index after the tick's step and whether the wall clamp made each
+# robot's pose. run() writes them; the reader rebuilds them from eventFlags.
 _LOOP_COLUMNS = ("waypoint_index", "wall_clamp_u", "wall_clamp_s")
 _TABLE_CELLS = [(name, i) for name, kind, names in _LOG_LAYOUT if kind is not str
                 for i in range(len(names))] + [(name, 0) for name in _LOOP_COLUMNS]
@@ -73,19 +75,11 @@ def _log_arrays(table: np.ndarray) -> dict:
     return out
 
 
-def _saturated_totals(arrays: dict, config: ScenarioConfig) -> dict:
-    """u_total_u and u_total_s: each robot's logged split u_sub + u_xi clipped
-    to its axis_bounds, bit for bit the command run() gave its vehicle."""
-    bounds = {"u": config.params_u.axis_bounds, "s": config.params_s.axis_bounds}
-    return {f"u_total_{r}": np.clip(arrays[f"u_sub_{r}"] + arrays[f"u_xi_{r}"], -np.array(b), b)
-            for r, b in bounds.items()}
-
-
 @dataclass
 class TrajectoryLog:
     """Complete tick-by-tick record of one run: the trajectory.csv columns
-    laid out by _LOG_LAYOUT, and u_total_u and u_total_s, which
-    _saturated_totals derives from them for run() and log_from_csv alike.
+    laid out by _LOG_LAYOUT, and u_total_u and u_total_s. _log_from_table
+    builds every log, for run() and log_from_csv alike.
 
     Per tick: t is (n,), poses (n, 6) and (n, 3), commands (n, 6) for the
     underwater and (n, 3) for the surface robot, xi_* and proj_dist (n,), all
@@ -155,6 +149,22 @@ class TrajectoryLog:
         return "\n".join(lines) + "\n"
 
 
+def _log_from_table(config: ScenarioConfig, table: np.ndarray, regions: dict) -> TrajectoryLog:
+    """The log of a (ticks, _ROW_WIDTH) row table with its _LOOP_COLUMNS filled and
+    of its region_us and region_su label lists: the arrays _log_arrays slices; the
+    events _event_flags reads off them, the loop columns and config's windows at
+    the tick times; and u_total_u and u_total_s, each robot's logged split
+    u_sub + u_xi clipped to its axis_bounds, bit for bit the command run() gave
+    its vehicle."""
+    arrays = _log_arrays(table)
+    index, *clamps = table[:, -len(_LOOP_COLUMNS):].T
+    loop = dict(zip(_LOOP_COLUMNS, (index.astype(int), *(c == 1.0 for c in clamps))))
+    totals = {f"u_total_{r}": np.clip(arrays[f"u_sub_{r}"] + arrays[f"u_xi_{r}"], -np.array(b), b)
+              for r, b in (("u", config.params_u.axis_bounds), ("s", config.params_s.axis_bounds))}
+    flags = _event_flags(arrays | loop, regions, *_window_masks(config, arrays["t"]))
+    return TrajectoryLog(config=config, **arrays, **regions, event_flags=flags, **totals)
+
+
 def _first_non_finite(table: np.ndarray) -> tuple | None:
     """(row, column) of the row table's first NaN or infinity, row-major, in the
     columns run() and log_from_csv both hold finite; None if there is none."""
@@ -186,13 +196,14 @@ def _window_masks(config: ScenarioConfig, ts: np.ndarray) -> tuple:
     return config.dropout.scheduled(ts), perturbed
 
 
-def _event_flags(arrays: dict, labels: dict, scheduled: np.ndarray,
+def _event_flags(arrays: dict, regions: dict, scheduled: np.ndarray,
                  perturbed: np.ndarray) -> list:
     """The eventFlags text of every tick, read off the transitions of arrays
-    (detection flags and _LOOP_COLUMNS) and of the scheduled-dropout and
-    perturbation masks, each tick's events in the order below. Starts and
-    waypoint captures can fire on tick 0; line-of-sight and region changes
-    cannot."""
+    (detection flags and _LOOP_COLUMNS), of the region labels and of the
+    scheduled-dropout and perturbation masks, each tick's events in the order
+    below. Starts and waypoint captures can fire on tick 0; line-of-sight and
+    region changes cannot, as tick 0 is compared with itself (an empty log has
+    no tick 0)."""
     det_us, det_su = arrays["detected_us"], arrays["detected_su"]
     passed = np.diff(arrays["waypoint_index"], prepend=0)  # waypoints captured per tick
     found = [
@@ -201,11 +212,11 @@ def _event_flags(arrays: dict, labels: dict, scheduled: np.ndarray,
         *_transitions(scheduled, False, "dropout_start", "dropout_end"),
         *_transitions(perturbed, False, "perturb_start", "perturb_end"),
         *((k, "waypoint_capture") for k in np.repeat(np.arange(len(passed)), passed).tolist()),
-        *_transitions(det_us, det_us[0], "los_regain_us", "los_loss_us"),
-        *_transitions(det_su, det_su[0], "los_regain_su", "los_loss_su"),
+        *_transitions(det_us, det_us[:1].any(), "los_regain_us", "los_loss_us"),
+        *_transitions(det_su, det_su[:1].any(), "los_regain_su", "los_loss_su"),
     ]
     for pair in ("us", "su"):
-        r = labels[f"region_{pair}"]
+        r = regions[f"region_{pair}"]
         found += [(k, f"region_{pair}:{r[k - 1]}-{r[k]}")
                   for k in itertools.compress(itertools.count(1), map(operator.ne, r, r[1:]))]
     flags = [""] * len(passed)
@@ -263,55 +274,54 @@ def log_from_csv(lines: Iterable[str], config: ScenarioConfig) -> TrajectoryLog:
     if hi not in (0, n):
         raise ConfigError(f"row {min(hi, n) + 1} is {'missing' if hi < n else 'past the end'}: "
                           f"duration {config.duration:g} s at dt {config.dt:g} s makes {n} rows")
-    arrays = _log_arrays(table[:hi])
-    if hi:
-        _check_columns(arrays, labels, config, ts)
-    return TrajectoryLog(config=config, **arrays, **labels, **_saturated_totals(arrays, config))
+    # the _LOOP_COLUMNS the tokens give: the running waypoint_capture count,
+    # which like run()'s stops at the planner's last waypoint, and clamp flags
+    # set exactly on their wall_clamp_* rows
+    flags = labels.pop("event_flags")
+    rows = list(itertools.compress(range(hi), flags))  # only non-empty cells are split
+    tokens = ("waypoint_capture", *_LOOP_COLUMNS[1:])
+    found = [[cell.count(token) for token in tokens]
+             for cell in (flags[k].split(";") for k in rows)]
+    counts = np.zeros((hi, len(tokens)), dtype=int)
+    counts[rows] = np.reshape(found, (-1, len(tokens)))  # shape (0, 3) on a log with no event
+    index = counts[:, 0].cumsum().clip(max=len(planner_waypoints(config.planner)))
+    table[:hi, -len(_LOOP_COLUMNS):] = np.column_stack((index, counts[:, 1:] > 0))
+    log = _log_from_table(config, table[:hi], labels)
+    _check_columns(log, flags)
+    return log
 
 
-def _check_columns(arrays: dict, labels: dict, config: ScenarioConfig, ts: np.ndarray) -> None:
+def _check_columns(log: TrajectoryLog, flags: list) -> None:
     """A ConfigError naming the first row and column run() could not write: a
     region not in _REGIONS; a region "none" or an xi NaN but exactly where its
     detection flag is 0; a projDist off the distance of the row's poses by more
-    than their 12-digit rounding carries; an eventFlags text other than
-    _event_flags reads off the log, config's windows at the times ts and the
-    _LOOP_COLUMNS the tokens give (the running waypoint_capture count, which
-    like run()'s stops at the planner's last waypoint, and clamp masks true
-    exactly on their wall_clamp_* rows). A lone spurious or missing
-    waypoint_capture or wall_clamp_* token is thus self-consistent, unless it
-    is a capture past the last waypoint: only a re-run of config can catch it."""
+    than their 12-digit rounding carries; last, a CSV eventFlags text in flags
+    other than log.event_flags, derived from the loop columns its tokens give. A
+    lone spurious or missing waypoint_capture or wall_clamp_* token is thus
+    self-consistent, unless it is a capture past the last waypoint: only a
+    re-run of the config can catch it."""
     for pair in ("us", "su"):
-        tag, regions, seen = pair.upper(), labels[f"region_{pair}"], arrays[f"detected_{pair}"]
+        tag, regions = pair.upper(), getattr(log, f"region_{pair}")
+        seen = getattr(log, f"detected_{pair}")
         if unknown := set(regions) - _REGIONS.keys():
             k = next(k for k, label in enumerate(regions) if label in unknown)
             raise ConfigError(f"row {k + 1} column region{tag} is not a region: {regions[k]!r}")
         for column, values, unseen in (
             (f"region{tag}", regions, np.array(regions, dtype=object) == "none"),
-            (f"xi{tag}", arrays[f"xi_{pair}"], np.isnan(arrays[f"xi_{pair}"])),
+            (f"xi{tag}", xi := getattr(log, f"xi_{pair}"), np.isnan(xi)),
         ):
             if (wrong := unseen == seen).any():
                 k = int(wrong.argmax())
                 raise ConfigError(f"row {k + 1} column {column} is {values[k]} where "
                                   f"detected{tag} is {seen[k]:d}: only undetected rows are "
                                   "none and NaN")
-    (xu, yu, *_), (xs, ys, _), dist = arrays["pose_u"].T, arrays["pose_s"].T, arrays["proj_dist"]
+    (xu, yu, *_), (xs, ys, _), dist = log.pose_u.T, log.pose_s.T, log.proj_dist
     between, rounding = np.hypot(xu - xs, yu - ys), abs(xu) + abs(yu) + abs(xs) + abs(ys)
     if (off := np.flatnonzero(~(abs(between - dist) <= 1e-11 * (rounding + abs(dist))))).size:
         k = int(off[0])
         raise ConfigError(f"row {k + 1} column projDist is {dist[k]:.12g}, not the "
                           f"{between[k]:.12g} m between the row's poses")
-    flags = labels["event_flags"]
-    rows = list(itertools.compress(range(len(flags)), flags))  # only non-empty cells are split
-    tokens = ("waypoint_capture", *_LOOP_COLUMNS[1:])
-    found = [[cell.count(token) for token in tokens]
-             for cell in (flags[k].split(";") for k in rows)]
-    counts = np.zeros((len(flags), len(tokens)), dtype=int)
-    counts[rows] = np.reshape(found, (-1, len(tokens)))  # shape (0, 3) on a log with no event
-    # run()'s planner index stops at the last waypoint, so a capture past it derives no token
-    index = counts[:, 0].cumsum().clip(max=len(planner_waypoints(config.planner)))
-    loop = dict(zip(_LOOP_COLUMNS, (index, *(counts[:, 1:].T > 0))))
-    derived = _event_flags(arrays | loop, labels, *_window_masks(config, ts))
-    if derived != flags:
+    if (derived := log.event_flags) != flags:
         k = next(k for k, (got, want) in enumerate(zip(flags, derived)) if got != want)
         raise ConfigError(f"row {k + 1} column eventFlags is {flags[k]!r}, not the "
                           f"{derived[k]!r} the log and its config give")

@@ -29,6 +29,8 @@ _COLOR_S = "#d62728"
 _COLOR_ALT = "#7f7f7f"
 _COLOR_SPAN_PERTURB = "#f2c57c"
 _COLOR_SPAN_DROPOUT = "#cdd3d8"
+_LINE_WIDTH = 1.5  # of every data polyline
+_TICK_TARGET = 5  # an axis spans at most this many tick steps
 
 
 def _fmt(v: float) -> str:
@@ -61,13 +63,13 @@ class _Frame:
         return self.bottom - frac * (self.bottom - self.top)
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5):
+def _nice_ticks(lo: float, hi: float):
     span = hi - lo  # infinite also when finite ends are too far apart
     if not math.isfinite(span) or span <= 0:
         return [0.0, 1.0]
-    step = 10.0 ** math.floor(math.log10(span / max(target, 1)))
+    step = 10.0 ** math.floor(math.log10(span / _TICK_TARGET))
     for mult in (1.0, 2.0, 5.0, 10.0):
-        if span / (step * mult) <= target:
+        if span / (step * mult) <= _TICK_TARGET:
             step *= mult
             break
     first = math.ceil(lo / step) * step
@@ -149,8 +151,7 @@ def _grid(qx, qy, starts):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow gives inf, as with Python floats
-def _polyline(frame: _Frame, xs, ys, color: str, width: float = 1.5, dash=None,
-              thin=None) -> list:
+def _polyline(frame: _Frame, xs, ys, color: str, dash=None, thin=None) -> list:
     """Polylines at display resolution, split at non-finite points so gaps stay gaps.
 
     Runs of one point are dropped. ``thin`` masks the points drawn, judged on the
@@ -171,7 +172,7 @@ def _polyline(frame: _Frame, xs, ys, color: str, width: float = 1.5, dash=None,
     points = (("%.2f,%.2f " * len(kept)) % tuple(flat)).split(" ")
     bounds = np.searchsorted(kept, np.r_[starts, len(drawn)]).tolist()
     return [f'<polyline points="{" ".join(points[lo:hi])}" fill="none" stroke="{color}" '
-            f'stroke-width="{width}"{dash_attr}/>' for lo, hi in zip(bounds, bounds[1:])]
+            f'stroke-width="{_LINE_WIDTH}"{dash_attr}/>' for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _spans(frame: _Frame, windows, color: str) -> list:

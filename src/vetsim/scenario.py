@@ -44,8 +44,7 @@ from .control import (
 from .frames import GimbalSingularity, RigidTransform, euler_rate_rows, flat_transform
 from .frames import projected_distance
 from .log import (
-    TrajectoryLog, _LOOP_COLUMNS, _ROW_WIDTH, _event_flags, _first_non_finite, _log_arrays,
-    _saturated_totals, _window_masks,
+    TrajectoryLog, _ROW_WIDTH, _first_non_finite, _log_arrays, _log_from_table, _window_masks,
 )
 from .perception import UNSEEN, _UNSEEN_TAG, CameraModel, DropoutModel, TagModel, project_tag
 from .vehicle import Disturbance, VehicleModel, VehicleParams
@@ -155,17 +154,18 @@ def _check_finite(table: np.ndarray) -> None:
 
 
 def _time_inputs(config: ScenarioConfig, ts: np.ndarray) -> tuple:
-    """The inputs that depend on the tick times ts alone: _window_masks' scheduled
-    and perturbed, the mask of blanked upward-camera ticks, and wrenches, the
-    world (force, torque) the active disturbances sum to in config order, or None."""
-    scheduled, perturbed = _window_masks(config, ts)
+    """The inputs the loop reads that depend on the tick times ts alone: the mask
+    of blanked upward-camera ticks, and wrenches, the world (force, torque) the
+    active disturbances sum to in config order on a tick _window_masks marks
+    perturbed, or None."""
+    _, perturbed = _window_masks(config, ts)
     wrench = np.zeros((len(ts), 6))
     for d in config.perturbations:
         wrench[d.active(ts)] += d.force + d.torque
     wrenches = [(w[:3], w[3:]) if on else None
                 for w, on in zip(wrench.tolist(), perturbed.tolist())]
     blanked = config.dropout.blanked(ts, np.random.default_rng(config.seed))
-    return scheduled, blanked, perturbed, wrenches
+    return blanked, wrenches
 
 
 def run(config: ScenarioConfig) -> TrajectoryLog:
@@ -184,8 +184,9 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
     velocity bound). A blanked upward camera is not projected but given
     (UNSEEN, 0.0), as an undetected tag is. VehicleModel.allocate takes each
     robot's logged split u_sub, u_xi as it is. Each tick's numbers go to one
-    flat row buffer that becomes the log's arrays; the saturated totals are
-    derived from the logged split after the loop, as log_from_csv does.
+    flat row buffer; after the loop, _log_from_table, the constructor
+    log_from_csv shares, makes the log of that row table and derives its
+    events and saturated totals.
     A ScenarioConfig is checked when it is made, so run() trusts it.
     """
     dt = config.dt
@@ -201,7 +202,7 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
     mount_u = cam_u.flat_mount[0]
     mount_s = cam_s.flat_mount[0]
     gains, pd_u, pd_s = config.vet, config.pd_u, config.pd_s
-    scheduled, blanked, perturbed, wrenches = _time_inputs(config, ts)
+    blanked, wrenches = _time_inputs(config, ts)
 
     pose_u = tuple(float(v) for v in config.initial_pose_u)
     pose_s = tuple(float(v) for v in config.initial_pose_s)
@@ -288,13 +289,8 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
 
     table = np.frombuffer(rows, dtype=float).reshape(n_rec, _ROW_WIDTH)
     _check_finite(table)
-    arrays = _log_arrays(table)
-    loop = dict(zip(_LOOP_COLUMNS, (table[:, -3].astype(int), *(table[:, -2:].T == 1.0))))
-    labels = {"region_us": region_us_list, "region_su": region_su_list}
-    return TrajectoryLog(
-        config=config, **arrays, **labels, **_saturated_totals(arrays, config),
-        event_flags=_event_flags(arrays | loop, labels, scheduled, perturbed),
-    )
+    return _log_from_table(config, table, {"region_us": region_us_list,
+                                           "region_su": region_su_list})
 
 
 # -- presets ---------------------------------------------------------------

@@ -418,6 +418,18 @@ def test_compare_runs_each_mode_whatever_the_config_says(tmp_path, capsys):
         assert json.loads((out / mode / "config_echo.json").read_text())["mode"] == mode
 
 
+def test_compare_prints_each_modes_outcome(tmp_path, capsys):
+    out = tmp_path / "cmp"
+    assert run_cli("compare", "--preset", "perturbation_sim", "--set", "duration=30",
+                   "--threshold", "0.6", "--out", str(out)) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "compare complete: perturbation_sim",
+        "  tethered: success=False, max separation 0.223 m",
+        "  one-way:  success=False, max separation 1.528 m",
+        f"  bundle: {out}",
+    ]
+
+
 def test_plot_regenerates_identical_svgs(tmp_path, capsys):
     src = tmp_path / "bundle"
     assert run_cli("run", "--preset", "nominal", "--set", "duration=4", "--out", str(src)) == 0

@@ -41,6 +41,40 @@ def test_every_unreferenced_public_name_is_allowed_with_a_reason():
     assert unreferenced_public_names(SRC) == sorted(UNREFERENCED_ALLOWED)
 
 
+# Private names one module imports from another, (importer, module, name), and
+# why each crosses the boundary; any other private name stays in its module.
+PRIVATE_IMPORTS_ALLOWED = {
+    ("scenario", "log", "_ROW_WIDTH"): "run() fills a flat buffer of row-table rows",
+    ("scenario", "log", "_first_non_finite"): "run() refuses a row table with a NaN state, "
+                                              "which the reader refuses too",
+    ("scenario", "log", "_log_arrays"): "a SimFailure names the failed tick's poses off its row",
+    ("scenario", "log", "_window_masks"): "the wrenches are summed on the ticks the events "
+                                          "mark perturbed: one perturbation mask",
+    ("scenario", "log", "_log_from_table"): "the one constructor of a log, which the reader "
+                                            "shares",
+    ("scenario", "perception", "_UNSEEN_TAG"): "a blanked camera is given the undetected "
+                                               "tag without a projection",
+}
+
+
+def private_imports(src: Path) -> set:
+    """(importer, module, name) of each private name a module of src imports
+    from a sibling, at any depth of its code."""
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level
+                                                     or node.module.split(".")[0] == "vetsim"):
+                module = (node.module or "").removeprefix("vetsim").lstrip(".")
+                found |= {(path.stem, module, a.name) for a in node.names
+                          if a.name.startswith("_")}
+    return found
+
+
+def test_every_private_import_is_allowed_with_a_reason():
+    assert private_imports(SRC) == set(PRIVATE_IMPORTS_ALLOWED)
+
+
 # The package's import order: each module imports only the modules before it.
 LAYERS = ("frames", "perception", "control", "vehicle", "config", "log", "scenario",
           "metrics", "plotting", "cli")

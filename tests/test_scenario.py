@@ -519,7 +519,7 @@ def run_with_event_inputs(monkeypatch, cfg):
         inputs.update(arrays)
         return _original(arrays, *args)
 
-    monkeypatch.setattr(scenario, "_event_flags", capture)
+    monkeypatch.setattr("vetsim.log._event_flags", capture)
     return run(cfg), inputs
 
 
@@ -624,12 +624,11 @@ def test_wrenches_sum_the_active_disturbances_in_config_order():
         Disturbance((0.7, 1e-17, 0.0), (-0.03, 0.5, 1e-9), t_start=1.5, t_end=3.5),
     ))
     ts = np.arange(201) * cfg.dt
-    _, _, perturbed, wrenches = scenario._time_inputs(cfg, ts)
+    _, wrenches = scenario._time_inputs(cfg, ts)
     for k, t in enumerate(ts.tolist()):
         active = [d for d in cfg.perturbations if d.active(t)]
-        assert perturbed[k] == bool(active)
+        assert (wrenches[k] is None) == (not active)
         if not active:
-            assert wrenches[k] is None
             continue
         force, torque = [0.0] * 3, [0.0] * 3
         for d in active:
@@ -933,7 +932,7 @@ def test_a_tick_transforms_each_pose_once_and_builds_no_pose(monkeypatch, mode):
         monkeypatch.setattr(scenario, f"subtask_control_{robot}", targeted)
     log, inputs = run_with_event_inputs(monkeypatch, cfg)
     n = len(log)
-    _, blanked, _, _ = scenario._time_inputs(cfg, log.t)
+    blanked, _ = scenario._time_inputs(cfg, log.t)
     assert calls["euler_rate_rows"] == n
     assert calls["project_tag"] == 2 * n - int(blanked.sum()) < 2 * n
     detected = int(log.detected_us.sum() + log.detected_su.sum())
@@ -987,7 +986,7 @@ def test_a_blanked_camera_is_never_projected(monkeypatch, mode):
 
     monkeypatch.setattr(scenario, "project_tag", counted)
     log = run(cfg)
-    _, blanked, _, _ = scenario._time_inputs(cfg, log.t)
+    blanked, _ = scenario._time_inputs(cfg, log.t)
     assert 0 < blanked.sum() < len(log)
     assert len(upward) == 2 * len(log) - int(blanked.sum())
     # per tick: the upward camera first unless blanked, then the downward one
