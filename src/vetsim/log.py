@@ -301,14 +301,14 @@ def _check_columns(log: TrajectoryLog, flags: list) -> None:
     self-consistent, unless it is a capture past the last waypoint: only a
     re-run of the config can catch it."""
     for pair in ("us", "su"):
-        tag, regions = pair.upper(), getattr(log, f"region_{pair}")
+        tag, regions, xi = pair.upper(), getattr(log, f"region_{pair}"), getattr(log, f"xi_{pair}")
         seen = getattr(log, f"detected_{pair}")
         if unknown := set(regions) - _REGIONS.keys():
             k = next(k for k, label in enumerate(regions) if label in unknown)
             raise ConfigError(f"row {k + 1} column region{tag} is not a region: {regions[k]!r}")
         for column, values, unseen in (
             (f"region{tag}", regions, np.array(regions, dtype=object) == "none"),
-            (f"xi{tag}", xi := getattr(log, f"xi_{pair}"), np.isnan(xi)),
+            (f"xi{tag}", xi, np.isnan(xi)),
         ):
             if (wrong := unseen == seen).any():
                 k = int(wrong.argmax())
