@@ -244,7 +244,7 @@ def camera_to_body(cmd, rotation: tuple, dof: int) -> list:
     """Map a camera-frame command (u_x, u_y, u_psi) into body-frame axes.
 
     rotation is the camera mount's nine row-major entries
-    (CameraModel.flat_mount[0]) and dof is 3 or 6. The linear part rotates
+    (CameraModel.mount.flat[0]) and dof is 3 or 6. The linear part rotates
     as a vector and keeps only the surge/sway components; the yaw part
     rotates as an axis and keeps only the body-z component. The heave, roll
     and pitch rows are structurally zero: those axes belong to the sub-task

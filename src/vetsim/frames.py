@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 TWO_PI = 2.0 * math.pi
 
@@ -115,7 +116,7 @@ _ORTHONORMAL_TOL = 1e-9
 class RigidTransform:
     """A camera or tag mount: the rotation (three rows) and translation that
     map mount coordinates into body coordinates. It is checked once, when
-    built; the simulation reads its flat() form."""
+    built; the simulation reads its flat form."""
 
     rotation: tuple[tuple[float, ...], ...]
     translation: tuple[float, ...]
@@ -124,7 +125,7 @@ class RigidTransform:
         rows = self.rotation
         if len(rows) != 3 or any(len(row) != 3 for row in rows) or len(self.translation) != 3:
             raise ValueError("rigid transform needs a 3x3 rotation and 3-vector")
-        rot = self.flat()[0]
+        rot = self.flat[0]
         # checked first so that NaN or huge entries never reach the product
         if not all(abs(v) <= 1.0 + _ORTHONORMAL_TOL for v in rot):
             raise ValueError("rotation entries must lie in [-1, 1]")
@@ -141,6 +142,7 @@ class RigidTransform:
     def identity() -> "RigidTransform":
         return RigidTransform(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), (0.0, 0.0, 0.0))
 
+    @cached_property
     def flat(self) -> tuple:
-        """(nine row-major rotation floats, three translation floats)."""
+        """(nine row-major rotation floats, three translation floats), made once."""
         return tuple(v for row in self.rotation for v in row), tuple(self.translation)

@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 import operator
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import NoReturn
 
 import numpy as np
@@ -15,71 +15,20 @@ import numpy as np
 from .config import ConfigError, ScenarioConfig, planner_waypoints
 
 
-# The log layout, declared once: each CSV-backed TrajectoryLog field with its
-# type and its CSV column names, in CSV order. float fields are float64 arrays
-# and bool fields bool arrays, both kept as columns of one float row table (the
-# flags as 0.0/1.0); str fields are lists with one label per tick.
-_LOG_LAYOUT = (
-    ("t", float, ("t",)),
-    ("pose_u", float, ("xU", "yU", "zU", "phiU", "thetaU", "psiU")),
-    ("pose_s", float, ("xS", "yS", "psiS")),
-    ("u_sub_u", float, ("uU_sub_x", "uU_sub_y", "uU_sub_z",
-                        "uU_sub_phi", "uU_sub_theta", "uU_sub_psi")),
-    ("u_xi_u", float, ("uU_xi_x", "uU_xi_y", "uU_xi_z",
-                       "uU_xi_phi", "uU_xi_theta", "uU_xi_psi")),
-    ("u_sub_s", float, ("uS_sub_x", "uS_sub_y", "uS_sub_psi")),
-    ("u_xi_s", float, ("uS_xi_x", "uS_xi_y", "uS_xi_psi")),
-    ("detected_us", bool, ("detectedUS",)),
-    ("detected_su", bool, ("detectedSU",)),
-    ("region_us", str, ("regionUS",)),
-    ("region_su", str, ("regionSU",)),
-    ("xi_us", float, ("xiUS",)),
-    ("xi_su", float, ("xiSU",)),
-    ("proj_dist", float, ("projDist",)),
-    ("event_flags", str, ("eventFlags",)),
-)
-_CSV_FORMATS = {float: "%.12g", bool: "%d", str: "%s"}
-
-CSV_COLUMNS = tuple(name for *_, names in _LOG_LAYOUT for name in names)
-# Rows are converted this many at a time, which bounds the per-cell Python
-# objects the writer builds and the line strings the reader holds.
-_CSV_CHUNK = 256
-# The row table's columns in order, (field, index in the field): the CSV's float
-# and flag columns, then three for _event_flags that the CSV holds only as tokens:
-# the planner's index after the tick's step and whether the wall clamp made each
-# robot's pose. run() writes them; the reader rebuilds them from eventFlags.
-_LOOP_COLUMNS = ("waypoint_index", "wall_clamp_u", "wall_clamp_s")
-_TABLE_CELLS = [(name, i) for name, kind, names in _LOG_LAYOUT if kind is not str
-                for i in range(len(names))] + [(name, 0) for name in _LOOP_COLUMNS]
-_ROW_WIDTH = len(_TABLE_CELLS)
-# Row-table columns ahead of the xi offsets, which are NaN by design on
-# undetected ticks: time, poses, commands and detection flags.
-_FINITE_WIDTH = _TABLE_CELLS.index(("xi_us", 0))
-# The CSV's columns in order, (field, kind, index in the field, row-table column
-# or None), and its rows as loadtxt reads them: float cells as float64, others text.
-_CSV_CELLS = [(name, kind, i, None if kind is str else _TABLE_CELLS.index((name, i)))
-              for name, kind, names in _LOG_LAYOUT for i in range(len(names))]
-_CSV_DTYPE = np.dtype([(column, float if kind is float else object)
-                       for column, (_, kind, _, _) in zip(CSV_COLUMNS, _CSV_CELLS)])
-
-
-def _log_arrays(table: np.ndarray) -> dict:
-    """Slice the (ticks, _ROW_WIDTH) row table into the CSV-backed TrajectoryLog
-    arrays: float64 views of disjoint columns (no copies), bool copies."""
-    out = {}
-    for name, kind, names in _LOG_LAYOUT:
-        if kind is not str:
-            col = _TABLE_CELLS.index((name, 0))
-            block = table[:, col] if len(names) == 1 else table[:, col:col + len(names)]
-            out[name] = block if kind is float else block.astype(kind)
-    return out
+def _csv(kind: type, *columns: str):
+    """A CSV-backed TrajectoryLog field: its kind and its CSV column names.
+    float fields are float64 arrays and bool fields bool arrays, both kept as
+    columns of one float row table (the flags as 0.0/1.0); str fields are
+    lists with one label per tick."""
+    return field(metadata={"kind": kind, "columns": columns})
 
 
 @dataclass
 class TrajectoryLog:
-    """Complete tick-by-tick record of one run: the trajectory.csv columns
-    laid out by _LOG_LAYOUT, and u_total_u and u_total_s. _log_from_table
-    builds every log, for run() and log_from_csv alike.
+    """Complete tick-by-tick record of one run: the trajectory.csv columns,
+    each field declaring its own with _csv (the schema _LOG_LAYOUT reads off),
+    and u_total_u and u_total_s. _log_from_table builds every log, for run()
+    and log_from_csv alike.
 
     Per tick: t is (n,), poses (n, 6) and (n, 3), commands (n, 6) for the
     underwater and (n, 3) for the surface robot, xi_* and proj_dist (n,), all
@@ -89,21 +38,23 @@ class TrajectoryLog:
     """
 
     config: ScenarioConfig
-    t: np.ndarray
-    pose_u: np.ndarray
-    pose_s: np.ndarray
-    u_sub_u: np.ndarray
-    u_xi_u: np.ndarray
-    u_sub_s: np.ndarray
-    u_xi_s: np.ndarray
-    detected_us: np.ndarray
-    detected_su: np.ndarray
-    region_us: list
-    region_su: list
-    xi_us: np.ndarray
-    xi_su: np.ndarray
-    proj_dist: np.ndarray
-    event_flags: list
+    t: np.ndarray = _csv(float, "t")
+    pose_u: np.ndarray = _csv(float, "xU", "yU", "zU", "phiU", "thetaU", "psiU")
+    pose_s: np.ndarray = _csv(float, "xS", "yS", "psiS")
+    u_sub_u: np.ndarray = _csv(float, "uU_sub_x", "uU_sub_y", "uU_sub_z",
+                               "uU_sub_phi", "uU_sub_theta", "uU_sub_psi")
+    u_xi_u: np.ndarray = _csv(float, "uU_xi_x", "uU_xi_y", "uU_xi_z",
+                              "uU_xi_phi", "uU_xi_theta", "uU_xi_psi")
+    u_sub_s: np.ndarray = _csv(float, "uS_sub_x", "uS_sub_y", "uS_sub_psi")
+    u_xi_s: np.ndarray = _csv(float, "uS_xi_x", "uS_xi_y", "uS_xi_psi")
+    detected_us: np.ndarray = _csv(bool, "detectedUS")
+    detected_su: np.ndarray = _csv(bool, "detectedSU")
+    region_us: list = _csv(str, "regionUS")
+    region_su: list = _csv(str, "regionSU")
+    xi_us: np.ndarray = _csv(float, "xiUS")
+    xi_su: np.ndarray = _csv(float, "xiSU")
+    proj_dist: np.ndarray = _csv(float, "projDist")
+    event_flags: list = _csv(str, "eventFlags")
     u_total_u: np.ndarray
     u_total_s: np.ndarray
 
@@ -149,6 +100,47 @@ class TrajectoryLog:
         return "\n".join(lines) + "\n"
 
 
+# The log layout: each CSV-backed TrajectoryLog field with its kind and its
+# CSV column names, in CSV order, as the fields declare them.
+_LOG_LAYOUT = tuple((f.name, f.metadata["kind"], f.metadata["columns"])
+                    for f in fields(TrajectoryLog) if f.metadata)
+_CSV_FORMATS = {float: "%.12g", bool: "%d", str: "%s"}
+
+CSV_COLUMNS = tuple(name for *_, names in _LOG_LAYOUT for name in names)
+# Rows are converted this many at a time, which bounds the per-cell Python
+# objects the writer builds and the line strings the reader holds.
+_CSV_CHUNK = 256
+# The row table's columns in order, (field, index in the field): the CSV's float
+# and flag columns, then three for _event_flags that the CSV holds only as tokens:
+# the planner's index after the tick's step and whether the wall clamp made each
+# robot's pose. run() writes them; the reader rebuilds them from eventFlags.
+_LOOP_COLUMNS = ("waypoint_index", "wall_clamp_u", "wall_clamp_s")
+_TABLE_CELLS = [(name, i) for name, kind, names in _LOG_LAYOUT if kind is not str
+                for i in range(len(names))] + [(name, 0) for name in _LOOP_COLUMNS]
+_ROW_WIDTH = len(_TABLE_CELLS)
+# Row-table columns ahead of the xi offsets, which are NaN by design on
+# undetected ticks: time, poses, commands and detection flags.
+_FINITE_WIDTH = _TABLE_CELLS.index(("xi_us", 0))
+# The CSV's columns in order, (field, kind, index in the field, row-table column
+# or None), and its rows as loadtxt reads them: float cells as float64, others text.
+_CSV_CELLS = [(name, kind, i, None if kind is str else _TABLE_CELLS.index((name, i)))
+              for name, kind, names in _LOG_LAYOUT for i in range(len(names))]
+_CSV_DTYPE = np.dtype([(column, float if kind is float else object)
+                       for column, (_, kind, _, _) in zip(CSV_COLUMNS, _CSV_CELLS)])
+
+
+def _log_arrays(table: np.ndarray) -> dict:
+    """Slice the (ticks, _ROW_WIDTH) row table into the CSV-backed TrajectoryLog
+    arrays: float64 views of disjoint columns (no copies), bool copies."""
+    out = {}
+    for name, kind, names in _LOG_LAYOUT:
+        if kind is not str:
+            col = _TABLE_CELLS.index((name, 0))
+            block = table[:, col] if len(names) == 1 else table[:, col:col + len(names)]
+            out[name] = block if kind is float else block.astype(kind)
+    return out
+
+
 def _log_from_table(config: ScenarioConfig, table: np.ndarray, regions: dict) -> TrajectoryLog:
     """The log of a (ticks, _ROW_WIDTH) row table with its _LOOP_COLUMNS filled and
     of its region_us and region_su label lists: the arrays _log_arrays slices; the
@@ -172,12 +164,20 @@ def _first_non_finite(table: np.ndarray) -> tuple | None:
     return None if finite.all() else divmod(int(finite.argmin()), _FINITE_WIDTH)
 
 
-def _transitions(mask: np.ndarray, before_first: bool, on: str, off: str = "") -> list:
-    """(tick, event) pairs: event on where a per-tick flag turns on and, if
-    named, event off where it turns off; tick 0 compares against before_first."""
-    before = np.concatenate(([before_first], mask[:-1]))
-    rises = [(k, on) for k in np.flatnonzero(mask & ~before).tolist()]
-    falls = [(k, off) for k in np.flatnonzero(before & ~mask).tolist()] if off else []
+def _runs(mask: np.ndarray) -> tuple:
+    """(starts, stops) of the runs of a per-tick bool flag: run i is
+    mask[starts[i]:stops[i]]."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
+    return edges[0::2], edges[1::2]
+
+
+def _transitions(mask: np.ndarray, on: str, off: str = "", at_start: bool = True) -> list:
+    """(tick, event) pairs: event on where a run of a per-tick flag starts, at
+    tick 0 only if at_start, and, if named, event off where one stops before
+    the end."""
+    starts, stops = _runs(mask)
+    rises = [(k, on) for k in starts.tolist() if k or at_start]
+    falls = [(k, off) for k in stops.tolist() if k < len(mask)] if off else []
     return rises + falls
 
 
@@ -202,18 +202,17 @@ def _event_flags(arrays: dict, regions: dict, scheduled: np.ndarray,
     (detection flags and _LOOP_COLUMNS), of the region labels and of the
     scheduled-dropout and perturbation masks, each tick's events in the order
     below. Starts and waypoint captures can fire on tick 0; line-of-sight and
-    region changes cannot, as tick 0 is compared with itself (an empty log has
-    no tick 0)."""
+    region changes cannot, as no tick precedes it."""
     det_us, det_su = arrays["detected_us"], arrays["detected_su"]
     passed = np.diff(arrays["waypoint_index"], prepend=0)  # waypoints captured per tick
     found = [
-        *_transitions(arrays["wall_clamp_u"], False, "wall_clamp_u"),
-        *_transitions(arrays["wall_clamp_s"], False, "wall_clamp_s"),
-        *_transitions(scheduled, False, "dropout_start", "dropout_end"),
-        *_transitions(perturbed, False, "perturb_start", "perturb_end"),
+        *_transitions(arrays["wall_clamp_u"], "wall_clamp_u"),
+        *_transitions(arrays["wall_clamp_s"], "wall_clamp_s"),
+        *_transitions(scheduled, "dropout_start", "dropout_end"),
+        *_transitions(perturbed, "perturb_start", "perturb_end"),
         *((k, "waypoint_capture") for k in np.repeat(np.arange(len(passed)), passed).tolist()),
-        *_transitions(det_us, det_us[:1].any(), "los_regain_us", "los_loss_us"),
-        *_transitions(det_su, det_su[:1].any(), "los_regain_su", "los_loss_su"),
+        *_transitions(det_us, "los_regain_us", "los_loss_us", at_start=False),
+        *_transitions(det_su, "los_regain_su", "los_loss_su", at_start=False),
     ]
     for pair in ("us", "su"):
         r = regions[f"region_{pair}"]

@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .frames import compose, invert, pose_from_transform
-from .log import TrajectoryLog
+from .log import TrajectoryLog, _runs
 
 
 class EmptyLog(ValueError):
@@ -64,19 +64,9 @@ def recovery_time(
 def _first_stretch(t: np.ndarray, flags: np.ndarray, min_duration: float) -> Optional[int]:
     """Index where the first contiguous run of true flags that lasts at least
     min_duration seconds starts, or None."""
-    i = 0
-    n = len(flags)
-    while i < n:
-        if not flags[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and flags[j + 1]:
-            j += 1
-        if t[j] - t[i] >= min_duration - 1e-9:
-            return i
-        i = j + 1
-    return None
+    starts, stops = _runs(flags)
+    long = np.flatnonzero(t[stops - 1] - t[starts] >= min_duration - 1e-9)
+    return int(starts[long[0]]) if long.size else None
 
 
 def mission_success(

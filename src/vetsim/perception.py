@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -39,11 +38,6 @@ class CameraModel:
         if self.width <= 0 or self.height <= 0 or self.focal_length <= 0:
             raise ValueError("camera dimensions and focal length must be positive")
 
-    @cached_property
-    def flat_mount(self) -> tuple:
-        """The mount as plain floats, converted once (see RigidTransform.flat)."""
-        return self.mount.flat()
-
 
 @dataclass(frozen=True)
 class TagModel:
@@ -60,11 +54,6 @@ class TagModel:
     def __post_init__(self) -> None:
         if self.side <= 0:
             raise ValueError("tag side must be positive")
-
-    @cached_property
-    def flat_mount(self) -> tuple:
-        """The mount as plain floats, converted once (see RigidTransform.flat)."""
-        return self.mount.flat()
 
 
 @dataclass(frozen=True)
@@ -125,7 +114,7 @@ def project_tag(observer: tuple, target: tuple, cam: CameraModel, tag: TagModel)
     with a zero yaw, for a tag with a corner less than _MIN_DEPTH in front
     of the camera or outside the image, or with a NaN in its pose.
     """
-    (c0, c1, c2, c3, c4, c5, c6, c7, c8), (cx, cy, cz) = cam.flat_mount
+    (c0, c1, c2, c3, c4, c5, c6, c7, c8), (cx, cy, cz) = cam.mount.flat
     (o0, o1, o2, o3, o4, o5, o6, o7, o8), (ox, oy, oz) = observer
     # world_from_cam = observer body-to-world composed with the camera mount
     w0 = o0 * c0 + o1 * c3 + o2 * c6
@@ -141,7 +130,7 @@ def project_tag(observer: tuple, target: tuple, cam: CameraModel, tag: TagModel)
     wy = o3 * cx + o4 * cy + o5 * cz + oy
     wz = o6 * cx + o7 * cy + o8 * cz + oz
 
-    (g0, g1, g2, g3, g4, g5, g6, g7, g8), (gx, gy, gz) = tag.flat_mount
+    (g0, g1, g2, g3, g4, g5, g6, g7, g8), (gx, gy, gz) = tag.mount.flat
     (r0, r1, r2, r3, r4, r5, r6, r7, r8), (tx, ty, tz) = target
     # the tag's x and y axes and its centre, in the world frame
     ax = r0 * g0 + r1 * g3 + r2 * g6

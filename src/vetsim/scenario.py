@@ -199,8 +199,8 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
     walls = _WallClamp(config.tank_min, config.tank_max)
     cam_u, cam_s = config.camera_u, config.camera_s
     tag_u, tag_s = config.tag_u, config.tag_s
-    mount_u = cam_u.flat_mount[0]
-    mount_s = cam_s.flat_mount[0]
+    mount_u = cam_u.mount.flat[0]
+    mount_s = cam_s.mount.flat[0]
     gains, pd_u, pd_s = config.vet, config.pd_u, config.pd_s
     blanked, wrenches = _time_inputs(config, ts)
 
@@ -262,7 +262,7 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
             xi_s = camera_to_body(cam_cmd_s, mount_s, 3)
             u_sub_s = [u_sub_s[0] * w, u_sub_s[1] * w, u_sub_s[2]]
 
-        # record the row table's columns, in _TABLE_CELLS order
+        # record the row table's columns: TrajectoryLog's float and flag fields, _LOOP_COLUMNS
         rows.fromlist([
             t, *pose_u, *pose_s,
             *u_sub_u, *xi_u, *u_sub_s, *xi_s, obs_us is not UNSEEN, obs_su is not UNSEEN,

@@ -130,7 +130,6 @@ class VehicleModel:
     """Model parameters as floats, with the integration step."""
 
     def __init__(self, params: VehicleParams):
-        self.params = params
         self.dof = params.dof
         self._mass = tuple(float(m) for m in params.mass)
         self._d_lin = tuple(float(d) for d in params.damping_linear)

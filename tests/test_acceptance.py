@@ -281,8 +281,8 @@ def _check_direction_symmetry():
         cmd_su, _, _ = vet_law(obs_su, yaw_su, 0.0, VET_START, gains, cam_s)
         c, s = math.cos(heading), math.sin(heading)
         rot = np.array([[c, -s], [s, c]])
-        world_u = rot @ camera_to_body(cmd_us, cam_u.flat_mount[0], 6)[:2]
-        world_s = rot @ camera_to_body(cmd_su, cam_s.flat_mount[0], 3)[:2]
+        world_u = rot @ camera_to_body(cmd_us, cam_u.mount.flat[0], 6)[:2]
+        world_s = rot @ camera_to_body(cmd_su, cam_s.mount.flat[0], 3)[:2]
         nu_, ns_ = np.linalg.norm(world_u), np.linalg.norm(world_s)
         if nu_ < 1e-9:
             continue
@@ -310,8 +310,8 @@ def _check_elastic_decay():
 
 
 def _check_connectivity_residual():
-    ident = RigidTransform.identity().flat()
-    flip = RigidTransform(FLIP_X, ZERO).flat()
+    ident = RigidTransform.identity().flat
+    flip = RigidTransform(FLIP_X, ZERO).flat
     pose_u = (0.2, 0.1, -1.0, 0.0, 0.0, 1.1)
     residual = check_connectivity(ident, ident, flip, flip, pose_u, (0.0, 0.0, -0.4))
     assert residual <= 1e-12
@@ -332,7 +332,7 @@ def _check_pnp_round_trip():
         world_from_cam = pose_matrix(pose_s) @ mount_matrix(cam_mount)
         cam_from_tag = np.linalg.inv(world_from_cam) @ pose_matrix(true_u) @ mount_matrix(tag_mount)
         recovered = pose_from_observation(
-            as_flat(pose_matrix(pose_s)), cam_mount.flat(), as_flat(cam_from_tag), tag_mount.flat()
+            as_flat(pose_matrix(pose_s)), cam_mount.flat, as_flat(cam_from_tag), tag_mount.flat
         )
         assert np.allclose(recovered[:3], true_u[:3], atol=1e-6)
         assert np.allclose(rotation(recovered), rotation(true_u), atol=1e-6)

@@ -209,7 +209,7 @@ def test_the_turned_mounts_probe_matches_the_reference(mode, reference):
     # the probe exists to rotate both linear tether components through r1 and r3
     for camera, xi, steered in ((cfg.camera_u, log.u_xi_u, True),
                                 (cfg.camera_s, log.u_xi_s, mode == "vet")):
-        rotation = camera.flat_mount[0]
+        rotation = camera.mount.flat[0]
         assert rotation[1] != 0.0 and rotation[3] != 0.0  # r1 and r3
         assert (xi[:, :2] != 0.0).all(axis=1).any() == steered
     key = f"probe_mounts/{mode}"

@@ -329,8 +329,8 @@ def test_baseline_is_stateless():
 # --- frame mapping and mixing ---------------------------------------------------------
 
 # camera mounts as the nine row-major rotation entries camera_to_body takes
-IDENTITY = RigidTransform.identity().flat()[0]
-FLIPPED = RigidTransform(FLIP_X, ZERO).flat()[0]
+IDENTITY = RigidTransform.identity().flat[0]
+FLIPPED = RigidTransform(FLIP_X, ZERO).flat[0]
 
 
 def test_camera_to_body_identity_mount():
@@ -353,7 +353,7 @@ def test_camera_to_body_with_a_yawed_mount_matches_the_rotation(base, yaw):
     # term of the linear part counts
     c, s = math.cos(yaw), math.sin(yaw)
     rot = np.array(base) @ np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    mount = RigidTransform(tuple(map(tuple, rot.tolist())), ZERO).flat()[0]
+    mount = RigidTransform(tuple(map(tuple, rot.tolist())), ZERO).flat[0]
     assert mount[1] != 0.0 and mount[3] != 0.0
     rng = np.random.default_rng(11)
     for cx, cy, cpsi in rng.uniform(-1, 1, (20, 3)).tolist():
@@ -433,8 +433,8 @@ def test_world_frame_tether_commands_are_anti_parallel(r, bearing, heading):
     rot = np.array(
         [[math.cos(heading), -math.sin(heading)], [math.sin(heading), math.cos(heading)]]
     )
-    world_u = rot @ camera_to_body(cmd_us, cam_u.flat_mount[0], 6)[:2]
-    world_s = rot @ camera_to_body(cmd_su, cam_s.flat_mount[0], 3)[:2]
+    world_u = rot @ camera_to_body(cmd_us, cam_u.mount.flat[0], 6)[:2]
+    world_s = rot @ camera_to_body(cmd_su, cam_s.mount.flat[0], 3)[:2]
 
     norm_u, norm_s = np.linalg.norm(world_u), np.linalg.norm(world_s)
     assume(norm_u > 1e-9)

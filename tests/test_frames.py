@@ -144,7 +144,7 @@ def test_compose_is_associative():
 
 def test_apply_point_versus_vector():
     t = rotation_zyx(0.0, 0.0, math.pi / 2), (1.0, 2.0, 3.0)
-    identity = RigidTransform.identity().flat()[0]
+    identity = RigidTransform.identity().flat[0]
     # a point is a pure translation: composing moves it by the translation too
     _, point = compose(t, (identity, (1.0, 0.0, 0.0)))
     np.testing.assert_allclose(point, [1.0, 3.0, 3.0], atol=1e-12)

@@ -5,12 +5,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from reference_geometry import as_flat, mount_matrix, pose_matrix, rotation
+from test_config_fuzz import FUZZ
 from vetsim.frames import RigidTransform, projected_distance
 from vetsim.metrics import (
     EmptyLog,
+    _first_stretch,
     mission_success,
     pose_from_observation,
     recovery_time,
@@ -19,7 +21,7 @@ from vetsim.metrics import (
     time_of_los_loss,
 )
 from vetsim.config import Setpoints
-from vetsim.log import TrajectoryLog
+from vetsim.log import TrajectoryLog, _runs, _transitions
 from vetsim.scenario import preset
 from vetsim.vehicle import Disturbance
 
@@ -219,6 +221,72 @@ def test_los_loss_none_when_detection_holds():
     assert time_of_los_loss(log) is None
 
 
+# --- runs of a per-tick flag ------------------------------------------------------------
+
+MASKS = st.lists(st.booleans(), max_size=60).map(lambda m: np.array(m, dtype=bool))
+
+
+def scan_runs(mask: list) -> tuple:
+    """(starts, stops) of the runs of true ticks, found one tick at a time."""
+    starts, stops = [], []
+    for k, on in enumerate(mask):
+        if on and (k == 0 or not mask[k - 1]):
+            starts.append(k)
+        if on and (k + 1 == len(mask) or not mask[k + 1]):
+            stops.append(k + 1)
+    return starts, stops
+
+
+def shifted_transitions(mask, before_first, on, off):
+    """(tick, event) pairs found by comparing each tick with the tick before
+    it, tick 0 with before_first."""
+    before = np.concatenate(([before_first], mask[:-1]))
+    rises = [(k, on) for k in np.flatnonzero(mask & ~before).tolist()]
+    falls = [(k, off) for k in np.flatnonzero(before & ~mask).tolist()] if off else []
+    return rises + falls
+
+
+def looped_first_stretch(t, flags, min_duration):
+    """Start of the first run of true flags lasting min_duration seconds, or
+    None, found by walking the flags one element at a time."""
+    i, n = 0, len(flags)
+    while i < n:
+        if not flags[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < n and flags[j + 1]:
+            j += 1
+        if t[j] - t[i] >= min_duration - 1e-9:
+            return i
+        i = j + 1
+    return None
+
+
+@settings(FUZZ, max_examples=300)
+@given(MASKS)
+def test_runs_are_the_runs_a_scan_finds(mask):
+    starts, stops = _runs(mask)
+    assert (starts.tolist(), stops.tolist()) == scan_runs(mask.tolist())
+
+
+@settings(FUZZ, max_examples=300)
+@given(MASKS, st.booleans(), st.sampled_from(["", "off"]))
+def test_transitions_match_the_shifted_compare(mask, at_start, off):
+    # at_start=False is the line-of-sight rule: tick 0 compared with itself
+    before_first = False if at_start else mask[:1].any()
+    assert (_transitions(mask, "on", off, at_start=at_start)
+            == shifted_transitions(mask, before_first, "on", off))
+
+
+@settings(FUZZ, max_examples=300)
+@given(MASKS, st.sampled_from([0.01, 0.02, 0.05, 0.1]),
+       st.sampled_from([0.0, 0.05, 0.1, 0.5, 1.0, 2.0]))
+def test_first_stretch_matches_the_loop(flags, dt, min_duration):
+    t = np.arange(len(flags)) * dt
+    assert _first_stretch(t, flags, min_duration) == looped_first_stretch(t, flags, min_duration)
+
+
 # --- summary ---------------------------------------------------------------------------
 
 def test_summary_aggregates_and_serialises():
@@ -273,13 +341,13 @@ def test_short_logs_are_rejected():
 # --- pose recovery from a tag observation ------------------------------------------------
 
 def test_identity_chain_gives_the_origin():
-    ident = RigidTransform.identity().flat()
+    ident = RigidTransform.identity().flat
     pose = pose_from_observation(ident, ident, ident)
     assert pose[:3] == (0.0, 0.0, 0.0)
 
 
 def test_translation_chain_composes():
-    step = (RigidTransform.identity().flat()[0], (1.0, 0.0, 0.0))
+    step = (RigidTransform.identity().flat[0], (1.0, 0.0, 0.0))
     pose = pose_from_observation(step, step, step)
     assert pose[0] == pytest.approx(3.0)
 
@@ -304,7 +372,7 @@ def test_pose_recovery_round_trip_against_ground_truth():
         cam_from_tag = as_flat(np.linalg.inv(world_from_cam) @ world_from_tag)
 
         recovered = pose_from_observation(
-            as_flat(pose_matrix(pose_s)), cam_mount.flat(), cam_from_tag, tag_mount.flat()
+            as_flat(pose_matrix(pose_s)), cam_mount.flat, cam_from_tag, tag_mount.flat
         )
         np.testing.assert_allclose(recovered[:3], true_u[:3], atol=1e-6)
         np.testing.assert_allclose(rotation(recovered), rotation(true_u), atol=1e-6)

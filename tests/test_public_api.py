@@ -52,6 +52,8 @@ PRIVATE_IMPORTS_ALLOWED = {
                                           "mark perturbed: one perturbation mask",
     ("scenario", "log", "_log_from_table"): "the one constructor of a log, which the reader "
                                             "shares",
+    ("metrics", "log", "_runs"): "the summary finds runs of a per-tick flag the way the "
+                                 "events do",
     ("scenario", "perception", "_UNSEEN_TAG"): "a blanked camera is given the undetected "
                                                "tag without a projection",
 }
