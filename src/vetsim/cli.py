@@ -199,32 +199,33 @@ def _cmd_run(args) -> int:
     return 0
 
 
+# compare's modes in order, each with its label in the overlay legend and on stdout
+_COMPARE_LABELS = {"vet": "tethered", "baseline": "one-way"}
+
+
 def _cmd_compare(args) -> int:
     base = _out_dir(args)
     cfg = _build_config(args)
     logs, files = {}, {}
-    for mode in ("vet", "baseline"):
+    for mode in _COMPARE_LABELS:
         logs[mode] = run(dataclasses.replace(cfg, mode=mode))
         files.update(_render_bundle(logs[mode], args.threshold, base / mode))
-    sum_vet = json.loads(files[base / "vet" / "summary.json"])
-    sum_base = json.loads(files[base / "baseline" / "summary.json"])
+    sums = {mode: json.loads(files[base / mode / "summary.json"]) for mode in _COMPARE_LABELS}
     files[base / "distance_overlay.svg"] = plotting.plot_distance_overlay(
-        logs["vet"], logs["baseline"], "tethered", "one-way", args.threshold
+        *logs.values(), *_COMPARE_LABELS.values(), args.threshold
     )
     delta = {
         "scenario": cfg.name,
         "distance_threshold": args.threshold,
-        "vet": sum_vet,
-        "baseline": sum_base,
-        "baseline_lost_los": sum_base["time_of_los_loss"] is not None,
-        "vet_lost_los": sum_vet["time_of_los_loss"] is not None,
+        **sums,
+        **{f"{mode}_lost_los": sums[mode]["time_of_los_loss"] is not None for mode in sums},
     }
     files[base / "compare.json"] = json.dumps(delta, indent=2, sort_keys=True) + "\n"
     _commit(files)
     print(f"compare complete: {cfg.name}")
-    for label, summary in (("tethered:", sum_vet), ("one-way:", sum_base)):
-        print(f"  {label:<9} success={summary['mission_success']}, "
-              f"max separation {summary['max_projected_distance']:.3f} m")
+    for mode, label in _COMPARE_LABELS.items():
+        print(f"  {label + ':':<9} success={sums[mode]['mission_success']}, "
+              f"max separation {sums[mode]['max_projected_distance']:.3f} m")
     print(f"  bundle: {base}")
     return 0
 

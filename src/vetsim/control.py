@@ -55,9 +55,9 @@ class DepthAttitudeState(NamedTuple):
     z: float
     phi: float
     theta: float
-    dz: float = 0.0
-    dphi: float = 0.0
-    dtheta: float = 0.0
+    dz: float
+    dphi: float
+    dtheta: float
 
 
 def subtask_control_underwater(
@@ -80,7 +80,7 @@ def subtask_control_surface(
     nu,
     target: tuple,
     gains: PdGains,
-    speed_limit: float | None = None,
+    speed_limit: float | None,
 ) -> list:
     """Planar PD toward the waypoint target (x, y, psi), expressed in the body
     frame.
@@ -89,7 +89,7 @@ def subtask_control_surface(
     (frames.flat_transform) and nu the body velocity (u, v, r). The position
     error and the damping on the world-frame velocity are formed in the
     world frame and rotated into the body frame (commands are body-frame
-    velocity-valued); gains are 3-axis.
+    velocity-valued); gains are 3-axis. A speed_limit not None clips ux, uy.
     """
     x, y, psi = pose
     x_d, y_d, psi_d = target
@@ -182,7 +182,7 @@ def vet_law(obs: tuple, yaw: float, t: float, state: tuple, gains: VetGains,
         return held, weight, (None, t, (0.0, 0.0), held, weight)
 
     ex, ey = error
-    if last_center is not None and last_time is not None:
+    if last_center is not None:
         dt = t - last_time
         if dt > 0.0:
             raw_x = (center[0] - last_center[0]) / (cam.width / 2.0) / dt

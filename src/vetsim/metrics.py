@@ -16,6 +16,13 @@ from .frames import compose, invert, pose_from_transform
 from .log import TrajectoryLog, _runs
 
 
+# The summary's fixed rules, in seconds but the band
+_TRANSIENT = 10.0  # the start-up transient, which the separation checks ignore
+_SETTLING_BAND = 0.05  # settled commands stay within this fraction of their bounds
+_LOS_LOSS_S = 1.0  # a detection gap this long loses the line of sight
+_RECOVERY_HOLD_S = 2.0  # recovered separation stays below the threshold this long
+
+
 class EmptyLog(ValueError):
     """The log is too short to evaluate (fewer than two records)."""
 
@@ -46,8 +53,8 @@ def recovery_time(
     """Seconds after the perturbation until separation stays back below it.
 
     Recovery means the projected distance remains below the threshold for a
-    contiguous two-second stretch; the returned value is the delay from the
-    end of the perturbation to the start of that stretch. Returns 0.0 when
+    contiguous _RECOVERY_HOLD_S stretch; the returned value is the delay from
+    the end of the perturbation to the start of that stretch. Returns 0.0 when
     the distance never exceeded the threshold afterwards, and None when no
     qualifying stretch exists before the log ends.
     """
@@ -57,7 +64,7 @@ def recovery_time(
     if start >= len(log.t):
         return None
     t = log.t[start:]
-    i = _first_stretch(t, log.proj_dist[start:] < threshold, 2.0)
+    i = _first_stretch(t, log.proj_dist[start:] < threshold, _RECOVERY_HOLD_S)
     return None if i is None else float(max(t[i] - perturbation_end, 0.0))
 
 
@@ -69,22 +76,20 @@ def _first_stretch(t: np.ndarray, flags: np.ndarray, min_duration: float) -> Opt
     return int(starts[long[0]]) if long.size else None
 
 
-def mission_success(
-    log: TrajectoryLog, threshold: float, transient: float = 10.0
-) -> bool:
-    """Every waypoint captured and separation bounded after the transient."""
+def mission_success(log: TrajectoryLog, threshold: float) -> bool:
+    """Every waypoint captured and separation below threshold after _TRANSIENT."""
     if len(log) < 2:
         raise EmptyLog("need at least two records")
     if log.waypoints_captured < log.waypoints_total:
         return False
-    mask = log.t >= transient - 1e-9
+    mask = log.t >= _TRANSIENT - 1e-9
     if mask.any() and not bool(np.all(log.proj_dist[mask] < threshold)):
         return False
     return True
 
 
-def settling_time(log: TrajectoryLog, fraction: float = 0.05) -> Optional[float]:
-    """First time after which every command stays within fraction*bound.
+def settling_time(log: TrajectoryLog) -> Optional[float]:
+    """First time after which every command stays within _SETTLING_BAND of its bound.
 
     Scans the saturated total commands of both robots against per-axis
     bounds. Returns None when the commands are still active at the end of
@@ -94,8 +99,8 @@ def settling_time(log: TrajectoryLog, fraction: float = 0.05) -> Optional[float]
         raise EmptyLog("need at least two records")
     bound_u = np.array(log.config.params_u.axis_bounds)
     bound_s = np.array(log.config.params_s.axis_bounds)
-    viol = (np.abs(log.u_total_u) > fraction * bound_u).any(axis=1)
-    viol |= (np.abs(log.u_total_s) > fraction * bound_s).any(axis=1)
+    viol = (np.abs(log.u_total_u) > _SETTLING_BAND * bound_u).any(axis=1)
+    viol |= (np.abs(log.u_total_s) > _SETTLING_BAND * bound_s).any(axis=1)
     if not viol.any():
         return float(log.t[0])
     last = int(np.nonzero(viol)[0][-1])
@@ -104,13 +109,11 @@ def settling_time(log: TrajectoryLog, fraction: float = 0.05) -> Optional[float]
     return float(log.t[last + 1])
 
 
-def time_of_los_loss(
-    log: TrajectoryLog, min_duration: float = 1.0
-) -> Optional[float]:
-    """Start of the first sustained loss of the upward camera's detection."""
+def time_of_los_loss(log: TrajectoryLog) -> Optional[float]:
+    """Start of the first _LOS_LOSS_S loss of the upward camera's detection."""
     if len(log) < 2:
         raise EmptyLog("need at least two records")
-    i = _first_stretch(log.t, ~log.detected_us, min_duration)
+    i = _first_stretch(log.t, ~log.detected_us, _LOS_LOSS_S)
     return None if i is None else float(log.t[i])
 
 
@@ -133,17 +136,15 @@ class RunSummary:
         }
 
 
-def summarize(
-    log: TrajectoryLog, distance_threshold: float, transient: float = 10.0
-) -> RunSummary:
-    """Headline numbers for one run.
+def summarize(log: TrajectoryLog, distance_threshold: float) -> RunSummary:
+    """Headline numbers for one run, under the summary's fixed rules (above).
 
     The maximum separation ignores the start-up transient so the metric
     reflects steady behaviour, not the initial approach.
     """
     if len(log) < 2:
         raise EmptyLog("need at least two records")
-    mask = log.t >= transient - 1e-9
+    mask = log.t >= _TRANSIENT - 1e-9
     if mask.any():
         max_dist = float(np.max(log.proj_dist[mask]))
     else:
@@ -163,7 +164,7 @@ def summarize(
         max_projected_distance=max_dist,
         time_of_los_loss=time_of_los_loss(log),
         recovery_time_after_perturbation=recovery,
-        mission_success=mission_success(log, distance_threshold, transient),
+        mission_success=mission_success(log, distance_threshold),
         final_tether_state=final_xi,
         settling_time=settling_time(log),
         waypoints_captured=log.waypoints_captured,

@@ -84,8 +84,6 @@ def _nice_ticks(lo: float, hi: float):
 def _pad_range(lo: float, hi: float, frac: float = 0.05):
     if not (math.isfinite(lo) and math.isfinite(hi)):
         return 0.0, 1.0
-    if hi <= lo:
-        return lo - 1.0, hi + 1.0
     pad = (hi - lo) * frac
     return lo - pad, hi + pad
 
@@ -249,24 +247,23 @@ def _time_range(log: TrajectoryLog):
     return float(log.t[0]), max(float(log.t[-1]), float(log.t[0]) + 1e-9)
 
 
-def _distance_plot(logs, labels, t_range, d_hi: float, threshold) -> str:
+def _distance_plot(logs, labels, t_range, d_hi: float, threshold: float) -> str:
     """Separation traces on shared axes that reach d_hi, the threshold and 1e-6 m."""
-    if threshold is not None:
-        d_hi = max(d_hi, threshold)
+    d_hi = max(d_hi, threshold)
     traces = [(log.t, log.proj_dist, label, color, None)
               for log, label, color in zip(logs, labels, (_COLOR_U, _COLOR_ALT))]
     return _time_plot(logs[0].config, t_range, _pad_range(0.0, max(d_hi, 1e-6)),
                       "horizontal separation", "distance (m)", traces, threshold)
 
 
-def plot_distance(log: TrajectoryLog, threshold=None) -> str:
+def plot_distance(log: TrajectoryLog, threshold: float) -> str:
     """Horizontal separation over time with shaded event intervals."""
     d_hi = float(np.max(log.proj_dist)) if len(log) else 1.0
     return _distance_plot((log,), ("separation",), _time_range(log), d_hi, threshold)
 
 
 def plot_distance_overlay(log_a: TrajectoryLog, log_b: TrajectoryLog,
-                          label_a: str, label_b: str, threshold=None) -> str:
+                          label_a: str, label_b: str, threshold: float) -> str:
     """Two separation traces on shared axes, for method comparison."""
     t_hi, d_hi = 1.0, 1e-6
     for log in (log_a, log_b):

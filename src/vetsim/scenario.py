@@ -58,9 +58,9 @@ class SimFailure(RuntimeError):
     """The simulation loop hit an unrecoverable state."""
 
 
-def planner_step(current: tuple, waypoints, capture_radius: float, index: int = 0):
-    """Advance past every waypoint within the capture radius of the current
-    (x, y, psi), hold the last.
+def planner_step(current: tuple, waypoints, capture_radius: float, index: int):
+    """Advance from waypoints[index] past every waypoint within the capture
+    radius of the current (x, y, psi), hold the last.
 
     Returns (target, new_index): the (x, y, psi) waypoint now targeted, the
     waypoints entry itself, or current itself when there are no waypoints.
@@ -276,10 +276,9 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
             break
 
         # actuate; the wall clamp's flags go with the pose it produces
-        force, torque = wrenches[k] or (None, None)
         try:
             tau_u, tau_s = model_u.allocate(u_sub_u, xi_u), model_s.allocate(u_sub_s, xi_s)
-            pose_u, vel_u = model_u.step(pose_u, vel_u, tau_u, dt, tf_u[0], rates_u, force, torque)
+            pose_u, vel_u = model_u.step(pose_u, vel_u, tau_u, dt, tf_u[0], rates_u, wrenches[k])
             pose_s, vel_s = model_s.step(pose_s, vel_s, tau_s, dt, tf_s[0])
         except (ArithmeticError, ValueError) as exc:
             where = _state_at(k, rows[-_ROW_WIDTH:])  # the tick's logged row

@@ -163,34 +163,31 @@ class VehicleModel:
             g2 * (b2 if (v := s2 + x2) > b2 else -b2 if v < -b2 else v),
         ]
 
-    def step(self, pose, nu, tau, dt, rotation, rates=None, world_force=None,
-             world_torque=None):
+    def step(self, pose, nu, tau, dt, rotation, rates=None, wrench=None):
         """Advance one step from a pose tuple, (x, y, z, phi, theta, psi) or
         (x, y, psi). rotation is the pose's nine body-to-world floats
         (frames.flat_transform) and, under water, rates its euler_rate_rows:
-        the tick computes both once. nu, tau and the optional world-frame
-        force and torque are float sequences; returns (new pose tuple, new
-        velocity list). Each model's body is written out in full, the
-        velocity solve, the norm bound on the linear velocity and the angle
-        wraps (frames.wrap_angle's expression) included, so a step calls no
-        Python function but clip_norm, and that only on a velocity past the
-        bound."""
+        the tick computes both once. nu and tau are float sequences; wrench,
+        read under water only, is None or a world (force, torque) pair of
+        3-sequences. Returns (new pose tuple, new velocity list). Each
+        model's body is written out in full, the velocity solve, the norm
+        bound on the linear velocity and the angle wraps (frames.wrap_angle's
+        expression) included, so a step calls no Python function but
+        clip_norm, and that only on a velocity past the bound."""
         if self.dof == 6:
             x, y, z, phi, theta, psi = pose
             r0, r1, r2, r3, r4, r5, r6, r7, r8 = rotation
             ea, eb, ec, ed, ee, ef = rates
             f0, f1, f2, f3, f4, f5 = tau
-            # world wrenches enter through the transposed rotation
-            if world_force is not None:
-                wx, wy, wz = world_force
+            # a world wrench enters through the transposed rotation
+            if wrench is not None:
+                (wx, wy, wz), (tx, ty, tz) = wrench
                 f0 += r0 * wx + r3 * wy + r6 * wz
                 f1 += r1 * wx + r4 * wy + r7 * wz
                 f2 += r2 * wx + r5 * wy + r8 * wz
-            if world_torque is not None:
-                wx, wy, wz = world_torque
-                f3 += r0 * wx + r3 * wy + r6 * wz
-                f4 += r1 * wx + r4 * wy + r7 * wz
-                f5 += r2 * wx + r5 * wy + r8 * wz
+                f3 += r0 * tx + r3 * ty + r6 * tz
+                f4 += r1 * tx + r4 * ty + r7 * tz
+                f5 += r2 * tx + r5 * ty + r8 * tz
             # Solve (M + dt*(C + D)) nu' = M nu + dt*tau in closed form. C(nu)
             # is written on the linear momentum a = M1 v and the angular
             # momentum b = M2 w: its lin-lin block is zero, its lin-ang and
@@ -259,12 +256,6 @@ class VehicleModel:
         # surface Jacobian [[c, -s, 0], [s, c, 0], [0, 0, 1]]
         c, s = rotation[0], rotation[3]
         f0, f1, f2 = tau
-        if world_force is not None:
-            fx, fy = world_force[0], world_force[1]
-            f0 += c * fx + s * fy
-            f1 += -s * fx + c * fy
-        if world_torque is not None:
-            f2 += world_torque[2]
         m0, m1, m2 = self._mass
         dl0, dl1, dl2 = self._d_lin
         dq0, dq1, dq2 = self._d_quad

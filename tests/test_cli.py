@@ -150,8 +150,29 @@ def test_invalid_values_fail_cleanly_before_the_run(tmp_path, capsys, args):
      "lawnmower area needs more than 10000 lanes"),
     (["--preset", "nominal", "--set", "duration=0.001"],
      "duration 0.001 s is under one tick (dt 0.02 s); a bundle needs two records"),
-], ids=["seed", "mode", "dt", "nan", "lanes", "under_one_tick"])
-def test_a_config_error_prints_its_rule(tmp_path, capsys, args, message):
+    (["--preset", "nominal", "--set", "planner.capture_radius=0"],
+     "malformed config at planner: capture_radius must be positive"),
+    (["--preset", "nominal", "--set", "planner.waypoints.0=[1,2]"],
+     "malformed config at planner: waypoints are (x, y, psi) triples"),
+    (["--preset", "navigation_sim", "--set", "planner.speed=0"],
+     "malformed config at planner: speed and capture_radius must be positive"),
+    (["--preset", "navigation_sim", "--set", "planner.lane_spacing=0"],
+     "lane spacing must be positive"),
+    (["--preset", "nominal", "--set", "params_u.mass=[1,1,1,1]"],
+     "malformed config at params_u: vehicle model supports 3 or 6 degrees of freedom"),
+    (["--preset", "nominal", "--set", "params_u.thrust_gain=[1,1,1]"],
+     "malformed config at params_u: thrust_gain must have 6 entries"),
+    (["--preset", "perturbation_sim", "--set", "perturbations.0.force=[1,2]"],
+     "malformed config at perturbations.0: disturbance force and torque are 3-vectors"),
+    (["--preset", "nominal", "--set", "name.x=1"], "'name.x' descends into a scalar"),
+    (["--preset", "nominal", "--set", "foo"], "override must look like key=value, got 'foo'"),
+    (["--config", "missing.json"],  # relative to tmp_path, where the test runs
+     "cannot read config file: [Errno 2] No such file or directory: 'missing.json'"),
+], ids=["seed", "mode", "dt", "nan", "lanes", "under_one_tick", "capture_radius",
+        "waypoint_pair", "speed", "lane_spacing", "mass_dof", "gain_dof", "force_pair",
+        "into_a_scalar", "no_equals", "missing_config"])
+def test_a_config_error_prints_its_rule(tmp_path, capsys, monkeypatch, args, message):
+    monkeypatch.chdir(tmp_path)
     out = tmp_path / "bundle"
     assert run_cli("run", *args, "--out", str(out)) == 2
     assert not out.exists()
@@ -290,10 +311,19 @@ def test_an_output_path_that_cannot_be_written_writes_nothing(
     assert_writes_nothing(tmp_path, capsys, argv)
 
 
+NO_SPACE = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
 @pytest.mark.parametrize("out", ["b", "new/sub/x"], ids=["over_a_bundle", "new_dirs"])
-@pytest.mark.parametrize("command, k", [("run", k) for k in range(7)]
-                         + [("compare", k) for k in range(16)])
-def test_a_failed_staged_write_writes_nothing(tmp_path, capsys, monkeypatch, command, k, out):
+@pytest.mark.parametrize("command, k, failure", [
+    *[pytest.param("run", k, NO_SPACE, id=f"run-{k}") for k in range(7)],
+    *[pytest.param("compare", k, NO_SPACE, id=f"compare-{k}") for k in range(16)],
+    # not a write failure: it propagates as it is, once the stage is undone
+    pytest.param("run", 3, KeyboardInterrupt(), id="run-3-interrupted"),
+    pytest.param("compare", 9, KeyboardInterrupt(), id="compare-9-interrupted"),
+])
+def test_a_failed_staged_write_writes_nothing(tmp_path, capsys, monkeypatch, command, k,
+                                              failure, out):
     monkeypatch.chdir(tmp_path)
     assert run_cli(command, *SHORT, "--out", "b") == 0
     real_fdopen, opened = os.fdopen, []
@@ -301,15 +331,25 @@ def test_a_failed_staged_write_writes_nothing(tmp_path, capsys, monkeypatch, com
     def fdopen(*args, **kwargs):
         handle = real_fdopen(*args, **kwargs)
         opened.append(handle)
-        if len(opened) == k + 1:  # staged file k, from 0, runs out of space mid-write
+        if len(opened) == k + 1:  # staged file k, from 0, fails mid-write
             def write(text, _write=handle.write):
                 _write(text[:len(text) // 2])
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                raise failure
             handle.write = write
         return handle
 
     monkeypatch.setattr(os, "fdopen", fdopen)
-    assert_writes_nothing(tmp_path, capsys, [command, *LONGER, "--out", out])
+    argv = [command, *LONGER, "--out", out]
+    if isinstance(failure, OSError):
+        assert_writes_nothing(tmp_path, capsys, argv)
+    else:
+        before = tree(tmp_path)
+        capsys.readouterr()
+        with pytest.raises(type(failure)) as raised:
+            run_cli(*argv)
+        assert raised.value is failure
+        assert capsys.readouterr() == ("", "")
+        assert tree(tmp_path) == before
     assert len(opened) == k + 1
 
 
@@ -430,19 +470,11 @@ def test_compare_prints_each_modes_outcome(tmp_path, capsys):
     ]
 
 
-def test_plot_regenerates_identical_svgs(tmp_path, capsys):
-    src = tmp_path / "bundle"
-    assert run_cli("run", "--preset", "nominal", "--set", "duration=4", "--out", str(src)) == 0
-    dst = tmp_path / "replot"
-    assert run_cli("plot", "--run", str(src), "--out", str(dst)) == 0
-    for rel in BUNDLE_FILES[3:]:
-        assert (src / rel).read_bytes() == (dst / rel).read_bytes()
-
-
 def assert_redraw_round_trips(tmp, name, mode, duration, dt="0.02", threshold="0.3",
                               dropout=None):
     """run, then plot --run elsewhere: the SVGs redraw byte for byte, the CSV
-    reads back to itself, and every row keeps the run's physical bounds."""
+    reads back to itself, and every row keeps the run's physical bounds.
+    Returns the bundle's directory and the redraw's."""
     src, dst = tmp / "bundle", tmp / "replot"
     sets = [f"duration={duration}", f"dt={dt}"]
     if dropout is not None:
@@ -464,6 +496,11 @@ def assert_redraw_round_trips(tmp, name, mode, duration, dt="0.02", threshold="0
         assert np.all(np.abs(total) <= np.array(params.axis_bounds))
     if mode == "baseline":  # the leader never moves sideways
         assert np.all(log.u_xi_s == 0.0)
+    return src, dst
+
+
+def test_plot_regenerates_identical_svgs(tmp_path, capsys):
+    assert_redraw_round_trips(tmp_path, "nominal", "vet", "4")
 
 
 @pytest.mark.parametrize("mode", ["vet", "baseline"])
@@ -503,38 +540,23 @@ def test_plot_regenerates_identical_svgs_from_crlf_line_ends(tmp_path, capsys):
 
 def test_plot_regenerates_identical_svgs_of_a_log_with_no_event(tmp_path, capsys):
     # 0.2 s of nominal: no pull, no dropout, no clamp, no capture, the tag stays safe
-    src = tmp_path / "bundle"
-    assert run_cli("run", "--preset", "nominal", "--set", "duration=0.2", "--out", str(src)) == 0
+    src, _ = assert_redraw_round_trips(tmp_path, "nominal", "vet", "0.2")
     rows = (src / "trajectory.csv").read_text().splitlines()[1:]
     assert len(rows) == 11 and all(row.endswith(",") for row in rows)  # eventFlags is last
-    dst = tmp_path / "replot"
-    assert run_cli("plot", "--run", str(src), "--out", str(dst)) == 0
-    for rel in BUNDLE_FILES[3:]:
-        assert (src / rel).read_bytes() == (dst / rel).read_bytes()
 
 
 def test_plot_regenerates_identical_decimated_svgs(tmp_path, capsys):
     # 1,501 ticks on a 582 px wide plot: the polylines drop points
-    src = tmp_path / "bundle"
-    assert run_cli("run", "--preset", "nominal", "--set", "duration=30", "--out", str(src)) == 0
-    dst = tmp_path / "replot"
-    assert run_cli("plot", "--run", str(src), "--out", str(dst)) == 0
-    for rel in BUNDLE_FILES[3:]:
-        assert (src / rel).read_bytes() == (dst / rel).read_bytes()
+    _, dst = assert_redraw_round_trips(tmp_path, "nominal", "vet", "30")
     points = (dst / "plots/distance_vs_time.svg").read_text().split('points="')[1]
     assert points.split('"')[0].count(",") < 1501  # one comma per point
 
 
 def test_plot_regenerates_identical_svgs_across_detection_gaps(tmp_path, capsys):
     # 30% random dropout: NaN offsets split the tether plot into hundreds of runs
-    src = tmp_path / "bundle"
-    assert run_cli("run", "--preset", "perturbation_real", "--set", "duration=20",
-                   "--set", "dropout.random_rate=0.3", "--out", str(src)) == 0
+    src, _ = assert_redraw_round_trips(tmp_path, "perturbation_real", "vet", "20",
+                                       dropout="0.3")
     assert (src / "trajectory.csv").read_text().count(",nan,") > 100
-    dst = tmp_path / "replot"
-    assert run_cli("plot", "--run", str(src), "--out", str(dst)) == 0
-    for rel in BUNDLE_FILES[3:]:
-        assert (src / rel).read_bytes() == (dst / rel).read_bytes(), rel
 
 
 def test_plot_can_select_a_single_kind(tmp_path, capsys):
@@ -550,6 +572,13 @@ def test_plot_can_select_a_single_kind(tmp_path, capsys):
 
 def test_plot_rejects_a_missing_bundle(tmp_path, capsys):
     assert run_cli("plot", "--run", str(tmp_path / "nowhere")) == 2
+    bundle = tmp_path / "bundle"  # its config echo is there, its trajectory is not
+    assert run_cli("run", *SHORT, "--out", str(bundle)) == 0
+    (bundle / "trajectory.csv").unlink()
+    capsys.readouterr()
+    assert run_cli("plot", "--run", str(bundle)) == 2
+    assert capsys.readouterr().err == ("config error: cannot read bundle: [Errno 2] No such "
+                                       f"file or directory: '{bundle / 'trajectory.csv'}'\n")
 
 
 def with_cell(column, value):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference_geometry import mount_matrix, pose_matrix, rot_x, rot_z
+from reference_geometry import as_flat, homogeneous, mount_matrix, pose_matrix, rot_x, rot_y, rot_z
 from vetsim import perception
 from vetsim.frames import RigidTransform, flat_transform, wrap_angle
 from vetsim.perception import (
@@ -342,6 +342,27 @@ def test_a_tag_with_one_corner_out_of_frame_is_the_one_undetected_value(corner):
     out = ~np.all((pixels >= 0.0) & (pixels <= np.array([640.0, 480.0])), axis=1)
     assert in_front and out.tolist() == [name == corner for name in "abcd"]
     assert project(pose_u, pose_s, up_camera(), bottom_tag()) is _UNSEEN_TAG
+
+
+# A corner behind the camera lands inside the image when divided by its
+# negative depth only if the image diagonal spans more than 90 degrees (the
+# default camera's spans exactly 90), so this camera has f = 100 px. The tag
+# sits 0.5 m up its optical axis, turned a quarter turn per corner and tilted
+# 60 degrees so that one corner dips behind the camera.
+WIDE_CAMERA = CameraModel(640, 480, 100.0, RigidTransform.identity())
+QUARTER_TURNS_BEHIND = {"a": 3, "b": 2, "c": 1, "d": 0}
+
+
+@pytest.mark.parametrize("corner", sorted(QUARTER_TURNS_BEHIND))
+def test_a_tag_with_one_corner_behind_the_camera_is_the_one_undetected_value(corner):
+    tag = TagModel(math.sqrt(2.0), RigidTransform.identity())
+    turn = rot_y(-math.pi / 3.0) @ rot_z((0.5 + QUARTER_TURNS_BEHIND[corner]) * math.pi / 2.0)
+    corners = corners_local(tag.side) @ turn.T + (0.0, 0.0, 0.5)
+    pixels = 100.0 * corners[:, :2] / corners[:, 2:] + (320.0, 240.0)
+    assert (corners[:, 2] < 0.0).tolist() == [name == corner for name in "abcd"]
+    assert np.all((pixels >= 0.0) & (pixels <= (640.0, 480.0)))  # the one behind too
+    target = as_flat(homogeneous(turn, (0.0, 0.0, 0.5)))
+    assert project_tag(as_flat(np.eye(4)), target, WIDE_CAMERA, tag) is _UNSEEN_TAG
 
 
 # --- dropout ----------------------------------------------------------------------

@@ -119,3 +119,50 @@ def test_every_config_type_is_frozen():
     reached = config_dataclasses(ScenarioConfig)
     assert len(reached) == 11  # ScenarioConfig and the ten types it holds
     assert sorted(cls.__name__ for cls in reached if not cls.__dataclass_params__.frozen) == []
+
+
+# Defaulted parameters that no src call both passes and leaves out, and why
+# each stays, as (module, function, parameter).
+ONE_VALUE_DEFAULTS_ALLOWED = {
+    ("cli", "main", "argv"): "the console entry point reads sys.argv; the tests and "
+                             "perfbench pass argv",
+}
+
+
+def one_value_defaults(src: Path) -> set:
+    """(module, function, parameter) of each defaulted parameter of a src
+    function that src calls, which every src call naming the function passes
+    or every one leaves out. A call names a function by its Name or Attribute;
+    a method's parameters are counted after self (or cls); a call that
+    unpacks *args or **kwargs passes them all."""
+    defs, calls = [], {}
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                a = node.args
+                names = [arg.arg for arg in a.posonlyargs + a.args]
+                if id(node) in methods and "staticmethod" not in map(ast.unparse,
+                                                                     node.decorator_list):
+                    names = names[1:]
+                defaulted = names[len(names) - len(a.defaults):] + [
+                    arg.arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                defs.append((path.stem, node.name, names, defaulted))
+            elif isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(name, []).append(node)
+    found = set()
+    for module, name, names, defaulted in defs:
+        for param in defaulted:
+            at = names.index(param) if param in names else float("inf")  # keyword-only
+            passed = {len(c.args) > at or any(isinstance(arg, ast.Starred) for arg in c.args)
+                      or any(k.arg in (param, None) for k in c.keywords)
+                      for c in calls.get(name, [])}
+            if len(passed) == 1:  # some call, and every one alike
+                found.add((module, name, param))
+    return found
+
+
+def test_every_default_is_both_used_and_overridden():
+    assert one_value_defaults(SRC) == set(ONE_VALUE_DEFAULTS_ALLOWED)

@@ -345,7 +345,10 @@ def test_world_frame_disturbance_enters_through_the_attitude():
     p = params6(damping_linear=(0.0,) * 6, damping_quadratic=(0.0,) * 6)
     model = VehicleModel(p)
     pose = (0.0, 0.0, -1.0, 0.0, 0.0, math.pi / 2)
-    _, nu = step(model, pose, [0.0] * 6, [0.0] * 6, 0.02, world_force=(1.0, 0.0, 0.0))
+    wrench = ((1.0, 0.0, 0.0), (1.0, 0.0, 0.0))  # a world +x force and torque
+    _, nu = step(model, pose, [0.0] * 6, [0.0] * 6, 0.02, wrench=wrench)
     # body y axis points along world -x after a +90 degree yaw
     assert nu[0] == pytest.approx(0.0, abs=1e-12)
     assert nu[1] < 0.0
+    assert nu[3] == pytest.approx(0.0, abs=1e-12)
+    assert nu[4] < 0.0
