@@ -7,12 +7,14 @@ Three subcommands:
   plot     regenerate the plots for a previously saved bundle
 
 A result bundle is a directory holding config_echo.json, trajectory.csv,
-summary.json and plots/*.svg. Each command renders every file it writes
-before it writes any, then commits them in two phases: it stages each file
-as a temp file beside its target, then renames each onto its target. A
+summary.json and plots/*.svg. Each command renders every file it writes but
+trajectory.csv before it writes any, then commits them in two phases: it
+stages each file as a temp file beside its target, formatting trajectory.csv
+chunk by chunk as it stages it, then renames each onto its target. A
 staging failure, such as an output path that cannot be written, removes
-what the stage made, leaves every old file as it was and exits 2. A failure
-during the renames cannot restore the files already replaced.
+what the stage made, leaves every old file as it was and exits 2; a failure
+while the CSV is formatted undoes the stage the same way. A failure during
+the renames cannot restore the files already replaced.
 Exit codes: 0 success, 2 configuration problem, 3 simulation failure.
 """
 
@@ -27,6 +29,7 @@ import math
 import os
 import sys
 import tempfile
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import metrics, plotting
@@ -37,8 +40,10 @@ from .scenario import PRESET_NAMES, SimFailure, UnknownPreset, preset, run
 _DEFAULT_THRESHOLD = 0.3
 
 
-def _commit(files: dict[Path, str]) -> None:
-    """Write every file, or none if any cannot be staged (see the module doc)."""
+def _commit(files: dict[Path, str | Iterable[str]]) -> None:
+    """Write every file, or none if any cannot be staged (see the module doc).
+    A file's text is a str or an iterable of str pieces, each written as it
+    comes, so a piece that fails to come is a staging failure."""
     mask = os.umask(0)  # the umask can only be read by setting it; put it straight back
     os.umask(mask)
     made, staged = [], []
@@ -53,7 +58,8 @@ def _commit(files: dict[Path, str]) -> None:
             fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
             staged.append(tmp)
             with os.fdopen(fd, "w", newline="") as handle:
-                handle.write(text)
+                for piece in (text,) if isinstance(text, str) else text:
+                    handle.write(piece)
             # the temp file is created 0600; give it the mode open() would have
             os.chmod(tmp, 0o666 & ~mask)
     except BaseException as exc:
@@ -167,7 +173,8 @@ def _render_plots(log: TrajectoryLog, threshold: float, out: Path, kinds=PLOT_KI
 
 
 def _render_bundle(log: TrajectoryLog, threshold: float, out: Path) -> dict:
-    """Everything a bundle holds, keyed by target path, rendered before any file I/O."""
+    """Everything a bundle holds, keyed by target path, rendered before any file I/O
+    but trajectory.csv, whose chunks _commit formats as it stages the file."""
     summary = metrics.summarize(log, threshold)
     summary_doc = {
         "scenario": log.config.name,
@@ -178,7 +185,7 @@ def _render_bundle(log: TrajectoryLog, threshold: float, out: Path) -> dict:
     }
     files = {
         out / "config_echo.json": json.dumps(log.config.to_dict(), indent=2, sort_keys=True) + "\n",
-        out / "trajectory.csv": log.to_csv_text(),
+        out / "trajectory.csv": log.csv_chunks(),
         out / "summary.json": json.dumps(summary_doc, indent=2, sort_keys=True) + "\n",
     }
     files.update(_render_plots(log, threshold, out))

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
 from typing import NoReturn
 
@@ -76,11 +76,12 @@ class TrajectoryLog:
         return sum(flags.split(";").count("waypoint_capture") for flags in self.event_flags
                    if flags)
 
-    def to_csv_text(self) -> str:
-        """Render the fixed-schema CSV; identical runs give identical bytes. A float or
-        flag column bit-identical over a chunk (so -0 and nan print as they do cell by
-        cell) is printed once, into the chunk's row template."""
-        lines = [",".join(CSV_COLUMNS)]
+    def csv_chunks(self) -> Iterator[str]:
+        """Render the fixed-schema CSV piece by piece: the header line, then each
+        _CSV_CHUNK of rows as one string; identical runs give identical bytes. A
+        float or flag column bit-identical over a chunk (so -0 and nan print as they
+        do cell by cell) is printed once, into the chunk's row template."""
+        yield ",".join(CSV_COLUMNS) + "\n"
         for lo in range(0, len(self.t), _CSV_CHUNK):
             rows = slice(lo, lo + _CSV_CHUNK)
             cells, columns = [], []
@@ -95,9 +96,12 @@ class TrajectoryLog:
                     column = column.tolist()
                 cells.append(_CSV_FORMATS[kind])
                 columns.append(column)
-            template = ",".join(cells)
-            lines += [template % row for row in zip(*columns)]
-        return "\n".join(lines) + "\n"
+            template = ",".join(cells) + "\n"
+            yield "".join([template % row for row in zip(*columns)])
+
+    def to_csv_text(self) -> str:
+        """The whole CSV as one string: csv_chunks joined."""
+        return "".join(self.csv_chunks())
 
 
 # The log layout: each CSV-backed TrajectoryLog field with its kind and its

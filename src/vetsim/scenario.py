@@ -159,11 +159,13 @@ def _time_inputs(config: ScenarioConfig, ts: np.ndarray) -> tuple:
     active disturbances sum to in config order on a tick _window_masks marks
     perturbed, or None."""
     _, perturbed = _window_masks(config, ts)
-    wrench = np.zeros((len(ts), 6))
+    ticks = np.flatnonzero(perturbed)
+    wrench = np.zeros((len(ticks), 6))  # one row per perturbed tick
     for d in config.perturbations:
-        wrench[d.active(ts)] += d.force + d.torque
-    wrenches = [(w[:3], w[3:]) if on else None
-                for w, on in zip(wrench.tolist(), perturbed.tolist())]
+        wrench[d.active(ts[ticks])] += d.force + d.torque
+    wrenches = [None] * len(ts)
+    for k, w in zip(ticks.tolist(), wrench.tolist()):
+        wrenches[k] = (w[:3], w[3:])
     blanked = config.dropout.blanked(ts, np.random.default_rng(config.seed))
     return blanked, wrenches
 

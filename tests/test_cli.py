@@ -1,22 +1,27 @@
 """End-to-end command line behaviour: bundles, overrides, exit codes."""
 
+import dataclasses
 import errno
+import io
 import json
 import os
 import shutil
 import stat
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_config_fuzz import FUZZ
+from test_scenario import per_cell_csv
 
+from vetsim import cli
 from vetsim.cli import main
 from vetsim.config import ScenarioConfig
-from vetsim.log import CSV_COLUMNS, log_from_csv
-from vetsim.scenario import PRESET_NAMES, preset
+from vetsim.log import CSV_COLUMNS, _CSV_CHUNK, TrajectoryLog, log_from_csv
+from vetsim.scenario import PRESET_NAMES, preset, run
 
 ECHOES = Path(__file__).with_name("config_echoes")
 
@@ -351,6 +356,59 @@ def test_a_failed_staged_write_writes_nothing(tmp_path, capsys, monkeypatch, com
         assert capsys.readouterr() == ("", "")
         assert tree(tmp_path) == before
     assert len(opened) == k + 1
+
+
+@pytest.mark.parametrize("out", ["b", "new/sub/x"], ids=["over_a_bundle", "new_dirs"])
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_a_failure_while_the_csv_is_formatted_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                             command, out):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(command, *SHORT, "--out", "b") == 0
+    failure, real_chunks = RuntimeError("formatting failed"), TrajectoryLog.csv_chunks
+
+    def csv_chunks(log):  # the header is staged, then the first chunk of rows fails
+        yield next(real_chunks(log))
+        raise failure
+
+    monkeypatch.setattr(TrajectoryLog, "csv_chunks", csv_chunks)
+    before = tree(tmp_path)
+    capsys.readouterr()
+    with pytest.raises(RuntimeError) as raised:
+        run_cli(command, *LONGER, "--out", out)
+    assert raised.value is failure
+    assert capsys.readouterr() == ("", "")
+    assert tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("rows", [0, 1, _CSV_CHUNK, _CSV_CHUNK + 1])
+def test_the_csv_chunks_join_to_the_text_and_the_committed_file(tmp_path, rows):
+    cfg = preset("nominal")
+    if rows:
+        log = run(dataclasses.replace(cfg, duration=(rows - 1) * cfg.dt))
+    else:  # a header-only file reads back as an empty log
+        log = log_from_csv(io.StringIO(",".join(CSV_COLUMNS) + "\n"), cfg)
+    assert len(log) == rows
+    chunks = list(log.csv_chunks())
+    assert len(chunks) == 1 + -(-rows // _CSV_CHUNK)  # the header, then one per chunk of rows
+    assert chunks[0] == ",".join(CSV_COLUMNS) + "\n"
+    text = "".join(chunks)
+    assert text == log.to_csv_text() == per_cell_csv(log)
+    path = tmp_path / "trajectory.csv"
+    cli._commit({path: log.csv_chunks()})
+    assert path.read_bytes() == text.encode()
+
+
+def test_staging_a_bundle_holds_a_chunk_of_the_csv_not_its_text(tmp_path):
+    log = run(dataclasses.replace(preset("nominal"), duration=200.0))  # 10,001 rows
+    files = cli._render_bundle(log, 0.3, tmp_path)
+    tracemalloc.start()
+    try:
+        cli._commit(files)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "trajectory.csv").stat().st_size
+    assert peak < size / 4, f"staging peaked at {peak} B for a {size} B CSV"
 
 
 def test_malformed_config_file_fails_cleanly(tmp_path, capsys):
