@@ -99,10 +99,6 @@ class TrajectoryLog:
             template = ",".join(cells) + "\n"
             yield "".join([template % row for row in zip(*columns)])
 
-    def to_csv_text(self) -> str:
-        """The whole CSV as one string: csv_chunks joined."""
-        return "".join(self.csv_chunks())
-
 
 # The log layout: each CSV-backed TrajectoryLog field with its kind and its
 # CSV column names, in CSV order, as the fields declare them.
@@ -234,15 +230,15 @@ def log_from_csv(lines: Iterable[str], config: ScenarioConfig) -> TrajectoryLog:
     text file or any iterable of its lines, each ending in "\n" but perhaps the
     last; it is read one _CSV_CHUNK of lines at a time, into a row table sized
     by config. A header-only file yields an empty log, which the plots render
-    as bare axes. Blank lines are skipped; a row of the wrong length, a flag
-    not 0 or 1 or a cell loadtxt does not read as a number is a ConfigError
-    naming its row, and a time, pose or command that is NaN or infinite, which
-    run() never writes, one naming its row and column; so is a row count or a
-    time that config's duration and dt could not give, or columns that
-    disagree (_check_columns). A file longer than config's row count is read
-    at most one chunk past its end.
+    as bare axes. Blank lines are skipped, whatever their line ending; a row of
+    the wrong length, a flag not 0 or 1 or a cell loadtxt does not read as a
+    number is a ConfigError naming its row, and a time, pose or command that
+    is NaN or infinite, which run() never writes, one naming its row and
+    column; so is a row count or a time that config's duration and dt could
+    not give, or columns that disagree (_check_columns). A file longer than
+    config's row count is read at most one chunk past its end.
     """
-    lines = filter("\n".__ne__, lines)  # blank lines are skipped
+    lines = filter(operator.methodcaller("rstrip", "\r\n"), lines)  # blank lines are skipped
     if next(lines, "").rstrip("\n").split(",") != list(CSV_COLUMNS):
         raise ConfigError("trajectory CSV header does not match the schema")
     # run() writes config.steps + 1 rows; once a chunk ends past them, no more is read

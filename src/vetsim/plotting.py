@@ -64,6 +64,7 @@ class _Frame:
 
 
 def _nice_ticks(lo: float, hi: float):
+    """Round tick values within lo..hi (to 1e-12), _TICK_TARGET steps or fewer."""
     span = hi - lo  # infinite also when finite ends are too far apart
     if not math.isfinite(span) or span <= 0:
         return [0.0, 1.0]
@@ -78,7 +79,7 @@ def _nice_ticks(lo: float, hi: float):
     while v <= hi + step * 1e-9:
         ticks.append(round(v, 12))
         v += step
-    return ticks
+    return [t for t in ticks if lo - 1e-12 <= t <= hi + 1e-12]  # rounding can leave the range
 
 
 def _pad_range(lo: float, hi: float, frac: float = 0.05):
@@ -101,15 +102,11 @@ def _axes(frame: _Frame, title: str, x_label: str, y_label: str) -> list:
                  height=frame.bottom - frame.top, fill="white", stroke="#444444",
                  stroke_width="1")]
     for tx in _nice_ticks(frame.x_lo, frame.x_hi):
-        if tx < frame.x_lo - 1e-12 or tx > frame.x_hi + 1e-12:
-            continue
         x = frame.px(tx)
         parts += [_el("line", x1=x, y1=frame.bottom, x2=x, y2=frame.bottom + 5, stroke="#444444"),
                   _el("text", f"{tx:g}", x=x, y=frame.bottom + 18, font_size="11",
                       text_anchor="middle", fill="#222222")]
     for ty in _nice_ticks(frame.y_lo, frame.y_hi):
-        if ty < frame.y_lo - 1e-12 or ty > frame.y_hi + 1e-12:
-            continue
         y = frame.py(ty)
         parts += [_el("line", x1=frame.left - 5, y1=y, x2=frame.left, y2=y, stroke="#444444"),
                   _el("text", f"{ty:g}", x=frame.left - 8, y=y + 4, font_size="11",

@@ -102,7 +102,8 @@ def clip_norm(v: list, bound: float) -> list:
     """Scale a float vector down so its Euclidean norm is <= bound, exactly.
 
     math.hypot does not overflow where the sum of squares would, so huge
-    components still land on the bound instead of collapsing to zero.
+    components still land on the bound instead of collapsing to zero, even
+    where their norm overflows. An infinite component makes the vector NaN.
     """
     norm = math.hypot(*v)
     if norm <= bound or norm == 0.0:
@@ -113,12 +114,12 @@ def clip_norm(v: list, bound: float) -> list:
         norm = math.hypot(*v)
     # One rescale can land a few ulp above the bound; repeat until it holds.
     for _ in range(4):
-        if norm <= bound:
-            return v
         scale = bound / norm
         v = [x * scale for x in v]
         norm = math.hypot(*v)
-    return [x * (1.0 - 1e-15) for x in v]
+        if norm <= bound:
+            return v
+    return [x * (1.0 - 1e-15) for x in v]  # a NaN norm never holds
 
 
 # Below this fraction of the squared bound a float sum of squares proves the

@@ -22,6 +22,7 @@ from vetsim.control import (
     vet_law,
 )
 from reference_geometry import as_flat, mount_matrix, pose_matrix, rotation
+from test_scenario import csv_text
 from vetsim.frames import (
     RigidTransform,
     euler_rate_rows,
@@ -341,7 +342,7 @@ def _check_pnp_round_trip():
 def _check_determinism():
     cfg_a = dataclasses.replace(preset("nominal"), duration=2.0)
     cfg_b = dataclasses.replace(preset("nominal"), duration=2.0)
-    assert run(cfg_a).to_csv_text() == run(cfg_b).to_csv_text()
+    assert csv_text(run(cfg_a)) == csv_text(run(cfg_b))
 
 
 def _check_communication_denial():

@@ -44,6 +44,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_scenario import csv_text
 
 import vetsim.scenario as scenario
 from vetsim.config import ScenarioConfig
@@ -67,7 +68,7 @@ def _config(name: str, mode: str) -> ScenarioConfig:
 
 
 def _record(log) -> dict:
-    text = log.to_csv_text()
+    text = csv_text(log)
     lines = text.splitlines()[1:]
     return {
         "summary": summarize(log, THRESHOLD).to_dict(),

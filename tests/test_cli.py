@@ -5,8 +5,10 @@ import errno
 import io
 import json
 import os
+import runpy
 import shutil
 import stat
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_config_fuzz import FUZZ
-from test_scenario import per_cell_csv
+from test_scenario import csv_text, per_cell_csv
 
 from vetsim import cli
 from vetsim.cli import main
@@ -392,7 +394,7 @@ def test_the_csv_chunks_join_to_the_text_and_the_committed_file(tmp_path, rows):
     assert len(chunks) == 1 + -(-rows // _CSV_CHUNK)  # the header, then one per chunk of rows
     assert chunks[0] == ",".join(CSV_COLUMNS) + "\n"
     text = "".join(chunks)
-    assert text == log.to_csv_text() == per_cell_csv(log)
+    assert text == csv_text(log) == per_cell_csv(log)
     path = tmp_path / "trajectory.csv"
     cli._commit({path: log.csv_chunks()})
     assert path.read_bytes() == text.encode()
@@ -488,6 +490,34 @@ def test_simulation_failure_maps_to_exit_three(tmp_path, capsys, overrides, deta
     assert detail in err
 
 
+def test_the_module_runs_as_a_script(tmp_path, monkeypatch, capsys):
+    # python3 -m vetsim.cli, the command line of a checkout that is not installed;
+    # runpy warns when the module it runs is imported already
+    monkeypatch.delitem(sys.modules, "vetsim.cli")
+    out = tmp_path / "bundle"
+    monkeypatch.setattr(sys, "argv", ["vetsim.cli", "run", "--preset", "nominal",
+                                      "--set", "duration=0.2", "--out", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("vetsim.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert all((out / rel).is_file() for rel in BUNDLE_FILES)
+
+
+def test_an_infinite_velocity_is_a_simulation_failure(tmp_path, capsys):
+    # the first surge thrust on a surge mass of 1e-300 with no surge damping is
+    # an infinite velocity, which clip_norm makes NaN and run() refuses
+    out = tmp_path / "bundle"
+    sets = ["duration=1", "params_u.mass=[1e-300,1,1,1,1,1]",
+            "params_u.damping_linear=[0,1,1,1,1,1]", "params_u.damping_quadratic=[0,0,0,0,0,0]",
+            "params_u.thrust_gain=[1e20,1,1,1,1,1]"]
+    code = run_cli("run", "--preset", "nominal", *(arg for item in sets for arg in ("--set", item)),
+                   "--out", str(out))
+    assert code == 3
+    assert not out.exists()
+    assert ("non-finite state at tick 2, t=0.040 s: pose_u=[nan, nan, nan, "
+            in capsys.readouterr().err)
+
+
 def test_compare_writes_both_bundles_and_the_delta(tmp_path, capsys):
     out = tmp_path / "cmp"
     code = run_cli(
@@ -546,7 +576,7 @@ def assert_redraw_round_trips(tmp, name, mode, duration, dt="0.02", threshold="0
     cfg = ScenarioConfig.from_dict(json.loads((src / "config_echo.json").read_text()))
     text = (src / "trajectory.csv").read_text()
     log = log_from_csv(text.splitlines(keepends=True), cfg)
-    assert log.to_csv_text() == text
+    assert csv_text(log) == text
     for pose, axes in ((log.pose_u, 3), (log.pose_s, 2)):  # the surface robot's z is free
         assert np.all(pose[:, :axes] >= np.array(cfg.tank_min[:axes]) - 1e-9)
         assert np.all(pose[:, :axes] <= np.array(cfg.tank_max[:axes]) + 1e-9)

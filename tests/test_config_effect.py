@@ -19,6 +19,7 @@ import dataclasses
 import json
 from pathlib import Path
 
+from test_scenario import csv_text
 from vetsim.config import ScenarioConfig
 from vetsim.scenario import run
 
@@ -67,7 +68,7 @@ def _nudged(tree: dict, path: tuple) -> dict:
 
 
 def _csv(tree: dict) -> str:
-    return run(dataclasses.replace(ScenarioConfig.from_dict(tree), mode="vet")).to_csv_text()
+    return csv_text(run(dataclasses.replace(ScenarioConfig.from_dict(tree), mode="vet")))
 
 
 def _copies() -> list:

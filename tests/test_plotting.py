@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from vetsim import plotting
+from vetsim.cli import main
 from vetsim.scenario import preset, run
 
 COLUMNS = 582  # pixel columns of a plot area: 660 px wide less the margins
@@ -136,6 +137,38 @@ def test_values_beyond_the_float_range_in_pixels_render():
     pose[5, 0] = 1e306
     assert "inf" in plotting.plot_commands(dataclasses.replace(log, u_total_u=u))
     assert "<polyline" in plotting.plot_trajectory(dataclasses.replace(log, pose_u=pose))
+
+
+def tick_labels(svg):
+    """The x axis's tick labels and the y axis's, in document order."""
+    return (re.findall(r'y="392.00" font-size="11" text-anchor="middle" fill="#222222">([^<]*)<', svg),
+            re.findall(r'text-anchor="end" fill="#222222">([^<]*)<', svg))
+
+
+def test_a_tank_too_wide_to_pad_plots_on_unit_axes(tmp_path):
+    # padding the tank overflows its x and y ranges to -inf..inf: the trajectory
+    # plot falls back to 0..1 on both axes (the outline itself prints as inf)
+    out = tmp_path / "bundle"
+    assert main(["run", "--preset", "nominal", "--set", "duration=1",
+                 "--set", "tank_min=[-1e308,-1e308,-2.66]", "--set", "tank_max=[1e308,1e308,0]",
+                 "--out", str(out)]) == 0
+    svg = (out / "plots" / "trajectory_xy.svg").read_text()
+    unit = ["0", "0.2", "0.4", "0.6", "0.8", "1"]
+    assert tick_labels(svg) == (unit, unit)
+    assert "nan" not in svg
+
+
+@pytest.mark.parametrize("args, axis", [
+    # the time axis ends at 0.29999999997 s
+    (["--set", "dt=0.09999999999", "--set", "duration=0.29999999997"], 0),
+    # the distance axis, padded 5% past the threshold, ends at 0.29999999997 m
+    (["--threshold", "0.2857142856857143"], 1),
+], ids=["time", "distance"])
+def test_a_tick_just_past_the_axis_end_is_not_drawn(tmp_path, args, axis):
+    out = tmp_path / "bundle"
+    assert main(["run", "--preset", "nominal", *args, "--out", str(out)]) == 0
+    svg = (out / "plots" / "distance_vs_time.svg").read_text()
+    assert tick_labels(svg)[axis] == ["0", "0.1", "0.2"]
 
 
 def distances_to_polyline(points, line):

@@ -1,7 +1,10 @@
-"""No dead public API: every public top-level function or class in src/vetsim
-is referenced by some other src code, or is listed here with its reason."""
+"""No dead public API: every public top-level function or class in src/vetsim,
+and every public method or property of one of its classes, is referenced by
+some other src code, or is listed here with its reason."""
 
 import ast
+import json
+from collections import Counter
 from dataclasses import is_dataclass
 from pathlib import Path
 from types import UnionType
@@ -17,28 +20,67 @@ UNREFERENCED_ALLOWED = {
                           "a pair of mounts, which is a design check, not a simulation step",
     "pose_from_observation": "acceptance criterion 5 (pose round trip): it recovers the "
                              "observed robot's pose from a tag, which no controller uses",
+    "TrajectoryLog.events": "the log's events as (t, event) pairs: the planned events.jsonl "
+                            "of the bundle reads them, perfbench counts them per run, and "
+                            "the event tests compare them",
 }
+
+
+def names_in(node) -> list:
+    """Every Name and Attribute name in node, with repeats."""
+    return [n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))]
 
 
 def unreferenced_public_names(src: Path) -> list:
     """Public top-level functions and classes of the modules in src that no
-    other top-level statement of those modules names."""
+    other top-level statement of those modules names; then, as Class.name,
+    public methods and properties of their top-level classes that no src code
+    names outside their own body."""
     statements = [node for path in sorted(src.glob("*.py"))
                   for node in ast.parse(path.read_text()).body]
-    names = {
-        id(node): {n.id if isinstance(n, ast.Name) else n.attr
-                   for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
-        for node in statements
-    }
-    return sorted(
+    names = {id(node): set(names_in(node)) for node in statements}
+    everywhere = Counter(name for node in statements for name in names_in(node))
+    top_level = [
         node.name for node in statements
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
         and not any(node.name in names[id(other)] for other in statements if other is not node)
-    )
+    ]
+    methods = [
+        f"{cls.name}.{node.name}" for cls in statements if isinstance(cls, ast.ClassDef)
+        for node in cls.body if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_") and everywhere[node.name] == names_in(node).count(node.name)
+    ]
+    return sorted(top_level + methods)
 
 
 def test_every_unreferenced_public_name_is_allowed_with_a_reason():
     assert unreferenced_public_names(SRC) == sorted(UNREFERENCED_ALLOWED)
+
+
+# The src lines that Tier-1 never executes, by function and source text, with
+# the reason each stays. tools/reach.py checks the list against a traced run of
+# the suite, which takes minutes; this checks only that each line still exists.
+UNREACHED = json.loads((Path(__file__).with_name("unreached_lines.json")).read_text())
+
+
+def function_lines(function: str) -> list:
+    """The stripped source lines of a src function named as tools/reach.py names
+    it: module, then qualified name (the module alone is its whole file)."""
+    module, *path = function.split(".")
+    source = (SRC / f"{module}.py").read_text()
+    node = ast.parse(source)
+    for name in path:
+        node = next(n for n in node.body if getattr(n, "name", None) == name)
+    text = ast.get_source_segment(source, node) if path else source
+    return [line.strip() for line in text.splitlines()]
+
+
+def test_every_listed_unreached_line_is_in_its_function_with_a_reason():
+    for entry in UNREACHED:
+        assert set(entry) == {"function", "text", "reason"}, entry
+        assert entry["text"] in function_lines(entry["function"]), entry
+        assert entry["reason"].strip(), entry
 
 
 # Private names one module imports from another, (importer, module, name), and

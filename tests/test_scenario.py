@@ -303,14 +303,14 @@ def test_records_are_evenly_spaced():
 def test_same_seed_is_bit_identical():
     cfg_a = short("perturbation_sim", 16.0)
     cfg_b = short("perturbation_sim", 16.0)
-    assert run(cfg_a).to_csv_text() == run(cfg_b).to_csv_text()
+    assert csv_text(run(cfg_a)) == csv_text(run(cfg_b))
 
 
 def test_random_dropout_is_seed_deterministic():
     cfg_a = short("nominal", 5.0, dropout=DropoutModel(random_rate=0.3))
     cfg_b = short("nominal", 5.0, dropout=DropoutModel(random_rate=0.3))
-    text_a = run(cfg_a).to_csv_text()
-    assert text_a == run(cfg_b).to_csv_text()
+    text_a = csv_text(run(cfg_a))
+    assert text_a == csv_text(run(cfg_b))
     assert sum(not d for d in run(cfg_a).detected_us) > 10
     # the top-level seed is the one seed, and it has an effect
     cfg_c = short("nominal", 5.0, dropout=DropoutModel(random_rate=0.3), seed=cfg_a.seed + 1)
@@ -327,7 +327,7 @@ def test_csv_header_is_frozen():
     )
     assert ",".join(CSV_COLUMNS) == golden
     log = run(short("nominal", 0.0))
-    assert log.to_csv_text().splitlines()[0] == golden
+    assert csv_text(log).splitlines()[0] == golden
 
 
 def test_log_from_csv_rejects_foreign_headers():
@@ -351,9 +351,9 @@ def test_log_from_csv_is_a_fixed_point_of_the_writer(name, mode):
     else:
         cfg = short(name, min(preset(name).duration, 20.0), mode=mode)
     log = run(cfg)
-    text = log.to_csv_text()
+    text = csv_text(log)
     again = log_from_csv(io.StringIO(text), cfg)
-    assert again.to_csv_text() == text
+    assert csv_text(again) == text
     # every field as run() built it: the clock, flags, labels and event flags
     # exactly, the CSV's other floats to their 12 printed digits, the totals
     # derived alike
@@ -394,7 +394,7 @@ def corrupt_row(text, row, corrupt):
 )
 def test_log_from_csv_names_the_global_row_beyond_the_first_chunk(where, corrupt, message):
     cfg = short("nominal", 8.0)  # 401 rows: the reader's second chunk holds rows 257 to 401
-    text = run(cfg).to_csv_text()
+    text = csv_text(run(cfg))
     row = 300 if where == "row_300" else 401
     with pytest.raises(ConfigError, match=re.escape(message.format(row))):
         log_from_csv(io.StringIO(corrupt_row(text, row, corrupt)), cfg)
@@ -402,12 +402,15 @@ def test_log_from_csv_names_the_global_row_beyond_the_first_chunk(where, corrupt
 
 def test_log_from_csv_reads_blank_lines_and_a_missing_final_newline(monkeypatch):
     cfg = short("nominal", 8.0)
-    text = run(cfg).to_csv_text()
+    text = csv_text(run(cfg))
     lines = text.splitlines()
-    assert log_from_csv(io.StringIO(text.rstrip("\n")), cfg).to_csv_text() == text
+    assert csv_text(log_from_csv(io.StringIO(text.rstrip("\n")), cfg)) == text
     # blank lines after the header, at the chunk boundary and at the end
     spaced = lines[:1] + [""] + lines[1:257] + ["", ""] + lines[257:] + [""]
-    assert log_from_csv(io.StringIO("\n".join(spaced) + "\n"), cfg).to_csv_text() == text
+    assert csv_text(log_from_csv(io.StringIO("\n".join(spaced) + "\n"), cfg)) == text
+    # a blank line that keeps its "\r\n" ending is blank too, row 10 of the first chunk
+    crlf = "".join(lines[k] + "\n" for k in range(11)) + "\r\n" + "\n".join(lines[11:]) + "\n"
+    assert csv_text(log_from_csv(io.StringIO(crlf, newline=""), cfg)) == text
 
     # a line of spaces is not blank: it is a row of one field
     with pytest.raises(ConfigError, match="row 2 has 1 fields"):
@@ -422,7 +425,7 @@ def test_log_from_csv_reads_blank_lines_and_a_missing_final_newline(monkeypatch)
 
 def test_log_from_csv_reads_at_most_one_chunk_past_the_configs_rows():
     cfg = short("nominal", 1.0)  # 51 rows
-    header, *rows = run(cfg).to_csv_text().splitlines(keepends=True)
+    header, *rows = csv_text(run(cfg)).splitlines(keepends=True)
     taken = 0
 
     def endless():  # the rows, then the last one again and again
@@ -693,6 +696,11 @@ def dropout_run(mode):
     return run(dropout_config(mode))
 
 
+def csv_text(log):
+    """The whole CSV as one string: the writer's pieces joined."""
+    return "".join(log.csv_chunks())
+
+
 def per_cell_csv(log):
     """The CSV written one cell at a time, the way the schema reads."""
     fmt = "%.12g"
@@ -718,7 +726,7 @@ def test_csv_writer_matches_the_per_cell_formatter(mode):
     log = dropout_run(mode)
     assert np.isnan(log.xi_us).any()
     assert any("perturb_start" in flags for flags in log.event_flags)
-    assert log.to_csv_text() == per_cell_csv(log)
+    assert csv_text(log) == per_cell_csv(log)
 
 
 # (field, rows and column, value) written into a 601-row nominal log, whose
@@ -741,7 +749,7 @@ def test_csv_writer_prints_chunk_constant_columns_as_the_per_cell_formatter(case
     values = getattr(log, name).copy()
     values[rows] = value
     log = dataclasses.replace(log, **{name: values})
-    text = log.to_csv_text()
+    text = csv_text(log)
     assert text == per_cell_csv(log)
     if case == "constant_negative_zero":
         column = CSV_COLUMNS.index("uU_xi_x")
@@ -751,7 +759,7 @@ def test_csv_writer_prints_chunk_constant_columns_as_the_per_cell_formatter(case
 def test_csv_writer_prints_a_one_row_last_chunk():
     log = run(short("nominal", 5.12))
     assert len(log) == 257
-    assert log.to_csv_text() == per_cell_csv(log)
+    assert csv_text(log) == per_cell_csv(log)
 
 
 @pytest.mark.parametrize("mode", ["vet", "baseline"])
@@ -970,6 +978,6 @@ def test_a_blanked_camera_is_never_projected(monkeypatch, mode):
     # per tick: the upward camera first unless blanked, then the downward one
     assert upward == [up for blank in blanked.tolist()
                       for up in ([False] if blank else [True, False])]
-    assert log.to_csv_text() == reference.to_csv_text()
+    assert csv_text(log) == csv_text(reference)
     assert log.u_total_u.tobytes() == reference.u_total_u.tobytes()
     assert log.u_total_s.tobytes() == reference.u_total_s.tobytes()

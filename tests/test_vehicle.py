@@ -207,6 +207,20 @@ def test_clip_norm_puts_overflowing_vectors_on_the_bound(scale):
     assert math.hypot(*clipped) <= 0.1
 
 
+@pytest.mark.parametrize("bound", [0.1, 1e308])
+def test_clip_norm_puts_a_vector_whose_norm_overflows_on_the_bound(bound):
+    # math.hypot itself overflows here; the bound may lie above the rescaled norm
+    big = [1.5e308, -1.5e308, 0.75e308]
+    assert math.hypot(*big) == math.inf
+    clipped = clip_norm(big, bound)
+    np.testing.assert_allclose(clipped, [bound / 1.5, -bound / 1.5, bound / 3.0], rtol=1e-12)
+    assert math.hypot(*clipped) <= bound
+
+
+def test_clip_norm_makes_a_vector_with_an_infinite_component_nan():
+    assert all(math.isnan(x) for x in clip_norm([math.inf, 0.0, 1.0], 0.1))
+
+
 def reference_velocity(nu, tau, params, dt):
     """The semi-implicit velocity update as a dense matrix solve."""
     nu, tau = np.array(nu), np.array(tau)
