@@ -4,8 +4,10 @@ Plots are built by direct string assembly so identical runs yield identical
 files, with no rendering backend involved. Four views cover the analysis:
 planar trajectories, separation over time, commanded velocities over time
 and tether state over time. Perturbation and camera-blackout intervals show
-up as shaded spans on the time plots. Lines are drawn at display resolution,
-not with every tick (see ``_polyline``).
+up as shaded spans on the time plots. Each series is one path drawn at
+display resolution, not with every tick, in integer hundredths of a pixel (see
+``_series_path``). A position more than 2**24 hundredths of a pixel out, as an
+overflow to inf, is drawn at that bound, so no number printed is inf.
 """
 
 from __future__ import annotations
@@ -29,12 +31,13 @@ _COLOR_S = "#d62728"
 _COLOR_ALT = "#7f7f7f"
 _COLOR_SPAN_PERTURB = "#f2c57c"
 _COLOR_SPAN_DROPOUT = "#cdd3d8"
-_LINE_WIDTH = 1.5  # of every data polyline
+_LINE_WIDTH = 150  # of every data path, in hundredths of a pixel
+_FAR = 2 ** 24  # hundredths of a pixel: a position further out is drawn there
 _TICK_TARGET = 5  # an axis spans at most this many tick steps
 
 
 def _fmt(v: float) -> str:
-    return "%.2f" % v
+    return "%.2f" % min(max(v, -_FAR / 100), _FAR / 100)
 
 
 class _Frame:
@@ -146,14 +149,16 @@ def _grid(qx, qy, starts):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow gives inf, as with Python floats
-def _polyline(frame: _Frame, xs, ys, color: str, dash=None, thin=None) -> list:
-    """Polylines at display resolution, split at non-finite points so gaps stay gaps.
+def _series_path(frame: _Frame, xs, ys, color: str, dash=None, thin=None) -> list:
+    """One path at display resolution, with a subpath per run of finite points.
 
-    Runs of one point are dropped. ``thin`` masks the points drawn, judged on the
-    printed hundredths of a pixel so that a log read back from its CSV draws the
-    same ones: M4 (Jugel et al., PVLDB 7(10), 2014), the default, for time series
-    draws the raster of every point; ``_grid`` for x-y paths keeps each dropped one
-    within 1 px. A series is mapped, thinned and printed once, whatever its runs.
+    Runs of one point are dropped, so gaps stay gaps. The numbers are integer
+    hundredths of a pixel under ``scale(.01)``: each run is an absolute ``M x y``,
+    then relative ``l dx dy`` steps. ``thin`` masks the points drawn, judged on those
+    hundredths so that a log read back from its CSV draws the same ones: M4 (Jugel
+    et al., PVLDB 7(10), 2014), the default, for time series draws the raster of
+    every point; ``_grid`` for x-y paths keeps each dropped one within 1 px. A series
+    is mapped, thinned and printed once, whatever its runs.
     """
     dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
     finite = np.r_[False, np.isfinite(xs) & np.isfinite(ys), False]
@@ -161,13 +166,17 @@ def _polyline(frame: _Frame, xs, ys, color: str, dash=None, thin=None) -> list:
     if not len(drawn):
         return []
     starts = np.flatnonzero(np.diff(drawn, prepend=-2) != 1)  # run starts within drawn
-    px, py = frame.px(xs[drawn]), frame.py(ys[drawn])
-    kept = np.flatnonzero((thin or _m4)(np.rint(px * 100), np.rint(py * 100), starts))
-    flat = np.column_stack((px[kept], py[kept])).ravel().tolist()
-    points = (("%.2f,%.2f " * len(kept)) % tuple(flat)).split(" ")
-    bounds = np.searchsorted(kept, np.r_[starts, len(drawn)]).tolist()
-    return [f'<polyline points="{" ".join(points[lo:hi])}" fill="none" stroke="{color}" '
-            f'stroke-width="{_LINE_WIDTH}"{dash_attr}/>' for lo, hi in zip(bounds, bounds[1:])]
+    q = np.clip(np.rint(np.column_stack((frame.px(xs[drawn]), frame.py(ys[drawn]))) * 100),
+                -_FAR, _FAR)
+    kept = np.flatnonzero((thin or _m4)(q[:, 0], q[:, 1], starts))
+    q, opens = q[kept].astype(np.int64), np.searchsorted(kept, starts)
+    steps = np.diff(q, axis=0, prepend=0)
+    steps[opens] = q[opens]
+    fmt = np.full(len(kept), " %d %d", dtype=object)  # every run keeps two points or more
+    fmt[opens], fmt[opens + 1] = "M%d %dl", "%d %d"
+    d = ("".join(fmt) % tuple(steps.ravel().tolist())).replace(" -", "-")
+    return [f'<path transform="scale(.01)" d="{d}" fill="none" stroke="{color}" '
+            f'stroke-width="{_LINE_WIDTH}"{dash_attr}/>']
 
 
 def _spans(frame: _Frame, windows, color: str) -> list:
@@ -200,7 +209,7 @@ def _document(parts: list) -> str:
 
 def _time_plot(config, t_range, y_range, title, y_label, traces, threshold=None) -> str:
     """A time plot: axes, the config's event spans, the threshold line if any, and
-    one polyline and legend entry per ``(t, values, label, color, dash)`` trace."""
+    one path and legend entry per ``(t, values, label, color, dash)`` trace."""
     frame = _Frame(t_range, y_range)
     parts = _axes(frame, title, "t (s)", y_label)
     parts += _spans(frame, config.dropout.scheduled_windows, _COLOR_SPAN_DROPOUT)
@@ -211,7 +220,7 @@ def _time_plot(config, t_range, y_range, title, y_label, traces, threshold=None)
         parts.append(_el("line", x1=frame.left, y1=y, x2=frame.right, y2=y, stroke="#555555",
                          stroke_dasharray="5,4"))
     for t, values, _, color, dash in traces:
-        parts += _polyline(frame, t, values, color, dash=dash)
+        parts += _series_path(frame, t, values, color, dash=dash)
     parts += _legend([(label, color) for _, _, label, color, _ in traces])
     return _document(parts)
 
@@ -222,18 +231,20 @@ def plot_trajectory(log: TrajectoryLog) -> str:
     (x_lo, y_lo), (x_hi, y_hi) = cfg.tank_min[:2], cfg.tank_max[:2]
     frame = _Frame(_pad_range(x_lo, x_hi), _pad_range(y_lo, y_hi))
     parts = _axes(frame, "planar trajectories", "x (m)", "y (m)")
-    parts.append(_el("rect", x=frame.px(x_lo), y=frame.py(y_hi),
-                     width=frame.px(x_hi) - frame.px(x_lo), height=frame.py(y_lo) - frame.py(y_hi),
-                     fill="none", stroke="#999999", stroke_dasharray="4,3"))
+    # a tank edge far off the canvas is drawn just off it, where it looks the same
+    x0, x1 = (min(max(frame.px(x), -_WIDTH), 2 * _WIDTH) for x in (x_lo, x_hi))
+    y0, y1 = (min(max(frame.py(y), -_HEIGHT), 2 * _HEIGHT) for y in (y_hi, y_lo))
+    parts.append(_el("rect", x=x0, y=y0, width=x1 - x0, height=y1 - y0, fill="none",
+                     stroke="#999999", stroke_dasharray="4,3"))
     for wx, wy, _ in planner_waypoints(cfg.planner):
         parts.append(_el("circle", cx=frame.px(wx), cy=frame.py(wy), r="4", fill="none",
                          stroke="#2ca02c", stroke_width="1.5"))
     if len(log) > 0:
-        parts += _polyline(frame, log.pose_u[:, 0], log.pose_u[:, 1], _COLOR_U, thin=_grid)
-        parts += _polyline(frame, log.pose_s[:, 0], log.pose_s[:, 1], _COLOR_S, thin=_grid)
+        parts += _series_path(frame, log.pose_u[:, 0], log.pose_u[:, 1], _COLOR_U, thin=_grid)
+        parts += _series_path(frame, log.pose_s[:, 0], log.pose_s[:, 1], _COLOR_S, thin=_grid)
         for pose, color in ((log.pose_u, _COLOR_U), (log.pose_s, _COLOR_S)):
-            parts.append(_el("circle", cx=frame.px(pose[0, 0]), cy=frame.py(pose[0, 1]), r="3",
-                             fill=color))
+            x, y = pose[0, :2].tolist()  # Python floats overflow to inf without a warning
+            parts.append(_el("circle", cx=frame.px(x), cy=frame.py(y), r="3", fill=color))
     parts += _legend([("underwater", _COLOR_U), ("surface", _COLOR_S)])
     return _document(parts)
 
@@ -277,9 +288,9 @@ def plot_commands(log: TrajectoryLog) -> str:
     return _time_plot(log.config, _time_range(log), _pad_range(-bound, bound, 0.15),
                       "commanded velocities", "command (m/s)",
                       [(log.t, log.u_total_u[:, 0], "uU x", _COLOR_U, None),
-                       (log.t, log.u_total_u[:, 1], "uU y (dash)", _COLOR_U, "4,3"),
+                       (log.t, log.u_total_u[:, 1], "uU y (dash)", _COLOR_U, "400,300"),
                        (log.t, log.u_total_s[:, 0], "uS x", _COLOR_S, None),
-                       (log.t, log.u_total_s[:, 1], "uS y (dash)", _COLOR_S, "4,3")])
+                       (log.t, log.u_total_s[:, 1], "uS y (dash)", _COLOR_S, "400,300")])
 
 
 def plot_tether(log: TrajectoryLog) -> str:

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_config_fuzz import FUZZ
+from test_plotting import polylines
 from test_scenario import csv_text, per_cell_csv
 
 from vetsim import cli
@@ -634,10 +635,10 @@ def test_plot_regenerates_identical_svgs_of_a_log_with_no_event(tmp_path, capsys
 
 
 def test_plot_regenerates_identical_decimated_svgs(tmp_path, capsys):
-    # 1,501 ticks on a 582 px wide plot: the polylines drop points
+    # 1,501 ticks on a 582 px wide plot: the path drops points
     _, dst = assert_redraw_round_trips(tmp_path, "nominal", "vet", "30")
-    points = (dst / "plots/distance_vs_time.svg").read_text().split('points="')[1]
-    assert points.split('"')[0].count(",") < 1501  # one comma per point
+    (line,) = polylines((dst / "plots/distance_vs_time.svg").read_text())
+    assert len(line) < 1501
 
 
 def test_plot_regenerates_identical_svgs_across_detection_gaps(tmp_path, capsys):

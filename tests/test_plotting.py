@@ -1,4 +1,4 @@
-"""SVG polylines at display resolution: M4 on the time plots, a grid rule on paths.
+"""SVG paths at display resolution: M4 on the time plots, a grid rule on x-y paths.
 
 The reference renderer below draws every finite point, as the plots did before
 they were decimated; the tests compare the decimated plots against it.
@@ -7,9 +7,11 @@ they were decimated; the tests compare the decimated plots against it.
 import dataclasses
 import math
 import re
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from test_svg_lock import CASES, _draw
 
 from vetsim import plotting
 from vetsim.cli import main
@@ -32,9 +34,17 @@ def every_point(frame, xs, ys, color, width=1.5, dash=None, thin=None):
 
 
 def polylines(svg):
-    """Each polyline's points as an (n, 2) float array, in document order."""
-    return [np.array([p.split(",") for p in pts.split()], dtype=float)
-            for pts in re.findall(r'<polyline points="([^"]*)"', svg)]
+    """The pixel points of each reference polyline and of each subpath of a data
+    path, as (n, 2) float arrays in document order."""
+    lines = []
+    for points, d in re.findall(
+            r'<polyline points="([^"]*)"|<path transform="scale\(\.01\)" d="([^"]*)"', svg):
+        if points:
+            lines.append(np.array([p.split(",") for p in points.split()], dtype=float))
+        for subpath in d.split("M")[1:]:  # M x y, then l dx dy ... in hundredths
+            steps = np.array(re.findall(r"-?\d+", subpath), dtype=float).reshape(-1, 2)
+            lines.append(np.cumsum(steps, axis=0) / 100)
+    return lines
 
 
 def finite_runs(*series):
@@ -105,7 +115,7 @@ def test_m4_keeps_every_columns_first_last_min_and_max(monkeypatch):
     t = np.r_[0.0, inner, float(COLUMNS)]
     log, other = synthetic_log(t, rng), synthetic_log(t, rng)
     decimated = time_plots(log, other)
-    monkeypatch.setattr(plotting, "_polyline", every_point)
+    monkeypatch.setattr(plotting, "_series_path", every_point)
     reference = time_plots(log, other)
     for name, (svg, series) in decimated.items():
         lines, full = polylines(svg), polylines(reference[name][0])
@@ -128,15 +138,50 @@ def test_a_log_read_back_from_its_csv_draws_the_same_points():
         assert svg == again, name
 
 
-def test_values_beyond_the_float_range_in_pixels_render():
-    # numpy warns where Python floats overflow to inf; warnings are errors here
+FAR_PX = 2 ** 24 / 100  # the furthest position drawn, in pixels
+
+
+def far_value_svgs():
+    """Plots of a log whose pixels overflow to inf (commands) or pass 2**24
+    hundredths of a pixel (path), and whose start point is off at inf."""
     log = run(dataclasses.replace(preset("nominal"), duration=1.0))
     u = log.u_total_u.copy()
     u[10, 0], u[11, 0] = 1e306, -1.7e308
     pose = log.pose_u.copy()
-    pose[5, 0] = 1e306
-    assert "inf" in plotting.plot_commands(dataclasses.replace(log, u_total_u=u))
-    assert "<polyline" in plotting.plot_trajectory(dataclasses.replace(log, pose_u=pose))
+    pose[5, 0], pose[0, 1] = 1e306, -1e308
+    return {"commands": plotting.plot_commands(dataclasses.replace(log, u_total_u=u)),
+            "trajectory": plotting.plot_trajectory(dataclasses.replace(log, pose_u=pose))}
+
+
+def test_values_beyond_the_float_range_in_pixels_render():
+    # numpy warns where Python floats overflow to inf; warnings are errors here
+    svgs = far_value_svgs()
+    for svg in svgs.values():
+        assert "inf" not in svg and "<path" in svg
+    ux = polylines(svgs["commands"])[0]  # the first trace, uU x
+    assert ux[10, 1] == -FAR_PX and ux[11, 1] == FAR_PX
+    path_u = polylines(svgs["trajectory"])[0]
+    assert path_u[0, 1] == FAR_PX and path_u[:, 0].max() == FAR_PX
+    assert f'cy="{FAR_PX:.2f}" r="3"' in svgs["trajectory"]  # the start point
+
+
+_INT = r"-?\d+"
+_SEP = r"(?: (?=\d)|(?=-))"  # a space, or none before a minus sign
+DATA_PATH = re.compile(
+    rf"(?:M{_INT}{_SEP}{_INT}l{_INT}{_SEP}{_INT}(?:{_SEP}{_INT}{_SEP}{_INT})*)+")
+
+
+@pytest.mark.parametrize("case", CASES + ("far_values",))
+def test_every_svg_is_well_formed_with_integer_paths(case, tmp_path):
+    if case == "far_values":
+        svgs = {**far_value_svgs(), "wide_tank": wide_tank_svg(tmp_path)}
+    else:
+        svgs = _draw(case, tmp_path)
+    for name, svg in svgs.items():
+        assert not re.search(r"\b(?:inf|nan)\b", svg, re.IGNORECASE), name
+        for path in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}path"):
+            assert path.get("transform") == "scale(.01)", name
+            assert DATA_PATH.fullmatch(path.get("d")), name
 
 
 def tick_labels(svg):
@@ -145,17 +190,22 @@ def tick_labels(svg):
             re.findall(r'text-anchor="end" fill="#222222">([^<]*)<', svg))
 
 
-def test_a_tank_too_wide_to_pad_plots_on_unit_axes(tmp_path):
-    # padding the tank overflows its x and y ranges to -inf..inf: the trajectory
-    # plot falls back to 0..1 on both axes (the outline itself prints as inf)
+def wide_tank_svg(tmp_path):
     out = tmp_path / "bundle"
     assert main(["run", "--preset", "nominal", "--set", "duration=1",
                  "--set", "tank_min=[-1e308,-1e308,-2.66]", "--set", "tank_max=[1e308,1e308,0]",
                  "--out", str(out)]) == 0
-    svg = (out / "plots" / "trajectory_xy.svg").read_text()
+    return (out / "plots" / "trajectory_xy.svg").read_text()
+
+
+def test_a_tank_too_wide_to_pad_plots_on_unit_axes(tmp_path):
+    # padding the tank overflows its x and y ranges to -inf..inf: the trajectory
+    # plot falls back to 0..1 on both axes, and the outline is drawn off the canvas
+    svg = wide_tank_svg(tmp_path)
     unit = ["0", "0.2", "0.4", "0.6", "0.8", "1"]
     assert tick_labels(svg) == (unit, unit)
-    assert "nan" not in svg
+    assert "nan" not in svg and "inf" not in svg
+    assert '<rect x="-660.00" y="-420.00" width="1980.00" height="1260.00"' in svg
 
 
 @pytest.mark.parametrize("args, axis", [
@@ -199,7 +249,7 @@ def test_trajectory_keeps_ends_and_gaps_within_one_pixel(monkeypatch):
         pose[2000:2600, :2] += rng.normal(0.0, 0.008, (600, 2))  # about 1 px of jitter
     log = dataclasses.replace(log, t=k * 0.05, pose_u=pose_u, pose_s=pose_s)
     svg = plotting.plot_trajectory(log)
-    monkeypatch.setattr(plotting, "_polyline", every_point)
+    monkeypatch.setattr(plotting, "_series_path", every_point)
     lines, full = polylines(svg), polylines(plotting.plot_trajectory(log))
     expected = finite_runs(pose_u[:, 0], pose_u[:, 1]) + finite_runs(pose_s[:, 0], pose_s[:, 1])
     assert len(lines) == len(full) == expected  # every gap is still a gap
@@ -276,11 +326,14 @@ def test_dense_gaps_draw_as_the_per_run_loop_did(monkeypatch):
 
     drawn = time_plots(log, log)
     drawn["trajectory"] = (plotting.plot_trajectory(log), [])
-    monkeypatch.setattr(plotting, "_polyline", per_run)
+    monkeypatch.setattr(plotting, "_series_path", per_run)
     reference = time_plots(log, log)
     reference["trajectory"] = (plotting.plot_trajectory(log), [])
     for name, (svg, series) in drawn.items():
-        assert svg == reference[name][0], name
+        lines, expected_lines = polylines(svg), polylines(reference[name][0])
+        assert len(lines) == len(expected_lines), name
+        for line, expected_line in zip(lines, expected_lines):
+            assert np.array_equal(line, expected_line), name
         if series:
             assert len(polylines(svg)) == sum(finite_runs(log.t, s) for s in series), name
     expected = sum(finite_runs(pose[:, 0], pose[:, 1]) for pose in (log.pose_u, log.pose_s))
