@@ -230,16 +230,19 @@ def log_from_csv(lines: Iterable[str], config: ScenarioConfig) -> TrajectoryLog:
     text file or any iterable of its lines, each ending in "\n" but perhaps the
     last; it is read one _CSV_CHUNK of lines at a time, into a row table sized
     by config. A header-only file yields an empty log, which the plots render
-    as bare axes. Blank lines are skipped, whatever their line ending; a row of
-    the wrong length, a flag not 0 or 1 or a cell loadtxt does not read as a
-    number is a ConfigError naming its row, and a time, pose or command that
-    is NaN or infinite, which run() never writes, one naming its row and
-    column; so is a row count or a time that config's duration and dt could
-    not give, or columns that disagree (_check_columns). A file longer than
-    config's row count is read at most one chunk past its end.
+    as bare axes. Blank lines are skipped, whatever their line ending, and the
+    header may end in "\r\n"; a chunk is searched for blank lines only when its
+    least line sorts below "\x0e", as every blank line does. A row of the wrong
+    length, a flag not 0 or 1 or a cell loadtxt does not read as a number is a
+    ConfigError naming its row, and a time, pose or command that is NaN or
+    infinite, which run() never writes, one naming its row and column; so is a
+    row count or a time that config's duration and dt could not give, or
+    columns that disagree (_check_columns). A file longer than config's row
+    count is read at most one chunk past its end.
     """
-    lines = filter(operator.methodcaller("rstrip", "\r\n"), lines)  # blank lines are skipped
-    if next(lines, "").rstrip("\n").split(",") != list(CSV_COLUMNS):
+    stripped = operator.methodcaller("rstrip", "\r\n")  # "" for a blank line, which is skipped
+    lines = iter(lines)
+    if next(filter(stripped, lines), "").rstrip("\r\n").split(",") != list(CSV_COLUMNS):
         raise ConfigError("trajectory CSV header does not match the schema")
     # run() writes config.steps + 1 rows; once a chunk ends past them, no more is read
     n = config.steps + 1
@@ -247,6 +250,9 @@ def log_from_csv(lines: Iterable[str], config: ScenarioConfig) -> TrajectoryLog:
     labels = {name: [] for name, kind, _ in _LOG_LAYOUT if kind is str}
     hi = 0
     while hi <= n and (chunk := list(itertools.islice(lines, _CSV_CHUNK))):
+        # a blank line is "" or starts with "\r" or "\n", all below "\x0e"
+        if min(chunk) < "\x0e" and not (chunk := list(filter(stripped, chunk))):
+            continue
         lo, hi = hi, hi + len(chunk)
         try:
             block = np.loadtxt(chunk, delimiter=",", dtype=_CSV_DTYPE, comments=None, ndmin=1)

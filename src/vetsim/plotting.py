@@ -125,9 +125,12 @@ def _axes(frame: _Frame, title: str, x_label: str, y_label: str) -> list:
 
 
 def _m4(qx, qy, starts):
-    """M4 mask on hundredths of a pixel: each column's first, last, lowest and highest.
-    Each index in ``starts`` (the runs' first points) opens a column of its own."""
-    new_col = np.r_[True, qx[1:] // 100 != qx[:-1] // 100]
+    """M4 mask on integer hundredths of a pixel: each column's first, last, lowest and
+    highest. ``_series_path`` passes ``int64``; floats holding the same integers give
+    the same mask. Each index in ``starts`` (the runs' first points) opens a column
+    of its own."""
+    pixel = qx // 100  # each point's pixel column
+    new_col = np.r_[True, pixel[1:] != pixel[:-1]]
     new_col[starts] = True
     cols = np.flatnonzero(new_col)
     col = np.cumsum(new_col)
@@ -167,9 +170,9 @@ def _series_path(frame: _Frame, xs, ys, color: str, dash=None, thin=None) -> lis
         return []
     starts = np.flatnonzero(np.diff(drawn, prepend=-2) != 1)  # run starts within drawn
     q = np.clip(np.rint(np.column_stack((frame.px(xs[drawn]), frame.py(ys[drawn]))) * 100),
-                -_FAR, _FAR)
+                -_FAR, _FAR).astype(np.int64)
     kept = np.flatnonzero((thin or _m4)(q[:, 0], q[:, 1], starts))
-    q, opens = q[kept].astype(np.int64), np.searchsorted(kept, starts)
+    q, opens = q[kept], np.searchsorted(kept, starts)
     steps = np.diff(q, axis=0, prepend=0)
     steps[opens] = q[opens]
     fmt = np.full(len(kept), " %d %d", dtype=object)  # every run keeps two points or more

@@ -11,6 +11,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_config_fuzz import FUZZ
 from test_svg_lock import CASES, _draw
 
 from vetsim import plotting
@@ -123,6 +125,24 @@ def test_m4_keeps_every_columns_first_last_min_and_max(monkeypatch):
         for line, every in zip(lines, full):
             assert column_summary(line) == column_summary(every), name
         assert sum(map(len, lines)) < sum(map(len, full)) / 5, name  # decimation engaged
+
+
+# hundredths of a pixel: near the origin, so that columns and cells repeat, and
+# anywhere up to the clip bound, the bound itself included
+HUNDREDTHS = st.one_of(st.integers(-400, 400), st.sampled_from([-plotting._FAR, plotting._FAR]),
+                       st.integers(-plotting._FAR, plotting._FAR))
+
+
+@settings(FUZZ, max_examples=150)
+@given(st.data())
+def test_thinning_on_int64_hundredths_keeps_the_points_float64_does(data):
+    n = data.draw(st.integers(2, 40))
+    qx, qy = (np.array(data.draw(st.lists(HUNDREDTHS, min_size=n, max_size=n)), dtype=np.int64)
+              for _ in "xy")
+    starts = np.array([0, *sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=6)))])
+    for thin in (plotting._m4, plotting._grid):
+        expected = thin(qx.astype(np.float64), qy.astype(np.float64), starts)
+        assert np.array_equal(thin(qx, qy, starts), expected), thin.__name__
 
 
 def test_a_log_read_back_from_its_csv_draws_the_same_points():

@@ -411,10 +411,20 @@ def test_log_from_csv_reads_blank_lines_and_a_missing_final_newline(monkeypatch)
     # a blank line that keeps its "\r\n" ending is blank too, row 10 of the first chunk
     crlf = "".join(lines[k] + "\n" for k in range(11)) + "\r\n" + "\n".join(lines[11:]) + "\n"
     assert csv_text(log_from_csv(io.StringIO(crlf, newline=""), cfg)) == text
+    # blank lines before the header
+    assert csv_text(log_from_csv(io.StringIO("\r\n\n" + text, newline=""), cfg)) == text
+    # a file written with "\r\n" endings throughout, its header too
+    assert csv_text(log_from_csv(io.StringIO(text.replace("\n", "\r\n"), newline=""), cfg)) == text
+    # a run of blank lines that fills whole chunks is skipped, not taken for the end
+    gap = "".join(itertools.islice(itertools.cycle(["\n", "\r\n", "\r\r\n"]), 3 * _CSV_CHUNK))
+    gapped = "\n".join(lines[:101]) + "\n" + gap + "\n".join(lines[101:]) + "\n"
+    assert csv_text(log_from_csv(io.StringIO(gapped, newline=""), cfg)) == text
 
-    # a line of spaces is not blank: it is a row of one field
-    with pytest.raises(ConfigError, match="row 2 has 1 fields"):
-        log_from_csv(io.StringIO("\n".join(lines[:2] + [" "] + lines[2:]) + "\n"), cfg)
+    # a line of spaces is not blank: it is a row of one field; nor is a tab,
+    # which sorts below "\x0e" as blank lines do
+    for cell in (" ", "\t"):
+        with pytest.raises(ConfigError, match="row 2 has 1 fields"):
+            log_from_csv(io.StringIO("\n".join(lines[:2] + [cell] + lines[2:]) + "\n"), cfg)
 
     def no_loadtxt(*args, **kwargs):
         raise AssertionError("a header-only file has no rows to parse")
