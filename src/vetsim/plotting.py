@@ -40,40 +40,45 @@ def _fmt(v: float) -> str:
     return "%.2f" % min(max(v, -_FAR / 100), _FAR / 100)
 
 
+def _ends(lo: float, hi: float):
+    """lo, hi if both are finite and still apart when halved, else 0.0, 1.0."""
+    ok = math.isfinite(lo) and math.isfinite(hi) and hi / 2 - lo / 2 > 0
+    return (lo, hi) if ok else (0.0, 1.0)
+
+
 class _Frame:
-    """Maps data coordinates onto the pixel box of one set of axes."""
+    """Maps data coordinates onto the pixel box of one set of axes.
+
+    Differences are taken on halves, so that they are finite for any finite ends.
+    Halving is exact for normal floats, where the mapping is that of ``x - lo``.
+    """
 
     def __init__(self, x_range, y_range):
-        x_lo, x_hi = x_range
-        y_lo, y_hi = y_range
-        if not (math.isfinite(x_lo) and math.isfinite(x_hi)) or x_hi <= x_lo:
-            x_lo, x_hi = 0.0, 1.0
-        if not (math.isfinite(y_lo) and math.isfinite(y_hi)) or y_hi <= y_lo:
-            y_lo, y_hi = 0.0, 1.0
-        self.x_lo, self.x_hi = x_lo, x_hi
-        self.y_lo, self.y_hi = y_lo, y_hi
+        self.x_lo, self.x_hi = _ends(*x_range)
+        self.y_lo, self.y_hi = _ends(*y_range)
         self.left = _MARGIN_L
         self.right = _WIDTH - _MARGIN_R
         self.top = _MARGIN_T
         self.bottom = _HEIGHT - _MARGIN_B
 
     def px(self, x: float) -> float:
-        frac = (x - self.x_lo) / (self.x_hi - self.x_lo)
+        frac = (x / 2 - self.x_lo / 2) / (self.x_hi / 2 - self.x_lo / 2)
         return self.left + frac * (self.right - self.left)
 
     def py(self, y: float) -> float:
-        frac = (y - self.y_lo) / (self.y_hi - self.y_lo)
+        frac = (y / 2 - self.y_lo / 2) / (self.y_hi / 2 - self.y_lo / 2)
         return self.bottom - frac * (self.bottom - self.top)
 
 
 def _nice_ticks(lo: float, hi: float):
-    """Round tick values within lo..hi (to 1e-12), _TICK_TARGET steps or fewer."""
-    span = hi - lo  # infinite also when finite ends are too far apart
-    if not math.isfinite(span) or span <= 0:
-        return [0.0, 1.0]
-    step = 10.0 ** math.floor(math.log10(span / _TICK_TARGET))
+    """Round tick values within the finite lo..hi (to 1e-12), _TICK_TARGET steps or
+    fewer; lo and hi themselves if the span is too narrow to step through."""
+    half = hi / 2 - lo / 2  # half the span, finite for finite ends
+    if not half > 1e-9 * max(abs(lo), abs(hi), 1e-300):  # narrower, v + step could round to v
+        return [lo, hi]
+    step = 10.0 ** math.floor(math.log10(half / (_TICK_TARGET / 2)))
     for mult in (1.0, 2.0, 5.0, 10.0):
-        if span / (step * mult) <= _TICK_TARGET:
+        if half / (step * mult) <= _TICK_TARGET / 2:
             step *= mult
             break
     first = math.ceil(lo / step) * step
@@ -88,7 +93,7 @@ def _nice_ticks(lo: float, hi: float):
 def _pad_range(lo: float, hi: float, frac: float = 0.05):
     if not (math.isfinite(lo) and math.isfinite(hi)):
         return 0.0, 1.0
-    pad = (hi - lo) * frac
+    pad = (hi / 2 - lo / 2) * (2 * frac)  # halves, as in _Frame
     return lo - pad, hi + pad
 
 

@@ -4,10 +4,16 @@ The reference renderer below draws every finite point, as the plots did before
 they were decimated; the tests compare the decimated plots against it.
 """
 
+import contextlib
 import dataclasses
+import io
+import json
 import math
 import re
+import tempfile
 import xml.etree.ElementTree as ET
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,19 +219,108 @@ def tick_labels(svg):
 def wide_tank_svg(tmp_path):
     out = tmp_path / "bundle"
     assert main(["run", "--preset", "nominal", "--set", "duration=1",
-                 "--set", "tank_min=[-1e308,-1e308,-2.66]", "--set", "tank_max=[1e308,1e308,0]",
-                 "--out", str(out)]) == 0
+                 "--set", "tank_min=[-1.7e308,-1.7e308,-2.66]",
+                 "--set", "tank_max=[1.7e308,1.7e308,0]", "--out", str(out)]) == 0
     return (out / "plots" / "trajectory_xy.svg").read_text()
 
 
 def test_a_tank_too_wide_to_pad_plots_on_unit_axes(tmp_path):
-    # padding the tank overflows its x and y ranges to -inf..inf: the trajectory
-    # plot falls back to 0..1 on both axes, and the outline is drawn off the canvas
+    # padding the tank by 1.7e307 a side overflows its x and y ranges to -inf..inf:
+    # the trajectory plot falls back to 0..1 on both axes, and the outline is
+    # drawn off the canvas
     svg = wide_tank_svg(tmp_path)
     unit = ["0", "0.2", "0.4", "0.6", "0.8", "1"]
     assert tick_labels(svg) == (unit, unit)
     assert "nan" not in svg and "inf" not in svg
     assert '<rect x="-660.00" y="-420.00" width="1980.00" height="1260.00"' in svg
+
+
+def bundle_svgs(tmp_path, args):
+    """The SVGs of a 2 s run with the given arguments, which must exit 0, each
+    checked to parse and to hold no inf or nan token."""
+    out = tmp_path / "bundle"
+    assert main(["run", "--set", "duration=2", *args, "--out", str(out)]) == 0
+    svgs = {path.stem: path.read_text() for path in (out / "plots").glob("*.svg")}
+    for name, svg in svgs.items():
+        ET.fromstring(svg)
+        assert not re.search(r"\b(?:inf|nan)\b", svg, re.IGNORECASE), name
+    return svgs
+
+
+@pytest.mark.parametrize("args, start", [
+    # finite ends 1.78e308 apart, more than the largest float: both robots at the
+    # tank's centre
+    (["--preset", "nominal", "--set", "tank_min=[-8.9e307,-8.9e307,-2.66]",
+      "--set", "tank_max=[8.9e307,8.9e307,0]"], "M35300 20400l"),
+    # a tank from x = -0.5 to 1.7e308 and both robots at x = 1e300, which on this
+    # scale is the tank's left edge
+    (["--preset", "navigation_real", "--set", "initial_pose_s=[1e300,0,0]",
+      "--set", "initial_pose_u=[1e300,0,-1,0,0,0]", "--set", "tank_max=[1.7e308,0.66,0]"],
+     "M8845 10519l"),
+], ids=["ends_too_far_apart", "robots_far_out"])
+def test_a_tank_with_far_finite_ends_draws_true_to_scale(tmp_path, args, start):
+    svg = bundle_svgs(tmp_path, args)["trajectory_xy"]
+    # padded 5% a side, the tank spans 1/1.1 of the 582 x 340 px plot area
+    assert '<rect x="88.45" y="49.45" width="529.09" height="309.09"' in svg
+    assert [d[:len(start)] for d in re.findall(r' d="([^"]*)"', svg)] == [start, start]
+
+
+FAR_VALUES = st.builds(lambda sign, v: sign * v, st.sampled_from([-1, 1]),
+                       st.floats(1e300, 1.79e308))
+OUTLINE = re.compile(r'<rect x="([^"]*)" y="([^"]*)" width="([^"]*)" height="([^"]*)" fill="none"')
+
+
+def pads_to_finite(lo, hi):
+    """Whether lo..hi padded 5% a side ends within the float range, in exact arithmetic."""
+    pad = (Fraction(hi) - Fraction(lo)) / 20
+    return max(abs(Fraction(lo) - pad), abs(Fraction(hi) + pad)) < Fraction(1.79e308)
+
+
+@settings(FUZZ, max_examples=20)
+@given(st.data())
+def test_far_tank_bounds_and_poses_draw_or_fail_cleanly(data):
+    cfg = preset("nominal")
+    lo, hi = ([data.draw(st.just(v) | FAR_VALUES) for v in ends[:2]]
+              for ends in (cfg.tank_min, cfg.tank_max))
+    # each robot coordinate at a tank end, where the preset has it, or far off
+    pose_u, pose_s = ([data.draw(st.sampled_from([lo[k], hi[k], v]) | FAR_VALUES)
+                       for k, v in enumerate(pose[:2])]
+                      for pose in (cfg.initial_pose_u, cfg.initial_pose_s))
+    args = ["run", "--preset", "nominal", "--set", "duration=2"]
+    for key, value in (("tank_min", [*lo, cfg.tank_min[2]]), ("tank_max", [*hi, cfg.tank_max[2]]),
+                       ("initial_pose_u", [*pose_u, *cfg.initial_pose_u[2:]]),
+                       ("initial_pose_s", [*pose_s, *cfg.initial_pose_s[2:]])):
+        args += ["--set", f"{key}={json.dumps(value)}"]
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        out = Path(tmp) / "bundle"
+        code = main(args + ["--out", str(out)])
+        assert code in (0, 2), args
+        if code == 2:
+            return
+        svgs = [path.read_text() for path in (out / "plots").glob("*.svg")]
+    for svg in svgs:
+        assert not re.search(r"\b(?:inf|nan)\b", svg, re.IGNORECASE), args
+        for path in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}path"):
+            assert DATA_PATH.fullmatch(path.get("d")), args
+    if all(pads_to_finite(a, b) for a, b in zip(lo, hi)):
+        # padded 5% a side, the tank spans 1/1.1 of the 582 x 340 px plot area
+        outlines = [OUTLINE.search(svg) for svg in svgs if "planar trajectories" in svg]
+        assert [m.groups() for m in outlines] == [("88.45", "49.45", "529.09", "309.09")], args
+
+
+@pytest.mark.parametrize("args, plot, labels", [
+    # a command axis one subnormal step wide halves to no width: it falls back to 0..1
+    (["--preset", "nominal", "--set", "params_u.velocity_bound_linear=5e-324",
+      "--set", "params_s.velocity_bound_linear=5e-324"],
+     "velocity_vs_time", ["0", "0.2", "0.4", "0.6", "0.8", "1"]),
+    # a tank one float step wide at y = 1: its axis is ticked at its ends only
+    (["--preset", "nominal", "--set", "tank_min=[1,1,-2.66]",
+      "--set", "tank_max=[1.0000000000000002,1.0000000000000002,0]",
+      "--set", "initial_pose_u=[1,1,-1,0,0,0]", "--set", "initial_pose_s=[1,1,0]"],
+     "trajectory_xy", ["1", "1"]),
+], ids=["halves_to_nothing", "one_step_wide"])
+def test_an_axis_too_narrow_to_tick_through_draws(tmp_path, args, plot, labels):
+    assert tick_labels(bundle_svgs(tmp_path, args)[plot])[1] == labels
 
 
 @pytest.mark.parametrize("args, axis", [
