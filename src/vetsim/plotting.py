@@ -6,8 +6,10 @@ planar trajectories, separation over time, commanded velocities over time
 and tether state over time. Perturbation and camera-blackout intervals show
 up as shaded spans on the time plots. Each series is one path drawn at
 display resolution, not with every tick, in integer hundredths of a pixel (see
-``_series_path``). A position more than 2**24 hundredths of a pixel out, as an
-overflow to inf, is drawn at that bound, so no number printed is inf.
+``_series_path``), and a point that lies strictly inside the segment between its
+neighbours is not printed: the drawn lines are the same, in fewer bytes. A
+position more than 2**24 hundredths of a pixel out, as an overflow to inf, is
+drawn at that bound, so no number printed is inf.
 """
 
 from __future__ import annotations
@@ -156,6 +158,20 @@ def _grid(qx, qy, starts):
     return keep
 
 
+def _corners(q, opens):
+    """Mask of the points of ``q`` (int64 hundredths, runs opening at ``opens``) that
+    are not strictly inside the segment between their neighbours, where the step in
+    ``u`` and the step out ``v`` have ``u x v == 0`` and ``u . v > 0``. A point where
+    the path doubles back stays, and so does each run's first and last. With ``|q|``
+    at most 2**24, steps fit in 2**25 and products in 2**50: the test is exact."""
+    step = np.diff(q, axis=0)
+    u, v = step[:-1], step[1:]
+    inside = np.r_[False, (u[:, 0] * v[:, 1] == u[:, 1] * v[:, 0]) & ((u * v).sum(axis=1) > 0),
+                   False]
+    inside[opens] = inside[opens[1:] - 1] = False
+    return ~inside
+
+
 @np.errstate(over="ignore", invalid="ignore")  # overflow gives inf, as with Python floats
 def _series_path(frame: _Frame, xs, ys, color: str, dash=None, thin=None) -> list:
     """One path at display resolution, with a subpath per run of finite points.
@@ -165,8 +181,11 @@ def _series_path(frame: _Frame, xs, ys, color: str, dash=None, thin=None) -> lis
     then relative ``l dx dy`` steps. ``thin`` masks the points drawn, judged on those
     hundredths so that a log read back from its CSV draws the same ones: M4 (Jugel
     et al., PVLDB 7(10), 2014), the default, for time series draws the raster of
-    every point; ``_grid`` for x-y paths keeps each dropped one within 1 px. A series
-    is mapped, thinned and printed once, whatever its runs.
+    every point; ``_grid`` for x-y paths keeps each dropped one within 1 px. Of the
+    points kept, ``_corners`` then drops each that lies strictly inside the segment
+    between its neighbours, tested exactly on the hundredths: the lines drawn, their
+    length and so the dash phase stay as they were. A series is mapped, thinned and
+    printed once, whatever its runs.
     """
     dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
     finite = np.r_[False, np.isfinite(xs) & np.isfinite(ys), False]
@@ -177,6 +196,7 @@ def _series_path(frame: _Frame, xs, ys, color: str, dash=None, thin=None) -> lis
     q = np.clip(np.rint(np.column_stack((frame.px(xs[drawn]), frame.py(ys[drawn]))) * 100),
                 -_FAR, _FAR).astype(np.int64)
     kept = np.flatnonzero((thin or _m4)(q[:, 0], q[:, 1], starts))
+    kept = kept[_corners(q[kept], np.searchsorted(kept, starts))]
     q, opens = q[kept], np.searchsorted(kept, starts)
     steps = np.diff(q, axis=0, prepend=0)
     steps[opens] = q[opens]

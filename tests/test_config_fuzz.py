@@ -9,6 +9,7 @@ import io
 import json
 import math
 import tempfile
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -120,6 +121,20 @@ def test_cli_overrides_run_or_fail_cleanly(case, duration, mode):
         code = main(args + ["--out", str(out)])
         assert code in (0, 2, 3), overrides
         assert out.exists() == (code == 0), overrides
+        if code == 0:
+            for name in ("summary.json", "config_echo.json"):
+                json.loads((out / name).read_text(), parse_constant=_refuse)
+            svgs = {path.name: path.read_text() for path in (out / "plots").glob("*.svg")}
+            for svg in svgs.values():
+                ET.fromstring(svg)
+            again = Path(tmp) / "replot"
+            assert main(["plot", "--run", str(out), "--out", str(again)]) == 0, overrides
+            assert {path.name: path.read_text()
+                    for path in (again / "plots").glob("*.svg")} == svgs, overrides
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
 
 
 @pytest.fixture(scope="module")

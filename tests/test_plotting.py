@@ -106,20 +106,43 @@ def time_plots(log, other):
     }
 
 
-def column_summary(points):
-    """Per pixel column: the first and last point and the lowest and highest y."""
-    out = {}
-    for col in np.unique(np.floor(points[:, 0])):
-        pts = points[np.floor(points[:, 0]) == col]
-        out[col] = (tuple(pts[0]), tuple(pts[-1]), pts[:, 1].min(), pts[:, 1].max())
-    return out
+def m4_points(points):
+    """The points M4 keeps of a run: per pixel column, in order, its first and last
+    point and the first point at its lowest and at its highest y."""
+    col = np.floor(points[:, 0])
+    keep = set()
+    for c in np.unique(col):
+        at = np.flatnonzero(col == c)
+        keep |= {at[0], at[-1], at[np.argmin(points[at, 1])], at[np.argmax(points[at, 1])]}
+    return points[sorted(keep)]
+
+
+def hundredths(line):
+    return np.rint(line * 100).astype(np.int64)
+
+
+def drop_inner(q):
+    """The points of integer (n, 2) q but those strictly inside the segment between
+    their two neighbours: the step in and the step out are parallel and point the
+    same way. The first and last point stay."""
+    q = q.tolist()
+    out = q[:1]
+    for (ax, ay), (bx, by), (cx, cy) in zip(q, q[1:], q[2:]):
+        ux, uy, vx, vy = bx - ax, by - ay, cx - bx, cy - by
+        if not (ux * vy == uy * vx and ux * vx + uy * vy > 0):
+            out.append([bx, by])
+    return np.array(out + q[1:][-1:], dtype=np.int64).reshape(-1, 2)
 
 
 def test_m4_keeps_every_columns_first_last_min_and_max(monkeypatch):
     rng = np.random.default_rng(3)
     # 40 ticks per pixel column, none near a column edge except the first and
-    # last tick, so the printed x of every point names its column
-    inner = (np.arange(COLUMNS)[:, None] + (np.arange(40) + 0.5) / 40).ravel()
+    # last tick, so the printed x of every point names its column; in every
+    # seventh column all 40 share one time, so that a path drawn there runs up and
+    # down one vertical line and, where a series is flat, stays on one point
+    offsets = np.tile((np.arange(40) + 0.5) / 40, (COLUMNS, 1))
+    offsets[::7] = 0.5
+    inner = (np.arange(COLUMNS)[:, None] + offsets).ravel()
     t = np.r_[0.0, inner, float(COLUMNS)]
     log, other = synthetic_log(t, rng), synthetic_log(t, rng)
     decimated = time_plots(log, other)
@@ -129,7 +152,8 @@ def test_m4_keeps_every_columns_first_last_min_and_max(monkeypatch):
         lines, full = polylines(svg), polylines(reference[name][0])
         assert len(lines) == len(full) == sum(finite_runs(log.t, s) for s in series), name
         for line, every in zip(lines, full):
-            assert column_summary(line) == column_summary(every), name
+            # M4's points, less those strictly inside their neighbours' segment
+            assert np.array_equal(hundredths(line), drop_inner(hundredths(m4_points(every)))), name
         assert sum(map(len, lines)) < sum(map(len, full)) / 5, name  # decimation engaged
 
 
@@ -149,6 +173,50 @@ def test_thinning_on_int64_hundredths_keeps_the_points_float64_does(data):
     for thin in (plotting._m4, plotting._grid):
         expected = thin(qx.astype(np.float64), qy.astype(np.float64), starts)
         assert np.array_equal(thin(qx, qy, starts), expected), thin.__name__
+
+
+def pieces(n_max):
+    """Integer x-y points: lines (flat, a ramp or a tie, with any integer step),
+    lines out and back along themselves, lines broken by a gap, lone points between
+    gaps, and gaps in x, in y or in both."""
+    point = st.integers(-60, 60)
+    step = st.integers(-3, 3)
+    line = st.builds(lambda x, y, dx, dy, k: [(x + i * dx, y + i * dy) for i in range(k)],
+                     point, point, step, step, st.integers(1, 8))
+    out_and_back = line.map(lambda pts: pts + pts[-2::-1])
+    broken = line.flatmap(lambda pts: st.integers(0, len(pts)).map(
+        lambda i: pts[:i] + [(math.nan, math.nan)] + pts[i:]))
+    lone = st.tuples(point, point).map(lambda p: [(math.nan, 0), p, (0, math.nan)])
+    gap = st.sampled_from([[(math.nan, math.nan)], [(math.nan, 1)], [(1, math.nan)]])
+    parts = st.lists(st.one_of(line, out_and_back, broken, lone, gap), min_size=1, max_size=n_max)
+    return parts.map(lambda parts: np.array([p for part in parts for p in part], dtype=float))
+
+
+@settings(FUZZ, max_examples=300)
+@given(pieces(12), st.sampled_from([plotting._m4, plotting._grid]),
+       st.sampled_from([1, 100, 10**6]))
+def test_a_path_prints_the_thinned_points_but_those_inside_their_neighbours(points, thin, scale):
+    # one data unit is one pixel, so a point's hundredths are exact integers; a
+    # scale of 10**6 puts points past the 2**24 clip bound
+    frame = plotting._Frame((0.0, 582.0), (0.0, 340.0))
+    xs, ys = points[:, 0] * scale, points[:, 1] * scale
+    drawn = plotting._series_path(frame, xs, ys, "#000000", thin=thin)
+    decoded = [hundredths(line) for line in polylines("".join(drawn))]
+    q = np.clip(np.column_stack((6200 + 100 * xs, 37400 - 100 * ys)), -2 ** 24, 2 ** 24)
+    finite = np.flatnonzero(np.isfinite(q).all(axis=1))
+    runs = [r for r in np.split(finite, np.flatnonzero(np.diff(finite) != 1) + 1) if len(r) >= 2]
+    assert len(decoded) == len(runs)
+    if not runs:
+        return
+    # the thinning mask over the drawn points together, each run opening a column
+    # or cell of its own
+    qd = q[np.concatenate(runs)].astype(np.int64)
+    starts = np.cumsum([0] + [len(r) for r in runs[:-1]])
+    keep = np.split(thin(qd[:, 0], qd[:, 1], starts), starts[1:])
+    for line, run_, kept in zip(decoded, runs, keep):
+        assert np.array_equal(line, drop_inner(q[run_][kept].astype(np.int64)))
+        assert (line[0] == q[run_[0]]).all() and (line[-1] == q[run_[-1]]).all()
+        assert len(drop_inner(line)) == len(line)  # no printed point is inside its neighbours
 
 
 def test_a_log_read_back_from_its_csv_draws_the_same_points():
@@ -424,6 +492,10 @@ def test_dense_gaps_draw_as_the_per_run_loop_did(monkeypatch):
     k = np.arange(n)
     path = np.column_stack([1.4 + 2.0 * np.sin(k / 900), 0.8 + 1.5 * np.sin(k / 450),
                             rng.normal(0.0, 0.01, (n, 4))])
+    path[1000:1600, 0] = path[1000, 0]  # up and down one line, turning back 19 times
+    path[1000:1600, 1] = path[1000, 1] + 0.3 * np.sin(np.arange(600) / 5)
+    for step in range(10):  # a staircase of jumps and pauses: points that repeat
+        path[2000 + 20 * step:2020 + 20 * step, :2] = path[2000, :2] + 0.1 * step
     commands = dropped(log.u_total_u)
     log = dataclasses.replace(
         log, xi_us=dropped(log.xi_us), xi_su=dropped(log.xi_su), u_total_u=commands,
@@ -448,7 +520,7 @@ def test_dense_gaps_draw_as_the_per_run_loop_did(monkeypatch):
         lines, expected_lines = polylines(svg), polylines(reference[name][0])
         assert len(lines) == len(expected_lines), name
         for line, expected_line in zip(lines, expected_lines):
-            assert np.array_equal(line, expected_line), name
+            assert np.array_equal(hundredths(line), drop_inner(hundredths(expected_line))), name
         if series:
             assert len(polylines(svg)) == sum(finite_runs(log.t, s) for s in series), name
     expected = sum(finite_runs(pose[:, 0], pose[:, 1]) for pose in (log.pose_u, log.pose_s))
