@@ -122,16 +122,16 @@ def hundredths(line):
 
 
 def drop_inner(q):
-    """The points of integer (n, 2) q but those strictly inside the segment between
-    their two neighbours: the step in and the step out are parallel and point the
-    same way. The first and last point stay."""
+    """The points of an integer (n, 2) line of two points or more but those strictly
+    inside the segment between their two neighbours: the step in and the step out
+    are parallel and point the same way. The first and last point stay."""
     q = q.tolist()
     out = q[:1]
     for (ax, ay), (bx, by), (cx, cy) in zip(q, q[1:], q[2:]):
         ux, uy, vx, vy = bx - ax, by - ay, cx - bx, cy - by
         if not (ux * vy == uy * vx and ux * vx + uy * vy > 0):
             out.append([bx, by])
-    return np.array(out + q[1:][-1:], dtype=np.int64).reshape(-1, 2)
+    return np.array(out + q[-1:], dtype=np.int64)
 
 
 def test_m4_keeps_every_columns_first_last_min_and_max(monkeypatch):
@@ -265,6 +265,14 @@ DATA_PATH = re.compile(
     rf"(?:M{_INT}{_SEP}{_INT}l{_INT}{_SEP}{_INT}(?:{_SEP}{_INT}{_SEP}{_INT})*)+")
 
 
+def assert_well_formed(svg, name):
+    """The SVG parses, holds no inf or nan token, and every path is in integers."""
+    assert not re.search(r"\b(?:inf|nan)\b", svg, re.IGNORECASE), name
+    for path in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}path"):
+        assert path.get("transform") == "scale(.01)", name
+        assert DATA_PATH.fullmatch(path.get("d")), name
+
+
 @pytest.mark.parametrize("case", CASES + ("far_values",))
 def test_every_svg_is_well_formed_with_integer_paths(case, tmp_path):
     if case == "far_values":
@@ -272,10 +280,7 @@ def test_every_svg_is_well_formed_with_integer_paths(case, tmp_path):
     else:
         svgs = _draw(case, tmp_path)
     for name, svg in svgs.items():
-        assert not re.search(r"\b(?:inf|nan)\b", svg, re.IGNORECASE), name
-        for path in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}path"):
-            assert path.get("transform") == "scale(.01)", name
-            assert DATA_PATH.fullmatch(path.get("d")), name
+        assert_well_formed(svg, name)
 
 
 def tick_labels(svg):
@@ -305,13 +310,12 @@ def test_a_tank_too_wide_to_pad_plots_on_unit_axes(tmp_path):
 
 def bundle_svgs(tmp_path, args):
     """The SVGs of a 2 s run with the given arguments, which must exit 0, each
-    checked to parse and to hold no inf or nan token."""
+    checked to be well formed."""
     out = tmp_path / "bundle"
     assert main(["run", "--set", "duration=2", *args, "--out", str(out)]) == 0
     svgs = {path.stem: path.read_text() for path in (out / "plots").glob("*.svg")}
     for name, svg in svgs.items():
-        ET.fromstring(svg)
-        assert not re.search(r"\b(?:inf|nan)\b", svg, re.IGNORECASE), name
+        assert_well_formed(svg, name)
     return svgs
 
 
@@ -367,9 +371,7 @@ def test_far_tank_bounds_and_poses_draw_or_fail_cleanly(data):
             return
         svgs = [path.read_text() for path in (out / "plots").glob("*.svg")]
     for svg in svgs:
-        assert not re.search(r"\b(?:inf|nan)\b", svg, re.IGNORECASE), args
-        for path in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}path"):
-            assert DATA_PATH.fullmatch(path.get("d")), args
+        assert_well_formed(svg, args)
     if all(pads_to_finite(a, b) for a, b in zip(lo, hi)):
         # padded 5% a side, the tank spans 1/1.1 of the 582 x 340 px plot area
         outlines = [OUTLINE.search(svg) for svg in svgs if "planar trajectories" in svg]
@@ -492,7 +494,7 @@ def test_dense_gaps_draw_as_the_per_run_loop_did(monkeypatch):
     k = np.arange(n)
     path = np.column_stack([1.4 + 2.0 * np.sin(k / 900), 0.8 + 1.5 * np.sin(k / 450),
                             rng.normal(0.0, 0.01, (n, 4))])
-    path[1000:1600, 0] = path[1000, 0]  # up and down one line, turning back 19 times
+    path[1000:1600, 0] = path[1000, 0]  # up and down one line, turning back at each peak
     path[1000:1600, 1] = path[1000, 1] + 0.3 * np.sin(np.arange(600) / 5)
     for step in range(10):  # a staircase of jumps and pauses: points that repeat
         path[2000 + 20 * step:2020 + 20 * step, :2] = path[2000, :2] + 0.1 * step
