@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
-from .frames import flat_transform, rotate, wrap_angle
-from .perception import CameraModel
+from .frames import TWO_PI, flat_transform, rotate
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,11 @@ class PdGains:
     def __post_init__(self) -> None:
         if len(self.kp) != 3 or len(self.kd) != 3:
             raise ValueError("kp and kd are per-axis vectors of length 3")
+
+    @cached_property
+    def flat(self) -> tuple:
+        """(kp, kd), made once: the form the tick reads."""
+        return self.kp, self.kd
 
 
 def uniform_pd(kp: float, kd: float) -> PdGains:
@@ -60,17 +65,17 @@ class DepthAttitudeState(NamedTuple):
     dtheta: float
 
 
-def subtask_control_underwater(
-    measured: DepthAttitudeState, target: tuple, gains: PdGains
-) -> list:
-    """PD on depth, roll and pitch toward target (z, phi, theta), gains in that
-    order; the x, y and yaw outputs are exactly zero: no sub-task drives them."""
-    kp, kd = gains.kp, gains.kd
+def subtask_control_underwater(measured: DepthAttitudeState, target: tuple, gains: tuple) -> list:
+    """PD on depth, roll and pitch toward target (z, phi, theta), gains the
+    PdGains.flat in that order; the x, y and yaw outputs are exactly zero: no
+    sub-task drives them. The angle errors are wrapped by frames.wrap_angle's
+    expression, written out."""
+    (kp0, kp1, kp2), (kd0, kd1, kd2) = gains
     z, phi, theta, dz, dphi, dtheta = measured
     z_d, phi_d, theta_d = target
-    uz = kp[0] * (z_d - z) + kd[0] * -dz
-    uphi = kp[1] * wrap_angle(phi_d - phi) + kd[1] * -dphi
-    utheta = kp[2] * wrap_angle(theta_d - theta) + kd[2] * -dtheta
+    uz = kp0 * (z_d - z) + kd0 * -dz
+    uphi = kp1 * (math.pi - (math.pi - (phi_d - phi)) % TWO_PI) + kd1 * -dphi
+    utheta = kp2 * (math.pi - (math.pi - (theta_d - theta)) % TWO_PI) + kd2 * -dtheta
     return [0.0, 0.0, uz, uphi, utheta, 0.0]
 
 
@@ -79,7 +84,7 @@ def subtask_control_surface(
     rotation: tuple,
     nu,
     target: tuple,
-    gains: PdGains,
+    gains: tuple,
     speed_limit: float | None,
 ) -> list:
     """Planar PD toward the waypoint target (x, y, psi), expressed in the body
@@ -89,17 +94,20 @@ def subtask_control_surface(
     (frames.flat_transform) and nu the body velocity (u, v, r). The position
     error and the damping on the world-frame velocity are formed in the
     world frame and rotated into the body frame (commands are body-frame
-    velocity-valued); gains are 3-axis. A speed_limit not None clips ux, uy.
+    velocity-valued); gains are the 3-axis PdGains.flat, and the yaw error
+    is wrapped by frames.wrap_angle's expression, written out. A speed_limit
+    not None clips ux, uy.
     """
+    (kp0, kp1, kp2), (kd0, kd1, kd2) = gains
     x, y, psi = pose
     x_d, y_d, psi_d = target
     c, s = rotation[0], rotation[3]
     u, v, r = nu
-    ux_w = gains.kp[0] * (x_d - x) - gains.kd[0] * (c * u - s * v)
-    uy_w = gains.kp[1] * (y_d - y) - gains.kd[1] * (s * u + c * v)
+    ux_w = kp0 * (x_d - x) - kd0 * (c * u - s * v)
+    uy_w = kp1 * (y_d - y) - kd1 * (s * u + c * v)
     ux = c * ux_w + s * uy_w
     uy = -s * ux_w + c * uy_w
-    upsi = gains.kp[2] * wrap_angle(psi_d - psi) - gains.kd[2] * r
+    upsi = kp2 * (math.pi - (math.pi - (psi_d - psi)) % TWO_PI) - kd2 * r
     if speed_limit is not None:
         ux = min(max(ux, -speed_limit), speed_limit)
         uy = min(max(uy, -speed_limit), speed_limit)
@@ -142,18 +150,26 @@ class VetGains:
         if self.rate_time_constant < 0:
             raise ValueError("rate_time_constant must be non-negative")
 
+    @cached_property
+    def flat(self) -> tuple:
+        """The nine fields in declaration order, made once: the form the tick
+        reads."""
+        return (self.k_safe_p, self.k_elastic_p, self.k_elastic_d, self.k_psi,
+                self.u_max_x, self.u_max_y, self.yield_fraction, self.hold_half_life,
+                self.rate_time_constant)
+
 
 VET_START = (None, None, (0.0, 0.0), (0.0, 0.0, 0.0), 1.0)
 """The tether law's state before its first tick, in vet_law's layout."""
 
 
-def vet_law(obs: tuple, yaw: float, t: float, state: tuple, gains: VetGains,
-            cam: CameraModel) -> tuple:
+def vet_law(obs: tuple, yaw: float, t: float, state: tuple, gains: tuple, cam: tuple) -> tuple:
     """One tick of the elastic tether law at time t.
 
     obs is the camera's observation of the tag (perception.observe, or
     perception.UNSEEN when it is not detected) and yaw the relative yaw from
-    project_tag; cam only normalises the centre rate. state is the law's
+    project_tag; gains is VetGains.flat, and cam the CameraModel.flat whose
+    half-extents only normalise the centre rate. state is the law's
     memory, the plain tuple (last_center, last_time, rate, held_command,
     held_weight): the centre seen on the last tick (None if it was not
     detected) and that tick's time, the low-passed centre rate (rx, ry), and
@@ -170,12 +186,14 @@ def vet_law(obs: tuple, yaw: float, t: float, state: tuple, gains: VetGains,
     """
     center, error, region, penetration, _ = obs
     last_center, last_time, (rx, ry), held_command, held_weight = state
+    (k_safe_p, k_elastic_p, k_elastic_d, k_psi, bx, by, yield_fraction, hold_half_life,
+     rate_time_constant) = gains
     if center is None:
         if last_time is None:
             factor = 0.0
         else:
             dt = max(t - last_time, 0.0)
-            factor = 0.5 ** (dt / gains.hold_half_life)
+            factor = 0.5 ** (dt / hold_half_life)
         hx, hy, hpsi = held_command
         held = (hx * factor, hy * factor, hpsi * factor)
         weight = 1.0 - (1.0 - held_weight) * factor
@@ -185,58 +203,58 @@ def vet_law(obs: tuple, yaw: float, t: float, state: tuple, gains: VetGains,
     if last_center is not None:
         dt = t - last_time
         if dt > 0.0:
-            raw_x = (center[0] - last_center[0]) / (cam.width / 2.0) / dt
-            raw_y = (center[1] - last_center[1]) / (cam.height / 2.0) / dt
-            alpha = dt / (gains.rate_time_constant + dt)
+            _, _, _, _, half_w, half_v = cam
+            raw_x = (center[0] - last_center[0]) / half_w / dt
+            raw_y = (center[1] - last_center[1]) / half_v / dt
+            alpha = dt / (rate_time_constant + dt)
             rx = rx + alpha * (raw_x - rx)
             ry = ry + alpha * (raw_y - ry)
     else:
         rx = ry = 0.0
 
     if region == "safe":
-        ux = gains.k_safe_p * ex
-        uy = gains.k_safe_p * ey
+        ux = k_safe_p * ex
+        uy = k_safe_p * ey
     elif region == "elastic":
-        ux = gains.k_elastic_p * ex + gains.k_elastic_d * rx
-        uy = gains.k_elastic_p * ey + gains.k_elastic_d * ry
+        ux = k_elastic_p * ex + k_elastic_d * rx
+        uy = k_elastic_p * ey + k_elastic_d * ry
     else:
         norm = math.sqrt(ex * ex + ey * ey)
         if norm > 1e-12:
-            ux = gains.u_max_x * (ex / norm)
-            uy = gains.u_max_y * (ey / norm)
+            ux = bx * (ex / norm)
+            uy = by * (ey / norm)
         else:
             ux = uy = 0.0
     # clipped as VehicleModel.allocate clips: a NaN and -0.0 pass unchanged
-    bx, by = gains.u_max_x, gains.u_max_y
     command = (
         bx if ux > bx else -bx if ux < -bx else ux,
         by if uy > by else -by if uy < -by else uy,
-        gains.k_psi * yaw,
+        k_psi * yaw,
     )
 
-    w = 1.0 - penetration / gains.yield_fraction
+    w = 1.0 - penetration / yield_fraction
     weight = 1.0 if w > 1.0 else 0.0 if w < 0.0 else w
     return command, weight, (center, t, (rx, ry), command, weight)
 
 
-def baseline_ibvs(obs: tuple, yaw: float, gains: VetGains) -> tuple:
+def baseline_ibvs(obs: tuple, yaw: float, gains: tuple) -> tuple:
     """One-way visual servo: the follower's camera-frame command
     (u_x, u_y, u_psi). The leader gets no tether input in this mode.
 
-    obs and yaw as in vet_law. Uniform proportional gain on obs's error over
-    the whole image, no region logic, no derivative term; detection loss
-    commands zero immediately.
+    obs, yaw and gains (VetGains.flat) as in vet_law. Uniform proportional
+    gain on obs's error over the whole image, no region logic, no derivative
+    term; detection loss commands zero immediately.
     """
     center, error, _, _, _ = obs
     if center is None:
         return (0.0, 0.0, 0.0)
     ex, ey = error
-    bx, by = gains.u_max_x, gains.u_max_y
-    ux, uy = gains.k_elastic_p * ex, gains.k_elastic_p * ey
+    _, k_elastic_p, _, k_psi, bx, by, _, _, _ = gains
+    ux, uy = k_elastic_p * ex, k_elastic_p * ey
     return (
         bx if ux > bx else -bx if ux < -bx else ux,
         by if uy > by else -by if uy < -by else uy,
-        gains.k_psi * yaw,
+        k_psi * yaw,
     )
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +39,13 @@ class CameraModel:
         if self.width <= 0 or self.height <= 0 or self.focal_length <= 0:
             raise ValueError("camera dimensions and focal length must be positive")
 
+    @cached_property
+    def flat(self) -> tuple:
+        """(mount.flat, width, height, focal_length, width / 2.0, height / 2.0),
+        made once: the form the tick reads."""
+        return (self.mount.flat, self.width, self.height, self.focal_length,
+                self.width / 2.0, self.height / 2.0)
+
 
 @dataclass(frozen=True)
 class TagModel:
@@ -54,6 +62,11 @@ class TagModel:
     def __post_init__(self) -> None:
         if self.side <= 0:
             raise ValueError("tag side must be positive")
+
+    @cached_property
+    def flat(self) -> tuple:
+        """(mount.flat, side, side / 2.0), made once: the form the tick reads."""
+        return self.mount.flat, self.side, self.side / 2.0
 
 
 @dataclass(frozen=True)
@@ -100,11 +113,13 @@ _UNSEEN_TAG = (UNSEEN, 0.0)
 run loop's for a blanked camera."""
 
 
-def project_tag(observer: tuple, target: tuple, cam: CameraModel, tag: TagModel) -> tuple:
+def project_tag(observer: tuple, target: tuple, cam: tuple, tag: tuple) -> tuple:
     """Project the target robot's tag into the observer's camera and measure it.
 
     observer and target are the two bodies' flat transforms, (nine row-major
-    body-to-world rotation floats, (x, y, z)), as frames.flat_transform gives.
+    body-to-world rotation floats, (x, y, z)), as frames.flat_transform gives;
+    cam and tag are the observer's CameraModel.flat and the target's
+    TagModel.flat.
 
     Returns (observation, yaw) for a detected tag: observe's tuple, from the
     centre, mean side length and mean diagonal of the projected corners a,
@@ -114,7 +129,7 @@ def project_tag(observer: tuple, target: tuple, cam: CameraModel, tag: TagModel)
     with a zero yaw, for a tag with a corner less than _MIN_DEPTH in front
     of the camera or outside the image, or with a NaN in its pose.
     """
-    (c0, c1, c2, c3, c4, c5, c6, c7, c8), (cx, cy, cz) = cam.mount.flat
+    ((c0, c1, c2, c3, c4, c5, c6, c7, c8), (cx, cy, cz)), width, height, f, half_w, half_v = cam
     (o0, o1, o2, o3, o4, o5, o6, o7, o8), (ox, oy, oz) = observer
     # world_from_cam = observer body-to-world composed with the camera mount
     w0 = o0 * c0 + o1 * c3 + o2 * c6
@@ -130,7 +145,7 @@ def project_tag(observer: tuple, target: tuple, cam: CameraModel, tag: TagModel)
     wy = o3 * cx + o4 * cy + o5 * cz + oy
     wz = o6 * cx + o7 * cy + o8 * cz + oz
 
-    (g0, g1, g2, g3, g4, g5, g6, g7, g8), (gx, gy, gz) = tag.mount.flat
+    ((g0, g1, g2, g3, g4, g5, g6, g7, g8), (gx, gy, gz)), _, h = tag
     (r0, r1, r2, r3, r4, r5, r6, r7, r8), (tx, ty, tz) = target
     # the tag's x and y axes and its centre, in the world frame
     ax = r0 * g0 + r1 * g3 + r2 * g6
@@ -156,12 +171,8 @@ def project_tag(observer: tuple, target: tuple, cam: CameraModel, tag: TagModel)
 
     # corners a, b, c, d as in TagModel, at -hx - hy, hx - hy, hx + hy and
     # -hx + hy from the tag centre; the first one out of view ends it
-    h = tag.side / 2.0
     hx0, hx1, hx2 = h * xa0, h * xa1, h * xa2
     hy0, hy1, hy2 = h * ya0, h * ya1, h * ya2
-    f = cam.focal_length
-    width, height = cam.width, cam.height
-    half_w, half_v = width / 2.0, height / 2.0
     if (da := -hx2 - hy2 + p2) < _MIN_DEPTH:
         return _UNSEEN_TAG
     ua, va = f * (-hx0 - hy0 + p0) / da + half_w, f * (-hx1 - hy1 + p1) / da + half_v
@@ -195,9 +206,10 @@ def project_tag(observer: tuple, target: tuple, cam: CameraModel, tag: TagModel)
     return observe(center, l_bar, h_bar, cam), math.pi - (math.pi - math.atan2(xa1, xa0)) % TWO_PI
 
 
-def observe(center, l_bar: float, h_bar: float, cam: CameraModel) -> tuple:
+def observe(center, l_bar: float, h_bar: float, cam: tuple) -> tuple:
     """Measure a detected tag once, from its centre, mean side length and
-    mean diagonal in pixels, as project_tag takes them off the corners.
+    mean diagonal in pixels, as project_tag takes them off the corners, in
+    the camera whose CameraModel.flat is cam.
 
     Returns the plain tuple (center, error, region, penetration, xi): the
     tag centre (cx, cy) in pixels; error, its offset from the image centre
@@ -213,8 +225,7 @@ def observe(center, l_bar: float, h_bar: float, cam: CameraModel) -> tuple:
     is everything else. Every pixel receives exactly one label.
     """
     x, y = center
-    w, v = cam.width, cam.height
-    half_w, half_v = w / 2.0, v / 2.0
+    _, w, v, _, half_w, half_v = cam
     lo_x, hi_x = (w - l_bar) / 2.0, (w + l_bar) / 2.0
     lo_y, hi_y = (v - l_bar) / 2.0, (v + l_bar) / 2.0
     if lo_x < x < hi_x and lo_y < y < hi_y:

@@ -189,7 +189,11 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
     flat row buffer; after the loop, _log_from_table, the constructor
     log_from_csv shares, makes the log of that row table and derives its
     events and saturated totals.
-    A ScenarioConfig is checked when it is made, so run() trusts it.
+    A ScenarioConfig is checked when it is made, so run() trusts it, and it
+    reads every constant the tick needs before the first tick: the cameras',
+    tags' and gains' flat forms (CameraModel.flat, TagModel.flat,
+    VetGains.flat and PdGains.flat), which the tick functions take in place
+    of the config objects, so no tick reads a config attribute.
     """
     dt = config.dt
     n_steps = config.steps
@@ -199,11 +203,12 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
     model_u = VehicleModel(config.params_u)
     model_s = VehicleModel(config.params_s)
     walls = _WallClamp(config.tank_min, config.tank_max)
-    cam_u, cam_s = config.camera_u, config.camera_s
-    tag_u, tag_s = config.tag_u, config.tag_s
-    mount_u = cam_u.mount.flat[0]
-    mount_s = cam_s.mount.flat[0]
-    gains, pd_u, pd_s = config.vet, config.pd_u, config.pd_s
+    # every constant the tick reads, in the flat forms the tick functions take
+    cam_u, cam_s = config.camera_u.flat, config.camera_s.flat
+    tag_u, tag_s = config.tag_u.flat, config.tag_s.flat
+    mount_u = config.camera_u.mount.flat[0]
+    mount_s = config.camera_s.mount.flat[0]
+    gains, pd_u, pd_s = config.vet.flat, config.pd_u.flat, config.pd_s.flat
     blanked, wrenches = _time_inputs(config, ts)
 
     pose_u = tuple(float(v) for v in config.initial_pose_u)

@@ -191,10 +191,10 @@ def _check_region_partition():
     cam = _up_camera()
     for x in range(0, 641, 1):
         for y in range(0, 481, 7):
-            _, _, region, _, _ = observe((float(x), float(y)), 48.0, 66.0, cam)
+            _, _, region, _, _ = observe((float(x), float(y)), 48.0, 66.0, cam.flat)
             assert region in REGIONS
     for y in range(0, 481, 1):
-        _, _, region, _, _ = observe((117.0, float(y)), 48.0, 66.0, cam)
+        _, _, region, _, _ = observe((117.0, float(y)), 48.0, 66.0, cam.flat)
         assert region in REGIONS
 
 
@@ -210,10 +210,10 @@ def _check_translation_invariance():
 
     rng = np.random.default_rng(2)
     with mock.patch.object(perception, "observe", measure):
-        project_tag(flat_transform((0.0, 0.0, -1.0, 0.0, 0.0, 0.0)), tf_s, cam, tag_s)
+        project_tag(flat_transform((0.0, 0.0, -1.0, 0.0, 0.0, 0.0)), tf_s, cam.flat, tag_s.flat)
         for _ in range(50):
             dx, dy = rng.uniform(-0.35, 0.35, 2)
-            project_tag(flat_transform((dx, dy, -1.0, 0.0, 0.0, 0.0)), tf_s, cam, tag_s)
+            project_tag(flat_transform((dx, dy, -1.0, 0.0, 0.0, 0.0)), tf_s, cam.flat, tag_s.flat)
     (l0, h0), *moved = sizes
     assert len(moved) == 50
     for l1, h1 in moved:
@@ -257,8 +257,8 @@ def _check_velocity_bound():
 
 def _check_zero_at_center():
     # a 40 px square tag image centred in the frame
-    obs = observe((320.0, 240.0), 40.0, math.hypot(40.0, 40.0), _up_camera())
-    cmd, _, _ = vet_law(obs, 0.0, 0.0, VET_START, VetGains(), _up_camera())
+    obs = observe((320.0, 240.0), 40.0, math.hypot(40.0, 40.0), _up_camera().flat)
+    cmd, _, _ = vet_law(obs, 0.0, 0.0, VET_START, VetGains().flat, _up_camera().flat)
     assert np.all(np.abs(cmd) <= 1e-9)
 
 
@@ -274,12 +274,12 @@ def _check_direction_symmetry():
         dx, dy = r * math.cos(bearing), r * math.sin(bearing)
         tf_u = flat_transform((dx, dy, -1.0, 0.0, 0.0, heading))
         tf_s = flat_transform((0.0, 0.0, heading))
-        obs_us, yaw_us = project_tag(tf_u, tf_s, cam_u, tag_s)
-        obs_su, yaw_su = project_tag(tf_s, tf_u, cam_s, tag_u)
+        obs_us, yaw_us = project_tag(tf_u, tf_s, cam_u.flat, tag_s.flat)
+        obs_su, yaw_su = project_tag(tf_s, tf_u, cam_s.flat, tag_u.flat)
         if obs_us is UNSEEN or obs_su is UNSEEN:
             continue
-        cmd_us, _, _ = vet_law(obs_us, yaw_us, 0.0, VET_START, gains, cam_u)
-        cmd_su, _, _ = vet_law(obs_su, yaw_su, 0.0, VET_START, gains, cam_s)
+        cmd_us, _, _ = vet_law(obs_us, yaw_us, 0.0, VET_START, gains.flat, cam_u.flat)
+        cmd_su, _, _ = vet_law(obs_su, yaw_su, 0.0, VET_START, gains.flat, cam_s.flat)
         c, s = math.cos(heading), math.sin(heading)
         rot = np.array([[c, -s], [s, c]])
         world_u = rot @ camera_to_body(cmd_us, cam_u.mount.flat[0], 6)[:2]
@@ -301,11 +301,11 @@ def _check_elastic_decay():
     region = None
     for k in range(1200):
         tf_u = flat_transform((x, 0.0, -1.0, 0.0, 0.0, 0.0))
-        obs, yaw = project_tag(tf_u, flat_transform((0.0, 0.0, 0.0)), cam, tag_s)
+        obs, yaw = project_tag(tf_u, flat_transform((0.0, 0.0, 0.0)), cam.flat, tag_s.flat)
         _, _, region, _, xi = obs
         assert xi <= last_xi + 1e-9
         last_xi = xi
-        cmd, _, state = vet_law(obs, yaw, k * dt, state, gains, cam)
+        cmd, _, state = vet_law(obs, yaw, k * dt, state, gains.flat, cam.flat)
         x += dt * float(cmd[0])
     assert region == "safe"
 

@@ -166,7 +166,7 @@ def test_the_vision_probe_matches_the_reference(mode, reference, monkeypatch):
     def leader_weights(obs, *args, _law=scenario.vet_law):
         out = _law(obs, *args)
         center, _, _, _, _ = obs
-        if args[-1] is cfg.camera_s and center is None:
+        if args[-1] is cfg.camera_s.flat and center is None:
             held.append(out[1])
         return out
 

@@ -21,7 +21,7 @@ from vetsim.control import (
     uniform_pd,
     vet_law,
 )
-from vetsim.frames import RigidTransform, flat_transform
+from vetsim.frames import RigidTransform, flat_transform, wrap_angle
 from vetsim.perception import UNSEEN, CameraModel, TagModel, observe, project_tag
 
 FLIP_X = ((1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0))
@@ -39,7 +39,7 @@ def down_camera():
 def seen(cx, cy, cam, half=20.0):
     """The observation of a detected axis-aligned square tag image centred at
     (cx, cy), its sides 2 * half pixels long, as project_tag measures one."""
-    return observe((cx, cy), 2.0 * half, math.hypot(2.0 * half, 2.0 * half), cam)
+    return observe((cx, cy), 2.0 * half, math.hypot(2.0 * half, 2.0 * half), cam.flat)
 
 
 def wide_gains(**overrides):
@@ -54,7 +54,7 @@ def wide_gains(**overrides):
 def surface_command(pose, nu, target, gains, speed_limit=None):
     """subtask_control_surface at a pose tuple, with its rotation."""
     return subtask_control_surface(
-        pose, flat_transform(pose)[0], nu, target, gains, speed_limit
+        pose, flat_transform(pose)[0], nu, target, gains.flat, speed_limit
     )
 
 
@@ -62,7 +62,7 @@ def test_depth_error_anchor():
     gains = uniform_pd(0.5, 0.15)
     state = DepthAttitudeState(z=-1.5, phi=0.0, theta=0.0, dz=0.0, dphi=0.0, dtheta=0.0)
     target = (-1.0, 0.0, 0.0)  # (z, phi, theta)
-    u = subtask_control_underwater(state, target, gains)
+    u = subtask_control_underwater(state, target, gains.flat)
     assert u[2] == pytest.approx(0.25)
     assert [u[0], u[1], u[5]] == [0.0, 0.0, 0.0]
 
@@ -73,15 +73,34 @@ def test_attitude_errors_wrap():
         z=-1.0, phi=-math.pi + 0.1, theta=0.0, dz=0.0, dphi=0.0, dtheta=0.0
     )
     target = (-1.0, math.pi - 0.1, 0.0)
-    u = subtask_control_underwater(state, target, gains)
+    u = subtask_control_underwater(state, target, gains.flat)
     assert u[3] == pytest.approx(-0.2)  # short way round, not 2*pi - 0.2
+
+
+@pytest.mark.parametrize("target, measured", [
+    (0.3, 0.0), (math.pi - 0.1, -math.pi + 0.1), (-math.pi, 0.0), (0.0, math.pi),
+    (3.0 * math.pi / 2, 0.25), (-7.5, 2.0), (1e6, -1e6),
+])
+def test_the_pds_wrap_their_angle_errors_as_wrap_angle_does(target, measured):
+    """Both PDs write frames.wrap_angle's expression out: with unit
+    proportional gains and no damping, their angle outputs are wrap_angle of
+    the error bit for bit, the -pi boundary included."""
+    gains = uniform_pd(1.0, 0.0).flat
+    wrapped = wrap_angle(target - measured)
+    state = DepthAttitudeState(z=0.0, phi=measured, theta=measured, dz=0.0, dphi=0.0, dtheta=0.0)
+    u = subtask_control_underwater(state, (0.0, target, target), gains)
+    assert u[3] == u[4] == wrapped
+    pose = (0.0, 0.0, measured)
+    u = subtask_control_surface(pose, flat_transform(pose)[0], ZERO, (0.0, 0.0, target), gains,
+                                None)
+    assert u[2] == wrapped
 
 
 def test_underwater_x_y_and_yaw_outputs_are_zero_for_any_gains():
     # the gains are (z, phi, theta) only: no gain can reach the other three axes
     gains = PdGains((0.7, 1.3, 2.1), (0.4, 0.9, 1.7))
     state = DepthAttitudeState(z=-1.5, phi=0.2, theta=-0.3, dz=0.1, dphi=-0.2, dtheta=0.3)
-    u = subtask_control_underwater(state, (-1.0, 0.0, 0.0), gains)
+    u = subtask_control_underwater(state, (-1.0, 0.0, 0.0), gains.flat)
     assert all(v != 0.0 for v in u[2:5])
     assert [u[0], u[1], u[5]] == [0.0, 0.0, 0.0]
     assert u[2] == pytest.approx(0.7 * 0.5 - 0.4 * 0.1)
@@ -144,7 +163,7 @@ def test_tether_command_is_zero_at_the_image_centre():
     obs = seen(320.0, 240.0, cam)
     _, _, region, _, _ = obs
     assert region == "safe"
-    u, weight, _ = vet_law(obs, 0.0, 0.0, VET_START, VetGains(), cam)
+    u, weight, _ = vet_law(obs, 0.0, 0.0, VET_START, VetGains().flat, cam.flat)
     np.testing.assert_allclose(u, 0.0, atol=1e-9)
     assert weight == 1.0
 
@@ -155,7 +174,7 @@ def test_elastic_gain_anchor():
     obs = seen(480.0, 240.0, cam)
     _, _, region, _, _ = obs
     assert region == "elastic"
-    u, _, _ = vet_law(obs, 0.0, 0.0, VET_START, wide_gains(), cam)
+    u, _, _ = vet_law(obs, 0.0, 0.0, VET_START, wide_gains().flat, cam.flat)
     assert u[0] == pytest.approx(0.5)
     assert u[1] == pytest.approx(0.0)
 
@@ -165,7 +184,7 @@ def test_safe_region_uses_the_weaker_gain():
     obs = seen(330.0, 240.0, cam, half=40.0)  # l_bar 80, inside the safe box
     _, _, region, _, _ = obs
     assert region == "safe"
-    u, _, _ = vet_law(obs, 0.0, 0.0, VET_START, wide_gains(), cam)
+    u, _, _ = vet_law(obs, 0.0, 0.0, VET_START, wide_gains().flat, cam.flat)
     assert u[0] == pytest.approx(0.5 * 10.0 / 320.0)
 
 
@@ -174,7 +193,7 @@ def test_danger_region_commands_the_bound_along_the_error():
     obs = seen(20.0, 240.0, cam)
     _, _, region, _, _ = obs
     assert region == "danger"
-    u, _, _ = vet_law(obs, 0.0, 0.0, VET_START, VetGains(), cam)
+    u, _, _ = vet_law(obs, 0.0, 0.0, VET_START, VetGains().flat, cam.flat)
     assert abs(u[0]) == pytest.approx(0.1)
     assert u[0] < 0.0
     assert u[1] == pytest.approx(0.0, abs=1e-12)
@@ -185,14 +204,14 @@ def test_danger_region_with_no_error_commands_only_the_yaw():
     # l_bar / 2 is above zero for any tag it measures
     obs = ((320.0, 240.0), (0.0, 0.0), "danger", 1.5, 0.0)
     gains = VetGains(k_psi=0.5)
-    u, weight, _ = vet_law(obs, 0.4, 0.0, VET_START, gains, up_camera())
+    u, weight, _ = vet_law(obs, 0.4, 0.0, VET_START, gains.flat, up_camera().flat)
     assert u == (0.0, 0.0, gains.k_psi * 0.4)
     assert weight == 0.0
 
 
 def test_command_clips_per_axis():
     cam = up_camera()
-    u, _, _ = vet_law(seen(480.0, 240.0, cam), 0.0, 0.0, VET_START, VetGains(), cam)
+    u, _, _ = vet_law(seen(480.0, 240.0, cam), 0.0, 0.0, VET_START, VetGains().flat, cam.flat)
     assert u[0] == pytest.approx(0.1)  # 0.5 raw, clipped to u_max
 
 
@@ -216,8 +235,9 @@ def test_tether_laws_clip_bit_for_bit_and_pass_nan(case):
     error, expected = CLIP_CASES[case]
     obs = ((320.0, 240.0), (error, error), "safe", 0.0, 0.0)
     cam = up_camera()
-    vet, _, _ = vet_law(obs, 0.0, 0.0, VET_START, VetGains(k_safe_p=1.0, k_elastic_p=2.0), cam)
-    base = baseline_ibvs(obs, 0.0, VetGains(k_elastic_p=1.0))
+    gains = VetGains(k_safe_p=1.0, k_elastic_p=2.0)
+    vet, _, _ = vet_law(obs, 0.0, 0.0, VET_START, gains.flat, cam.flat)
+    base = baseline_ibvs(obs, 0.0, VetGains(k_elastic_p=1.0).flat)
     for got in (*vet[:2], *base[:2]):
         if math.isnan(expected):
             assert math.isnan(got)
@@ -228,7 +248,7 @@ def test_tether_laws_clip_bit_for_bit_and_pass_nan(case):
 def test_yaw_gain_acts_on_the_relative_yaw():
     cam = up_camera()
     u, _, _ = vet_law(
-        seen(320.0, 240.0, cam), 0.4, 0.0, VET_START, VetGains(k_psi=0.5), cam
+        seen(320.0, 240.0, cam), 0.4, 0.0, VET_START, VetGains(k_psi=0.5).flat, cam.flat
     )
     assert u[2] == pytest.approx(0.2)
 
@@ -236,18 +256,18 @@ def test_yaw_gain_acts_on_the_relative_yaw():
 def test_lost_detection_holds_and_decays_the_command():
     gains = VetGains()  # hold_half_life 0.5 s
     cam = up_camera()
-    u0, _, state = vet_law(seen(480.0, 240.0, cam), 0.0, 0.0, VET_START, gains, cam)
+    u0, _, state = vet_law(seen(480.0, 240.0, cam), 0.0, 0.0, VET_START, gains.flat, cam.flat)
     assert u0[0] == pytest.approx(0.1)
 
-    lost1, _, state = vet_law(UNSEEN, 0.0, 0.5, state, gains, cam)
+    lost1, _, state = vet_law(UNSEEN, 0.0, 0.5, state, gains.flat, cam.flat)
     assert lost1[0] == pytest.approx(0.05)
 
-    lost2, _, state = vet_law(UNSEEN, 0.0, 1.0, state, gains, cam)
+    lost2, _, state = vet_law(UNSEEN, 0.0, 1.0, state, gains.flat, cam.flat)
     assert lost2[0] == pytest.approx(0.025)
 
 
 def test_lost_detection_with_no_history_commands_zero():
-    u, weight, _ = vet_law(UNSEEN, 0.0, 0.0, VET_START, VetGains(), up_camera())
+    u, weight, _ = vet_law(UNSEEN, 0.0, 0.0, VET_START, VetGains().flat, up_camera().flat)
     assert list(u) == [0.0, 0.0, 0.0]
     assert weight == 1.0
 
@@ -257,20 +277,20 @@ def test_hold_weight_relaxes_toward_full_subtask():
     gains = VetGains(yield_fraction=0.2)
     cam = up_camera()
     # deep in the elastic band: the leader is yielding (weight < 1)
-    _, _, state = vet_law(seen(560.0, 240.0, cam), 0.0, 0.0, VET_START, gains, cam)
+    _, _, state = vet_law(seen(560.0, 240.0, cam), 0.0, 0.0, VET_START, gains.flat, cam.flat)
     _, _, _, _, held_weight = state
     assert held_weight < 1.0
-    _, weight, _ = vet_law(UNSEEN, 0.0, 0.5, state, gains, cam)
+    _, weight, _ = vet_law(UNSEEN, 0.0, 0.5, state, gains.flat, cam.flat)
     assert held_weight < weight < 1.0
 
 
 def test_rate_damping_opposes_closing_motion():
     gains = wide_gains()
     cam = up_camera()
-    _, _, state = vet_law(seen(480.0, 240.0, cam), 0.0, 0.0, VET_START, gains, cam)
+    _, _, state = vet_law(seen(480.0, 240.0, cam), 0.0, 0.0, VET_START, gains.flat, cam.flat)
     obs = seen(470.0, 240.0, cam)
-    moving, _, _ = vet_law(obs, 0.0, 0.02, state, gains, cam)
-    static, _, _ = vet_law(obs, 0.0, 0.02, VET_START, gains, cam)
+    moving, _, _ = vet_law(obs, 0.0, 0.02, state, gains.flat, cam.flat)
+    static, _, _ = vet_law(obs, 0.0, 0.02, VET_START, gains.flat, cam.flat)
     _, _, region, _, _ = obs
     assert region == "elastic"
     assert moving[0] < static[0]  # error is shrinking, damping pulls back
@@ -279,12 +299,12 @@ def test_rate_damping_opposes_closing_motion():
 def test_rate_filter_resets_after_reacquisition():
     gains = VetGains()
     cam = up_camera()
-    _, _, state = vet_law(seen(480.0, 240.0, cam), 0.0, 0.0, VET_START, gains, cam)
-    _, _, state = vet_law(seen(460.0, 240.0, cam), 0.0, 0.02, state, gains, cam)
+    _, _, state = vet_law(seen(480.0, 240.0, cam), 0.0, 0.0, VET_START, gains.flat, cam.flat)
+    _, _, state = vet_law(seen(460.0, 240.0, cam), 0.0, 0.02, state, gains.flat, cam.flat)
     _, _, rate, _, _ = state
     assert rate != (0.0, 0.0)
-    _, _, state = vet_law(UNSEEN, 0.0, 0.04, state, gains, cam)
-    _, _, state = vet_law(seen(440.0, 240.0, cam), 0.0, 0.06, state, gains, cam)
+    _, _, state = vet_law(UNSEEN, 0.0, 0.04, state, gains.flat, cam.flat)
+    _, _, state = vet_law(seen(440.0, 240.0, cam), 0.0, 0.06, state, gains.flat, cam.flat)
     last_center, _, rate, _, _ = state
     assert rate == (0.0, 0.0)
     assert last_center is not None
@@ -306,23 +326,23 @@ def test_gain_validation():
 # --- one-way baseline ---------------------------------------------------------------
 
 def test_baseline_commands_zero_on_loss():
-    follower = baseline_ibvs(UNSEEN, 0.0, VetGains())
+    follower = baseline_ibvs(UNSEEN, 0.0, VetGains().flat)
     assert list(follower) == [0.0, 0.0, 0.0]
 
 
 def test_baseline_uses_a_uniform_gain_everywhere():
     gains = wide_gains()
     cam = up_camera()
-    near = baseline_ibvs(seen(340.0, 240.0, cam), 0.0, gains)
-    far = baseline_ibvs(seen(480.0, 240.0, cam), 0.0, gains)
+    near = baseline_ibvs(seen(340.0, 240.0, cam), 0.0, gains.flat)
+    far = baseline_ibvs(seen(480.0, 240.0, cam), 0.0, gains.flat)
     assert near[0] == pytest.approx(gains.k_elastic_p * 20.0 / 320.0)
     assert far[0] == pytest.approx(gains.k_elastic_p * 160.0 / 320.0)
 
 
 def test_baseline_is_stateless():
     cam = up_camera()
-    out1 = baseline_ibvs(seen(400.0, 300.0, cam), 0.0, VetGains())
-    out2 = baseline_ibvs(seen(400.0, 300.0, cam), 0.0, VetGains())
+    out1 = baseline_ibvs(seen(400.0, 300.0, cam), 0.0, VetGains().flat)
+    out2 = baseline_ibvs(seen(400.0, 300.0, cam), 0.0, VetGains().flat)
     assert out1 == out2
 
 
@@ -421,14 +441,14 @@ def test_world_frame_tether_commands_are_anti_parallel(r, bearing, heading):
     tag_s = TagModel(0.1, RigidTransform(FLIP_X, ZERO))
 
     tf_u, tf_s = flat_transform(pose_u), flat_transform(pose_s)
-    obs_us, yaw_us = project_tag(tf_u, tf_s, cam_u, tag_s)
-    obs_su, yaw_su = project_tag(tf_s, tf_u, cam_s, tag_u)
+    obs_us, yaw_us = project_tag(tf_u, tf_s, cam_u.flat, tag_s.flat)
+    obs_su, yaw_su = project_tag(tf_s, tf_u, cam_s.flat, tag_u.flat)
     assume(obs_us is not UNSEEN and obs_su is not UNSEEN)
 
     gains = VetGains()
     state = VET_START
-    cmd_us, _, _ = vet_law(obs_us, yaw_us, 0.0, state, gains, cam_u)
-    cmd_su, _, _ = vet_law(obs_su, yaw_su, 0.0, state, gains, cam_s)
+    cmd_us, _, _ = vet_law(obs_us, yaw_us, 0.0, state, gains.flat, cam_u.flat)
+    cmd_su, _, _ = vet_law(obs_su, yaw_su, 0.0, state, gains.flat, cam_s.flat)
 
     rot = np.array(
         [[math.cos(heading), -math.sin(heading)], [math.sin(heading), math.cos(heading)]]
@@ -456,11 +476,11 @@ def test_elastic_stretch_decays_monotonically_in_closed_loop():
     regions = []
     for k in range(1500):
         observer = flat_transform((x, 0.0, -1.0, 0.0, 0.0, 0.0))
-        obs, yaw = project_tag(observer, flat_transform((0.0, 0.0, 0.0)), cam, tag_s)
+        obs, yaw = project_tag(observer, flat_transform((0.0, 0.0, 0.0)), cam.flat, tag_s.flat)
         assert obs is not UNSEEN
         _, _, region, _, xi = obs
         xi_trace.append(xi)
-        u, _, state = vet_law(obs, yaw, k * dt, state, gains, cam)
+        u, _, state = vet_law(obs, yaw, k * dt, state, gains.flat, cam.flat)
         regions.append(region)
         x += dt * u[0]
     assert regions[0] == "elastic"

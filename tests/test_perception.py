@@ -43,7 +43,7 @@ def bottom_tag():
 
 def project(observer, target, cam, tag):
     """project_tag between two pose tuples."""
-    return project_tag(flat_transform(observer), flat_transform(target), cam, tag)
+    return project_tag(flat_transform(observer), flat_transform(target), cam.flat, tag.flat)
 
 
 def geometry(observer, target, cam=None, tag=None):
@@ -94,11 +94,11 @@ def test_geometry_size_survives_cyclic_corner_relabelling():
 
 def test_region_anchors():
     cam = up_camera()
-    _, _, region, _, _ = observe((320.0, 240.0), 100.0, 60.0, cam)
+    _, _, region, _, _ = observe((320.0, 240.0), 100.0, 60.0, cam.flat)
     assert region == "safe"
-    _, _, region, _, _ = observe((100.0, 240.0), 100.0, 60.0, cam)
+    _, _, region, _, _ = observe((100.0, 240.0), 100.0, 60.0, cam.flat)
     assert region == "elastic"
-    _, _, region, _, _ = observe((20.0, 240.0), 100.0, 60.0, cam)
+    _, _, region, _, _ = observe((20.0, 240.0), 100.0, 60.0, cam.flat)
     assert region == "danger"
 
 
@@ -107,7 +107,7 @@ def test_region_partition_covers_every_pixel():
     labels = set()
     for x in range(0, 641, 1):
         for y in range(0, 481, 1):
-            _, _, region, _, _ = observe((float(x), float(y)), 48.0, 66.0, cam)
+            _, _, region, _, _ = observe((float(x), float(y)), 48.0, 66.0, cam.flat)
             labels.add(region)
     assert labels == {"safe", "elastic", "danger"}
 
@@ -119,7 +119,7 @@ def test_region_partition_covers_every_pixel():
     st.floats(1.0, 300.0),
 )
 def test_region_always_classifies(cx, cy, l_bar, h_bar):
-    _, _, label, _, _ = observe((cx, cy), l_bar, h_bar, up_camera())
+    _, _, label, _, _ = observe((cx, cy), l_bar, h_bar, up_camera().flat)
     assert label in ("safe", "elastic", "danger")
 
 
@@ -134,31 +134,31 @@ def test_growing_tag_never_reduces_safety(cx, cy, l_bar, h_bar, grow):
     """A closer (larger) tag can only move the label toward safe."""
     rank = {"danger": 0, "elastic": 1, "safe": 2}
     cam = up_camera()
-    _, _, before, _, _ = observe((cx, cy), l_bar, h_bar, cam)
-    _, _, after, _, _ = observe((cx, cy), l_bar + grow, h_bar, cam)
+    _, _, before, _, _ = observe((cx, cy), l_bar, h_bar, cam.flat)
+    _, _, after, _, _ = observe((cx, cy), l_bar + grow, h_bar, cam.flat)
     assert rank[after] >= rank[before]
 
 
 def test_elastic_penetration_grows_toward_danger():
     cam = up_camera()
     l_bar, h_bar = 48.0, 66.0
-    _, _, _, inner, _ = observe((330.0, 240.0), l_bar, h_bar, cam)
-    _, _, _, deeper, _ = observe((150.0, 240.0), l_bar, h_bar, cam)
+    _, _, _, inner, _ = observe((330.0, 240.0), l_bar, h_bar, cam.flat)
+    _, _, _, deeper, _ = observe((150.0, 240.0), l_bar, h_bar, cam.flat)
     assert inner == 0.0  # still in the safe box
     assert deeper > 0.0
     # at the elastic border the penetration reaches one
-    _, _, _, at_border, _ = observe((float(h_bar), 240.0), l_bar, h_bar, cam)
+    _, _, _, at_border, _ = observe((float(h_bar), 240.0), l_bar, h_bar, cam.flat)
     assert at_border >= 1.0
     # off the centre on both axes the deeper one counts: 96 px of the 150 px
     # band above the safe box, against 96 px of the 230 px band beside it
     for x in (320.0, 200.0):
-        _, _, _, penetration, _ = observe((x, 120.0), l_bar, h_bar, cam)
+        _, _, _, penetration, _ = observe((x, 120.0), l_bar, h_bar, cam.flat)
         assert penetration == pytest.approx(96.0 / 150.0)
 
 
 def test_observation_offsets_are_normalised_by_the_half_extents():
     cam = up_camera()
-    center, error, _, _, xi = observe((480.0, 120.0), 48.0, 66.0, cam)
+    center, error, _, _, xi = observe((480.0, 120.0), 48.0, 66.0, cam.flat)
     assert center == (480.0, 120.0)
     assert error == (0.5, -0.5)
     assert xi == pytest.approx(math.hypot(160.0, 120.0))
@@ -172,11 +172,11 @@ def test_observation_offsets_are_normalised_by_the_half_extents():
 def test_tether_state_anchors():
     cam = up_camera()
     l_bar, h_bar = 40.0, 40.0 * math.sqrt(2.0)
-    _, _, _, _, xi = observe((350.0, 280.0), l_bar, h_bar, cam)
+    _, _, _, _, xi = observe((350.0, 280.0), l_bar, h_bar, cam.flat)
     assert xi == pytest.approx(50.0)
-    _, _, _, _, xi = observe((0.0, 0.0), l_bar, h_bar, cam)
+    _, _, _, _, xi = observe((0.0, 0.0), l_bar, h_bar, cam.flat)
     assert xi == pytest.approx(400.0)
-    _, _, _, _, xi = observe((320.0, 240.0), l_bar, h_bar, cam)
+    _, _, _, _, xi = observe((320.0, 240.0), l_bar, h_bar, cam.flat)
     assert xi == 0.0
 
 
@@ -362,7 +362,7 @@ def test_a_tag_with_one_corner_behind_the_camera_is_the_one_undetected_value(cor
     assert (corners[:, 2] < 0.0).tolist() == [name == corner for name in "abcd"]
     assert np.all((pixels >= 0.0) & (pixels <= (640.0, 480.0)))  # the one behind too
     target = as_flat(homogeneous(turn, (0.0, 0.0, 0.5)))
-    assert project_tag(as_flat(np.eye(4)), target, WIDE_CAMERA, tag) is _UNSEEN_TAG
+    assert project_tag(as_flat(np.eye(4)), target, WIDE_CAMERA.flat, tag.flat) is _UNSEEN_TAG
 
 
 # --- dropout ----------------------------------------------------------------------

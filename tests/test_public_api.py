@@ -20,6 +20,9 @@ UNREFERENCED_ALLOWED = {
                           "a pair of mounts, which is a design check, not a simulation step",
     "pose_from_observation": "acceptance criterion 5 (pose round trip): it recovers the "
                              "observed robot's pose from a tag, which no controller uses",
+    "wrap_angle": "acceptance criterion 5 (angle wrap): the one definition of the (-pi, pi] "
+                  "convention, which the tick writes out inline in perception, control and "
+                  "vehicle and the tests hold those copies to",
     "TrajectoryLog.events": "the log's events as (t, event) pairs: the planned events.jsonl "
                             "of the bundle reads them, perfbench counts them per run, and "
                             "the event tests compare them",

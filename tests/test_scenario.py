@@ -17,7 +17,7 @@ import vetsim.frames as frames
 import vetsim.perception as perception
 import vetsim.scenario as scenario
 import vetsim.vehicle as vehicle
-from vetsim.control import uniform_pd
+from vetsim.control import PdGains, VetGains, uniform_pd
 from vetsim.frames import GimbalSingularity, RigidTransform
 from vetsim.config import (
     ConfigError,
@@ -40,7 +40,7 @@ from vetsim.scenario import (
     run,
 )
 from vetsim.vehicle import Disturbance, VehicleModel
-from vetsim.perception import CameraModel, DropoutModel
+from vetsim.perception import CameraModel, DropoutModel, TagModel
 
 # config_echo.json of every preset in config schema v3; v2/ holds them in schema
 # v2, whose pd_u has six gains per vector (x, y and yaw at 0), and v1/ one echo
@@ -166,6 +166,46 @@ def test_config_round_trips_through_plain_data():
         cfg = preset(name)
         again = ScenarioConfig.from_dict(cfg.to_dict())
         assert again == cfg, name
+
+
+FLAT_PARTS = ("camera_u", "camera_s", "tag_u", "tag_s", "vet", "pd_u", "pd_s")
+
+
+def documented_flat(part):
+    """A config part's flat form in the order its docstring gives."""
+    if isinstance(part, CameraModel):
+        return (part.mount.flat, part.width, part.height, part.focal_length,
+                part.width / 2.0, part.height / 2.0)
+    if isinstance(part, TagModel):
+        return part.mount.flat, part.side, part.side / 2.0
+    if isinstance(part, PdGains):
+        return part.kp, part.kd
+    return tuple(getattr(part, f.name) for f in dataclasses.fields(VetGains))
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES + ("odd_sizes",))
+def test_the_flat_forms_hold_their_fields_once_and_survive_a_round_trip(name):
+    """Each flat form the tick reads is its part's fields in the documented
+    order, made once (the same object on every read), and a to_dict/from_dict
+    round trip gives parts whose flat forms print the same, ints included."""
+    if name == "odd_sizes":
+        base = preset("perturbation_real")
+        cfg = dataclasses.replace(
+            base, camera_u=CameraModel(641, 479, 333.3, base.camera_u.mount),
+            tag_s=TagModel(0.07, base.tag_s.mount),
+            vet=VetGains(0.2, 0.9, 0.05, 0.3, 0.07, 0.11, 0.4, 0.25, 0.03),
+            pd_u=PdGains((0.1, 0.2, 0.3), (0.4, 0.5, 0.6)))
+    else:
+        cfg = preset(name)
+    for attr in FLAT_PARTS:
+        part = getattr(cfg, attr)
+        flat = part.flat
+        assert repr(flat) == repr(documented_flat(part)), attr
+        assert part.flat is flat, attr
+    again = ScenarioConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+    assert again == cfg
+    for attr in FLAT_PARTS:
+        assert repr(getattr(again, attr).flat) == repr(getattr(cfg, attr).flat), attr
 
 
 def test_config_echoes_match_the_recorded_ones():
@@ -812,15 +852,16 @@ def test_each_detected_observation_is_measured_once(monkeypatch):
     log = dropout_run("vet")
     detected = int(log.detected_us.sum() + log.detected_su.sum())
     assert len(cameras) == detected
-    assert cameras.count(log.config.camera_u) == int(log.detected_us.sum())
+    assert cameras.count(log.config.camera_u.flat) == int(log.detected_us.sum())
     assert 0 < detected < 2 * len(log)
 
 
 # Python-level calls per tick of run() on dropout_config, counted by
-# sys.setprofile: 29.73 (vet) and 27.88 (baseline), each tick stage being one
-# body. Wrapping any per-tick step in a helper adds about one call to every
-# tick, which these bounds do not leave room for.
-CALLS_PER_TICK = {"vet": 30.0, "baseline": 28.0}
+# sys.setprofile: 26.73 (vet) and 24.89 (baseline), each tick stage being one
+# body and the PDs writing their angle wraps out. Wrapping any per-tick step
+# in a helper adds about one call to every tick, which these bounds do not
+# leave room for.
+CALLS_PER_TICK = {"vet": 27.0, "baseline": 25.0}
 
 
 @pytest.mark.parametrize("mode", ["vet", "baseline"])
@@ -842,6 +883,34 @@ def test_the_tick_keeps_its_call_budget(mode):
 
 
 @pytest.mark.parametrize("mode", ["vet", "baseline"])
+def test_the_tick_reads_no_config_attribute(monkeypatch, mode):
+    """run() reads the cameras, tags and gains before the first tick, in
+    their flat forms, and no tick reads them again: a 2 s and a 12 s run of
+    dropout_config read the same attributes of CameraModel, TagModel,
+    VetGains and PdGains instances the same number of times."""
+    long = dropout_config(mode)
+    cut = dataclasses.replace(long, duration=2.0)  # the same part objects
+    run(cut)  # each part's flat form is made now, once for both runs
+    reads = {}
+    for cls in (CameraModel, TagModel, VetGains, PdGains):
+        def counted(self, name, _cls=cls):
+            key = (_cls.__name__, name)
+            reads[key] = reads.get(key, 0) + 1
+            return object.__getattribute__(self, name)
+
+        monkeypatch.setattr(cls, "__getattribute__", counted)
+    counts = []
+    for cfg in (cut, long):
+        reads.clear()
+        log = run(cfg)
+        counts.append((dict(reads), len(log)))
+    (cut_reads, cut_ticks), (long_reads, long_ticks) = counts
+    assert long_ticks > 5 * cut_ticks
+    assert ("VetGains", "flat") in cut_reads  # the count does see the reads
+    assert long_reads == cut_reads
+
+
+@pytest.mark.parametrize("mode", ["vet", "baseline"])
 def test_the_leaders_subtask_is_weighted_once_where_it_is_logged(monkeypatch, mode):
     """vet mode logs, and sums, the surface sub-task with its linear
     components times the leader's vet_law weight, bit for bit; baseline mode
@@ -855,7 +924,7 @@ def test_the_leaders_subtask_is_weighted_once_where_it_is_logged(monkeypatch, mo
 
     def tether(*args, _law=scenario.vet_law):
         out = _law(*args)
-        if args[-1] is cfg.camera_s:
+        if args[-1] is cfg.camera_s.flat:
             weights.append(out[1])
         return out
 
@@ -977,7 +1046,7 @@ def test_a_blanked_camera_is_never_projected(monkeypatch, mode):
     upward = []
 
     def counted(observer, target, cam, tag, _original=scenario.project_tag):
-        upward.append(cam is cfg.camera_u)
+        upward.append(cam is cfg.camera_u.flat)
         return _original(observer, target, cam, tag)
 
     monkeypatch.setattr(scenario, "project_tag", counted)
