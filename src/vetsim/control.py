@@ -54,7 +54,8 @@ class DepthAttitudeState(NamedTuple):
     """The underwater robot's own sensed state: depth and attitude only.
 
     This is everything its controller is allowed to know beyond its camera;
-    there is no channel carrying the surface robot's pose.
+    there is no channel carrying the surface robot's pose. The class names
+    the layout: a tick measures it as a plain 6-tuple in this field order.
     """
 
     z: float
@@ -66,7 +67,8 @@ class DepthAttitudeState(NamedTuple):
 
 
 def subtask_control_underwater(measured: DepthAttitudeState, target: tuple, gains: tuple) -> list:
-    """PD on depth, roll and pitch toward target (z, phi, theta), gains the
+    """PD on depth, roll and pitch of measured, any 6-sequence in
+    DepthAttitudeState's field order, toward target (z, phi, theta), gains the
     PdGains.flat in that order; the x, y and yaw outputs are exactly zero: no
     sub-task drives them. The angle errors are wrapped by frames.wrap_angle's
     expression, written out."""
@@ -225,7 +227,7 @@ def vet_law(obs: tuple, yaw: float, t: float, state: tuple, gains: tuple, cam: t
             uy = by * (ey / norm)
         else:
             ux = uy = 0.0
-    # clipped as VehicleModel.allocate clips: a NaN and -0.0 pass unchanged
+    # clipped as VehicleModel.step clips a command: a NaN and -0.0 pass unchanged
     command = (
         bx if ux > bx else -bx if ux < -bx else ux,
         by if uy > by else -by if uy < -by else uy,

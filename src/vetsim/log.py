@@ -146,8 +146,8 @@ def _log_from_table(config: ScenarioConfig, table: np.ndarray, regions: dict) ->
     of its region_us and region_su label lists: the arrays _log_arrays slices; the
     events _event_flags reads off them, the loop columns and config's windows at
     the tick times; and u_total_u and u_total_s, each robot's logged split
-    u_sub + u_xi clipped to its axis_bounds, bit for bit the command run() gave
-    its vehicle."""
+    u_sub + u_xi clipped to its axis_bounds, bit for bit the clipped sum that
+    VehicleModel.step scales by the gain when run() gives it that split."""
     arrays = _log_arrays(table)
     index, *clamps = table[:, -len(_LOOP_COLUMNS):].T
     loop = dict(zip(_LOOP_COLUMNS, (index.astype(int), *(c == 1.0 for c in clamps))))

@@ -38,7 +38,7 @@ import numpy as np
 
 from .config import Lawnmower, ScenarioConfig, Setpoints, planner_waypoints
 from .control import (
-    VET_START, DepthAttitudeState, VetGains, baseline_ibvs, camera_to_body,
+    VET_START, VetGains, baseline_ibvs, camera_to_body,
     subtask_control_surface, subtask_control_underwater, uniform_pd, vet_law,
 )
 from .frames import GimbalSingularity, RigidTransform, euler_rate_rows, flat_transform
@@ -125,17 +125,15 @@ class _WallClamp:
         return (x, y, psi), [c * wx + s * wy, -s * wx + c * wy, r], True
 
 
-def _depth_attitude_state(pose: tuple, nu: list, rotation: tuple,
-                          rates: tuple) -> DepthAttitudeState:
+def _depth_attitude_state(pose: tuple, nu: list, rotation: tuple, rates: tuple) -> tuple:
     """What the underwater robot's own sensors provide: depth and attitude,
-    and their rates, from the tick's rotation and euler_rate_rows."""
+    and their rates, from the tick's rotation and euler_rate_rows, as a plain
+    tuple in control.DepthAttitudeState's field order."""
     _, _, z, phi, theta, _ = pose
     _, _, _, _, _, _, r6, r7, r8 = rotation
     ea, eb, ec, ed, _, _ = rates
     u, v, w, p, q, r = nu
-    return DepthAttitudeState(
-        z, phi, theta, r6 * u + r7 * v + r8 * w, p + ea * q + eb * r, ec * q + ed * r
-    )
+    return z, phi, theta, r6 * u + r7 * v + r8 * w, p + ea * q + eb * r, ec * q + ed * r
 
 
 def _state_at(k: int, row) -> str:
@@ -175,20 +173,20 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
 
     Every per-tick vector is a list or tuple of Python floats, the poses
     included: (x, y, z, phi, theta, psi) and (x, y, psi), the logged layout.
-    Observations and tether states are plain tuples too; the one record
-    built per tick is a DepthAttitudeState. Each tick computes both poses'
-    flat transforms and the underwater pose's Euler-rate rows once;
+    Observations, tether states and the depth/attitude measurement are plain
+    tuples too: no tick builds a record object. Each tick computes both
+    poses' flat transforms and the underwater pose's Euler-rate rows once;
     projection, the depth/attitude measurement, the surface PD and both
     vehicle steps reuse them. Each stage does its work in one body:
     project_tag projects and measures a tag (one observe call on a detected
-    one), the tether law is one vet_law or baseline_ibvs call, and
-    VehicleModel.step integrates a robot (it calls clip_norm only past the
-    velocity bound). A blanked upward camera is not projected but given
-    (UNSEEN, 0.0), as an undetected tag is. VehicleModel.allocate takes each
-    robot's logged split u_sub, u_xi as it is. Each tick's numbers go to one
-    flat row buffer; after the loop, _log_from_table, the constructor
-    log_from_csv shares, makes the log of that row table and derives its
-    events and saturated totals.
+    one), the tether law is one vet_law or baseline_ibvs call, and one
+    VehicleModel.step call actuates a robot: it allocates thrust for the
+    robot's logged split u_sub, u_xi as it is and integrates (it calls
+    clip_norm only past the velocity bound). A blanked upward camera is not
+    projected but given (UNSEEN, 0.0), as an undetected tag is. Each tick's
+    numbers go to one flat row buffer; after the loop, _log_from_table, the
+    constructor log_from_csv shares, makes the log of that row table and
+    derives its events and saturated totals.
     A ScenarioConfig is checked when it is made, so run() trusts it, and it
     reads every constant the tick needs before the first tick: the cameras',
     tags' and gains' flat forms (CameraModel.flat, TagModel.flat,
@@ -284,9 +282,9 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
 
         # actuate; the wall clamp's flags go with the pose it produces
         try:
-            tau_u, tau_s = model_u.allocate(u_sub_u, xi_u), model_s.allocate(u_sub_s, xi_s)
-            pose_u, vel_u = model_u.step(pose_u, vel_u, tau_u, dt, tf_u[0], rates_u, wrenches[k])
-            pose_s, vel_s = model_s.step(pose_s, vel_s, tau_s, dt, tf_s[0])
+            pose_u, vel_u = model_u.step(pose_u, vel_u, u_sub_u, xi_u, dt, tf_u[0], rates_u,
+                                         wrenches[k])
+            pose_s, vel_s = model_s.step(pose_s, vel_s, u_sub_s, xi_s, dt, tf_s[0])
         except (ArithmeticError, ValueError) as exc:
             where = _state_at(k, rows[-_ROW_WIDTH:])  # the tick's logged row
             raise SimFailure(f"integration failed ({exc}) {where}") from exc

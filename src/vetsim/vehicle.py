@@ -16,10 +16,12 @@ damping and stable under stiff damping; the pose then integrates with the
 new velocity. C(nu) is never formed: for a diagonal M it is made of the
 linear momentum a = M1 v and the angular momentum b = M2 w alone, so each
 update reads the momenta directly. In 6-DoF the linear block of the matrix
-is diagonal and is eliminated; in 3-DoF the system has a closed form. Commands are velocity-valued; thrust allocation sums a
-robot's sub-task and tether commands, clips the sum per axis and scales it
-by a constant gain so the steady-state speed approximately equals the
-commanded value.
+is diagonal and is eliminated; in 3-DoF the system has a closed form.
+
+Commands are velocity-valued. A step takes a robot's sub-task and tether
+commands as they are logged and allocates thrust in its own body: it sums
+them, clips the sum per axis and scales it by a constant gain, so the
+steady-state speed approximately equals the commanded value.
 """
 
 from __future__ import annotations
@@ -140,46 +142,34 @@ class VehicleModel:
         self._bound = params.velocity_bound_linear
         self._inside = self._bound * self._bound * _INSIDE_BOUND
 
-    def allocate(self, u_sub, u_xi) -> list:
-        """Body wrench for the sub-task and tether commands (float sequences
-        dof long): their sum, clipped per axis to the axis bounds, through
-        the diagonal gain. A NaN sum passes the clip unchanged. Each axis is
-        written out, one body per model, so no iterator is built per call."""
-        if self.dof == 6:
-            (g0, g1, g2, g3, g4, g5), (b0, b1, b2, b3, b4, b5) = self._gain, self._axis_bounds
-            (s0, s1, s2, s3, s4, s5), (x0, x1, x2, x3, x4, x5) = u_sub, u_xi
-            return [
-                g0 * (b0 if (v := s0 + x0) > b0 else -b0 if v < -b0 else v),
-                g1 * (b1 if (v := s1 + x1) > b1 else -b1 if v < -b1 else v),
-                g2 * (b2 if (v := s2 + x2) > b2 else -b2 if v < -b2 else v),
-                g3 * (b3 if (v := s3 + x3) > b3 else -b3 if v < -b3 else v),
-                g4 * (b4 if (v := s4 + x4) > b4 else -b4 if v < -b4 else v),
-                g5 * (b5 if (v := s5 + x5) > b5 else -b5 if v < -b5 else v),
-            ]
-        (g0, g1, g2), (b0, b1, b2) = self._gain, self._axis_bounds
-        (s0, s1, s2), (x0, x1, x2) = u_sub, u_xi
-        return [
-            g0 * (b0 if (v := s0 + x0) > b0 else -b0 if v < -b0 else v),
-            g1 * (b1 if (v := s1 + x1) > b1 else -b1 if v < -b1 else v),
-            g2 * (b2 if (v := s2 + x2) > b2 else -b2 if v < -b2 else v),
-        ]
-
-    def step(self, pose, nu, tau, dt, rotation, rates=None, wrench=None):
+    def step(self, pose, nu, u_sub, u_xi, dt, rotation, rates=None, wrench=None):
         """Advance one step from a pose tuple, (x, y, z, phi, theta, psi) or
-        (x, y, psi). rotation is the pose's nine body-to-world floats
+        (x, y, psi), under the sub-task and tether commands u_sub and u_xi.
+        rotation is the pose's nine body-to-world floats
         (frames.flat_transform) and, under water, rates its euler_rate_rows:
-        the tick computes both once. nu and tau are float sequences; wrench,
-        read under water only, is None or a world (force, torque) pair of
-        3-sequences. Returns (new pose tuple, new velocity list). Each
-        model's body is written out in full, the velocity solve, the norm
-        bound on the linear velocity and the angle wraps (frames.wrap_angle's
-        expression) included, so a step calls no Python function but
-        clip_norm, and that only on a velocity past the bound."""
+        the tick computes both once. nu, u_sub and u_xi are float sequences
+        dof long; wrench, read under water only, is None or a world (force,
+        torque) pair of 3-sequences. Returns (new pose tuple, new velocity
+        list). The body wrench is the two commands' sum, clipped per axis to
+        the axis bounds and scaled by the diagonal gain; a NaN sum passes the
+        clip unchanged. Each model's body is written out in full, that
+        allocation, the velocity solve, the norm bound on the linear velocity
+        and the angle wraps (frames.wrap_angle's expression) included, so a
+        step calls no Python function but clip_norm, and that only on a
+        velocity past the bound."""
         if self.dof == 6:
             x, y, z, phi, theta, psi = pose
             r0, r1, r2, r3, r4, r5, r6, r7, r8 = rotation
             ea, eb, ec, ed, ee, ef = rates
-            f0, f1, f2, f3, f4, f5 = tau
+            # the body wrench; the solve below binds s0-s5 and b0-b2 anew
+            (g0, g1, g2, g3, g4, g5), (b0, b1, b2, b3, b4, b5) = self._gain, self._axis_bounds
+            (s0, s1, s2, s3, s4, s5), (x0, x1, x2, x3, x4, x5) = u_sub, u_xi
+            f0 = g0 * (b0 if (v := s0 + x0) > b0 else -b0 if v < -b0 else v)
+            f1 = g1 * (b1 if (v := s1 + x1) > b1 else -b1 if v < -b1 else v)
+            f2 = g2 * (b2 if (v := s2 + x2) > b2 else -b2 if v < -b2 else v)
+            f3 = g3 * (b3 if (v := s3 + x3) > b3 else -b3 if v < -b3 else v)
+            f4 = g4 * (b4 if (v := s4 + x4) > b4 else -b4 if v < -b4 else v)
+            f5 = g5 * (b5 if (v := s5 + x5) > b5 else -b5 if v < -b5 else v)
             # a world wrench enters through the transposed rotation
             if wrench is not None:
                 (wx, wy, wz), (tx, ty, tz) = wrench
@@ -256,7 +246,11 @@ class VehicleModel:
         x, y, psi = pose
         # surface Jacobian [[c, -s, 0], [s, c, 0], [0, 0, 1]]
         c, s = rotation[0], rotation[3]
-        f0, f1, f2 = tau
+        (g0, g1, g2), (b0, b1, b2) = self._gain, self._axis_bounds
+        (s0, s1, s2), (x0, x1, x2) = u_sub, u_xi
+        f0 = g0 * (b0 if (v := s0 + x0) > b0 else -b0 if v < -b0 else v)
+        f1 = g1 * (b1 if (v := s1 + x1) > b1 else -b1 if v < -b1 else v)
+        f2 = g2 * (b2 if (v := s2 + x2) > b2 else -b2 if v < -b2 else v)
         m0, m1, m2 = self._mass
         dl0, dl1, dl2 = self._d_lin
         dq0, dq1, dq2 = self._d_quad

@@ -224,11 +224,12 @@ def _underwater_params():
     return preset("nominal").params_u
 
 
-def _step(model, pose, nu, tau, dt):
-    """model.step from a pose tuple, with the rotation and Euler-rate rows
-    a simulation tick computes for it."""
+def _step(model, pose, nu, dt, command=(0.0,) * 6, wrench=None):
+    """model.step from a pose tuple under the sub-task command `command`, a
+    zero tether command and the world (force, torque) wrench, with the
+    rotation and Euler-rate rows a simulation tick computes for it."""
     rates = euler_rate_rows(pose[3], pose[4])
-    return model.step(pose, nu, tau, dt, flat_transform(pose)[0], rates)
+    return model.step(pose, nu, command, [0.0] * 6, dt, flat_transform(pose)[0], rates, wrench)
 
 
 def _check_passivity():
@@ -239,7 +240,7 @@ def _check_passivity():
     pose = (0.0, 0.0, -1.0, 0.05, -0.1, 0.4)
     for _ in range(200):
         nu = rng.uniform(-0.3, 0.3, 6)
-        _, nu2 = _step(model, pose, nu.tolist(), np.zeros(6).tolist(), 0.02)
+        _, nu2 = _step(model, pose, nu.tolist(), 0.02)
         before = 0.5 * float(nu @ (mass * nu))
         after = 0.5 * float(nu2 @ (mass * nu2))
         assert after <= before + 1e-12
@@ -248,10 +249,12 @@ def _check_passivity():
 def _check_velocity_bound():
     params = _underwater_params()
     model = VehicleModel(params)
+    # forcing far past what a command can give, as a world force: at the zero
+    # attitude it starts from, it is the body wrench (80, 50, 20, 0, 0, 0)
     pose = (0.0, 0.0, -1.0, 0.0, 0.0, 0.0)
     nu = np.zeros(6).tolist()
     for _ in range(20):
-        pose, nu = _step(model, pose, nu, np.array([80.0, 50.0, 20.0, 0, 0, 0.0]).tolist(), 0.02)
+        pose, nu = _step(model, pose, nu, 0.02, wrench=((80.0, 50.0, 20.0), (0.0, 0.0, 0.0)))
         assert np.linalg.norm(nu[:3]) <= params.velocity_bound_linear + 1e-12
 
 
@@ -403,7 +406,8 @@ def _integrate_final_pose(dt: float) -> np.ndarray:
                 0.006 * math.sin(2.0 * math.pi * 0.5 * t + 1.3),
             ]
         )
-        pose, nu = _step(model, pose, nu, tau.tolist(), dt)
+        # the command the thrust gain scales to tau, within every bound
+        pose, nu = _step(model, pose, nu, dt, (tau / params.thrust_gain).tolist())
     return np.array(pose)
 
 

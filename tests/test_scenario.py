@@ -630,22 +630,30 @@ def test_saturated_totals_are_the_commands_the_vehicles_got(monkeypatch, mode):
         tank_min=(0.0, -1.0, -2.0), tank_max=(0.45, 0.66, 0.0),
     )
     given = {6: [], 3: []}
+    step = VehicleModel.step
 
-    def recorded(self, *args, _original=VehicleModel.allocate):
-        wrench = _original(self, *args)
-        given[self.dof].append(wrench)
-        return wrench
+    def recorded(self, *args):
+        made = step(self, *args)
+        given[self.dof].append((self, args, made))
+        return made
 
-    monkeypatch.setattr(VehicleModel, "allocate", recorded)
+    monkeypatch.setattr(VehicleModel, "step", recorded)
     log = run(cfg)
     bounds = np.array(cfg.params_u.axis_bounds)
     assert (np.abs(log.u_total_u) == bounds).any()
-    # bit for bit: -0 and the clipped bounds included. The last record's
-    # command never reaches a vehicle: the run ends before that tick's step.
-    for dof, total, params in ((6, log.u_total_u, cfg.params_u), (3, log.u_total_s, cfg.params_s)):
+    # bit for bit, -0 and the clipped bounds included: each step got the
+    # logged split, and makes what it makes of the log's saturated total as
+    # the whole command (x + -0.0 is x). The last record's command never
+    # reaches a vehicle: the run ends before that tick's step.
+    logged = ((6, log.u_sub_u, log.u_xi_u, log.u_total_u), (3, log.u_sub_s, log.u_xi_s, log.u_total_s))
+    for dof, u_sub, u_xi, total in logged:
         assert len(given[dof]) == len(log) - 1
-        expected = total[:-1] * np.array(params.thrust_gain)
-        assert np.array(given[dof]).tobytes() == expected.tobytes()
+        splits = [(s, x) for _, (_, _, s, x, *_), _ in given[dof]]
+        assert np.array(splits).tobytes() == np.stack([u_sub, u_xi], axis=1)[:-1].tobytes()
+        for k, (model, (pose, nu, _, _, *rest), made) in enumerate(given[dof]):
+            again = step(model, pose, nu, total[k].tolist(), [-0.0] * dof, *rest)
+            assert np.array([*again[0], *again[1]]).tobytes() == \
+                np.array([*made[0], *made[1]]).tobytes(), (dof, k)
 
 
 def test_wrenches_sum_the_active_disturbances_in_config_order():
@@ -857,11 +865,12 @@ def test_each_detected_observation_is_measured_once(monkeypatch):
 
 
 # Python-level calls per tick of run() on dropout_config, counted by
-# sys.setprofile: 26.73 (vet) and 24.89 (baseline), each tick stage being one
-# body and the PDs writing their angle wraps out. Wrapping any per-tick step
+# sys.setprofile: 23.74 (vet) and 21.89 (baseline), each tick stage being one
+# body, the PDs writing their angle wraps out, the depth/attitude measurement
+# a plain tuple and one step actuating each robot. Wrapping any per-tick step
 # in a helper adds about one call to every tick, which these bounds do not
 # leave room for.
-CALLS_PER_TICK = {"vet": 27.0, "baseline": 25.0}
+CALLS_PER_TICK = {"vet": 24.0, "baseline": 22.0}
 
 
 @pytest.mark.parametrize("mode", ["vet", "baseline"])
@@ -1015,11 +1024,12 @@ def test_a_tick_transforms_each_pose_once_and_builds_no_pose(monkeypatch, mode):
 def test_the_tick_builds_its_records_as_plain_tuples(monkeypatch):
     """The per-tick records are plain tuples, not record classes: the
     constants _UNSEEN_TAG, UNSEEN and VET_START, and what project_tag,
-    observe (inside it) and vet_law (its new state) give on every tick, so a
-    NamedTuple or dataclass back on the hot path fails here."""
+    observe (inside it), _depth_attitude_state and vet_law (its new state)
+    give on every tick, so a NamedTuple or dataclass back on the hot path
+    fails here."""
     constants = (perception._UNSEEN_TAG, perception.UNSEEN, control.VET_START)
     assert [type(value) for value in constants] == [tuple] * 3
-    outputs = {"project_tag": [], "observe": [], "vet_law": []}
+    outputs = {"project_tag": [], "observe": [], "_depth_attitude_state": [], "vet_law": []}
     for name, made in outputs.items():
         home = perception if name == "observe" else scenario
 
@@ -1028,11 +1038,13 @@ def test_the_tick_builds_its_records_as_plain_tuples(monkeypatch):
             return _made[-1]
 
         monkeypatch.setattr(home, name, recorded)
-    dropout_run("vet")
+    log = dropout_run("vet")
     states = [state for _, _, state in outputs["vet_law"]]
     # both of vet_law's branches ran: seen and held through a dropout
     assert {center is None for center, _, _, _, _ in states} == {True, False}
-    values = outputs["project_tag"] + outputs["observe"] + states
+    measured = outputs["_depth_attitude_state"]
+    assert len(measured) == len(log)  # one per tick
+    values = outputs["project_tag"] + outputs["observe"] + measured + states
     assert {type(value) for value in values} == {tuple}
 
 

@@ -1,6 +1,7 @@
-"""Rigid-body dynamics: allocation and its clip, Coriolis, damping, bounds, energy."""
+"""Rigid-body dynamics: the step's allocation and its clip, Coriolis, damping, bounds, energy."""
 
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -17,11 +18,29 @@ from vetsim.vehicle import (
 )
 
 
-def step(model, pose, nu, tau, dt, **world):
+def advance(model, pose, nu, u_sub, u_xi, dt, **world):
     """VehicleModel.step with the pose tuple's rotation and Euler-rate rows,
     computed as one simulation tick computes them."""
     rates = euler_rate_rows(pose[3], pose[4]) if len(pose) == 6 else None
-    return model.step(pose, nu, tau, dt, flat_transform(pose)[0], rates, **world)
+    return model.step(pose, nu, u_sub, u_xi, dt, flat_transform(pose)[0], rates, **world)
+
+
+# A power of two: tau / GEAR * GEAR is tau for every tau whose quotient is
+# not subnormal, and tau / GEAR lies within every command bound for the
+# wrenches the dynamics tests drive (linear ones up to 819 N).
+GEAR = 2.0 ** 13
+
+
+def step(params, pose, nu, tau, dt, **world):
+    """One step of the vehicle of params driven by the body wrench tau: every
+    thrust gain is GEAR and the sub-task command tau / GEAR, the tether
+    command -0.0, which adds nothing to any float, so the command passes the
+    clip and scales back to tau."""
+    n = params.dof
+    command = [f / GEAR for f in tau]
+    assert all(abs(c) <= b for c, b in zip(command, params.axis_bounds))
+    model = VehicleModel(dataclasses.replace(params, thrust_gain=(GEAR,) * n))
+    return advance(model, pose, nu, command, [-0.0] * n, dt, **world)
 
 
 def params6(**overrides):
@@ -55,24 +74,49 @@ vel3 = st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3)
 
 
 def unit_gain(params):
-    """params with every thrust gain 1, so allocate returns the clipped sum."""
+    """params with every thrust gain 1, so the wrench is the clipped sum."""
     return dataclasses.replace(params, thrust_gain=(1.0,) * params.dof)
+
+
+# The start of the allocation tests: a tilted pose at rest with every
+# velocity -0.0, so each momentum is -0.0, which adds nothing to the
+# wrench's term.
+REST = {6: ((0.0, 0.0, -1.0, 0.1, -0.2, 0.3), [-0.0] * 6), 3: ((0.0, 0.0, 0.3), [-0.0] * 3)}
+
+
+def stepped(params, u_sub, u_xi, nu=None):
+    """The bytes of the pose and velocity one 0.02 s step of the vehicle of
+    params makes from REST, or from REST's pose at the velocity nu, under the
+    commands u_sub and u_xi."""
+    pose, rest = REST[params.dof]
+    new_pose, new_nu = advance(VehicleModel(params), pose, rest if nu is None else nu,
+                               u_sub, u_xi, 0.02)
+    return np.array([*new_pose, *new_nu]).tobytes()
+
+
+def assert_wrench(params, u_sub, u_xi, wrench):
+    """The step of params allocates exactly wrench for u_sub and u_xi: its
+    step from REST is bit for bit the step of an open model under the
+    command wrench. The open model has unit gains and bounds that nothing
+    here reaches, so it takes a command as its wrench, NaN and -0.0 included
+    (x + -0.0 and 1.0 * x are x for every float); from REST neither model's
+    velocity comes near the norm bound."""
+    n = params.dof
+    open_model = dataclasses.replace(params, thrust_gain=(1.0,) * n,
+                                     velocity_bound_linear=1e100, velocity_bound_angular=1e100)
+    assert stepped(params, u_sub, u_xi) == stepped(open_model, wrench, [-0.0] * n)
 
 
 def test_allocation_is_the_diagonal_gain():
     p = params6(thrust_gain=(2.0, 2.0, 2.0, 1.0, 1.0, 1.0))
     u = [0.1, 0.0, 0.0, 0.0, 0.0, 0.2]
-    np.testing.assert_allclose(
-        VehicleModel(p).allocate(u, [0.0] * 6), [0.2, 0.0, 0.0, 0.0, 0.0, 0.2]
-    )
+    assert_wrench(p, u, [0.0] * 6, [0.2, 0.0, 0.0, 0.0, 0.0, 0.2])
 
 
 def test_allocation_sums_disjoint_commands():
     sub = [0.0, 0.0, 0.05, 0.01, 0.0, 0.0]
     xi = [0.02, -0.01, 0.0, 0.0, 0.0, 0.03]
-    assert VehicleModel(unit_gain(params6())).allocate(sub, xi) == [
-        0.02, -0.01, 0.05, 0.01, 0.0, 0.03
-    ]
+    assert_wrench(unit_gain(params6()), sub, xi, [0.02, -0.01, 0.05, 0.01, 0.0, 0.03])
 
 
 @pytest.mark.parametrize("params", [params6(), params3()], ids=["6dof", "3dof"])
@@ -81,7 +125,6 @@ def test_allocation_clips_every_axis_on_both_sides(params):
     sub-task, by the tether command, and by their sum alone: the wrench is
     the gain times the bound, and every other axis stays zero. A sum that
     only one part pushes past the bound is pulled back by the other."""
-    model = VehicleModel(params)
     n = params.dof
     for axis, (g, b) in enumerate(zip(params.thrust_gain, params.axis_bounds)):
         # (sub-task, tether, whether their sum is past the bound)
@@ -93,29 +136,36 @@ def test_allocation_clips_every_axis_on_both_sides(params):
         )
         for sign in (1.0, -1.0):
             for s, x, clips in cases:
-                u_sub, u_xi = [0.0] * n, [0.0] * n
+                u_sub, u_xi, wrench = [0.0] * n, [0.0] * n, [0.0] * n
                 u_sub[axis], u_xi[axis] = sign * s, sign * x
-                wrench = model.allocate(u_sub, u_xi)
-                expected = sign * b if clips else sign * s + sign * x
-                assert wrench[axis] == g * expected, (axis, sign, s, x)
-                assert wrench[:axis] + wrench[axis + 1:] == [0.0] * (n - 1)
+                wrench[axis] = g * (sign * b if clips else sign * s + sign * x)
+                assert_wrench(params, u_sub, u_xi, wrench)
 
 
 @pytest.mark.parametrize("params", [params6(), params3()], ids=["6dof", "3dof"])
 def test_allocation_passes_nan_and_keeps_the_sign_of_zero(params):
-    model = VehicleModel(params)
+    """Read off the step itself, not against the open model, which shares
+    the clip: a NaN spreads through the solve, and a zero's sign shows only
+    where it meets zeros. A NaN command passes the clip: the velocity on its
+    axis is NaN, where a clipped command would leave it finite. -0 + -0 is
+    -0, and the gain keeps it; -0 + 0 is +0: on each axis, some start at
+    REST's pose, with each velocity and each other command a signed zero,
+    makes different steps of the two sums."""
     n = params.dof
+    signed_zeros = list(itertools.product((0.0, -0.0), repeat=n))
     for axis in range(n):
         u_sub = [0.0] * n
         u_sub[axis] = math.nan
-        wrench = model.allocate(u_sub, [0.0] * n)
-        assert math.isnan(wrench[axis]), axis
-        assert wrench[:axis] + wrench[axis + 1:] == [0.0] * (n - 1)
-    # -0 + -0 is -0, and the gain keeps it; -0 + 0 is +0
-    negative = model.allocate([-0.0] * n, [-0.0] * n)
-    assert [math.copysign(1.0, w) for w in negative] == [-1.0] * n
-    positive = model.allocate([-0.0] * n, [0.0] * n)
-    assert [math.copysign(1.0, w) for w in positive] == [1.0] * n
+        _, nu = advance(VehicleModel(params), *REST[n], u_sub, [0.0] * n, 0.02)
+        assert math.isnan(nu[axis]), axis
+        minus, plus = [-0.0] * n, [-0.0] * n
+        plus[axis] = 0.0
+        for nu, others in itertools.product(signed_zeros, signed_zeros):
+            u_sub = [*others[:axis], -0.0, *others[axis + 1:]]
+            if stepped(params, u_sub, minus, nu) != stepped(params, u_sub, plus, nu):
+                break
+        else:
+            pytest.fail(f"no start tells -0 + -0 from -0 + 0 on axis {axis}")
 
 
 finite_command = st.floats(-1.0, 1.0)
@@ -137,7 +187,25 @@ def test_allocation_is_the_clipped_sum_through_the_gain(u_sub, u_xi, gains):
         s, x = u_sub[:n], u_xi[:n]
         expected = np.clip(np.add(s, x), -np.array(params.axis_bounds), params.axis_bounds)
         expected *= params.thrust_gain
-        assert np.array(VehicleModel(params).allocate(s, x)).tobytes() == expected.tobytes()
+        assert_wrench(params, s, x, expected.tolist())
+
+
+command = st.floats() | st.sampled_from([0.0, -0.0, math.nan])
+
+
+@given(st.lists(command, min_size=6, max_size=6), st.lists(command, min_size=6, max_size=6))
+@example([math.nan, -0.0, 0.0, -0.0, 1e308, -math.inf],
+         [0.0, -0.0, math.nan, 0.0, 1e308, math.inf])
+def test_a_step_takes_its_two_commands_as_their_clipped_sum(u_sub, u_xi):
+    """step(..., s, x, ...) is bit for bit step(..., clip(s + x), [-0.0] * n,
+    ...) for any floats, NaN, infinities and signed zeros included: x + -0.0
+    is x for every float, and the clip leaves a clipped sum as it is."""
+    for params in (params6(), params3()):
+        n = params.dof
+        s, x = u_sub[:n], u_xi[:n]
+        with np.errstate(invalid="ignore", over="ignore"):
+            total = np.clip(np.add(s, x), -np.array(params.axis_bounds), params.axis_bounds)
+        assert stepped(params, s, x) == stepped(params, total.tolist(), [-0.0] * n)
 
 
 def skew(a):
@@ -173,18 +241,18 @@ def test_coriolis_produces_no_power_3dof(nu):
 
 
 def test_saturation_anchors():
-    out = VehicleModel(unit_gain(params6())).allocate([0.5, 0.0, 0.0, 0.0, 0.0, -1.0], [0.0] * 6)
-    assert out == [0.1, 0.0, 0.0, 0.0, 0.0, -0.2]
-
-    out3 = VehicleModel(unit_gain(params3())).allocate([0.5, -0.01, -1.0], [0.0] * 3)
-    assert out3 == [0.1, -0.01, -0.2]
+    assert_wrench(unit_gain(params6()), [0.5, 0.0, 0.0, 0.0, 0.0, -1.0], [0.0] * 6,
+                  [0.1, 0.0, 0.0, 0.0, 0.0, -0.2])
+    assert_wrench(unit_gain(params3()), [0.5, -0.01, -1.0], [0.0] * 3, [0.1, -0.01, -0.2])
 
 
 @given(st.lists(st.floats(-3, 3), min_size=6, max_size=6))
 def test_saturation_is_idempotent(u):
-    model = VehicleModel(unit_gain(params6()))
-    once = model.allocate(u, [0.0] * 6)
-    assert model.allocate(once, [0.0] * 6) == once
+    params = unit_gain(params6())
+    bounds = np.array(params.axis_bounds)
+    once = np.clip(np.add(u, [0.0] * 6), -bounds, bounds).tolist()
+    assert_wrench(params, u, [0.0] * 6, once)
+    assert_wrench(params, once, [0.0] * 6, once)
     assert all(abs(v) <= 0.1 + 1e-15 for v in once[:3])
     assert all(abs(v) <= 0.2 + 1e-15 for v in once[3:])
 
@@ -243,7 +311,7 @@ def reference_velocity(nu, tau, params, dt):
 def test_6dof_velocity_update_matches_the_dense_solve(nu, tau):
     p = params6()
     pose = (0.0, 0.0, -1.0, 0.0, 0.0, 0.0)
-    _, nu_new = step(VehicleModel(p), pose, nu, tau, 0.02)
+    _, nu_new = step(p, pose, nu, tau, 0.02)
     np.testing.assert_allclose(nu_new, reference_velocity(nu, tau, p, 0.02), rtol=1e-12, atol=1e-15)
 
 
@@ -254,7 +322,7 @@ def test_6dof_velocity_update_matches_the_dense_solve(nu, tau):
 @example([0.06, 0.08, 0.1], [3.0, 3.0, 0.0])
 def test_3dof_closed_form_matches_the_dense_solve(nu, tau):
     p = params3()
-    _, nu_new = step(VehicleModel(p), (0.0, 0.0, 0.0), nu, tau, 0.02)
+    _, nu_new = step(p, (0.0, 0.0, 0.0), nu, tau, 0.02)
     np.testing.assert_allclose(nu_new, reference_velocity(nu, tau, p, 0.02), rtol=1e-12, atol=1e-15)
 
 
@@ -275,30 +343,28 @@ def test_steady_surge_speed_matches_drag_balance():
     expected = (-d_lin + math.sqrt(d_lin**2 + 4.0 * d_quad * f)) / (2.0 * d_quad)
     assert expected < p.velocity_bound_linear  # below the norm clip
 
-    model = VehicleModel(p)
     pose = (0.0, 0.0, -1.0, 0.0, 0.0, 0.0)
     nu = [0.0] * 6
     tau = [f, 0.0, 0.0, 0.0, 0.0, 0.0]
     for _ in range(3000):
-        pose, nu = step(model, pose, nu, tau, 0.02)
+        pose, nu = step(p, pose, nu, tau, 0.02)
     assert nu[0] == pytest.approx(expected, rel=0.01)
 
 
 def test_pure_heave_advances_depth_by_dt_times_velocity():
     p = params6(damping_linear=(0.0,) * 6, damping_quadratic=(0.0,) * 6)
-    model = VehicleModel(p)
     pose = (0.0, 0.0, -1.0, 0.0, 0.0, 0.0)
     nu = [0.0, 0.0, 0.1, 0.0, 0.0, 0.0]
-    pose2, nu2 = step(model, pose, nu, [0.0] * 6, 0.02)
+    pose2, nu2 = step(p, pose, nu, [0.0] * 6, 0.02)
     assert pose2[2] == pytest.approx(-1.0 + 0.002, abs=1e-15)
     np.testing.assert_allclose(nu2, nu, atol=1e-12)
 
 
 def test_planar_step_integrates_heading():
-    model = VehicleModel(params3(damping_linear=(0.0,) * 3, damping_quadratic=(0.0,) * 3))
+    p = params3(damping_linear=(0.0,) * 3, damping_quadratic=(0.0,) * 3)
     pose = (0.0, 0.0, 0.0)
     nu = [0.0, 0.0, 0.1]
-    pose2, _ = step(model, pose, nu, [0.0] * 3, 0.02)
+    pose2, _ = step(p, pose, nu, [0.0] * 3, 0.02)
     assert pose2[2] == pytest.approx(0.002)
     assert pose2[:2] == (0.0, 0.0)
 
@@ -307,11 +373,10 @@ def test_planar_step_integrates_heading():
 @given(vel6)
 def test_unforced_step_never_gains_energy(nu):
     p = params6()
-    model = VehicleModel(p)
     mass = np.asarray(p.mass)
     pose = (0.0, 0.0, -1.0, 0.1, 0.2, -0.3)
     before = 0.5 * float(np.dot(nu, mass * nu))
-    _, nu2 = step(model, pose, nu, [0.0] * 6, 0.02)
+    _, nu2 = step(p, pose, nu, [0.0] * 6, 0.02)
     after = 0.5 * float(np.dot(nu2, mass * nu2))
     assert after <= before + 1e-12
 
@@ -319,23 +384,21 @@ def test_unforced_step_never_gains_energy(nu):
 @given(st.floats(10.0, 500.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
 def test_velocity_norm_bound_is_exact_under_large_forcing(scale, dy, dz):
     p = params6()
-    model = VehicleModel(p)
     pose = (0.0, 0.0, -1.0, 0.0, 0.0, 0.0)
     nu = [0.0] * 6
     tau = [scale, scale * dy, scale * dz, 0.0, 0.0, 0.0]
     for _ in range(10):
-        pose, nu = step(model, pose, nu, tau, 0.02)
+        pose, nu = step(p, pose, nu, tau, 0.02)
     assert np.linalg.norm(nu[:3]) <= p.velocity_bound_linear + 1e-12
 
 
 def test_planar_linear_norm_bound_under_large_forcing():
     p = params3()
-    model = VehicleModel(p)
     pose = (0.0, 0.0, 0.0)
     nu = [0.0] * 3
     tau = [50.0, 30.0, 0.0]
     for _ in range(10):
-        pose, nu = step(model, pose, nu, tau, 0.02)
+        pose, nu = step(p, pose, nu, tau, 0.02)
     assert np.linalg.norm(nu[:2]) <= p.velocity_bound_linear + 1e-12
 
 
@@ -345,22 +408,20 @@ def test_steady_yaw_rate_matches_drag_balance():
     torque = 0.08
     d_lin, d_quad = p.damping_linear[2], p.damping_quadratic[2]
     expected = (-d_lin + math.sqrt(d_lin**2 + 4.0 * d_quad * torque)) / (2.0 * d_quad)
-    model = VehicleModel(p)
     pose = (0.0, 0.0, 0.0)
     nu = [0.0] * 3
     tau = [0.0, 0.0, torque]
     for _ in range(3000):
-        pose, nu = step(model, pose, nu, tau, 0.02)
+        pose, nu = step(p, pose, nu, tau, 0.02)
     assert nu[2] == pytest.approx(expected, rel=0.01)
 
 
 def test_world_frame_disturbance_enters_through_the_attitude():
     # a world +x push on a yawed vehicle shows up rotated in the body frame
     p = params6(damping_linear=(0.0,) * 6, damping_quadratic=(0.0,) * 6)
-    model = VehicleModel(p)
     pose = (0.0, 0.0, -1.0, 0.0, 0.0, math.pi / 2)
     wrench = ((1.0, 0.0, 0.0), (1.0, 0.0, 0.0))  # a world +x force and torque
-    _, nu = step(model, pose, [0.0] * 6, [0.0] * 6, 0.02, wrench=wrench)
+    _, nu = step(p, pose, [0.0] * 6, [0.0] * 6, 0.02, wrench=wrench)
     # body y axis points along world -x after a +90 degree yaw
     assert nu[0] == pytest.approx(0.0, abs=1e-12)
     assert nu[1] < 0.0
