@@ -237,6 +237,19 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+def _bundle_threshold(run_dir: Path) -> float:
+    """The distance_threshold of a bundle's summary.json; _DEFAULT_THRESHOLD without one."""
+    try:
+        threshold = json.loads((run_dir / "summary.json").read_text())["distance_threshold"]
+    except FileNotFoundError:
+        return _DEFAULT_THRESHOLD
+    except (OSError, ValueError, TypeError, KeyError) as exc:  # a decoding error is a ValueError
+        raise ConfigError(f"cannot read the bundle summary's distance_threshold: {exc!r}") from exc
+    if type(threshold) not in (int, float) or not 0 < threshold <= sys.float_info.max:
+        raise ConfigError(f"bundle distance_threshold is not a positive number: {threshold!r}")
+    return float(threshold)
+
+
 def _cmd_plot(args) -> int:
     run_dir = Path(args.run)
     try:
@@ -257,9 +270,10 @@ def _cmd_plot(args) -> int:
         except UnicodeDecodeError as whole:
             exc = whole
         raise ConfigError(f"bundle trajectory cannot be decoded: {exc}") from exc
+    threshold = _bundle_threshold(run_dir) if args.threshold is None else args.threshold
     out = Path(args.out) if args.out else run_dir
     kinds = PLOT_KINDS if args.kind == "all" else (args.kind,)
-    _commit(_render_plots(log, args.threshold, out, kinds))
+    _commit(_render_plots(log, threshold, out, kinds))
     print(f"plots written to {out / 'plots'}")
     return 0
 
@@ -310,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_plot.add_argument("--out", help="write plots somewhere else")
     p_plot.add_argument(
-        "--threshold", type=_positive_float, default=_DEFAULT_THRESHOLD,
-        help="threshold line drawn on the distance plot",
+        "--threshold", type=_positive_float,
+        help="threshold line drawn on the distance plot (default: the bundle's own)",
     )
     p_plot.set_defaults(func=_cmd_plot)
     return parser

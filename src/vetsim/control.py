@@ -227,7 +227,7 @@ def vet_law(obs: tuple, yaw: float, t: float, state: tuple, gains: tuple, cam: t
             uy = by * (ey / norm)
         else:
             ux = uy = 0.0
-    # clipped as VehicleModel.step clips a command: a NaN and -0.0 pass unchanged
+    # clipped as the vehicle steps clip a command: a NaN and -0.0 pass unchanged
     command = (
         bx if ux > bx else -bx if ux < -bx else ux,
         by if uy > by else -by if uy < -by else uy,

@@ -121,6 +121,7 @@ _ROW_WIDTH = len(_TABLE_CELLS)
 # Row-table columns ahead of the xi offsets, which are NaN by design on
 # undetected ticks: time, poses, commands and detection flags.
 _FINITE_WIDTH = _TABLE_CELLS.index(("xi_us", 0))
+_PROJ_DIST = _TABLE_CELLS.index(("proj_dist", 0))
 # The CSV's columns in order, (field, kind, index in the field, row-table column
 # or None), and its rows as loadtxt reads them: float cells as float64, others text.
 _CSV_CELLS = [(name, kind, i, None if kind is str else _TABLE_CELLS.index((name, i)))
@@ -147,7 +148,7 @@ def _log_from_table(config: ScenarioConfig, table: np.ndarray, regions: dict) ->
     events _event_flags reads off them, the loop columns and config's windows at
     the tick times; and u_total_u and u_total_s, each robot's logged split
     u_sub + u_xi clipped to its axis_bounds, bit for bit the clipped sum that
-    VehicleModel.step scales by the gain when run() gives it that split."""
+    its step function scales by the gain when run() gives it that split."""
     arrays = _log_arrays(table)
     index, *clamps = table[:, -len(_LOOP_COLUMNS):].T
     loop = dict(zip(_LOOP_COLUMNS, (index.astype(int), *(c == 1.0 for c in clamps))))
@@ -158,10 +159,14 @@ def _log_from_table(config: ScenarioConfig, table: np.ndarray, regions: dict) ->
 
 
 def _first_non_finite(table: np.ndarray) -> tuple | None:
-    """(row, column) of the row table's first NaN or infinity, row-major, in the
-    columns run() and log_from_csv both hold finite; None if there is none."""
-    finite = np.isfinite(table[:, :_FINITE_WIDTH])
-    return None if finite.all() else divmod(int(finite.argmin()), _FINITE_WIDTH)
+    """(row, row-table column) of the row table's first NaN or infinity,
+    row-major, in the columns run() and log_from_csv both hold finite: the
+    _FINITE_WIDTH leading ones and projDist; None if there is none."""
+    finite, finite_dist = np.isfinite(table[:, :_FINITE_WIDTH]), np.isfinite(table[:, _PROJ_DIST])
+    if finite.all() and finite_dist.all():
+        return None
+    k = int((finite.all(axis=1) & finite_dist).argmin())
+    return k, (_PROJ_DIST if finite[k].all() else int(finite[k].argmin()))
 
 
 def _runs(mask: np.ndarray) -> tuple:
@@ -234,10 +239,10 @@ def log_from_csv(lines: Iterable[str], config: ScenarioConfig) -> TrajectoryLog:
     header may end in "\r\n"; a chunk is searched for blank lines only when its
     least line sorts below "\x0e", as every blank line does. A row of the wrong
     length, a flag not 0 or 1 or a cell loadtxt does not read as a number is a
-    ConfigError naming its row, and a time, pose or command that is NaN or
-    infinite, which run() never writes, one naming its row and column; so is a
-    row count or a time that config's duration and dt could not give, or
-    columns that disagree (_check_columns). A file longer than config's row
+    ConfigError naming its row, and a time, pose, command or projDist that is
+    NaN or infinite, which run() never writes, one naming its row and column;
+    so is a row count or a time that config's duration and dt could not give,
+    or columns that disagree (_check_columns). A file longer than config's row
     count is read at most one chunk past its end.
     """
     stripped = operator.methodcaller("rstrip", "\r\n")  # "" for a blank line, which is skipped
@@ -268,8 +273,8 @@ def log_from_csv(lines: Iterable[str], config: ScenarioConfig) -> TrajectoryLog:
             else:
                 _rescan(chunk, lo)  # a flag is neither 0 nor 1
     if (bad := _first_non_finite(table[:hi])) is not None:
-        k, c = bad  # these columns lead both the table and the CSV, in one order
-        raise ConfigError(f"row {k + 1} column {CSV_COLUMNS[c]} is not finite: {table[bad]:g}")
+        column = CSV_COLUMNS[[slot for *_, slot in _CSV_CELLS].index(bad[1])]
+        raise ConfigError(f"row {bad[0] + 1} column {column} is not finite: {table[bad]:g}")
     # row k is at t = k * dt (to 12 digits)
     ts = np.arange(hi) * config.dt
     if (off := np.flatnonzero(np.abs(table[:hi, 0] - ts) > 1e-11 * ts)).size:
@@ -321,8 +326,11 @@ def _check_columns(log: TrajectoryLog, flags: list) -> None:
                                   f"detected{tag} is {seen[k]:d}: only undetected rows are "
                                   "none and NaN")
     (xu, yu, *_), (xs, ys, _), dist = log.pose_u.T, log.pose_s.T, log.proj_dist
-    between, rounding = np.hypot(xu - xs, yu - ys), abs(xu) + abs(yu) + abs(xs) + abs(ys)
-    if (off := np.flatnonzero(~(abs(between - dist) <= 1e-11 * (rounding + abs(dist))))).size:
+    with np.errstate(over="ignore"):  # a separation past the float range is inf, as in run()
+        between = np.hypot(xu - xs, yu - ys)
+    # 1e-11 times the magnitudes' sum, taken on eighths (exact) so that no finite sum overflows
+    eighths = abs(xu) / 8 + abs(yu) / 8 + abs(xs) / 8 + abs(ys) / 8 + abs(dist) / 8
+    if (off := np.flatnonzero(~(abs(between - dist) <= 8e-11 * eighths))).size:
         k = int(off[0])
         raise ConfigError(f"row {k + 1} column projDist is {dist[k]:.12g}, not the "
                           f"{between[k]:.12g} m between the row's poses")

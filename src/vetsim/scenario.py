@@ -20,9 +20,10 @@ control -> actuate -> log:
    follower runs the one-way visual servo and the leader ignores its camera
    entirely.
 3. actuate: each robot's two logged commands are summed, clipped and scaled
-   to a body wrench in one pass, and integrated; scheduled world-frame
-   perturbations push on the underwater robot; a soft wall clamp keeps both
-   robots inside the tank.
+   to a body wrench in one pass, and integrated, by the robot's own step
+   function (vehicle.step_underwater, vehicle.step_surface); scheduled
+   world-frame perturbations push on the underwater robot; a soft wall clamp
+   (_clamp_u, _clamp_s) keeps both robots inside the tank.
 4. log: one CSV row per tick with poses, split commands, detection state,
    image regions and tether states; the events read off it and the loop.
 
@@ -47,7 +48,7 @@ from .log import (
     TrajectoryLog, _ROW_WIDTH, _first_non_finite, _log_arrays, _log_from_table, _window_masks,
 )
 from .perception import UNSEEN, _UNSEEN_TAG, CameraModel, DropoutModel, TagModel, project_tag
-from .vehicle import Disturbance, VehicleModel, VehicleParams
+from .vehicle import Disturbance, VehicleParams, step_surface, step_underwater
 
 
 class UnknownPreset(KeyError):
@@ -79,50 +80,36 @@ def planner_step(current: tuple, waypoints, capture_radius: float, index: int):
 
 # -- simulation loop -------------------------------------------------------
 
-class _WallClamp:
-    """Soft tank walls: clamp position, kill the outward velocity."""
+def _clamp_u(pose: tuple, nu: list, lo: tuple, hi: tuple):
+    """The soft tank walls lo..hi on the underwater robot: clamp its position
+    and kill its outward velocity. Returns (pose, body velocity list, clamped)."""
+    if lo[0] <= pose[0] <= hi[0] and lo[1] <= pose[1] <= hi[1] and lo[2] <= pose[2] <= hi[2]:
+        return pose, nu, False
+    pos = pose[:3]
+    clipped = tuple(min(max(p, a), b) for p, a, b in zip(pos, lo, hi))
+    if clipped == pos:  # only a NaN gets here: the tuples hold the same object
+        return pose, nu, False
+    (r0, r1, r2, r3, r4, r5, r6, r7, r8), _ = flat_transform(pose)
+    u, v, w = nu[:3]
+    world_v = (r0 * u + r1 * v + r2 * w, r3 * u + r4 * v + r5 * w, r6 * u + r7 * v + r8 * w)
+    wx, wy, wz = (0.0 if c != p else x for c, p, x in zip(clipped, pos, world_v))
+    nu = [r0 * wx + r3 * wy + r6 * wz, r1 * wx + r4 * wy + r7 * wz,
+          r2 * wx + r5 * wy + r8 * wz] + nu[3:]
+    return clipped + pose[3:], nu, True
 
-    def __init__(self, tank_min, tank_max):
-        self.lo = tuple(float(v) for v in tank_min)
-        self.hi = tuple(float(v) for v in tank_max)
 
-    def apply_u(self, pose: tuple, nu: list):
-        """Returns (pose, body velocity list, clamped)."""
-        lo, hi = self.lo, self.hi
-        if lo[0] <= pose[0] <= hi[0] and lo[1] <= pose[1] <= hi[1] and lo[2] <= pose[2] <= hi[2]:
-            return pose, nu, False
-        pos = pose[:3]
-        clipped = (
-            min(max(pos[0], lo[0]), hi[0]),
-            min(max(pos[1], lo[1]), hi[1]),
-            min(max(pos[2], lo[2]), hi[2]),
-        )
-        if clipped == pos:  # only a NaN gets here: the tuples hold the same object
-            return pose, nu, False
-        (r0, r1, r2, r3, r4, r5, r6, r7, r8), _ = flat_transform(pose)
-        u, v, w = nu[:3]
-        world_v = [r0 * u + r1 * v + r2 * w, r3 * u + r4 * v + r5 * w, r6 * u + r7 * v + r8 * w]
-        for axis in range(3):
-            if clipped[axis] != pos[axis]:
-                world_v[axis] = 0.0
-        wx, wy, wz = world_v
-        nu = [r0 * wx + r3 * wy + r6 * wz, r1 * wx + r4 * wy + r7 * wz,
-              r2 * wx + r5 * wy + r8 * wz] + nu[3:]
-        return clipped + pose[3:], nu, True
-
-    def apply_s(self, pose: tuple, nu: list):
-        """Returns (pose, body velocity list, clamped)."""
-        px, py, psi = pose
-        lo, hi = self.lo, self.hi
-        if lo[0] <= px <= hi[0] and lo[1] <= py <= hi[1]:
-            return pose, nu, False
-        x = min(max(px, lo[0]), hi[0])
-        y = min(max(py, lo[1]), hi[1])
-        c, s = math.cos(psi), math.sin(psi)
-        u, v, r = nu
-        wx = c * u - s * v if x == px else 0.0
-        wy = s * u + c * v if y == py else 0.0
-        return (x, y, psi), [c * wx + s * wy, -s * wx + c * wy, r], True
+def _clamp_s(pose: tuple, nu: list, lo: tuple, hi: tuple):
+    """The walls lo..hi on the surface robot, as _clamp_u on its x and y."""
+    px, py, psi = pose
+    if lo[0] <= px <= hi[0] and lo[1] <= py <= hi[1]:
+        return pose, nu, False
+    x = min(max(px, lo[0]), hi[0])
+    y = min(max(py, lo[1]), hi[1])
+    c, s = math.cos(psi), math.sin(psi)
+    u, v, r = nu
+    wx = c * u - s * v if x == px else 0.0
+    wy = s * u + c * v if y == py else 0.0
+    return (x, y, psi), [c * wx + s * wy, -s * wx + c * wy, r], True
 
 
 def _depth_attitude_state(pose: tuple, nu: list, rotation: tuple, rates: tuple) -> tuple:
@@ -141,14 +128,6 @@ def _state_at(k: int, row) -> str:
     row = _log_arrays(np.reshape(row, (1, _ROW_WIDTH)))
     return (f"at tick {k}, t={row['t'][0]:.3f} s: "
             f"pose_u={row['pose_u'][0].tolist()}, pose_s={row['pose_s'][0].tolist()}")
-
-
-def _check_finite(table: np.ndarray) -> None:
-    """Raise SimFailure at the first tick of a finished run's row table whose
-    pose or command columns hold a NaN or an infinity. Velocities are not
-    logged: a non-finite one reaches the pose its step makes."""
-    if (bad := _first_non_finite(table)) is not None:
-        raise SimFailure(f"non-finite state {_state_at(bad[0], table[bad[0]])}")
 
 
 def _time_inputs(config: ScenarioConfig, ts: np.ndarray) -> tuple:
@@ -180,28 +159,28 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
     vehicle steps reuse them. Each stage does its work in one body:
     project_tag projects and measures a tag (one observe call on a detected
     one), the tether law is one vet_law or baseline_ibvs call, and one
-    VehicleModel.step call actuates a robot: it allocates thrust for the
-    robot's logged split u_sub, u_xi as it is and integrates (it calls
-    clip_norm only past the velocity bound). A blanked upward camera is not
-    projected but given (UNSEEN, 0.0), as an undetected tag is. Each tick's
-    numbers go to one flat row buffer; after the loop, _log_from_table, the
-    constructor log_from_csv shares, makes the log of that row table and
-    derives its events and saturated totals.
+    step_underwater or step_surface call actuates a robot: it allocates
+    thrust for the robot's logged split u_sub, u_xi as it is and integrates
+    (it calls clip_norm only past the velocity bound). A blanked upward
+    camera is not projected but given (UNSEEN, 0.0), as an undetected tag
+    is. Each tick's numbers go to one flat row buffer; after the loop,
+    _log_from_table, the constructor log_from_csv shares, makes the log of
+    that row table and derives its events and saturated totals.
     A ScenarioConfig is checked when it is made, so run() trusts it, and it
     reads every constant the tick needs before the first tick: the cameras',
-    tags' and gains' flat forms (CameraModel.flat, TagModel.flat,
-    VetGains.flat and PdGains.flat), which the tick functions take in place
-    of the config objects, so no tick reads a config attribute.
+    tags', gains' and vehicles' flat forms (CameraModel.flat, TagModel.flat,
+    VetGains.flat, PdGains.flat and VehicleParams.flat) and the tank's ends
+    as float tuples, which the tick functions take in place of the config
+    objects, so no tick reads a config attribute.
     """
     dt = config.dt
     n_steps = config.steps
     n_rec = n_steps + 1
     ts = np.arange(n_rec) * dt  # k * dt, bit for bit
 
-    model_u = VehicleModel(config.params_u)
-    model_s = VehicleModel(config.params_s)
-    walls = _WallClamp(config.tank_min, config.tank_max)
     # every constant the tick reads, in the flat forms the tick functions take
+    params_u, params_s = config.params_u.flat, config.params_s.flat
+    lo, hi = tuple(float(v) for v in config.tank_min), tuple(float(v) for v in config.tank_max)
     cam_u, cam_s = config.camera_u.flat, config.camera_s.flat
     tag_u, tag_s = config.tag_u.flat, config.tag_s.flat
     mount_u = config.camera_u.mount.flat[0]
@@ -282,17 +261,20 @@ def run(config: ScenarioConfig) -> TrajectoryLog:
 
         # actuate; the wall clamp's flags go with the pose it produces
         try:
-            pose_u, vel_u = model_u.step(pose_u, vel_u, u_sub_u, xi_u, dt, tf_u[0], rates_u,
-                                         wrenches[k])
-            pose_s, vel_s = model_s.step(pose_s, vel_s, u_sub_s, xi_s, dt, tf_s[0])
+            pose_u, vel_u = step_underwater(pose_u, vel_u, u_sub_u, xi_u, dt, tf_u[0], rates_u,
+                                            wrenches[k], params_u)
+            pose_s, vel_s = step_surface(pose_s, vel_s, u_sub_s, xi_s, dt, tf_s[0], params_s)
         except (ArithmeticError, ValueError) as exc:
             where = _state_at(k, rows[-_ROW_WIDTH:])  # the tick's logged row
             raise SimFailure(f"integration failed ({exc}) {where}") from exc
-        pose_u, vel_u, wall_clamp_u = walls.apply_u(pose_u, vel_u)
-        pose_s, vel_s, wall_clamp_s = walls.apply_s(pose_s, vel_s)
+        pose_u, vel_u, wall_clamp_u = _clamp_u(pose_u, vel_u, lo, hi)
+        pose_s, vel_s, wall_clamp_s = _clamp_s(pose_s, vel_s, lo, hi)
 
     table = np.frombuffer(rows, dtype=float).reshape(n_rec, _ROW_WIDTH)
-    _check_finite(table)
+    # the first tick whose pose, command or projDist is NaN or infinite fails the
+    # run; a non-finite velocity, which is not logged, reaches the pose it makes
+    if (bad := _first_non_finite(table)) is not None:
+        raise SimFailure(f"non-finite state {_state_at(bad[0], table[bad[0]])}")
     return _log_from_table(config, table, {"region_us": region_us_list,
                                            "region_su": region_su_list})
 

@@ -38,7 +38,7 @@ from vetsim.metrics import (
 from vetsim import perception
 from vetsim.perception import UNSEEN, CameraModel, TagModel, observe, project_tag
 from vetsim.scenario import preset, run
-from vetsim.vehicle import VehicleModel, VehicleParams
+from vetsim.vehicle import VehicleParams, step_underwater
 
 FLIP_X = ((1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0))
 ZERO = (0.0, 0.0, 0.0)
@@ -224,23 +224,24 @@ def _underwater_params():
     return preset("nominal").params_u
 
 
-def _step(model, pose, nu, dt, command=(0.0,) * 6, wrench=None):
-    """model.step from a pose tuple under the sub-task command `command`, a
-    zero tether command and the world (force, torque) wrench, with the
-    rotation and Euler-rate rows a simulation tick computes for it."""
+def _step(params, pose, nu, dt, command=(0.0,) * 6, wrench=None):
+    """step_underwater on params' flat form from a pose tuple under the
+    sub-task command `command`, a zero tether command and the world (force,
+    torque) wrench, with the rotation and Euler-rate rows a simulation tick
+    computes for it."""
     rates = euler_rate_rows(pose[3], pose[4])
-    return model.step(pose, nu, command, [0.0] * 6, dt, flat_transform(pose)[0], rates, wrench)
+    return step_underwater(pose, nu, command, [0.0] * 6, dt, flat_transform(pose)[0], rates,
+                           wrench, params.flat)
 
 
 def _check_passivity():
     params = _underwater_params()
-    model = VehicleModel(params)
     mass = np.asarray(params.mass)
     rng = np.random.default_rng(3)
     pose = (0.0, 0.0, -1.0, 0.05, -0.1, 0.4)
     for _ in range(200):
         nu = rng.uniform(-0.3, 0.3, 6)
-        _, nu2 = _step(model, pose, nu.tolist(), 0.02)
+        _, nu2 = _step(params, pose, nu.tolist(), 0.02)
         before = 0.5 * float(nu @ (mass * nu))
         after = 0.5 * float(nu2 @ (mass * nu2))
         assert after <= before + 1e-12
@@ -248,13 +249,12 @@ def _check_passivity():
 
 def _check_velocity_bound():
     params = _underwater_params()
-    model = VehicleModel(params)
     # forcing far past what a command can give, as a world force: at the zero
     # attitude it starts from, it is the body wrench (80, 50, 20, 0, 0, 0)
     pose = (0.0, 0.0, -1.0, 0.0, 0.0, 0.0)
     nu = np.zeros(6).tolist()
     for _ in range(20):
-        pose, nu = _step(model, pose, nu, 0.02, wrench=((80.0, 50.0, 20.0), (0.0, 0.0, 0.0)))
+        pose, nu = _step(params, pose, nu, 0.02, wrench=((80.0, 50.0, 20.0), (0.0, 0.0, 0.0)))
         assert np.linalg.norm(nu[:3]) <= params.velocity_bound_linear + 1e-12
 
 
@@ -390,7 +390,6 @@ def test_criterion_5_property_suite(capsys):
 
 def _integrate_final_pose(dt: float) -> np.ndarray:
     params = _underwater_params()
-    model = VehicleModel(params)
     pose = (0.0, 0.0, -1.0, 0.0, 0.0, 0.0)
     nu = np.zeros(6).tolist()
     steps = int(round(10.0 / dt))
@@ -407,7 +406,7 @@ def _integrate_final_pose(dt: float) -> np.ndarray:
             ]
         )
         # the command the thrust gain scales to tau, within every bound
-        pose, nu = _step(model, pose, nu, dt, (tau / params.thrust_gain).tolist())
+        pose, nu = _step(params, pose, nu, dt, (tau / params.thrust_gain).tolist())
     return np.array(pose)
 
 

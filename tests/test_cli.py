@@ -477,8 +477,15 @@ PITCH_OVER = (
         (["duration=2", "params_u.velocity_bound_linear=1e300",
           "params_u.thrust_gain=[1e300,1e300,1e300,1e300,1e300,1e300]"],
          "non-finite state at tick 3, t=0.060 s: pose_u=[nan, nan, nan, nan, nan, nan], pose_s=["),
+        # finite poses 2e308 m apart: the separation overflows to inf, which
+        # no bundle may hold (summary.json would not be JSON)
+        (["duration=1", "tank_min=[-1.7e308,-1,-2.66]", "tank_max=[1.7e308,2.66,0]",
+          "initial_pose_u=[-1e308,0,-1,0,0,0]", "initial_pose_s=[1e308,0,0]",
+          "planner.waypoints=[[1e308,0,0]]"],
+         "non-finite state at tick 0, t=0.000 s: pose_u=[-1e+308, 0.0, -1.0, 0.0, 0.0, 0.0], "
+         "pose_s=[1e+308, 0.0, 0.0]"),
     ],
-    ids=["pitch_over", "overflow"],
+    ids=["pitch_over", "overflow", "separation_overflow"],
 )
 def test_simulation_failure_maps_to_exit_three(tmp_path, capsys, overrides, detail):
     out = tmp_path / "bundle"
@@ -659,6 +666,74 @@ def test_plot_can_select_a_single_kind(tmp_path, capsys):
     assert not (dst / "plots/trajectory_xy.svg").exists()
 
 
+def test_plot_redraws_a_bundle_with_its_own_threshold(tmp_path, capsys):
+    # without --threshold, plot draws the distance_threshold summary.json records
+    src = tmp_path / "bundle"
+    assert run_cli("run", "--preset", "nominal", "--set", "duration=5", "--threshold", "0.5",
+                   "--out", str(src)) == 0
+    made = {rel: (src / rel).read_bytes() for rel in BUNDLE_FILES[3:]}
+    assert run_cli("plot", "--run", str(src)) == 0
+    assert {rel: (src / rel).read_bytes() for rel in BUNDLE_FILES[3:]} == made
+    # --threshold overrides it, and then the summary is not read
+    (src / "summary.json").write_text("{")
+    dst = tmp_path / "replot"
+    assert run_cli("plot", "--run", str(src), "--threshold", "0.3", "--out", str(dst)) == 0
+    distance = "plots/distance_vs_time.svg"
+    assert (dst / distance).read_bytes() != made[distance]
+
+
+def test_plot_draws_the_default_threshold_without_a_summary(tmp_path, capsys):
+    src, dst = tmp_path / "bundle", tmp_path / "replot"
+    assert run_cli("run", "--preset", "nominal", "--set", "duration=5", "--out", str(src)) == 0
+    (src / "summary.json").unlink()
+    assert run_cli("plot", "--run", str(src), "--out", str(dst)) == 0
+    for rel in BUNDLE_FILES[3:]:
+        assert (src / rel).read_bytes() == (dst / rel).read_bytes(), rel
+
+
+UNREAD, NOT_POSITIVE = ("cannot read the bundle summary's distance_threshold: ",
+                        "bundle distance_threshold is not a positive number: ")
+
+
+@pytest.mark.parametrize("text, message", [
+    (b"{", UNREAD + "JSONDecodeError("),
+    (b"\xff", UNREAD + "UnicodeDecodeError("),
+    (b"[]", UNREAD + "TypeError("),
+    (b"{}", UNREAD + "KeyError('distance_threshold')"),
+    (b'{"distance_threshold": 0.0}', NOT_POSITIVE + "0.0"),
+    (b'{"distance_threshold": -Infinity}', NOT_POSITIVE + "-inf"),
+    (b'{"distance_threshold": NaN}', NOT_POSITIVE + "nan"),
+    (b'{"distance_threshold": 1e999}', NOT_POSITIVE + "inf"),
+    (b'{"distance_threshold": 1' + b"0" * 400 + b"}", NOT_POSITIVE + "1000"),
+    (b'{"distance_threshold": "0.5"}', NOT_POSITIVE + "'0.5'"),
+    (b'{"distance_threshold": true}', NOT_POSITIVE + "True"),
+], ids=["not_json", "not_utf8", "not_an_object", "no_threshold", "zero", "minus_infinity",
+        "nan", "overflow", "int_past_the_float_range", "string", "bool"])
+def test_plot_rejects_a_summary_without_a_valid_threshold(tmp_path, capsys, text, message):
+    src, dst = tmp_path / "bundle", tmp_path / "replot"
+    assert run_cli("run", *SHORT, "--out", str(src)) == 0
+    (src / "summary.json").write_bytes(text)
+    capsys.readouterr()
+    assert run_cli("plot", "--run", str(src), "--out", str(dst)) == 2
+    assert not dst.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+
+
+def test_a_bundle_of_far_robots_redraws_with_no_warning(tmp_path, capsys):
+    # both robots at x = y = 1e308: the sum of their coordinates overflows,
+    # the projDist check's tolerance must not (the suite makes a warning an error)
+    src, dst = tmp_path / "bundle", tmp_path / "replot"
+    sets = ["duration=1", "tank_min=[-1,-1,-2.66]", "tank_max=[1.7e308,1.7e308,0]",
+            "initial_pose_u=[1e308,1e308,-1,0,0,0]", "initial_pose_s=[1e308,1e308,0]",
+            "planner.waypoints=[[1e308,1e308,0]]"]
+    assert run_cli("run", "--preset", "nominal", *(arg for item in sets for arg in ("--set", item)),
+                   "--out", str(src)) == 0
+    assert run_cli("plot", "--run", str(src), "--out", str(dst)) == 0
+    for rel in BUNDLE_FILES[3:]:
+        assert (src / rel).read_bytes() == (dst / rel).read_bytes(), rel
+
+
 def test_plot_rejects_a_missing_bundle(tmp_path, capsys):
     assert run_cli("plot", "--run", str(tmp_path / "nowhere")) == 2
     bundle = tmp_path / "bundle"  # its config echo is there, its trajectory is not
@@ -691,6 +766,9 @@ def with_cell(column, value):
         (with_cell("xU", "inf"), "row 3 column xU is not finite: inf"),
         (with_cell("xU", "1e999"), "row 3 column xU is not finite: inf"),
         (with_cell("t", "nan"), "row 3 column t is not finite: nan"),
+        # nor a non-finite projDist, which lies past the xi columns
+        (with_cell("projDist", "inf"), "row 3 column projDist is not finite: inf"),
+        (with_cell("projDist", "nan"), "row 3 column projDist is not finite: nan"),
         # run() writes region "none" and xi NaN exactly on undetected rows
         (with_cell("regionUS", "bogus"), "row 3 column regionUS is not a region: 'bogus'"),
         (with_cell("detectedUS", "0"), "row 3 column regionUS is safe where detectedUS is 0"),
@@ -707,7 +785,7 @@ def with_cell(column, value):
          "row 3 column eventFlags is 'los_loss_us;', not the ''"),
     ],
     ids=["short_row", "non_numeric_cell", "underscored_number", "bad_detection_flag",
-         "pose_nan", "pose_inf", "pose_overflow", "time_nan",
+         "pose_nan", "pose_inf", "pose_overflow", "time_nan", "proj_dist_inf", "proj_dist_nan",
          "region_unknown", "region_on_undetected_row", "none_on_detected_row",
          "xi_nan_on_detected_row", "xi_on_undetected_row",
          "event_unknown", "event_region_unchanged", "event_empty_token"],
@@ -814,6 +892,9 @@ def pull_moved_to_3_s(bundle):
          "row 20 column eventFlags is 'dropout_start', not the ''"),
         (pull_moved_to_3_s, "row 51 column eventFlags is 'perturb_start', not the ''"),
         (on_rows(40, projDist="5"), "row 40 column projDist is 5, not the 0.01967138973"),
+        # poses 2e308 m apart with a finite projDist: their distance is inf, with no warning
+        (on_rows(40, xU="1e308", xS="-1e308"),
+         "row 40 column projDist is 0.0196713897348, not the inf m between the row's poses"),
         # run() cannot clamp on two ticks running and write the token twice
         (on_rows(20, 21, eventFlags="wall_clamp_u"),
          "row 21 column eventFlags is 'wall_clamp_u', not the ''"),
@@ -822,7 +903,8 @@ def pull_moved_to_3_s(bundle):
          "row 30 column eventFlags is 'waypoint_capture', not the ''"),
     ],
     ids=["los_loss_removed", "row_emptied", "spurious_dropout_start", "echo_pull_moved",
-         "proj_dist", "clamp_on_consecutive_rows", "waypoint_capture_too_many"],
+         "proj_dist", "proj_dist_of_far_poses", "clamp_on_consecutive_rows",
+         "waypoint_capture_too_many"],
 )
 def test_plot_rejects_events_and_distances_the_log_cannot_give(event_bundle, tmp_path, capsys,
                                                                damage, message):
@@ -833,6 +915,27 @@ def test_plot_rejects_events_and_distances_the_log_cannot_give(event_bundle, tmp
     assert run_cli("plot", "--run", str(src), "--out", str(dst)) == 2
     assert not dst.exists()
     assert message in capsys.readouterr().err
+
+
+NEAR = {"xU": "0.5", "yU": "0", "xS": "-0.5", "yS": "0"}  # 1 m apart
+FAR = {"xU": "1e308", "yU": "1e308", "xS": "1e308", "yS": "1e308"}  # coordinates sum past 1.8e308
+
+
+@pytest.mark.parametrize("poses, proj_dist, accepted", [
+    (NEAR, 1 + 1.5e-11, True), (NEAR, 1 - 1.5e-11, True),
+    (NEAR, 1 + 2.5e-11, False), (NEAR, 1 - 2.5e-11, False),
+    (FAR, 3.9e297, True), (FAR, 4.1e297, False),
+], ids=["near_above", "near_below", "near_past_above", "near_past_below", "far", "far_past"])
+def test_proj_dist_may_be_off_by_its_rounding(event_bundle, tmp_path, capsys, poses, proj_dist,
+                                              accepted):
+    """projDist may be off its row's pose distance by 1e-11 times the sum of
+    the four coordinates' magnitudes and its own: 2e-11 m for the near
+    poses, 4e297 m for the far ones, whose sum overflows but no warning."""
+    src = tmp_path / "bundle"
+    shutil.copytree(event_bundle, src)
+    on_rows(40, projDist=repr(proj_dist), **poses)(src)
+    assert run_cli("plot", "--run", str(src), "--out", str(tmp_path / "replot")) == \
+        (0 if accepted else 2)
 
 
 def test_a_lone_clamp_or_capture_token_is_self_consistent(event_bundle, tmp_path, capsys):

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_config_fuzz import FUZZ
+from test_config_fuzz import FUZZ, _refuse as refuse_constant
 from test_svg_lock import CASES, _draw
 
 from vetsim import plotting
@@ -363,18 +363,29 @@ def test_far_tank_bounds_and_poses_draw_or_fail_cleanly(data):
                        ("initial_pose_u", [*pose_u, *cfg.initial_pose_u[2:]]),
                        ("initial_pose_s", [*pose_s, *cfg.initial_pose_s[2:]])):
         args += ["--set", f"{key}={json.dumps(value)}"]
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
         out = Path(tmp) / "bundle"
         code = main(args + ["--out", str(out)])
-        assert code in (0, 2), args
-        if code == 2:
+        # a config error, or a command or separation past the float range; neither writes
+        assert code in (0, 2, 3), args
+        assert out.exists() == (code == 0), args
+        if code == 3:
+            assert err.getvalue().startswith("simulation failed: "), args
+        if code != 0:
             return
-        svgs = [path.read_text() for path in (out / "plots").glob("*.svg")]
-    for svg in svgs:
+        for name in ("summary.json", "config_echo.json"):
+            json.loads((out / name).read_text(), parse_constant=refuse_constant)
+        svgs = {path.name: path.read_text() for path in (out / "plots").glob("*.svg")}
+        again = Path(tmp) / "replot"
+        assert main(["plot", "--run", str(out), "--out", str(again)]) == 0, args
+        assert {path.name: path.read_text() for path in (again / "plots").glob("*.svg")} == svgs
+    for svg in svgs.values():
         assert_well_formed(svg, args)
     if all(pads_to_finite(a, b) for a, b in zip(lo, hi)):
         # padded 5% a side, the tank spans 1/1.1 of the 582 x 340 px plot area
-        outlines = [OUTLINE.search(svg) for svg in svgs if "planar trajectories" in svg]
+        outlines = [OUTLINE.search(svg) for svg in svgs.values() if "planar trajectories" in svg]
         assert [m.groups() for m in outlines] == [("88.45", "49.45", "529.09", "309.09")], args
 
 

@@ -39,7 +39,7 @@ from vetsim.scenario import (
     preset,
     run,
 )
-from vetsim.vehicle import Disturbance, VehicleModel
+from vetsim.vehicle import Disturbance, VehicleParams
 from vetsim.perception import CameraModel, DropoutModel, TagModel
 
 # config_echo.json of every preset in config schema v3; v2/ holds them in schema
@@ -168,7 +168,8 @@ def test_config_round_trips_through_plain_data():
         assert again == cfg, name
 
 
-FLAT_PARTS = ("camera_u", "camera_s", "tag_u", "tag_s", "vet", "pd_u", "pd_s")
+FLAT_PARTS = ("camera_u", "camera_s", "tag_u", "tag_s", "vet", "pd_u", "pd_s",
+              "params_u", "params_s")
 
 
 def documented_flat(part):
@@ -180,6 +181,12 @@ def documented_flat(part):
         return part.mount.flat, part.side, part.side / 2.0
     if isinstance(part, PdGains):
         return part.kp, part.kd
+    if isinstance(part, VehicleParams):
+        gain, mass, d_lin, d_quad = (tuple(float(x) for x in getattr(part, name)) for name in (
+            "thrust_gain", "mass", "damping_linear", "damping_quadratic"))
+        bound = part.velocity_bound_linear
+        return (gain, part.axis_bounds, mass, d_lin, d_quad,
+                bound, bound * bound * vehicle._INSIDE_BOUND)
     return tuple(getattr(part, f.name) for f in dataclasses.fields(VetGains))
 
 
@@ -194,7 +201,9 @@ def test_the_flat_forms_hold_their_fields_once_and_survive_a_round_trip(name):
             base, camera_u=CameraModel(641, 479, 333.3, base.camera_u.mount),
             tag_s=TagModel(0.07, base.tag_s.mount),
             vet=VetGains(0.2, 0.9, 0.05, 0.3, 0.07, 0.11, 0.4, 0.25, 0.03),
-            pd_u=PdGains((0.1, 0.2, 0.3), (0.4, 0.5, 0.6)))
+            pd_u=PdGains((0.1, 0.2, 0.3), (0.4, 0.5, 0.6)),
+            params_s=dataclasses.replace(base.params_s, mass=(13.5, 14.25, 0.3),
+                                         thrust_gain=(6.5, 7.25, 0.45), velocity_bound_linear=0.15))
     else:
         cfg = preset(name)
     for attr in FLAT_PARTS:
@@ -630,14 +639,14 @@ def test_saturated_totals_are_the_commands_the_vehicles_got(monkeypatch, mode):
         tank_min=(0.0, -1.0, -2.0), tank_max=(0.45, 0.66, 0.0),
     )
     given = {6: [], 3: []}
-    step = VehicleModel.step
+    steps = {6: scenario.step_underwater, 3: scenario.step_surface}
+    for dof, step in steps.items():
+        def recorded(*args, _step=step, _given=given[dof]):
+            made = _step(*args)
+            _given.append((args, made))
+            return made
 
-    def recorded(self, *args):
-        made = step(self, *args)
-        given[self.dof].append((self, args, made))
-        return made
-
-    monkeypatch.setattr(VehicleModel, "step", recorded)
+        monkeypatch.setattr(scenario, step.__name__, recorded)
     log = run(cfg)
     bounds = np.array(cfg.params_u.axis_bounds)
     assert (np.abs(log.u_total_u) == bounds).any()
@@ -648,10 +657,10 @@ def test_saturated_totals_are_the_commands_the_vehicles_got(monkeypatch, mode):
     logged = ((6, log.u_sub_u, log.u_xi_u, log.u_total_u), (3, log.u_sub_s, log.u_xi_s, log.u_total_s))
     for dof, u_sub, u_xi, total in logged:
         assert len(given[dof]) == len(log) - 1
-        splits = [(s, x) for _, (_, _, s, x, *_), _ in given[dof]]
+        splits = [(s, x) for (_, _, s, x, *_), _ in given[dof]]
         assert np.array(splits).tobytes() == np.stack([u_sub, u_xi], axis=1)[:-1].tobytes()
-        for k, (model, (pose, nu, _, _, *rest), made) in enumerate(given[dof]):
-            again = step(model, pose, nu, total[k].tolist(), [-0.0] * dof, *rest)
+        for k, ((pose, nu, _, _, *rest), made) in enumerate(given[dof]):
+            again = steps[dof](pose, nu, total[k].tolist(), [-0.0] * dof, *rest)
             assert np.array([*again[0], *again[1]]).tobytes() == \
                 np.array([*made[0], *made[1]]).tobytes(), (dof, k)
 
@@ -724,19 +733,19 @@ def test_baseline_mode_never_moves_the_leader_sideways():
 
 
 def test_programming_errors_in_the_integrator_propagate(monkeypatch):
-    def broken(self, *args, **kwargs):
+    def broken(*args):
         raise TypeError("a bug, not a simulation failure")
 
-    monkeypatch.setattr(VehicleModel, "step", broken)
+    monkeypatch.setattr(scenario, "step_underwater", broken)
     with pytest.raises(TypeError, match="a bug"):
         run(short("nominal", 1.0))
 
 
 def test_arithmetic_errors_in_the_integrator_become_sim_failures(monkeypatch):
-    def diverging(self, *args, **kwargs):
+    def diverging(*args):
         raise ZeroDivisionError("float division by zero")
 
-    monkeypatch.setattr(VehicleModel, "step", diverging)
+    monkeypatch.setattr(scenario, "step_underwater", diverging)
     with pytest.raises(SimFailure, match=r"^integration failed \(float division by zero\) "
                        r"at tick 0, t=0\.000 s: pose_u=\[") as failure:
         run(short("nominal", 1.0))
@@ -865,11 +874,13 @@ def test_each_detected_observation_is_measured_once(monkeypatch):
 
 
 # Python-level calls per tick of run() on dropout_config, counted by
-# sys.setprofile: 23.74 (vet) and 21.89 (baseline), each tick stage being one
+# sys.setprofile: 23.65 (vet) and 21.81 (baseline), each tick stage being one
 # body, the PDs writing their angle wraps out, the depth/attitude measurement
-# a plain tuple and one step actuating each robot. Wrapping any per-tick step
-# in a helper adds about one call to every tick, which these bounds do not
-# leave room for.
+# a plain tuple, one step function actuating each robot and one clamp function
+# keeping it in the tank. Each robot's constants are its VehicleParams.flat,
+# made on the first run of a config, which the count does not include.
+# Wrapping any per-tick step in a helper adds about one call to every tick,
+# which these bounds do not leave room for.
 CALLS_PER_TICK = {"vet": 24.0, "baseline": 22.0}
 
 
@@ -893,15 +904,16 @@ def test_the_tick_keeps_its_call_budget(mode):
 
 @pytest.mark.parametrize("mode", ["vet", "baseline"])
 def test_the_tick_reads_no_config_attribute(monkeypatch, mode):
-    """run() reads the cameras, tags and gains before the first tick, in
-    their flat forms, and no tick reads them again: a 2 s and a 12 s run of
-    dropout_config read the same attributes of CameraModel, TagModel,
-    VetGains and PdGains instances the same number of times."""
+    """run() reads the cameras, tags, gains and vehicle parameters before
+    the first tick, in their flat forms, and no tick reads them again: a 2 s
+    and a 12 s run of dropout_config read the same attributes of
+    CameraModel, TagModel, VetGains, PdGains and VehicleParams instances the
+    same number of times."""
     long = dropout_config(mode)
     cut = dataclasses.replace(long, duration=2.0)  # the same part objects
     run(cut)  # each part's flat form is made now, once for both runs
     reads = {}
-    for cls in (CameraModel, TagModel, VetGains, PdGains):
+    for cls in (CameraModel, TagModel, VetGains, PdGains, VehicleParams):
         def counted(self, name, _cls=cls):
             key = (_cls.__name__, name)
             reads[key] = reads.get(key, 0) + 1
@@ -915,7 +927,8 @@ def test_the_tick_reads_no_config_attribute(monkeypatch, mode):
         counts.append((dict(reads), len(log)))
     (cut_reads, cut_ticks), (long_reads, long_ticks) = counts
     assert long_ticks > 5 * cut_ticks
-    assert ("VetGains", "flat") in cut_reads  # the count does see the reads
+    # the count does see the reads
+    assert {("VetGains", "flat"), ("VehicleParams", "flat")} <= cut_reads.keys()
     assert long_reads == cut_reads
 
 
@@ -983,12 +996,12 @@ def test_a_tick_transforms_each_pose_once_and_builds_no_pose(monkeypatch, mode):
             if name in vars(module):
                 monkeypatch.setattr(module, name, counted)
     steps = []
+    for dof, name in ((6, "step_underwater"), (3, "step_surface")):
+        def counted_step(*args, _dof=dof, _step=getattr(scenario, name)):
+            steps.append(_dof)
+            return _step(*args)
 
-    def counted_step(self, *args, _step=VehicleModel.step):
-        steps.append(self.dof)
-        return _step(self, *args)
-
-    monkeypatch.setattr(VehicleModel, "step", counted_step)
+        monkeypatch.setattr(scenario, name, counted_step)
     built = []
 
     def counted_init(self, *args, _init=RigidTransform.__init__, **kwargs):

@@ -12,17 +12,23 @@ from hypothesis import example, given, settings, strategies as st
 from vetsim.frames import euler_rate_rows, flat_transform
 from vetsim.vehicle import (
     Disturbance,
-    VehicleModel,
     VehicleParams,
     clip_norm,
+    step_surface,
+    step_underwater,
 )
 
 
-def advance(model, pose, nu, u_sub, u_xi, dt, **world):
-    """VehicleModel.step with the pose tuple's rotation and Euler-rate rows,
-    computed as one simulation tick computes them."""
-    rates = euler_rate_rows(pose[3], pose[4]) if len(pose) == 6 else None
-    return model.step(pose, nu, u_sub, u_xi, dt, flat_transform(pose)[0], rates, **world)
+def advance(params, pose, nu, u_sub, u_xi, dt, wrench=None):
+    """The step function of params' model on params.flat, with the pose
+    tuple's rotation and Euler-rate rows computed as one simulation tick
+    computes them; the surface step takes no wrench."""
+    rotation = flat_transform(pose)[0]
+    if len(pose) == 3:
+        assert wrench is None
+        return step_surface(pose, nu, u_sub, u_xi, dt, rotation, params.flat)
+    rates = euler_rate_rows(pose[3], pose[4])
+    return step_underwater(pose, nu, u_sub, u_xi, dt, rotation, rates, wrench, params.flat)
 
 
 # A power of two: tau / GEAR * GEAR is tau for every tau whose quotient is
@@ -31,7 +37,7 @@ def advance(model, pose, nu, u_sub, u_xi, dt, **world):
 GEAR = 2.0 ** 13
 
 
-def step(params, pose, nu, tau, dt, **world):
+def step(params, pose, nu, tau, dt, wrench=None):
     """One step of the vehicle of params driven by the body wrench tau: every
     thrust gain is GEAR and the sub-task command tau / GEAR, the tether
     command -0.0, which adds nothing to any float, so the command passes the
@@ -39,8 +45,8 @@ def step(params, pose, nu, tau, dt, **world):
     n = params.dof
     command = [f / GEAR for f in tau]
     assert all(abs(c) <= b for c, b in zip(command, params.axis_bounds))
-    model = VehicleModel(dataclasses.replace(params, thrust_gain=(GEAR,) * n))
-    return advance(model, pose, nu, command, [-0.0] * n, dt, **world)
+    geared = dataclasses.replace(params, thrust_gain=(GEAR,) * n)
+    return advance(geared, pose, nu, command, [-0.0] * n, dt, wrench)
 
 
 def params6(**overrides):
@@ -89,8 +95,7 @@ def stepped(params, u_sub, u_xi, nu=None):
     params makes from REST, or from REST's pose at the velocity nu, under the
     commands u_sub and u_xi."""
     pose, rest = REST[params.dof]
-    new_pose, new_nu = advance(VehicleModel(params), pose, rest if nu is None else nu,
-                               u_sub, u_xi, 0.02)
+    new_pose, new_nu = advance(params, pose, rest if nu is None else nu, u_sub, u_xi, 0.02)
     return np.array([*new_pose, *new_nu]).tobytes()
 
 
@@ -156,7 +161,7 @@ def test_allocation_passes_nan_and_keeps_the_sign_of_zero(params):
     for axis in range(n):
         u_sub = [0.0] * n
         u_sub[axis] = math.nan
-        _, nu = advance(VehicleModel(params), *REST[n], u_sub, [0.0] * n, 0.02)
+        _, nu = advance(params, *REST[n], u_sub, [0.0] * n, 0.02)
         assert math.isnan(nu[axis]), axis
         minus, plus = [-0.0] * n, [-0.0] * n
         plus[axis] = 0.0
