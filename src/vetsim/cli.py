@@ -165,40 +165,39 @@ PLOT_KINDS = ("trajectory_xy", "distance_vs_time", "velocity_vs_time", "tether_s
 def _render_plots(log: TrajectoryLog, threshold: float, out: Path, kinds=PLOT_KINDS) -> dict:
     renderers = {
         "trajectory_xy": lambda: plotting.plot_trajectory(log),
-        "distance_vs_time": lambda: plotting.plot_distance(log, threshold),
+        "distance_vs_time": lambda: plotting.plot_distance((log,), ("separation",), threshold),
         "velocity_vs_time": lambda: plotting.plot_commands(log),
         "tether_state_vs_time": lambda: plotting.plot_tether(log),
     }
     return {out / "plots" / f"{kind}.svg": renderers[kind]() for kind in kinds}
 
 
-def _render_bundle(log: TrajectoryLog, threshold: float, out: Path) -> dict:
-    """Everything a bundle holds, keyed by target path, rendered before any file I/O
-    but trajectory.csv, whose chunks _commit formats as it stages the file."""
-    summary = metrics.summarize(log, threshold)
-    summary_doc = {
+def _render_bundle(log: TrajectoryLog, threshold: float, out: Path) -> tuple:
+    """(files, summary): everything a bundle holds, keyed by target path, rendered
+    before any file I/O but trajectory.csv, whose chunks _commit formats as it
+    stages the file; and the dict that summary.json holds."""
+    summary = {
         "scenario": log.config.name,
         "mode": log.config.mode,
         "seed": log.config.seed,
         "distance_threshold": threshold,
-        **summary.to_dict(),
+        **metrics.summarize(log, threshold),
     }
     files = {
         out / "config_echo.json": json.dumps(log.config.to_dict(), indent=2, sort_keys=True) + "\n",
         out / "trajectory.csv": log.csv_chunks(),
-        out / "summary.json": json.dumps(summary_doc, indent=2, sort_keys=True) + "\n",
+        out / "summary.json": json.dumps(summary, indent=2, sort_keys=True) + "\n",
     }
     files.update(_render_plots(log, threshold, out))
-    return files
+    return files, summary
 
 
 def _cmd_run(args) -> int:
     cfg = _build_config(args)
     log = run(cfg)
     base = _out_dir(args)
-    files = _render_bundle(log, args.threshold, base)
+    files, summary = _render_bundle(log, args.threshold, base)
     _commit(files)
-    summary = json.loads(files[base / "summary.json"])
     print(f"run complete: {cfg.name} ({cfg.mode}), {len(log)} records")
     print(f"  max separation after transient: {summary['max_projected_distance']:.3f} m")
     print(f"  mission success: {summary['mission_success']}")
@@ -213,13 +212,13 @@ _COMPARE_LABELS = {"vet": "tethered", "baseline": "one-way"}
 def _cmd_compare(args) -> int:
     base = _out_dir(args)
     cfg = _build_config(args)
-    logs, files = {}, {}
+    logs, files, sums = {}, {}, {}
     for mode in _COMPARE_LABELS:
         logs[mode] = run(dataclasses.replace(cfg, mode=mode))
-        files.update(_render_bundle(logs[mode], args.threshold, base / mode))
-    sums = {mode: json.loads(files[base / mode / "summary.json"]) for mode in _COMPARE_LABELS}
-    files[base / "distance_overlay.svg"] = plotting.plot_distance_overlay(
-        *logs.values(), *_COMPARE_LABELS.values(), args.threshold
+        bundle, sums[mode] = _render_bundle(logs[mode], args.threshold, base / mode)
+        files.update(bundle)
+    files[base / "distance_overlay.svg"] = plotting.plot_distance(
+        tuple(logs.values()), tuple(_COMPARE_LABELS.values()), args.threshold
     )
     delta = {
         "scenario": cfg.name,

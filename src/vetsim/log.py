@@ -304,12 +304,13 @@ def log_from_csv(lines: Iterable[str], config: ScenarioConfig) -> TrajectoryLog:
 def _check_columns(log: TrajectoryLog, flags: list) -> None:
     """A ConfigError naming the first row and column run() could not write: a
     region not in _REGIONS; a region "none" or an xi NaN but exactly where its
-    detection flag is 0; a projDist off the distance of the row's poses by more
-    than their 12-digit rounding carries; last, a CSV eventFlags text in flags
-    other than log.event_flags, derived from the loop columns its tokens give. A
-    lone spurious or missing waypoint_capture or wall_clamp_* token is thus
-    self-consistent, unless it is a capture past the last waypoint: only a
-    re-run of the config can catch it."""
+    detection flag is 0; a detected xi that is infinite or negative; a projDist
+    off the distance of the row's poses by more than their 12-digit rounding
+    carries; last, a CSV eventFlags text in flags other than log.event_flags,
+    derived from the loop columns its tokens give. A lone spurious or missing
+    waypoint_capture or wall_clamp_* token is thus self-consistent, unless it is
+    a capture past the last waypoint, and so is a detected xi too large for any
+    image: only a re-run of the config can catch them."""
     for pair in ("us", "su"):
         tag, regions, xi = pair.upper(), getattr(log, f"region_{pair}"), getattr(log, f"xi_{pair}")
         seen = getattr(log, f"detected_{pair}")
@@ -325,6 +326,10 @@ def _check_columns(log: TrajectoryLog, flags: list) -> None:
                 raise ConfigError(f"row {k + 1} column {column} is {values[k]} where "
                                   f"detected{tag} is {seen[k]:d}: only undetected rows are "
                                   "none and NaN")
+        if (wrong := seen & ~((xi >= 0) & (xi < np.inf))).any():  # a hypot of in-image offsets
+            k = int(wrong.argmax())
+            raise ConfigError(f"row {k + 1} column xi{tag} is {xi[k]:g} where detected{tag} "
+                              "is 1: a detected xi is finite and not negative")
     (xu, yu, *_), (xs, ys, _), dist = log.pose_u.T, log.pose_s.T, log.proj_dist
     with np.errstate(over="ignore"):  # a separation past the float range is inf, as in run()
         between = np.hypot(xu - xs, yu - ys)

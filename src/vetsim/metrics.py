@@ -6,8 +6,6 @@ positions, which is what the overhead view of the experiment measures.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -117,27 +115,9 @@ def time_of_los_loss(log: TrajectoryLog) -> Optional[float]:
     return None if i is None else float(log.t[i])
 
 
-@dataclass(frozen=True)
-class RunSummary:
-    max_projected_distance: float
-    time_of_los_loss: Optional[float]
-    recovery_time_after_perturbation: Optional[float]
-    mission_success: bool
-    final_tether_state: Optional[float]
-    settling_time: Optional[float]
-    waypoints_captured: int
-    waypoints_total: int
-
-    def to_dict(self) -> dict:
-        """One key per field; a NaN becomes None (JSON null)."""
-        return {
-            f.name: None if isinstance(v := getattr(self, f.name), float) and math.isnan(v) else v
-            for f in fields(self)
-        }
-
-
-def summarize(log: TrajectoryLog, distance_threshold: float) -> RunSummary:
-    """Headline numbers for one run, under the summary's fixed rules (above).
+def summarize(log: TrajectoryLog, distance_threshold: float) -> dict:
+    """Headline numbers for one run, under the summary's fixed rules (above),
+    as a dict of plain Python values that json.dumps writes as they are.
 
     The maximum separation ignores the start-up transient so the metric
     reflects steady behaviour, not the initial approach.
@@ -160,13 +140,13 @@ def summarize(log: TrajectoryLog, distance_threshold: float) -> RunSummary:
     if detected_idx.size:
         final_xi = float(log.xi_us[detected_idx[-1]])
 
-    return RunSummary(
-        max_projected_distance=max_dist,
-        time_of_los_loss=time_of_los_loss(log),
-        recovery_time_after_perturbation=recovery,
-        mission_success=mission_success(log, distance_threshold),
-        final_tether_state=final_xi,
-        settling_time=settling_time(log),
-        waypoints_captured=log.waypoints_captured,
-        waypoints_total=log.waypoints_total,
-    )
+    return {
+        "max_projected_distance": max_dist,
+        "time_of_los_loss": time_of_los_loss(log),
+        "recovery_time_after_perturbation": recovery,
+        "mission_success": mission_success(log, distance_threshold),
+        "final_tether_state": final_xi,
+        "settling_time": settling_time(log),
+        "waypoints_captured": log.waypoints_captured,
+        "waypoints_total": log.waypoints_total,
+    }

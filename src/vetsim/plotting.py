@@ -283,30 +283,17 @@ def _time_range(log: TrajectoryLog):
     return float(log.t[0]), max(float(log.t[-1]), float(log.t[0]) + 1e-9)
 
 
-def _distance_plot(logs, labels, t_range, d_hi: float, threshold: float) -> str:
-    """Separation traces on shared axes that reach d_hi, the threshold and 1e-6 m."""
-    d_hi = max(d_hi, threshold)
+def plot_distance(logs, labels, threshold: float) -> str:
+    """Horizontal separation over time with shaded event intervals: one trace per
+    log (one or two, each with its label), over the first log's time range and
+    its config's events, on a distance axis that reaches every log's largest
+    separation (1.0 m when no log has a row), the threshold and 1e-6 m."""
+    d_hi = max((float(np.max(log.proj_dist)) for log in logs if len(log)), default=1.0)
     traces = [(log.t, log.proj_dist, label, color, None)
               for log, label, color in zip(logs, labels, (_COLOR_U, _COLOR_ALT))]
-    return _time_plot(logs[0].config, t_range, _pad_range(0.0, max(d_hi, 1e-6)),
+    return _time_plot(logs[0].config, _time_range(logs[0]),
+                      _pad_range(0.0, max(d_hi, threshold, 1e-6)),
                       "horizontal separation", "distance (m)", traces, threshold)
-
-
-def plot_distance(log: TrajectoryLog, threshold: float) -> str:
-    """Horizontal separation over time with shaded event intervals."""
-    d_hi = float(np.max(log.proj_dist)) if len(log) else 1.0
-    return _distance_plot((log,), ("separation",), _time_range(log), d_hi, threshold)
-
-
-def plot_distance_overlay(log_a: TrajectoryLog, log_b: TrajectoryLog,
-                          label_a: str, label_b: str, threshold: float) -> str:
-    """Two separation traces on shared axes, for method comparison."""
-    t_hi, d_hi = 1.0, 1e-6
-    for log in (log_a, log_b):
-        if len(log):
-            t_hi = max(t_hi, float(log.t[-1]))
-            d_hi = max(d_hi, float(np.max(log.proj_dist)))
-    return _distance_plot((log_a, log_b), (label_a, label_b), (0.0, t_hi), d_hi, threshold)
 
 
 def plot_commands(log: TrajectoryLog) -> str:

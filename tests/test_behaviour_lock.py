@@ -71,7 +71,7 @@ def _record(log) -> dict:
     text = csv_text(log)
     lines = text.splitlines()[1:]
     return {
-        "summary": summarize(log, THRESHOLD).to_dict(),
+        "summary": summarize(log, THRESHOLD),
         "ticks": len(lines),
         "rows": {str(k): lines[k] for k in range(0, len(lines), STRIDE)},
         "csv_sha256": hashlib.sha256(text.encode()).hexdigest(),

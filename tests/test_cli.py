@@ -403,7 +403,7 @@ def test_the_csv_chunks_join_to_the_text_and_the_committed_file(tmp_path, rows):
 
 def test_staging_a_bundle_holds_a_chunk_of_the_csv_not_its_text(tmp_path):
     log = run(dataclasses.replace(preset("nominal"), duration=200.0))  # 10,001 rows
-    files = cli._render_bundle(log, 0.3, tmp_path)
+    files, _ = cli._render_bundle(log, 0.3, tmp_path)
     tracemalloc.start()
     try:
         cli._commit(files)
@@ -774,6 +774,10 @@ def with_cell(column, value):
         (with_cell("detectedUS", "0"), "row 3 column regionUS is safe where detectedUS is 0"),
         (with_cell("regionSU", "none"), "row 3 column regionSU is none where detectedSU is 1"),
         (with_cell("xiUS", "nan"), "row 3 column xiUS is nan where detectedUS is 1"),
+        # and an xi that is a hypot of in-image offsets: finite and not negative
+        (with_cell("xiUS", "inf"), "row 3 column xiUS is inf where detectedUS is 1"),
+        (with_cell("xiUS", "-5"), "row 3 column xiUS is -5 where detectedUS is 1"),
+        (with_cell("xiSU", "-1e-300"), "row 3 column xiSU is -1e-300 where detectedSU is 1"),
         (lambda cells: with_cell("regionSU", "none")(with_cell("detectedSU", "0")(cells)),
          "row 3 column xiSU is 0.0336184668519 where detectedSU is 0"),
         # and exactly the events _event_flags reads off the rest of the log
@@ -787,7 +791,8 @@ def with_cell(column, value):
     ids=["short_row", "non_numeric_cell", "underscored_number", "bad_detection_flag",
          "pose_nan", "pose_inf", "pose_overflow", "time_nan", "proj_dist_inf", "proj_dist_nan",
          "region_unknown", "region_on_undetected_row", "none_on_detected_row",
-         "xi_nan_on_detected_row", "xi_on_undetected_row",
+         "xi_nan_on_detected_row", "xi_inf_on_detected_row", "xi_negative_on_detected_row",
+         "xi_su_below_zero", "xi_on_undetected_row",
          "event_unknown", "event_region_unchanged", "event_empty_token"],
 )
 def test_plot_rejects_a_corrupt_trajectory(tmp_path, capsys, corrupt, message):

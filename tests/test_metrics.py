@@ -1,6 +1,7 @@
 """Run-level metrics: distances, recovery timing, settling, pose recovery."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -301,21 +302,25 @@ def test_summary_aggregates_and_serialises():
         xi_us=np.full(len(t), 7.5),
     )
     summary = summarize(log, 0.6)
-    assert summary.max_projected_distance == pytest.approx(0.8)
-    assert summary.recovery_time_after_perturbation == pytest.approx(2.1, abs=0.11)
-    assert not summary.mission_success  # separation broke after the transient
-    assert summary.final_tether_state == pytest.approx(7.5)
-    assert summary.waypoints_captured == 1
+    assert summary["max_projected_distance"] == pytest.approx(0.8)
+    assert summary["recovery_time_after_perturbation"] == pytest.approx(2.1, abs=0.11)
+    assert not summary["mission_success"]  # separation broke after the transient
+    assert summary["final_tether_state"] == pytest.approx(7.5)
+    assert summary["waypoints_captured"] == 1
 
-    doc = summary.to_dict()
-    assert doc["time_of_los_loss"] is None
-    assert doc["max_projected_distance"] == pytest.approx(0.8)
+    assert summary["time_of_los_loss"] is None
+    assert list(summary) == [
+        "max_projected_distance", "time_of_los_loss", "recovery_time_after_perturbation",
+        "mission_success", "final_tether_state", "settling_time", "waypoints_captured",
+        "waypoints_total",
+    ]
+    assert json.loads(json.dumps(summary)) == summary
 
 
 def test_summary_without_perturbations_has_no_recovery_entry():
     t = ramp(15.0)
     log = make_log(t, np.full(len(t), 0.1))
-    assert summarize(log, 0.6).recovery_time_after_perturbation is None
+    assert summarize(log, 0.6)["recovery_time_after_perturbation"] is None
 
 
 def test_summary_is_a_pure_function_of_the_log():

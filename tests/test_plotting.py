@@ -96,8 +96,8 @@ def synthetic_log(t, rng, gaps=True):
 
 def time_plots(log, other):
     return {
-        "distance": (plotting.plot_distance(log, 0.3), [log.proj_dist]),
-        "overlay": (plotting.plot_distance_overlay(log, other, "a", "b", 0.3),
+        "distance": (plotting.plot_distance((log,), ("separation",), 0.3), [log.proj_dist]),
+        "overlay": (plotting.plot_distance((log, other), ("a", "b"), 0.3),
                     [log.proj_dist, other.proj_dist]),
         "commands": (plotting.plot_commands(log),
                      [log.u_total_u[:, 0], log.u_total_u[:, 1],
@@ -287,6 +287,19 @@ def tick_labels(svg):
     """The x axis's tick labels and the y axis's, in document order."""
     return (re.findall(r'y="392.00" font-size="11" text-anchor="middle" fill="#222222">([^<]*)<', svg),
             re.findall(r'text-anchor="end" fill="#222222">([^<]*)<', svg))
+
+
+def test_the_overlay_keeps_each_modes_time_axis(tmp_path):
+    # one axis rule for one log or two: a sub-second compare's overlay ends where
+    # each mode's own separation plot does, not at 1 s
+    out = tmp_path / "cmp"
+    assert main(["compare", "--preset", "nominal", "--set", "duration=0.5",
+                 "--out", str(out)]) == 0
+    overlay = tick_labels((out / "distance_overlay.svg").read_text())[0]
+    assert overlay[-1] == "0.5"
+    for mode in ("vet", "baseline"):
+        svg = (out / mode / "plots" / "distance_vs_time.svg").read_text()
+        assert tick_labels(svg)[0] == overlay, mode
 
 
 def wide_tank_svg(tmp_path):

@@ -53,8 +53,8 @@ def _read(mode: str):
 def _draw(case: str, tmp: Path) -> dict:
     """The SVGs of one case, keyed as in the lock."""
     if case == "overlay":
-        svg = plotting.plot_distance_overlay(_read("vet"), _read("baseline"),
-                                             "tethered", "one-way", 0.3)
+        svg = plotting.plot_distance((_read("vet"), _read("baseline")),
+                                     ("tethered", "one-way"), 0.3)
         return {"overlay/distance_overlay.svg": svg}
     out = tmp / case
     bundle = FIXTURE / case
