@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_config_fuzz import FUZZ
 from test_plotting import polylines
 from test_scenario import csv_text, per_cell_csv
 
@@ -608,7 +607,7 @@ def test_plot_redraws_the_runs_svgs_byte_for_byte(tmp_path, capsys, name, durati
     assert_redraw_round_trips(tmp_path, name, mode, duration)
 
 
-@settings(FUZZ, max_examples=40)
+@settings(max_examples=40)
 @given(
     name=st.sampled_from(PRESET_NAMES),
     mode=st.sampled_from(["vet", "baseline"]),

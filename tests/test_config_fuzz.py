@@ -22,9 +22,6 @@ from vetsim.scenario import PRESET_NAMES, SimFailure, preset, run
 
 ECHOES = Path(__file__).with_name("config_echoes")
 
-# Fixed example sets, so the suite gives the same result on every run.
-FUZZ = settings(deadline=None, derandomize=True, database=None)
-
 
 def _paths(tree, prefix=()):
     """The path of every node below the root, containers included; of a
@@ -90,7 +87,7 @@ def _edits(names):
     ))
 
 
-@settings(FUZZ, max_examples=400)
+@settings(max_examples=400)
 @given(_edits(sorted(TREES)))
 def test_from_dict_returns_a_valid_config_or_raises_config_error(case):
     name, edits = case
@@ -108,7 +105,7 @@ def test_from_dict_returns_a_valid_config_or_raises_config_error(case):
         pass
 
 
-@settings(FUZZ, max_examples=120)
+@settings(max_examples=120)
 @given(_edits(PRESET_NAMES), st.floats(0.1, 2.0), st.sampled_from(["vet", "baseline"]))
 def test_cli_overrides_run_or_fail_cleanly(case, duration, mode):
     name, edits = case
@@ -168,7 +165,7 @@ def _is_leaf(tree, path):
     return not isinstance(tree, (dict, list))
 
 
-@settings(FUZZ, max_examples=150)
+@settings(max_examples=150)
 @given(data=st.data())
 def test_a_damaged_bundle_plots_or_fails_cleanly(short_bundle, data):
     echo, lines = copy.deepcopy(short_bundle[0]), list(short_bundle[1])

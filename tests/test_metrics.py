@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference_geometry import as_flat, mount_matrix, pose_matrix, rotation
-from test_config_fuzz import FUZZ
 from vetsim.frames import RigidTransform, projected_distance
 from vetsim.metrics import (
     EmptyLog,
@@ -264,14 +263,14 @@ def looped_first_stretch(t, flags, min_duration):
     return None
 
 
-@settings(FUZZ, max_examples=300)
+@settings(max_examples=300)
 @given(MASKS)
 def test_runs_are_the_runs_a_scan_finds(mask):
     starts, stops = _runs(mask)
     assert (starts.tolist(), stops.tolist()) == scan_runs(mask.tolist())
 
 
-@settings(FUZZ, max_examples=300)
+@settings(max_examples=300)
 @given(MASKS, st.booleans(), st.sampled_from(["", "off"]))
 def test_transitions_match_the_shifted_compare(mask, at_start, off):
     # at_start=False is the line-of-sight rule: tick 0 compared with itself
@@ -280,7 +279,7 @@ def test_transitions_match_the_shifted_compare(mask, at_start, off):
             == shifted_transitions(mask, before_first, "on", off))
 
 
-@settings(FUZZ, max_examples=300)
+@settings(max_examples=300)
 @given(MASKS, st.sampled_from([0.01, 0.02, 0.05, 0.1]),
        st.sampled_from([0.0, 0.05, 0.1, 0.5, 1.0, 2.0]))
 def test_first_stretch_matches_the_loop(flags, dt, min_duration):

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_config_fuzz import FUZZ, _refuse as refuse_constant
+from test_config_fuzz import _refuse as refuse_constant
 from test_svg_lock import CASES, _draw
 
 from vetsim import plotting
@@ -163,7 +163,7 @@ HUNDREDTHS = st.one_of(st.integers(-400, 400), st.sampled_from([-plotting._FAR, 
                        st.integers(-plotting._FAR, plotting._FAR))
 
 
-@settings(FUZZ, max_examples=150)
+@settings(max_examples=150)
 @given(st.data())
 def test_thinning_on_int64_hundredths_keeps_the_points_float64_does(data):
     n = data.draw(st.integers(2, 40))
@@ -192,7 +192,7 @@ def pieces(n_max):
     return parts.map(lambda parts: np.array([p for part in parts for p in part], dtype=float))
 
 
-@settings(FUZZ, max_examples=300)
+@settings(max_examples=300)
 @given(pieces(12), st.sampled_from([plotting._m4, plotting._grid]),
        st.sampled_from([1, 100, 10**6]))
 def test_a_path_prints_the_thinned_points_but_those_inside_their_neighbours(points, thin, scale):
@@ -361,7 +361,7 @@ def pads_to_finite(lo, hi):
     return max(abs(Fraction(lo) - pad), abs(Fraction(hi) + pad)) < Fraction(1.79e308)
 
 
-@settings(FUZZ, max_examples=20)
+@settings(max_examples=20)
 @given(st.data())
 def test_far_tank_bounds_and_poses_draw_or_fail_cleanly(data):
     cfg = preset("nominal")

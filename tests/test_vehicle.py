@@ -99,6 +99,13 @@ def stepped(params, u_sub, u_xi, nu=None):
     return np.array([*new_pose, *new_nu]).tobytes()
 
 
+def one_nan(data):
+    """The float64 bytes data with every NaN made np.nan's bits, so two
+    NaNs compare equal whatever their sign and payload."""
+    values = np.frombuffer(data)
+    return np.where(np.isnan(values), np.nan, values).tobytes()
+
+
 def assert_wrench(params, u_sub, u_xi, wrench):
     """The step of params allocates exactly wrench for u_sub and u_xi: its
     step from REST is bit for bit the step of an open model under the
@@ -201,16 +208,26 @@ command = st.floats() | st.sampled_from([0.0, -0.0, math.nan])
 @given(st.lists(command, min_size=6, max_size=6), st.lists(command, min_size=6, max_size=6))
 @example([math.nan, -0.0, 0.0, -0.0, 1e308, -math.inf],
          [0.0, -0.0, math.nan, 0.0, 1e308, math.inf])
+@example([0.0, 0.0, -math.nan, 0.0, 0.0, 0.0], [0.0, 0.0, math.nan, 0.0, 0.0, 0.0])
 def test_a_step_takes_its_two_commands_as_their_clipped_sum(u_sub, u_xi):
     """step(..., s, x, ...) is bit for bit step(..., clip(s + x), [-0.0] * n,
     ...) for any floats, NaN, infinities and signed zeros included: x + -0.0
-    is x for every float, and the clip leaves a clipped sum as it is."""
+    is x for every float, and the clip leaves a clipped sum as it is.
+
+    Bit for bit up to NaN: where the steps make a NaN, each must make one,
+    but its sign and payload are not part of the claim. The sum of two NaNs
+    keeps either operand's, and which one is not fixed even for a single
+    Python `+`: CPython 3.11 keeps the second operand's NaN at an add it has
+    not yet specialised and the first's once it has (after seven runs), so
+    -nan + nan is +nan in the step's first calls and -nan later, while
+    np.add makes -nan."""
     for params in (params6(), params3()):
         n = params.dof
         s, x = u_sub[:n], u_xi[:n]
         with np.errstate(invalid="ignore", over="ignore"):
             total = np.clip(np.add(s, x), -np.array(params.axis_bounds), params.axis_bounds)
-        assert stepped(params, s, x) == stepped(params, total.tolist(), [-0.0] * n)
+        got, expected = stepped(params, s, x), stepped(params, total.tolist(), [-0.0] * n)
+        assert one_nan(got) == one_nan(expected)
 
 
 def skew(a):
